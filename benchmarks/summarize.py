@@ -32,7 +32,8 @@ HEADLINE_KEYS: dict[str, list[str]] = {
                      "resident_task_bytes"],
     "coordinator": ["final_accuracy", "resident_task_bytes", "full_task_bytes"],
     "pipeline": ["speedup", "ratio", "effective_workers"],
-    "entropy": ["speedup", "total_parallel_seconds", "total_sequential_seconds"],
+    "entropy": ["speedup", "total_default_seconds", "total_reference_seconds",
+                "total_banded_seconds"],
     "streaming": ["first_byte_seconds", "encode_overlap_seconds",
                   "decode_overlap_seconds"],
     "selection": ["agreement_factor", "plan_crossover_mbps",

@@ -79,8 +79,8 @@ def _add_entropy_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--entropy-chunk", type=int, default=FedSZConfig.entropy_chunk,
                         help="max symbols per independently-decodable Huffman chunk")
     parser.add_argument("--entropy-workers", type=int, default=FedSZConfig.entropy_workers,
-                        help="Huffman decode threads (1 = the sequential reference "
-                             "decoder, >1 = banded vectorized decoding)")
+                        help="Huffman decode workers (1 = one in-thread vectorized "
+                             "band, >1 = bands on the execution backend)")
 
 
 def _add_plan_arguments(parser: argparse.ArgumentParser) -> None:

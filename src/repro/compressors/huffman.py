@@ -7,7 +7,8 @@ coder over non-negative integer symbols:
 * tree construction with :mod:`heapq` on the symbol histogram,
 * code lengths limited to :data:`MAX_CODE_LENGTH` bits (package-merge style
   rebalancing by clamping and re-normalizing Kraft mass),
-* vectorized encoding (all code bits emitted with NumPy in one shot),
+* vectorized encoding (every code scattered into the byte field at its
+  cumulative bit offset, see :func:`_pack_codes`),
 * table-driven decoding (a flat lookup table indexed by ``MAX_CODE_LENGTH``-bit
   windows, the classic fast canonical decoder).
 
@@ -30,21 +31,24 @@ any chunk boundary.  All integers little-endian::
     u64   total bit count
     u8[]  packed code bits (MSB-first)
 
-The chunk index is what makes the decode side parallel *and* vectorizable:
+The chunk index is what makes the decode side vectorizable *and* parallel.
+All chunks of a band decode simultaneously as one vectorized NumPy "row
+walk": each step advances every chunk's bit cursor by one decoded symbol, so
+the sequential dependency only spans a chunk, not the stream.
 
-* ``max_workers=1`` (or ``backend="serial"``) decodes with the strictly
-  sequential per-symbol reference loop (the deterministic baseline the tests
-  pin the fast path against),
+* ``max_workers=1`` (or ``backend="serial"``) decodes the whole stream
+  in-thread as one band, straight from the payload buffer,
 * ``max_workers>1`` splits the chunk list into bands and dispatches the bands
   to the configured :class:`~repro.utils.parallel.ExecutionBackend` (threads
   or processes).  Each band is a self-contained, picklable work unit — the
   worker receives its slice of the packed bit stream, the code-length table,
   and the band's chunk index, and *returns* the decoded symbol band rather
   than mutating a shared output array, so the same task function runs
-  unchanged on a thread pool or across a process boundary.  Inside a band all
-  chunks decode simultaneously as one vectorized NumPy "row walk": each step
-  advances every chunk's bit cursor by one decoded symbol, so the sequential
-  dependency only spans a chunk, not the stream.
+  unchanged on a thread pool or across a process boundary.
+
+A band narrower than :data:`_MIN_VECTOR_CHUNKS` chunks is too narrow to pay
+for the walk's per-step overhead and runs the per-symbol scalar loop
+instead; both kernels return identical symbols and reject identical streams.
 
 A corrupted or truncated payload always raises :class:`ValueError`: every
 header field is bounds-checked, the CRC covers the whole payload, an unused
@@ -88,8 +92,23 @@ _TARGET_CHUNKS = 512
 _MIN_CHUNK_SYMBOLS = 1024
 
 #: Below this many chunks the vectorized row walk is narrower than its own
-#: per-step dispatch overhead; fall back to the scalar reference loop.
-_MIN_VECTOR_CHUNKS = 8
+#: per-step dispatch overhead, and :func:`_decode_scalar` runs instead.  The
+#: scalar loop costs a fixed ~1 ms (listing the 64K table) plus ~0.3 us per
+#: symbol; the walk ~1.6 us per step, nearly flat in the chunk count.  Scalar
+#: time over vectorized time, medians of 21 interleaved runs, SZ2 codes of a
+#: ResNet-50 conv tensor at the encoder's 1024-symbol chunks, 2-core x86 host
+#: (range over three runs; the host has fast and slow phases): 1 chunk
+#: 0.57-0.67 (1.6 vs 2.4 ms), 2 chunks 0.87-1.08, 3 chunks 0.96-1.21,
+#: 4 chunks 1.05-1.29, 8 chunks 1.42-1.46, 32 chunks 3.2-3.4.
+_MIN_VECTOR_CHUNKS = 3
+
+#: Steps of the vectorized row walk between two table gathers; bounds the
+#: walk's window buffer to ``_WALK_BLOCK x chunks`` ``uint16`` entries.
+_WALK_BLOCK = 256
+
+#: Symbols :meth:`ChunkBandProducer.bands` packs per group of whole chunks
+#: (one chunk when a chunk is larger), which bounds the packing scratch.
+_PACK_GROUP_SYMBOLS = 1 << 16
 
 _MAGIC = b"HUF3"
 _HEADER = struct.Struct("<IQII")  # alphabet, count, chunk_size, n_chunks
@@ -186,13 +205,15 @@ def _require(payload: bytes, offset: int, needed: int, what: str) -> None:
 
 
 def _build_decode_tables(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Flat ``(symbol, code length)`` lookup tables over all 16-bit windows.
+    """Flat ``(code length, (symbol << 5) | code length)`` tables over all
+    16-bit windows.
 
     Canonical codes are assigned in (length, symbol) order, which makes the
     per-code window ranges ``[code << pad, (code + 1) << pad)`` abut exactly
     starting at 0 — the whole table is two :func:`numpy.repeat` calls.  Window
     values past the covered range (possible when Kraft mass was clamped away)
-    keep length 0, the decoder's "no such code" trap.
+    keep length 0 and combined entry 0, the decoder's "no such code" trap
+    (every real entry has a nonzero length, so a zero entry is always a trap).
     """
     used = np.flatnonzero(lengths)
     if used.size == 0:
@@ -204,11 +225,11 @@ def _build_decode_tables(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     covered = int(spans.sum())
     if covered > (1 << MAX_CODE_LENGTH):
         raise _corrupt("code-length table violates the Kraft inequality")
-    table_sym = np.zeros(1 << MAX_CODE_LENGTH, dtype=np.int64)
-    table_len = np.zeros(1 << MAX_CODE_LENGTH, dtype=np.int64)
-    table_sym[:covered] = np.repeat(order, spans)
+    table_len = np.zeros(1 << MAX_CODE_LENGTH, dtype=np.uint8)
+    table_comb = np.zeros(1 << MAX_CODE_LENGTH, dtype=np.int64)
     table_len[:covered] = np.repeat(lengths[order], spans)
-    return table_sym, table_len
+    table_comb[:covered] = np.repeat((order << 5) | lengths[order], spans)
+    return table_len, table_comb
 
 
 @functools.lru_cache(maxsize=128)
@@ -222,20 +243,137 @@ def _decode_tables_cached(length_table: bytes) -> tuple[np.ndarray, np.ndarray]:
     marked read-only because they are shared across callers.
     """
     lengths = np.frombuffer(length_table, dtype=np.uint8).astype(np.int64)
-    table_sym, table_len = _build_decode_tables(lengths)
-    table_sym.setflags(write=False)
+    table_len, table_comb = _build_decode_tables(lengths)
     table_len.setflags(write=False)
-    return table_sym, table_len
+    table_comb.setflags(write=False)
+    return table_len, table_comb
 
 
-def _byte_windows(bit_bytes: np.ndarray, pad_bytes: int) -> np.ndarray:
-    """24-bit big-endian windows starting at every byte, zero-padded at the end.
+def _bit_windows(bit_bytes: np.ndarray) -> np.ndarray:
+    """The 16-bit decode window at every bit position, as flat ``uint16``.
 
-    The 16-bit decode window at bit position ``p`` is
-    ``(w24[p >> 3] >> (8 - (p & 7))) & 0xFFFF``.
+    Row ``i`` of the ``(n_bytes, 8)`` matrix holds the windows starting in
+    byte ``i``, so the flat index of the window at bit ``p`` is ``p`` itself
+    and the row walk gathers it with a single ``take``.
     """
-    padded = np.concatenate([bit_bytes, np.zeros(pad_bytes, dtype=np.uint8)]).astype(np.int64)
-    return (padded[:-2] << 16) | (padded[1:-1] << 8) | padded[2:]
+    n = bit_bytes.size
+    padded = np.zeros(n + 2, dtype=np.uint32)
+    padded[:n] = bit_bytes
+    w24 = padded[:-2] << 16
+    w24 |= padded[1:-1] << 8
+    w24 |= padded[2:]
+    windows = np.empty((n, 8), dtype=np.uint16)
+    np.right_shift(w24[:, None], np.arange(8, 0, -1, dtype=np.uint32),
+                   out=windows, casting="unsafe")  # the uint16 cast is the mask
+    return windows.reshape(-1)
+
+
+def _decode_scalar(bit_bytes: np.ndarray, table_comb: np.ndarray,
+                   bit_offsets: np.ndarray, sym_counts: np.ndarray,
+                   chunk_ends: np.ndarray) -> np.ndarray:
+    """Sequential per-symbol decode of consecutive chunks.
+
+    The reference the row walk is tested against, and the faster kernel for
+    bands narrower than :data:`_MIN_VECTOR_CHUNKS` chunks.
+    """
+    windows = _bit_windows(bit_bytes)
+    table = table_comb.tolist()
+    out = np.empty(int(sym_counts.sum()), dtype=np.int64)
+    base = 0
+    for c in range(bit_offsets.size):
+        start, end = int(bit_offsets[c]), int(chunk_ends[c])
+        n_syms = int(sym_counts[c])
+        local = windows[start:end].tolist()
+        pos = 0
+        rel_end = end - start
+        decoded = [0] * n_syms
+        for i in range(n_syms):
+            if pos >= rel_end:
+                raise _corrupt("chunk decoded past its recorded boundary")
+            entry = table[local[pos]]
+            if not entry:
+                raise _corrupt("bit window matches no codeword")
+            decoded[i] = entry >> 5
+            pos += entry & 31
+        if pos != rel_end:
+            raise _corrupt("chunk did not decode to its recorded boundary")
+        out[base:base + n_syms] = decoded
+        base += n_syms
+    return out
+
+
+def _decode_band_vectorized(bit_bytes: np.ndarray, table_len: np.ndarray,
+                            table_comb: np.ndarray, bit_offsets: np.ndarray,
+                            sym_counts: np.ndarray,
+                            chunk_ends: np.ndarray) -> np.ndarray:
+    """Decode consecutive chunks as a vectorized row walk.
+
+    Every step advances all chunk cursors by one symbol: gather the 16-bit
+    window under each cursor, look up its code length, advance.  The walk
+    keeps only the windows of the last :data:`_WALK_BLOCK` steps; one gather
+    through the combined table per block turns them into output entries,
+    chunk-major.  Every chunk but the last holds the same number of symbols
+    (the HUF3 chunk geometry); a shorter last chunk walks on harmlessly past
+    its end, its surplus entries fall off the end of the output, and its
+    cursor is re-derived from its own entries.  A chunk is corrupt unless it
+    ends exactly on its recorded boundary with no unused window among its
+    symbols (an unused window has length 0, so without that check a chunk
+    that reached its end early could stall on the boundary and pass).
+    """
+    width = bit_offsets.size
+    steps = int(sym_counts[0])
+    tail = int(sym_counts[-1])
+    windows = _bit_windows(bit_bytes)
+    cursors = bit_offsets.astype(np.int64)
+    lengths = np.empty(width, dtype=np.uint8)
+    walked = np.empty((min(steps, _WALK_BLOCK), width), dtype=np.uint16)
+    entries = np.empty((width, steps), dtype=np.int64)
+    for step0 in range(0, steps, _WALK_BLOCK):
+        block = walked[:min(_WALK_BLOCK, steps - step0)]
+        # "clip" skips take's buffered bounds check: a window always indexes
+        # the 64K tables, and a corrupt chunk that drifts past the stream end
+        # fails the boundary check below anyway
+        for row in block:
+            windows.take(cursors, out=row, mode="clip")
+            table_len.take(row, out=lengths, mode="clip")
+            cursors += lengths
+        table_comb.take(block.T, out=entries[:, step0:step0 + block.shape[0]],
+                        mode="clip")
+    out = entries.reshape(-1)[:(width - 1) * steps + tail]
+    if tail < steps:
+        cursors[-1] = bit_offsets[-1] + int((out[out.size - tail:] & 31).sum())
+    if not np.array_equal(cursors, chunk_ends):
+        raise _corrupt("chunk did not decode to its recorded boundary")
+    if not out.all():
+        raise _corrupt("bit window matches no codeword")
+    out >>= 5
+    return out
+
+
+def _rebase(bit_bytes: np.ndarray, bit_offsets: np.ndarray,
+            chunk_ends: np.ndarray) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+    """The byte window spanned by the chunks, with positions relative to it."""
+    byte0 = int(bit_offsets[0]) >> 3
+    byte_hi = (int(chunk_ends[-1]) + 7) >> 3
+    return (bit_bytes[byte0:byte_hi], bit_offsets - (byte0 << 3),
+            chunk_ends - (byte0 << 3))
+
+
+def _decode_chunks(bit_bytes: np.ndarray, length_table: bytes,
+                   bit_offsets: np.ndarray, sym_counts: np.ndarray,
+                   chunk_ends: np.ndarray) -> np.ndarray:
+    """Decode consecutive chunks in-thread with the kernel that suits them.
+
+    ``bit_offsets``/``chunk_ends`` are bit positions in ``bit_bytes``; the
+    chunks are first rebased onto the zero-copy byte window they span, so a
+    streaming consumer's burst never touches bytes outside it.
+    """
+    bit_bytes, bit_offsets, chunk_ends = _rebase(bit_bytes, bit_offsets, chunk_ends)
+    table_len, table_comb = _decode_tables_cached(length_table)
+    if bit_offsets.size < _MIN_VECTOR_CHUNKS:
+        return _decode_scalar(bit_bytes, table_comb, bit_offsets, sym_counts, chunk_ends)
+    return _decode_band_vectorized(bit_bytes, table_len, table_comb, bit_offsets,
+                                   sym_counts, chunk_ends)
 
 
 def _decode_band_task(task: "tuple[bytes, bytes, np.ndarray, np.ndarray, np.ndarray]") -> np.ndarray:
@@ -251,23 +389,54 @@ def _decode_band_task(task: "tuple[bytes, bytes, np.ndarray, np.ndarray, np.ndar
     builds them once per worker instead of once per band.
     """
     bit_slice, length_table, bit_offsets, sym_counts, chunk_ends = task
-    table_sym, table_len = _decode_tables_cached(length_table)
-    bit_bytes = np.frombuffer(bit_slice, dtype=np.uint8)
-    sym_starts = np.concatenate([[0], np.cumsum(sym_counts)[:-1]])
-    out = np.empty(int(sym_counts.sum()), dtype=np.int64)
-    if bit_offsets.size < _MIN_VECTOR_CHUNKS:
-        HuffmanCoder._decode_scalar(bit_bytes, bit_offsets, sym_counts, sym_starts,
-                                    chunk_ends, table_sym, table_len, out)
-        return out
-    steps_cap = int(sym_counts.max())
-    # Pad the byte windows so a corrupt stream can drift up to
-    # MAX_CODE_LENGTH bits per step past the end without an out-of-bounds
-    # gather; the drift itself is caught by the chunk-boundary check.
-    w24 = _byte_windows(bit_bytes, 3 + (steps_cap * MAX_CODE_LENGTH + 7) // 8)
-    comb = (table_sym << 5) | table_len
-    HuffmanCoder._decode_band_vectorized(w24, comb, bit_offsets, sym_counts,
-                                         sym_starts, chunk_ends, out)
-    return out
+    return _decode_chunks(np.frombuffer(bit_slice, dtype=np.uint8), length_table,
+                          bit_offsets, sym_counts, chunk_ends)
+
+
+def _decode_span(bit_bytes: np.ndarray, length_table: bytes,
+                 bit_offsets: np.ndarray, sym_counts: np.ndarray,
+                 chunk_ends: np.ndarray, backend: ExecutionBackend,
+                 workers: int) -> np.ndarray:
+    """Decode consecutive chunks in-thread, or in bands on ``backend``.
+
+    One worker decodes every chunk as one band in the calling thread.  More
+    workers split the chunks into bands of at least
+    :data:`_MIN_VECTOR_CHUNKS` chunks; on a GIL-bound backend never more
+    bands than cores — a band's cost is dominated by its per-step dispatch
+    overhead, so extra narrower bands only help while they actually run
+    concurrently; a process pool's workers always do, so there the knob is
+    honoured.
+    """
+    n_chunks = bit_offsets.size
+    cap = workers if not backend.gil_bound else min(workers, os.cpu_count() or 1)
+    n_bands = min(cap, n_chunks // _MIN_VECTOR_CHUNKS)
+    if n_bands <= 1:
+        return _decode_chunks(bit_bytes, length_table, bit_offsets, sym_counts,
+                              chunk_ends)
+    edges = np.linspace(0, n_chunks, n_bands + 1).astype(int)
+    tasks = []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        # copy each band's byte window so the task is a small, self-contained
+        # (and cheaply picklable) unit of work
+        window, offsets, ends = _rebase(bit_bytes, bit_offsets[lo:hi], chunk_ends[lo:hi])
+        tasks.append((window.tobytes(), length_table, offsets, sym_counts[lo:hi], ends))
+    return np.concatenate(list(backend.map(_decode_band_task, tasks,
+                                           workers=workers, chunksize=1)))
+
+
+def _decode_reference(payload: bytes) -> np.ndarray:
+    """Decode a whole stream with :func:`_decode_scalar` at any chunk count.
+
+    The reference the tests and ``benchmarks/bench_entropy.py`` hold the
+    default :meth:`HuffmanCoder.decode` against.
+    """
+    lengths, index, count, total_bits, bits_at = HuffmanCoder._parse_header(payload)
+    if count == 0:
+        return np.zeros(0, dtype=np.int64)
+    _, table_comb = _decode_tables_cached(lengths.astype(np.uint8).tobytes())
+    return _decode_scalar(np.frombuffer(payload, dtype=np.uint8, offset=bits_at),
+                          table_comb, index[:, 0], index[:, 1],
+                          np.append(index[1:, 0], total_bits))
 
 
 class ChunkBandConsumer:
@@ -282,8 +451,9 @@ class ChunkBandConsumer:
     output burst, or all at once — parses the header progressively, and
     eagerly decodes every chunk whose bytes have fully arrived.  Bands of
     newly-ready chunks go through exactly the same scalar/vectorized decode
-    kernels as :meth:`HuffmanCoder.decode`, so the symbols are bit-identical
-    to a non-streaming decode at any worker count on any backend.
+    kernels as :meth:`HuffmanCoder.decode` (in-thread, or banded on the
+    backend for a wide burst), so the symbols are bit-identical to a
+    non-streaming decode at any worker count on any backend.
 
     The stream's CRC-32 covers the *entire* payload, so it can only be
     verified once the last byte arrives: :meth:`finish` checks it (and the
@@ -303,8 +473,7 @@ class ChunkBandConsumer:
         self._crc = 0
         self._crc_pos = _PREFIX_LEN  # next byte offset to fold into the CRC
         self._crc_stored: int | None = None
-        self._header: "tuple | None" = None  # (lengths, bit_offsets, sym_counts, sym_starts, chunk_ends, count, bits_at)
-        self._tables: "tuple[np.ndarray, np.ndarray] | None" = None
+        self._header: "tuple | None" = None  # (length_table, bit_offsets, sym_counts, sym_starts, chunk_ends, count, bits_at)
         self._out: "np.ndarray | None" = None
         self._next_chunk = 0
         self._finished: "np.ndarray | None" = None
@@ -381,7 +550,7 @@ class ChunkBandConsumer:
         if self._crc != self._crc_stored:
             raise _corrupt("CRC-32 mismatch")
         self._decode_ready()
-        lengths, bit_offsets, *_ = self._header
+        _, bit_offsets, *_ = self._header
         if self._next_chunk != bit_offsets.size:
             raise _corrupt("stream ended before every chunk decoded")
         self._finished = self._out if self._out is not None \
@@ -412,8 +581,7 @@ class ChunkBandConsumer:
         offset = fixed
         if not buf.has(alphabet + 16 * n_chunks + 8, offset):
             return
-        lengths = np.frombuffer(buf.view(offset, offset + alphabet),
-                                dtype=np.uint8).astype(np.int64)
+        length_table = bytes(buf.view(offset, offset + alphabet))
         offset += alphabet
         index = np.frombuffer(buf.view(offset, offset + 16 * n_chunks),
                               dtype="<u8").reshape(n_chunks, 2).astype(np.int64)
@@ -447,10 +615,10 @@ class ChunkBandConsumer:
             if n_chunks else np.zeros(0, dtype=np.int64)
         # from here on the total stream length is pinned; over-feeding raises
         self._buf.expect(offset + (total_bits + 7) // 8)
-        self._header = (lengths, bit_offsets, sym_counts, sym_starts,
+        self._header = (length_table, bit_offsets, sym_counts, sym_starts,
                         chunk_ends, count, offset)
         if count:
-            self._tables = _decode_tables_cached(lengths.astype(np.uint8).tobytes())
+            _decode_tables_cached(length_table)  # a bad code table fails here
             self._out = np.empty(count, dtype=np.int64)
 
     def _ready_chunks(self) -> int:
@@ -468,65 +636,63 @@ class ChunkBandConsumer:
         lo, hi = self._next_chunk, self._ready_chunks()
         if hi <= lo:
             return
-        lengths, bit_offsets, sym_counts, sym_starts, chunk_ends, count, bits_at = self._header
-        table_sym, table_len = self._tables
+        length_table, bit_offsets, sym_counts, sym_starts, chunk_ends, _, bits_at = self._header
         workers = self.backend.resolve_workers(self.max_workers, hi - lo)
-        if workers > 1 and hi - lo >= 2 * _MIN_VECTOR_CHUNKS:
-            # wide burst (a large feed or a fast wire): band it out exactly
-            # like the non-streaming parallel decode
-            cap = workers if not self.backend.gil_bound else \
-                min(workers, os.cpu_count() or 1)
-            n_bands = max(1, min(cap, (hi - lo) // _MIN_VECTOR_CHUNKS))
-            edges = np.linspace(lo, hi, n_bands + 1).astype(int)
-            length_table = lengths.astype(np.uint8).tobytes()
-            bands = [(int(edges[b]), int(edges[b + 1])) for b in range(n_bands)
-                     if edges[b] < edges[b + 1]]
-            tasks = []
-            for b_lo, b_hi in bands:
-                byte0 = int(bit_offsets[b_lo]) >> 3
-                byte_hi = (int(chunk_ends[b_hi - 1]) + 7) >> 3
-                tasks.append((bytes(self._buf.view(bits_at + byte0, bits_at + byte_hi)),
-                              length_table,
-                              bit_offsets[b_lo:b_hi] - (byte0 << 3),
-                              sym_counts[b_lo:b_hi],
-                              chunk_ends[b_lo:b_hi] - (byte0 << 3)))
-            decoded = self.backend.map(_decode_band_task, tasks,
-                                       workers=workers, chunksize=1)
-            for (b_lo, b_hi), band_out in zip(bands, decoded):
-                base = int(sym_starts[b_lo])
-                self._out[base:base + band_out.size] = band_out
-        else:
-            # narrow burst: rebase the ready band onto its zero-copy window
-            # and run the in-process kernels directly
-            byte0 = int(bit_offsets[lo]) >> 3
-            byte_hi = (int(chunk_ends[hi - 1]) + 7) >> 3
-            bit_bytes = np.frombuffer(
-                self._buf.view(bits_at + byte0, bits_at + byte_hi), dtype=np.uint8)
-            rel_offsets = bit_offsets[lo:hi] - (byte0 << 3)
-            rel_ends = chunk_ends[lo:hi] - (byte0 << 3)
-            band_starts = sym_starts[lo:hi] - int(sym_starts[lo])
-            band_out = np.empty(int(sym_counts[lo:hi].sum()), dtype=np.int64)
-            if hi - lo < _MIN_VECTOR_CHUNKS:
-                HuffmanCoder._decode_scalar(bit_bytes, rel_offsets, sym_counts[lo:hi],
-                                            band_starts, rel_ends, table_sym,
-                                            table_len, band_out)
-            else:
-                steps_cap = int(sym_counts[lo:hi].max())
-                w24 = _byte_windows(bit_bytes,
-                                    3 + (steps_cap * MAX_CODE_LENGTH + 7) // 8)
-                comb = (table_sym << 5) | table_len
-                HuffmanCoder._decode_band_vectorized(
-                    w24, comb, rel_offsets, sym_counts[lo:hi], band_starts,
-                    rel_ends, band_out)
-            base = int(sym_starts[lo])
-            self._out[base:base + band_out.size] = band_out
+        # a wide burst (a large feed or a fast wire) is banded out exactly
+        # like the non-streaming decode; the rest runs in-thread on the
+        # zero-copy window of the ready chunks
+        band = _decode_span(np.frombuffer(self._buf.view(bits_at), dtype=np.uint8),
+                            length_table, bit_offsets[lo:hi], sym_counts[lo:hi],
+                            chunk_ends[lo:hi], self.backend, workers)
+        base = int(sym_starts[lo])
+        self._out[base:base + band.size] = band
         self._next_chunk = hi
 
 
-#: Bytes of vectorized-emission scratch per (symbol, bit-position) matrix
-#: cell: the ``shift`` int64 (8) + ``valid`` bool (1) + ``shifted`` uint64 (8)
-#: + ``bits`` uint8 (1) temporaries of the bit-emission kernel.
-_EMIT_SCRATCH_PER_CELL = 18
+#: Bytes of packing scratch per symbol of a group: the int64 codes, lengths,
+#: end bits and start bytes :func:`_pack_codes` holds at once (the float64
+#: copy of the weights :func:`numpy.bincount` makes takes the place of the
+#: two it has freed by then).
+_PACK_SCRATCH_PER_SYMBOL = 32
+#: Bytes of packing scratch per output byte of a group: the float64 field
+#: sums, then the uint32 fields plus two uint32 lanes, and the uint8 result
+#: with the band copies cut from it.
+_PACK_SCRATCH_PER_BYTE = 16
+
+
+def _pack_codes(codes: np.ndarray, lengths: np.ndarray, lead: int) -> np.ndarray:
+    """Pack ``codes`` of ``lengths`` bits MSB-first behind ``lead`` zero bits.
+
+    A code of at most 16 bits starting at bit ``s`` lies inside the 24-bit
+    big-endian field of bytes ``s >> 3`` to ``(s >> 3) + 2``.  Shifted into
+    that field, the codes starting in one byte never overlap, so their sum is
+    their OR: :func:`numpy.bincount` adds up one field per start byte (exact
+    in float64, every sum is below ``2**24``), and each output byte ORs the
+    high, middle and low 8 bits of the fields starting 0, 1 and 2 bytes
+    earlier.  Returns ``ceil((lead + sum(lengths)) / 8)`` bytes.  Both int64
+    arguments are overwritten.
+    """
+    ends = np.cumsum(lengths)
+    ends += lead
+    n_bytes = (int(ends[-1]) + 7) >> 3
+    heads = ends - lengths
+    heads >>= 3
+    # the shift into the field is 24 - (start & 7) - length = 24 + 8 * head - end
+    np.left_shift(heads, 3, out=lengths)
+    lengths += 24
+    lengths -= ends
+    codes <<= lengths
+    del ends, lengths
+    fields = np.zeros(n_bytes + 2, dtype=np.uint32)
+    fields[2:] = np.bincount(heads, weights=codes, minlength=n_bytes)
+    del heads, codes
+    packed = fields[2:] >> 16
+    lane = fields[1:-1] >> 8
+    lane &= 0xFF
+    packed |= lane
+    np.bitwise_and(fields[:-2], 0xFF, out=lane)
+    packed |= lane
+    return packed.astype(np.uint8)
 
 
 class ChunkBandProducer:
@@ -538,15 +704,14 @@ class ChunkBandProducer:
     chunk geometry) the *entire* header — code-length table, per-chunk
     ``(bit_offset, symbol_count)`` index, and total bit count — is pinned:
     :attr:`pinned_header` and :attr:`stream_length` are available before any
-    band exists.  :meth:`bands` then emits each chunk's packed code bits the
-    moment that chunk's symbols are coded, in chunk order, cut at byte
-    boundaries so the concatenated bands are bit-identical to the batch
-    encoder's single :func:`numpy.packbits` pass.
+    band exists.  :meth:`bands` then packs groups of whole chunks and emits
+    each chunk's packed code bits in chunk order, cut at byte boundaries so
+    the concatenated bands are the stream's packed bit stream byte for byte.
 
-    Packing per chunk instead of per stream also bounds the vectorized
-    emission scratch (the ``symbols x max_code_length`` bit matrix) to one
-    chunk: :attr:`peak_scratch_bytes` reports the analytic high-water mark,
-    which is what the round engine surfaces as encode scratch.
+    Packing a group of whole chunks (:data:`_PACK_GROUP_SYMBOLS` symbols, or
+    one larger chunk) instead of the whole stream bounds the packing scratch:
+    :attr:`peak_scratch_bytes` reports its analytic high-water mark, which is
+    what the round engine surfaces as encode scratch.
 
     The one field that cannot be pinned early is the stream CRC-32 at byte
     offset 4: it covers the packed bands, so :meth:`magic_and_crc` only
@@ -595,23 +760,23 @@ class ChunkBandProducer:
             alphabet = int(symbols.max()) + 1
             freqs = np.bincount(symbols, minlength=alphabet)
             lengths = _build_code_lengths(freqs)
-        self._codes = _canonical_codes(lengths).astype(np.uint64)
-        self._sym_lengths = lengths[symbols]
-        if pinned and int(self._sym_lengths.min()) == 0:
+        self._lengths = lengths
+        self._codes = _canonical_codes(lengths).astype(np.int64)
+        sym_lengths = lengths[symbols]
+        if pinned and int(sym_lengths.min()) == 0:
             raise ValueError("pinned code-length table assigns no code to a "
                              "present symbol")
-        self._max_len = int(lengths.max())
-        bit_ends = np.cumsum(self._sym_lengths)
-        total_bits = int(bit_ends[-1])
 
-        chunk = min(chunk_size, max(_MIN_CHUNK_SYMBOLS, count // _TARGET_CHUNKS))
-        self._starts = starts = np.arange(0, count, chunk, dtype=np.int64)
+        self._chunk = chunk = min(chunk_size, max(_MIN_CHUNK_SYMBOLS, count // _TARGET_CHUNKS))
+        starts = np.arange(0, count, chunk, dtype=np.int64)
         self.n_chunks = starts.size
-        offsets = np.zeros(starts.size, dtype=np.uint64)
-        offsets[1:] = bit_ends[starts[1:] - 1].astype(np.uint64)
+        chunk_bits = np.add.reduceat(sym_lengths, starts)
+        del sym_lengths
+        self._chunk_ends = chunk_ends = np.cumsum(chunk_bits)
+        total_bits = int(chunk_ends[-1])
         index = np.empty((starts.size, 2), dtype="<u8")
-        index[:, 0] = offsets
-        index[:, 1] = np.minimum(chunk, count - starts).astype(np.uint64)
+        index[:, 0] = chunk_ends - chunk_bits
+        index[:, 1] = np.minimum(chunk, count - starts)
 
         self.code_lengths = lengths.astype(np.uint8).tobytes()
         header = bytearray(_HEADER.size + alphabet + 16 * starts.size + 8)
@@ -623,53 +788,48 @@ class ChunkBandProducer:
         pos += 16 * starts.size
         struct.pack_into("<Q", header, pos, total_bits)
         self.pinned_header = bytes(header)
-        self._total_bits = total_bits
         self.stream_length = _PREFIX_LEN + len(self.pinned_header) + \
             (total_bits + 7) // 8
-        widest = int(index[:, 1].max())
-        self.peak_scratch_bytes = widest * self._max_len * _EMIT_SCRATCH_PER_CELL
+
+        # the widest group bounds the packing scratch: its symbols and the
+        # bytes from the one its first bit lands in to the one its last does
+        self._group = group = max(1, _PACK_GROUP_SYMBOLS // chunk)
+        group_ends = chunk_ends[group - 1::group]
+        if group_ends.size * group < self.n_chunks:
+            group_ends = np.append(group_ends, total_bits)
+        group_bytes = ((group_ends + 7) >> 3) - (np.append(0, group_ends[:-1]) >> 3)
+        self.peak_scratch_bytes = min(group * chunk, count) * _PACK_SCRATCH_PER_SYMBOL \
+            + int(group_bytes.max()) * _PACK_SCRATCH_PER_BYTE
 
     def bands(self):
-        """Yield each chunk's packed code bits the moment the chunk is coded.
+        """Yield each chunk's packed code bits, one group of chunks at a time.
 
-        Bands are cut at byte boundaries (leftover bits carry into the next
-        band; the final band is zero-padded), so their concatenation equals
-        the batch encoder's packed bit stream byte for byte.  The running
-        CRC-32 folds each band in as it is packed; :meth:`magic_and_crc`
-        unlocks when the generator is exhausted.
+        Bands are cut at byte boundaries (a group's open last byte carries
+        into the next group; the final band is zero-padded), so their
+        concatenation equals the packed bit stream byte for byte.  The
+        running CRC-32 folds each band in as it is yielded;
+        :meth:`magic_and_crc` unlocks when the generator is exhausted.
         """
         if self._count == 0:
             return
         crc = zlib.crc32(self.pinned_header)
-        carry = np.zeros(0, dtype=np.uint8)
-        bitpos = np.arange(self._max_len, dtype=np.int64)
-        emitted = 0
-        for k in range(self.n_chunks):
-            s0 = int(self._starts[k])
-            s1 = int(self._starts[k + 1]) if k + 1 < self.n_chunks else self._count
-            chunk_lens = self._sym_lengths[s0:s1]
-            chunk_codes = self._codes[self._symbols[s0:s1]]
-            shift = chunk_lens[:, None] - 1 - bitpos[None, :]
-            valid = shift >= 0
-            shifted = chunk_codes[:, None] >> np.maximum(shift, 0).astype(np.uint64)
-            bits = (shifted & np.uint64(1)).astype(np.uint8)[valid]
-            if carry.size:
-                bits = np.concatenate([carry, bits])
-            if k + 1 < self.n_chunks:
-                cut = bits.size & ~7  # pack whole bytes, carry the remainder
-                band = np.packbits(bits[:cut]).tobytes()
-                carry = bits[cut:]
-                emitted += cut
-            else:
-                band = np.packbits(bits).tobytes()
-                emitted += bits.size
-                carry = np.zeros(0, dtype=np.uint8)
-            crc = zlib.crc32(band, crc)
-            self._crc = crc
-            yield band
-        if emitted != self._total_bits:
-            raise RuntimeError("producer emitted a different bit count than "
-                               "the pinned index declares")
+        cuts = self._chunk_ends >> 3
+        cuts[-1] = (int(self._chunk_ends[-1]) + 7) >> 3
+        bit0 = carry = 0
+        for g0 in range(0, self.n_chunks, self._group):
+            g1 = min(g0 + self._group, self.n_chunks)
+            symbols = self._symbols[g0 * self._chunk:g1 * self._chunk]
+            packed = _pack_codes(self._codes[symbols], self._lengths[symbols], bit0 & 7)
+            packed[0] |= carry
+            lo = 0
+            for hi in cuts[g0:g1] - (bit0 >> 3):
+                band = packed[lo:hi].tobytes()
+                crc = zlib.crc32(band, crc)
+                yield band
+                lo = hi
+            bit0 = int(self._chunk_ends[g1 - 1])
+            carry = int(packed[-1]) if bit0 & 7 else 0
+        self._crc = crc
         self._bands_done = True
 
     def magic_and_crc(self) -> bytes:
@@ -688,15 +848,14 @@ class ChunkBandProducer:
 
         Because the CRC at offset 4 is pinned last, bands are staged
         internally until packing completes; the staging high-water mark is
-        the packed bit stream itself, never the emission scratch.  The
+        the packed bit stream itself, never the packing scratch.  The
         concatenation of the yielded pieces is byte-identical to
         :meth:`HuffmanCoder.encode` at the same ``chunk_size``.
         """
         staged = list(self.bands())
         yield self.magic_and_crc()
         yield self.pinned_header
-        while staged:
-            yield staged.pop(0)
+        yield from staged
 
 
 class HuffmanCoder:
@@ -704,11 +863,11 @@ class HuffmanCoder:
 
     ``chunk_size`` caps the number of symbols per chunk (the encoder may pick
     smaller chunks for short streams, see :data:`_TARGET_CHUNKS`).
-    ``max_workers`` is the default decode concurrency: ``1`` selects the
-    sequential reference decoder, larger values (or ``None`` for the backend
-    default) the banded vectorized decoder.  ``backend`` names the
-    :class:`~repro.utils.parallel.ExecutionBackend` the bands are dispatched
-    on (``"serial"`` always runs the reference decoder).  Every combination
+    ``max_workers`` is the default decode concurrency: ``1`` decodes the
+    whole stream in-thread as one vectorized band, larger values (or ``None``
+    for the backend default) split it into bands dispatched on the
+    :class:`~repro.utils.parallel.ExecutionBackend` named by ``backend``
+    (``"serial"`` always runs the one in-thread band).  Every combination
     produces bit-identical symbol arrays; instances are stateless per call,
     thread-safe, and picklable.
     """
@@ -733,11 +892,11 @@ class HuffmanCoder:
                lengths: "np.ndarray | None" = None) -> bytes:
         """Encode ``symbols`` (any integer dtype, values >= 0) to bytes.
 
-        The stream is assembled chunk by chunk through
-        :class:`ChunkBandProducer` into one preallocated buffer: packing per
-        chunk bounds the vectorized-emission scratch to a single chunk's bit
-        matrix instead of the whole stream's, and the single output buffer
-        replaces the former chain of intermediate ``bytes`` concatenations.
+        The stream is assembled band by band through
+        :class:`ChunkBandProducer` into one preallocated buffer: packing one
+        group of chunks at a time bounds the packing scratch to a group
+        instead of the whole stream, and the single output buffer replaces
+        the former chain of intermediate ``bytes`` concatenations.
         ``lengths`` optionally pins a code-length table from a previous build
         (warm codebook reuse), skipping the histogram + tree construction.
         """
@@ -781,7 +940,8 @@ class HuffmanCoder:
             backend=self.backend if backend is None else backend)
 
     # ------------------------------------------------------------------
-    def _parse_header(self, payload: bytes):
+    @staticmethod
+    def _parse_header(payload: bytes):
         """Validate the v3 container and return its parsed fields.
 
         Every declared length is bounds-checked against the remaining buffer
@@ -839,142 +999,22 @@ class HuffmanCoder:
         """Decode a byte string produced by :meth:`encode` back to ``int64``.
 
         ``max_workers`` and ``backend`` override the instance defaults for
-        this call; one worker (or the ``serial`` backend) runs the sequential
-        reference decoder, more the banded vectorized one (identical output
-        either way).
+        this call; one worker (or the ``serial`` backend) decodes the whole
+        stream in-thread as one band, more split it into bands on the backend
+        (identical output either way).  A stream of fewer than
+        :data:`_MIN_VECTOR_CHUNKS` chunks runs the per-symbol scalar loop.
         """
         lengths, index, count, total_bits, bits_at = self._parse_header(payload)
         if count == 0:
             return np.zeros(0, dtype=np.int64)
-
-        n_chunks = index.shape[0]
         bit_offsets = index[:, 0]
-        sym_counts = index[:, 1]
-        sym_starts = np.concatenate([[0], np.cumsum(sym_counts)[:-1]])
-        chunk_ends = np.concatenate([bit_offsets[1:], [total_bits]])
-        bit_bytes = np.frombuffer(payload, dtype=np.uint8, offset=bits_at)
-
         exec_backend = self.backend if backend is None else get_backend(backend)
-        workers = self.max_workers if max_workers is None else max_workers
-        workers = exec_backend.resolve_workers(workers, n_chunks)
-        if workers == 1 or n_chunks < _MIN_VECTOR_CHUNKS:
-            table_sym, table_len = _decode_tables_cached(lengths.astype(np.uint8).tobytes())
-            out = np.empty(count, dtype=np.int64)
-            self._decode_scalar(bit_bytes, bit_offsets, sym_counts, sym_starts,
-                                chunk_ends, table_sym, table_len, out)
-            return out
-
-        # Band the chunks and fan the bands out over the execution backend.
-        # On a GIL-bound backend never split finer than the core count — a
-        # band's cost is dominated by its per-step dispatch overhead, so extra
-        # narrower bands only help while they actually run concurrently; a
-        # process pool's workers always do, so there the knob is honoured.
-        cap = workers if not exec_backend.gil_bound else \
-            min(workers, os.cpu_count() or 1)
-        n_bands = max(1, min(cap, n_chunks // _MIN_VECTOR_CHUNKS))
-        edges = np.linspace(0, n_chunks, n_bands + 1).astype(int)
-        length_table = lengths.astype(np.uint8).tobytes()
-
-        tasks = []
-        bands = [(int(edges[b]), int(edges[b + 1])) for b in range(n_bands)
-                 if edges[b] < edges[b + 1]]
-        for lo, hi in bands:
-            # rebase the band onto its own byte slice so the task is a small,
-            # self-contained (and cheaply picklable) unit of work
-            byte0 = int(bit_offsets[lo]) >> 3
-            byte_hi = (int(chunk_ends[hi - 1]) + 7) >> 3
-            tasks.append((bit_bytes[byte0:byte_hi].tobytes(), length_table,
-                          bit_offsets[lo:hi] - (byte0 << 3),
-                          sym_counts[lo:hi],
-                          chunk_ends[lo:hi] - (byte0 << 3)))
-        decoded_bands = exec_backend.map(_decode_band_task, tasks,
-                                         workers=workers, chunksize=1)
-        out = np.empty(count, dtype=np.int64)
-        for (lo, hi), band_out in zip(bands, decoded_bands):
-            base = int(sym_starts[lo])
-            out[base:base + band_out.size] = band_out
-        return out
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _decode_scalar(bit_bytes: np.ndarray, bit_offsets: np.ndarray,
-                       sym_counts: np.ndarray, sym_starts: np.ndarray,
-                       chunk_ends: np.ndarray, table_sym: np.ndarray,
-                       table_len: np.ndarray, out: np.ndarray) -> None:
-        """Sequential per-symbol reference decoder (``max_workers=1``)."""
-        w24 = _byte_windows(bit_bytes, 3)
-        tbl_sym = table_sym.tolist()
-        tbl_len = table_len.tolist()
-        for c in range(bit_offsets.size):
-            start, end = int(bit_offsets[c]), int(chunk_ends[c])
-            n_syms = int(sym_counts[c])
-            byte0 = start >> 3
-            local = w24[byte0:((end - 1) >> 3) + 2].tolist()
-            pos = start - (byte0 << 3)
-            rel_end = end - (byte0 << 3)
-            decoded = [0] * n_syms
-            for i in range(n_syms):
-                if pos >= rel_end:
-                    raise _corrupt("chunk decoded past its recorded boundary")
-                window = (local[pos >> 3] >> (8 - (pos & 7))) & 0xFFFF
-                length = tbl_len[window]
-                if length == 0:
-                    raise _corrupt("bit window matches no codeword")
-                decoded[i] = tbl_sym[window]
-                pos += length
-            if pos != rel_end:
-                raise _corrupt("chunk did not decode to its recorded boundary")
-            base = int(sym_starts[c])
-            out[base:base + n_syms] = decoded
-
-    @staticmethod
-    def _decode_band_vectorized(w24: np.ndarray, comb: np.ndarray,
-                                bit_offsets: np.ndarray, sym_counts: np.ndarray,
-                                sym_starts: np.ndarray, chunk_ends: np.ndarray,
-                                out: np.ndarray) -> None:
-        """Decode one band of chunks as a vectorized row walk.
-
-        Every step advances all chunk cursors by one symbol: gather the 16-bit
-        window under each cursor, look up ``(symbol << 5) | length`` in the
-        combined table, store the row, advance.  An unused window entry has
-        length 0, so a corrupt chunk's cursor stalls (or drifts) and fails the
-        final boundary comparison.
-        """
-        width = bit_offsets.size
-        cursors = bit_offsets.astype(np.int64).copy()
-        steps = int(sym_counts.max())
-        decoded = np.empty((steps, width), dtype=np.int64)
-        # Chunk sizes are uniform except for the stream's trailing chunk; its
-        # cursor is snapshotted when it runs out of symbols (the row keeps
-        # walking harmlessly inside the padded windows, and its surplus
-        # symbols are never copied out).
-        short_rows = {int(r): int(sym_counts[r])
-                      for r in np.flatnonzero(sym_counts < steps)}
-        frozen: dict[int, int] = {}
-        shifts = np.empty(width, dtype=np.int64)
-        windows = np.empty(width, dtype=np.int64)
-        for step in range(steps):
-            for row, row_syms in short_rows.items():
-                if step == row_syms:
-                    frozen[row] = int(cursors[row])
-            np.right_shift(cursors, 3, out=shifts)
-            np.take(w24, shifts, out=windows)
-            np.bitwise_and(cursors, 7, out=shifts)
-            np.subtract(8, shifts, out=shifts)
-            np.right_shift(windows, shifts, out=windows)
-            np.bitwise_and(windows, 0xFFFF, out=windows)
-            row_out = decoded[step]
-            np.take(comb, windows, out=row_out)
-            np.bitwise_and(row_out, 31, out=shifts)
-            cursors += shifts
-        for row, cursor in frozen.items():
-            cursors[row] = cursor
-        if not np.array_equal(cursors, chunk_ends):
-            raise _corrupt("chunk did not decode to its recorded boundary")
-        for c in range(width):
-            n_syms = int(sym_counts[c])
-            base = int(sym_starts[c])
-            out[base:base + n_syms] = decoded[:n_syms, c] >> 5
+        workers = exec_backend.resolve_workers(
+            self.max_workers if max_workers is None else max_workers, bit_offsets.size)
+        return _decode_span(np.frombuffer(payload, dtype=np.uint8, offset=bits_at),
+                            lengths.astype(np.uint8).tobytes(), bit_offsets,
+                            index[:, 1], np.append(bit_offsets[1:], total_bits),
+                            exec_backend, workers)
 
     def decode_with_table(self, payload: bytes) -> np.ndarray:
         """Alias of :meth:`decode` kept for API symmetry with fast decoders."""

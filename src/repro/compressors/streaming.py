@@ -67,7 +67,7 @@ class SZStreamEncoder(TensorStreamEncoder):
     :meth:`~repro.compressors.base.LossyCompressor.compress` because both
     paths share ``_encode_prelude`` and ``_body_parts`` and the producer's
     stream equals the batch Huffman encoding.  ``scratch_bytes`` reports the
-    producer's peak emission scratch after the generator is exhausted.
+    producer's peak packing scratch after the generator is exhausted.
 
     Requires the compressor to provide ``lossless``, ``huffman``, and
     ``_body_parts``.

@@ -61,8 +61,8 @@ class SZ3Compressor(LossyCompressor):
         super().__init__(error_bound, mode)
         self.quantizer = LinearQuantizer(quantizer_radius)
         # entropy_chunk caps the symbols per Huffman chunk; entropy_workers=1
-        # is the sequential reference decoder, >1 the banded vectorized one on
-        # the named execution backend (serial / thread / process).
+        # decodes in-thread as one vectorized band, >1 in bands on the named
+        # execution backend (serial / thread / process).
         self.huffman = HuffmanCoder(chunk_size=entropy_chunk, max_workers=entropy_workers,
                                     backend=entropy_backend)
         if isinstance(lossless_backend, LosslessCodec):

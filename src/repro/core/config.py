@@ -31,8 +31,8 @@ class FedSZConfig:
     * ``entropy_chunk`` / ``entropy_workers`` — chunking and decode
       concurrency of the SZ2/SZ3 Huffman entropy stage: ``entropy_chunk``
       caps the symbols per independently-decodable chunk, ``entropy_workers=1``
-      selects the sequential reference decoder, larger values the banded
-      vectorized decoder on the execution backend (bit-identical output),
+      decodes in-thread as one vectorized band, larger values split the
+      chunks into bands on the execution backend (bit-identical output),
     * ``policy`` / ``policy_options`` — registry name and constructor kwargs
       of the plan policy (:mod:`repro.core.plan`) that assigns each lossy
       tensor its codec/bound/options; ``"uniform"`` reproduces the historic

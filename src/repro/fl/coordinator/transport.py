@@ -27,7 +27,7 @@ Three opt-in wire refinements (all bit-identical to the defaults):
   once the wire is free *and* its bytes exist), so Eqn. 1's ``t_C`` overlaps
   ``S'/B``.  The hidden encode time is reported on
   ``ShipResult.encode_overlap_seconds`` (alongside the producer's first-piece
-  latency and peak emission scratch); the recorded ``transfer_seconds`` stays
+  latency and peak packing scratch); the recorded ``transfer_seconds`` stays
   the analytic wire time, so the deterministic fields are unchanged.
 * On backends with the ``pickles_arguments`` trait, ``ship_batch`` moves each
   task's tensors through a :class:`~repro.utils.parallel.SharedMemoryArena`

@@ -10,6 +10,7 @@ from repro.compressors.huffman import (
     DEFAULT_CHUNK_SYMBOLS,
     MAX_CODE_LENGTH,
     HuffmanCoder,
+    _decode_reference,
 )
 
 _HEADER = struct.Struct("<IQII")
@@ -150,10 +151,11 @@ class TestChunkedFormat:
         symbols = _distributions()[name]
         coder = HuffmanCoder(chunk_size=1024)
         payload = coder.encode(symbols)
-        reference = coder.decode(payload, max_workers=1)
-        parallel = coder.decode(payload, max_workers=4)
+        reference = _decode_reference(payload)
         np.testing.assert_array_equal(reference, symbols)
-        np.testing.assert_array_equal(parallel, reference)
+        for workers in (1, 4):
+            np.testing.assert_array_equal(coder.decode(payload, max_workers=workers),
+                                          reference)
 
     def test_instance_worker_default_used(self):
         symbols = np.arange(30_000, dtype=np.int64) % 11
