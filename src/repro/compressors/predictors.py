@@ -1,16 +1,12 @@
-"""Prediction stages used by the SZ2- and SZ3-style compressors.
+"""Prediction stages used by the block and interpolation compressors.
 
 All predictors operate on 1-D arrays because FedSZ flattens every model tensor
-before compression (Algorithm 1 of the paper).  Three predictor families are
-provided:
+before compression (Algorithm 1 of the paper).  This module provides:
 
-* :func:`block_mean_predictor` — the blockwise constant predictor used as this
-  reproduction's vectorizable stand-in for SZ2's Lorenzo path (the true Lorenzo
-  predictor consumes previously *decompressed* neighbours and is inherently
-  sequential; a per-block constant predictor preserves the locality idea while
-  remaining a single NumPy pass).
-* :func:`block_regression_predictor` — SZ2's per-block linear regression on the
-  element index.
+* :func:`block_pad` — the edge-padded ``(n_blocks, block_size)`` view the
+  blockwise compressors (SZx, ZFP) work on.  SZ2 fits its block mean and
+  regression predictors inside its own tiled kernel
+  (:mod:`repro.compressors.sz2`).
 * :class:`InterpolationPredictor` — SZ3's level-by-level linear/cubic
   interpolation predictor on a dyadic grid; each level predicts the midpoints
   of the previous (already reconstructed) level, so the whole pass is
@@ -22,8 +18,6 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "block_mean_predictor",
-    "block_regression_predictor",
     "block_pad",
     "InterpolationPredictor",
 ]
@@ -43,45 +37,6 @@ def block_pad(data: np.ndarray, block_size: int) -> tuple[np.ndarray, int]:
         pad_value = data[-1] if n else 0.0
         data = np.concatenate([data, np.full(padded_len - n, pad_value)])
     return data.reshape(n_blocks, block_size), n
-
-
-def block_mean_predictor(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Predict every element of a block by the block mean.
-
-    Returns ``(predictions, coefficients)`` where coefficients has shape
-    ``(n_blocks, 1)`` holding the means (stored in the payload so the decoder
-    reproduces the same predictions).
-    """
-    means = blocks.mean(axis=1, keepdims=True)
-    predictions = np.broadcast_to(means, blocks.shape)
-    return predictions, means
-
-
-def block_regression_predictor(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Fit ``y = a + b * i`` per block (least squares on the element index).
-
-    Returns ``(predictions, coefficients)`` with coefficients of shape
-    ``(n_blocks, 2)`` storing ``(a, b)`` per block.
-    """
-    n_blocks, block_size = blocks.shape
-    idx = np.arange(block_size, dtype=np.float64)
-    idx_mean = idx.mean()
-    idx_var = float(((idx - idx_mean) ** 2).sum())
-    y_mean = blocks.mean(axis=1)
-    if idx_var == 0.0:
-        slope = np.zeros(n_blocks)
-    else:
-        slope = ((blocks - y_mean[:, None]) * (idx - idx_mean)[None, :]).sum(axis=1) / idx_var
-    intercept = y_mean - slope * idx_mean
-    predictions = intercept[:, None] + slope[:, None] * idx[None, :]
-    coefficients = np.stack([intercept, slope], axis=1)
-    return predictions, coefficients
-
-
-def predictions_from_regression(coefficients: np.ndarray, block_size: int) -> np.ndarray:
-    """Rebuild regression predictions from stored ``(a, b)`` coefficients."""
-    idx = np.arange(block_size, dtype=np.float64)
-    return coefficients[:, 0:1] + coefficients[:, 1:2] * idx[None, :]
 
 
 class InterpolationPredictor:

@@ -1,15 +1,19 @@
-"""Tests for the prediction stages used by SZ2/SZ3."""
+"""Tests for the prediction stages used by SZ2/SZ3.
+
+The whole-array block predictors are SZ2's test oracle (``sz2_reference``);
+the production codec fits them per tile, held to the oracle bit for bit in
+``test_sz2_tiles.py``.
+"""
 
 import numpy as np
 import pytest
 
-from repro.compressors.predictors import (
-    InterpolationPredictor,
+from sz2_reference import (
     block_mean_predictor,
-    block_pad,
     block_regression_predictor,
     predictions_from_regression,
 )
+from repro.compressors.predictors import InterpolationPredictor, block_pad
 
 
 class TestBlockPad:
