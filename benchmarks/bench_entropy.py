@@ -17,7 +17,8 @@ and the decode side is timed three ways —
 
 All three must return bit-identical symbol arrays; the default path must be
 at least ``--min-speedup`` (default 3x) faster than the reference in
-aggregate.  ``--smoke`` runs a small model without the timing assertion so CI
+aggregate.  ``--smoke`` runs the repo's CPU-scaled ``resnet50`` (~214K
+symbols, widest stream 36 chunks) without the timing assertion so CI
 exercises every decode path on every Python version; it fails unless one of
 its streams has enough chunks for the vectorized walk.
 
@@ -169,7 +170,7 @@ def main(argv: "list[str] | None" = None) -> int:
     args = parser.parse_args(argv)
 
     if args.smoke:
-        return bench_entropy("simplecnn", args.workers, args.chunk, args.bound,
+        return bench_entropy("resnet50", args.workers, args.chunk, args.bound,
                              repeats=1, min_speedup=None)
     model_kwargs = None if args.repro_scale else PAPER_SCALE.get(args.model)
     return bench_entropy(args.model, args.workers, args.chunk, args.bound,

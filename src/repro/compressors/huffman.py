@@ -34,7 +34,12 @@ any chunk boundary.  All integers little-endian::
 The chunk index is what makes the decode side vectorizable *and* parallel.
 All chunks of a band decode simultaneously as one vectorized NumPy "row
 walk": each step advances every chunk's bit cursor by one decoded symbol, so
-the sequential dependency only spans a chunk, not the stream.
+the sequential dependency only spans a chunk, not the stream.  A step is
+three same-dtype NumPy calls (gather the windows under the cursors into one
+whole-stream ``uint16`` record, gather their ``int64`` code lengths, add),
+and the symbols come out of one contiguous ``int32`` gather through the
+record after the walk.  Both lookup tables come from one LRU cache keyed by
+the code-length table; the symbol table marks unused windows with -1.
 
 * ``max_workers=1`` (or ``backend="serial"``) decodes the whole stream
   in-thread as one band, straight from the payload buffer,
@@ -66,6 +71,7 @@ import heapq
 import os
 import struct
 import zlib
+from typing import Callable
 
 import numpy as np
 
@@ -93,18 +99,15 @@ _MIN_CHUNK_SYMBOLS = 1024
 
 #: Below this many chunks the vectorized row walk is narrower than its own
 #: per-step dispatch overhead, and :func:`_decode_scalar` runs instead.  The
-#: scalar loop costs a fixed ~1 ms (listing the 64K table) plus ~0.3 us per
-#: symbol; the walk ~1.6 us per step, nearly flat in the chunk count.  Scalar
-#: time over vectorized time, medians of 21 interleaved runs, SZ2 codes of a
-#: ResNet-50 conv tensor at the encoder's 1024-symbol chunks, 2-core x86 host
-#: (range over three runs; the host has fast and slow phases): 1 chunk
-#: 0.57-0.67 (1.6 vs 2.4 ms), 2 chunks 0.87-1.08, 3 chunks 0.96-1.21,
-#: 4 chunks 1.05-1.29, 8 chunks 1.42-1.46, 32 chunks 3.2-3.4.
-_MIN_VECTOR_CHUNKS = 3
-
-#: Steps of the vectorized row walk between two table gathers; bounds the
-#: walk's window buffer to ``_WALK_BLOCK x chunks`` ``uint16`` entries.
-_WALK_BLOCK = 256
+#: scalar loop costs ~0.1 us per symbol plus ~0.1 ms per stream; the walk
+#: 1.3-3 us per step, nearly flat in the chunk count up to ~32 chunks.
+#: Scalar time over walk time, medians of 21 interleaved runs, SZ2 codes of
+#: a ResNet-50 conv tensor at the encoder's 1024-symbol chunks, 2-core x86
+#: host (range over three runs; the host has fast and slow phases): 1 chunk
+#: 0.06-0.07 (0.2 vs 3.5 ms), 2 chunks 0.09-0.15, 4 chunks 0.28-0.34,
+#: 8 chunks 0.53-0.64, 12 chunks 0.78-0.93, 14 chunks 0.89-1.07, 16 chunks
+#: 0.98-1.20, 24 chunks 1.45-1.73, 32 chunks 1.83-2.05.
+_MIN_VECTOR_CHUNKS = 16
 
 #: Symbols :meth:`ChunkBandProducer.bands` packs per group of whole chunks
 #: (one chunk when a chunk is larger), which bounds the packing scratch.
@@ -205,15 +208,16 @@ def _require(payload: bytes, offset: int, needed: int, what: str) -> None:
 
 
 def _build_decode_tables(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Flat ``(code length, (symbol << 5) | code length)`` tables over all
-    16-bit windows.
+    """Flat ``(code length, symbol)`` tables over all 16-bit windows.
 
     Canonical codes are assigned in (length, symbol) order, which makes the
     per-code window ranges ``[code << pad, (code + 1) << pad)`` abut exactly
-    starting at 0 — the whole table is two :func:`numpy.repeat` calls.  Window
+    starting at 0 — each table is one :func:`numpy.repeat` call.  Window
     values past the covered range (possible when Kraft mass was clamped away)
-    keep length 0 and combined entry 0, the decoder's "no such code" trap
-    (every real entry has a nonzero length, so a zero entry is always a trap).
+    are unused: length 0 and symbol -1, the decoder's "no such code" trap.
+    Lengths are ``int64`` so the row walk advances its ``int64`` cursors with
+    a same-dtype add; symbols are ``int32`` (``int64`` only for an alphabet
+    past ``int32``), which halves the table the symbol gather reads.
     """
     used = np.flatnonzero(lengths)
     if used.size == 0:
@@ -225,11 +229,12 @@ def _build_decode_tables(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     covered = int(spans.sum())
     if covered > (1 << MAX_CODE_LENGTH):
         raise _corrupt("code-length table violates the Kraft inequality")
-    table_len = np.zeros(1 << MAX_CODE_LENGTH, dtype=np.uint8)
-    table_comb = np.zeros(1 << MAX_CODE_LENGTH, dtype=np.int64)
+    sym_dtype = np.int32 if lengths.size <= 1 << 31 else np.int64
+    table_len = np.zeros(1 << MAX_CODE_LENGTH, dtype=np.int64)
+    table_sym = np.full(1 << MAX_CODE_LENGTH, -1, dtype=sym_dtype)
     table_len[:covered] = np.repeat(lengths[order], spans)
-    table_comb[:covered] = np.repeat((order << 5) | lengths[order], spans)
-    return table_len, table_comb
+    table_sym[:covered] = np.repeat(order.astype(sym_dtype), spans)
+    return table_len, table_sym
 
 
 @functools.lru_cache(maxsize=128)
@@ -243,10 +248,10 @@ def _decode_tables_cached(length_table: bytes) -> tuple[np.ndarray, np.ndarray]:
     marked read-only because they are shared across callers.
     """
     lengths = np.frombuffer(length_table, dtype=np.uint8).astype(np.int64)
-    table_len, table_comb = _build_decode_tables(lengths)
+    table_len, table_sym = _build_decode_tables(lengths)
     table_len.setflags(write=False)
-    table_comb.setflags(write=False)
-    return table_len, table_comb
+    table_sym.setflags(write=False)
+    return table_len, table_sym
 
 
 def _bit_windows(bit_bytes: np.ndarray) -> np.ndarray:
@@ -254,7 +259,11 @@ def _bit_windows(bit_bytes: np.ndarray) -> np.ndarray:
 
     Row ``i`` of the ``(n_bytes, 8)`` matrix holds the windows starting in
     byte ``i``, so the flat index of the window at bit ``p`` is ``p`` itself
-    and the row walk gathers it with a single ``take``.
+    and the row walk gathers it with a single ``take``.  Column ``k`` is the
+    24-bit big-endian field of bytes ``i`` to ``i + 2`` shifted right by
+    ``8 - k``; one contiguous shift per column, cast to ``uint16`` (the cast
+    is the mask) on its way into the strided column, beats one broadcast
+    shift over eight-element rows.
     """
     n = bit_bytes.size
     padded = np.zeros(n + 2, dtype=np.uint32)
@@ -262,92 +271,111 @@ def _bit_windows(bit_bytes: np.ndarray) -> np.ndarray:
     w24 = padded[:-2] << 16
     w24 |= padded[1:-1] << 8
     w24 |= padded[2:]
+    del padded
     windows = np.empty((n, 8), dtype=np.uint16)
-    np.right_shift(w24[:, None], np.arange(8, 0, -1, dtype=np.uint32),
-                   out=windows, casting="unsafe")  # the uint16 cast is the mask
+    for k in range(8):
+        np.right_shift(w24, 8 - k, out=windows[:, k], casting="unsafe")
     return windows.reshape(-1)
 
 
-def _decode_scalar(bit_bytes: np.ndarray, table_comb: np.ndarray,
-                   bit_offsets: np.ndarray, sym_counts: np.ndarray,
-                   chunk_ends: np.ndarray) -> np.ndarray:
+def _decode_scalar(bit_bytes: np.ndarray, table_len: np.ndarray,
+                   table_sym: np.ndarray, bit_offsets: np.ndarray,
+                   sym_counts: np.ndarray, chunk_ends: np.ndarray) -> np.ndarray:
     """Sequential per-symbol decode of consecutive chunks.
 
     The reference the row walk is tested against, and the faster kernel for
-    bands narrower than :data:`_MIN_VECTOR_CHUNKS` chunks.
+    bands narrower than :data:`_MIN_VECTOR_CHUNKS` chunks.  Per chunk, one
+    gather lists the code length at every bit position of the chunk's span;
+    the loop hops from code start to code start through that list, and one
+    more gather turns the starts into symbols.
     """
     windows = _bit_windows(bit_bytes)
-    table = table_comb.tolist()
     out = np.empty(int(sym_counts.sum()), dtype=np.int64)
     base = 0
     for c in range(bit_offsets.size):
         start, end = int(bit_offsets[c]), int(chunk_ends[c])
         n_syms = int(sym_counts[c])
-        local = windows[start:end].tolist()
+        local = windows[start:end]
+        hops = table_len.take(local).tolist()
+        starts = [0] * n_syms
         pos = 0
         rel_end = end - start
-        decoded = [0] * n_syms
         for i in range(n_syms):
             if pos >= rel_end:
                 raise _corrupt("chunk decoded past its recorded boundary")
-            entry = table[local[pos]]
-            if not entry:
+            hop = hops[pos]
+            if not hop:
                 raise _corrupt("bit window matches no codeword")
-            decoded[i] = entry >> 5
-            pos += entry & 31
+            starts[i] = pos
+            pos += hop
         if pos != rel_end:
             raise _corrupt("chunk did not decode to its recorded boundary")
-        out[base:base + n_syms] = decoded
+        out[base:base + n_syms] = table_sym.take(local.take(starts))
         base += n_syms
     return out
 
 
+#: Steps per tile of the copy that widens the walk's step-major symbols into
+#: chunk-major output.  Transposing the whole record at once reads a new
+#: cache line per symbol; a tile of 256 steps (512 KB of ``int32`` symbols at
+#: the encoder's 512-chunk width) stays in cache.  On a record shaped like the
+#: widest ResNet-50 stream's (4608 steps x 512 chunks, 2-core host), gather
+#: plus tiled widening takes 10 ms, against 26 ms for a whole-record
+#: transpose, gather and widening; tiles of 64 to 256 steps are level, 1024
+#: takes 12 ms.
+_TRANSPOSE_STEPS = 256
+
+
 def _decode_band_vectorized(bit_bytes: np.ndarray, table_len: np.ndarray,
-                            table_comb: np.ndarray, bit_offsets: np.ndarray,
+                            table_sym: np.ndarray, bit_offsets: np.ndarray,
                             sym_counts: np.ndarray,
                             chunk_ends: np.ndarray) -> np.ndarray:
     """Decode consecutive chunks as a vectorized row walk.
 
-    Every step advances all chunk cursors by one symbol: gather the 16-bit
-    window under each cursor, look up its code length, advance.  The walk
-    keeps only the windows of the last :data:`_WALK_BLOCK` steps; one gather
-    through the combined table per block turns them into output entries,
-    chunk-major.  Every chunk but the last holds the same number of symbols
-    (the HUF3 chunk geometry); a shorter last chunk walks on harmlessly past
-    its end, its surplus entries fall off the end of the output, and its
-    cursor is re-derived from its own entries.  A chunk is corrupt unless it
-    ends exactly on its recorded boundary with no unused window among its
-    symbols (an unused window has length 0, so without that check a chunk
-    that reached its end early could stall on the boundary and pass).
+    Every step advances all chunk cursors by one symbol with three NumPy
+    calls: gather the 16-bit window under each cursor into the step's row of
+    one whole-stream ``(steps, chunks)`` ``uint16`` record (2 B per symbol),
+    gather the windows' ``int64`` code lengths, and add them to the ``int64``
+    cursors.  After the walk the bit windows are freed, one contiguous
+    ``int32`` gather turns the record into symbols (unused windows map to
+    -1), and a tiled transpose widens them once into the chunk-major
+    ``int64`` output.  Every chunk but the last holds the same number of
+    symbols (the HUF3 chunk geometry); a shorter last chunk walks on
+    harmlessly past its end, its surplus symbols are left out of the output
+    and the checks, and its cursor is re-derived from its own windows'
+    lengths.  A chunk is corrupt unless it ends exactly on its recorded
+    boundary (checked first) with no unused window among its symbols (an
+    unused window has length 0, so without that check a chunk that reached
+    its end early could stall on the boundary and pass).
     """
     width = bit_offsets.size
     steps = int(sym_counts[0])
     tail = int(sym_counts[-1])
     windows = _bit_windows(bit_bytes)
     cursors = bit_offsets.astype(np.int64)
-    lengths = np.empty(width, dtype=np.uint8)
-    walked = np.empty((min(steps, _WALK_BLOCK), width), dtype=np.uint16)
-    entries = np.empty((width, steps), dtype=np.int64)
-    for step0 in range(0, steps, _WALK_BLOCK):
-        block = walked[:min(_WALK_BLOCK, steps - step0)]
-        # "clip" skips take's buffered bounds check: a window always indexes
-        # the 64K tables, and a corrupt chunk that drifts past the stream end
-        # fails the boundary check below anyway
-        for row in block:
-            windows.take(cursors, out=row, mode="clip")
-            table_len.take(row, out=lengths, mode="clip")
-            cursors += lengths
-        table_comb.take(block.T, out=entries[:, step0:step0 + block.shape[0]],
-                        mode="clip")
-    out = entries.reshape(-1)[:(width - 1) * steps + tail]
+    lengths = np.empty(width, dtype=np.int64)
+    walked = np.empty((steps, width), dtype=np.uint16)
+    # "clip" skips take's buffered bounds check: a window always indexes the
+    # 64K tables, and a corrupt chunk that drifts past the stream end fails
+    # the boundary check below anyway
+    for row in walked:
+        windows.take(cursors, out=row, mode="clip")
+        table_len.take(row, out=lengths, mode="clip")
+        cursors += lengths
+    del windows, row  # the last row is a view that would keep the record alive
     if tail < steps:
-        cursors[-1] = bit_offsets[-1] + int((out[out.size - tail:] & 31).sum())
+        cursors[-1] = bit_offsets[-1] + int(table_len.take(walked[:tail, -1]).sum())
     if not np.array_equal(cursors, chunk_ends):
         raise _corrupt("chunk did not decode to its recorded boundary")
-    if not out.all():
+    symbols = table_sym.take(walked)
+    del walked
+    if min(symbols[:, :-1].min(initial=0), symbols[:tail, -1].min()) < 0:
         raise _corrupt("bit window matches no codeword")
-    out >>= 5
-    return out
+    out = np.empty((width, steps), dtype=np.int64)
+    for step0 in range(0, steps, _TRANSPOSE_STEPS):
+        step1 = step0 + _TRANSPOSE_STEPS
+        out[:, step0:step1] = symbols[step0:step1].T
+    return out.reshape(-1)[:(width - 1) * steps + tail]
 
 
 def _rebase(bit_bytes: np.ndarray, bit_offsets: np.ndarray,
@@ -369,11 +397,10 @@ def _decode_chunks(bit_bytes: np.ndarray, length_table: bytes,
     streaming consumer's burst never touches bytes outside it.
     """
     bit_bytes, bit_offsets, chunk_ends = _rebase(bit_bytes, bit_offsets, chunk_ends)
-    table_len, table_comb = _decode_tables_cached(length_table)
-    if bit_offsets.size < _MIN_VECTOR_CHUNKS:
-        return _decode_scalar(bit_bytes, table_comb, bit_offsets, sym_counts, chunk_ends)
-    return _decode_band_vectorized(bit_bytes, table_len, table_comb, bit_offsets,
-                                   sym_counts, chunk_ends)
+    kernel = _decode_scalar if bit_offsets.size < _MIN_VECTOR_CHUNKS \
+        else _decode_band_vectorized
+    return kernel(bit_bytes, *_decode_tables_cached(length_table), bit_offsets,
+                  sym_counts, chunk_ends)
 
 
 def _decode_band_task(task: "tuple[bytes, bytes, np.ndarray, np.ndarray, np.ndarray]") -> np.ndarray:
@@ -384,9 +411,13 @@ def _decode_band_task(task: "tuple[bytes, bytes, np.ndarray, np.ndarray, np.ndar
     the task tuple ``(bit_slice, length_table, bit_offsets, sym_counts,
     chunk_ends)`` pickles cheaply (offsets are relative to the slice), and the
     decoded symbol band is *returned* instead of written into shared memory.
-    The 64K-entry window tables come from the per-worker
-    :func:`_decode_tables_cached` LRU, so a multi-band decode of one stream
-    builds them once per worker instead of once per band.
+    The band runs the same kernels as the in-thread decode (the scalar loop
+    below :data:`_MIN_VECTOR_CHUNKS` chunks, else the row walk with its
+    whole-band window record), and its 64K-entry window tables (``int64``
+    code lengths, ``int32`` symbols with -1 for unused windows) come from
+    the one per-worker :func:`_decode_tables_cached` LRU, so a multi-band
+    decode of one stream builds them once per worker instead of once per
+    band.
     """
     bit_slice, length_table, bit_offsets, sym_counts, chunk_ends = task
     return _decode_chunks(np.frombuffer(bit_slice, dtype=np.uint8), length_table,
@@ -433,10 +464,9 @@ def _decode_reference(payload: bytes) -> np.ndarray:
     lengths, index, count, total_bits, bits_at = HuffmanCoder._parse_header(payload)
     if count == 0:
         return np.zeros(0, dtype=np.int64)
-    _, table_comb = _decode_tables_cached(lengths.astype(np.uint8).tobytes())
     return _decode_scalar(np.frombuffer(payload, dtype=np.uint8, offset=bits_at),
-                          table_comb, index[:, 0], index[:, 1],
-                          np.append(index[1:, 0], total_bits))
+                          *_decode_tables_cached(lengths.astype(np.uint8).tobytes()),
+                          index[:, 0], index[:, 1], np.append(index[1:, 0], total_bits))
 
 
 class ChunkBandConsumer:
@@ -463,12 +493,19 @@ class ChunkBandConsumer:
     streams — raises :class:`ValueError` from :meth:`feed` at the earliest
     byte that exposes it.  Callers must treat the symbols as tentative until
     :meth:`finish` returns.
+
+    ``check_count``, when given, is the enclosing container's check of the
+    declared symbol count: it is called with the header's count as soon as
+    the fixed fields arrive, before anything is sized by that count, and
+    raises :class:`ValueError` for any count the container rules out.
     """
 
     def __init__(self, max_workers: int | None = 1,
-                 backend: "str | ExecutionBackend" = "serial") -> None:
+                 backend: "str | ExecutionBackend" = "serial",
+                 check_count: "Callable[[int], None] | None" = None) -> None:
         self.backend = get_backend(backend)
         self.max_workers = max_workers
+        self._check_count = check_count
         self._buf = StreamBuffer()
         self._crc = 0
         self._crc_pos = _PREFIX_LEN  # next byte offset to fold into the CRC
@@ -578,6 +615,8 @@ class ChunkBandConsumer:
             raise _corrupt("bad magic (not a version-3 Huffman stream)")
         (self._crc_stored,) = struct.unpack("<I", buf.view(4, _PREFIX_LEN))
         alphabet, count, chunk_size, n_chunks = _HEADER.unpack(buf.view(fixed - _HEADER.size, fixed))
+        if self._check_count is not None:
+            self._check_count(count)
         offset = fixed
         if not buf.has(alphabet + 16 * n_chunks + 8, offset):
             return
@@ -927,17 +966,21 @@ class HuffmanCoder:
         return ChunkBandProducer(symbols, self.chunk_size, lengths=lengths)
 
     def stream_consumer(self, max_workers: int | None = None,
-                        backend: "str | ExecutionBackend | None" = None
+                        backend: "str | ExecutionBackend | None" = None,
+                        check_count: "Callable[[int], None] | None" = None
                         ) -> ChunkBandConsumer:
         """Return a :class:`ChunkBandConsumer` for incremental decoding.
 
         ``max_workers`` / ``backend`` default to this coder's configuration,
         matching what :meth:`decode` would use, so a streaming decode is
         bit-identical to the batch path under the same settings.
+        ``check_count`` vets the declared symbol count before the consumer
+        allocates for it (see :class:`ChunkBandConsumer`).
         """
         return ChunkBandConsumer(
             max_workers=self.max_workers if max_workers is None else max_workers,
-            backend=self.backend if backend is None else backend)
+            backend=self.backend if backend is None else backend,
+            check_count=check_count)
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -1015,7 +1058,3 @@ class HuffmanCoder:
                             lengths.astype(np.uint8).tobytes(), bit_offsets,
                             index[:, 1], np.append(bit_offsets[1:], total_bits),
                             exec_backend, workers)
-
-    def decode_with_table(self, payload: bytes) -> np.ndarray:
-        """Alias of :meth:`decode` kept for API symmetry with fast decoders."""
-        return self.decode(payload)

@@ -12,10 +12,13 @@ completes.  :class:`SZStreamDecoder` overlaps decode with arrival:
 2. the body bytes flow through the codec's incremental
    :meth:`~repro.compressors.lossless.LosslessCodec.decompressor`,
 3. the plaintext prefix is walked just far enough to locate the embedded
-   Huffman stream (each codec contributes a tiny ``_huffman_span`` parser),
+   Huffman stream (each codec contributes a tiny ``_huffman_span`` parser,
+   which checks the body's geometry against the container's element count
+   and returns the codec's check of the symbol count that geometry implies),
 4. Huffman bytes are forwarded to a
-   :class:`~repro.compressors.huffman.ChunkBandConsumer`, which decodes every
-   chunk whose bytes have arrived,
+   :class:`~repro.compressors.huffman.ChunkBandConsumer` holding that check,
+   which decodes every chunk whose bytes have arrived and rejects a stream
+   declaring any other count before allocating for it,
 5. :meth:`SZStreamDecoder.finish` verifies completeness (including the HUF3
    CRC) and runs the codec's normal reconstruction with the pre-decoded
    symbol array.
@@ -115,9 +118,11 @@ class SZStreamDecoder(TensorStreamDecoder):
     Requires the compressor to provide ``lossless`` (a codec with an
     incremental ``decompressor()``), ``huffman`` (a
     :class:`~repro.compressors.huffman.HuffmanCoder`), ``_huffman_span``
-    (locate the embedded Huffman stream in a plaintext prefix), and
-    ``_decode_plain_body`` (reconstruct from the full plaintext body, with
-    optional pre-decoded symbols).
+    (check a plaintext prefix's geometry against the container's element
+    count, then locate the embedded Huffman stream and return the check of
+    the symbol count it must declare), and ``_decode_plain_body``
+    (reconstruct from the full plaintext body, with optional pre-decoded
+    symbols).
     """
 
     def __init__(self, compressor: LossyCompressor) -> None:
@@ -127,7 +132,7 @@ class SZStreamDecoder(TensorStreamDecoder):
         self._head = bytearray()      # container-header assembly
         self._header = None           # (dtype, shape, count, abs_bound, offset)
         self._dec = compressor.lossless.decompressor()
-        self._consumer = compressor.huffman.stream_consumer()
+        self._consumer = None         # built once the body's geometry is checked
         self._plain = StreamBuffer()  # decompressed body plaintext
         self._span: "tuple[int, int] | None" = None  # (huff_start, huff_len)
         self._fed = 0                 # Huffman bytes already forwarded
@@ -141,7 +146,7 @@ class SZStreamDecoder(TensorStreamDecoder):
     @property
     def symbols_decoded(self) -> int:
         """Huffman symbols decoded so far (tentative until :meth:`finish`)."""
-        return self._consumer.symbols_decoded
+        return self._consumer.symbols_decoded if self._consumer is not None else 0
 
     # -- streaming surface ----------------------------------------------
     def feed(self, data) -> None:
@@ -212,9 +217,14 @@ class SZStreamDecoder(TensorStreamDecoder):
     def _pump(self) -> None:
         """Forward newly arrived Huffman bytes to the chunk consumer."""
         if self._span is None:
-            self._span = self._compressor._huffman_span(self._plain)
-            if self._span is None:
+            span = self._compressor._huffman_span(self._plain, self._header[2])
+            if span is None:
                 return
+            start, length, check_count = span
+            self._span = start, length
+            if length:
+                self._consumer = self._compressor.huffman.stream_consumer(
+                    check_count=check_count)
         start, length = self._span
         if length == 0:
             return

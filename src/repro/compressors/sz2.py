@@ -53,7 +53,9 @@ header.  Any mismatch raises :class:`ValueError`.
 
 from __future__ import annotations
 
+import functools
 import struct
+from typing import Callable
 
 import numpy as np
 
@@ -223,20 +225,25 @@ class SZ2Compressor(LossyCompressor):
         """Incremental encoder that emits the body as the Huffman stage codes."""
         return SZStreamEncoder(self)
 
-    def _huffman_span(self, plain: "StreamBuffer") -> "tuple[int, int] | None":
+    def _huffman_span(self, plain: "StreamBuffer", count: int
+                      ) -> "tuple[int, int, Callable[[int], None] | None] | None":
         """Locate the embedded Huffman stream in a plaintext body prefix.
 
-        Returns ``(start, length)`` once the pre-Huffman fields have arrived,
-        ``None`` while more bytes are needed.  Length 0 means the body has no
-        Huffman stream (the empty-array escape).  Field *validation* is not
-        duplicated here — a nonsensical length simply keeps the span
-        unresolved and the batch parser raises the canonical error at finish.
+        Returns ``(start, length, check_count)`` once the pre-Huffman fields
+        have arrived, ``None`` while more bytes are needed.  Length 0 means
+        the body has no Huffman stream (the empty-array escape).  The block
+        geometry is checked against the container's ``count`` as soon as it
+        arrives, and ``check_count`` rejects any symbol count but the
+        ``blocks * block size`` codes that geometry implies; both raise the
+        batch decode's errors.  The remaining fields are validated by the
+        batch parser at finish.
         """
         if not plain.has(16):
             return None
-        _, n_blocks, _ = struct.unpack("<IQI", plain.view(0, 16))
+        block_size, n_blocks, _ = struct.unpack("<IQI", plain.view(0, 16))
+        _check_geometry(block_size, n_blocks, count)
         if n_blocks == 0:
-            return 16, 0
+            return 16, 0, None
         offset = 24  # past <IQI> and original_len
         if not plain.has(8, offset):
             return None
@@ -249,7 +256,8 @@ class SZ2Compressor(LossyCompressor):
         if not plain.has(8, offset):
             return None
         (huff_len,) = struct.unpack("<Q", plain.view(offset, offset + 8))
-        return offset + 8, huff_len
+        return offset + 8, huff_len, functools.partial(
+            _check_code_count, n_blocks=n_blocks, block_size=block_size)
 
     def _decode_plain_body(self, body: bytes, count: int, abs_bound: float,
                            dtype: np.dtype,
@@ -266,11 +274,7 @@ class SZ2Compressor(LossyCompressor):
         """
         block_size, n_blocks, radius = struct.unpack_from("<IQI", body, 0)
         offset = 16
-        if block_size < 2:
-            raise ValueError(f"corrupt sz2 body: block size {block_size} < 2")
-        if n_blocks != -(-count // block_size):
-            raise ValueError(f"corrupt sz2 body: {n_blocks} blocks of {block_size} "
-                             f"cannot hold {count} elements")
+        _check_geometry(block_size, n_blocks, count)
         if n_blocks == 0:
             _expect_consumed(body, offset)
             return np.zeros(0, dtype=dtype)
@@ -300,9 +304,7 @@ class SZ2Compressor(LossyCompressor):
         if codes is None:
             codes = self.huffman.decode(body[offset : offset + huff_len])
         offset += huff_len
-        if codes.size != n_blocks * block_size:
-            raise ValueError(f"corrupt sz2 body: {codes.size} codes for "
-                             f"{n_blocks} blocks of {block_size}")
+        _check_code_count(codes.size, n_blocks, block_size)
         outliers, offset = LinearQuantizer.unpack_outliers(body, offset)
         _expect_consumed(body, offset)
 
@@ -335,6 +337,21 @@ class SZ2Compressor(LossyCompressor):
             raise ValueError(f"corrupt sz2 body: {outliers.size} outliers for "
                              f"{used} escape codes")
         return out[:count]
+
+
+def _check_geometry(block_size: int, n_blocks: int, count: int) -> None:
+    """Raise unless ``n_blocks`` blocks of ``block_size`` hold ``count`` elements."""
+    if block_size < 2:
+        raise ValueError(f"corrupt sz2 body: block size {block_size} < 2")
+    if n_blocks != -(-count // block_size):
+        raise ValueError(f"corrupt sz2 body: {n_blocks} blocks of {block_size} "
+                         f"cannot hold {count} elements")
+
+
+def _check_code_count(n_codes: int, n_blocks: int, block_size: int) -> None:
+    if n_codes != n_blocks * block_size:
+        raise ValueError(f"corrupt sz2 body: {n_codes} codes for "
+                         f"{n_blocks} blocks of {block_size}")
 
 
 def _coefficient_positions(use_regression: np.ndarray) -> np.ndarray:

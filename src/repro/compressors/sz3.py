@@ -30,7 +30,9 @@ bitstreams compact), otherwise the anchors are kept as float64.
 
 from __future__ import annotations
 
+import functools
 import struct
+from typing import Callable
 
 import numpy as np
 
@@ -138,30 +140,37 @@ class SZ3Compressor(LossyCompressor):
         """Incremental encoder that emits the body as the Huffman stage codes."""
         return SZStreamEncoder(self)
 
-    def _huffman_span(self, plain: "StreamBuffer") -> "tuple[int, int] | None":
+    def _huffman_span(self, plain: "StreamBuffer", count: int
+                      ) -> "tuple[int, int, Callable[[int], None] | None] | None":
         """Locate the embedded Huffman stream in a plaintext body prefix.
 
         Same contract as :meth:`SZ2Compressor._huffman_span`: ``(start,
-        length)`` once the pre-Huffman fields (anchor block included) have
-        arrived, ``None`` while more bytes are needed, length 0 for the
-        empty-array escape.
+        length, check_count)`` once the pre-Huffman fields (anchor block
+        included) have arrived, ``None`` while more bytes are needed, length
+        0 for the empty-array escape.  The element and anchor counts are
+        checked against the container's ``count`` as they arrive, and
+        ``check_count`` rejects any symbol count but ``count`` minus the
+        anchors.
         """
         fixed = struct.calcsize("<QIB")
         if not plain.has(fixed):
             return None
         n, _, anchor_code = struct.unpack("<QIB", plain.view(0, fixed))
+        _check_length(n, count)
         if n == 0:
-            return fixed, 0
+            return fixed, 0, None
         itemsize = 8 if anchor_code else 4
         offset = fixed
         if not plain.has(8, offset):
             return None
         (anchor_count,) = struct.unpack("<Q", plain.view(offset, offset + 8))
+        _check_anchors(anchor_count, n)
         offset += 8 + itemsize * anchor_count
         if not plain.has(8, offset):
             return None
         (huff_len,) = struct.unpack("<Q", plain.view(offset, offset + 8))
-        return offset + 8, huff_len
+        return offset + 8, huff_len, functools.partial(
+            _check_code_count, expected=n - anchor_count)
 
     def _decode_plain_body(self, body: bytes, count: int, abs_bound: float,
                            dtype: np.dtype,
@@ -171,14 +180,18 @@ class SZ3Compressor(LossyCompressor):
         ``codes`` carries pre-decoded Huffman symbols from the streaming
         consumer; ``None`` (the batch path) decodes them here.  Both sources
         run the same kernels, so the output is bit-identical either way.
+        The element, anchor and code counts are checked against the
+        container's ``count``; a mismatch raises :class:`ValueError`.
         """
         n, radius, anchor_code = struct.unpack_from("<QIB", body, 0)
         offset = struct.calcsize("<QIB")
+        _check_length(n, count)
         if n == 0:
-            return np.zeros(count, dtype=np.float64)
+            return np.zeros(0, dtype=np.float64)
         anchor_dtype = np.dtype(np.float64) if anchor_code else np.dtype(np.float32)
         (anchor_count,) = struct.unpack_from("<Q", body, offset)
         offset += 8
+        _check_anchors(anchor_count, n)
         anchors = np.frombuffer(body, dtype=anchor_dtype, count=anchor_count, offset=offset)
         offset += anchor_dtype.itemsize * anchor_count
         (huff_len,) = struct.unpack_from("<Q", body, offset)
@@ -186,6 +199,7 @@ class SZ3Compressor(LossyCompressor):
         if codes is None:
             codes = self.huffman.decode(body[offset : offset + huff_len])
         offset += huff_len
+        _check_code_count(codes.size, n - anchor_count)
         outliers, offset = LinearQuantizer.unpack_outliers(body, offset)
 
         predictor = InterpolationPredictor(n)
@@ -204,3 +218,23 @@ class SZ3Compressor(LossyCompressor):
             predictions = InterpolationPredictor.predict(reconstructed, new_idx, left_idx, right_idx)
             reconstructed[new_idx] = quantizer.dequantize(level_codes, level_outliers, predictions, abs_bound)
         return reconstructed
+
+
+def _check_length(n: int, count: int) -> None:
+    if n != count:
+        raise ValueError(f"corrupt sz3 body: length {n} does not match the "
+                         f"header's {count} elements")
+
+
+def _check_code_count(n_codes: int, expected: int) -> None:
+    if n_codes != expected:
+        raise ValueError(f"corrupt sz3 body: {n_codes} codes for {expected} "
+                         f"interpolated elements")
+
+
+def _check_anchors(anchor_count: int, n: int) -> None:
+    """Raise unless ``anchor_count`` is the anchors an ``n``-value grid stores."""
+    expected = -(-n // InterpolationPredictor(n).anchor_stride)
+    if anchor_count != expected:
+        raise ValueError(f"corrupt sz3 body: {anchor_count} anchors for {n} "
+                         f"elements (expected {expected})")

@@ -12,6 +12,13 @@
 * ``peak_scratch_bytes`` must bound the packer's traced allocation peak.
 * A crafted stream whose last chunk stalls on its boundary must raise on
   every decode path.
+* On both kernels, batch and streaming: an unused window at the first, a
+  middle or the last symbol of a full or a short tail chunk is rejected as
+  the reference rejects it, unused windows the tail chunk's surplus walk
+  reads are ignored, and alphabets past ``uint16`` and Kraft-incomplete
+  (clamped) tables decode like the reference.
+* The row walk's traced peak is bounded by its arrays: 2 B per symbol for
+  the window record, never an ``int64`` one.
 """
 
 from __future__ import annotations
@@ -121,6 +128,10 @@ class TestPacker:
         with mock.patch.object(huffman, "_PACK_GROUP_SYMBOLS",
                                group or huffman._PACK_GROUP_SYMBOLS):
             producer = ChunkBandProducer(symbols, chunk_size)
+        # an untraced pass first stocks the interpreter's free lists, so the
+        # traced pass counts the kernel's arrays, not objects parked there
+        for _ in producer.bands():
+            pass
         tracemalloc.start()
         try:
             for _ in producer.bands():
@@ -223,3 +234,116 @@ class TestStalledChunkRejected:
         with mock.patch.object(huffman, "_MIN_VECTOR_CHUNKS", 1):
             with pytest.raises(ValueError, match="no codeword"):
                 HuffmanCoder().decode(_stalling_stream(n_chunks))
+
+
+_KERNELS = {"walk": 1, "scalar": 1 << 30}  # the _MIN_VECTOR_CHUNKS forcing each
+_TOKENS = {0: "0", 1: "10", None: "11"}    # None writes an unused window
+
+
+def _token_stream(chunks: "list[list]", pad: str = "0") -> bytes:
+    """A HUF3 stream over the codes ``0 -> "0"`` and ``1 -> "10"`` whose
+    chunks hold the given tokens; a ``None`` token is a declared symbol whose
+    window starts ``11``, which no code covers.  ``pad`` fills the last
+    byte behind the final code."""
+    bits, index = "", b""
+    for tokens in chunks:
+        index += struct.pack("<QQ", len(bits), len(tokens))
+        bits += "".join(_TOKENS[t] for t in tokens)
+    total = len(bits)
+    bits += pad * (-total % 8)
+    body = (_HEADER.pack(2, sum(map(len, chunks)), len(chunks[0]), len(chunks))
+            + bytes([1, 2]) + index + struct.pack("<Q", total)
+            + int(bits, 2).to_bytes(len(bits) // 8, "big"))
+    return b"HUF3" + struct.pack("<I", zlib.crc32(body)) + body
+
+
+def _kernel_decodes(payload: bytes, kernel: str) -> "list[np.ndarray | None]":
+    """:func:`_decode_all_paths` on ``kernel``, streaming in at most ~200
+    pieces (one byte each for the crafted streams)."""
+    cuts = list(range(0, len(payload), 1 + len(payload) // 200))
+    with mock.patch.object(huffman, "_MIN_VECTOR_CHUNKS", _KERNELS[kernel]):
+        return _decode_all_paths(payload, cuts)
+
+
+@pytest.mark.parametrize("kernel", sorted(_KERNELS))
+class TestKernelEdges:
+    FULL = [1, 0, 1, 1, 0, 0, 1, 0]
+    TAIL = [1, 0, 0, 1, 1]
+
+    @pytest.mark.parametrize("position", ["first", "middle", "last"])
+    @pytest.mark.parametrize("chunk", ["full", "tail"])
+    def test_unused_window_rejected(self, kernel, position, chunk):
+        chunks = [list(self.FULL) for _ in range(3)] + [list(self.TAIL)]
+        tokens = chunks[0 if chunk == "full" else -1]
+        tokens[{"first": 0, "middle": len(tokens) // 2, "last": -1}[position]] = None
+        payload = _token_stream(chunks)
+        with pytest.raises(ValueError, match="corrupt Huffman stream"):
+            _decode_reference(payload)
+        assert _kernel_decodes(payload, kernel) == [None] * 3
+
+    def test_unused_windows_past_a_short_tail_are_ignored(self, kernel):
+        chunks = [list(self.FULL) for _ in range(3)] + [list(self.TAIL)]
+        # the tail ends 3 bits into its last byte; its surplus walk reads
+        # the ones behind it, an unused window
+        payload = _token_stream(chunks, pad="1")
+        expected = np.array(sum(chunks, []))
+        np.testing.assert_array_equal(_decode_reference(payload), expected)
+        for decoded in _kernel_decodes(payload, kernel):
+            np.testing.assert_array_equal(decoded, expected)
+
+    @pytest.mark.parametrize("chunk_size", [5000, 1250, 250])
+    def test_alphabet_past_uint16(self, kernel, chunk_size):
+        # SZ2's radius-32768 quantizer emits codes up to 65537
+        rng = np.random.default_rng(17)
+        symbols = rng.integers(0, 40, size=5000)
+        symbols[rng.choice(5000, size=60, replace=False)] = \
+            rng.choice([65535, 65536, 65537, 70000], size=60)
+        payload = HuffmanCoder(chunk_size=chunk_size).encode(symbols)
+        np.testing.assert_array_equal(_decode_reference(payload), symbols)
+        for decoded in _kernel_decodes(payload, kernel):
+            np.testing.assert_array_equal(decoded, symbols)
+
+    @pytest.mark.parametrize("chunk_size", [1 << 16, 2000, 512])
+    def test_kraft_incomplete_table(self, kernel, chunk_size):
+        symbols = _symbols("clamped", 0, 1, 23)
+        producer = ChunkBandProducer(symbols, chunk_size)
+        lengths = np.frombuffer(producer.code_lengths, dtype=np.uint8).astype(np.int64)
+        assert np.sum(1 << (MAX_CODE_LENGTH - lengths[lengths > 0])) < 1 << MAX_CODE_LENGTH
+        payload = HuffmanCoder.assemble(producer)
+        np.testing.assert_array_equal(_decode_reference(payload), symbols)
+        for decoded in _kernel_decodes(payload, kernel):
+            np.testing.assert_array_equal(decoded, symbols)
+
+
+def test_walk_peak_is_bounded_by_its_arrays():
+    """One default decode's traced peak, phase by phase.
+
+    The walk holds the bit windows (8 ``uint16`` per stream byte, built from
+    ``uint32`` fields of 4 B per byte) plus the ``uint16`` window record.
+    Once the windows are freed, the gather holds the record, the ``intp``
+    copy ``take`` makes of it and the ``int32`` symbols; the widening holds
+    those symbols and the ``int64`` output.  With 4-bit codes an ``int64``
+    record beside the windows would exceed every one of these phases.
+    """
+    symbols = np.random.default_rng(5).integers(0, 16, size=1 << 16)
+    payload = HuffmanCoder(chunk_size=1024).encode(symbols)
+    _, index, _, _, bits_at = HuffmanCoder._parse_header(payload)
+    width, steps = index.shape[0], int(index[0, 1])
+    assert width >= huffman._MIN_VECTOR_CHUNKS
+    n_bytes, n_syms = len(payload) - bits_at, width * steps
+    phases = {"windows": 20 * n_bytes,
+              "walk": 16 * n_bytes + 2 * n_syms,
+              "gather": (2 + 8 + 4) * n_syms,
+              "widen": (4 + 8) * n_syms}
+    bound = max(phases.values()) + (64 << 10)  # + header arrays, ufunc buffers
+    coder = HuffmanCoder()
+    coder.decode(payload)  # caches the tables and stocks the free lists
+    tracemalloc.start()
+    try:
+        decoded = coder.decode(payload)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(decoded, symbols)
+    assert peak <= bound
+    assert peak >= bound // 2

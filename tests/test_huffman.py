@@ -100,11 +100,6 @@ class TestCompression:
         decoded = coder.decode(coder.encode(symbols))
         np.testing.assert_array_equal(np.sort(decoded), np.sort(symbols))
 
-    def test_decode_with_table_alias(self, coder):
-        symbols = np.array([1, 2, 3, 1, 2, 1], dtype=np.int64)
-        payload = coder.encode(symbols)
-        np.testing.assert_array_equal(coder.decode_with_table(payload), symbols)
-
     def test_max_code_length_constant(self):
         assert 8 <= MAX_CODE_LENGTH <= 24
 

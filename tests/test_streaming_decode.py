@@ -11,6 +11,10 @@ path would.
 
 from __future__ import annotations
 
+import struct
+import tracemalloc
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -292,6 +296,74 @@ class TestSZStreamDecoder:
         decoder = compressor.stream_decoder()
         _feed_pieces(decoder, payload, piece)
         assert np.array_equal(decoder.finish(), compressor.decompress(payload))
+
+
+def _huffman_bomb(count: int) -> bytes:
+    """A HUF3 header and chunk index declaring ``count`` symbols, no bits.
+
+    The fixed fields, code table and index are self-consistent, so a decoder
+    that trusted them would size its output (8 B per symbol) before any code
+    bit arrived.
+    """
+    chunk = 1 << 31
+    n_chunks = -(-count // chunk)
+    index = b"".join(struct.pack("<QQ", k * chunk, min(chunk, count - k * chunk))
+                     for k in range(n_chunks))
+    body = (struct.pack("<IQII", 1, count, chunk, n_chunks) + b"\x01" + index
+            + struct.pack("<Q", count))
+    return b"HUF3" + struct.pack("<I", zlib.crc32(body)) + body
+
+
+class TestContainerBoundsHuffmanCount:
+    """A body may only embed the Huffman stream its container implies.
+
+    The payloads declare 10 float32 elements and wrap a HUF3 header that
+    declares 3 * 2**31 symbols (48 GiB of decoded codes).  Batch decode
+    rejects them; the streaming decoder must too, before it allocates.
+    """
+
+    HEADER = struct.pack("<BBQd", 0, 1, 10, 0.01)  # float32, shape (10,), bound
+
+    def _assert_rejected_small(self, compressor, body: bytes, match: str) -> None:
+        payload = self.HEADER + zlib.compress(body)
+        with pytest.raises(ValueError):
+            compressor.decompress(payload)
+        decoder = compressor.stream_decoder()
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=match):
+                decoder.feed(payload)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_sz2_symbol_count_pinned_by_geometry(self):
+        bomb = _huffman_bomb(3 << 31)
+        body = (struct.pack("<IQIQ", 8, 2, 32768, 10)
+                + struct.pack("<Q", 1) + b"\x00"         # selectors: 2 mean blocks
+                + struct.pack("<Q", 2) + bytes(8)        # one coefficient each
+                + struct.pack("<Q", len(bomb) + (3 << 28)) + bomb)
+        self._assert_rejected_small(SZ2Compressor(), body,
+                                    "6442450944 codes for 2 blocks of 8")
+
+    def test_sz2_geometry_checked_before_huffman_bytes(self):
+        body = struct.pack("<IQIQ", 8, 1 << 40, 32768, 10) + _huffman_bomb(3 << 31)
+        self._assert_rejected_small(SZ2Compressor(), body,
+                                    "1099511627776 blocks of 8 cannot hold 10")
+
+    def test_sz3_symbol_count_pinned_by_length(self):
+        bomb = _huffman_bomb(3 << 31)
+        # 10 values keep 2 anchors (stride 8), so 8 codes are implied
+        body = (struct.pack("<QIB", 10, 32768, 0) + struct.pack("<Q", 2) + bytes(8)
+                + struct.pack("<Q", len(bomb) + (3 << 28)) + bomb)
+        self._assert_rejected_small(SZ3Compressor(), body,
+                                    "6442450944 codes for 8 interpolated elements")
+
+    def test_sz3_length_checked_before_huffman_bytes(self):
+        body = struct.pack("<QIB", 3 << 31, 32768, 0) + _huffman_bomb(3 << 31)
+        self._assert_rejected_small(SZ3Compressor(), body,
+                                    "length 6442450944 does not match the header's 10")
 
 
 class TestPipelineStreaming:
