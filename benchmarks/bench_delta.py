@@ -302,7 +302,8 @@ def _check_and_report(backend: str, smoke: bool, kill_resume: bool) -> int:
         "delta", "cross-round residual shipping: error-feedback delta codec "
                  "+ warm codebook reuse vs full-state FedSZ")
     record.add(backend=backend, smoke=smoke, error_bound=ERROR_BOUND,
-               threshold=THRESHOLD, ratio_floor=ratio_floor, **settings)
+               threshold=THRESHOLD, ratio_floor=ratio_floor,
+               cpu_count=os.cpu_count(), **settings)
     for f, d, r in zip(ratio["full"].rounds, ratio["delta"].rounds,
                        ratio["ratios"]):
         degrades = ",".join(f"{cid}:{why}" for cid, why

@@ -4,9 +4,9 @@ All predictors operate on 1-D arrays because FedSZ flattens every model tensor
 before compression (Algorithm 1 of the paper).  This module provides:
 
 * :func:`block_pad` — the edge-padded ``(n_blocks, block_size)`` view the
-  blockwise compressors (SZx, ZFP) work on.  SZ2 fits its block mean and
-  regression predictors inside its own tiled kernel
-  (:mod:`repro.compressors.sz2`).
+  blockwise compressors (SZx, ZFP) work on.  SZ2 picks per tensor between
+  its block mean-or-regression hybrid and a zero predictor, and fits the
+  blocks inside its own tiled kernel (:mod:`repro.compressors.sz2`).
 * :class:`InterpolationPredictor` — SZ3's level-by-level linear/cubic
   interpolation predictor on a dyadic grid; each level predicts the midpoints
   of the previous (already reconstructed) level, so the whole pass is

@@ -41,18 +41,24 @@ class LinearQuantizer:
             raise ValueError("radius must be >= 1")
         self.radius = int(radius)
 
-    def quantize(self, data: np.ndarray, predictions: np.ndarray, abs_bound: float,
+    def quantize(self, data: np.ndarray, predictions: "np.ndarray | None", abs_bound: float,
                  codes: "np.ndarray | None" = None) -> QuantizationResult:
         """Quantize ``data - predictions`` under the absolute bound.
+
+        ``predictions=None`` quantizes ``data`` itself (a zero prediction)
+        without the subtract and add passes.  Codes and outliers equal an
+        explicit zeros array's bit for bit; only the sign of a zero in
+        ``reconstructed`` may differ (``-0.0 + 0.0`` is ``+0.0``).
 
         ``codes``, when given, is a caller-owned int64 array of ``data``'s
         shape (e.g. one tile's slice of a tensor-wide code array) that
         receives the codes in place; it is also the result's ``codes``.
         """
         data = np.asarray(data, dtype=np.float64)
-        predictions = np.asarray(predictions, dtype=np.float64)
-        if data.shape != predictions.shape:
-            raise ValueError("data and predictions must have the same shape")
+        if predictions is not None:
+            predictions = np.asarray(predictions, dtype=np.float64)
+            if data.shape != predictions.shape:
+                raise ValueError("data and predictions must have the same shape")
         if abs_bound <= 0:
             raise ValueError("abs_bound must be positive")
         if codes is None:
@@ -70,8 +76,11 @@ class LinearQuantizer:
         # float64/int64 temporaries to this buffer, the int64 codes and the
         # transient |q| of the screen.
         with np.errstate(over="ignore", invalid="ignore"):
-            work = np.subtract(data, predictions)         # residual
-            np.divide(work, 2.0 * abs_bound, out=work)
+            if predictions is None:
+                work = np.divide(data, 2.0 * abs_bound)
+            else:
+                work = np.subtract(data, predictions)     # residual
+                np.divide(work, 2.0 * abs_bound, out=work)
             np.rint(work, out=work)                       # the quotient q
             # one comparison screens |q| <= radius: NaN and +-inf fail it
             predictable = np.abs(work) <= float(self.radius)
@@ -84,7 +93,8 @@ class LinearQuantizer:
             # 1.6e308 with bound 1e307), so such positions take the outlier
             # escape instead of reconstructing as inf
             np.multiply(work, 2.0 * abs_bound, out=work)
-            np.add(work, predictions, out=work)           # the candidate
+            if predictions is not None:
+                np.add(work, predictions, out=work)       # the candidate
             np.isfinite(work, out=npred)
             predictable &= npred
             np.logical_not(predictable, out=npred)
@@ -93,9 +103,14 @@ class LinearQuantizer:
         np.add(codes, self.radius + 1, out=codes, where=predictable)
         return QuantizationResult(codes=codes, outliers=data[npred], reconstructed=work)
 
-    def dequantize(self, codes: np.ndarray, outliers: np.ndarray, predictions: np.ndarray,
-                   abs_bound: float, out: "np.ndarray | None" = None) -> np.ndarray:
+    def dequantize(self, codes: np.ndarray, outliers: np.ndarray,
+                   predictions: "np.ndarray | None", abs_bound: float,
+                   out: "np.ndarray | None" = None) -> np.ndarray:
         """Invert :meth:`quantize` given the same predictions.
+
+        ``predictions=None`` inverts a zero-prediction :meth:`quantize` and
+        skips the add pass; the values equal an explicit zeros array's bit
+        for bit.
 
         ``out``, when given, is a caller-owned float array of ``codes``'
         shape (e.g. one tile's slice of the decoded tensor) that receives
@@ -110,7 +125,6 @@ class LinearQuantizer:
         results, one temporary instead of four.
         """
         codes = np.asarray(codes, dtype=np.int64)
-        predictions = np.asarray(predictions, dtype=np.float64)
         work = np.subtract(codes, self.radius + 1).astype(np.float64)
         if out is None:
             out = work
@@ -123,8 +137,12 @@ class LinearQuantizer:
         with np.errstate(over="ignore", invalid="ignore"):
             # unpredictable positions (code 0 → q = -radius-1) may overflow
             # here; they are overwritten from the outlier list just below
-            np.multiply(work, 2.0 * abs_bound, out=work)
-            np.add(predictions, work, out=out)
+            if predictions is None:
+                # `work` never holds -0.0, so `0.0 + work` would be `work`
+                np.multiply(work, 2.0 * abs_bound, out=out)
+            else:
+                np.multiply(work, 2.0 * abs_bound, out=work)
+                np.add(np.asarray(predictions, dtype=np.float64), work, out=out)
             if n_unpred:
                 out[unpred] = outliers[:n_unpred]
         return out

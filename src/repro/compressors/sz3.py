@@ -20,7 +20,11 @@ Payload body layout::
     u64   Huffman stream length, Huffman-coded quantization codes (level order)
     u64   outlier count, f64[] verbatim outliers (level order)
 
-wrapped in the configured lossless backend.
+wrapped in the configured lossless backend.  The decoder checks the element,
+anchor and code counts against the container's element count, accepts an
+anchor flag of 0 or 1 only, requires exactly one outlier per zero code, and
+rejects any byte after the last field (the outlier tail, or the 13-byte
+empty-tensor escape) with :class:`ValueError`.
 
 Anchors are stored verbatim and double as their own reconstruction, so their
 storage dtype must honour the error bound: float32 is used whenever the cast
@@ -157,9 +161,9 @@ class SZ3Compressor(LossyCompressor):
             return None
         n, _, anchor_code = struct.unpack("<QIB", plain.view(0, fixed))
         _check_length(n, count)
+        itemsize = _anchor_dtype(anchor_code).itemsize
         if n == 0:
             return fixed, 0, None
-        itemsize = 8 if anchor_code else 4
         offset = fixed
         if not plain.has(8, offset):
             return None
@@ -181,14 +185,17 @@ class SZ3Compressor(LossyCompressor):
         consumer; ``None`` (the batch path) decodes them here.  Both sources
         run the same kernels, so the output is bit-identical either way.
         The element, anchor and code counts are checked against the
-        container's ``count``; a mismatch raises :class:`ValueError`.
+        container's ``count``, the anchor flag must be 0 or 1, every zero
+        code must have exactly one outlier, and no byte may follow the last
+        field; any mismatch raises :class:`ValueError`.
         """
         n, radius, anchor_code = struct.unpack_from("<QIB", body, 0)
         offset = struct.calcsize("<QIB")
         _check_length(n, count)
+        anchor_dtype = _anchor_dtype(anchor_code)
         if n == 0:
+            _expect_consumed(body, offset)
             return np.zeros(0, dtype=np.float64)
-        anchor_dtype = np.dtype(np.float64) if anchor_code else np.dtype(np.float32)
         (anchor_count,) = struct.unpack_from("<Q", body, offset)
         offset += 8
         _check_anchors(anchor_count, n)
@@ -201,6 +208,7 @@ class SZ3Compressor(LossyCompressor):
         offset += huff_len
         _check_code_count(codes.size, n - anchor_count)
         outliers, offset = LinearQuantizer.unpack_outliers(body, offset)
+        _expect_consumed(body, offset)
 
         predictor = InterpolationPredictor(n)
         quantizer = LinearQuantizer(radius)
@@ -217,6 +225,9 @@ class SZ3Compressor(LossyCompressor):
             outlier_pos += n_unpred
             predictions = InterpolationPredictor.predict(reconstructed, new_idx, left_idx, right_idx)
             reconstructed[new_idx] = quantizer.dequantize(level_codes, level_outliers, predictions, abs_bound)
+        if outlier_pos != outliers.size:
+            raise ValueError(f"corrupt sz3 body: {outliers.size} outliers for "
+                             f"{outlier_pos} escape codes")
         return reconstructed
 
 
@@ -238,3 +249,15 @@ def _check_anchors(anchor_count: int, n: int) -> None:
     if anchor_count != expected:
         raise ValueError(f"corrupt sz3 body: {anchor_count} anchors for {n} "
                          f"elements (expected {expected})")
+
+
+def _anchor_dtype(anchor_code: int) -> np.dtype:
+    if anchor_code not in (0, 1):
+        raise ValueError(f"corrupt sz3 body: unknown anchor dtype flag {anchor_code}")
+    return np.dtype(np.float64) if anchor_code else np.dtype(np.float32)
+
+
+def _expect_consumed(body: bytes, offset: int) -> None:
+    if offset != len(body):
+        raise ValueError(f"corrupt sz3 body: {len(body) - offset} bytes after "
+                         f"the last field")

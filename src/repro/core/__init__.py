@@ -9,7 +9,7 @@ The core package implements Algorithm 1 and Figure 1 of the paper:
    policy registry (uniform / size-adaptive / mixed-codec) that decide each
    lossy tensor's codec, bound, and options,
 3. :mod:`repro.core.pipeline` — the plan-driven FedSZ pipeline producing a
-   single self-describing (version-4, possibly mixed-codec) bitstream per
+   single self-describing (version-6, possibly mixed-codec) bitstream per
    client update,
 4. :mod:`repro.core.network` — the bandwidth/benefit model of Eqn. (1),
 5. :mod:`repro.core.profiling` — the measured-candidate profiling subsystem
@@ -19,10 +19,10 @@ The core package implements Algorithm 1 and Figure 1 of the paper:
    optimizers of Problems (2) and (3), now thin wrappers over the profiler.
 """
 
-from repro.core.adaptive import AdaptiveBoundPolicy, AdaptiveFedSZCompressor
 from repro.core.config import FedSZConfig
 from repro.core.plan import (
     PLAN_PROVENANCE_KEY,
+    AdaptiveBoundPolicy,
     CompressionPlan,
     CompressionPolicy,
     MixedCodecPolicy,
@@ -66,7 +66,6 @@ from repro.core.selection import (
 __all__ = [
     "FedSZConfig",
     "AdaptiveBoundPolicy",
-    "AdaptiveFedSZCompressor",
     "FedSZCompressor",
     "FedSZReport",
     "TensorPlan",

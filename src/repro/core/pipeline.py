@@ -18,7 +18,7 @@ Client side (:meth:`FedSZCompressor.compress_with_report`):
    tasks run unchanged on a thread pool or across a process boundary,
 4. serialize the lossless partition into a single buffer and compress it with
    the configured lossless codec,
-5. pack everything into one version-4 bitstream: each ``lossy::`` payload is
+5. pack everything into one version-6 bitstream: each ``lossy::`` payload is
    prefixed with its codec id and the manifest embeds the full plan summary,
    so mixed-codec streams roundtrip with no out-of-band state.
 
@@ -65,12 +65,14 @@ from repro.utils.serialization import pack_arrays, pack_bytes_dict, unpack_array
 __all__ = ["FedSZCompressor", "FedSZReport", "StreamingStateDecoder",
            "StreamingStateEncoder"]
 
-#: bumped to 4 for the plan-driven mixed-codec format: every ``lossy::``
-#: payload is prefixed with its codec id and the manifest carries the full
-#: per-tensor plan summary, so one bitstream may mix codecs and bounds.
-#: (3 added the chunked Huffman entropy stage, 2 the SZ3 anchor dtype flag /
-#: ZFP verbatim trailer / SZx verbatim escape — see FORMATS.md.)
-_FORMAT_VERSION = 4
+#: bumped to 6 for the SZ2 body's predictor field (hybrid block prediction
+#: or a zero predictor with no side fields).  4 made the format plan-driven:
+#: every ``lossy::`` payload is prefixed with its codec id and the manifest
+#: carries the full per-tensor plan summary, so one bitstream may mix codecs
+#: and bounds.  (5 is the delta frame's ``FDL5`` magic, 3 added the chunked
+#: Huffman entropy stage, 2 the SZ3 anchor dtype flag / ZFP verbatim trailer /
+#: SZx verbatim escape — see FORMATS.md.)
+_FORMAT_VERSION = 6
 #: Lossy compressors whose payloads carry a Huffman entropy stage and
 #: therefore accept the ``entropy_chunk``/``entropy_workers`` knobs.
 _ENTROPY_CODED = ("sz2", "sz3")
@@ -620,7 +622,7 @@ class FedSZCompressor:
 
 
 class StreamingStateEncoder:
-    """Pull-based encoder for one version-4 FedSZ bitstream.
+    """Pull-based encoder for one version-6 FedSZ bitstream.
 
     :meth:`chunks` yields wire byte pieces in stream order; their
     concatenation is byte-identical to
@@ -785,7 +787,7 @@ class _LossyStreamSink:
 
 
 class StreamingStateDecoder:
-    """Push-based decoder for one version-4 FedSZ bitstream.
+    """Push-based decoder for one version-6 FedSZ bitstream.
 
     :meth:`feed` accepts wire bytes in any chunking and returns the lossy
     tensors whose payloads completed during that call; :meth:`finish`

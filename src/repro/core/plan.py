@@ -157,7 +157,7 @@ class CompressionPlan:
         return sorted({plan.codec for plan in self})
 
     def bounds(self) -> "OrderedDict[str, float]":
-        """Per-tensor error-bound values (the historic ``last_bounds`` shape)."""
+        """Per-tensor error-bound values, in plan order."""
         return OrderedDict((name, plan.error_bound) for name, plan in self.entries.items())
 
 
@@ -399,7 +399,9 @@ class AdaptiveBoundPolicy:
     tensor keeps the base bound and smaller tensors get bounds shrunk by
     ``(size / largest_size) ** size_exponent`` (clamped at ``min_bound``), so
     small, high-leverage tensors are perturbed least.  This is the bound math
-    behind the ``size-adaptive`` plan policy; it remains usable standalone.
+    behind the ``size-adaptive`` plan policy (the paper's first future-work
+    direction, Section VIII-B: tune the bound per tensor to limit accuracy
+    loss); it remains usable standalone.
     """
 
     base_bound: float = 1e-2

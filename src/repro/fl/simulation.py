@@ -100,15 +100,12 @@ from repro.fl.client import FLClient
 from repro.fl.codec import FedSZUpdateCodec, RawUpdateCodec, UpdateCodec
 from repro.fl.coordinator.aggregator import TreeAggregator
 from repro.fl.coordinator.coordinator import (OVERLAP_MODES, Coordinator,
-                                              _train_client_task,
                                               train_clients_parallel)
 from repro.fl.coordinator.journal import RoundJournal
 from repro.fl.coordinator.records import RoundRecord, SimulationResult
 from repro.fl.coordinator.scheduler import (RoundScheduler, StalenessPolicy,
                                             resolve_scenario_seed)
-from repro.fl.coordinator.transport import (ShipResult, ShipTask,
-                                            SimulatedTransport,
-                                            ship_update_task)
+from repro.fl.coordinator.transport import SimulatedTransport
 from repro.fl.delta import DeltaUpdateCodec
 from repro.fl.server import FedAvgServer
 from repro.nn.module import Module
@@ -116,12 +113,6 @@ from repro.utils.parallel import ExecutionBackend, get_backend
 
 __all__ = ["RoundRecord", "SimulationResult", "FederatedSimulation",
            "train_clients_parallel"]
-
-# historic private names, kept as aliases for any code that reached in
-# (_train_client_task is imported above under its historic name)
-_ShipTask = ShipTask
-_ShipResult = ShipResult
-_ship_update_task = ship_update_task
 
 
 def _delta_client_codec(codec: UpdateCodec, use_codebooks: bool) -> DeltaUpdateCodec:

@@ -1,14 +1,19 @@
 """Byte-identity oracle for the tiled SZ2 codec body.
 
 :func:`reference_body_parts` and :func:`reference_reconstruct` are the
-whole-array SZ2 front end and reconstruction the production
-:class:`~repro.compressors.sz2.SZ2Compressor` used before it walked each
+whole-array SZ2 front end and reconstruction, in both predictor modes of the
+body.  The hybrid is what the production
+:class:`~repro.compressors.sz2.SZ2Compressor` ran before it walked each
 tensor in cache-sized tiles of blocks: pad the tensor to whole blocks, fit
 both block predictors over every block at once, materialise both full
 prediction arrays, pick per block, and quantize (or dequantize) the whole
-tensor in one call.  They are memory-hungry but obviously right, so the
+tensor in one call.  The zero mode quantizes the padded tensor against an
+explicit zeros array.  They are memory-hungry but obviously right, so the
 property tests hold the tiled kernels to their bytes and values bit for bit.
-The three block-predictor helpers below live here only for that purpose.
+The predictor choice is the encoder's own business: the oracle takes the
+mode as an argument, and its hybrid bytes differ from the pre-v6 body only
+by the predictor field.  The three block-predictor helpers below live here
+only for this purpose.
 """
 
 from __future__ import annotations
@@ -59,14 +64,24 @@ def predictions_from_regression(coefficients: np.ndarray, block_size: int) -> np
     return coefficients[:, 0:1] + coefficients[:, 1:2] * idx[None, :]
 
 
-def reference_body_parts(compressor, data: np.ndarray, abs_bound: float
+HYBRID, ZERO = 0, 1  # the body's predictor field
+
+
+def reference_body_parts(compressor, data: np.ndarray, abs_bound: float, predictor: int
                          ) -> "tuple[list[bytes], np.ndarray | None, list[bytes]]":
-    """The ``(prefix, codes, suffix)`` split ``compressor._body_parts`` must return."""
+    """The ``(prefix, codes, suffix)`` split ``compressor._body_parts`` must
+    return when it picks ``predictor`` (ignored for an empty tensor)."""
     if data.size == 0:
         return [struct.pack("<IQI", compressor.block_size, 0, compressor.quantizer.radius)], None, []
 
     blocks, original_len = block_pad(data, compressor.block_size)
     n_blocks = blocks.shape[0]
+    head = [struct.pack("<IQI", compressor.block_size, n_blocks, compressor.quantizer.radius),
+            struct.pack("<QB", original_len, predictor)]
+    if predictor == ZERO:
+        quant = compressor.quantizer.quantize(blocks.ravel(), np.zeros(blocks.size), abs_bound)
+        return head, quant.codes, [LinearQuantizer.pack_outliers(quant.outliers)]
+
     with np.errstate(over="ignore", invalid="ignore"):
         mean_pred, mean_coef = block_mean_predictor(blocks)
         reg_pred, reg_coef = block_regression_predictor(blocks)
@@ -86,18 +101,17 @@ def reference_body_parts(compressor, data: np.ndarray, abs_bound: float
     coefficients = np.concatenate(coef_chunks).astype(np.float32)
     selector_bits = np.packbits(use_regression.astype(np.uint8))
 
-    prefix = [struct.pack("<IQI", compressor.block_size, n_blocks, compressor.quantizer.radius),
-              struct.pack("<Q", original_len),
-              struct.pack("<Q", selector_bits.size) + selector_bits.tobytes(),
-              struct.pack("<Q", coefficients.size) + coefficients.tobytes()]
+    prefix = head + [struct.pack("<Q", selector_bits.size) + selector_bits.tobytes(),
+                     struct.pack("<Q", coefficients.size) + coefficients.tobytes()]
     suffix = [LinearQuantizer.pack_outliers(quant.outliers)]
     return prefix, quant.codes, suffix
 
 
-def reference_compress(compressor, data: np.ndarray) -> bytes:
-    """The payload ``compressor.compress(data)`` must produce."""
+def reference_compress(compressor, data: np.ndarray, predictor: int) -> bytes:
+    """The payload ``compressor.compress(data)`` must produce when it picks
+    ``predictor``."""
     header, flat, abs_bound = compressor._encode_prelude(data)
-    prefix, codes, suffix = reference_body_parts(compressor, flat, abs_bound)
+    prefix, codes, suffix = reference_body_parts(compressor, flat, abs_bound, predictor)
     body = b"".join(prefix)
     if codes is not None:
         huff = compressor.huffman.encode(codes)
@@ -113,38 +127,40 @@ def reference_reconstruct(compressor, payload: bytes) -> np.ndarray:
     offset = 16
     if n_blocks == 0:
         return np.zeros(count, dtype=np.float64).astype(dtype).reshape(shape)
-    (original_len,) = struct.unpack_from("<Q", body, offset)
-    offset += 8
-    (sel_len,) = struct.unpack_from("<Q", body, offset)
-    offset += 8
-    selector_bits = np.frombuffer(body, dtype=np.uint8, count=sel_len, offset=offset)
-    offset += sel_len
-    use_regression = np.unpackbits(selector_bits)[:n_blocks].astype(bool)
-    (coef_count,) = struct.unpack_from("<Q", body, offset)
-    offset += 8
-    coefficients = np.frombuffer(body, dtype=np.float32, count=coef_count, offset=offset)
-    offset += 4 * coef_count
+    original_len, predictor = struct.unpack_from("<QB", body, offset)
+    offset += 9
+    if predictor == HYBRID:
+        (sel_len,) = struct.unpack_from("<Q", body, offset)
+        offset += 8
+        selector_bits = np.frombuffer(body, dtype=np.uint8, count=sel_len, offset=offset)
+        offset += sel_len
+        use_regression = np.unpackbits(selector_bits)[:n_blocks].astype(bool)
+        (coef_count,) = struct.unpack_from("<Q", body, offset)
+        offset += 8
+        coefficients = np.frombuffer(body, dtype=np.float32, count=coef_count, offset=offset)
+        offset += 4 * coef_count
     (huff_len,) = struct.unpack_from("<Q", body, offset)
     offset += 8
     codes = compressor.huffman.decode(body[offset : offset + huff_len])
     offset += huff_len
     outliers, offset = LinearQuantizer.unpack_outliers(body, offset)
 
-    predictions = np.empty((n_blocks, block_size), dtype=np.float64)
-    coef_offsets = np.zeros(n_blocks, dtype=np.int64)
-    sizes = np.where(use_regression, 2, 1)
-    coef_offsets[1:] = np.cumsum(sizes)[:-1]
-    mean_blocks = np.flatnonzero(~use_regression)
-    if mean_blocks.size:
-        means = coefficients[coef_offsets[mean_blocks]].astype(np.float64)
-        predictions[mean_blocks] = means[:, None]
-    reg_blocks = np.flatnonzero(use_regression)
-    if reg_blocks.size:
-        intercepts = coefficients[coef_offsets[reg_blocks]].astype(np.float64)
-        slopes = coefficients[coef_offsets[reg_blocks] + 1].astype(np.float64)
-        idx = np.arange(block_size, dtype=np.float64)
-        with np.errstate(over="ignore", invalid="ignore"):
-            predictions[reg_blocks] = intercepts[:, None] + slopes[:, None] * idx[None, :]
+    predictions = np.zeros((n_blocks, block_size), dtype=np.float64)
+    if predictor == HYBRID:
+        coef_offsets = np.zeros(n_blocks, dtype=np.int64)
+        sizes = np.where(use_regression, 2, 1)
+        coef_offsets[1:] = np.cumsum(sizes)[:-1]
+        mean_blocks = np.flatnonzero(~use_regression)
+        if mean_blocks.size:
+            means = coefficients[coef_offsets[mean_blocks]].astype(np.float64)
+            predictions[mean_blocks] = means[:, None]
+        reg_blocks = np.flatnonzero(use_regression)
+        if reg_blocks.size:
+            intercepts = coefficients[coef_offsets[reg_blocks]].astype(np.float64)
+            slopes = coefficients[coef_offsets[reg_blocks] + 1].astype(np.float64)
+            idx = np.arange(block_size, dtype=np.float64)
+            with np.errstate(over="ignore", invalid="ignore"):
+                predictions[reg_blocks] = intercepts[:, None] + slopes[:, None] * idx[None, :]
 
     values = LinearQuantizer(radius).dequantize(codes, outliers, predictions.ravel(), abs_bound)
     with np.errstate(over="ignore"):

@@ -19,8 +19,8 @@ from repro.fl import (
     TreeAggregator,
     fedavg_aggregate,
 )
-from repro.fl.coordinator import PartialAggregate, RoundPlan, resolve_scenario_seed
-from repro.fl.simulation import _ship_update_task, _ShipTask
+from repro.fl.coordinator import (PartialAggregate, RoundPlan, ShipTask,
+                                  resolve_scenario_seed, ship_update_task)
 from repro.nn import build_model
 from repro.utils.serialization import packed_arrays_nbytes
 
@@ -413,10 +413,10 @@ class TestSatelliteRegressions:
             len(RawUpdateCodec().encode(small_state))
 
     def test_ship_task_reports_analytic_raw_bytes(self, small_state):
-        task = _ShipTask(client_id=0, state=small_state, codec=RawUpdateCodec(),
-                         network=NetworkModel(bandwidth_mbps=10.0),
-                         straggler_slowdown=1.0)
-        result = _ship_update_task(task)
+        task = ShipTask(client_id=0, state=small_state, codec=RawUpdateCodec(),
+                        network=NetworkModel(bandwidth_mbps=10.0),
+                        straggler_slowdown=1.0)
+        result = ship_update_task(task)
         assert result.raw_bytes == len(RawUpdateCodec().encode(small_state))
         assert result.payload is None  # payloads are only kept when journaling
 

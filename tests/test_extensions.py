@@ -5,9 +5,9 @@ import pytest
 
 from repro.core import (
     AdaptiveBoundPolicy,
-    AdaptiveFedSZCompressor,
     FedSZCompressor,
     FedSZConfig,
+    SizeAdaptivePolicy,
 )
 from repro.data import partition_dataset
 from repro.fl import FLClient, fedavg_aggregate, map_parallel, train_clients_parallel
@@ -46,23 +46,25 @@ class TestAdaptiveBoundPolicy:
             AdaptiveBoundPolicy(size_exponent=-1)
 
 
-class TestAdaptiveFedSZCompressor:
+class TestSizeAdaptiveFedSZCompressor:
     def test_roundtrip_and_error_tighter_on_small_tensors(self, small_state):
         config = FedSZConfig(error_bound=1e-1, threshold=64)
-        adaptive = AdaptiveFedSZCompressor(config, AdaptiveBoundPolicy(base_bound=1e-1, min_bound=1e-3))
+        adaptive = FedSZCompressor(config, policy=SizeAdaptivePolicy(base_bound=1e-1,
+                                                                     min_bound=1e-3))
         payload = adaptive.compress_state_dict(small_state)
         recon = adaptive.decompress_state_dict(payload)
         assert set(recon) == set(small_state)
-        assert adaptive.last_bounds, "policy bounds were not recorded"
+        bounds = adaptive.last_plan.bounds()
+        assert bounds, "policy bounds were not recorded"
 
         partition = adaptive.partition(small_state)
         sizes = {k: v.size for k, v in partition.lossy.items()}
         largest = max(sizes, key=sizes.get)
         smallest = min(sizes, key=sizes.get)
         if largest != smallest:
-            assert adaptive.last_bounds[smallest] <= adaptive.last_bounds[largest]
+            assert bounds[smallest] <= bounds[largest]
             # the smaller tensor is reconstructed proportionally more accurately
-            for name, bound in adaptive.last_bounds.items():
+            for name, bound in bounds.items():
                 original = small_state[name].astype(np.float64)
                 rng_val = float(original.max() - original.min()) or 1.0
                 err = float(np.max(np.abs(recon[name].astype(np.float64) - original)))
@@ -71,7 +73,7 @@ class TestAdaptiveFedSZCompressor:
     def test_adaptive_payload_at_least_as_accurate_as_uniform(self, small_state):
         config = FedSZConfig(error_bound=1e-1, threshold=64)
         uniform = FedSZCompressor(config)
-        adaptive = AdaptiveFedSZCompressor(config)
+        adaptive = FedSZCompressor(config, policy=SizeAdaptivePolicy(base_bound=1e-1))
         uniform_recon, _ = uniform.roundtrip(small_state)
         adaptive_recon = adaptive.decompress_state_dict(adaptive.compress_state_dict(small_state))
 

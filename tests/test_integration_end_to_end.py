@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import AdaptiveFedSZCompressor, FedSZConfig, NetworkModel
+from repro.core import FedSZCompressor, FedSZConfig, NetworkModel, SizeAdaptivePolicy
 from repro.core.selection import select_error_bound
 from repro.data import make_dataset, train_test_split
 from repro.fl import FederatedSimulation, FedSZUpdateCodec, RawUpdateCodec, UpdateCodec
@@ -22,7 +22,8 @@ class _AdaptiveCodec(UpdateCodec):
     name = "fedsz-adaptive"
 
     def __init__(self, config: FedSZConfig) -> None:
-        self.compressor = AdaptiveFedSZCompressor(config)
+        self.compressor = FedSZCompressor(
+            config, policy=SizeAdaptivePolicy(base_bound=config.error_bound))
 
     def encode(self, state):
         return self.compressor.compress_state_dict(state)

@@ -586,23 +586,14 @@ class TestRoundEngineClientReports:
 
 
 # ---------------------------------------------------------------------------
-# The adaptive wrapper is now plan-driven
+# Size-adaptive bounds are plan-driven
 # ---------------------------------------------------------------------------
 
 class TestAdaptiveIsPlanDriven:
-    def test_dispatching_hack_is_gone(self):
-        import repro.core.adaptive as adaptive
-
-        assert not hasattr(adaptive, "_Dispatching")
-        source = open(adaptive.__file__).read()
-        assert "_Dispatching" not in source
-
     def test_adaptive_bounds_unchanged_from_policy_math(self, small_state):
-        from repro.core import AdaptiveFedSZCompressor
-
         config = FedSZConfig(error_bound=1e-1, threshold=64)
-        adaptive = AdaptiveFedSZCompressor(config)
+        adaptive = FedSZCompressor(config, policy=SizeAdaptivePolicy(base_bound=1e-1))
         adaptive.compress_state_dict(small_state)
         lossy = partition_state_dict(small_state, config).lossy
         expected = AdaptiveBoundPolicy(base_bound=1e-1).bounds_for(dict(lossy))
-        assert adaptive.last_bounds == expected
+        assert adaptive.last_plan.bounds() == expected

@@ -59,6 +59,60 @@ class TestQuantize:
             quantizer.dequantize(codes, np.array([1.0]), np.zeros(2), 0.1)
 
 
+class TestNoPrediction:
+    """``predictions=None`` is a zero prediction without its passes."""
+
+    @staticmethod
+    def _data(dtype=np.float64) -> np.ndarray:
+        rng = np.random.default_rng(11)
+        data = rng.normal(0.0, 0.05, 4000) * np.abs(rng.normal(size=4000)) ** 1.5
+        data[::97] = np.nan
+        data[5::211] = np.inf
+        data[7::211] = -np.inf
+        data[9::53] = -0.0
+        data[11::59] = 3.0                              # beyond the radius
+        data[13::61] = rng.uniform(1.6e308, 1.79e308)   # overflows q * 2 * bound
+        return data.astype(dtype)
+
+    @pytest.mark.parametrize("bound", [1e-3, 0.5, 1e307])
+    @pytest.mark.parametrize("radius", [64, 32768])
+    def test_codes_and_outliers_equal_explicit_zeros(self, bound, radius):
+        quantizer = LinearQuantizer(radius)
+        data = self._data()
+        want = quantizer.quantize(data, np.zeros(data.size), bound)
+        got = quantizer.quantize(data, None, bound)
+        assert got.codes.tobytes() == want.codes.tobytes()
+        assert got.outliers.tobytes() == want.outliers.tobytes()
+        # the reconstructions differ at most in the sign of a zero
+        assert np.array_equal(got.reconstructed, want.reconstructed, equal_nan=True)
+
+    def test_writes_a_code_slice(self):
+        quantizer = LinearQuantizer(64)
+        data = self._data()
+        codes = np.full(5000, -7, dtype=np.int64)
+        got = quantizer.quantize(data, None, 1e-3, codes=codes[500:4500])
+        assert np.shares_memory(got.codes, codes)
+        assert codes[500:4500].tobytes() == \
+            quantizer.quantize(data, np.zeros(data.size), 1e-3).codes.tobytes()
+        assert np.all(codes[:500] == -7) and np.all(codes[4500:] == -7)
+
+    @pytest.mark.parametrize("out_dtype", [None, np.float32, np.float64])
+    @pytest.mark.parametrize("bound", [1e-3, 0.5, 1e307])
+    def test_dequantized_values_equal_explicit_zeros(self, bound, out_dtype):
+        quantizer = LinearQuantizer(64)
+        quant = quantizer.quantize(self._data(), None, bound)
+        zeros = np.zeros(quant.codes.size)
+        if out_dtype is None:
+            want = quantizer.dequantize(quant.codes, quant.outliers, zeros, bound)
+            got = quantizer.dequantize(quant.codes, quant.outliers, None, bound)
+        else:
+            want = quantizer.dequantize(quant.codes, quant.outliers, zeros, bound,
+                                        out=np.empty(zeros.size, out_dtype))
+            got = quantizer.dequantize(quant.codes, quant.outliers, None, bound,
+                                       out=np.empty(zeros.size, out_dtype))
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 class TestOutlierPacking:
     def test_pack_unpack_roundtrip(self):
         values = np.array([1.5, -2.25, 1e-30])

@@ -340,12 +340,23 @@ class TestContainerBoundsHuffmanCount:
 
     def test_sz2_symbol_count_pinned_by_geometry(self):
         bomb = _huffman_bomb(3 << 31)
-        body = (struct.pack("<IQIQ", 8, 2, 32768, 10)
+        body = (struct.pack("<IQIQB", 8, 2, 32768, 10, 0)  # hybrid predictor
                 + struct.pack("<Q", 1) + b"\x00"         # selectors: 2 mean blocks
                 + struct.pack("<Q", 2) + bytes(8)        # one coefficient each
                 + struct.pack("<Q", len(bomb) + (3 << 28)) + bomb)
         self._assert_rejected_small(SZ2Compressor(), body,
                                     "6442450944 codes for 2 blocks of 8")
+
+    def test_sz2_zero_predictor_symbol_count_pinned_by_geometry(self):
+        bomb = _huffman_bomb(3 << 31)
+        body = (struct.pack("<IQIQB", 8, 2, 32768, 10, 1)  # zero predictor
+                + struct.pack("<Q", len(bomb) + (3 << 28)) + bomb)
+        self._assert_rejected_small(SZ2Compressor(), body,
+                                    "6442450944 codes for 2 blocks of 8")
+
+    def test_sz2_predictor_checked_before_huffman_bytes(self):
+        body = struct.pack("<IQIQB", 8, 2, 32768, 10, 7) + _huffman_bomb(3 << 31)
+        self._assert_rejected_small(SZ2Compressor(), body, "unknown predictor 7")
 
     def test_sz2_geometry_checked_before_huffman_bytes(self):
         body = struct.pack("<IQIQ", 8, 1 << 40, 32768, 10) + _huffman_bomb(3 << 31)

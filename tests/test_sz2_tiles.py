@@ -3,34 +3,43 @@ exact-geometry rule.
 
 * Batch ``compress`` and the concatenated ``stream_encoder().chunks`` must
   produce the oracle's payload (``sz2_reference.py``) byte for byte, and
-  ``decompress`` / ``stream_decoder()`` its reconstruction bit for bit:
-  lengths on both sides of a block and of a tile, multi-tile tensors with a
-  ragged tail, float32 and float64, ABS and REL bounds, constant arrays, and
-  NaN, +-inf and near-float64-max values that take the quantizer's outlier
-  and reconstruction-overflow escapes.
+  ``decompress`` / ``stream_decoder()`` its reconstruction bit for bit, in
+  each predictor mode forced on every input and in the mode the encoder
+  picks: lengths on both sides of a block and of a tile, multi-tile tensors
+  with a ragged tail, float32 and float64, ABS and REL bounds, constant
+  arrays, and NaN, +-inf and near-float64-max values that take the
+  quantizer's outlier and reconstruction-overflow escapes.
 * The quantizer writes one tile's codes or reconstruction into a caller's
   slice, the latter in a narrower dtype, exactly as the whole-array call and
   a cast afterwards would.
 * Every body field that sizes the tiled decoder is checked against the
-  container's element count, and the body must be consumed exactly; each
-  violation raises ``ValueError`` on the batch and the streaming decoder.
+  container's element count, the predictor field must name a known mode,
+  and the body must be consumed exactly; each violation raises
+  ``ValueError`` on the batch and the streaming decoder, in both modes.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sz2_reference import reference_compress, reference_reconstruct
+from sz2_reference import HYBRID, ZERO, reference_compress, reference_reconstruct
+from repro.compressors import sz2
 from repro.compressors.quantizer import LinearQuantizer
 from repro.compressors.sz2 import _TILE_BLOCKS, SZ2Compressor
 
 _TILE = _TILE_BLOCKS * 128  # values per tile at the default block size
+
+#: ``_ZERO_MARGIN_BITS`` values that force each mode: zero never beats the
+#: hybrid by an infinite margin, and always by a negative infinite one.
+_FORCING_MARGIN = {HYBRID: math.inf, ZERO: -math.inf}
 
 
 def _data(length: int, dtype, kind: str, seed: int) -> np.ndarray:
@@ -86,9 +95,27 @@ def test_tiled_body_matches_whole_array_oracle(length, block_size, dtype, kind, 
         comp = SZ2Compressor(1e307 if bound == "abs-huge" else 1e-3, mode="abs",
                              block_size=block_size)
     data = _data(length, dtype, kind, seed)
+    # every input through both kernels: the hybrid's float32-coefficient
+    # overflow and escapes as well as the zero mode's, whichever it picks
+    for predictor, margin in _FORCING_MARGIN.items():
+        with mock.patch.object(sz2, "_ZERO_MARGIN_BITS", margin):
+            assert _assert_matches_oracle(comp, data) == predictor
+    _assert_matches_oracle(comp, data)
 
-    payload = reference_compress(comp, data)
-    assert comp.compress(data) == payload
+
+def _predictor(comp: SZ2Compressor, payload: bytes) -> "int | None":
+    """The predictor field of an SZ2 payload (``None`` for an empty tensor)."""
+    _, _, _, _, offset = comp._parse_container_header(payload)
+    body = zlib.decompress(payload[offset:])
+    return body[24] if len(body) > 24 else None
+
+
+def _assert_matches_oracle(comp: SZ2Compressor, data: np.ndarray) -> "int | None":
+    """Hold batch and streaming encode and decode to the oracle's bytes and
+    values for the predictor the encoder picks; return that predictor."""
+    payload = comp.compress(data)
+    predictor = _predictor(comp, payload)
+    assert payload == reference_compress(comp, data, predictor)
     assert b"".join(comp.stream_encoder().chunks(data)) == payload
 
     want = _bits(reference_reconstruct(comp, payload))
@@ -97,6 +124,17 @@ def test_tiled_body_matches_whole_array_oracle(length, block_size, dtype, kind, 
     for start in range(0, len(payload), 4099):
         decoder.feed(payload[start : start + 4099])
     assert _bits(decoder.finish()) == want
+    return predictor
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("length", [1000, _TILE - 1, 2 * _TILE + 77])
+@pytest.mark.parametrize("kind, predictor", [("walk", HYBRID), ("noise", ZERO)])
+def test_each_predictor_matches_the_oracle(kind, predictor, length, dtype):
+    # a random walk is smooth enough for the block fits to pay; Gaussian
+    # noise is not, so its blocks are quantized against zero
+    comp = SZ2Compressor(1e-2, mode="rel")
+    assert _assert_matches_oracle(comp, _data(length, dtype, kind, seed=length)) == predictor
 
 
 class TestQuantizerSlices:
@@ -147,43 +185,58 @@ class TestQuantizerSlices:
 
 # ----------------------------------------------------------------------
 # exact body geometry on decode
+_SIDE_FIELDS = (("selectors", 1), ("coefficients", 4))
+_CODE_FIELDS = (("huffman", 1), ("outliers", 8))
+
+
 def _split(body: bytes) -> dict:
     """The plaintext body's fields, with every count implied by its bytes."""
-    block_size, n_blocks, radius = struct.unpack_from("<IQI", body, 0)
-    (original_len,) = struct.unpack_from("<Q", body, 16)
-    offset, fields = 24, {}
-    for name, itemsize in (("selectors", 1), ("coefficients", 4), ("huffman", 1),
-                           ("outliers", 8)):
+    block_size, n_blocks, radius, original_len, predictor = struct.unpack_from("<IQIQB", body, 0)
+    offset, fields = 25, {}
+    for name, itemsize in (_SIDE_FIELDS if predictor == HYBRID else ()) + _CODE_FIELDS:
         (size,) = struct.unpack_from("<Q", body, offset)
         offset += 8
         fields[name] = body[offset : offset + itemsize * size]
         offset += itemsize * size
     assert offset == len(body)
     return dict(fields, block_size=block_size, n_blocks=n_blocks, radius=radius,
-                original_len=original_len)
+                original_len=original_len, predictor=predictor)
 
 
 def _join(fields: dict) -> bytes:
-    body = struct.pack("<IQIQ", fields["block_size"], fields["n_blocks"],
-                       fields["radius"], fields["original_len"])
-    for name, itemsize in (("selectors", 1), ("coefficients", 4), ("huffman", 1),
-                           ("outliers", 8)):
-        body += struct.pack("<Q", len(fields[name]) // itemsize) + fields[name]
+    """Inverse of :func:`_split`; side fields are written when present."""
+    body = struct.pack("<IQIQB", fields["block_size"], fields["n_blocks"], fields["radius"],
+                       fields["original_len"], fields["predictor"])
+    for name, itemsize in _SIDE_FIELDS + _CODE_FIELDS:
+        if name in fields:
+            body += struct.pack("<Q", len(fields[name]) // itemsize) + fields[name]
     return body
+
+
+@pytest.fixture(params=[HYBRID, ZERO], ids=["hybrid", "zero"])
+def predictor(request) -> int:
+    return request.param
 
 
 class TestExactGeometry:
     comp = SZ2Compressor(1e-3, mode="abs", block_size=8)
 
-    def _payload(self, length: int = 1000):
-        """A valid payload with regression and mean blocks and an outlier."""
+    def _payload(self, predictor: int = HYBRID, length: int = 1000):
+        """A valid payload of ``predictor``'s mode with an outlier; the
+        hybrid one (a steep ramp after a constant run) has regression and
+        mean blocks."""
         rng = np.random.default_rng(3)
-        data = np.cumsum(rng.normal(0.0, 0.01, length)).astype(np.float32)
-        data[: length // 2] = rng.normal(0.0, 0.05, length // 2)
+        if predictor == HYBRID:
+            data = np.linspace(0.0, 100.0, length).astype(np.float32)
+            data[: length // 4] = 3.0
+        else:
+            data = rng.normal(0.0, 0.05, length).astype(np.float32)
         data[7] = np.inf
         payload = self.comp.compress(data)
         _, _, _, _, offset = self.comp._parse_container_header(payload)
-        return payload[:offset], zlib.decompress(payload[offset:])
+        header, body = payload[:offset], zlib.decompress(payload[offset:])
+        assert _split(body)["predictor"] == predictor
+        return header, body
 
     def _assert_rejected(self, header: bytes, body: bytes, match: str) -> None:
         payload = header + zlib.compress(body)
@@ -196,18 +249,22 @@ class TestExactGeometry:
                     decoder.feed(payload[start : start + piece])
                 decoder.finish()
 
-    def _rebuilt(self, **changes) -> tuple[bytes, bytes]:
-        header, body = self._payload()
+    def _rebuilt(self, mode: int = HYBRID, **changes) -> tuple[bytes, bytes]:
+        """A payload of ``mode`` with ``changes`` applied to its body fields."""
+        header, body = self._payload(mode)
         fields = _split(body)
         assert _join(fields) == body
         fields.update(changes)
         return header, _join(fields)
 
-    def test_valid_payload_fields_round_trip(self):
-        header, body = self._payload()
+    def test_valid_payload_fields_round_trip(self, predictor):
+        header, body = self._payload(predictor)
         fields = _split(body)
-        regression = int(np.unpackbits(np.frombuffer(fields["selectors"], np.uint8)).sum())
-        assert 0 < regression < fields["n_blocks"]
+        if predictor == HYBRID:
+            regression = int(np.unpackbits(np.frombuffer(fields["selectors"], np.uint8)).sum())
+            assert 0 < regression < fields["n_blocks"]
+        else:
+            assert "selectors" not in fields and "coefficients" not in fields
         assert len(fields["outliers"]) > 0
         assert self.comp.decompress(header + zlib.compress(body)).shape == (1000,)
 
@@ -227,17 +284,37 @@ class TestExactGeometry:
         assert len(body) == 16
         self._assert_rejected(header, body + b"\0", "1 bytes after the last field")
 
-    def test_block_size_below_two(self):
-        header, body = self._rebuilt(block_size=1, n_blocks=1000)
+    def test_block_size_below_two(self, predictor):
+        header, body = self._rebuilt(predictor, block_size=1, n_blocks=1000)
         self._assert_rejected(header, body, "block size 1 < 2")
 
-    def test_block_count_must_cover_count(self):
-        header, body = self._rebuilt(n_blocks=126)
+    def test_block_count_must_cover_count(self, predictor):
+        header, body = self._rebuilt(predictor, n_blocks=126)
         self._assert_rejected(header, body, "126 blocks of 8 cannot hold 1000")
 
-    def test_original_length_matches_count(self):
-        header, body = self._rebuilt(original_len=999)
+    def test_original_length_matches_count(self, predictor):
+        header, body = self._rebuilt(predictor, original_len=999)
         self._assert_rejected(header, body, "length 999 does not match")
+
+    @pytest.mark.parametrize("value", [2, 255])
+    def test_unknown_predictor_rejected(self, predictor, value):
+        header, body = self._rebuilt(predictor, predictor=value)
+        self._assert_rejected(header, body, f"unknown predictor {value}")
+
+    def test_zero_body_carries_no_side_fields(self):
+        # a zero-mode body with a hybrid's selector and coefficient fields
+        # spliced in, and the hybrid fields of a real body under a zero
+        # field: the selector count is read as the Huffman length
+        fields = _split(self._payload(HYBRID)[1])
+        side = {"selectors": fields["selectors"], "coefficients": fields["coefficients"]}
+        header, body = self._rebuilt(ZERO, **side)
+        self._assert_rejected(header, body, "corrupt Huffman stream")
+        header, body = self._rebuilt(HYBRID, predictor=ZERO)
+        self._assert_rejected(header, body, "corrupt Huffman stream")
+
+    def test_hybrid_body_needs_its_side_fields(self):
+        header, body = self._rebuilt(ZERO, predictor=HYBRID)
+        self._assert_rejected(header, body, "selector bytes for 125 blocks")
 
     def test_selector_bytes_match_block_count(self):
         header, body = self._payload()
@@ -253,24 +330,24 @@ class TestExactGeometry:
         header, body = self._rebuilt(coefficients=changed)
         self._assert_rejected(header, body, "coefficients for 125 blocks")
 
-    def test_code_count_matches_geometry(self):
-        header, body = self._payload()
+    def test_code_count_matches_geometry(self, predictor):
+        header, body = self._payload(predictor)
         fields = _split(body)
         codes = self.comp.huffman.decode(fields["huffman"])
-        header, body = self._rebuilt(huffman=self.comp.huffman.encode(codes[:-1]))
+        header, body = self._rebuilt(predictor, huffman=self.comp.huffman.encode(codes[:-1]))
         self._assert_rejected(header, body, "999 codes for 125 blocks of 8")
 
     @pytest.mark.parametrize("delta", [-1, 1])
-    def test_outlier_count_matches_escape_codes(self, delta):
-        header, body = self._payload()
+    def test_outlier_count_matches_escape_codes(self, predictor, delta):
+        header, body = self._payload(predictor)
         outliers = _split(body)["outliers"]
         changed = outliers[:-8] if delta < 0 else outliers + bytes(8)
-        header, body = self._rebuilt(outliers=changed)
+        header, body = self._rebuilt(predictor, outliers=changed)
         self._assert_rejected(header, body, "outlier")
 
-    def test_trailing_bytes_rejected(self):
+    def test_trailing_bytes_rejected(self, predictor):
         # the probe: trailing plaintext used to be accepted by both
         # decompress and stream_decoder()
-        header, body = self._payload()
+        header, body = self._payload(predictor)
         self._assert_rejected(header, body + b"\0", "1 bytes after the last field")
         self._assert_rejected(header, body + bytes(64), "64 bytes after the last field")
