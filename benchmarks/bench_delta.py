@@ -2,14 +2,13 @@
 
 Four drills over a seeded FedAvg run of the round-engine bench model
 (``simplecnn``), comparing full-state FedSZ shipping against the delta codec
-(clients compress ``state - reference`` with an error-feedback accumulator,
-FDL5 framing, warm codebook reuse):
+(clients compress ``state - reference`` with an error-feedback accumulator
+and FDL5 framing):
 
 * **ratio** — the same run with and without ``delta=True``; round 0 is a cold
   full ship on both sides, and from round 2 onward (warm reference on every
   client) the delta payload must be at least ``RATIO_FLOOR`` times smaller.
-  Per-round degrade reasons and the warm-codebook reuse counters ride along
-  from the :class:`RoundRecord` fields.
+  Per-round degrade reasons ride along from the :class:`RoundRecord` fields.
 * **error feedback** — an FLClient-driven loop outside the simulation: each
   round the clients train, their true states are FedAvg'd into the
   uncompressed reference, and the delta-codec reconstructions are FedAvg'd
@@ -122,7 +121,7 @@ def _deterministic_fields(result):
 # ---------------------------------------------------------------------------
 def _run_ratio_drill(train, test, settings: dict, backend: str,
                      ratio_floor: float) -> dict:
-    """Full-state vs delta shipping: per-round bytes, degrades, codebooks."""
+    """Full-state vs delta shipping: per-round bytes and degrades."""
     rounds = settings["rounds"]
     full = _build_simulation(train, test, settings, backend=backend,
                              delta=False).run(rounds)
@@ -148,12 +147,7 @@ def _run_ratio_drill(train, test, settings: dict, backend: str,
         assert ratio >= ratio_floor, \
             (f"round {record.round_index}: delta payload only "
              f"{ratio:.2f}x smaller than full-state (floor {ratio_floor}x)")
-
-    counters = delta.rounds[-1].codebook_cache or {}
-    assert sum(counters.values()) > 0, \
-        "delta run recorded no warm-codebook activity"
-    return {"full": full, "delta": delta, "ratios": ratios,
-            "codebook_counters": counters}
+    return {"full": full, "delta": delta, "ratios": ratios}
 
 
 def _run_error_bound_drill(settings: dict) -> float:
@@ -300,7 +294,7 @@ def _check_and_report(backend: str, smoke: bool, kill_resume: bool) -> int:
         ["round", "full (B)", "delta (B)", "ratio", "delta clients", "degrades"])
     record = ExperimentRecord(
         "delta", "cross-round residual shipping: error-feedback delta codec "
-                 "+ warm codebook reuse vs full-state FedSZ")
+                 "vs full-state FedSZ")
     record.add(backend=backend, smoke=smoke, error_bound=ERROR_BOUND,
                threshold=THRESHOLD, ratio_floor=ratio_floor,
                cpu_count=os.cpu_count(), **settings)
@@ -318,7 +312,6 @@ def _check_and_report(backend: str, smoke: bool, kill_resume: bool) -> int:
                    degrades=dict(d.delta_degrades))
     warm = ratio["ratios"][2:]
     record.add(warm_ratio_min=min(warm), warm_ratio_mean=float(np.mean(warm)),
-               codebook_cache=ratio["codebook_counters"],
                ef_worst_bound_fraction=worst_ef,
                bit_identical_variants=identity_labels)
 
@@ -327,9 +320,6 @@ def _check_and_report(backend: str, smoke: bool, kill_resume: bool) -> int:
                     f"min {min(warm):.2f}x / floor {ratio_floor:g}x")
     summary.add_row("error feedback",
                     f"worst {worst_ef:.2f} of bound (slack {EF_SLACK:g}x)")
-    summary.add_row("codebook cache",
-                    ", ".join(f"{k}={v}" for k, v
-                              in sorted(ratio["codebook_counters"].items())))
     summary.add_row("bit-identical", ", ".join(identity_labels))
     if kill_resume:
         resume_stats = _run_kill_resume_drill(settings, backend)

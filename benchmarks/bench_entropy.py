@@ -6,16 +6,15 @@ per round.  This benchmark reproduces that workload on real model tensors: a
 trained-looking state dict is quantized exactly as SZ2 would (linear
 quantization of the residual against a mean predictor), each weight tensor's
 quantization codes are Huffman-encoded into the chunked version-3 bitstream,
-and the decode side is timed three ways —
+and the decode side is timed two ways —
 
 * ``reference``: the per-symbol scalar loop (``_decode_scalar``) over the
   whole stream,
-* ``default``: :meth:`HuffmanCoder.decode` at one worker — the whole stream
-  as one in-thread band, the vectorized row walk from ``_MIN_VECTOR_CHUNKS``
-  chunks up and the scalar loop below,
-* ``banded``: the same decode split into bands on an N-worker thread pool.
+* ``default``: :meth:`HuffmanCoder.decode` — the whole stream in-thread, the
+  vectorized row walk from ``_MIN_VECTOR_CHUNKS`` chunks up and the scalar
+  loop below.
 
-All three must return bit-identical symbol arrays; the default path must be
+Both must return bit-identical symbol arrays; the default path must be
 at least ``--min-speedup`` (default 3x) faster than the reference in
 aggregate.  ``--smoke`` runs the repo's CPU-scaled ``resnet50`` (~214K
 symbols, widest stream 36 chunks) without the timing assertion so CI
@@ -73,24 +72,22 @@ def tensor_symbol_streams(state: dict[str, np.ndarray], rel_bound: float,
     return streams
 
 
-def bench_entropy(model: str, workers: int, chunk: int, rel_bound: float,
+def bench_entropy(model: str, chunk: int, rel_bound: float,
                   repeats: int, min_speedup: float | None,
                   model_kwargs: dict | None = None) -> int:
     state = trained_like_state(model, **(model_kwargs or {}))
     streams = tensor_symbol_streams(state, rel_bound)
     coder = HuffmanCoder(chunk_size=chunk)
-    decoders = {"reference": _decode_reference,
-                "default": coder.decode,
-                "banded": lambda payload: coder.decode(payload, max_workers=workers)}
+    decoders = {"reference": _decode_reference, "default": coder.decode}
 
     table = Table(f"Chunked Huffman decode - {model}, chunk cap {chunk}, "
-                  f"banded on {workers} workers, cpu_count {os.cpu_count()}",
+                  f"cpu_count {os.cpu_count()}",
                   ["tensor", "symbols", "chunks", "payload (KB)", "reference (ms)",
-                   "default (ms)", f"banded x{workers} (ms)", "speedup"])
+                   "default (ms)", "speedup"])
     record = ExperimentRecord("entropy",
-                              "chunked Huffman decode: default one-band decode "
-                              "(vectorized row walk) and the N-worker banded "
-                              "thread-pool path vs the per-symbol scalar reference")
+                              "chunked Huffman decode: the default in-thread "
+                              "decode (vectorized row walk) vs the per-symbol "
+                              "scalar reference")
 
     totals = dict.fromkeys(decoders, 0.0)
     total_syms = 0
@@ -117,23 +114,20 @@ def bench_entropy(model: str, workers: int, chunk: int, rel_bound: float,
         record.add(tensor=name, symbols=int(symbols.size), chunks=n_chunks,
                    payload_bytes=len(payload),
                    reference_seconds=seconds["reference"],
-                   default_seconds=seconds["default"],
-                   banded_seconds=seconds["banded"])
+                   default_seconds=seconds["default"])
 
     speedup = totals["reference"] / totals["default"] if totals["default"] else float("inf")
     table.add_row("TOTAL", total_syms, "", "",
                   *(f"{totals[label] * 1e3:.1f}" for label in decoders),
                   f"{speedup:.2f}x")
-    record.add(model=model, workers=workers, chunk=chunk, cpu_count=os.cpu_count(),
+    record.add(model=model, chunk=chunk, cpu_count=os.cpu_count(),
                total_symbols=total_syms,
                total_reference_seconds=totals["reference"],
-               total_default_seconds=totals["default"],
-               total_banded_seconds=totals["banded"], speedup=speedup)
+               total_default_seconds=totals["default"], speedup=speedup)
     save_results("entropy", table, record)
     print(f"decode throughput: {total_syms / totals['reference'] / 1e6:.1f} Msym/s "
           f"reference, {total_syms / totals['default'] / 1e6:.1f} Msym/s default "
-          f"({speedup:.2f}x), {total_syms / totals['banded'] / 1e6:.1f} Msym/s "
-          f"banded on {workers} workers")
+          f"({speedup:.2f}x)")
 
     if widest < _MIN_VECTOR_CHUNKS:
         print(f"FAIL: no stream reaches the {_MIN_VECTOR_CHUNKS}-chunk crossover, "
@@ -150,8 +144,6 @@ def main(argv: "list[str] | None" = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--model", default="resnet50",
                         help="model whose state dict supplies the tensors")
-    parser.add_argument("--workers", type=int, default=4,
-                        help="thread-pool size for the banded decode path")
     parser.add_argument("--chunk", type=int, default=DEFAULT_CHUNK_SYMBOLS,
                         help="max symbols per Huffman chunk")
     parser.add_argument("--bound", type=float, default=1e-2,
@@ -170,10 +162,10 @@ def main(argv: "list[str] | None" = None) -> int:
     args = parser.parse_args(argv)
 
     if args.smoke:
-        return bench_entropy("resnet50", args.workers, args.chunk, args.bound,
+        return bench_entropy("resnet50", args.chunk, args.bound,
                              repeats=1, min_speedup=None)
     model_kwargs = None if args.repro_scale else PAPER_SCALE.get(args.model)
-    return bench_entropy(args.model, args.workers, args.chunk, args.bound,
+    return bench_entropy(args.model, args.chunk, args.bound,
                          repeats=args.repeats, min_speedup=args.min_speedup,
                          model_kwargs=model_kwargs)
 

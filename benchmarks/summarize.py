@@ -27,13 +27,12 @@ RESULTS_DIR = Path(__file__).resolve().parent / "results"
 #: experiment name -> row keys worth surfacing in the summary
 HEADLINE_KEYS: dict[str, list[str]] = {
     "delta": ["warm_ratio_min", "warm_ratio_mean", "ef_worst_bound_fraction",
-              "codebook_cache", "bit_identical_variants"],
+              "bit_identical_variants"],
     "round_engine": ["speedup", "transmitted_bytes", "final_accuracy",
                      "resident_task_bytes"],
     "coordinator": ["final_accuracy", "resident_task_bytes", "full_task_bytes"],
     "pipeline": ["speedup", "ratio", "effective_workers"],
-    "entropy": ["speedup", "total_default_seconds", "total_reference_seconds",
-                "total_banded_seconds"],
+    "entropy": ["speedup", "total_default_seconds", "total_reference_seconds"],
     "streaming": ["first_byte_seconds", "encode_overlap_seconds",
                   "decode_overlap_seconds"],
     "selection": ["agreement_factor", "plan_crossover_mbps",

@@ -67,20 +67,16 @@ def _add_backend_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--backend", default=FedSZConfig.backend,
                         choices=available_backends(),
                         help="execution backend for all parallel stages "
-                             "(entropy decode, per-tensor pipeline, round "
-                             "engine): serial = the sequential reference, "
-                             "thread = GIL-sharing pool, process = GIL-free "
-                             "worker processes; bitstreams and round results "
-                             "are identical across backends")
+                             "(per-tensor pipeline, round engine): serial = the "
+                             "sequential reference, thread = GIL-sharing pool, "
+                             "process = GIL-free worker processes; bitstreams "
+                             "and round results are identical across backends")
 
 
 def _add_entropy_arguments(parser: argparse.ArgumentParser) -> None:
     """Knobs of the SZ2/SZ3 chunked Huffman entropy stage."""
     parser.add_argument("--entropy-chunk", type=int, default=FedSZConfig.entropy_chunk,
                         help="max symbols per independently-decodable Huffman chunk")
-    parser.add_argument("--entropy-workers", type=int, default=FedSZConfig.entropy_workers,
-                        help="Huffman decode workers (1 = one in-thread vectorized "
-                             "band, >1 = bands on the execution backend)")
 
 
 def _add_plan_arguments(parser: argparse.ArgumentParser) -> None:
@@ -126,8 +122,7 @@ def _fedsz_config(args: argparse.Namespace, **extra) -> FedSZConfig:
         if profile_cache is not None:
             policy_options.setdefault("profile_cache", profile_cache)
     return FedSZConfig(error_bound=args.bound, entropy_chunk=args.entropy_chunk,
-                       entropy_workers=args.entropy_workers, policy=args.policy,
-                       pipeline_workers=args.pipeline_workers,
+                       policy=args.policy, pipeline_workers=args.pipeline_workers,
                        backend=args.backend,
                        policy_options=policy_options, **extra)
 
@@ -203,11 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
                                "warm reference send state - reference instead "
                                "of the full state, degrading to full-state "
                                "frames after any gap")
-    simulate.add_argument("--no-delta-codebooks", action="store_true",
-                          help="ablation for --delta: keep delta framing and "
-                               "error feedback but rebuild Huffman code "
-                               "tables every round instead of reusing "
-                               "per-tensor codebooks while drift stays low")
     simulate.add_argument("--aggregate-on-arrival", action="store_true",
                           help="fold each decoded update into the running "
                                "aggregate as its ship completes instead of "
@@ -239,7 +229,7 @@ def _cmd_compress(args: argparse.Namespace) -> int:
         print(f"repro compress: error: {exc}", file=sys.stderr)
         return 2
     # one long-lived pool serves the whole roundtrip (pipeline fan-out,
-    # Huffman bands, profiler grid) instead of one pool per stage
+    # profiler grid) instead of one pool per stage
     with get_backend(config.backend).persistent(config.pipeline_workers):
         payload, report = fedsz.compress_with_report(state)
         restored, decode_report = fedsz.decompress_with_report(payload)
@@ -309,8 +299,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                                       streaming=args.streaming,
                                       streaming_encode=args.streaming_encode,
                                       aggregate_on_arrival=args.aggregate_on_arrival,
-                                      delta=args.delta and label == "fedsz",
-                                      delta_codebooks=not args.no_delta_codebooks)
+                                      delta=args.delta and label == "fedsz")
         except ValueError as exc:
             # round-engine ranges that need cross-flag context (--participation
             # count vs --clients, --workers >= 1, probability ranges) plus
@@ -370,10 +359,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         per_round = " ".join(str(len(r.delta_clients)) for r in rounds)
         print(f"delta shipping: {shipped} residual ships / {degrades} "
               f"full-state degrades (per round: {per_round})")
-        cb = rounds[-1].codebook_cache if rounds else None
-        if cb is not None:
-            print(f"codebook cache: {cb['reuses']} reuses / {cb['drifts']} "
-                  f"drifts / {cb['misses']} misses")
     return 0
 
 

@@ -140,12 +140,6 @@ class LossyCompressor(Compressor):
     _DTYPE_CODES = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
     _CODE_DTYPES = {0: np.dtype(np.float32), 1: np.dtype(np.float64)}
 
-    #: Armed per-tensor codebook channel (warm Huffman-table reuse, see
-    #: :mod:`repro.compressors.codebook`).  Always ``None`` on directly
-    #: constructed instances; the pipeline arms a shallow copy per tensor via
-    #: :meth:`with_codebook` so shared instances stay race-free.
-    _codebook = None
-
     def __init__(self, error_bound: ErrorBound | float = 1e-2,
                  mode: ErrorBoundMode | str = ErrorBoundMode.REL) -> None:
         if isinstance(error_bound, ErrorBound):
@@ -288,19 +282,6 @@ class LossyCompressor(Compressor):
         clone.error_bound = bound
         return clone
 
-    def with_codebook(self, channel) -> "LossyCompressor":
-        """Return a shallow copy with a per-tensor codebook channel armed.
-
-        The copy shares every configured sub-component (entropy coder,
-        lossless backend, quantizer — all stateless per call); only the
-        channel slot differs, so arming never races encodes of other tensors
-        on the original instance.
-        """
-        clone = type(self).__new__(type(self))
-        clone.__dict__.update(self.__dict__)
-        clone._codebook = channel
-        return clone
-
 
 class TensorStreamDecoder:
     """Push-based incremental decoder for one lossy tensor payload.
@@ -358,6 +339,59 @@ class TensorStreamEncoder:
     def chunks(self, data: np.ndarray):
         """Yield the payload pieces for ``data`` in stream order."""
         yield self._compressor.compress(data)
+
+
+_U64 = struct.Struct("<Q")
+
+
+class BodyReader:
+    """Reads a codec body front to back, exactly.
+
+    Every read checks that its bytes are present, :meth:`length` checks a
+    ``u64`` field against the value the body's geometry implies, and
+    :meth:`finish` rejects trailing bytes.  A mismatch raises
+    :class:`ValueError` before any array is sized by the bad field.
+    """
+
+    def __init__(self, body: bytes, codec: str) -> None:
+        self.body = body
+        self.codec = codec
+        self.offset = 0
+
+    def corrupt(self, detail: str) -> ValueError:
+        return ValueError(f"corrupt {self.codec} payload: {detail}")
+
+    def fields(self, layout: struct.Struct) -> tuple:
+        """The next fixed-layout fields."""
+        self._need(layout.size, "fixed fields")
+        values = layout.unpack_from(self.body, self.offset)
+        self.offset += layout.size
+        return values
+
+    def length(self, expected: int, what: str) -> None:
+        """A ``u64`` field that must equal ``expected``."""
+        (declared,) = self.fields(_U64)
+        if declared != expected:
+            raise self.corrupt(f"{what} {declared}, but the geometry implies {expected}")
+
+    def section(self, dtype, count: int, what: str) -> np.ndarray:
+        """A ``u64`` item count that must equal ``count``, then the items."""
+        self.length(count, f"{what} count")
+        dtype = np.dtype(dtype)
+        self._need(count * dtype.itemsize, what)
+        items = np.frombuffer(self.body, dtype=dtype, count=count, offset=self.offset)
+        self.offset += count * dtype.itemsize
+        return items
+
+    def finish(self) -> None:
+        """Reject any byte after the last field."""
+        if self.offset != len(self.body):
+            raise self.corrupt(f"{len(self.body) - self.offset} bytes after the last field")
+
+    def _need(self, nbytes: int, what: str) -> None:
+        if self.offset + nbytes > len(self.body):
+            raise self.corrupt(f"{what} need {nbytes} bytes at offset {self.offset}, "
+                               f"but only {len(self.body) - self.offset} remain")
 
 
 def roundtrip(compressor: Compressor, data: np.ndarray) -> tuple[np.ndarray, CompressionStats]:

@@ -31,8 +31,8 @@ any chunk boundary.  All integers little-endian::
     u64   total bit count
     u8[]  packed code bits (MSB-first)
 
-The chunk index is what makes the decode side vectorizable *and* parallel.
-All chunks of a band decode simultaneously as one vectorized NumPy "row
+The chunk index is what makes the decode side vectorizable.  All chunks
+decode simultaneously, in the calling thread, as one vectorized NumPy "row
 walk": each step advances every chunk's bit cursor by one decoded symbol, so
 the sequential dependency only spans a chunk, not the stream.  A step is
 three same-dtype NumPy calls (gather the windows under the cursors into one
@@ -41,19 +41,10 @@ and the symbols come out of one contiguous ``int32`` gather through the
 record after the walk.  Both lookup tables come from one LRU cache keyed by
 the code-length table; the symbol table marks unused windows with -1.
 
-* ``max_workers=1`` (or ``backend="serial"``) decodes the whole stream
-  in-thread as one band, straight from the payload buffer,
-* ``max_workers>1`` splits the chunk list into bands and dispatches the bands
-  to the configured :class:`~repro.utils.parallel.ExecutionBackend` (threads
-  or processes).  Each band is a self-contained, picklable work unit — the
-  worker receives its slice of the packed bit stream, the code-length table,
-  and the band's chunk index, and *returns* the decoded symbol band rather
-  than mutating a shared output array, so the same task function runs
-  unchanged on a thread pool or across a process boundary.
-
-A band narrower than :data:`_MIN_VECTOR_CHUNKS` chunks is too narrow to pay
-for the walk's per-step overhead and runs the per-symbol scalar loop
-instead; both kernels return identical symbols and reject identical streams.
+A stream (or a streaming burst) of fewer than :data:`_MIN_VECTOR_CHUNKS`
+chunks is too narrow to pay for the walk's per-step overhead and runs the
+per-symbol scalar loop instead; both kernels return identical symbols and
+reject identical streams.
 
 A corrupted or truncated payload always raises :class:`ValueError`: every
 header field is bounds-checked, the CRC covers the whole payload, an unused
@@ -68,7 +59,6 @@ from __future__ import annotations
 
 import functools
 import heapq
-import os
 import struct
 import zlib
 from typing import Callable
@@ -76,7 +66,6 @@ from typing import Callable
 import numpy as np
 
 from repro.utils.bitstream import StreamBuffer
-from repro.utils.parallel import ExecutionBackend, get_backend
 
 __all__ = ["HuffmanCoder", "ChunkBandConsumer", "ChunkBandProducer",
            "MAX_CODE_LENGTH", "DEFAULT_CHUNK_SYMBOLS"]
@@ -92,8 +81,8 @@ DEFAULT_CHUNK_SYMBOLS = 1 << 16
 
 #: The encoder aims for about this many chunks per stream (bounded by
 #: ``chunk_size`` above and ``_MIN_CHUNK_SYMBOLS`` below).  More chunks mean a
-#: wider vectorized row walk and more thread-pool parallelism; fewer chunks
-#: mean less per-chunk index overhead (16 bytes each).
+#: wider vectorized row walk; fewer chunks mean less per-chunk index overhead
+#: (16 bytes each).
 _TARGET_CHUNKS = 512
 _MIN_CHUNK_SYMBOLS = 1024
 
@@ -241,11 +230,11 @@ def _build_decode_tables(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _decode_tables_cached(length_table: bytes) -> tuple[np.ndarray, np.ndarray]:
     """Memoized :func:`_build_decode_tables` keyed by the raw length-table bytes.
 
-    Every band of one stream (and every stream re-using one code table, e.g.
-    warm-codebook rounds) shares the same 64K-entry window tables, so the
-    two ``np.repeat`` calls run once per distinct table per worker process
-    instead of once per :func:`_decode_band_task`.  The cached arrays are
-    marked read-only because they are shared across callers.
+    A streaming consumer decodes one stream in several bursts against one
+    table, and streams whose code tables match share one entry, so the two
+    ``np.repeat`` calls run once per distinct table instead of once per
+    burst.  The cached arrays are marked read-only because they are shared
+    across callers.
     """
     lengths = np.frombuffer(length_table, dtype=np.uint8).astype(np.int64)
     table_len, table_sym = _build_decode_tables(lengths)
@@ -284,7 +273,7 @@ def _decode_scalar(bit_bytes: np.ndarray, table_len: np.ndarray,
     """Sequential per-symbol decode of consecutive chunks.
 
     The reference the row walk is tested against, and the faster kernel for
-    bands narrower than :data:`_MIN_VECTOR_CHUNKS` chunks.  Per chunk, one
+    spans narrower than :data:`_MIN_VECTOR_CHUNKS` chunks.  Per chunk, one
     gather lists the code length at every bit position of the chunk's span;
     the loop hops from code start to code start through that list, and one
     more gather turns the starts into symbols.
@@ -403,56 +392,33 @@ def _decode_chunks(bit_bytes: np.ndarray, length_table: bytes,
                   sym_counts, chunk_ends)
 
 
-def _decode_band_task(task: "tuple[bytes, bytes, np.ndarray, np.ndarray, np.ndarray]") -> np.ndarray:
-    """Decode one band of chunks from its slice of the packed bit stream.
+def _check_chunk_index(count: int, chunk_size: int, n_chunks: int,
+                       index: np.ndarray, total_bits: int) -> None:
+    """Raise ``ValueError`` unless the chunk index fits the stream geometry.
 
-    Module-level and fully self-contained so the banded decode can run on any
-    :class:`~repro.utils.parallel.ExecutionBackend`, including a process pool:
-    the task tuple ``(bit_slice, length_table, bit_offsets, sym_counts,
-    chunk_ends)`` pickles cheaply (offsets are relative to the slice), and the
-    decoded symbol band is *returned* instead of written into shared memory.
-    The band runs the same kernels as the in-thread decode (the scalar loop
-    below :data:`_MIN_VECTOR_CHUNKS` chunks, else the row walk with its
-    whole-band window record), and its 64K-entry window tables (``int64``
-    code lengths, ``int32`` symbols with -1 for unused windows) come from
-    the one per-worker :func:`_decode_tables_cached` LRU, so a multi-band
-    decode of one stream builds them once per worker instead of once per
-    band.
+    Every chunk but the last holds ``chunk_size`` symbols, the chunks cover
+    exactly ``count`` symbols, the first starts at bit 0, and every chunk
+    spans between 1 and :data:`MAX_CODE_LENGTH` bits per symbol up to the
+    next offset (the last one up to ``total_bits``).  Shared by the batch
+    header parse and the streaming consumer.
     """
-    bit_slice, length_table, bit_offsets, sym_counts, chunk_ends = task
-    return _decode_chunks(np.frombuffer(bit_slice, dtype=np.uint8), length_table,
-                          bit_offsets, sym_counts, chunk_ends)
-
-
-def _decode_span(bit_bytes: np.ndarray, length_table: bytes,
-                 bit_offsets: np.ndarray, sym_counts: np.ndarray,
-                 chunk_ends: np.ndarray, backend: ExecutionBackend,
-                 workers: int) -> np.ndarray:
-    """Decode consecutive chunks in-thread, or in bands on ``backend``.
-
-    One worker decodes every chunk as one band in the calling thread.  More
-    workers split the chunks into bands of at least
-    :data:`_MIN_VECTOR_CHUNKS` chunks; on a GIL-bound backend never more
-    bands than cores — a band's cost is dominated by its per-step dispatch
-    overhead, so extra narrower bands only help while they actually run
-    concurrently; a process pool's workers always do, so there the knob is
-    honoured.
-    """
-    n_chunks = bit_offsets.size
-    cap = workers if not backend.gil_bound else min(workers, os.cpu_count() or 1)
-    n_bands = min(cap, n_chunks // _MIN_VECTOR_CHUNKS)
-    if n_bands <= 1:
-        return _decode_chunks(bit_bytes, length_table, bit_offsets, sym_counts,
-                              chunk_ends)
-    edges = np.linspace(0, n_chunks, n_bands + 1).astype(int)
-    tasks = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        # copy each band's byte window so the task is a small, self-contained
-        # (and cheaply picklable) unit of work
-        window, offsets, ends = _rebase(bit_bytes, bit_offsets[lo:hi], chunk_ends[lo:hi])
-        tasks.append((window.tobytes(), length_table, offsets, sym_counts[lo:hi], ends))
-    return np.concatenate(list(backend.map(_decode_band_task, tasks,
-                                           workers=workers, chunksize=1)))
+    if count == 0:
+        if n_chunks != 0 or total_bits != 0:
+            raise _corrupt("empty stream declares chunks or bits")
+        return
+    if chunk_size < 1 or n_chunks != -(-count // chunk_size):
+        raise _corrupt(f"{n_chunks} chunks cannot cover {count} symbols "
+                       f"at {chunk_size} symbols per chunk")
+    sym_counts = index[:, 1]
+    expected = np.full(n_chunks, chunk_size, dtype=np.int64)
+    expected[-1] = count - (n_chunks - 1) * chunk_size
+    if not np.array_equal(sym_counts, expected):
+        raise _corrupt("chunk symbol counts disagree with the stream length")
+    bit_offsets = index[:, 0]
+    spans = np.diff(np.concatenate([bit_offsets, [total_bits]]))
+    if bit_offsets[0] != 0 or np.any(spans < sym_counts) or \
+            np.any(spans > sym_counts * MAX_CODE_LENGTH):
+        raise _corrupt("chunk bit offsets are inconsistent with their symbol counts")
 
 
 def _decode_reference(payload: bytes) -> np.ndarray:
@@ -479,11 +445,10 @@ class ChunkBandConsumer:
     time (the paper's ``t_D`` hiding inside ``S'/B``): :meth:`feed` accepts
     stream bytes in any chunking — per simulated packet, per decompressor
     output burst, or all at once — parses the header progressively, and
-    eagerly decodes every chunk whose bytes have fully arrived.  Bands of
-    newly-ready chunks go through exactly the same scalar/vectorized decode
-    kernels as :meth:`HuffmanCoder.decode` (in-thread, or banded on the
-    backend for a wide burst), so the symbols are bit-identical to a
-    non-streaming decode at any worker count on any backend.
+    eagerly decodes every chunk whose bytes have fully arrived.  Each burst
+    of newly-ready chunks goes through :func:`_decode_chunks` in the calling
+    thread, the same kernels as :meth:`HuffmanCoder.decode`, so the symbols
+    are bit-identical to a non-streaming decode.
 
     The stream's CRC-32 covers the *entire* payload, so it can only be
     verified once the last byte arrives: :meth:`finish` checks it (and the
@@ -500,11 +465,7 @@ class ChunkBandConsumer:
     raises :class:`ValueError` for any count the container rules out.
     """
 
-    def __init__(self, max_workers: int | None = 1,
-                 backend: "str | ExecutionBackend" = "serial",
-                 check_count: "Callable[[int], None] | None" = None) -> None:
-        self.backend = get_backend(backend)
-        self.max_workers = max_workers
+    def __init__(self, check_count: "Callable[[int], None] | None" = None) -> None:
         self._check_count = check_count
         self._buf = StreamBuffer()
         self._crc = 0
@@ -628,23 +589,7 @@ class ChunkBandConsumer:
         (total_bits,) = struct.unpack("<Q", buf.view(offset, offset + 8))
         offset += 8
 
-        if count == 0:
-            if n_chunks != 0 or total_bits != 0:
-                raise _corrupt("empty stream declares chunks or bits")
-        else:
-            if chunk_size < 1 or n_chunks != -(-count // chunk_size):
-                raise _corrupt(f"{n_chunks} chunks cannot cover {count} symbols "
-                               f"at {chunk_size} symbols per chunk")
-            sym_counts = index[:, 1]
-            expected = np.full(n_chunks, chunk_size, dtype=np.int64)
-            expected[-1] = count - (n_chunks - 1) * chunk_size
-            if not np.array_equal(sym_counts, expected):
-                raise _corrupt("chunk symbol counts disagree with the stream length")
-            bit_offsets = index[:, 0]
-            spans = np.diff(np.concatenate([bit_offsets, [total_bits]]))
-            if bit_offsets[0] != 0 or np.any(spans < sym_counts) or \
-                    np.any(spans > sym_counts * MAX_CODE_LENGTH):
-                raise _corrupt("chunk bit offsets are inconsistent with their symbol counts")
+        _check_chunk_index(count, chunk_size, n_chunks, index, total_bits)
 
         bit_offsets = index[:, 0]
         sym_counts = index[:, 1]
@@ -676,13 +621,9 @@ class ChunkBandConsumer:
         if hi <= lo:
             return
         length_table, bit_offsets, sym_counts, sym_starts, chunk_ends, _, bits_at = self._header
-        workers = self.backend.resolve_workers(self.max_workers, hi - lo)
-        # a wide burst (a large feed or a fast wire) is banded out exactly
-        # like the non-streaming decode; the rest runs in-thread on the
-        # zero-copy window of the ready chunks
-        band = _decode_span(np.frombuffer(self._buf.view(bits_at), dtype=np.uint8),
-                            length_table, bit_offsets[lo:hi], sym_counts[lo:hi],
-                            chunk_ends[lo:hi], self.backend, workers)
+        band = _decode_chunks(np.frombuffer(self._buf.view(bits_at), dtype=np.uint8),
+                              length_table, bit_offsets[lo:hi], sym_counts[lo:hi],
+                              chunk_ends[lo:hi])
         base = int(sym_starts[lo])
         self._out[base:base + band.size] = band
         self._next_chunk = hi
@@ -763,8 +704,7 @@ class ChunkBandProducer:
     """
 
     def __init__(self, symbols: np.ndarray,
-                 chunk_size: int = DEFAULT_CHUNK_SYMBOLS,
-                 lengths: "np.ndarray | None" = None) -> None:
+                 chunk_size: int = DEFAULT_CHUNK_SYMBOLS) -> None:
         if not 1 <= chunk_size <= 0xFFFFFFFF:
             raise ValueError("chunk_size must be in [1, 2**32 - 1] (stored as u32)")
         symbols = np.ascontiguousarray(symbols).ravel()
@@ -783,28 +723,10 @@ class ChunkBandProducer:
             self.peak_scratch_bytes = 0
             return
         self._symbols = symbols = symbols.astype(np.int64, copy=False)
-        pinned = lengths is not None
-        if pinned:
-            # a pinned table from a previous build (warm codebook reuse);
-            # it must cover the whole alphabet — an uncovered symbol would
-            # produce an undecodable stream, so fail loudly here
-            lengths = np.asarray(lengths, dtype=np.int64)
-            alphabet = lengths.size
-            if alphabet == 0 or int(symbols.max()) >= alphabet:
-                raise ValueError("pinned code-length table does not cover the "
-                                 "symbol alphabet")
-            if int(lengths.max()) > MAX_CODE_LENGTH:
-                raise ValueError(f"pinned code length exceeds {MAX_CODE_LENGTH}")
-        else:
-            alphabet = int(symbols.max()) + 1
-            freqs = np.bincount(symbols, minlength=alphabet)
-            lengths = _build_code_lengths(freqs)
-        self._lengths = lengths
+        alphabet = int(symbols.max()) + 1
+        self._lengths = lengths = _build_code_lengths(np.bincount(symbols, minlength=alphabet))
         self._codes = _canonical_codes(lengths).astype(np.int64)
         sym_lengths = lengths[symbols]
-        if pinned and int(sym_lengths.min()) == 0:
-            raise ValueError("pinned code-length table assigns no code to a "
-                             "present symbol")
 
         self._chunk = chunk = min(chunk_size, max(_MIN_CHUNK_SYMBOLS, count // _TARGET_CHUNKS))
         starts = np.arange(0, count, chunk, dtype=np.int64)
@@ -901,34 +823,19 @@ class HuffmanCoder:
     """Encode/decode streams of non-negative integer symbols.
 
     ``chunk_size`` caps the number of symbols per chunk (the encoder may pick
-    smaller chunks for short streams, see :data:`_TARGET_CHUNKS`).
-    ``max_workers`` is the default decode concurrency: ``1`` decodes the
-    whole stream in-thread as one vectorized band, larger values (or ``None``
-    for the backend default) split it into bands dispatched on the
-    :class:`~repro.utils.parallel.ExecutionBackend` named by ``backend``
-    (``"serial"`` always runs the one in-thread band).  Every combination
-    produces bit-identical symbol arrays; instances are stateless per call,
-    thread-safe, and picklable.
+    smaller chunks for short streams, see :data:`_TARGET_CHUNKS`).  Every
+    encode builds a fresh code table from the stream's own histogram, and
+    every decode runs in the calling thread.  Instances are stateless per
+    call, thread-safe, and picklable.
     """
 
-    def __init__(self, chunk_size: int = DEFAULT_CHUNK_SYMBOLS,
-                 max_workers: int | None = 1,
-                 backend: "str | ExecutionBackend" = "thread") -> None:
+    def __init__(self, chunk_size: int = DEFAULT_CHUNK_SYMBOLS) -> None:
         if not 1 <= chunk_size <= 0xFFFFFFFF:
             raise ValueError("chunk_size must be in [1, 2**32 - 1] (stored as u32)")
-        if max_workers is not None and max_workers < 1:
-            raise ValueError("max_workers must be >= 1")
         self.chunk_size = int(chunk_size)
-        self.max_workers = max_workers
-        self.backend = get_backend(backend)
 
     # ------------------------------------------------------------------
-    def _effective_chunk(self, count: int) -> int:
-        """Symbols per chunk for a ``count``-symbol stream (never above the cap)."""
-        return min(self.chunk_size, max(_MIN_CHUNK_SYMBOLS, count // _TARGET_CHUNKS))
-
-    def encode(self, symbols: np.ndarray,
-               lengths: "np.ndarray | None" = None) -> bytes:
+    def encode(self, symbols: np.ndarray) -> bytes:
         """Encode ``symbols`` (any integer dtype, values >= 0) to bytes.
 
         The stream is assembled band by band through
@@ -936,11 +843,8 @@ class HuffmanCoder:
         group of chunks at a time bounds the packing scratch to a group
         instead of the whole stream, and the single output buffer replaces
         the former chain of intermediate ``bytes`` concatenations.
-        ``lengths`` optionally pins a code-length table from a previous build
-        (warm codebook reuse), skipping the histogram + tree construction.
         """
-        return self.assemble(ChunkBandProducer(symbols, self.chunk_size,
-                                               lengths=lengths))
+        return self.assemble(ChunkBandProducer(symbols, self.chunk_size))
 
     @staticmethod
     def assemble(producer: ChunkBandProducer) -> bytes:
@@ -954,33 +858,24 @@ class HuffmanCoder:
         out[:_PREFIX_LEN] = producer.magic_and_crc()
         return bytes(out)
 
-    def stream_producer(self, symbols: np.ndarray,
-                        lengths: "np.ndarray | None" = None) -> ChunkBandProducer:
+    def stream_producer(self, symbols: np.ndarray) -> ChunkBandProducer:
         """Return a :class:`ChunkBandProducer` over ``symbols``.
 
         The producer uses this coder's ``chunk_size``, so its byte-order
         stream (:meth:`ChunkBandProducer.chunks`) concatenates to exactly
-        what :meth:`encode` returns.  ``lengths`` optionally pins a
-        code-length table exactly as in :meth:`encode`.
+        what :meth:`encode` returns.
         """
-        return ChunkBandProducer(symbols, self.chunk_size, lengths=lengths)
+        return ChunkBandProducer(symbols, self.chunk_size)
 
-    def stream_consumer(self, max_workers: int | None = None,
-                        backend: "str | ExecutionBackend | None" = None,
-                        check_count: "Callable[[int], None] | None" = None
+    @staticmethod
+    def stream_consumer(check_count: "Callable[[int], None] | None" = None
                         ) -> ChunkBandConsumer:
         """Return a :class:`ChunkBandConsumer` for incremental decoding.
 
-        ``max_workers`` / ``backend`` default to this coder's configuration,
-        matching what :meth:`decode` would use, so a streaming decode is
-        bit-identical to the batch path under the same settings.
         ``check_count`` vets the declared symbol count before the consumer
         allocates for it (see :class:`ChunkBandConsumer`).
         """
-        return ChunkBandConsumer(
-            max_workers=self.max_workers if max_workers is None else max_workers,
-            backend=self.backend if backend is None else backend,
-            check_count=check_count)
+        return ChunkBandConsumer(check_count=check_count)
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -1018,43 +913,20 @@ class HuffmanCoder:
             raise _corrupt(f"bit stream holds {len(payload) - offset} bytes but "
                            f"{total_bits} bits are declared")
 
-        if count == 0:
-            if n_chunks != 0 or total_bits != 0:
-                raise _corrupt("empty stream declares chunks or bits")
-            return lengths, index, 0, 0, offset
-        if chunk_size < 1 or n_chunks != -(-count // chunk_size):
-            raise _corrupt(f"{n_chunks} chunks cannot cover {count} symbols "
-                           f"at {chunk_size} symbols per chunk")
-        sym_counts = index[:, 1]
-        expected = np.full(n_chunks, chunk_size, dtype=np.int64)
-        expected[-1] = count - (n_chunks - 1) * chunk_size
-        if not np.array_equal(sym_counts, expected):
-            raise _corrupt("chunk symbol counts disagree with the stream length")
-        bit_offsets = index[:, 0]
-        spans = np.diff(np.concatenate([bit_offsets, [total_bits]]))
-        if bit_offsets[0] != 0 or np.any(spans < sym_counts) or \
-                np.any(spans > sym_counts * MAX_CODE_LENGTH):
-            raise _corrupt("chunk bit offsets are inconsistent with their symbol counts")
+        _check_chunk_index(count, chunk_size, n_chunks, index, total_bits)
         return lengths, index, count, total_bits, offset
 
-    def decode(self, payload: bytes, max_workers: int | None = None,
-               backend: "str | ExecutionBackend | None" = None) -> np.ndarray:
+    def decode(self, payload: bytes) -> np.ndarray:
         """Decode a byte string produced by :meth:`encode` back to ``int64``.
 
-        ``max_workers`` and ``backend`` override the instance defaults for
-        this call; one worker (or the ``serial`` backend) decodes the whole
-        stream in-thread as one band, more split it into bands on the backend
-        (identical output either way).  A stream of fewer than
-        :data:`_MIN_VECTOR_CHUNKS` chunks runs the per-symbol scalar loop.
+        The whole stream decodes in the calling thread as one vectorized row
+        walk; a stream of fewer than :data:`_MIN_VECTOR_CHUNKS` chunks runs
+        the per-symbol scalar loop.
         """
         lengths, index, count, total_bits, bits_at = self._parse_header(payload)
         if count == 0:
             return np.zeros(0, dtype=np.int64)
         bit_offsets = index[:, 0]
-        exec_backend = self.backend if backend is None else get_backend(backend)
-        workers = exec_backend.resolve_workers(
-            self.max_workers if max_workers is None else max_workers, bit_offsets.size)
-        return _decode_span(np.frombuffer(payload, dtype=np.uint8, offset=bits_at),
-                            lengths.astype(np.uint8).tobytes(), bit_offsets,
-                            index[:, 1], np.append(bit_offsets[1:], total_bits),
-                            exec_backend, workers)
+        return _decode_chunks(np.frombuffer(payload, dtype=np.uint8, offset=bits_at),
+                              lengths.astype(np.uint8).tobytes(), bit_offsets,
+                              index[:, 1], np.append(bit_offsets[1:], total_bits))

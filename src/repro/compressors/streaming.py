@@ -37,7 +37,6 @@ import struct
 
 import numpy as np
 
-from repro.compressors.codebook import armed_producer
 from repro.compressors.base import (LossyCompressor, TensorStreamDecoder,
                                     TensorStreamEncoder)
 from repro.utils.bitstream import StreamBuffer
@@ -87,13 +86,7 @@ class SZStreamEncoder(TensorStreamEncoder):
             if out:
                 yield out
         if codes is not None:
-            # same codebook consultation as the batch path (codebook.py's
-            # entropy_encode), so warm-table streams stay byte-identical
-            channel = comp._codebook
-            if channel is None:
-                producer = comp.huffman.stream_producer(codes)
-            else:
-                producer = armed_producer(comp.huffman, codes, channel)
+            producer = comp.huffman.stream_producer(codes)
             out = lc.feed(struct.pack("<Q", producer.stream_length))
             if out:
                 yield out

@@ -41,7 +41,6 @@ from typing import Callable
 import numpy as np
 
 from repro.compressors.base import ErrorBound, ErrorBoundMode, LossyCompressor
-from repro.compressors.codebook import entropy_encode
 from repro.compressors.huffman import DEFAULT_CHUNK_SYMBOLS, HuffmanCoder
 from repro.compressors.lossless import LosslessCodec, get_lossless
 from repro.compressors.predictors import InterpolationPredictor
@@ -61,16 +60,11 @@ class SZ3Compressor(LossyCompressor):
                  mode: ErrorBoundMode | str = ErrorBoundMode.REL,
                  quantizer_radius: int = 32768,
                  lossless_backend: str | LosslessCodec = "zlib",
-                 entropy_chunk: int = DEFAULT_CHUNK_SYMBOLS,
-                 entropy_workers: int | None = 1,
-                 entropy_backend: str = "thread") -> None:
+                 entropy_chunk: int = DEFAULT_CHUNK_SYMBOLS) -> None:
         super().__init__(error_bound, mode)
         self.quantizer = LinearQuantizer(quantizer_radius)
-        # entropy_chunk caps the symbols per Huffman chunk; entropy_workers=1
-        # decodes in-thread as one vectorized band, >1 in bands on the named
-        # execution backend (serial / thread / process).
-        self.huffman = HuffmanCoder(chunk_size=entropy_chunk, max_workers=entropy_workers,
-                                    backend=entropy_backend)
+        # entropy_chunk caps the symbols per Huffman chunk
+        self.huffman = HuffmanCoder(chunk_size=entropy_chunk)
         if isinstance(lossless_backend, LosslessCodec):
             self.lossless = lossless_backend
         else:
@@ -82,7 +76,7 @@ class SZ3Compressor(LossyCompressor):
         prefix, codes, suffix = self._body_parts(data, abs_bound)
         if codes is None:
             return self.lossless.compress(b"".join(prefix + suffix))
-        huff = entropy_encode(self.huffman, codes, self._codebook)
+        huff = self.huffman.encode(codes)
         body = b"".join(prefix) + struct.pack("<Q", len(huff)) + huff + b"".join(suffix)
         return self.lossless.compress(body)
 

@@ -36,10 +36,12 @@ import struct
 
 import numpy as np
 
-from repro.compressors.base import ErrorBound, ErrorBoundMode, LossyCompressor
+from repro.compressors.base import BodyReader, ErrorBound, ErrorBoundMode, LossyCompressor
 from repro.compressors.predictors import block_pad
 
 __all__ = ["SZxCompressor"]
+
+_FIXED = struct.Struct("<IQBd")  # block size, element count, bit width, offset
 
 #: reserved bit-width flag: non-constant values stored verbatim as float64
 #: (taken when the requested bound would need > 44-bit quantization codes,
@@ -64,7 +66,7 @@ class SZxCompressor(LossyCompressor):
     def _compress_float1d(self, data: np.ndarray, abs_bound: float) -> bytes:
         n = data.size
         if n == 0:
-            return struct.pack("<IQBd", self.block_size, 0, 0, 0.0)
+            return _FIXED.pack(self.block_size, 0, 0, 0.0)
 
         blocks, original_len = block_pad(data, self.block_size)
         n_blocks = blocks.shape[0]
@@ -109,7 +111,7 @@ class SZxCompressor(LossyCompressor):
         bitmap = np.packbits(constant.astype(np.uint8))
         const_mid = midpoints[constant]
 
-        body = struct.pack("<IQBd", self.block_size, original_len, width, offset_value)
+        body = _FIXED.pack(self.block_size, original_len, width, offset_value)
         body += struct.pack("<Q", n_blocks)
         body += struct.pack("<Q", bitmap.size) + bitmap.tobytes()
         body += struct.pack("<Q", const_mid.size) + const_mid.tobytes()
@@ -119,34 +121,36 @@ class SZxCompressor(LossyCompressor):
     # ------------------------------------------------------------------
     def _decompress_float1d(self, body: bytes, count: int, abs_bound: float,
                             dtype: np.dtype) -> np.ndarray:
-        block_size, original_len, width, offset_value = struct.unpack_from("<IQBd", body, 0)
-        offset = struct.calcsize("<IQBd")
-        if original_len == 0:
-            return np.zeros(count, dtype=np.float64)
-        if width > 64 and width != _VERBATIM_WIDTH:
+        reader = BodyReader(body, "SZx")
+        block_size, original_len, width, offset_value = reader.fields(_FIXED)
+        if original_len != count:
+            raise reader.corrupt(f"body holds {original_len} elements but the "
+                                 f"container declares {count}")
+        if block_size < 2:
+            raise reader.corrupt(f"block size {block_size}")
+        if count == 0:
+            reader.finish()
+            return np.zeros(0, dtype=np.float64)
+        n_blocks = -(-count // block_size)
+        reader.length(n_blocks, "block count")
+        bitmap = reader.section(np.uint8, -(-n_blocks // 8), "constant-block bitmap byte")
+        constant = np.unpackbits(bitmap, count=n_blocks).astype(bool)
+        midpoints = reader.section(np.float64, int(constant.sum()), "midpoint")
+        n_nonconst = n_blocks - midpoints.size
+        total = n_nonconst * block_size
+        if n_nonconst == 0 and width == 0:
+            packed_len = 0
+        elif n_nonconst and width == _VERBATIM_WIDTH:
+            packed_len = 8 * total
+        elif n_nonconst and 1 <= width <= 64:
             # a shift count past 63 would silently wrap in numpy's uint64 ops
-            raise ValueError(f"corrupt SZx payload: bit width {width}")
-        (n_blocks,) = struct.unpack_from("<Q", body, offset)
-        offset += 8
-        (bitmap_len,) = struct.unpack_from("<Q", body, offset)
-        offset += 8
-        bitmap = np.frombuffer(body, dtype=np.uint8, count=bitmap_len, offset=offset)
-        offset += bitmap_len
-        constant = np.unpackbits(bitmap)[:n_blocks].astype(bool)
-        (mid_count,) = struct.unpack_from("<Q", body, offset)
-        offset += 8
-        midpoints = np.frombuffer(body, dtype=np.float64, count=mid_count, offset=offset)
-        offset += 8 * mid_count
-        (packed_len,) = struct.unpack_from("<Q", body, offset)
-        offset += 8
-        packed = np.frombuffer(body, dtype=np.uint8, count=packed_len, offset=offset)
+            packed_len = -(-total * width // 8)
+        else:
+            raise reader.corrupt(f"bit width {width} for {n_nonconst} non-constant blocks")
+        packed = reader.section(np.uint8, packed_len, "packed byte")
+        reader.finish()
 
-        values = np.empty((n_blocks, block_size), dtype=np.float64)
-        if mid_count:
-            values[constant] = midpoints[:, None]
-        n_nonconst = int((~constant).sum())
         if n_nonconst:
-            total = n_nonconst * block_size
             if width == _VERBATIM_WIDTH:
                 decoded = np.frombuffer(packed.tobytes(), dtype=np.float64, count=total)
             else:
@@ -154,5 +158,19 @@ class SZxCompressor(LossyCompressor):
                 weights = (np.uint64(1) << np.arange(width - 1, -1, -1, dtype=np.uint64))
                 codes = (bits.astype(np.uint64) * weights[None, :]).sum(axis=1, dtype=np.uint64)
                 decoded = offset_value + codes.astype(np.float64) * 2.0 * abs_bound
-            values[~constant] = decoded.reshape(n_nonconst, block_size)
-        return values.ravel()[:original_len]
+            decoded = decoded.reshape(n_nonconst, block_size)
+        # whole blocks fill a 2-D view of the output and a short last block
+        # is filled on its own, so no padding is allocated: a block size far
+        # past the element count costs nothing for a constant block
+        values = np.empty(count, dtype=np.float64)
+        full = count // block_size
+        grid = values[:full * block_size].reshape(full, block_size)
+        const_rows = np.flatnonzero(constant)
+        grid[const_rows[const_rows < full]] = midpoints[const_rows < full, None]
+        if n_nonconst:
+            live_rows = np.flatnonzero(~constant)
+            grid[live_rows[live_rows < full]] = decoded[live_rows < full]
+        if full < n_blocks:
+            values[full * block_size:] = midpoints[-1] if constant[-1] \
+                else decoded[-1, :count - full * block_size]
+        return values

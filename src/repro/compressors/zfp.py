@@ -41,12 +41,13 @@ import struct
 
 import numpy as np
 
-from repro.compressors.base import ErrorBound, ErrorBoundMode, LossyCompressor
+from repro.compressors.base import BodyReader, ErrorBound, ErrorBoundMode, LossyCompressor
 from repro.compressors.predictors import block_pad
 
 __all__ = ["ZFPCompressor"]
 
 _BLOCK = 4
+_FIXED = struct.Struct("<IQB")  # block size, element count, precision
 
 
 def _dct_matrix(n: int) -> np.ndarray:
@@ -103,7 +104,7 @@ class ZFPCompressor(LossyCompressor):
     def _compress_float1d(self, data: np.ndarray, abs_bound: float) -> bytes:
         n = data.size
         if n == 0:
-            return struct.pack("<IQB", _BLOCK, 0, 0)
+            return _FIXED.pack(_BLOCK, 0, 0)
 
         precision = self._resolve_precision(data, abs_bound)
         blocks, original_len = block_pad(data, _BLOCK)
@@ -149,7 +150,7 @@ class ZFPCompressor(LossyCompressor):
         vb_bitmap = np.packbits(verbatim.astype(np.uint8))
         vb_values = blocks[verbatim].ravel().astype(np.float64)
 
-        body = struct.pack("<IQB", _BLOCK, original_len, precision)
+        body = _FIXED.pack(_BLOCK, original_len, precision)
         body += struct.pack("<Q", exponents.size) + exponents.tobytes()
         body += struct.pack("<Q", packed.size) + packed.tobytes()
         body += struct.pack("<Q", vb_bitmap.size) + vb_bitmap.tobytes()
@@ -159,29 +160,30 @@ class ZFPCompressor(LossyCompressor):
     # ------------------------------------------------------------------
     def _decompress_float1d(self, body: bytes, count: int, abs_bound: float,
                             dtype: np.dtype) -> np.ndarray:
-        block, original_len, precision = struct.unpack_from("<IQB", body, 0)
-        offset = struct.calcsize("<IQB")
-        if original_len == 0:
-            return np.zeros(count, dtype=np.float64)
+        reader = BodyReader(body, "ZFP")
+        block, original_len, precision = reader.fields(_FIXED)
+        if original_len != count:
+            raise reader.corrupt(f"body holds {original_len} elements but the "
+                                 f"container declares {count}")
+        if block != _BLOCK:
+            raise reader.corrupt(f"block size {block}")
+        if count == 0:
+            reader.finish()
+            return np.zeros(0, dtype=np.float64)
         if not 2 <= precision <= 30:
             # matches the compressor's [2, 30] range; larger values would
             # silently wrap numpy's uint64 shifts
-            raise ValueError(f"corrupt ZFP payload: precision {precision}")
-        (n_blocks,) = struct.unpack_from("<Q", body, offset)
-        offset += 8
-        exponents = np.frombuffer(body, dtype=np.int16, count=n_blocks, offset=offset)
-        offset += 2 * n_blocks
-        (packed_len,) = struct.unpack_from("<Q", body, offset)
-        offset += 8
-        packed = np.frombuffer(body, dtype=np.uint8, count=packed_len, offset=offset)
-        offset += packed_len
-        (vb_bitmap_len,) = struct.unpack_from("<Q", body, offset)
-        offset += 8
-        vb_bitmap = np.frombuffer(body, dtype=np.uint8, count=vb_bitmap_len, offset=offset)
-        offset += vb_bitmap_len
-        (vb_count,) = struct.unpack_from("<Q", body, offset)
-        offset += 8
-        vb_values = np.frombuffer(body, dtype=np.float64, count=vb_count, offset=offset)
+            raise reader.corrupt(f"precision {precision}")
+        # every section length is checked against the geometry before any
+        # array is sized by it
+        n_blocks = -(-count // block)
+        exponents = reader.section(np.int16, n_blocks, "exponent")
+        packed = reader.section(np.uint8, -(-n_blocks * block * precision // 8),
+                                "packed coefficient byte")
+        vb_bitmap = reader.section(np.uint8, -(-n_blocks // 8), "verbatim bitmap byte")
+        verbatim = np.unpackbits(vb_bitmap, count=n_blocks).astype(bool)
+        vb_values = reader.section(np.float64, block * int(verbatim.sum()), "verbatim value")
+        reader.finish()
 
         total = n_blocks * block
         bits = np.unpackbits(packed)[: total * precision].reshape(total, precision)
@@ -198,7 +200,6 @@ class ZFPCompressor(LossyCompressor):
             # verbatim blocks may carry an overflowed (inf) scale; their
             # NaN products are overwritten from vb_values just below
             values = normalized * scale[:, None]
-        if vb_count:
-            verbatim = np.unpackbits(vb_bitmap)[:n_blocks].astype(bool)
+        if vb_values.size:
             values[verbatim] = vb_values.reshape(-1, block)
         return values.ravel()[:original_len]

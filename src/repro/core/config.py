@@ -28,11 +28,8 @@ class FedSZConfig:
     * ``lossy_name_tokens`` — substrings of the state-dict key that mark a
       tensor as a candidate for lossy compression (Algorithm 1 checks for
       ``"weight"``),
-    * ``entropy_chunk`` / ``entropy_workers`` — chunking and decode
-      concurrency of the SZ2/SZ3 Huffman entropy stage: ``entropy_chunk``
-      caps the symbols per independently-decodable chunk, ``entropy_workers=1``
-      decodes in-thread as one vectorized band, larger values split the
-      chunks into bands on the execution backend (bit-identical output),
+    * ``entropy_chunk`` — the most symbols per independently-decodable chunk
+      of the SZ2/SZ3 Huffman entropy stage (decode always runs in-thread),
     * ``policy`` / ``policy_options`` — registry name and constructor kwargs
       of the plan policy (:mod:`repro.core.plan`) that assigns each lossy
       tensor its codec/bound/options; ``"uniform"`` reproduces the historic
@@ -44,11 +41,12 @@ class FedSZConfig:
       bitstreams at any worker count).  On the GIL-bound ``thread`` backend
       the effective count is clamped to the host's cores — tensor compression
       is pure CPU work, so extra threads are strict oversubscription,
-    * ``backend`` — the :mod:`repro.utils.parallel` execution backend both
-      fan-out stages (per-tensor pipeline, Huffman entropy decode) run on:
-      ``"serial"`` (sequential reference), ``"thread"`` (the historic
-      default), or ``"process"`` (GIL-free, for many-core servers decoding
-      large client fleets).  Bitstreams are bit-identical across backends.
+    * ``backend`` — the :mod:`repro.utils.parallel` execution backend of the
+      one fan-out stage, the per-tensor pipeline (whose ``profiled`` policy
+      measures its candidates on it too): ``"serial"`` (sequential
+      reference), ``"thread"`` (the historic default), or ``"process"``
+      (GIL-free, for many-core servers decoding large client fleets).
+      Bitstreams are bit-identical across backends.
     """
 
     lossy_compressor: str = "sz2"
@@ -58,7 +56,6 @@ class FedSZConfig:
     threshold: int = 1024
     lossy_name_tokens: tuple[str, ...] = ("weight",)
     entropy_chunk: int = 65536
-    entropy_workers: int = 1
     policy: str = "uniform"
     pipeline_workers: int = 1
     backend: str = "thread"
@@ -73,8 +70,6 @@ class FedSZConfig:
             raise ValueError("threshold must be non-negative")
         if self.entropy_chunk < 1:
             raise ValueError("entropy_chunk must be >= 1")
-        if self.entropy_workers < 1:
-            raise ValueError("entropy_workers must be >= 1")
         if self.pipeline_workers < 1:
             raise ValueError("pipeline_workers must be >= 1")
         get_backend(self.backend)  # unknown names raise ValueError here

@@ -74,7 +74,7 @@ __all__ = ["FedSZCompressor", "FedSZReport", "StreamingStateDecoder",
 #: SZx verbatim escape — see FORMATS.md.)
 _FORMAT_VERSION = 6
 #: Lossy compressors whose payloads carry a Huffman entropy stage and
-#: therefore accept the ``entropy_chunk``/``entropy_workers`` knobs.
+#: therefore accept the ``entropy_chunk`` knob.
 _ENTROPY_CODED = ("sz2", "sz3")
 #: Outer-bitstream keys owned by the format itself.  Tensor names may not
 #: collide with them (or with the ``lossy::`` namespace prefix) — a state dict
@@ -89,15 +89,13 @@ def lossy_kwargs_from_config(config: FedSZConfig, codec: str | None = None) -> d
     """Factory kwargs for a lossy compressor instantiated under ``config``.
 
     ``config.lossy_options`` apply only to the configured default codec (they
-    are options *of that codec*); the entropy-stage knobs apply to any codec
+    are options *of that codec*); ``entropy_chunk`` applies to any codec
     with a Huffman stage.  Explicit ``lossy_options`` entries win.
     """
     codec = codec if codec is not None else config.lossy_compressor
     kwargs = dict(config.lossy_options) if codec == config.lossy_compressor else {}
     if codec in _ENTROPY_CODED:
         kwargs.setdefault("entropy_chunk", config.entropy_chunk)
-        kwargs.setdefault("entropy_workers", config.entropy_workers)
-        kwargs.setdefault("entropy_backend", config.backend)
     return kwargs
 
 
@@ -129,22 +127,16 @@ def _check_tensor_names(state: dict) -> None:
 
 
 def _compress_tensor_task(task: "tuple[TensorPlan, np.ndarray, LossyCompressor]"
-                          ) -> "tuple[bytes, tuple | None]":
+                          ) -> bytes:
     """Compress one tensor per its plan entry into a tagged payload.
 
     Module-level with an explicit ``(TensorPlan, ndarray, compressor)``
     argument struct so the per-tensor fan-out satisfies the process backend's
     picklability contract (compressor instances hold only plain configuration
     state and pickle cheaply; the bitstream bytes come back as the result).
-    Returns ``(payload, codebook_record)`` — the record is the armed codebook
-    channel's ``(decision, table)`` pair, read *inside* the worker so it
-    crosses a process boundary with the result instead of relying on
-    instance mutation the parent never sees.
     """
     plan, array, compressor = task
-    payload = _tag_payload(plan.codec, compressor.compress(array))
-    channel = compressor._codebook
-    return payload, (None if channel is None else channel.record)
+    return _tag_payload(plan.codec, compressor.compress(array))
 
 
 def _decompress_tensor_task(task: "tuple[str, bytes, LossyCompressor]") -> np.ndarray:
@@ -203,12 +195,6 @@ class FedSZReport:
     #: the manifest (decompress side); per-call like the rest of the report,
     #: so it is race-free where ``last_plan`` is a shared single slot
     plan: "CompressionPlan | None" = None
-    #: per-tensor warm-codebook records ``{store_key: (decision, table_bytes)}``
-    #: when a :class:`~repro.compressors.codebook.CodebookStore` was armed for
-    #: this encode; ``None`` otherwise.  Deterministic state the coordinator
-    #: commits back into the client's store — not a journaled statistic (the
-    #: journal persists the store itself in the delta sidecar).
-    codebooks: "dict[str, tuple[str, bytes | None]] | None" = None
 
     @property
     def ratio(self) -> float:
@@ -284,10 +270,6 @@ class FedSZCompressor:
         self.last_report: FedSZReport | None = None
         self.last_plan: CompressionPlan | None = None
         self._decoder_cache: dict[str, LossyCompressor] = {}
-        #: optional :class:`~repro.compressors.codebook.CodebookStore` armed
-        #: by the owner (the delta codec) for warm Huffman-table reuse; None
-        #: keeps every encode byte-identical to the cold path
-        self.codebook = None
         #: set by the delta codec when the next encode compresses residual
         #: tensors rather than raw state — content-profiling policies key
         #: their caches on it so residual statistics never alias full-state
@@ -345,13 +327,9 @@ class FedSZCompressor:
         return get_lossy(plan.codec, error_bound=plan.error_bound, mode=plan.mode,
                          **kwargs)
 
-    def _armed_compressor_for(self, plan: TensorPlan, name: str) -> LossyCompressor:
-        """:meth:`_compressor_for`, plus a codebook channel when a store is armed.
-
-        Only entropy-coded codecs carry a Huffman table to reuse; the channel
-        is armed on a shallow per-tensor copy so the (possibly shared) base
-        instance never races across tensors.  With no store armed this is
-        exactly :meth:`_compressor_for` — the cold path is untouched.
+    def _scaled_compressor_for(self, plan: TensorPlan, name: str) -> LossyCompressor:
+        """:meth:`_compressor_for`, with a REL bound resolved against
+        ``bound_scales[name]`` when the delta codec set one for this encode.
         """
         compressor = self._compressor_for(plan)
         if self.bound_scales is not None \
@@ -364,14 +342,11 @@ class FedSZCompressor:
                 # bound actually used, so decode needs nothing extra
                 compressor = compressor.with_error_bound(
                     float(plan.error_bound) * scale, ErrorBoundMode.ABS)
-        if self.codebook is not None and plan.codec in _ENTROPY_CODED:
-            channel = self.codebook.channel(f"{plan.codec}:{name}")
-            compressor = compressor.with_codebook(channel)
         return compressor
 
     def _decoder_for(self, codec: str) -> LossyCompressor:
         """A decoder for ``codec`` (payloads are self-describing, so the
-        instance's bound is irrelevant; entropy knobs steer decode scheduling)."""
+        instance's bound and entropy chunk size are irrelevant)."""
         if codec == self.lossy.name:
             return self.lossy
         decoder = self._decoder_cache.get(codec)
@@ -407,19 +382,13 @@ class FedSZCompressor:
                 f"tensor in partition order")
 
         tasks = [(plan[name], array,
-                  self._armed_compressor_for(plan[name], name))
+                  self._scaled_compressor_for(plan[name], name))
                  for name, array in partition.lossy.items()]
         results = map_parallel(_compress_tensor_task, tasks,
                                max_workers=self._pipeline_workers(),
                                backend=self.config.backend)
         lossy_payloads: "OrderedDict[str, bytes]" = OrderedDict(
-            (name, payload) for name, (payload, _) in zip(partition.lossy, results))
-        codebooks = {}
-        for _, record in results:
-            if record is not None:
-                key, decision, table = record
-                codebooks[key] = (decision, table)
-        codebooks = codebooks or None
+            zip(partition.lossy, results))
 
         lossless_raw = pack_arrays(dict(partition.lossless))
         lossless_payload = self.lossless.compress(lossless_raw)
@@ -440,7 +409,6 @@ class FedSZCompressor:
             lossless_compressed_bytes=len(lossless_payload),
             compress_seconds=elapsed,
             plan=plan,
-            codebooks=codebooks,
         )
         self.last_report = report
         self.last_plan = plan
@@ -692,19 +660,14 @@ class StreamingStateEncoder:
         yield piece
 
         lossy_compressed = 0
-        codebooks: "dict[str, tuple[str, bytes | None]]" = {}
         for name, array in partition.lossy.items():
             tensor_plan = plan[name]
-            compressor = pipeline._armed_compressor_for(tensor_plan, name)
+            compressor = pipeline._scaled_compressor_for(tensor_plan, name)
             encoder = compressor.stream_encoder()
             staged = [_tag_payload(tensor_plan.codec, b"")]
             staged.extend(encoder.chunks(array))
             self.peak_scratch_bytes = max(self.peak_scratch_bytes,
                                           encoder.scratch_bytes)
-            channel = compressor._codebook
-            if channel is not None and channel.record is not None:
-                key, decision, table = channel.record
-                codebooks[key] = (decision, table)
             payload_len = sum(len(p) for p in staged)
             lossy_compressed += payload_len
             piece = self._entry_header(f"lossy::{name}", payload_len) \
@@ -722,7 +685,6 @@ class StreamingStateEncoder:
             lossless_compressed_bytes=len(lossless_payload),
             compress_seconds=elapsed,
             plan=plan,
-            codebooks=codebooks or None,
         )
         pipeline.last_report = self.report
         pipeline.last_plan = plan

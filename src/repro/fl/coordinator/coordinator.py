@@ -164,8 +164,8 @@ class _Shipment:
     num_samples: int
     late: bool = False
     replayed: bool = False
-    #: the delta tracker's journal sidecar for this ship (accumulator +
-    #: codebook tables); ``None`` without a delta codec or a journal
+    #: the delta tracker's journal sidecar for this ship (generation +
+    #: accumulator); ``None`` without a delta codec or a journal
     delta_sidecar: "bytes | None" = None
 
 
@@ -548,7 +548,7 @@ class Coordinator:
                 # order is deterministic anyway; must run before the decoded
                 # state is released below
                 shipment.delta_sidecar = self._delta.complete_ship(
-                    cid, update.state, result.state, result.report,
+                    cid, update.state, result.state,
                     sidecar=self.journal is not None)
             if self.journal is not None:
                 # journaled at arrival — event order follows completion order,
@@ -677,7 +677,7 @@ class Coordinator:
                         self._delta.invalidate(cid, "late")
                     else:
                         shipment.delta_sidecar = self._delta.complete_ship(
-                            cid, update.state, result.state, result.report,
+                            cid, update.state, result.state,
                             sidecar=self.journal is not None)
 
             if self.journal is not None:
@@ -713,10 +713,8 @@ class Coordinator:
 
         delta_clients: "list[int]" = []
         delta_degrades: "dict[int, str]" = {}
-        codebook_cache = None
         if self._delta is not None:
-            delta_clients, delta_degrades, codebook_cache = \
-                self._delta.round_summary()
+            delta_clients, delta_degrades = self._delta.round_summary()
             # release the armed references/accumulators — parked codecs must
             # not pin this round's broadcast state in memory
             self._delta.disarm_all()
@@ -770,7 +768,6 @@ class Coordinator:
             peak_update_residency=peak_residency,
             delta_clients=delta_clients,
             delta_degrades=delta_degrades,
-            codebook_cache=codebook_cache,
         )
         if self.journal is not None:
             self.journal.complete_round(record, self.server.global_state())

@@ -88,7 +88,7 @@ class ShippedEvent:
     num_samples: int
     report_fields: "dict | None" = None
     plan_hex: "str | None" = None
-    #: relative path of the delta sidecar (accumulator + codebook tables)
+    #: relative path of the delta sidecar (generation + accumulators)
     #: written alongside the payload; ``None`` for non-delta codecs
     delta_path: "str | None" = None
 

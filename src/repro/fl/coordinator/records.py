@@ -86,11 +86,6 @@ class RoundRecord:
     #: ``roster-change`` / ``resume-loss`` / ``replay-loss``).  Deterministic
     #: — journaled and replayed
     delta_degrades: dict[int, str] = field(default_factory=dict)
-    #: cumulative warm-codebook counters (reuses/drifts/misses) at the end of
-    #: this round, summed over the fleet's per-client stores; ``None`` without
-    #: a delta codec.  A measurement like ``profile_cache``: the counters
-    #: reset on journal resume, so replay and bit-identity checks ignore them
-    codebook_cache: "dict[str, int] | None" = None
 
     @property
     def compression_ratio(self) -> float:

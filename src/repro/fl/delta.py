@@ -50,11 +50,10 @@ the residual spans only a few of those quantization steps, its entropy (and
 payload) collapses, which is where the delta size win comes from.
 
 The codec itself is stateless between rounds: the coordinator *arms* it per
-ship with the reference, generation, accumulator, and (optionally) the
-client's warm-codebook store, and reads everything that must persist out of
-the encode report.  The armed codec pickles into transport workers with its
-reference embedded; workers only read it, so process pools stay
-bit-identical to the serial path.
+ship with the reference, generation, and accumulator, and advances the
+accumulator from the reconstruction after the ship.  The armed codec pickles
+into transport workers with its reference embedded; workers only read it, so
+process pools stay bit-identical to the serial path.
 """
 
 from __future__ import annotations
@@ -64,7 +63,6 @@ from collections import OrderedDict
 
 import numpy as np
 
-from repro.compressors.codebook import CodebookStore
 from repro.core.network import NetworkModel
 from repro.fl.codec import UpdateCodec, UpdateStreamDecoder, UpdateStreamEncoder
 from repro.utils.serialization import pack_arrays, unpack_arrays
@@ -190,33 +188,28 @@ class DeltaChannel:
 
     ``ready`` gates delta eligibility: it only turns on after the client's
     first completed ship (so round 0 always ships full), and is dropped —
-    together with the accumulator and pinned codebooks — whenever the
-    reference can no longer be trusted (dropout, roster change, a resume
-    that cannot restore the sidecar).  ``generation`` is the round index the
+    together with the accumulator — whenever the reference can no longer be
+    trusted (dropout, roster change, a resume that cannot restore the
+    sidecar).  ``generation`` is the round index the
     client's server-acknowledged state was produced under; the frame tag is
     checked against it at decode.  ``degrade`` records why the most recent
     ship fell back to full mode (surfaced in ``RoundRecord``).
     """
 
-    __slots__ = ("client_id", "ready", "generation", "acc", "codebooks",
-                 "degrade")
+    __slots__ = ("client_id", "ready", "generation", "acc", "degrade")
 
-    def __init__(self, client_id: int,
-                 drift_threshold: "float | None" = None) -> None:
+    def __init__(self, client_id: int) -> None:
         self.client_id = client_id
         self.ready = False
         self.generation = -1
         self.acc: "dict[str, np.ndarray] | None" = None
-        self.codebooks = CodebookStore() if drift_threshold is None \
-            else CodebookStore(drift_threshold)
         self.degrade: "str | None" = None
 
     def invalidate(self, reason: str) -> None:
-        """Drop the reference, accumulator, and pinned codebooks."""
+        """Drop the reference and the accumulator."""
         self.ready = False
         self.generation = -1
         self.acc = None
-        self.codebooks.invalidate()
         self.degrade = reason
 
 
@@ -302,19 +295,16 @@ class DeltaUpdateCodec(UpdateCodec):
     """Wrap an update codec with v5 delta framing and error feedback.
 
     The wrapper is armed per ship by the coordinator (:meth:`arm`) with the
-    reference state, its generation, the client's accumulator, and the
-    client's warm-codebook store; :meth:`disarm` drops the references so a
-    parked codec never pins a stale state dict in memory.  Unarmed codecs
-    encode full-state frames (mode 0) — the always-safe degrade path.
-
-    ``use_codebooks=False`` is the ablation knob: delta framing and error
-    feedback stay on, but every encode builds fresh Huffman tables.
+    reference state, its generation, and the client's accumulator;
+    :meth:`disarm` drops the references so a parked codec never pins a stale
+    state dict in memory.  Unarmed codecs encode full-state frames (mode 0)
+    — the always-safe degrade path.  The inner codec's entropy stage builds
+    fresh Huffman tables for every ship, residual or full.
     """
 
-    def __init__(self, inner: UpdateCodec, use_codebooks: bool = True) -> None:
+    def __init__(self, inner: UpdateCodec) -> None:
         self.inner = inner
         self.name = f"delta+{inner.name}"
-        self.use_codebooks = use_codebooks
         self._reference: "dict | None" = None
         self._generation = -1
         self._armed_delta = False
@@ -322,8 +312,7 @@ class DeltaUpdateCodec(UpdateCodec):
 
     # -- arming --------------------------------------------------------
     def arm(self, reference: "dict | None", generation: int, *, delta: bool,
-            acc: "dict | None" = None,
-            codebooks: "CodebookStore | None" = None) -> None:
+            acc: "dict | None" = None) -> None:
         """Arm this codec for one client's ship (encode *and* decode side)."""
         if delta and reference is None:
             raise ValueError("cannot arm a delta ship without a reference state")
@@ -333,22 +322,19 @@ class DeltaUpdateCodec(UpdateCodec):
         self._acc = acc
         compressor = getattr(self.inner, "compressor", None)
         if compressor is not None:
-            compressor.codebook = codebooks if (delta and self.use_codebooks) \
-                else None
             # the compression policy profiles residual tensors separately
             # from full states (see ProfiledPolicy) — same shapes, wildly
             # different content statistics
             compressor.delta_hint = bool(delta)
 
     def disarm(self) -> None:
-        """Release the armed reference/accumulator/codebook references."""
+        """Release the armed reference and accumulator."""
         self._reference = None
         self._generation = -1
         self._armed_delta = False
         self._acc = None
         compressor = getattr(self.inner, "compressor", None)
         if compressor is not None:
-            compressor.codebook = None
             compressor.delta_hint = False
             compressor.bound_scales = None
 
@@ -414,7 +400,7 @@ class DeltaUpdateCodec(UpdateCodec):
         resolved = self.inner.for_network(network)
         if resolved is self.inner:
             return self
-        return DeltaUpdateCodec(resolved, use_codebooks=self.use_codebooks)
+        return DeltaUpdateCodec(resolved)
 
     def stream_decoder(self) -> _DeltaStreamDecoder:
         return _DeltaStreamDecoder(self)
@@ -434,43 +420,39 @@ class DeltaUpdateCodec(UpdateCodec):
 # ---------------------------------------------------------------------------
 # journal sidecar — the per-client state that must survive a crash
 _SIDECAR_ACC = "acc::"
-_SIDECAR_CB = "cb::"
 _SIDECAR_META = "meta::generation"
 
 
 def pack_sidecar(channel: DeltaChannel) -> bytes:
-    """Serialize a channel's durable state (generation, accumulator, pinned
-    codebook tables) with :func:`pack_arrays` — float64 accumulators roundtrip
-    bit-exactly, so a resumed run re-encodes byte-identical payloads."""
+    """Serialize a channel's durable state (generation and accumulator) with
+    :func:`pack_arrays` — float64 accumulators roundtrip bit-exactly, so a
+    resumed run re-encodes byte-identical payloads."""
     arrays: "OrderedDict[str, np.ndarray]" = OrderedDict()
     arrays[_SIDECAR_META] = np.array([channel.generation], dtype=np.int64)
     for name in sorted(channel.acc or {}):
         arrays[_SIDECAR_ACC + name] = channel.acc[name]
-    for key, table in sorted(channel.codebooks.snapshot().items()):
-        arrays[_SIDECAR_CB + key] = np.frombuffer(table, dtype=np.uint8)
     return pack_arrays(arrays)
 
 
 def restore_sidecar(channel: DeltaChannel, blob: bytes) -> None:
     """Invert :func:`pack_sidecar` onto ``channel``, marking it ready.
 
-    Raises :class:`ValueError` on a corrupt blob — the caller degrades the
-    client to a full-state ship instead of decoding against a wrong state.
+    The sidecar is read exactly: any key other than the generation and
+    ``acc::<tensor>`` accumulators is corrupt.  Raises :class:`ValueError` on
+    a corrupt blob — the caller degrades the client to a full-state ship
+    instead of decoding against a wrong state.
     """
     arrays = unpack_arrays(blob)
-    meta = arrays.get(_SIDECAR_META)
+    meta = arrays.pop(_SIDECAR_META, None)
     if meta is None or meta.size != 1:
         raise ValueError("corrupt delta sidecar: missing generation")
     acc: dict[str, np.ndarray] = {}
-    tables: dict[str, bytes] = {}
     for key, arr in arrays.items():
-        if key.startswith(_SIDECAR_ACC):
-            acc[key[len(_SIDECAR_ACC):]] = np.asarray(arr, dtype=np.float64)
-        elif key.startswith(_SIDECAR_CB):
-            tables[key[len(_SIDECAR_CB):]] = arr.tobytes()
+        if not key.startswith(_SIDECAR_ACC):
+            raise ValueError(f"corrupt delta sidecar: unknown key {key!r}")
+        acc[key[len(_SIDECAR_ACC):]] = np.asarray(arr, dtype=np.float64)
     channel.generation = int(meta[0])
     channel.acc = acc
-    channel.codebooks.restore(tables)
     channel.ready = True
     channel.degrade = None
 
@@ -524,18 +506,16 @@ class DeltaTracker:
                 continue  # mixed fleet: this client ships a plain codec
             delta = channel.ready
             self._codecs[cid].arm(global_state, round_index, delta=delta,
-                                  acc=channel.acc,
-                                  codebooks=channel.codebooks)
+                                  acc=channel.acc)
             self._round_modes[cid] = delta
             if not delta:
                 self._round_degrades[cid] = channel.degrade or "cold"
             self._armed_acc[cid] = channel.acc if delta else None
 
     def complete_ship(self, client_id: int, trained_state: dict,
-                      recon_state: dict, report,
-                      sidecar: bool = True) -> "bytes | None":
-        """Fold one on-time arrival: advance the accumulator, commit the
-        codebook records, and (optionally) build the journal sidecar."""
+                      recon_state: dict, sidecar: bool = True) -> "bytes | None":
+        """Fold one on-time arrival: advance the accumulator and (optionally)
+        build the journal sidecar."""
         channel = self.channels.get(client_id)
         if channel is None:
             return None  # mixed fleet: nothing to track for a plain codec
@@ -544,10 +524,6 @@ class DeltaTracker:
         channel.ready = True
         channel.generation = self._round
         channel.degrade = None
-        codebooks = getattr(report, "codebooks", None) if report is not None \
-            else None
-        if codebooks:
-            channel.codebooks.commit(codebooks)
         return pack_sidecar(channel) if sidecar else None
 
     def invalidate(self, client_id: int, reason: str) -> None:
@@ -604,19 +580,11 @@ class DeltaTracker:
             except ValueError:
                 channel.invalidate("resume-loss")
 
-    def round_summary(self) -> "tuple[list[int], dict[int, str], dict[str, int]]":
-        """This round's ``(delta_clients, delta_degrades, codebook_counters)``.
-
-        Codebook counters are cumulative across the run and measurement-only
-        (they reset on resume), mirroring the profile-cache counters.
-        """
+    def round_summary(self) -> "tuple[list[int], dict[int, str]]":
+        """This round's ``(delta_clients, delta_degrades)``."""
         delta_clients = sorted(cid for cid, mode in self._round_modes.items()
                                if mode)
-        counters = {"reuses": 0, "drifts": 0, "misses": 0}
-        for channel in self.channels.values():
-            for key, value in channel.codebooks.counters.items():
-                counters[key] += value
-        return delta_clients, dict(self._round_degrades), counters
+        return delta_clients, dict(self._round_degrades)
 
     def disarm_all(self) -> None:
         """Release every armed codec (end of round)."""

@@ -78,10 +78,6 @@ full-participation semantics, which the test suite pins bit-for-bit):
   without a valid reference (first round, after a dropout or late ship,
   after a roster change, after a lost resume sidecar) degrade to a
   full-state frame — visible per round on ``RoundRecord.delta_degrades``.
-* ``delta_codebooks`` — with ``delta``, additionally reuse each tensor's
-  canonical Huffman code table across rounds while its symbol distribution
-  stays within the drift threshold (``False`` is the ablation: delta
-  framing and error feedback stay on, every encode builds fresh tables).
 
 ``seed=None`` now draws one fresh scenario seed and derives *everything*
 (partitioning, client seeds, scenario draws) from it, so even an unseeded run
@@ -115,11 +111,11 @@ __all__ = ["RoundRecord", "SimulationResult", "FederatedSimulation",
            "train_clients_parallel"]
 
 
-def _delta_client_codec(codec: UpdateCodec, use_codebooks: bool) -> DeltaUpdateCodec:
+def _delta_client_codec(codec: UpdateCodec) -> DeltaUpdateCodec:
     """One client's delta wrapper around a *private* inner codec.
 
-    The delta codec arms per-ship state (reference, accumulator, codebook
-    channels) onto its inner compressor, so clients cannot share an inner
+    The delta codec arms per-ship state (REL-bound scales, the delta hint)
+    onto its inner compressor, so clients cannot share an inner
     instance the way link-agnostic codecs otherwise do.  FedSZ inners keep
     sharing the plan policy (and through it the profiler cache) — only the
     compressor shell is per-client.
@@ -131,7 +127,7 @@ def _delta_client_codec(codec: UpdateCodec, use_codebooks: bool) -> DeltaUpdateC
         inner = RawUpdateCodec()
     else:
         inner = copy.deepcopy(codec)
-    return DeltaUpdateCodec(inner, use_codebooks=use_codebooks)
+    return DeltaUpdateCodec(inner)
 
 
 class FederatedSimulation:
@@ -155,8 +151,7 @@ class FederatedSimulation:
                  max_staleness: int = 0, overlap: str = "pool",
                  streaming: bool = False, streaming_encode: bool = False,
                  aggregate_on_arrival: bool = False,
-                 persistent: bool = True, delta: bool = False,
-                 delta_codebooks: bool = True) -> None:
+                 persistent: bool = True, delta: bool = False) -> None:
         if max_workers is not None and max_workers < 1:
             raise ValueError("max_workers must be >= 1")
         self.backend = get_backend(backend)  # unknown names raise ValueError
@@ -199,7 +194,7 @@ class FederatedSimulation:
                               for net in self.client_networks]
         self.delta = bool(delta)
         if self.delta:
-            self.client_codecs = [_delta_client_codec(c, delta_codebooks)
+            self.client_codecs = [_delta_client_codec(c)
                                   for c in self.client_codecs]
 
         # durable rounds: open (or reopen) the journal before anything seeded

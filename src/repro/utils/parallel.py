@@ -2,7 +2,7 @@
 
 Every fan-out in the repository — the federated round engine (training /
 shipping several clients per round), the per-tensor plan pipeline, and the
-chunked Huffman entropy stage — goes through one :class:`ExecutionBackend`
+profiler's candidate grid — goes through one :class:`ExecutionBackend`
 abstraction with three built-in implementations:
 
 * ``serial`` — strictly sequential execution on the calling thread, always
@@ -40,8 +40,8 @@ Worker-count semantics are uniform across backends:
   thread heuristic would oversubscribe it.
 
 Process pools never nest: a ``process`` map issued from inside a process-pool
-worker (e.g. a pipeline worker whose entropy stage also asks for processes)
-degrades to sequential execution in that worker instead of forking
+worker (e.g. a shipping worker whose per-tensor pipeline also asks for
+processes) degrades to sequential execution in that worker instead of forking
 grandchildren.
 
 Pools are per-call by default — every :meth:`~ExecutionBackend.map` spins one
@@ -116,14 +116,37 @@ def _mark_process_worker() -> None:
     os.environ[_PROCESS_WORKER_ENV] = "1"
 
 
+def _spread_process_worker() -> None:
+    """Move a fresh pool worker onto an allowed CPU picked by its pid.
+
+    Some kernels keep freshly forked workers on their parent's CPU for
+    seconds before balancing them, so a short fan-out runs no faster than
+    serial while the other cores idle (seen on a 2-vCPU Linux 6.18 guest).
+    Moving each worker once, then restoring its full mask, spreads a pool
+    over the allowed CPUs without pinning it: the scheduler may still move
+    it later.
+    """
+    if not hasattr(os, "sched_setaffinity"):
+        return
+    try:
+        allowed = sorted(os.sched_getaffinity(0))
+        if len(allowed) > 1:
+            os.sched_setaffinity(0, {allowed[os.getpid() % len(allowed)]})
+            os.sched_setaffinity(0, allowed)
+    except OSError:
+        pass
+
+
 def _process_worker_init(initializer=None, initargs=()) -> None:
-    """Process-pool initializer: mark the worker, then run the caller's hook.
+    """Process-pool initializer: mark and spread the worker, then run the
+    caller's hook.
 
     Module-level so it pickles; ``initializer`` and ``initargs`` ride along as
     ``initargs`` of the real :class:`ProcessPoolExecutor`, which is exactly
     where a persistent scope ships its once-per-worker state.
     """
     _mark_process_worker()
+    _spread_process_worker()
     if initializer is not None:
         initializer(*initargs)
 

@@ -48,13 +48,10 @@ class TestParser:
 
     def test_entropy_flags(self):
         for command in ("compress", "simulate"):
-            args = build_parser().parse_args([command, "--entropy-chunk", "4096",
-                                              "--entropy-workers", "4"])
+            args = build_parser().parse_args([command, "--entropy-chunk", "4096"])
             assert args.entropy_chunk == 4096
-            assert args.entropy_workers == 4
         defaults = build_parser().parse_args(["compress"])
         assert defaults.entropy_chunk == 65536
-        assert defaults.entropy_workers == 1
 
     def test_backend_flag(self):
         for command in ("compress", "simulate"):

@@ -1,4 +1,4 @@
-"""Cross-round residual shipping: delta codec, tracker, warm codebooks."""
+"""Cross-round residual shipping: delta codec, tracker, journal sidecar."""
 
 from __future__ import annotations
 
@@ -9,10 +9,6 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from repro.compressors.codebook import (CodebookChannel, CodebookStore,
-                                        decide_reuse, entropy_encode,
-                                        padded_lengths)
-from repro.compressors.huffman import HuffmanCoder, _decode_tables_cached
 from repro.core import FedSZConfig
 from repro.data import make_dataset, train_test_split
 from repro.fl import FederatedSimulation, FedSZUpdateCodec, RawUpdateCodec
@@ -251,13 +247,23 @@ class TestDeltaCodec:
         assert worst <= 2.5
 
 
+def _sidecar_with_stray_key(key: str = "misc::fc.weight") -> bytes:
+    """A valid sidecar plus one array under ``key``."""
+    from repro.utils.serialization import pack_arrays, unpack_arrays
+    channel = DeltaChannel(0)
+    channel.generation = 3
+    channel.acc = {"fc.weight": np.zeros((2, 2))}
+    arrays = unpack_arrays(pack_sidecar(channel))
+    arrays[key] = np.ones(4, dtype=np.uint8)
+    return pack_arrays(arrays)
+
+
 class TestSidecar:
     def test_roundtrip_bit_exact(self):
         channel = DeltaChannel(0)
         channel.generation = 9
         channel.acc = {"fc.weight": np.random.default_rng(1).standard_normal(
             (4, 4)).astype(np.float64)}
-        channel.codebooks.tables = {"sz3:fc.weight": b"\x01\x02\x10"}
         blob = pack_sidecar(channel)
         twin = DeltaChannel(0)
         restore_sidecar(twin, blob)
@@ -265,7 +271,6 @@ class TestSidecar:
         assert twin.generation == 9
         np.testing.assert_array_equal(twin.acc["fc.weight"],
                                       channel.acc["fc.weight"])
-        assert twin.codebooks.tables == channel.codebooks.tables
 
     def test_corrupt_blob_raises(self):
         with pytest.raises(ValueError):
@@ -275,6 +280,16 @@ class TestSidecar:
         from repro.utils.serialization import pack_arrays
         with pytest.raises(ValueError, match="generation"):
             restore_sidecar(DeltaChannel(0), pack_arrays({}))
+
+    # the sidecar holds the generation and the accumulators only; any other
+    # key is corrupt, not skipped (a "cb::" code table from an older sidecar
+    # included)
+    @pytest.mark.parametrize("key", ["misc::fc.weight", "cb::sz2:fc.weight"])
+    def test_stray_key_raises(self, key):
+        channel = DeltaChannel(0)
+        with pytest.raises(ValueError, match=f"unknown key '{key}'"):
+            restore_sidecar(channel, _sidecar_with_stray_key(key))
+        assert not channel.ready
 
 
 def _plan(participants, dropped=()):
@@ -291,12 +306,12 @@ class TestTracker:
         tracker, codecs = self._tracker()
         state = _state(30)
         tracker.begin_round(0, state, _plan([0, 1]), "sig")
-        clients, degrades, _ = tracker.round_summary()
+        clients, degrades = tracker.round_summary()
         assert clients == [] and degrades == {0: "cold", 1: "cold"}
         for cid in (0, 1):
-            tracker.complete_ship(cid, state, state, None, sidecar=False)
+            tracker.complete_ship(cid, state, state, sidecar=False)
         tracker.begin_round(1, state, _plan([0, 1]), "sig")
-        clients, degrades, _ = tracker.round_summary()
+        clients, degrades = tracker.round_summary()
         assert clients == [0, 1] and degrades == {}
         assert codecs[0]._armed_delta
 
@@ -305,11 +320,11 @@ class TestTracker:
         state = _state(31)
         tracker.begin_round(0, state, _plan([0, 1]), "sig")
         for cid in (0, 1):
-            tracker.complete_ship(cid, state, state, None, sidecar=False)
+            tracker.complete_ship(cid, state, state, sidecar=False)
         tracker.begin_round(1, state, _plan([1], dropped=[0]), "sig")
-        tracker.complete_ship(1, state, state, None, sidecar=False)
+        tracker.complete_ship(1, state, state, sidecar=False)
         tracker.begin_round(2, state, _plan([0, 1]), "sig")
-        clients, degrades, _ = tracker.round_summary()
+        clients, degrades = tracker.round_summary()
         assert clients == [1]
         assert degrades == {0: "dropout"}
 
@@ -317,12 +332,12 @@ class TestTracker:
         tracker, _ = self._tracker()
         state = _state(32)
         tracker.begin_round(0, state, _plan([0, 1]), "sig")
-        tracker.complete_ship(0, state, state, None, sidecar=False)
+        tracker.complete_ship(0, state, state, sidecar=False)
         tracker.invalidate(1, "late")
-        clients, degrades, _ = tracker.round_summary()
+        clients, degrades = tracker.round_summary()
         assert clients == [] and degrades[1] == "late"
         tracker.begin_round(1, state, _plan([0, 1]), "sig")
-        clients, degrades, _ = tracker.round_summary()
+        clients, degrades = tracker.round_summary()
         assert clients == [0] and degrades == {1: "late"}
 
     def test_roster_change_invalidates_everyone(self):
@@ -330,9 +345,9 @@ class TestTracker:
         state = _state(33)
         tracker.begin_round(0, state, _plan([0, 1]), "roster-a")
         for cid in (0, 1):
-            tracker.complete_ship(cid, state, state, None, sidecar=False)
+            tracker.complete_ship(cid, state, state, sidecar=False)
         tracker.begin_round(1, state, _plan([0, 1]), "roster-b")
-        clients, degrades, _ = tracker.round_summary()
+        clients, degrades = tracker.round_summary()
         assert clients == []
         assert degrades == {0: "roster-change", 1: "roster-change"}
 
@@ -363,97 +378,18 @@ class TestTracker:
         assert tracker.channels[0].degrade == "resume-loss"
         assert tracker.channels[1].degrade == "resume-loss"
 
+    def test_restore_stray_key_degrades(self):
+        tracker, _ = self._tracker()
+        tracker.restore({0: {"sidecar": "stray", "degrade": None}},
+                        {"stray": _sidecar_with_stray_key()}.get)
+        assert not tracker.channels[0].ready
+        assert tracker.channels[0].degrade == "resume-loss"
+
     def test_restore_never_shipped_stays_cold(self):
         tracker, _ = self._tracker()
         tracker.restore({0: {"sidecar": None, "degrade": None}}, lambda p: None)
         assert not tracker.channels[0].ready
         assert tracker.channels[0].degrade is None
-
-
-class TestWarmCodebooks:
-    @staticmethod
-    def _stable_symbols(seed):
-        # near-dyadic distribution: excess bits stay well under the threshold
-        rng = np.random.default_rng(seed)
-        return np.clip(rng.geometric(0.5, size=20_000) + 99, 0, 200)
-
-    def test_identical_distribution_reuses(self):
-        symbols = self._stable_symbols(40)
-        lengths = padded_lengths(symbols)
-        assert decide_reuse(lengths, symbols)
-
-    def test_wandering_tail_covered_by_padding(self):
-        symbols = self._stable_symbols(41)
-        lengths = padded_lengths(symbols)
-        drifted = np.concatenate([symbols, [111, 112, 99, 0]])
-        assert decide_reuse(lengths, drifted)
-
-    def test_unpadded_table_fails_coverage(self):
-        rng = np.random.default_rng(42)
-        symbols = rng.integers(100, 160, size=20_000)
-        producer = HuffmanCoder().stream_producer(symbols)
-        lengths = np.frombuffer(producer.code_lengths,
-                                dtype=np.uint8).astype(np.int64)
-        assert not decide_reuse(lengths, np.concatenate([symbols, [161]]))
-
-    def test_reshaped_distribution_drifts(self):
-        rng = np.random.default_rng(43)
-        symbols = rng.integers(100, 160, size=20_000)
-        lengths = padded_lengths(symbols)
-        reshaped = rng.integers(100, 104, size=20_000)
-        assert not decide_reuse(lengths, reshaped)
-
-    def test_armed_encode_roundtrips_and_reports(self):
-        rng = np.random.default_rng(44)
-        coder = HuffmanCoder()
-        store = CodebookStore()
-
-        def draw():
-            # near-dyadic distribution: a stable quantization-code profile
-            return np.clip(rng.geometric(0.5, size=30_000) + 49, 0, 120)
-
-        symbols = draw()
-        chan = store.channel("sz3:t")
-        payload = entropy_encode(coder, symbols, chan)
-        np.testing.assert_array_equal(coder.decode(payload), symbols)
-        assert chan.decision == "miss"
-        store.commit({chan.key: (chan.decision, chan.table)})
-        # second round, same distribution: the pinned table is reused and the
-        # stream still decodes exactly
-        chan2 = store.channel("sz3:t")
-        symbols2 = draw()
-        payload2 = entropy_encode(coder, symbols2, chan2)
-        assert chan2.decision == "reused"
-        np.testing.assert_array_equal(coder.decode(payload2), symbols2)
-        store.commit({chan2.key: (chan2.decision, chan2.table)})
-        assert store.counters == {"reuses": 1, "drifts": 0, "misses": 1}
-
-    def test_unarmed_encode_byte_identical_to_plain(self):
-        rng = np.random.default_rng(45)
-        coder = HuffmanCoder()
-        symbols = rng.integers(0, 300, size=10_000)
-        assert entropy_encode(coder, symbols, None) == coder.encode(symbols)
-
-    def test_store_invalidate_drops_tables(self):
-        store = CodebookStore()
-        store.tables["k"] = b"\x01"
-        store.invalidate()
-        assert store.channel("k").pin is None
-
-    def test_decode_table_cache_hits_across_streams(self):
-        rng = np.random.default_rng(46)
-        coder = HuffmanCoder()
-        symbols = rng.integers(0, 64, size=30_000)
-        lengths = padded_lengths(symbols)
-        before = _decode_tables_cached.cache_info().hits
-        coder.decode(coder.encode(symbols, lengths=lengths))
-        coder.decode(coder.encode(symbols[:15_000], lengths=lengths))
-        assert _decode_tables_cached.cache_info().hits > before
-
-    def test_pinned_lengths_must_cover(self):
-        coder = HuffmanCoder()
-        with pytest.raises(ValueError, match="cover"):
-            coder.encode(np.array([1, 2, 9]), lengths=np.array([0, 1, 1]))
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,10 @@
 
 * The scatter packer must cut the same bands, byte for byte, as the
   bit-matrix oracle in ``huffman_reference.py``: random alphabets, code
-  lengths up to 16 (clamped tables included), pinned tables, chunk sizes
-  whose bit counts force carries, group sizes that split chunks across
-  packing groups, and empty and single-symbol streams.
-* The default decode (one in-thread band; the vectorized row walk above
+  lengths up to 16 (clamped tables included), chunk sizes whose bit counts
+  force carries, group sizes that split chunks across packing groups, and
+  empty and single-symbol streams.
+* The in-thread decode (the vectorized row walk above
   ``_MIN_VECTOR_CHUNKS`` chunks) must equal the per-symbol scalar loop on both
   sides of the crossover, batch and streaming at random feed splits, and must
   reject exactly the corrupt bodies the scalar loop rejects.
@@ -39,7 +39,6 @@ from repro.compressors.huffman import (
     MAX_CODE_LENGTH,
     ChunkBandProducer,
     HuffmanCoder,
-    _build_code_lengths,
     _decode_reference,
 )
 
@@ -75,13 +74,12 @@ def _refresh_crc(payload: bytes) -> bytes:
 
 
 def _decode_all_paths(payload: bytes, cuts: list[int]) -> "list[np.ndarray | None]":
-    """Batch at 1 and 2 workers and streaming; ``None`` where it raised."""
+    """Batch and streaming; ``None`` where it raised."""
     results = []
-    for workers in (1, 2):
-        try:
-            results.append(HuffmanCoder(max_workers=workers).decode(payload))
-        except ValueError:
-            results.append(None)
+    try:
+        results.append(HuffmanCoder().decode(payload))
+    except ValueError:
+        results.append(None)
     consumer = HuffmanCoder().stream_consumer()
     try:
         for piece in _pieces(payload, cuts):
@@ -97,17 +95,12 @@ class TestPacker:
     @given(kind=st.sampled_from(["uniform", "skewed", "clamped", "single"]),
            size=st.integers(0, 3000), alphabet=st.integers(1, 300),
            seed=st.integers(0, 2 ** 32 - 1), chunk=st.integers(1, 97),
-           group=st.integers(1, 400), pin=st.booleans())
+           group=st.integers(1, 400))
     def test_bands_match_bit_matrix_oracle(self, kind, size, alphabet, seed,
-                                           chunk, group, pin):
+                                           chunk, group):
         symbols = _symbols(kind, size, alphabet, seed)
-        lengths = None
-        if pin and symbols.size:
-            # a warm table built from a different histogram of a wider alphabet
-            lengths = _build_code_lengths(
-                np.bincount(symbols, minlength=int(symbols.max()) + 3) + 1)
         with mock.patch.object(huffman, "_PACK_GROUP_SYMBOLS", group):
-            producer = ChunkBandProducer(symbols, chunk, lengths=lengths)
+            producer = ChunkBandProducer(symbols, chunk)
         bands = list(producer.bands())
         assert bands == bit_matrix_bands(symbols, producer.pinned_header)
         stream = producer.magic_and_crc() + producer.pinned_header + b"".join(bands)
@@ -215,10 +208,9 @@ class TestStalledChunkRejected:
         with pytest.raises(ValueError, match="corrupt Huffman stream"):
             _decode_reference(_stalling_stream(n_chunks))
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_batch_decode(self, n_chunks, workers):
+    def test_batch_decode(self, n_chunks):
         with pytest.raises(ValueError, match="corrupt Huffman stream"):
-            HuffmanCoder(max_workers=workers).decode(_stalling_stream(n_chunks))
+            HuffmanCoder().decode(_stalling_stream(n_chunks))
 
     @pytest.mark.parametrize("piece", [1, 1 << 20])
     def test_streaming_decode(self, n_chunks, piece):
@@ -279,7 +271,7 @@ class TestKernelEdges:
         payload = _token_stream(chunks)
         with pytest.raises(ValueError, match="corrupt Huffman stream"):
             _decode_reference(payload)
-        assert _kernel_decodes(payload, kernel) == [None] * 3
+        assert _kernel_decodes(payload, kernel) == [None] * 2
 
     def test_unused_windows_past_a_short_tail_are_ignored(self, kernel):
         chunks = [list(self.FULL) for _ in range(3)] + [list(self.TAIL)]

@@ -1,6 +1,6 @@
 """The unified ExecutionBackend layer: registry, worker resolution, map/submit
-semantics, and the serial/thread/process equivalence matrix across the entropy
-stage, the plan pipeline, and the round engine.
+semantics, and the serial/thread/process equivalence matrix across the plan
+pipeline and the round engine.
 
 The single-core CI container only checks correctness: wall-clock speedup
 assertions are gated on ``os.cpu_count() > 1``, matching the
@@ -19,7 +19,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.compressors.huffman import HuffmanCoder
 from repro.core import FedSZCompressor, FedSZConfig
 from repro.fl import FederatedSimulation, FedSZUpdateCodec
 from repro.nn import build_model
@@ -34,6 +33,7 @@ from repro.utils.parallel import (
     register_backend,
     resolve_worker_count,
 )
+from repro.utils.serialization import pack_bytes_dict, unpack_bytes_dict
 
 BACKENDS = ("serial", "thread", "process")
 
@@ -52,6 +52,10 @@ def _nested_process_map(xs: "list[int]") -> "list[int]":
     # a process map issued from inside a process worker must degrade to
     # sequential execution instead of forking grandchildren
     return map_parallel(_square, xs, max_workers=2, backend="process")
+
+
+def _cpu_mask(_: int) -> "set[int]":
+    return os.sched_getaffinity(0)
 
 
 def _spin(seconds: float) -> float:
@@ -173,6 +177,14 @@ class TestMapSemantics:
         with pytest.raises(RuntimeError, match="worker failed"):
             future.result()
 
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),
+                        reason="CPU masks are a Linux API")
+    def test_process_workers_spread_but_not_pinned(self):
+        # each worker moves once to a CPU of its own, then gets its full mask
+        # back so the scheduler can still balance it
+        masks = map_parallel(_cpu_mask, range(4), max_workers=2, backend="process")
+        assert masks == [os.sched_getaffinity(0)] * 4
+
     @pytest.mark.skipif((os.cpu_count() or 1) < 2,
                         reason="speedup needs more than one core")
     def test_process_backend_beats_serial_on_cpu_bound_work(self):
@@ -188,49 +200,6 @@ class TestMapSemantics:
 
 # -- equivalence matrix: every fan-out stage, every backend, bit-identical ----
 
-class TestHuffmanEquivalence:
-    def test_backend_matrix_decodes_bit_identical(self):
-        rng = np.random.default_rng(42)
-        symbols = rng.integers(0, 500, size=120_000)
-        coder = HuffmanCoder(chunk_size=2048)
-        payload = coder.encode(symbols)
-        reference = coder.decode(payload, max_workers=1)
-        np.testing.assert_array_equal(reference, symbols)
-        for backend in BACKENDS:
-            for workers in (1, 2, 4):
-                decoded = coder.decode(payload, max_workers=workers, backend=backend)
-                np.testing.assert_array_equal(decoded, reference)
-
-    def test_instance_backend_default_used(self):
-        rng = np.random.default_rng(3)
-        symbols = rng.integers(0, 64, size=40_000)
-        for backend in BACKENDS:
-            coder = HuffmanCoder(chunk_size=1024, max_workers=4, backend=backend)
-            np.testing.assert_array_equal(coder.decode(coder.encode(symbols)), symbols)
-
-    def test_corruption_raises_valueerror_across_process_boundary(self):
-        import struct
-        import zlib
-
-        rng = np.random.default_rng(9)
-        symbols = rng.integers(0, 100, size=60_000)
-        coder = HuffmanCoder(chunk_size=1024)
-        payload = bytearray(coder.encode(symbols))
-        # nudge one mid-stream chunk's recorded bit offset by a single bit and
-        # *re-stamp the CRC*: every parent-side header check still passes (the
-        # shifted spans stay plausible), so the corruption is only discovered
-        # by a band task failing its decode-boundary check — the worker-side
-        # ValueError must marshal back intact (for the process backend:
-        # across the process boundary)
-        index_at = 8 + 20 + int(symbols.max()) + 1  # prefix + header + lengths
-        (offset,) = struct.unpack_from("<Q", payload, index_at + 30 * 16)
-        struct.pack_into("<Q", payload, index_at + 30 * 16, offset + 1)
-        payload[4:8] = struct.pack("<I", zlib.crc32(bytes(payload[8:])))
-        for backend in BACKENDS:
-            with pytest.raises(ValueError, match="Huffman"):
-                coder.decode(bytes(payload), max_workers=2, backend=backend)
-
-
 class TestPipelineEquivalence:
     @pytest.fixture(scope="class")
     def state(self):
@@ -241,8 +210,7 @@ class TestPipelineEquivalence:
         reference = FedSZCompressor(FedSZConfig()).compress_state_dict(state)
         for backend in BACKENDS:
             for workers in (1, 2, 3):
-                config = FedSZConfig(backend=backend, pipeline_workers=workers,
-                                     entropy_workers=workers)
+                config = FedSZConfig(backend=backend, pipeline_workers=workers)
                 fedsz = FedSZCompressor(config)
                 payload = fedsz.compress_state_dict(state)
                 assert payload == reference, (backend, workers)
@@ -263,6 +231,24 @@ class TestPipelineEquivalence:
         assert compress("thread") == serial
         assert compress("process") == serial
 
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_corruption_raises_valueerror_on_every_backend(self, state, backend):
+        # keep the codec tag, garble one tensor's body: the failure happens in
+        # a pipeline worker, and its ValueError must reach the caller intact
+        # (for the process backend: across the process boundary)
+        entries = unpack_bytes_dict(
+            FedSZCompressor(FedSZConfig()).compress_state_dict(state))
+        key = next(k for k in entries if k.startswith("lossy::"))
+        body_at = entries[key][0] + 1  # u8 tag length, then the tag
+        entries[key] = entries[key][:body_at] + entries[key][body_at:][::-1]
+        corrupt = pack_bytes_dict(entries)
+        with pytest.raises(ValueError) as serial_error:
+            FedSZCompressor(FedSZConfig()).decompress_state_dict(corrupt)
+        fedsz = FedSZCompressor(FedSZConfig(backend=backend, pipeline_workers=2))
+        with pytest.raises(ValueError) as error:
+            fedsz.decompress_state_dict(corrupt)
+        assert str(error.value) == str(serial_error.value)
+
     @settings(max_examples=6, deadline=None)
     @given(workers=st.integers(min_value=1, max_value=5),
            seed=st.integers(min_value=0, max_value=2 ** 16))
@@ -275,8 +261,8 @@ class TestPipelineEquivalence:
         }
         payloads = {
             backend: FedSZCompressor(
-                FedSZConfig(backend=backend, pipeline_workers=workers,
-                            entropy_workers=workers)).compress_state_dict(state)
+                FedSZConfig(backend=backend, pipeline_workers=workers)
+            ).compress_state_dict(state)
             for backend in BACKENDS
         }
         assert payloads["serial"] == payloads["thread"] == payloads["process"]

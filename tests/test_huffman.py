@@ -11,6 +11,7 @@ from repro.compressors.huffman import (
     MAX_CODE_LENGTH,
     HuffmanCoder,
     _decode_reference,
+    _decode_tables_cached,
 )
 
 _HEADER = struct.Struct("<IQII")
@@ -142,32 +143,31 @@ class TestChunkedFormat:
         assert chunk_size == 512
 
     @pytest.mark.parametrize("name", sorted(_distributions()))
-    def test_parallel_decode_bit_identical_to_reference(self, name):
+    def test_decode_bit_identical_to_reference(self, name):
         symbols = _distributions()[name]
         coder = HuffmanCoder(chunk_size=1024)
         payload = coder.encode(symbols)
         reference = _decode_reference(payload)
         np.testing.assert_array_equal(reference, symbols)
-        for workers in (1, 4):
-            np.testing.assert_array_equal(coder.decode(payload, max_workers=workers),
-                                          reference)
-
-    def test_instance_worker_default_used(self):
-        symbols = np.arange(30_000, dtype=np.int64) % 11
-        sequential = HuffmanCoder(chunk_size=1024, max_workers=1)
-        threaded = HuffmanCoder(chunk_size=1024, max_workers=4)
-        payload = sequential.encode(symbols)
-        assert payload == threaded.encode(symbols)  # encoding is worker-independent
-        np.testing.assert_array_equal(threaded.decode(payload), symbols)
+        np.testing.assert_array_equal(coder.decode(payload), reference)
 
     def test_invalid_construction_rejected(self):
         with pytest.raises(ValueError):
             HuffmanCoder(chunk_size=0)
-        with pytest.raises(ValueError):
-            HuffmanCoder(max_workers=0)
 
     def test_default_chunk_constant_sane(self):
         assert 1024 <= DEFAULT_CHUNK_SYMBOLS <= (1 << 20)
+
+    def test_decode_table_cache_hits_across_streams(self):
+        # two streams with one histogram embed one code table, so the second
+        # decode reuses the first one's window tables
+        rng = np.random.default_rng(46)
+        coder = HuffmanCoder()
+        symbols = rng.integers(0, 64, size=30_000)
+        before = _decode_tables_cached.cache_info().hits
+        coder.decode(coder.encode(symbols))
+        coder.decode(coder.encode(rng.permutation(symbols)))
+        assert _decode_tables_cached.cache_info().hits > before
 
 
 @pytest.fixture
@@ -181,23 +181,21 @@ class TestCorruption:
     """Any corrupted or truncated payload must raise ValueError — never
     struct.error / IndexError, and never silently return wrong symbols."""
 
-    @pytest.mark.parametrize("workers", [1, 4])
-    def test_truncation_at_every_boundary_raises(self, workers, chunked_payload):
+    def test_truncation_at_every_boundary_raises(self, chunked_payload):
         _, payload = chunked_payload
         coder = HuffmanCoder()
         for cut in range(len(payload)):
             with pytest.raises(ValueError):
-                coder.decode(payload[:cut], max_workers=workers)
+                coder.decode(payload[:cut])
 
-    @pytest.mark.parametrize("workers", [1, 4])
-    def test_bitflip_fuzz_every_byte(self, workers, chunked_payload):
+    def test_bitflip_fuzz_every_byte(self, chunked_payload):
         symbols, payload = chunked_payload
         coder = HuffmanCoder()
         for i in range(len(payload)):
             mutated = bytearray(payload)
             mutated[i] ^= 1 << (i % 8)
             try:
-                decoded = coder.decode(bytes(mutated), max_workers=workers)
+                decoded = coder.decode(bytes(mutated))
             except ValueError:
                 continue
             np.testing.assert_array_equal(decoded, symbols)
@@ -214,18 +212,16 @@ class TestCorruption:
         with pytest.raises(ValueError, match="CRC"):
             coder.decode(bytes(mutated))
 
-    @pytest.mark.parametrize("workers", [1, 4])
-    def test_unused_window_detected(self, workers, coder):
+    def test_unused_window_detected(self, coder):
         # single-symbol alphabet: the upper half of the window table is unused
         # (length 0); forcing a set bit into the stream must not silently
         # decode to symbol 0 with the cursor never advancing
         payload = bytearray(coder.encode(np.full(20_000, 3, dtype=np.int64)))
         payload[-4] |= 0x80
         with pytest.raises(ValueError, match="corrupt Huffman stream"):
-            coder.decode(bytes(_refresh_crc(bytes(payload))), max_workers=workers)
+            coder.decode(bytes(_refresh_crc(bytes(payload))))
 
-    @pytest.mark.parametrize("workers", [1, 4])
-    def test_chunk_boundary_mismatch_detected(self, workers, chunked_payload):
+    def test_chunk_boundary_mismatch_detected(self, chunked_payload):
         # shift the second chunk's recorded bit offset by one: both its chunk
         # and its predecessor now fail the decode-to-boundary check
         _, payload = chunked_payload
@@ -235,10 +231,9 @@ class TestCorruption:
         mutated = bytearray(payload)
         mutated[entry:entry + 8] = struct.pack("<Q", offset + 1)
         with pytest.raises(ValueError, match="corrupt Huffman stream"):
-            HuffmanCoder().decode(_refresh_crc(bytes(mutated)), max_workers=workers)
+            HuffmanCoder().decode(_refresh_crc(bytes(mutated)))
 
-    @pytest.mark.parametrize("workers", [1, 4])
-    def test_trailing_bits_detected(self, workers):
+    def test_trailing_bits_detected(self):
         # declare 8 extra bits (and ship the extra byte): the final chunk no
         # longer ends exactly at total_bits, which the old `pos > total_bits`
         # check would have missed
@@ -250,7 +245,7 @@ class TestCorruption:
         mutated = payload[:at] + struct.pack("<Q", total_bits + 8) + \
             payload[at + 8:] + b"\x00"
         with pytest.raises(ValueError, match="boundary"):
-            HuffmanCoder().decode(_refresh_crc(mutated), max_workers=workers)
+            HuffmanCoder().decode(_refresh_crc(mutated))
 
     def test_overstated_symbol_count_rejected(self, chunked_payload):
         _, payload = chunked_payload

@@ -3,10 +3,9 @@
 Covers every layer of the incremental pipeline — the ``ChunkBandConsumer``
 over HUF3 streams, the lossless ``decompressor()`` API, the SZ2/SZ3
 ``SZStreamDecoder``, and the FedSZ container ``StreamingStateDecoder`` — under
-the PR's non-negotiable invariant: a stream fed in arbitrary pieces decodes
-bit-identically to the batch path on every backend at every worker count, and
-corrupt or truncated input raises :class:`ValueError` exactly when the batch
-path would.
+one invariant: a stream fed in arbitrary pieces decodes bit-identically to the
+batch path, and corrupt or truncated input raises :class:`ValueError` exactly
+when the batch path would.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.compressors.huffman import HuffmanCoder
+from repro.compressors.huffman import MAX_CODE_LENGTH, HuffmanCoder
 from repro.compressors.lossless import available_lossless, get_lossless
 from repro.compressors.sz2 import SZ2Compressor
 from repro.compressors.sz3 import SZ3Compressor
@@ -29,8 +28,6 @@ from repro.core.pipeline import FedSZCompressor
 from repro.fl.codec import FedSZUpdateCodec, RawUpdateCodec
 from repro.utils.bitstream import StreamBuffer
 from repro.utils.serialization import pack_bytes_dict, unpack_bytes_dict
-
-BACKENDS = ("serial", "thread", "process")
 
 
 def _feed_pieces(consumer, blob: bytes, piece: int) -> None:
@@ -46,6 +43,34 @@ def _small_state(seed: int = 5) -> dict[str, np.ndarray]:
         "fc.weight": rng.normal(0, 0.3, (10, 72)).astype(np.float32),
         "empty": np.zeros(0, dtype=np.float32),
     }
+
+
+_HUF3_HEADER = struct.Struct("<IQII")  # alphabet, count, chunk_size, n_chunks
+_HUF3_PREFIX = 8                       # magic + crc32
+
+
+def _huf3_fields(blob: bytes) -> dict:
+    """The editable fields of a HUF3 stream (see FORMATS.md)."""
+    alphabet, count, chunk_size, n_chunks = _HUF3_HEADER.unpack_from(blob, _HUF3_PREFIX)
+    at = _HUF3_PREFIX + _HUF3_HEADER.size
+    lengths = blob[at:at + alphabet]
+    at += alphabet
+    index = np.frombuffer(blob, dtype="<u8", count=2 * n_chunks,
+                          offset=at).reshape(n_chunks, 2).astype(np.int64)
+    at += 16 * n_chunks
+    (total_bits,) = struct.unpack_from("<Q", blob, at)
+    return {"magic": blob[:4], "count": count, "chunk_size": chunk_size,
+            "lengths": lengths, "index": index, "total_bits": total_bits,
+            "bits": blob[at + 8:]}
+
+
+def _huf3_pack(fields: dict) -> bytes:
+    """Serialize ``fields`` back to a HUF3 stream with a valid CRC."""
+    body = _HUF3_HEADER.pack(len(fields["lengths"]), fields["count"],
+                             fields["chunk_size"], len(fields["index"])) \
+        + fields["lengths"] + fields["index"].astype("<u8").tobytes() \
+        + struct.pack("<Q", fields["total_bits"]) + fields["bits"]
+    return fields["magic"] + struct.pack("<I", zlib.crc32(body)) + body
 
 
 class TestStreamBuffer:
@@ -161,17 +186,43 @@ class TestChunkBandConsumer:
         assert np.array_equal(consumer.finish(), coder.decode(blob))
         assert decoded_mid >= 1  # chunk 0 decoded while chunk 1 was split
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("workers", [1, 4])
-    def test_backend_worker_matrix(self, backend, workers):
-        rng = np.random.default_rng(4)
-        codes = rng.integers(0, 200, size=4096).astype(np.int64)
-        reference = HuffmanCoder(chunk_size=256)
-        blob = reference.encode(codes)
-        coder = HuffmanCoder(chunk_size=256, max_workers=workers, backend=backend)
+    @pytest.mark.parametrize("n_codes, edit, message", [
+        # a (row, column) key forges one chunk-index cell, a name one field;
+        # 700 symbols at 64 per chunk make 11 chunks
+        pytest.param(700, {"chunk_size": 0}, "cannot cover", id="zero-chunk-size"),
+        pytest.param(700, {"chunk_size": 128}, "cannot cover", id="chunk-count"),
+        pytest.param(700, {"count": 699}, "symbol counts disagree", id="stream-length"),
+        pytest.param(700, {(0, 1): 65}, "symbol counts disagree", id="symbol-count"),
+        pytest.param(700, {(0, 0): 1}, "bit offsets", id="first-offset"),
+        # fewer bits than symbols: every code is at least one bit long
+        pytest.param(700, {(1, 0): 63}, "bit offsets", id="short-span"),
+        pytest.param(700, {(1, 0): 64 * MAX_CODE_LENGTH + 1}, "bit offsets",
+                     id="long-span"),
+        pytest.param(0, {"total_bits": 8, "bits": b"\x00"}, "empty stream",
+                     id="empty-with-bits"),
+        pytest.param(0, {"index": np.zeros((1, 2), dtype=np.int64)}, "empty stream",
+                     id="empty-with-chunk"),
+    ])
+    def test_index_rule_parity_with_batch(self, n_codes, edit, message):
+        # one forged chunk-index field per case, CRC re-stamped: the batch
+        # header parse and the streaming consumer share one geometry check,
+        # so both must reject the stream with the same message
+        codes = np.random.default_rng(6).integers(0, 24, size=n_codes).astype(np.int64)
+        coder = HuffmanCoder(chunk_size=64)
+        fields = _huf3_fields(coder.encode(codes))
+        for key, value in edit.items():
+            if isinstance(key, tuple):
+                fields["index"][key] = value
+            else:
+                fields[key] = value
+        blob = _huf3_pack(fields)
+        with pytest.raises(ValueError, match=message) as batch:
+            coder.decode(blob)
         consumer = coder.stream_consumer()
-        _feed_pieces(consumer, blob, 1024)
-        assert np.array_equal(consumer.finish(), reference.decode(blob))
+        with pytest.raises(ValueError) as stream:
+            consumer.feed(blob)
+            consumer.finish()
+        assert str(stream.value) == str(batch.value)
 
 
 class TestLosslessStreaming:
@@ -276,18 +327,6 @@ class TestSZStreamDecoder:
         decoder = compressor.stream_decoder()
         _feed_pieces(decoder, payload, 101)
         assert np.array_equal(decoder.finish(), compressor.decompress(payload))
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("workers", [1, 4])
-    def test_backend_worker_matrix(self, cls, backend, workers):
-        compressor, _, payload = self._payload(
-            cls, n=6000, entropy_chunk=256, entropy_workers=workers,
-            entropy_backend=backend)
-        reference = cls(error_bound=1e-2, entropy_chunk=256)
-        expected = reference.decompress(payload)
-        decoder = compressor.stream_decoder()
-        _feed_pieces(decoder, payload, 2048)
-        assert np.array_equal(decoder.finish(), expected)
 
     @settings(max_examples=8, deadline=None)
     @given(seed=st.integers(0, 1000), piece=st.integers(1, 512))

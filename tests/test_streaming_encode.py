@@ -174,18 +174,6 @@ class TestSZStreamEncoders:
         assert b"".join(compressor.stream_encoder().chunks(data)) \
             == compressor.compress(data)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("workers", [1, 4])
-    def test_backend_worker_matrix(self, backend, workers):
-        rng = np.random.default_rng(13)
-        data = np.cumsum(rng.normal(0, 0.01, 6000)).astype(np.float32)
-        compressor = SZ2Compressor(error_bound=1e-2, entropy_chunk=256,
-                                   entropy_workers=workers,
-                                   entropy_backend=backend)
-        reference = SZ2Compressor(error_bound=1e-2, entropy_chunk=256)
-        assert b"".join(compressor.stream_encoder().chunks(data)) \
-            == reference.compress(data)
-
 
 class TestQuantizerScratchRewrite:
     """The out=/where= rewrite of LinearQuantizer.quantize is bit-identical
@@ -299,8 +287,7 @@ class TestStreamingStateEncoder:
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("workers", [1, 4])
     def test_backend_worker_matrix(self, backend, workers):
-        config = FedSZConfig(backend=backend, pipeline_workers=workers,
-                             entropy_workers=workers)
+        config = FedSZConfig(backend=backend, pipeline_workers=workers)
         state = _model_state()
         assert b"".join(FedSZCompressor(config).compress_stream(state)) \
             == FedSZCompressor(FedSZConfig()).compress_state_dict(state)
