@@ -5,10 +5,10 @@ server side one process decodes million-parameter updates from many clients
 per round.  This benchmark reproduces that workload on real model tensors: a
 trained-looking state dict is quantized exactly as SZ2 would (linear
 quantization of the residual against a mean predictor), each weight tensor's
-quantization codes are Huffman-encoded into the chunked version-3 bitstream,
+quantization codes are Huffman-encoded into the chunked HUF4 tuple stream,
 and the decode side is timed two ways —
 
-* ``reference``: the per-symbol scalar loop (``_decode_scalar``) over the
+* ``reference``: the per-tuple scalar loop (``_decode_scalar``) over the
   whole stream,
 * ``default``: :meth:`HuffmanCoder.decode` — the whole stream in-thread, the
   vectorized row walk from ``_MIN_VECTOR_CHUNKS`` chunks up and the scalar
@@ -17,7 +17,7 @@ and the decode side is timed two ways —
 Both must return bit-identical symbol arrays; the default path must be
 at least ``--min-speedup`` (default 3x) faster than the reference in
 aggregate.  ``--smoke`` runs the repo's CPU-scaled ``resnet50`` (~214K
-symbols, widest stream 36 chunks) without the timing assertion so CI
+symbols) without the timing assertion so CI
 exercises every decode path on every Python version; it fails unless one of
 its streams has enough chunks for the vectorized walk.
 
@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import argparse
 import os
-import struct
 import sys
 import time
 from pathlib import Path
@@ -45,7 +44,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from bench_utils import save_results, trained_like_state
 from repro.compressors.huffman import (
     _MIN_VECTOR_CHUNKS,
-    DEFAULT_CHUNK_SYMBOLS,
+    DEFAULT_CHUNK_TUPLES,
     HuffmanCoder,
     _decode_reference,
 )
@@ -72,21 +71,30 @@ def tensor_symbol_streams(state: dict[str, np.ndarray], rel_bound: float,
     return streams
 
 
+def _expect_count(count: int):
+    """A ``check_count`` that accepts only ``count`` declared symbols."""
+    def check(declared: int) -> None:
+        if declared != count:
+            raise ValueError(f"stream declares {declared} symbols, expected {count}")
+    return check
+
+
 def bench_entropy(model: str, chunk: int, rel_bound: float,
                   repeats: int, min_speedup: float | None,
                   model_kwargs: dict | None = None) -> int:
     state = trained_like_state(model, **(model_kwargs or {}))
     streams = tensor_symbol_streams(state, rel_bound)
     coder = HuffmanCoder(chunk_size=chunk)
-    decoders = {"reference": _decode_reference, "default": coder.decode}
+    decoders = {"reference": lambda payload, count: _decode_reference(payload),
+                "default": lambda payload, count: coder.decode(payload, _expect_count(count))}
 
-    table = Table(f"Chunked Huffman decode - {model}, chunk cap {chunk}, "
+    table = Table(f"Chunked Huffman decode - {model}, chunk cap {chunk} tuples, "
                   f"cpu_count {os.cpu_count()}",
-                  ["tensor", "symbols", "chunks", "payload (KB)", "reference (ms)",
+                  ["tensor", "symbols", "k", "chunks", "payload (KB)", "reference (ms)",
                    "default (ms)", "speedup"])
     record = ExperimentRecord("entropy",
                               "chunked Huffman decode: the default in-thread "
-                              "decode (vectorized row walk) vs the per-symbol "
+                              "decode (vectorized row walk) vs the per-tuple "
                               "scalar reference")
 
     totals = dict.fromkeys(decoders, 0.0)
@@ -94,30 +102,30 @@ def bench_entropy(model: str, chunk: int, rel_bound: float,
     widest = 0
     for name, symbols in streams:
         payload = coder.encode(symbols)
-        # the HUF3 chunk count: the u32 after magic, CRC, alphabet, count, chunk size
-        n_chunks = struct.unpack_from("<I", payload, 24)[0]
+        header = HuffmanCoder._parse(payload, None)
+        n_chunks = header.bit_offsets.size
         widest = max(widest, n_chunks)
         seconds = {}
         for label, decode in decoders.items():
             best = float("inf")
             for _ in range(repeats):
                 start = time.perf_counter()
-                decoded = decode(payload)
+                decoded = decode(payload, symbols.size)
                 best = min(best, time.perf_counter() - start)
             np.testing.assert_array_equal(decoded, symbols)
             seconds[label] = best
             totals[label] += best
         total_syms += symbols.size
-        table.add_row(name, symbols.size, n_chunks, f"{len(payload) / 1e3:.1f}",
+        table.add_row(name, symbols.size, header.k, n_chunks, f"{len(payload) / 1e3:.1f}",
                       *(f"{seconds[label] * 1e3:.1f}" for label in decoders),
                       f"{seconds['reference'] / seconds['default']:.2f}x")
-        record.add(tensor=name, symbols=int(symbols.size), chunks=n_chunks,
+        record.add(tensor=name, symbols=int(symbols.size), k=header.k, chunks=n_chunks,
                    payload_bytes=len(payload),
                    reference_seconds=seconds["reference"],
                    default_seconds=seconds["default"])
 
     speedup = totals["reference"] / totals["default"] if totals["default"] else float("inf")
-    table.add_row("TOTAL", total_syms, "", "",
+    table.add_row("TOTAL", total_syms, "", "", "",
                   *(f"{totals[label] * 1e3:.1f}" for label in decoders),
                   f"{speedup:.2f}x")
     record.add(model=model, chunk=chunk, cpu_count=os.cpu_count(),
@@ -144,8 +152,8 @@ def main(argv: "list[str] | None" = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--model", default="resnet50",
                         help="model whose state dict supplies the tensors")
-    parser.add_argument("--chunk", type=int, default=DEFAULT_CHUNK_SYMBOLS,
-                        help="max symbols per Huffman chunk")
+    parser.add_argument("--chunk", type=int, default=DEFAULT_CHUNK_TUPLES,
+                        help="max tuples per Huffman chunk")
     parser.add_argument("--bound", type=float, default=1e-2,
                         help="relative error bound used for quantization")
     parser.add_argument("--repeats", type=int, default=2,

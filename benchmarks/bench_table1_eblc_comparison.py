@@ -140,6 +140,11 @@ def bench_table1_eblc_comparison(benchmark):
         return np.mean([r["ratio"] for r in rows if r["compressor"] == comp and r["bound"] == 1e-2])
 
     assert mean_ratio("sz2") > mean_ratio("zfp"), "SZ2 should out-compress ZFP on weights"
+    ratios = {(r["model"], r["compressor"], r["bound"]): r["ratio"] for r in rows}
+    for model_name in PAPER_MODELS:
+        for bound in ERROR_BOUNDS:
+            assert ratios[model_name, "sz2", bound] >= ratios[model_name, "sz3", bound], \
+                f"SZ2 should out-compress SZ3 on {model_name} at {bound:g}"
     sz2_rt = np.mean([r["runtime_s"] for r in rows if r["compressor"] == "sz2"])
     szx_rt = np.mean([r["runtime_s"] for r in rows if r["compressor"] == "szx"])
     assert szx_rt < sz2_rt, "SZx should be the fastest compressor"

@@ -38,6 +38,7 @@ HEADLINE_KEYS: dict[str, list[str]] = {
     "selection": ["agreement_factor", "plan_crossover_mbps",
                   "analytic_crossover_mbps"],
     "table1": ["ratio", "accuracy", "baseline_accuracy"],
+    "fig2": ["smooth_growth_max", "smooth_ratio_min"],
     "fig7": ["total_speedup", "transfer_speedup"],
     "fig9": ["speedup"],
 }

@@ -76,7 +76,7 @@ def _add_backend_argument(parser: argparse.ArgumentParser) -> None:
 def _add_entropy_arguments(parser: argparse.ArgumentParser) -> None:
     """Knobs of the SZ2/SZ3 chunked Huffman entropy stage."""
     parser.add_argument("--entropy-chunk", type=int, default=FedSZConfig.entropy_chunk,
-                        help="max symbols per independently-decodable Huffman chunk")
+                        help="max symbol tuples per independently-decodable Huffman chunk")
 
 
 def _add_plan_arguments(parser: argparse.ArgumentParser) -> None:

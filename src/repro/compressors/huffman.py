@@ -1,246 +1,344 @@
-"""Chunked canonical Huffman coding of integer symbol streams.
+"""Chunked canonical Huffman coding of integer symbol streams, over tuples.
 
-SZ2 and SZ3 entropy-code their quantization indices with Huffman before the
-final lossless stage.  This module provides a self-contained canonical Huffman
-coder over non-negative integer symbols:
+SZ2 and SZ3 entropy-code their quantization indices with this coder, and its
+stream is the last stage of their bodies: no lossless pass follows it.  The
+coder
 
-* tree construction with :mod:`heapq` on the symbol histogram,
-* code lengths limited to :data:`MAX_CODE_LENGTH` bits (package-merge style
-  rebalancing by clamping and re-normalizing Kraft mass),
-* vectorized encoding (every code scattered into the byte field at its
-  cumulative bit offset, see :func:`_pack_codes`),
-* table-driven decoding (a flat lookup table indexed by ``MAX_CODE_LENGTH``-bit
-  windows, the classic fast canonical decoder).
+* finds the used symbol range ``[lo, lo + W)`` and groups the stream into
+  ``k``-symbol tuples, with ``k`` picked per stream from ``W`` alone (the
+  tuple rule below),
+* builds one Huffman code over the used tuples, limits it to
+  :data:`MAX_CODE_LENGTH` bits (:func:`_code_lengths`) and assigns canonical
+  codes,
+* scatters every code into the byte field at its cumulative bit offset
+  (:func:`_pack_codes`),
+* decodes through flat tables indexed by ``MAX_CODE_LENGTH``-bit windows.
 
-Bitstream format (version 3)
-----------------------------
+Coding ``k``-symbol blocks spends under ``H + 1/k`` bits per symbol (Cover &
+Thomas, *Elements of Information Theory*, section 5.4), which matters for
+quantization codes whose most frequent symbol has ``p`` near 0.4, and the
+decoder's row walk yields ``k`` symbols per step.
 
-The symbol stream is split into fixed-size chunks that share one global code
-table but are *independently decodable*: a per-chunk ``(bit_offset,
-symbol_count)`` index in the header lets the decoder enter the bitstream at
-any chunk boundary.  All integers little-endian::
+Bitstream format (HUF4)
+-----------------------
 
-    4s    magic b"HUF3"
+All integers little-endian; bits and nibbles MSB-first::
+
+    4s    magic b"HUF4"
     u32   CRC-32 of everything after this field
-    u32   alphabet size A
-    u64   total symbol count
-    u32   chunk size (symbols per full chunk)
-    u32   number of chunks
-    u8[A] per-symbol code lengths (0 = unused symbol)
-    per chunk: u64 bit offset, u64 symbol count
-    u64   total bit count
-    u8[]  packed code bits (MSB-first)
+    u32   lo, the smallest symbol
+    u32   W, the used symbol range: every symbol lies in [lo, lo + W)
+    u8    k, symbols per tuple
+    u64   n, the symbol count
+    u32   tuples per full chunk
+    u32   chunk count
+    u8[ceil(W**k / 8)]  tuple bitmap: bit t is set when tuple t is used
+    u8[ceil(U / 2)]     per used tuple, in tuple order, its code length
+                        minus 1 in a nibble (U used tuples; absent when U == 1)
+    u32[chunks]         bit length of each chunk
+    u8[]                packed code bits
 
-The chunk index is what makes the decode side vectorizable.  All chunks
-decode simultaneously, in the calling thread, as one vectorized NumPy "row
-walk": each step advances every chunk's bit cursor by one decoded symbol, so
-the sequential dependency only spans a chunk, not the stream.  A step is
-three same-dtype NumPy calls (gather the windows under the cursors into one
-whole-stream ``uint16`` record, gather their ``int64`` code lengths, add),
-and the symbols come out of one contiguous ``int32`` gather through the
-record after the walk.  Both lookup tables come from one LRU cache keyed by
-the code-length table; the symbol table marks unused windows with -1.
+Tuple ``t`` of symbols ``s_0 .. s_{k-1}`` is ``sum (s_i - lo) * W**(k-1-i)``.
+The stream holds ``T = ceil(n / k)`` tuples and the last one is padded with
+``lo``.  A stream with one used tuple carries no code bits, so its chunks are
+zero bits long; the encoder makes it one chunk.  Every chunk but the last
+holds the same number of tuples, so chunk offsets and tuple counts are
+derived, not stored.
 
-A stream (or a streaming burst) of fewer than :data:`_MIN_VECTOR_CHUNKS`
-chunks is too narrow to pay for the walk's per-step overhead and runs the
-per-symbol scalar loop instead; both kernels return identical symbols and
-reject identical streams.
+**Tuple rule.**  ``k`` is 1 or ``kmax(W)``, the largest ``k`` with ``W**k <=``
+:data:`_TUPLE_ALPHABET` (1 when ``W`` is 1 or past that alphabet), which keeps
+a tuple bitmap with ``k >= 2`` at 512 bytes or less.  The encoder prices
+both exactly from one ``kmax`` tuple histogram (the ``k = 1`` histogram is
+the sum of its marginals minus the pad) and weighs bytes against decode
+steps: it keeps ``kmax`` unless singles save more than a byte per
+:data:`_STEPS_PER_BYTE` tuples that ``kmax`` spares the decoder.  The
+decoder rejects any ``k`` but these two.
+
+The chunks share one code table but decode independently.  All chunks decode
+at once, in the calling thread, as one vectorized NumPy "row walk": each step
+advances every chunk's bit cursor by one tuple with three same-dtype calls
+(gather the windows under the cursors into one whole-stream ``uint16``
+record, gather their ``int64`` code lengths, add).  After the walk one
+``int32`` gather maps the record to used-tuple ranks and one gather through a
+``(U, k)`` symbol table widens them into the ``int64`` output (for ``k = 1``
+the window table holds the symbols, so the widening is a copy).  The lookup
+tables are built once per stream; unused windows hold -1.  A stream (or a streaming burst) of fewer than
+:data:`_MIN_VECTOR_CHUNKS` chunks runs the scalar loop instead; both kernels
+return identical symbols and reject identical streams.
 
 A corrupted or truncated payload always raises :class:`ValueError`: every
-header field is bounds-checked, the CRC covers the whole payload, an unused
-lookup-table window (a code that exists in no symbol's prefix set) is
-detected, and every chunk must decode to exactly its recorded boundary.
-
-The encoded payload is self-describing: it stores the code-length table so the
-decoder needs no side channel.
+header field is checked (``k`` against the rule, the chunk count against the
+geometry, no bitmap bit at or past ``W**k``, each chunk between 1 and
+:data:`MAX_CODE_LENGTH` bits per tuple), the CRC covers the whole payload, an
+unused window is detected, every chunk must decode to exactly its boundary,
+the pad must be ``lo``, and no byte may follow the code bits.  A one-tuple
+stream spends no code bits, so nothing in a short payload bounds the count
+it declares: both decode surfaces therefore take a required
+``check_count``, the caller's rule for that count, and run it before
+anything is sized by the count.
 """
 
 from __future__ import annotations
 
-import functools
-import heapq
 import struct
 import zlib
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from repro.utils.bitstream import StreamBuffer
 
 __all__ = ["HuffmanCoder", "ChunkBandConsumer", "ChunkBandProducer",
-           "MAX_CODE_LENGTH", "DEFAULT_CHUNK_SYMBOLS"]
+           "MAX_CODE_LENGTH", "DEFAULT_CHUNK_TUPLES"]
 
 #: Longest permitted codeword.  16 keeps the decode lookup table at 64K entries.
 MAX_CODE_LENGTH = 16
 
-#: Default (and cap) for symbols per chunk.  Streams much smaller than
-#: ``DEFAULT_CHUNK_SYMBOLS * _TARGET_CHUNKS`` get proportionally smaller chunks
+#: Default (and cap) for tuples per chunk.  Streams much smaller than
+#: ``DEFAULT_CHUNK_TUPLES * _TARGET_CHUNKS`` get proportionally smaller chunks
 #: so the vectorized decoder still sees enough chunks to amortize per-step
 #: dispatch overhead across a wide row.
-DEFAULT_CHUNK_SYMBOLS = 1 << 16
+DEFAULT_CHUNK_TUPLES = 1 << 16
+
+#: Chunk bit lengths are u32 and a chunk spends at most 16 bits per tuple.
+_MAX_CHUNK_TUPLES = (1 << 32) // MAX_CODE_LENGTH - 1
 
 #: The encoder aims for about this many chunks per stream (bounded by
-#: ``chunk_size`` above and ``_MIN_CHUNK_SYMBOLS`` below).  More chunks mean a
-#: wider vectorized row walk; fewer chunks mean less per-chunk index overhead
-#: (16 bytes each).
+#: ``chunk_size`` above and ``_MIN_CHUNK_TUPLES`` below).  More chunks mean a
+#: wider vectorized row walk; fewer chunks mean fewer 4-byte chunk lengths.
 _TARGET_CHUNKS = 512
-_MIN_CHUNK_SYMBOLS = 1024
+_MIN_CHUNK_TUPLES = 1024
+
+#: The largest tuple alphabet ``W**k`` the encoder codes with ``k >= 2``.
+#: Exact HUF4 bytes summed over the Huffman streams of one unit of each
+#: benchmark workload (seed 102, 2-core host): the 58 lossy tensors of the
+#: paper-scale ResNet-50 pass (23.5M codes, all W = 51) and the 112 residual
+#: streams of a 4-round AlexNet delta run (9.6M codes, W from 3 to 51).
+#: Limit 256: 7.9825 / 2.0280 MB (W = 51 codes singles only); 1024: 7.9825 /
+#: 2.0090 MB; 4096: 7.9837 / 1.9967 MB (39 of the 58 W = 51 streams take
+#: pairs, 1.2 KB for half their decode steps, see :data:`_STEPS_PER_BYTE`);
+#: 16384: 7.9837 / 2.0323 MB (W = 3 takes 8-tuples, whose 821-byte bitmaps
+#: cost more than they save).  Producer build time is flat across limits.
+_TUPLE_ALPHABET = 4096
+
+#: ``k = kmax`` decodes ``ceil(n / k)`` tuples where singles decode ``n``, so
+#: the encoder keeps ``kmax`` unless singles make the stream smaller by more
+#: than one byte per this many decode steps they cost.  Exact bytes and
+#: Huffman decode time (best of 3, 2-core host) over the streams named at
+#: ``_TUPLE_ALPHABET`` (ResNet-50 pass / AlexNet delta run): bytes only
+#: 7.9741 / 1.9967 MB, 537 / 258 ms; 1024 steps per byte 7.9745 / 1.9967 MB,
+#: 530 / 258 ms; 512: 7.9829 MB, 452 ms; 128: 7.9837 / 1.9967 MB, 451 / 258
+#: ms; 16: 7.9875 / 2.0053 MB; always ``kmax``: 7.9897 / 2.0153 MB, 443 /
+#: 249 ms.  The large ResNet-50 streams pay ~300 B of tuple table to save
+#: ~200K decode steps each, so they flip between 512 and 1024; 128 leaves a
+#: 4x margin and keeps every delta stream's bytes-only choice.  Always
+#: ``kmax`` would code short streams in tuples too, whose tables cost more
+#: than they save (the 400-value Miranda-like slices grow 14-52%).
+_STEPS_PER_BYTE = 128
 
 #: Below this many chunks the vectorized row walk is narrower than its own
 #: per-step dispatch overhead, and :func:`_decode_scalar` runs instead.  The
-#: scalar loop costs ~0.1 us per symbol plus ~0.1 ms per stream; the walk
+#: scalar loop costs ~0.1 us per tuple plus ~0.1 ms per stream; the walk
 #: 1.3-3 us per step, nearly flat in the chunk count up to ~32 chunks.
-#: Scalar time over walk time, medians of 21 interleaved runs, SZ2 codes of
-#: a ResNet-50 conv tensor at the encoder's 1024-symbol chunks, 2-core x86
-#: host (range over three runs; the host has fast and slow phases): 1 chunk
-#: 0.06-0.07 (0.2 vs 3.5 ms), 2 chunks 0.09-0.15, 4 chunks 0.28-0.34,
-#: 8 chunks 0.53-0.64, 12 chunks 0.78-0.93, 14 chunks 0.89-1.07, 16 chunks
-#: 0.98-1.20, 24 chunks 1.45-1.73, 32 chunks 1.83-2.05.
+#: Scalar time over walk time, medians of 21 runs, SZ2 codes of a ResNet-50
+#: conv tensor at 1024 tuples per chunk, 2-core x86 host (range over three
+#: runs; the host has fast and slow phases), k = 1: 1 chunk 0.06-0.07, 4
+#: chunks 0.27-0.37, 8 chunks 0.34-0.56, 12 chunks 0.81-1.52, 16 chunks
+#: 0.95-1.26, 24 chunks 1.70-2.17, 32 chunks 1.71-2.48; k = 2: 8 chunks
+#: 0.72-0.75, 12 chunks 0.81-1.09, 16 chunks 1.20-1.56, 24 chunks 1.88-3.40.
 _MIN_VECTOR_CHUNKS = 16
 
-#: Symbols :meth:`ChunkBandProducer.bands` packs per group of whole chunks
+#: Tuples :meth:`ChunkBandProducer.bands` packs per group of whole chunks
 #: (one chunk when a chunk is larger), which bounds the packing scratch.
-_PACK_GROUP_SYMBOLS = 1 << 16
+_PACK_GROUP_TUPLES = 1 << 16
 
-_MAGIC = b"HUF3"
-_HEADER = struct.Struct("<IQII")  # alphabet, count, chunk_size, n_chunks
-_PREFIX_LEN = 8                   # magic + crc32
+_MAGIC = b"HUF4"
+_HEADER = struct.Struct("<IIBQII")  # lo, W, k, count, tuples per chunk, chunks
+_PREFIX_LEN = 8                     # magic + crc32
+_FIXED_LEN = _PREFIX_LEN + _HEADER.size
 
 
-def _build_code_lengths(frequencies: np.ndarray) -> np.ndarray:
-    """Return per-symbol code lengths from a frequency histogram.
+def _tuple_sizes(width: int) -> "tuple[int, ...]":
+    """The tuple sizes a stream over ``width`` used symbols may take.
 
-    Standard Huffman construction; lengths exceeding :data:`MAX_CODE_LENGTH`
-    are clamped and the length table re-normalized so the Kraft inequality
-    still holds (a slight loss of optimality, never of correctness).
+    ``(1,)`` when ``kmax(width)`` is 1, else ``(1, kmax)``: ``kmax`` is the
+    largest ``k`` with ``width ** k <= _TUPLE_ALPHABET``.
     """
-    symbols = np.flatnonzero(frequencies)
-    lengths = np.zeros(frequencies.size, dtype=np.int64)
-    if symbols.size == 0:
-        return lengths
-    if symbols.size == 1:
-        lengths[symbols[0]] = 1
-        return lengths
+    k = 1
+    if width >= 2:
+        while width ** (k + 1) <= _TUPLE_ALPHABET:
+            k += 1
+    return (1,) if k == 1 else (1, k)
 
-    # heap entries: (freq, tiebreak, node) where node is a symbol or [left, right]
-    counter = 0
-    heap: list[tuple[int, int, object]] = []
-    for sym in symbols:
-        heap.append((int(frequencies[sym]), counter, int(sym)))
-        counter += 1
-    heapq.heapify(heap)
-    while len(heap) > 1:
-        f1, _, n1 = heapq.heappop(heap)
-        f2, _, n2 = heapq.heappop(heap)
-        heapq.heappush(heap, (f1 + f2, counter, (n1, n2)))
-        counter += 1
 
-    # depth-first traversal assigning depths
-    stack = [(heap[0][2], 0)]
-    while stack:
-        node, depth = stack.pop()
-        if isinstance(node, tuple):
-            stack.append((node[0], depth + 1))
-            stack.append((node[1], depth + 1))
+def _code_lengths(freq: np.ndarray) -> np.ndarray:
+    """Huffman code lengths for positive frequencies, at most 16 bits.
+
+    The tree is built by the two-queue method over the sorted frequencies
+    (van Leeuwen): merged nodes are created in non-decreasing weight order,
+    so the two lightest nodes are always at the heads of the leaf queue and
+    the merged queue, with leaves first on ties.  A lone entry gets length 0,
+    as it needs no bits.  A tree deeper than :data:`MAX_CODE_LENGTH` is
+    flattened the way JPEG's ``adjust_BITS`` does it, on the count of codes
+    per length: two codes at the deepest level become one a level up, and
+    the shallowest code below them moves a level down beside the other.  The
+    Kraft sum stays exactly 1, and the new lengths go to the entries in order
+    of falling frequency.
+    """
+    n = freq.size
+    if n == 1:
+        return np.zeros(1, dtype=np.int64)
+    if n > 1 << MAX_CODE_LENGTH:
+        raise ValueError(f"{n} distinct tuples need codes past {MAX_CODE_LENGTH} bits")
+    order = np.argsort(freq, kind="stable")
+    # both queues end in a weight no node reaches, so neither runs dry
+    sentinel = int(freq.sum()) + 1
+    leaves = freq[order].tolist() + [sentinel]
+    merged = [sentinel] * n
+    parent = [0] * (2 * n - 1)
+    leaf = head = 0
+    for m in range(n - 1):
+        node = n + m
+        if leaves[leaf] <= merged[head]:
+            weight = leaves[leaf]
+            parent[leaf] = node
+            leaf += 1
         else:
-            lengths[node] = max(depth, 1)
-
-    if lengths.max() <= MAX_CODE_LENGTH:
+            weight = merged[head]
+            parent[n + head] = node
+            head += 1
+        if leaves[leaf] <= merged[head]:
+            weight += leaves[leaf]
+            parent[leaf] = node
+            leaf += 1
+        else:
+            weight += merged[head]
+            parent[n + head] = node
+            head += 1
+        merged[m] = weight
+    depth = [0] * (2 * n - 1)
+    for child in range(2 * n - 3, -1, -1):
+        depth[child] = depth[parent[child]] + 1
+    lengths = np.empty(n, dtype=np.int64)
+    lengths[order] = depth[:n]
+    deepest = int(lengths.max())
+    if deepest <= MAX_CODE_LENGTH:
         return lengths
-
-    # Clamp over-long codes and restore the Kraft inequality by lengthening the
-    # shortest codes until sum(2^-len) <= 1 again.
-    lengths[lengths > MAX_CODE_LENGTH] = MAX_CODE_LENGTH
-    used = np.flatnonzero(lengths)
-
-    def kraft(ls: np.ndarray) -> float:
-        return float(np.sum(2.0 ** (-ls[used].astype(np.float64))))
-
-    while kraft(lengths) > 1.0:
-        # lengthen the currently shortest codeword (cheapest in extra bits)
-        candidates = used[lengths[used] < MAX_CODE_LENGTH]
-        if candidates.size == 0:
-            raise RuntimeError("cannot satisfy Kraft inequality within MAX_CODE_LENGTH")
-        target = candidates[np.argmin(lengths[candidates])]
-        lengths[target] += 1
+    per_length = np.bincount(lengths, minlength=deepest + 1).tolist()
+    for level in range(deepest, MAX_CODE_LENGTH, -1):
+        while per_length[level]:
+            up = level - 2
+            while not per_length[up]:
+                up -= 1
+            per_length[level] -= 2
+            per_length[level - 1] += 1
+            per_length[up + 1] += 2
+            per_length[up] -= 1
+    order = np.lexsort((np.arange(n), -freq))
+    lengths[order] = np.repeat(np.arange(MAX_CODE_LENGTH + 1),
+                               per_length[:MAX_CODE_LENGTH + 1])
     return lengths
 
 
-def _canonical_codes(lengths: np.ndarray) -> np.ndarray:
-    """Assign canonical code values given per-symbol lengths (0 = unused)."""
-    codes = np.zeros(lengths.size, dtype=np.uint32)
-    used = np.flatnonzero(lengths)
-    if used.size == 0:
-        return codes
-    # canonical order: by (length, symbol)
-    order = used[np.lexsort((used, lengths[used]))]
-    code = 0
-    prev_len = int(lengths[order[0]])
-    for sym in order:
-        length = int(lengths[sym])
-        code <<= length - prev_len
-        codes[sym] = code
-        code += 1
-        prev_len = length
-    return codes
+def _canonical(lengths: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
+    """``(order, left)``: used tuples in canonical (length, rank) order and
+    their codes left-aligned to :data:`MAX_CODE_LENGTH` bits.
+
+    Canonical codes in that order are the running Kraft sums, so each code's
+    window range ``[left, left + 2**(16 - length))`` abuts the previous one.
+    """
+    order = np.lexsort((np.arange(lengths.size), lengths))
+    spans = np.int64(1) << (MAX_CODE_LENGTH - lengths[order])
+    return order, np.cumsum(spans) - spans
 
 
 def _corrupt(detail: str) -> ValueError:
     return ValueError(f"corrupt Huffman stream: {detail}")
 
 
-def _require(payload: bytes, offset: int, needed: int, what: str) -> None:
-    """Raise ``ValueError`` unless ``needed`` bytes remain at ``offset``."""
-    if needed < 0 or offset + needed > len(payload):
-        raise _corrupt(f"{what} needs {needed} bytes at offset {offset}, "
-                       f"but only {max(len(payload) - offset, 0)} remain")
+def _used_tuples(bitmap: np.ndarray, size: int) -> np.ndarray:
+    """The set bits of ``bitmap`` (MSB-first), which must all lie below ``size``.
 
-
-def _build_decode_tables(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Flat ``(code length, symbol)`` tables over all 16-bit windows.
-
-    Canonical codes are assigned in (length, symbol) order, which makes the
-    per-code window ranges ``[code << pad, (code + 1) << pad)`` abut exactly
-    starting at 0 — each table is one :func:`numpy.repeat` call.  Window
-    values past the covered range (possible when Kraft mass was clamped away)
-    are unused: length 0 and symbol -1, the decoder's "no such code" trap.
-    Lengths are ``int64`` so the row walk advances its ``int64`` cursors with
-    a same-dtype add; symbols are ``int32`` (``int64`` only for an alphabet
-    past ``int32``), which halves the table the symbol gather reads.
+    Only the non-zero bytes are unpacked, and more of them than 16-bit codes
+    can cover is rejected before any index array is built.
     """
-    used = np.flatnonzero(lengths)
+    nonzero = np.flatnonzero(bitmap)
+    if nonzero.size > 1 << MAX_CODE_LENGTH:
+        raise _corrupt("more used tuples than 16-bit codes can tell apart")
+    rows, cols = np.nonzero(np.unpackbits(bitmap[nonzero]).reshape(-1, 8))
+    used = nonzero[rows] * 8 + cols
     if used.size == 0:
-        raise _corrupt("empty code-length table for a non-empty stream")
-    if int(lengths[used].max()) > MAX_CODE_LENGTH:
-        raise _corrupt(f"code length exceeds {MAX_CODE_LENGTH}")
-    order = used[np.lexsort((used, lengths[used]))]
-    spans = np.int64(1) << (MAX_CODE_LENGTH - lengths[order])
-    covered = int(spans.sum())
-    if covered > (1 << MAX_CODE_LENGTH):
-        raise _corrupt("code-length table violates the Kraft inequality")
-    sym_dtype = np.int32 if lengths.size <= 1 << 31 else np.int64
-    table_len = np.zeros(1 << MAX_CODE_LENGTH, dtype=np.int64)
-    table_sym = np.full(1 << MAX_CODE_LENGTH, -1, dtype=sym_dtype)
-    table_len[:covered] = np.repeat(lengths[order], spans)
-    table_sym[:covered] = np.repeat(order.astype(sym_dtype), spans)
-    return table_len, table_sym
+        raise _corrupt("the tuple bitmap marks no tuple")
+    if used.size > 1 << MAX_CODE_LENGTH:
+        raise _corrupt("more used tuples than 16-bit codes can tell apart")
+    if used[-1] >= size:
+        raise _corrupt(f"the tuple bitmap marks tuple {used[-1]} of {size}")
+    return used
 
 
-@functools.lru_cache(maxsize=128)
-def _decode_tables_cached(length_table: bytes) -> tuple[np.ndarray, np.ndarray]:
-    """Memoized :func:`_build_decode_tables` keyed by the raw length-table bytes.
+def _bitmap_bytes(width: int, k: int) -> int:
+    return -(-(width ** k) // 8)
 
-    A streaming consumer decodes one stream in several bursts against one
-    table, and streams whose code tables match share one entry, so the two
-    ``np.repeat`` calls run once per distinct table instead of once per
-    burst.  The cached arrays are marked read-only because they are shared
-    across callers.
+
+def _length_bytes(used: int) -> int:
+    return (used + 1) // 2 if used > 1 else 0
+
+
+def _decode_tables(lo: int, width: int, k: int, code_table: bytes
+                   ) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+    """``(code lengths, values, symbols)``: the decode tables of a code table.
+
+    ``code_table`` is the stream's tuple bitmap and length nibbles.  The
+    first two tables cover all 16-bit windows: ``int64``
+    code lengths, so the row walk advances its ``int64`` cursors with a
+    same-dtype add, and ``int32`` values, -1 (length 0) for a window no code
+    covers.  A value is the window's used-tuple rank into the third table,
+    the ``(U, k)`` ``int64`` symbols; for ``k = 1`` that gather is folded in
+    and the value is the symbol itself (``int64`` only past ``int32``),
+    which saves the walk a widening pass.  Each stream's header parse builds
+    them once (0.2 ms for a ResNet-50 tensor's table) and a streaming
+    consumer keeps them for all its bursts.  Tuple codes make matching tables
+    rare across streams: an LRU of them kept 89 distinct 768 KB entries
+    through one AlexNet delta run (68 MB) against the singles-only format's
+    33.
     """
-    lengths = np.frombuffer(length_table, dtype=np.uint8).astype(np.int64)
-    table_len, table_sym = _build_decode_tables(lengths)
-    table_len.setflags(write=False)
-    table_sym.setflags(write=False)
-    return table_len, table_sym
+    map_len = _bitmap_bytes(width, k)
+    used = _used_tuples(np.frombuffer(code_table, dtype=np.uint8, count=map_len),
+                        width ** k)
+    symbols = np.empty((used.size, k), dtype=np.int64)
+    rest = used.copy()
+    for i in range(k - 1, -1, -1):
+        rest, symbols[:, i] = np.divmod(rest, width)
+    symbols += lo
+    value_dtype = np.int32 if k > 1 or lo + width <= 1 << 31 else np.int64
+    if used.size == 1:  # no code bits: the tables are never read
+        return np.zeros(1, dtype=np.int64), np.zeros(1, dtype=value_dtype), symbols
+    nibbles = np.frombuffer(code_table, dtype=np.uint8, offset=map_len)
+    lengths = np.empty(2 * nibbles.size, dtype=np.int64)
+    lengths[0::2] = nibbles >> 4
+    lengths[1::2] = nibbles & 15
+    if used.size % 2 and lengths[-1]:
+        raise _corrupt("the length table's pad nibble is not zero")
+    lengths = lengths[:used.size] + 1
+    order, left = _canonical(lengths)
+    spans = np.int64(1) << (MAX_CODE_LENGTH - lengths[order])
+    uncovered = (1 << MAX_CODE_LENGTH) - int(left[-1] + spans[-1])
+    if uncovered < 0:
+        raise _corrupt("code-length table violates the Kraft inequality")
+    # the windows past the last code (a Kraft-incomplete table) get length 0
+    # and value -1
+    spans = np.append(spans, uncovered)
+    table_len = np.repeat(np.append(lengths[order], 0), spans)
+    values = symbols[order, 0] if k == 1 else order
+    table_value = np.repeat(np.append(values, -1).astype(value_dtype), spans)
+    return table_len, table_value, symbols
+
+
+def _widen(values: np.ndarray, symbols: np.ndarray) -> np.ndarray:
+    """The ``(n, k)`` symbols of ``n`` window-table values."""
+    if symbols.shape[1] == 1:
+        return values[..., None]
+    return symbols.take(values, axis=0, mode="clip")
 
 
 def _bit_windows(bit_bytes: np.ndarray) -> np.ndarray:
@@ -248,9 +346,9 @@ def _bit_windows(bit_bytes: np.ndarray) -> np.ndarray:
 
     Row ``i`` of the ``(n_bytes, 8)`` matrix holds the windows starting in
     byte ``i``, so the flat index of the window at bit ``p`` is ``p`` itself
-    and the row walk gathers it with a single ``take``.  Column ``k`` is the
+    and the row walk gathers it with a single ``take``.  Column ``c`` is the
     24-bit big-endian field of bytes ``i`` to ``i + 2`` shifted right by
-    ``8 - k``; one contiguous shift per column, cast to ``uint16`` (the cast
+    ``8 - c``; one contiguous shift per column, cast to ``uint16`` (the cast
     is the mask) on its way into the strided column, beats one broadcast
     shift over eight-element rows.
     """
@@ -262,34 +360,36 @@ def _bit_windows(bit_bytes: np.ndarray) -> np.ndarray:
     w24 |= padded[2:]
     del padded
     windows = np.empty((n, 8), dtype=np.uint16)
-    for k in range(8):
-        np.right_shift(w24, 8 - k, out=windows[:, k], casting="unsafe")
+    for c in range(8):
+        np.right_shift(w24, 8 - c, out=windows[:, c], casting="unsafe")
     return windows.reshape(-1)
 
 
 def _decode_scalar(bit_bytes: np.ndarray, table_len: np.ndarray,
-                   table_sym: np.ndarray, bit_offsets: np.ndarray,
-                   sym_counts: np.ndarray, chunk_ends: np.ndarray) -> np.ndarray:
-    """Sequential per-symbol decode of consecutive chunks.
+                   table_value: np.ndarray, symbols: np.ndarray,
+                   bit_offsets: np.ndarray, tuple_counts: np.ndarray,
+                   chunk_ends: np.ndarray) -> np.ndarray:
+    """Sequential per-tuple decode of consecutive chunks.
 
     The reference the row walk is tested against, and the faster kernel for
     spans narrower than :data:`_MIN_VECTOR_CHUNKS` chunks.  Per chunk, one
     gather lists the code length at every bit position of the chunk's span;
-    the loop hops from code start to code start through that list, and one
-    more gather turns the starts into symbols.
+    the loop hops from code start to code start through that list, and the
+    starts' window values widen into symbols.
     """
     windows = _bit_windows(bit_bytes)
-    out = np.empty(int(sym_counts.sum()), dtype=np.int64)
+    k = symbols.shape[1]
+    out = np.empty((int(tuple_counts.sum()), k), dtype=np.int64)
     base = 0
     for c in range(bit_offsets.size):
         start, end = int(bit_offsets[c]), int(chunk_ends[c])
-        n_syms = int(sym_counts[c])
+        n_tuples = int(tuple_counts[c])
         local = windows[start:end]
         hops = table_len.take(local).tolist()
-        starts = [0] * n_syms
+        starts = [0] * n_tuples
         pos = 0
         rel_end = end - start
-        for i in range(n_syms):
+        for i in range(n_tuples):
             if pos >= rel_end:
                 raise _corrupt("chunk decoded past its recorded boundary")
             hop = hops[pos]
@@ -299,47 +399,48 @@ def _decode_scalar(bit_bytes: np.ndarray, table_len: np.ndarray,
             pos += hop
         if pos != rel_end:
             raise _corrupt("chunk did not decode to its recorded boundary")
-        out[base:base + n_syms] = table_sym.take(local.take(starts))
-        base += n_syms
-    return out
+        out[base:base + n_tuples] = _widen(table_value.take(local.take(starts)), symbols)
+        base += n_tuples
+    return out.reshape(-1)
 
 
-#: Steps per tile of the copy that widens the walk's step-major symbols into
-#: chunk-major output.  Transposing the whole record at once reads a new
-#: cache line per symbol; a tile of 256 steps (512 KB of ``int32`` symbols at
-#: the encoder's 512-chunk width) stays in cache.  On a record shaped like the
-#: widest ResNet-50 stream's (4608 steps x 512 chunks, 2-core host), gather
-#: plus tiled widening takes 10 ms, against 26 ms for a whole-record
-#: transpose, gather and widening; tiles of 64 to 256 steps are level, 1024
-#: takes 12 ms.
+#: Steps per tile of the gather that widens the walk's step-major window
+#: values into chunk-major symbols.  Widening the whole record at once reads
+#: a new cache line per tuple; a tile of 256 steps (512 KB of ``int32``
+#: values at the encoder's 512-chunk width) stays in cache.  Value gather
+#: plus widening on records shaped like the widest ResNet-50 stream's
+#: (2-core host, medians of 9): k = 1, 4608 steps x 512 chunks, tiles of 64
+#: to 1024 steps 12.5-14.4 ms against 22.6-23.3 ms whole; k = 2, 2304
+#: steps, 7.4-8.6 ms against 16.3 ms whole.
 _TRANSPOSE_STEPS = 256
 
 
 def _decode_band_vectorized(bit_bytes: np.ndarray, table_len: np.ndarray,
-                            table_sym: np.ndarray, bit_offsets: np.ndarray,
-                            sym_counts: np.ndarray,
+                            table_value: np.ndarray, symbols: np.ndarray,
+                            bit_offsets: np.ndarray, tuple_counts: np.ndarray,
                             chunk_ends: np.ndarray) -> np.ndarray:
     """Decode consecutive chunks as a vectorized row walk.
 
-    Every step advances all chunk cursors by one symbol with three NumPy
+    Every step advances all chunk cursors by one tuple with three NumPy
     calls: gather the 16-bit window under each cursor into the step's row of
-    one whole-stream ``(steps, chunks)`` ``uint16`` record (2 B per symbol),
+    one whole-stream ``(steps, chunks)`` ``uint16`` record (2 B per tuple),
     gather the windows' ``int64`` code lengths, and add them to the ``int64``
     cursors.  After the walk the bit windows are freed, one contiguous
-    ``int32`` gather turns the record into symbols (unused windows map to
-    -1), and a tiled transpose widens them once into the chunk-major
-    ``int64`` output.  Every chunk but the last holds the same number of
-    symbols (the HUF3 chunk geometry); a shorter last chunk walks on
-    harmlessly past its end, its surplus symbols are left out of the output
+    ``int32`` gather turns the record into window values (unused windows map
+    to -1), and a tiled gather through the ``(U, k)`` symbol table (a plain
+    copy for ``k = 1``, whose values are the symbols) widens them once into
+    the chunk-major ``int64`` output.  Every chunk but the
+    last holds the same number of tuples; a shorter last chunk walks on
+    harmlessly past its end, its surplus tuples are left out of the output
     and the checks, and its cursor is re-derived from its own windows'
     lengths.  A chunk is corrupt unless it ends exactly on its recorded
-    boundary (checked first) with no unused window among its symbols (an
+    boundary (checked first) with no unused window among its tuples (an
     unused window has length 0, so without that check a chunk that reached
     its end early could stall on the boundary and pass).
     """
     width = bit_offsets.size
-    steps = int(sym_counts[0])
-    tail = int(sym_counts[-1])
+    steps = int(tuple_counts[0])
+    tail = int(tuple_counts[-1])
     windows = _bit_windows(bit_bytes)
     cursors = bit_offsets.astype(np.int64)
     lengths = np.empty(width, dtype=np.int64)
@@ -356,15 +457,16 @@ def _decode_band_vectorized(bit_bytes: np.ndarray, table_len: np.ndarray,
         cursors[-1] = bit_offsets[-1] + int(table_len.take(walked[:tail, -1]).sum())
     if not np.array_equal(cursors, chunk_ends):
         raise _corrupt("chunk did not decode to its recorded boundary")
-    symbols = table_sym.take(walked)
+    values = table_value.take(walked)
     del walked
-    if min(symbols[:, :-1].min(initial=0), symbols[:tail, -1].min()) < 0:
+    if min(values[:, :-1].min(initial=0), values[:tail, -1].min()) < 0:
         raise _corrupt("bit window matches no codeword")
-    out = np.empty((width, steps), dtype=np.int64)
+    k = symbols.shape[1]
+    out = np.empty((width, steps, k), dtype=np.int64)
     for step0 in range(0, steps, _TRANSPOSE_STEPS):
         step1 = step0 + _TRANSPOSE_STEPS
-        out[:, step0:step1] = symbols[step0:step1].T
-    return out.reshape(-1)[:(width - 1) * steps + tail]
+        out[:, step0:step1] = _widen(values[step0:step1].T, symbols)
+    return out.reshape(-1)[:((width - 1) * steps + tail) * k]
 
 
 def _rebase(bit_bytes: np.ndarray, bit_offsets: np.ndarray,
@@ -376,49 +478,115 @@ def _rebase(bit_bytes: np.ndarray, bit_offsets: np.ndarray,
             chunk_ends - (byte0 << 3))
 
 
-def _decode_chunks(bit_bytes: np.ndarray, length_table: bytes,
-                   bit_offsets: np.ndarray, sym_counts: np.ndarray,
+def _decode_chunks(bit_bytes: np.ndarray, tables: "tuple[np.ndarray, ...]",
+                   bit_offsets: np.ndarray, tuple_counts: np.ndarray,
                    chunk_ends: np.ndarray) -> np.ndarray:
     """Decode consecutive chunks in-thread with the kernel that suits them.
 
-    ``bit_offsets``/``chunk_ends`` are bit positions in ``bit_bytes``; the
-    chunks are first rebased onto the zero-copy byte window they span, so a
-    streaming consumer's burst never touches bytes outside it.
+    Returns every symbol of their tuples, pad included.  ``bit_offsets`` and
+    ``chunk_ends`` are bit positions in ``bit_bytes``; the chunks are first
+    rebased onto the zero-copy byte window they span, so a streaming
+    consumer's burst never touches bytes outside it.  A one-tuple code
+    spends no bits, so its chunks are filled, not walked.
     """
+    symbols = tables[2]
+    if symbols.shape[0] == 1:
+        return np.tile(symbols[0], int(tuple_counts.sum()))
     bit_bytes, bit_offsets, chunk_ends = _rebase(bit_bytes, bit_offsets, chunk_ends)
     kernel = _decode_scalar if bit_offsets.size < _MIN_VECTOR_CHUNKS \
         else _decode_band_vectorized
-    return kernel(bit_bytes, *_decode_tables_cached(length_table), bit_offsets,
-                  sym_counts, chunk_ends)
+    return kernel(bit_bytes, *tables, bit_offsets, tuple_counts, chunk_ends)
 
 
-def _check_chunk_index(count: int, chunk_size: int, n_chunks: int,
-                       index: np.ndarray, total_bits: int) -> None:
-    """Raise ``ValueError`` unless the chunk index fits the stream geometry.
+def _check_pad(padded: np.ndarray, count: int, lo: int) -> np.ndarray:
+    """The first ``count`` symbols, once the last tuple's pad proves to be ``lo``."""
+    if np.any(padded[count:] != lo):
+        raise _corrupt("the last tuple is not padded with the smallest symbol")
+    return padded[:count]
 
-    Every chunk but the last holds ``chunk_size`` symbols, the chunks cover
-    exactly ``count`` symbols, the first starts at bit 0, and every chunk
-    spans between 1 and :data:`MAX_CODE_LENGTH` bits per symbol up to the
-    next offset (the last one up to ``total_bits``).  Shared by the batch
-    header parse and the streaming consumer.
+
+class _Header(NamedTuple):
+    """A parsed HUF4 header: everything but the code bits."""
+
+    lo: int
+    k: int
+    count: int
+    tables: "tuple | None"     # from _decode_tables; None for an empty stream
+    bit_offsets: np.ndarray    # per chunk, int64
+    tuple_counts: np.ndarray   # per chunk, int64
+    tuple_starts: np.ndarray   # per chunk, int64
+    chunk_ends: np.ndarray     # per chunk, int64
+    bits_at: int               # byte offset of the code bits
+    length: int                # total stream bytes
+
+
+class _BytesView:
+    """The read side of :class:`~repro.utils.bitstream.StreamBuffer` over a
+    complete payload, so batch decode parses with the streaming parser."""
+
+    def __init__(self, payload) -> None:
+        self._view = memoryview(payload)
+
+    def has(self, count: int, offset: int = 0) -> bool:
+        return self._view.nbytes - offset >= count
+
+    def view(self, start: int = 0, stop: "int | None" = None) -> memoryview:
+        return self._view[start:stop]
+
+
+def _parse_header(buf, check_count: "Callable[[int], None] | None") -> "_Header | None":
+    """Parse and check a HUF4 header from the bytes ``buf`` holds so far.
+
+    Returns ``None`` while more bytes are needed.  Each field is checked as
+    soon as it arrives and before anything is sized by it: ``check_count``
+    (the enclosing container's rule for the symbol count) runs on the fixed
+    fields, the bitmap is read only once all of it is present, and so on.
+    Shared by :meth:`HuffmanCoder.decode` and :class:`ChunkBandConsumer`, so
+    both reject a bad header with the same message.  The CRC is not checked
+    here.
     """
+    if not buf.has(_FIXED_LEN):
+        return None
+    if bytes(buf.view(0, 4)) != _MAGIC:
+        raise _corrupt("bad magic (not a HUF4 stream)")
+    lo, width, k, count, chunk, n_chunks = _HEADER.unpack(buf.view(_PREFIX_LEN, _FIXED_LEN))
+    if check_count is not None:
+        check_count(count)
     if count == 0:
-        if n_chunks != 0 or total_bits != 0:
-            raise _corrupt("empty stream declares chunks or bits")
-        return
-    if chunk_size < 1 or n_chunks != -(-count // chunk_size):
-        raise _corrupt(f"{n_chunks} chunks cannot cover {count} symbols "
-                       f"at {chunk_size} symbols per chunk")
-    sym_counts = index[:, 1]
-    expected = np.full(n_chunks, chunk_size, dtype=np.int64)
-    expected[-1] = count - (n_chunks - 1) * chunk_size
-    if not np.array_equal(sym_counts, expected):
-        raise _corrupt("chunk symbol counts disagree with the stream length")
-    bit_offsets = index[:, 0]
-    spans = np.diff(np.concatenate([bit_offsets, [total_bits]]))
-    if bit_offsets[0] != 0 or np.any(spans < sym_counts) or \
-            np.any(spans > sym_counts * MAX_CODE_LENGTH):
-        raise _corrupt("chunk bit offsets are inconsistent with their symbol counts")
+        if (lo, width, k, chunk, n_chunks) != (0, 0, 1, 0, 0):
+            raise _corrupt("empty stream declares symbols, tuples or chunks")
+        return _Header(0, 1, 0, None, *np.zeros((4, 0), dtype=np.int64),
+                       _FIXED_LEN, _FIXED_LEN)
+    if width == 0 or k not in _tuple_sizes(width):
+        raise _corrupt(f"{k}-symbol tuples break the tuple rule for W = {width}")
+    n_tuples = -(-count // k)
+    if chunk < 1 or n_chunks != -(-n_tuples // chunk):
+        raise _corrupt(f"{n_chunks} chunks cannot cover {n_tuples} tuples "
+                       f"at {chunk} tuples per chunk")
+    map_len = _bitmap_bytes(width, k)
+    if not buf.has(map_len, _FIXED_LEN):
+        return None
+    used = _used_tuples(np.frombuffer(buf.view(_FIXED_LEN, _FIXED_LEN + map_len),
+                                      dtype=np.uint8), width ** k).size
+    at = _FIXED_LEN + map_len + _length_bytes(used)
+    if not buf.has(4 * n_chunks, at):
+        return None
+    chunk_bits = np.frombuffer(buf.view(at, at + 4 * n_chunks),
+                               dtype="<u4").astype(np.int64)
+    tuple_counts = np.full(n_chunks, chunk, dtype=np.int64)
+    tuple_counts[-1] = n_tuples - (n_chunks - 1) * chunk
+    per_tuple = (1, MAX_CODE_LENGTH) if used > 1 else (0, 0)
+    if np.any(chunk_bits < tuple_counts * per_tuple[0]) or \
+            np.any(chunk_bits > tuple_counts * per_tuple[1]):
+        raise _corrupt(f"chunk bit lengths fall outside {per_tuple[0]} to "
+                       f"{per_tuple[1]} bits per tuple")
+    # a bad code table fails here
+    tables = _decode_tables(lo, width, k, bytes(buf.view(_FIXED_LEN, at)))
+    chunk_ends = np.cumsum(chunk_bits)
+    bits_at = at + 4 * n_chunks
+    return _Header(lo, k, count, tables, chunk_ends - chunk_bits, tuple_counts,
+                   np.cumsum(tuple_counts) - tuple_counts, chunk_ends, bits_at,
+                   bits_at + ((int(chunk_ends[-1]) + 7) >> 3))
 
 
 def _decode_reference(payload: bytes) -> np.ndarray:
@@ -427,65 +595,71 @@ def _decode_reference(payload: bytes) -> np.ndarray:
     The reference the tests and ``benchmarks/bench_entropy.py`` hold the
     default :meth:`HuffmanCoder.decode` against.
     """
-    lengths, index, count, total_bits, bits_at = HuffmanCoder._parse_header(payload)
-    if count == 0:
+    head = HuffmanCoder._parse(payload, None)
+    if head.count == 0:
         return np.zeros(0, dtype=np.int64)
-    return _decode_scalar(np.frombuffer(payload, dtype=np.uint8, offset=bits_at),
-                          *_decode_tables_cached(lengths.astype(np.uint8).tobytes()),
-                          index[:, 0], index[:, 1], np.append(index[1:, 0], total_bits))
+    tables = head.tables
+    if tables[2].shape[0] == 1:
+        return _check_pad(np.tile(tables[2][0], int(head.tuple_counts.sum())),
+                          head.count, head.lo)
+    return _check_pad(_decode_scalar(np.frombuffer(payload, dtype=np.uint8, offset=head.bits_at),
+                                     *tables, head.bit_offsets, head.tuple_counts,
+                                     head.chunk_ends),
+                      head.count, head.lo)
 
 
 class ChunkBandConsumer:
-    """Incremental decoder for v3 ``HUF3`` streams: feed bytes, get symbols.
+    """Incremental decoder for HUF4 streams: feed bytes, get symbols.
 
-    The per-chunk ``(bit_offset, symbol_count)`` index makes any *byte prefix*
-    of the stream useful: chunk ``k`` is decodable as soon as the prefix covers
-    the header plus ``ceil(chunk_end_bit(k) / 8)`` bytes of the packed bit
-    stream.  This consumer exploits that to overlap decode time with arrival
-    time (the paper's ``t_D`` hiding inside ``S'/B``): :meth:`feed` accepts
-    stream bytes in any chunking — per simulated packet, per decompressor
-    output burst, or all at once — parses the header progressively, and
-    eagerly decodes every chunk whose bytes have fully arrived.  Each burst
-    of newly-ready chunks goes through :func:`_decode_chunks` in the calling
-    thread, the same kernels as :meth:`HuffmanCoder.decode`, so the symbols
-    are bit-identical to a non-streaming decode.
+    The per-chunk bit lengths make any *byte prefix* of the stream useful:
+    chunk ``c`` is decodable as soon as the prefix covers the header plus
+    ``ceil(chunk_end_bit(c) / 8)`` bytes of the packed bits.  This consumer
+    exploits that to overlap decode time with arrival time (the paper's
+    ``t_D`` hiding inside ``S'/B``): :meth:`feed` accepts stream bytes in any
+    chunking, parses the header progressively, and eagerly decodes every
+    chunk whose bytes have fully arrived.  Each burst of newly-ready chunks
+    goes through :func:`_decode_chunks` in the calling thread, the same
+    kernels as :meth:`HuffmanCoder.decode`, so the symbols are bit-identical
+    to a non-streaming decode.
 
     The stream's CRC-32 covers the *entire* payload, so it can only be
     verified once the last byte arrives: :meth:`finish` checks it (and the
     declared total length) before releasing the symbol array.  Structural
-    corruption that a prefix already proves — bad magic, inconsistent chunk
-    geometry, a chunk that decodes past its recorded boundary, over-long
-    streams — raises :class:`ValueError` from :meth:`feed` at the earliest
-    byte that exposes it.  Callers must treat the symbols as tentative until
+    corruption that a prefix already proves — bad magic, a header field the
+    rules exclude, a chunk that decodes past its boundary, over-long streams
+    — raises :class:`ValueError` from :meth:`feed` at the earliest byte that
+    exposes it.  Callers must treat the symbols as tentative until
     :meth:`finish` returns.
 
-    ``check_count``, when given, is the enclosing container's check of the
-    declared symbol count: it is called with the header's count as soon as
-    the fixed fields arrive, before anything is sized by that count, and
-    raises :class:`ValueError` for any count the container rules out.
+    ``check_count`` is the enclosing container's check of the declared
+    symbol count: it is called with the header's count as soon as the fixed
+    fields arrive, before anything is sized by that count, and raises
+    :class:`ValueError` for any count the container rules out.  It is
+    required: a one-tuple stream spends no code bits, so about 50 bytes can
+    declare any count, and only the caller knows how many symbols to expect.
     """
 
-    def __init__(self, check_count: "Callable[[int], None] | None" = None) -> None:
+    def __init__(self, check_count: "Callable[[int], None]") -> None:
         self._check_count = check_count
         self._buf = StreamBuffer()
         self._crc = 0
         self._crc_pos = _PREFIX_LEN  # next byte offset to fold into the CRC
-        self._crc_stored: int | None = None
-        self._header: "tuple | None" = None  # (length_table, bit_offsets, sym_counts, sym_starts, chunk_ends, count, bits_at)
-        self._out: "np.ndarray | None" = None
+        self._crc_stored: "int | None" = None
+        self._header: "_Header | None" = None
+        self._out: "np.ndarray | None" = None  # every tuple's symbols, pad included
         self._next_chunk = 0
         self._finished: "np.ndarray | None" = None
 
     # -- public surface ------------------------------------------------
     @property
     def header_ready(self) -> bool:
-        """True once the full header (code table + chunk index) has arrived."""
+        """True once the full header (code table + chunk lengths) has arrived."""
         return self._header is not None
 
     @property
     def chunks_total(self) -> "int | None":
         """Number of chunks in the stream (``None`` before the header)."""
-        return self._header[1].size if self._header is not None else None
+        return self._header.bit_offsets.size if self._header is not None else None
 
     @property
     def chunks_decoded(self) -> int:
@@ -495,10 +669,12 @@ class ChunkBandConsumer:
     @property
     def symbols_decoded(self) -> int:
         """Symbols decoded so far (a prefix of the final array)."""
-        if self._header is None or self._next_chunk == 0:
+        head = self._header
+        if head is None or self._next_chunk == 0:
             return 0
-        _, _, sym_counts, sym_starts, _, _, _ = self._header
-        return int(sym_starts[self._next_chunk - 1] + sym_counts[self._next_chunk - 1])
+        last = self._next_chunk - 1
+        tuples = int(head.tuple_starts[last] + head.tuple_counts[last])
+        return min(tuples * head.k, head.count)
 
     @property
     def bytes_received(self) -> int:
@@ -513,10 +689,10 @@ class ChunkBandConsumer:
         """
         if self._header is None:
             raise ValueError("header has not arrived yet")
-        _, _, _, _, chunk_ends, count, bits_at = self._header
-        if count == 0:
-            return bits_at
-        return bits_at + ((int(chunk_ends[chunk]) + 7) >> 3)
+        head = self._header
+        if head.count == 0:
+            return head.bits_at
+        return head.bits_at + ((int(head.chunk_ends[chunk]) + 7) >> 3)
 
     def feed(self, data) -> int:
         """Consume arriving stream bytes; decodes every newly-complete chunk.
@@ -548,11 +724,11 @@ class ChunkBandConsumer:
         if self._crc != self._crc_stored:
             raise _corrupt("CRC-32 mismatch")
         self._decode_ready()
-        _, bit_offsets, *_ = self._header
-        if self._next_chunk != bit_offsets.size:
+        head = self._header
+        if self._next_chunk != head.bit_offsets.size:
             raise _corrupt("stream ended before every chunk decoded")
-        self._finished = self._out if self._out is not None \
-            else np.zeros(0, dtype=np.int64)
+        self._finished = np.zeros(0, dtype=np.int64) if self._out is None \
+            else _check_pad(self._out, head.count, head.lo)
         return self._finished
 
     # -- internals -----------------------------------------------------
@@ -562,78 +738,46 @@ class ChunkBandConsumer:
             self._crc_pos = self._buf.available
 
     def _try_parse_header(self) -> None:
-        """Parse the fixed header, code table, and chunk index once present.
-
-        Runs the same structural validation as
-        :meth:`HuffmanCoder._parse_header` — everything except the CRC, which
-        needs the whole stream and is deferred to :meth:`finish`.
-        """
-        buf = self._buf
-        fixed = _PREFIX_LEN + _HEADER.size
-        if not buf.has(fixed):
+        """Parse the header once present, with :func:`_parse_header`'s checks."""
+        head = _parse_header(self._buf, self._check_count)
+        if head is None:
             return
-        if bytes(buf.view(0, 4)) != _MAGIC:
-            raise _corrupt("bad magic (not a version-3 Huffman stream)")
-        (self._crc_stored,) = struct.unpack("<I", buf.view(4, _PREFIX_LEN))
-        alphabet, count, chunk_size, n_chunks = _HEADER.unpack(buf.view(fixed - _HEADER.size, fixed))
-        if self._check_count is not None:
-            self._check_count(count)
-        offset = fixed
-        if not buf.has(alphabet + 16 * n_chunks + 8, offset):
-            return
-        length_table = bytes(buf.view(offset, offset + alphabet))
-        offset += alphabet
-        index = np.frombuffer(buf.view(offset, offset + 16 * n_chunks),
-                              dtype="<u8").reshape(n_chunks, 2).astype(np.int64)
-        offset += 16 * n_chunks
-        (total_bits,) = struct.unpack("<Q", buf.view(offset, offset + 8))
-        offset += 8
-
-        _check_chunk_index(count, chunk_size, n_chunks, index, total_bits)
-
-        bit_offsets = index[:, 0]
-        sym_counts = index[:, 1]
-        sym_starts = np.concatenate([[0], np.cumsum(sym_counts)[:-1]]) \
-            if n_chunks else np.zeros(0, dtype=np.int64)
-        chunk_ends = np.concatenate([bit_offsets[1:], [total_bits]]) \
-            if n_chunks else np.zeros(0, dtype=np.int64)
+        (self._crc_stored,) = struct.unpack("<I", self._buf.view(4, _PREFIX_LEN))
         # from here on the total stream length is pinned; over-feeding raises
-        self._buf.expect(offset + (total_bits + 7) // 8)
-        self._header = (length_table, bit_offsets, sym_counts, sym_starts,
-                        chunk_ends, count, offset)
-        if count:
-            _decode_tables_cached(length_table)  # a bad code table fails here
-            self._out = np.empty(count, dtype=np.int64)
+        self._buf.expect(head.length)
+        self._header = head
+        if head.count:
+            self._out = np.empty(int(head.tuple_counts.sum()) * head.k, dtype=np.int64)
 
     def _ready_chunks(self) -> int:
         """Index one past the last chunk whose bytes have fully arrived."""
-        _, _, _, _, chunk_ends, count, bits_at = self._header
-        if count == 0:
+        head = self._header
+        if head.count == 0:
             return 0
-        avail_bits = (self._buf.available - bits_at) << 3
-        # chunk k is ready when ceil(chunk_ends[k] / 8) bytes arrived, i.e.
-        # chunk_ends[k] <= available whole bits
-        return int(np.searchsorted(chunk_ends, avail_bits, side="right"))
+        avail_bits = (self._buf.available - head.bits_at) << 3
+        # chunk c is ready when ceil(chunk_ends[c] / 8) bytes arrived, i.e.
+        # chunk_ends[c] <= available whole bits
+        return int(np.searchsorted(head.chunk_ends, avail_bits, side="right"))
 
     def _decode_ready(self) -> None:
         """Eagerly decode every chunk whose bytes have arrived."""
         lo, hi = self._next_chunk, self._ready_chunks()
         if hi <= lo:
             return
-        length_table, bit_offsets, sym_counts, sym_starts, chunk_ends, _, bits_at = self._header
-        band = _decode_chunks(np.frombuffer(self._buf.view(bits_at), dtype=np.uint8),
-                              length_table, bit_offsets[lo:hi], sym_counts[lo:hi],
-                              chunk_ends[lo:hi])
-        base = int(sym_starts[lo])
+        head = self._header
+        band = _decode_chunks(np.frombuffer(self._buf.view(head.bits_at), dtype=np.uint8),
+                              head.tables, head.bit_offsets[lo:hi],
+                              head.tuple_counts[lo:hi], head.chunk_ends[lo:hi])
+        base = int(head.tuple_starts[lo]) * head.k
         self._out[base:base + band.size] = band
         self._next_chunk = hi
 
 
-#: Bytes of packing scratch per symbol of a group: the int64 codes, lengths,
+#: Bytes of packing scratch per tuple of a group: the int64 codes, lengths,
 #: end bits and start bytes :func:`_pack_codes` holds at once (the float64
 #: copy of the weights :func:`numpy.bincount` makes takes the place of the
 #: two it has freed by then).
-_PACK_SCRATCH_PER_SYMBOL = 32
+_PACK_SCRATCH_PER_TUPLE = 32
 #: Bytes of packing scratch per output byte of a group: the float64 field
 #: sums, then the uint32 fields plus two uint32 lanes, and the uint8 result
 #: with the band copies cut from it.
@@ -675,20 +819,64 @@ def _pack_codes(codes: np.ndarray, lengths: np.ndarray, lead: int) -> np.ndarray
     return packed.astype(np.uint8)
 
 
+class _Code(NamedTuple):
+    """One tuple size's candidate code for a stream, priced exactly."""
+
+    k: int
+    used: np.ndarray      # used tuple indices, ascending
+    lengths: np.ndarray   # their code lengths (0 for a lone tuple)
+    chunk: int            # tuples per full chunk
+    n_chunks: int
+    stream_length: int    # exact stream bytes
+
+
+def _price(k: int, hist: np.ndarray, width: int, count: int, chunk_size: int) -> _Code:
+    """The code a ``k``-tuple histogram builds, and its exact stream length."""
+    used = np.flatnonzero(hist)
+    freq = hist[used]
+    lengths = _code_lengths(freq)
+    n_tuples = -(-count // k)
+    if used.size == 1:  # no code bits: nothing to decode in parallel
+        chunk = min(n_tuples, _MAX_CHUNK_TUPLES)
+    else:
+        chunk = min(chunk_size, max(_MIN_CHUNK_TUPLES, n_tuples // _TARGET_CHUNKS))
+    n_chunks = -(-n_tuples // chunk)
+    bits = int(np.dot(freq, lengths))
+    length = _FIXED_LEN + _bitmap_bytes(width, k) + _length_bytes(used.size) \
+        + 4 * n_chunks + -(-bits // 8)
+    return _Code(k, used, lengths, chunk, n_chunks, length)
+
+
+def _tuple_indices(rel: np.ndarray, width: int, k: int) -> np.ndarray:
+    """Tuple indices of ``rel`` (symbols minus ``lo``), padding with 0."""
+    if k == 1:
+        return rel
+    n_tuples = -(-rel.size // k)
+    if n_tuples * k != rel.size:
+        rel = np.concatenate([rel, np.zeros(n_tuples * k - rel.size, dtype=np.int64)])
+    rows = rel.reshape(n_tuples, k)
+    index = rows[:, 0] * width
+    for i in range(1, k - 1):
+        index += rows[:, i]
+        index *= width
+    index += rows[:, k - 1]
+    return index
+
+
 class ChunkBandProducer:
-    """Incremental encoder for v3 ``HUF3`` streams: the twin of
+    """Incremental encoder for HUF4 streams: the twin of
     :class:`ChunkBandConsumer`.
 
-    The encoder has every symbol in memory before the first bit is packed, so
-    after one cheap symbol pass (histogram, code lengths, canonical codes,
-    chunk geometry) the *entire* header — code-length table, per-chunk
-    ``(bit_offset, symbol_count)`` index, and total bit count — is pinned:
+    The encoder has every symbol in memory before the first bit is packed,
+    so after one symbol pass (used range, tuples, histogram, code lengths,
+    canonical codes, chunk geometry) the *entire* header — code table, chunk
+    bit lengths and with them the stream length — is pinned:
     :attr:`pinned_header` and :attr:`stream_length` are available before any
     band exists.  :meth:`bands` then packs groups of whole chunks and emits
     each chunk's packed code bits in chunk order, cut at byte boundaries so
-    the concatenated bands are the stream's packed bit stream byte for byte.
+    the concatenated bands are the stream's packed bits byte for byte.
 
-    Packing a group of whole chunks (:data:`_PACK_GROUP_SYMBOLS` symbols, or
+    Packing a group of whole chunks (:data:`_PACK_GROUP_TUPLES` tuples, or
     one larger chunk) instead of the whole stream bounds the packing scratch:
     :attr:`peak_scratch_bytes` reports its analytic high-water mark, which is
     what the round engine surfaces as encode scratch.
@@ -704,92 +892,114 @@ class ChunkBandProducer:
     """
 
     def __init__(self, symbols: np.ndarray,
-                 chunk_size: int = DEFAULT_CHUNK_SYMBOLS) -> None:
-        if not 1 <= chunk_size <= 0xFFFFFFFF:
-            raise ValueError("chunk_size must be in [1, 2**32 - 1] (stored as u32)")
+                 chunk_size: int = DEFAULT_CHUNK_TUPLES) -> None:
+        _check_chunk_size(chunk_size)
         symbols = np.ascontiguousarray(symbols).ravel()
-        if symbols.size and symbols.min() < 0:
-            raise ValueError("Huffman symbols must be non-negative")
         self._count = count = symbols.size
         self._crc: "int | None" = None
-        self._bands_done = count == 0
+        self._bands_done = False
+        self.peak_scratch_bytes = 0
         if count == 0:
             self.n_chunks = 0
             self.code_lengths: "bytes | None" = None
-            self.pinned_header = _HEADER.pack(0, 0, chunk_size, 0) + \
-                struct.pack("<Q", 0)
-            self._crc = zlib.crc32(self.pinned_header)
-            self.stream_length = _PREFIX_LEN + len(self.pinned_header)
-            self.peak_scratch_bytes = 0
+            self.pinned_header = _HEADER.pack(0, 0, 1, 0, 0, 0)
+            self.stream_length = _FIXED_LEN
+            self._total_bits = 0
             return
-        self._symbols = symbols = symbols.astype(np.int64, copy=False)
-        alphabet = int(symbols.max()) + 1
-        self._lengths = lengths = _build_code_lengths(np.bincount(symbols, minlength=alphabet))
-        self._codes = _canonical_codes(lengths).astype(np.int64)
-        sym_lengths = lengths[symbols]
+        lo, hi = int(symbols.min()), int(symbols.max())
+        if lo < 0:
+            raise ValueError("Huffman symbols must be non-negative")
+        if hi > 0xFFFFFFFF:
+            raise ValueError("Huffman symbols must be below 2**32 (stored as u32)")
+        width = hi - lo + 1
+        rel = np.subtract(symbols, lo, dtype=np.int64)
+        sizes = _tuple_sizes(width)
+        k_top = sizes[-1]
+        index = _tuple_indices(rel, width, k_top)
+        hist = np.bincount(index, minlength=width ** k_top)
+        code = _price(k_top, hist, width, count, chunk_size)
+        if len(sizes) > 1:
+            # the singles histogram is the sum of the tuple marginals, minus the pad
+            grid = hist.reshape((width,) * k_top)
+            singles = sum(grid.sum(axis=tuple(j for j in range(k_top) if j != i))
+                          for i in range(k_top))
+            singles[0] -= -count % k_top
+            single = _price(1, singles, width, count, chunk_size)
+            saved_steps = count - index.size
+            if (code.stream_length - single.stream_length) * _STEPS_PER_BYTE > saved_steps:
+                code, index = single, rel
+        del rel, hist
+        self._index = index
+        self.k = k = code.k
+        self._chunk = chunk = code.chunk
+        self.n_chunks = code.n_chunks
+        self.stream_length = code.stream_length
+        self.code_lengths = code.lengths.astype(np.uint8).tobytes()
 
-        self._chunk = chunk = min(chunk_size, max(_MIN_CHUNK_SYMBOLS, count // _TARGET_CHUNKS))
-        starts = np.arange(0, count, chunk, dtype=np.int64)
-        self.n_chunks = starts.size
-        chunk_bits = np.add.reduceat(sym_lengths, starts)
-        del sym_lengths
+        # per tuple index: its canonical code and length (dense over W**k)
+        self._codes = np.zeros(width ** k, dtype=np.int64)
+        self._lengths = np.zeros(width ** k, dtype=np.int64)
+        if code.used.size > 1:
+            order, left = _canonical(code.lengths)
+            self._codes[code.used[order]] = left >> (MAX_CODE_LENGTH - code.lengths[order])
+            self._lengths[code.used] = code.lengths
+        n_tuples = index.size
+        starts = np.arange(0, n_tuples, chunk, dtype=np.int64)
+        chunk_bits = np.add.reduceat(self._lengths.astype(np.uint8)[index], starts,
+                                     dtype=np.int64)
         self._chunk_ends = chunk_ends = np.cumsum(chunk_bits)
-        total_bits = int(chunk_ends[-1])
-        index = np.empty((starts.size, 2), dtype="<u8")
-        index[:, 0] = chunk_ends - chunk_bits
-        index[:, 1] = np.minimum(chunk, count - starts)
+        self._total_bits = total_bits = int(chunk_ends[-1])
 
-        self.code_lengths = lengths.astype(np.uint8).tobytes()
-        header = bytearray(_HEADER.size + alphabet + 16 * starts.size + 8)
-        _HEADER.pack_into(header, 0, alphabet, count, chunk, starts.size)
-        pos = _HEADER.size
-        header[pos:pos + alphabet] = self.code_lengths
-        pos += alphabet
-        header[pos:pos + 16 * starts.size] = index.tobytes()
-        pos += 16 * starts.size
-        struct.pack_into("<Q", header, pos, total_bits)
-        self.pinned_header = bytes(header)
-        self.stream_length = _PREFIX_LEN + len(self.pinned_header) + \
-            (total_bits + 7) // 8
+        bitmap = np.zeros(width ** k, dtype=bool)
+        bitmap[code.used] = True
+        nibbles = (code.lengths - 1).astype(np.uint8)
+        if nibbles.size % 2:
+            nibbles = np.append(nibbles, np.uint8(0))
+        self.pinned_header = b"".join([
+            _HEADER.pack(lo, width, k, count, chunk, code.n_chunks),
+            np.packbits(bitmap).tobytes(),
+            ((nibbles[0::2] << 4) | nibbles[1::2]).tobytes() if code.used.size > 1 else b"",
+            chunk_bits.astype("<u4").tobytes()])
 
-        # the widest group bounds the packing scratch: its symbols and the
+        # the widest group bounds the packing scratch: its tuples and the
         # bytes from the one its first bit lands in to the one its last does
-        self._group = group = max(1, _PACK_GROUP_SYMBOLS // chunk)
-        group_ends = chunk_ends[group - 1::group]
-        if group_ends.size * group < self.n_chunks:
-            group_ends = np.append(group_ends, total_bits)
-        group_bytes = ((group_ends + 7) >> 3) - (np.append(0, group_ends[:-1]) >> 3)
-        self.peak_scratch_bytes = min(group * chunk, count) * _PACK_SCRATCH_PER_SYMBOL \
-            + int(group_bytes.max()) * _PACK_SCRATCH_PER_BYTE
+        self._group = group = max(1, _PACK_GROUP_TUPLES // chunk)
+        if total_bits:
+            group_ends = chunk_ends[group - 1::group]
+            if group_ends.size * group < self.n_chunks:
+                group_ends = np.append(group_ends, total_bits)
+            group_bytes = ((group_ends + 7) >> 3) - (np.append(0, group_ends[:-1]) >> 3)
+            self.peak_scratch_bytes = min(group * chunk, n_tuples) * _PACK_SCRATCH_PER_TUPLE \
+                + int(group_bytes.max()) * _PACK_SCRATCH_PER_BYTE
 
     def bands(self):
         """Yield each chunk's packed code bits, one group of chunks at a time.
 
         Bands are cut at byte boundaries (a group's open last byte carries
         into the next group; the final band is zero-padded), so their
-        concatenation equals the packed bit stream byte for byte.  The
-        running CRC-32 folds each band in as it is yielded;
-        :meth:`magic_and_crc` unlocks when the generator is exhausted.
+        concatenation equals the packed bits byte for byte.  A stream without
+        code bits yields no band.  The running CRC-32 folds each band in as
+        it is yielded; :meth:`magic_and_crc` unlocks when the generator is
+        exhausted.
         """
-        if self._count == 0:
-            return
         crc = zlib.crc32(self.pinned_header)
-        cuts = self._chunk_ends >> 3
-        cuts[-1] = (int(self._chunk_ends[-1]) + 7) >> 3
-        bit0 = carry = 0
-        for g0 in range(0, self.n_chunks, self._group):
-            g1 = min(g0 + self._group, self.n_chunks)
-            symbols = self._symbols[g0 * self._chunk:g1 * self._chunk]
-            packed = _pack_codes(self._codes[symbols], self._lengths[symbols], bit0 & 7)
-            packed[0] |= carry
-            lo = 0
-            for hi in cuts[g0:g1] - (bit0 >> 3):
-                band = packed[lo:hi].tobytes()
-                crc = zlib.crc32(band, crc)
-                yield band
-                lo = hi
-            bit0 = int(self._chunk_ends[g1 - 1])
-            carry = int(packed[-1]) if bit0 & 7 else 0
+        if self._total_bits:
+            cuts = self._chunk_ends >> 3
+            cuts[-1] = (self._total_bits + 7) >> 3
+            bit0 = carry = 0
+            for g0 in range(0, self.n_chunks, self._group):
+                g1 = min(g0 + self._group, self.n_chunks)
+                index = self._index[g0 * self._chunk:g1 * self._chunk]
+                packed = _pack_codes(self._codes[index], self._lengths[index], bit0 & 7)
+                packed[0] |= carry
+                lo = 0
+                for hi in cuts[g0:g1] - (bit0 >> 3):
+                    band = packed[lo:hi].tobytes()
+                    crc = zlib.crc32(band, crc)
+                    yield band
+                    lo = hi
+                bit0 = int(self._chunk_ends[g1 - 1])
+                carry = int(packed[-1]) if bit0 & 7 else 0
         self._crc = crc
         self._bands_done = True
 
@@ -797,10 +1007,10 @@ class ChunkBandProducer:
         """The 8-byte stream prefix (magic + CRC-32 of everything after it).
 
         The CRC covers the packed bands, so this is only available once
-        :meth:`bands` has been exhausted (immediately for an empty stream).
+        :meth:`bands` has been exhausted.
         """
         if not self._bands_done:
-            raise ValueError("the HUF3 CRC covers the packed bands; drain "
+            raise ValueError("the HUF4 CRC covers the packed bands; drain "
                              "bands() before reading the stream prefix")
         return _MAGIC + struct.pack("<I", self._crc)
 
@@ -809,7 +1019,7 @@ class ChunkBandProducer:
 
         Because the CRC at offset 4 is pinned last, bands are staged
         internally until packing completes; the staging high-water mark is
-        the packed bit stream itself, never the packing scratch.  The
+        the packed bits themselves, never the packing scratch.  The
         concatenation of the yielded pieces is byte-identical to
         :meth:`HuffmanCoder.encode` at the same ``chunk_size``.
         """
@@ -819,30 +1029,33 @@ class ChunkBandProducer:
         yield from staged
 
 
+def _check_chunk_size(chunk_size: int) -> None:
+    if not 1 <= chunk_size <= _MAX_CHUNK_TUPLES:
+        raise ValueError(f"chunk_size must be in [1, {_MAX_CHUNK_TUPLES}] tuples "
+                         f"(a chunk's bit length is a u32)")
+
+
 class HuffmanCoder:
     """Encode/decode streams of non-negative integer symbols.
 
-    ``chunk_size`` caps the number of symbols per chunk (the encoder may pick
+    ``chunk_size`` caps the number of tuples per chunk (the encoder may pick
     smaller chunks for short streams, see :data:`_TARGET_CHUNKS`).  Every
     encode builds a fresh code table from the stream's own histogram, and
     every decode runs in the calling thread.  Instances are stateless per
     call, thread-safe, and picklable.
     """
 
-    def __init__(self, chunk_size: int = DEFAULT_CHUNK_SYMBOLS) -> None:
-        if not 1 <= chunk_size <= 0xFFFFFFFF:
-            raise ValueError("chunk_size must be in [1, 2**32 - 1] (stored as u32)")
+    def __init__(self, chunk_size: int = DEFAULT_CHUNK_TUPLES) -> None:
+        _check_chunk_size(chunk_size)
         self.chunk_size = int(chunk_size)
 
     # ------------------------------------------------------------------
     def encode(self, symbols: np.ndarray) -> bytes:
-        """Encode ``symbols`` (any integer dtype, values >= 0) to bytes.
+        """Encode ``symbols`` (any integer dtype, values in [0, 2**32)) to bytes.
 
         The stream is assembled band by band through
-        :class:`ChunkBandProducer` into one preallocated buffer: packing one
-        group of chunks at a time bounds the packing scratch to a group
-        instead of the whole stream, and the single output buffer replaces
-        the former chain of intermediate ``bytes`` concatenations.
+        :class:`ChunkBandProducer` into one preallocated buffer, so the
+        packing scratch is bounded by a group of chunks.
         """
         return self.assemble(ChunkBandProducer(symbols, self.chunk_size))
 
@@ -868,65 +1081,52 @@ class HuffmanCoder:
         return ChunkBandProducer(symbols, self.chunk_size)
 
     @staticmethod
-    def stream_consumer(check_count: "Callable[[int], None] | None" = None
-                        ) -> ChunkBandConsumer:
+    def stream_consumer(check_count: "Callable[[int], None]") -> ChunkBandConsumer:
         """Return a :class:`ChunkBandConsumer` for incremental decoding.
 
-        ``check_count`` vets the declared symbol count before the consumer
-        allocates for it (see :class:`ChunkBandConsumer`).
+        ``check_count`` (required) vets the declared symbol count before the
+        consumer allocates for it (see :class:`ChunkBandConsumer`).
         """
         return ChunkBandConsumer(check_count=check_count)
 
     # ------------------------------------------------------------------
     @staticmethod
-    def _parse_header(payload: bytes):
-        """Validate the v3 container and return its parsed fields.
+    def _parse(payload, check_count: "Callable[[int], None] | None") -> _Header:
+        """Check a whole stream's CRC, header and length; return the header.
 
-        Every declared length is bounds-checked against the remaining buffer
-        (truncation can never surface as ``struct.error`` or ``IndexError``)
-        and the CRC covers everything after itself, so any byte flip in the
-        payload is detected here.
+        The CRC covers everything after itself, so any byte flip in the
+        payload is detected here; the header checks are
+        :func:`_parse_header`'s, and the payload must end exactly where the
+        code bits do.
         """
-        _require(payload, 0, _PREFIX_LEN + _HEADER.size, "header")
-        if payload[:4] != _MAGIC:
-            raise _corrupt("bad magic (not a version-3 Huffman stream)")
+        if len(payload) < _FIXED_LEN:
+            raise _corrupt(f"header needs {_FIXED_LEN} bytes, got {len(payload)}")
         (crc_stored,) = struct.unpack_from("<I", payload, 4)
-        if zlib.crc32(memoryview(payload)[_PREFIX_LEN:]) != crc_stored:
+        if payload[:4] == _MAGIC and \
+                zlib.crc32(memoryview(payload)[_PREFIX_LEN:]) != crc_stored:
             raise _corrupt("CRC-32 mismatch")
-        alphabet, count, chunk_size, n_chunks = _HEADER.unpack_from(payload, _PREFIX_LEN)
-        offset = _PREFIX_LEN + _HEADER.size
+        head = _parse_header(_BytesView(payload), check_count)
+        if head is None:
+            raise _corrupt(f"stream truncated inside the header ({len(payload)} bytes)")
+        if len(payload) != head.length:
+            raise _corrupt(f"stream holds {len(payload)} bytes but its header "
+                           f"and chunk lengths declare {head.length}")
+        return head
 
-        _require(payload, offset, alphabet, "code-length table")
-        lengths = np.frombuffer(payload, dtype=np.uint8, count=alphabet,
-                                offset=offset).astype(np.int64)
-        offset += alphabet
-
-        _require(payload, offset, 16 * n_chunks, "chunk index")
-        index = np.frombuffer(payload, dtype="<u8", count=2 * n_chunks,
-                              offset=offset).reshape(n_chunks, 2).astype(np.int64)
-        offset += 16 * n_chunks
-
-        _require(payload, offset, 8, "total bit count")
-        (total_bits,) = struct.unpack_from("<Q", payload, offset)
-        offset += 8
-        if len(payload) - offset != (total_bits + 7) // 8:
-            raise _corrupt(f"bit stream holds {len(payload) - offset} bytes but "
-                           f"{total_bits} bits are declared")
-
-        _check_chunk_index(count, chunk_size, n_chunks, index, total_bits)
-        return lengths, index, count, total_bits, offset
-
-    def decode(self, payload: bytes) -> np.ndarray:
+    def decode(self, payload: bytes, check_count: "Callable[[int], None]") -> np.ndarray:
         """Decode a byte string produced by :meth:`encode` back to ``int64``.
 
         The whole stream decodes in the calling thread as one vectorized row
         walk; a stream of fewer than :data:`_MIN_VECTOR_CHUNKS` chunks runs
-        the per-symbol scalar loop.
+        the per-tuple scalar loop.  ``check_count`` (required) vets the
+        declared symbol count before anything is sized by it, as in
+        :class:`ChunkBandConsumer`.
         """
-        lengths, index, count, total_bits, bits_at = self._parse_header(payload)
-        if count == 0:
+        head = self._parse(payload, check_count)
+        if head.count == 0:
             return np.zeros(0, dtype=np.int64)
-        bit_offsets = index[:, 0]
-        return _decode_chunks(np.frombuffer(payload, dtype=np.uint8, offset=bits_at),
-                              lengths.astype(np.uint8).tobytes(), bit_offsets,
-                              index[:, 1], np.append(bit_offsets[1:], total_bits))
+        return _check_pad(_decode_chunks(np.frombuffer(payload, dtype=np.uint8,
+                                                       offset=head.bits_at),
+                                         head.tables, head.bit_offsets,
+                                         head.tuple_counts, head.chunk_ends),
+                          head.count, head.lo)

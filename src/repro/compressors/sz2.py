@@ -6,12 +6,17 @@ the better predictor per block by its estimated cost, quantizes the prediction
 error against the error bound, Huffman-encodes the quantization codes, and
 finishes with a lossless pass (Zstd).
 
-This reproduction keeps the same pipeline with one documented substitution: the
+This reproduction keeps that pipeline with two documented substitutions.  The
 sequential Lorenzo predictor (which consumes previously *decompressed*
-neighbours) is replaced by a per-block constant (mean) predictor so the whole
-compressor is a handful of vectorized NumPy passes.  The hybrid
-mean-vs-regression selection, the per-element error-bound guarantee, the
-Huffman stage, and the final lossless stage are all faithful to SZ2's design.
+neighbours) is replaced by a per-block constant (mean) predictor, so the whole
+compressor is a handful of vectorized NumPy passes.  And the final lossless
+pass is gone: the Huffman stage codes tuples of codes over their used range
+(:mod:`repro.compressors.huffman`, HUF4), which reaches within ``1/k`` bit per
+code of the codes' entropy and stores a compact code table, the two things
+the lossless pass used to recover.  What HUF4 does not recover are long runs
+of equal codes on smooth fields, which an order-0 code cannot see.  The
+hybrid mean-vs-regression selection, the per-element error-bound guarantee
+and the Huffman stage are faithful to SZ2's design.
 
 Each tensor first picks its predictor (the body's predictor field):
 
@@ -25,8 +30,9 @@ about half a bit per value; on smooth fields the hybrid's codes are far
 cheaper.  The encoder scores both candidates on the same blocks -- the whole
 tensor when it fits one tile, else :data:`_SAMPLE_BLOCKS` evenly strided
 whole blocks -- by estimated body bits: the codes' order-0 entropy and the
-outliers scaled to the tensor, the deflated code table, and, for the
-hybrid, its selector and coefficient bits (:func:`_estimated_bits`).  The
+outliers scaled to the tensor, the size of a HUF4 code table over them,
+and, for the hybrid, its selector and coefficient bits
+(:func:`_estimated_bits`).  The
 cheaper estimate wins.  The rule is a deterministic function of the values
 and the bound; the decoder only reads the field.
 
@@ -57,34 +63,33 @@ header)::
             0 = mean predictor, 1 = regression)
       u64   coefficient count, f32[] coefficients (1 per mean block,
             intercept and slope per regression block)
-    u64   Huffman stream length, Huffman-coded quantization codes
+    u64   Huffman stream length, HUF4 stream of the quantization codes
     u64   outlier count, f64[] verbatim outliers
 
-The entire body is then passed through the configured lossless backend.  An
-empty tensor is the 16-byte ``block size, 0, radius`` prefix alone.
+No lossless pass wraps the body.  An empty tensor is the 16-byte ``block
+size, 0, radius`` prefix alone.
 
 The decoder trusts no size in the body: before any field sizes an array it
 checks ``block size >= 2``, ``blocks == ceil(count / block size)`` (so no
 blocks only for an empty tensor), ``element count == count``, a predictor of
 0 or 1, for the hybrid ``ceil(blocks / 8)`` selector bytes and one
-coefficient per block plus one per regression block, ``blocks * block size``
-decoded codes, one outlier per zero code, and that no byte follows the
-outlier tail, where ``count`` comes from the container header.  Any mismatch
-raises :class:`ValueError`.
+coefficient per block plus one per regression block, a Huffman stream that
+declares ``blocks * block size`` codes (checked before the stream sizes
+anything), one outlier per zero code, and that no byte follows the outlier
+tail, where ``count`` comes from the container header.  Any mismatch raises
+:class:`ValueError`.
 """
 
 from __future__ import annotations
 
 import functools
 import struct
-import zlib
 from typing import Callable
 
 import numpy as np
 
 from repro.compressors.base import ErrorBound, ErrorBoundMode, LossyCompressor
-from repro.compressors.huffman import DEFAULT_CHUNK_SYMBOLS, MAX_CODE_LENGTH, HuffmanCoder
-from repro.compressors.lossless import LosslessCodec, get_lossless
+from repro.compressors.huffman import DEFAULT_CHUNK_TUPLES, HuffmanCoder
 from repro.compressors.quantizer import LinearQuantizer, QuantizationResult
 from repro.compressors.streaming import SZStreamDecoder, SZStreamEncoder
 from repro.utils.bitstream import StreamBuffer
@@ -115,10 +120,19 @@ _HYBRID, _ZERO = 0, 1
 _SAMPLE_BLOCKS = 64
 
 #: The zero predictor must beat the hybrid's estimate by more than this many
-#: bits.  On 279 tensors scored whole, the estimate overstated zero's saving
-#: in compressed body bytes by up to 55.5 bytes at the 95th percentile
-#: (median -12.9), so a closer call keeps the hybrid.
-_ZERO_MARGIN_BITS = 512
+#: bits: the estimator's 95th-percentile overstatement of zero's saving,
+#: clamped at 0.  Against real bodies, on the 381 tensors of 128 to 65536
+#: values scored whole (the float tensors of ``bench_utils``' trained-like
+#: models and the 400-value Miranda-like slices, at REL 1e-2, 1e-3 and 1e-4),
+#: the estimate *understates* zero's saving by 6.0 bytes at the 95th
+#: percentile (median 16.7 bytes under, worst 25.8 bytes over).  Smooth fields
+#: of 1000 to 65536 values are the estimate's blind spot: HUF4's tuples code
+#: their correlated hybrid residuals below the order-0 entropy, so it
+#: overstates zero's saving there by up to 3.2 KB, but the hybrid wins those
+#: by far more.  Over all 477 tensors, no margin from 0 to 512 bits picks
+#: zero where the hybrid body is smaller; 512 bits kept the hybrid on 162
+#: tensors whose zero body was smaller (5.5 KB in all), 0 bits on 12 (132 B).
+_ZERO_MARGIN_BITS = 0
 
 
 class SZ2Compressor(LossyCompressor):
@@ -129,33 +143,26 @@ class SZ2Compressor(LossyCompressor):
     def __init__(self, error_bound: ErrorBound | float = 1e-2,
                  mode: ErrorBoundMode | str = ErrorBoundMode.REL,
                  block_size: int = 128, quantizer_radius: int = 32768,
-                 lossless_backend: str | LosslessCodec = "zlib",
-                 entropy_chunk: int = DEFAULT_CHUNK_SYMBOLS) -> None:
+                 entropy_chunk: int = DEFAULT_CHUNK_TUPLES) -> None:
         super().__init__(error_bound, mode)
         if block_size < 2:
             raise ValueError("block_size must be >= 2")
         self.block_size = int(block_size)
         self.quantizer = LinearQuantizer(quantizer_radius)
-        # entropy_chunk caps the symbols per Huffman chunk
+        # entropy_chunk caps the tuples per Huffman chunk
         self.huffman = HuffmanCoder(chunk_size=entropy_chunk)
-        if isinstance(lossless_backend, LosslessCodec):
-            self.lossless = lossless_backend
-        else:
-            self.lossless = get_lossless(lossless_backend, level=1) if lossless_backend == "zlib" \
-                else get_lossless(lossless_backend)
 
     # ------------------------------------------------------------------
     def _compress_float1d(self, data: np.ndarray, abs_bound: float) -> bytes:
         prefix, codes, suffix = self._body_parts(data, abs_bound)
         if codes is None:
-            return self.lossless.compress(b"".join(prefix + suffix))
+            return b"".join(prefix + suffix)
         huff = self.huffman.encode(codes)
-        body = b"".join(prefix) + struct.pack("<Q", len(huff)) + huff + b"".join(suffix)
-        return self.lossless.compress(body)
+        return b"".join([*prefix, struct.pack("<Q", len(huff)), huff, *suffix])
 
     def _body_parts(self, data: np.ndarray, abs_bound: float
                     ) -> "tuple[list[bytes], np.ndarray | None, list[bytes]]":
-        """Split the plaintext body into (pre-Huffman pieces, quantization
+        """Split the body into (pre-Huffman pieces, quantization
         codes, post-Huffman pieces).
 
         Shared by the batch :meth:`_compress_float1d` and the streaming
@@ -230,8 +237,7 @@ class SZ2Compressor(LossyCompressor):
     # ------------------------------------------------------------------
     def _decompress_float1d(self, body: bytes, count: int, abs_bound: float,
                             dtype: np.dtype) -> np.ndarray:
-        return self._decode_plain_body(self.lossless.decompress(body), count,
-                                       abs_bound, dtype)
+        return self._decode_body(body, count, abs_bound, dtype)
 
     def stream_decoder(self) -> SZStreamDecoder:
         """Incremental decoder that overlaps the Huffman stage with arrival."""
@@ -241,9 +247,9 @@ class SZ2Compressor(LossyCompressor):
         """Incremental encoder that emits the body as the Huffman stage codes."""
         return SZStreamEncoder(self)
 
-    def _huffman_span(self, plain: "StreamBuffer", count: int
+    def _huffman_span(self, body: "StreamBuffer", count: int
                       ) -> "tuple[int, int, Callable[[int], None] | None] | None":
-        """Locate the embedded Huffman stream in a plaintext body prefix.
+        """Locate the embedded Huffman stream in a body prefix.
 
         Returns ``(start, length, check_count)`` once the pre-Huffman fields
         have arrived, ``None`` while more bytes are needed.  Length 0 means
@@ -254,42 +260,43 @@ class SZ2Compressor(LossyCompressor):
         batch decode's errors.  The remaining fields are validated by the
         batch parser at finish.
         """
-        if not plain.has(16):
+        if not body.has(16):
             return None
-        block_size, n_blocks, _ = struct.unpack("<IQI", plain.view(0, 16))
+        block_size, n_blocks, _ = struct.unpack("<IQI", body.view(0, 16))
         _check_geometry(block_size, n_blocks, count)
         if n_blocks == 0:
             return 16, 0, None
         offset = 25  # past <IQI>, original_len and the predictor field
-        if not plain.has(offset):
+        if not body.has(offset):
             return None
-        if _check_predictor(plain.view(24, 25)[0]) == _HYBRID:
-            if not plain.has(8, offset):
+        if _check_predictor(body.view(24, 25)[0]) == _HYBRID:
+            if not body.has(8, offset):
                 return None
-            (sel_len,) = struct.unpack("<Q", plain.view(offset, offset + 8))
+            (sel_len,) = struct.unpack("<Q", body.view(offset, offset + 8))
             offset += 8 + sel_len
-            if not plain.has(8, offset):
+            if not body.has(8, offset):
                 return None
-            (coef_count,) = struct.unpack("<Q", plain.view(offset, offset + 8))
+            (coef_count,) = struct.unpack("<Q", body.view(offset, offset + 8))
             offset += 8 + 4 * coef_count
-        if not plain.has(8, offset):
+        if not body.has(8, offset):
             return None
-        (huff_len,) = struct.unpack("<Q", plain.view(offset, offset + 8))
+        (huff_len,) = struct.unpack("<Q", body.view(offset, offset + 8))
         return offset + 8, huff_len, functools.partial(
             _check_code_count, n_blocks=n_blocks, block_size=block_size)
 
-    def _decode_plain_body(self, body: bytes, count: int, abs_bound: float,
+    def _decode_body(self, body: bytes, count: int, abs_bound: float,
                            dtype: np.dtype,
                            codes: "np.ndarray | None" = None) -> np.ndarray:
-        """Reconstruct from the decompressed body.
+        """Reconstruct from the body.
 
         ``codes`` carries pre-decoded Huffman symbols from the streaming
         consumer; ``None`` (the batch path) decodes them here.  Both sources
         run the same kernels, so the output is bit-identical either way.
 
-        Every geometry field is checked against the container's ``count``
-        before it sizes anything, and the body must be consumed exactly;
-        any mismatch raises :class:`ValueError`.
+        Every geometry field, the Huffman stream's symbol count included, is
+        checked against the container's ``count`` before it sizes anything,
+        and the body must be consumed exactly; any mismatch raises
+        :class:`ValueError`.
         """
         block_size, n_blocks, radius = struct.unpack_from("<IQI", body, 0)
         offset = 16
@@ -323,7 +330,10 @@ class SZ2Compressor(LossyCompressor):
         (huff_len,) = struct.unpack_from("<Q", body, offset)
         offset += 8
         if codes is None:
-            codes = self.huffman.decode(body[offset : offset + huff_len])
+            codes = self.huffman.decode(
+                memoryview(body)[offset : offset + huff_len],
+                check_count=functools.partial(_check_code_count, n_blocks=n_blocks,
+                                              block_size=block_size))
         offset += huff_len
         _check_code_count(codes.size, n_blocks, block_size)
         outliers, offset = LinearQuantizer.unpack_outliers(body, offset)
@@ -472,21 +482,17 @@ def _estimated_bits(quant: QuantizationResult, scale: float) -> float:
     """Estimated body bits of one candidate from its sample's codes.
 
     The codes cost their order-0 entropy and each outlier its 64 bits, both
-    scaled by ``scale`` to the whole tensor.  The code table is HUF3's byte
-    per symbol up to the largest code, holding each used code's Shannon
-    length, deflated as the lossless stage deflates it: its cost grows with
-    how sparsely the codes spread, which decides small tensors whose codes
-    are nearly all distinct.
+    scaled by ``scale`` to the whole tensor.  The code table is HUF4's for
+    single codes: a bitmap byte per 8 codes of the used range and a 4-bit
+    length per used code.  Its cost grows with how sparsely the codes
+    spread, which decides small tensors whose codes are nearly all distinct.
     """
     lowest = int(quant.codes.min())
     counts = np.bincount(quant.codes - lowest)
-    used = np.flatnonzero(counts)
-    freq = counts[used]
+    freq = counts[counts > 0]
     total = quant.codes.size
     entropy = float(total * np.log2(total) - np.dot(freq, np.log2(freq)))
-    lengths = np.zeros(lowest + counts.size, dtype=np.uint8)
-    lengths[lowest + used] = np.clip(np.ceil(np.log2(total / freq)), 1, MAX_CODE_LENGTH)
-    table = 8 * len(zlib.compress(lengths.tobytes(), 1))
+    table = 8 * -(-counts.size // 8) + 4 * freq.size
     return scale * (entropy + 64 * quant.outliers.size) + table
 
 

@@ -9,7 +9,8 @@ SZ3 typically edges out SZ2 at larger error bounds (Section II-A of the paper).
 
 This reproduction implements the 1-D linear-interpolation variant level by
 level (each level is a single vectorized pass that reads only reconstructed
-values), followed by the same Huffman + lossless finishing stages as SZ2.
+values), followed by the same HUF4 Huffman stage as SZ2.  Like SZ2's, the
+body has no lossless pass after it.
 
 Payload body layout::
 
@@ -17,11 +18,12 @@ Payload body layout::
     u32   quantizer radius
     u8    anchor dtype (0 = float32, 1 = float64)
     u64   anchor count, anchor values
-    u64   Huffman stream length, Huffman-coded quantization codes (level order)
+    u64   Huffman stream length, HUF4 stream of the quantization codes (level order)
     u64   outlier count, f64[] verbatim outliers (level order)
 
-wrapped in the configured lossless backend.  The decoder checks the element,
-anchor and code counts against the container's element count, accepts an
+The decoder checks the element, anchor and code counts against the
+container's element count (the code count before the Huffman stream sizes
+anything), accepts an
 anchor flag of 0 or 1 only, requires exactly one outlier per zero code, and
 rejects any byte after the last field (the outlier tail, or the 13-byte
 empty-tensor escape) with :class:`ValueError`.
@@ -41,8 +43,7 @@ from typing import Callable
 import numpy as np
 
 from repro.compressors.base import ErrorBound, ErrorBoundMode, LossyCompressor
-from repro.compressors.huffman import DEFAULT_CHUNK_SYMBOLS, HuffmanCoder
-from repro.compressors.lossless import LosslessCodec, get_lossless
+from repro.compressors.huffman import DEFAULT_CHUNK_TUPLES, HuffmanCoder
 from repro.compressors.predictors import InterpolationPredictor
 from repro.compressors.quantizer import LinearQuantizer
 from repro.compressors.streaming import SZStreamDecoder, SZStreamEncoder
@@ -59,30 +60,23 @@ class SZ3Compressor(LossyCompressor):
     def __init__(self, error_bound: ErrorBound | float = 1e-2,
                  mode: ErrorBoundMode | str = ErrorBoundMode.REL,
                  quantizer_radius: int = 32768,
-                 lossless_backend: str | LosslessCodec = "zlib",
-                 entropy_chunk: int = DEFAULT_CHUNK_SYMBOLS) -> None:
+                 entropy_chunk: int = DEFAULT_CHUNK_TUPLES) -> None:
         super().__init__(error_bound, mode)
         self.quantizer = LinearQuantizer(quantizer_radius)
-        # entropy_chunk caps the symbols per Huffman chunk
+        # entropy_chunk caps the tuples per Huffman chunk
         self.huffman = HuffmanCoder(chunk_size=entropy_chunk)
-        if isinstance(lossless_backend, LosslessCodec):
-            self.lossless = lossless_backend
-        else:
-            self.lossless = get_lossless(lossless_backend, level=1) if lossless_backend == "zlib" \
-                else get_lossless(lossless_backend)
 
     # ------------------------------------------------------------------
     def _compress_float1d(self, data: np.ndarray, abs_bound: float) -> bytes:
         prefix, codes, suffix = self._body_parts(data, abs_bound)
         if codes is None:
-            return self.lossless.compress(b"".join(prefix + suffix))
+            return b"".join(prefix + suffix)
         huff = self.huffman.encode(codes)
-        body = b"".join(prefix) + struct.pack("<Q", len(huff)) + huff + b"".join(suffix)
-        return self.lossless.compress(body)
+        return b"".join([*prefix, struct.pack("<Q", len(huff)), huff, *suffix])
 
     def _body_parts(self, data: np.ndarray, abs_bound: float
                     ) -> "tuple[list[bytes], np.ndarray | None, list[bytes]]":
-        """Split the plaintext body into (pre-Huffman pieces, quantization
+        """Split the body into (pre-Huffman pieces, quantization
         codes, post-Huffman pieces).
 
         Same contract as :meth:`SZ2Compressor._body_parts`: shared by the
@@ -127,8 +121,7 @@ class SZ3Compressor(LossyCompressor):
     # ------------------------------------------------------------------
     def _decompress_float1d(self, body: bytes, count: int, abs_bound: float,
                             dtype: np.dtype) -> np.ndarray:
-        return self._decode_plain_body(self.lossless.decompress(body), count,
-                                       abs_bound, dtype)
+        return self._decode_body(body, count, abs_bound, dtype)
 
     def stream_decoder(self) -> SZStreamDecoder:
         """Incremental decoder that overlaps the Huffman stage with arrival."""
@@ -138,9 +131,9 @@ class SZ3Compressor(LossyCompressor):
         """Incremental encoder that emits the body as the Huffman stage codes."""
         return SZStreamEncoder(self)
 
-    def _huffman_span(self, plain: "StreamBuffer", count: int
+    def _huffman_span(self, body: "StreamBuffer", count: int
                       ) -> "tuple[int, int, Callable[[int], None] | None] | None":
-        """Locate the embedded Huffman stream in a plaintext body prefix.
+        """Locate the embedded Huffman stream in a body prefix.
 
         Same contract as :meth:`SZ2Compressor._huffman_span`: ``(start,
         length, check_count)`` once the pre-Huffman fields (anchor block
@@ -151,35 +144,36 @@ class SZ3Compressor(LossyCompressor):
         anchors.
         """
         fixed = struct.calcsize("<QIB")
-        if not plain.has(fixed):
+        if not body.has(fixed):
             return None
-        n, _, anchor_code = struct.unpack("<QIB", plain.view(0, fixed))
+        n, _, anchor_code = struct.unpack("<QIB", body.view(0, fixed))
         _check_length(n, count)
         itemsize = _anchor_dtype(anchor_code).itemsize
         if n == 0:
             return fixed, 0, None
         offset = fixed
-        if not plain.has(8, offset):
+        if not body.has(8, offset):
             return None
-        (anchor_count,) = struct.unpack("<Q", plain.view(offset, offset + 8))
+        (anchor_count,) = struct.unpack("<Q", body.view(offset, offset + 8))
         _check_anchors(anchor_count, n)
         offset += 8 + itemsize * anchor_count
-        if not plain.has(8, offset):
+        if not body.has(8, offset):
             return None
-        (huff_len,) = struct.unpack("<Q", plain.view(offset, offset + 8))
+        (huff_len,) = struct.unpack("<Q", body.view(offset, offset + 8))
         return offset + 8, huff_len, functools.partial(
             _check_code_count, expected=n - anchor_count)
 
-    def _decode_plain_body(self, body: bytes, count: int, abs_bound: float,
+    def _decode_body(self, body: bytes, count: int, abs_bound: float,
                            dtype: np.dtype,
                            codes: "np.ndarray | None" = None) -> np.ndarray:
-        """Reconstruct from the decompressed body.
+        """Reconstruct from the body.
 
         ``codes`` carries pre-decoded Huffman symbols from the streaming
         consumer; ``None`` (the batch path) decodes them here.  Both sources
         run the same kernels, so the output is bit-identical either way.
         The element, anchor and code counts are checked against the
-        container's ``count``, the anchor flag must be 0 or 1, every zero
+        container's ``count`` (the code count before the Huffman stream
+        sizes anything), the anchor flag must be 0 or 1, every zero
         code must have exactly one outlier, and no byte may follow the last
         field; any mismatch raises :class:`ValueError`.
         """
@@ -198,7 +192,10 @@ class SZ3Compressor(LossyCompressor):
         (huff_len,) = struct.unpack_from("<Q", body, offset)
         offset += 8
         if codes is None:
-            codes = self.huffman.decode(body[offset : offset + huff_len])
+            codes = self.huffman.decode(
+                memoryview(body)[offset : offset + huff_len],
+                check_count=functools.partial(_check_code_count,
+                                              expected=n - anchor_count))
         offset += huff_len
         _check_code_count(codes.size, n - anchor_count)
         outliers, offset = LinearQuantizer.unpack_outliers(body, offset)

@@ -10,8 +10,9 @@ This reproduction keeps both mechanisms and stays fully vectorized:
 * constant blocks: ``(max - min) / 2 <= eps`` → store the float64 midpoint;
 * non-constant blocks: values are offset by the global minimum of the
   non-constant data and uniformly quantized with step ``2 * eps``; a single
-  shared bit width (the smallest width that covers the largest code) is used so
-  the bit-packing is one :func:`numpy.packbits` call.  This is the "bit-wise
+  shared bit width (the smallest width that covers the largest code) is used,
+  so every 8 codes fill exactly ``width`` bytes and the bit-packing is a fixed
+  pattern of shifts per group (:func:`_pack_fixed`).  This is the "bit-wise
   truncation" stage expressed against a fixed-point representation.
 
 Both paths honour the per-element absolute error bound.  The paper observed
@@ -100,9 +101,7 @@ class SZxCompressor(LossyCompressor):
                 codes = code_floats.astype(np.uint64)
                 max_code = int(codes.max()) if codes.size else 0
                 width = max(int(max_code).bit_length(), 1)
-                shifts = np.arange(width - 1, -1, -1, dtype=np.uint64)
-                bits = ((codes[:, None] >> shifts[None, :]) & np.uint64(1)).astype(np.uint8)
-                packed = np.packbits(bits.ravel())
+                packed = _pack_fixed(codes, width)
         else:
             offset_value = 0.0
             width = 0
@@ -154,9 +153,7 @@ class SZxCompressor(LossyCompressor):
             if width == _VERBATIM_WIDTH:
                 decoded = np.frombuffer(packed.tobytes(), dtype=np.float64, count=total)
             else:
-                bits = np.unpackbits(packed)[: total * width].reshape(total, width)
-                weights = (np.uint64(1) << np.arange(width - 1, -1, -1, dtype=np.uint64))
-                codes = (bits.astype(np.uint64) * weights[None, :]).sum(axis=1, dtype=np.uint64)
+                codes = _unpack_fixed(packed, width, total)
                 decoded = offset_value + codes.astype(np.float64) * 2.0 * abs_bound
             decoded = decoded.reshape(n_nonconst, block_size)
         # whole blocks fill a 2-D view of the output and a short last block
@@ -174,3 +171,56 @@ class SZxCompressor(LossyCompressor):
             values[full * block_size:] = midpoints[-1] if constant[-1] \
                 else decoded[-1, :count - full * block_size]
         return values
+
+
+def _byte_spans(width: int):
+    """``(code, byte, shift)`` for every byte of an 8-code group a code touches.
+
+    Code ``i`` of a group occupies bits ``[i * width, (i + 1) * width)``
+    (MSB-first), so group byte ``j`` holds the code shifted right by
+    ``(i + 1) * width - 8 * (j + 1)`` (left when that is negative).
+    """
+    for i in range(8):
+        for j in range(i * width // 8, ((i + 1) * width - 1) // 8 + 1):
+            yield i, j, (i + 1) * width - 8 * (j + 1)
+
+
+def _pack_fixed(codes: np.ndarray, width: int) -> np.ndarray:
+    """Pack ``uint64`` codes of ``width`` bits MSB-first, zero-padded.
+
+    Byte for byte what :func:`numpy.packbits` makes of the codes' bits, but
+    8 codes always fill ``width`` bytes, so each group byte is an OR of at
+    most a few shifted codes: a fixed set of whole-column shifts instead of
+    an ``n x width`` bit matrix.
+    """
+    groups = -(-codes.size // 8)
+    lanes = np.zeros((groups, 8), dtype=np.uint64)
+    lanes.reshape(-1)[:codes.size] = codes
+    lanes = np.ascontiguousarray(lanes.T)
+    out = np.zeros((width, groups), dtype=np.uint8)
+    part = np.empty(groups, dtype=np.uint64)
+    for i, j, shift in _byte_spans(width):
+        if shift >= 0:
+            np.right_shift(lanes[i], np.uint64(shift), out=part)
+        else:
+            np.left_shift(lanes[i], np.uint64(-shift), out=part)
+        out[j] |= part.astype(np.uint8)  # the cast keeps the low byte
+    return out.T.reshape(-1)[:-(-codes.size * width // 8)]
+
+
+def _unpack_fixed(packed: np.ndarray, width: int, count: int) -> np.ndarray:
+    """The mirror of :func:`_pack_fixed`: ``count`` codes of ``width`` bits."""
+    groups = -(-count // 8)
+    padded = np.zeros(groups * width, dtype=np.uint8)
+    padded[:packed.size] = packed
+    rows = padded.reshape(groups, width).T.astype(np.uint64)
+    codes = np.zeros((8, groups), dtype=np.uint64)
+    part = np.empty(groups, dtype=np.uint64)
+    for i, j, shift in _byte_spans(width):
+        if shift >= 0:
+            np.left_shift(rows[j], np.uint64(shift), out=part)
+        else:
+            np.right_shift(rows[j], np.uint64(-shift), out=part)
+        codes[i] |= part
+    codes &= np.uint64((1 << width) - 1)
+    return codes.T.reshape(-1)[:count]

@@ -28,8 +28,8 @@ class FedSZConfig:
     * ``lossy_name_tokens`` — substrings of the state-dict key that mark a
       tensor as a candidate for lossy compression (Algorithm 1 checks for
       ``"weight"``),
-    * ``entropy_chunk`` — the most symbols per independently-decodable chunk
-      of the SZ2/SZ3 Huffman entropy stage (decode always runs in-thread),
+    * ``entropy_chunk`` — the most symbol tuples per independently-decodable
+      chunk of the SZ2/SZ3 Huffman entropy stage (decode always runs in-thread),
     * ``policy`` / ``policy_options`` — registry name and constructor kwargs
       of the plan policy (:mod:`repro.core.plan`) that assigns each lossy
       tensor its codec/bound/options; ``"uniform"`` reproduces the historic

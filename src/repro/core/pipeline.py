@@ -65,14 +65,16 @@ from repro.utils.serialization import pack_arrays, pack_bytes_dict, unpack_array
 __all__ = ["FedSZCompressor", "FedSZReport", "StreamingStateDecoder",
            "StreamingStateEncoder"]
 
-#: bumped to 6 for the SZ2 body's predictor field (hybrid block prediction
-#: or a zero predictor with no side fields).  4 made the format plan-driven:
+#: bumped to 7 for the HUF4 entropy stage: SZ2 and SZ3 bodies embed a tuple
+#: Huffman stream and no lossless pass wraps them.  6 added the SZ2 body's
+#: predictor field (hybrid block prediction or a zero predictor with no side
+#: fields).  4 made the format plan-driven:
 #: every ``lossy::`` payload is prefixed with its codec id and the manifest
 #: carries the full per-tensor plan summary, so one bitstream may mix codecs
 #: and bounds.  (5 is the delta frame's ``FDL5`` magic, 3 added the chunked
 #: Huffman entropy stage, 2 the SZ3 anchor dtype flag / ZFP verbatim trailer /
 #: SZx verbatim escape — see FORMATS.md.)
-_FORMAT_VERSION = 6
+_FORMAT_VERSION = 7
 #: Lossy compressors whose payloads carry a Huffman entropy stage and
 #: therefore accept the ``entropy_chunk`` knob.
 _ENTROPY_CODED = ("sz2", "sz3")

@@ -65,9 +65,13 @@ DEFAULT_CANDIDATES = ("sz2", "sz3", "szx", "zfp")
 #: Error-bound grid of Problem 2 around the paper's recommended 1e-2 point.
 DEFAULT_ERROR_BOUNDS = (1e-4, 1e-3, 1e-2)
 
-#: on-disk profile-cache identity (see FORMATS.md "Profile cache")
+#: on-disk profile-cache identity (see FORMATS.md "Profile cache").  Version 2:
+#: the cached ``compressed_bytes`` and timings of version-1 files were measured
+#: on SZ2/SZ3 bodies of the version-6 Huffman stream plus a zlib pass, which
+#: bitstream version 7 replaced with HUF4 and no lossless pass, so a version-1
+#: file loads empty.
 PROFILE_CACHE_FORMAT = "fedsz-profile-cache"
-PROFILE_CACHE_VERSION = 1
+PROFILE_CACHE_VERSION = 2
 #: default drift threshold when a durable cache is enabled without one
 DEFAULT_DRIFT_THRESHOLD = 0.25
 

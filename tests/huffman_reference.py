@@ -1,12 +1,12 @@
-"""Byte-identity oracle for the chunked Huffman packer.
+"""Byte-identity oracle for the chunked HUF4 packer.
 
-:func:`bit_matrix_bands` is the bit-matrix packer the production
-:class:`~repro.compressors.huffman.ChunkBandProducer` used before it scattered
-codes at their cumulative bit offsets: per chunk it expands every code into a
-``count x max_code_length`` bit matrix, keeps the valid bits behind the bits
-the previous chunk left over, and packs the whole bytes.  It is slow and
-memory-hungry but obviously right, so the property tests hold the fast packer
-to its bands byte for byte.
+:func:`bit_matrix_bands` reads the code table a producer pinned, forms the
+stream's tuples one symbol at a time, assigns canonical codes one by one in
+(length, tuple) order, and expands each chunk's codes into a ``tuples x
+max_code_length`` bit matrix, keeping the valid bits behind the bits the
+previous chunk left over and packing the whole bytes.  It is slow and
+memory-hungry but obviously right, so the property tests hold the fast
+scatter packer and its vectorized tuple forming to its bands byte for byte.
 """
 
 from __future__ import annotations
@@ -15,31 +15,66 @@ import struct
 
 import numpy as np
 
-from repro.compressors.huffman import _canonical_codes
+_HEADER = struct.Struct("<IIBQII")  # lo, W, k, count, tuples per chunk, chunks
 
-_HEADER = struct.Struct("<IQII")  # alphabet, count, chunk_size, n_chunks
+
+def any_count(count: int) -> None:
+    """A ``check_count`` that accepts every declared symbol count, for the
+    streams a test built (or corrupted) itself."""
+
+
+def pinned_code_table(pinned_header: bytes) -> "tuple[dict, dict]":
+    """``(fields, lengths)``: the header fields and each used tuple's length."""
+    lo, width, k, count, chunk, n_chunks = _HEADER.unpack_from(pinned_header, 0)
+    fields = {"lo": lo, "width": width, "k": k, "count": count, "chunk": chunk,
+              "n_chunks": n_chunks}
+    if count == 0:
+        return fields, {}
+    at = _HEADER.size
+    bits = np.unpackbits(np.frombuffer(pinned_header, dtype=np.uint8,
+                                       count=-(-width ** k // 8), offset=at))
+    used = [t for t in range(width ** k) if bits[t]]
+    at += -(-width ** k // 8)
+    if len(used) == 1:
+        return fields, {used[0]: 0}
+    nibbles = []
+    for byte in pinned_header[at:at + (len(used) + 1) // 2]:
+        nibbles += [byte >> 4, byte & 15]
+    return fields, {t: nibbles[i] + 1 for i, t in enumerate(used)}
 
 
 def bit_matrix_bands(symbols: np.ndarray, pinned_header: bytes) -> list[bytes]:
     """The bands a producer with ``pinned_header`` must yield for ``symbols``."""
-    alphabet, count, chunk, n_chunks = _HEADER.unpack_from(pinned_header, 0)
-    if count == 0:
+    fields, lengths = pinned_code_table(pinned_header)
+    if fields["count"] == 0 or max(lengths.values()) == 0:
         return []
-    lengths = np.frombuffer(pinned_header, dtype=np.uint8, count=alphabet,
-                            offset=_HEADER.size).astype(np.int64)
-    codes = _canonical_codes(lengths).astype(np.uint64)
-    symbols = np.asarray(symbols, dtype=np.int64).ravel()
-    bitpos = np.arange(int(lengths.max()), dtype=np.int64)
+    lo, width, k, chunk = fields["lo"], fields["width"], fields["k"], fields["chunk"]
+    codes, code, previous = {}, 0, None
+    for length, t in sorted((length, t) for t, length in lengths.items()):
+        if previous is not None:
+            code = (code + 1) << (length - previous)
+        codes[t], previous = code, length
+    symbols = [int(s) for s in np.asarray(symbols).ravel()]
+    symbols += [lo] * (-len(symbols) % k)
+    tuples = []
+    for i in range(0, len(symbols), k):
+        t = 0
+        for s in symbols[i:i + k]:
+            t = t * width + (s - lo)
+        tuples.append(t)
+    tuple_codes = np.array([codes[t] for t in tuples], dtype=np.uint64)
+    tuple_lengths = np.array([lengths[t] for t in tuples], dtype=np.int64)
+    bitpos = np.arange(int(tuple_lengths.max()), dtype=np.int64)
     bands = []
     carry = np.zeros(0, dtype=np.uint8)
-    for k in range(n_chunks):
-        chunk_syms = symbols[k * chunk:(k + 1) * chunk]
-        shift = lengths[chunk_syms][:, None] - 1 - bitpos[None, :]
-        shifted = codes[chunk_syms][:, None] >> np.maximum(shift, 0).astype(np.uint64)
+    for c in range(fields["n_chunks"]):
+        part = slice(c * chunk, (c + 1) * chunk)
+        shift = tuple_lengths[part][:, None] - 1 - bitpos[None, :]
+        shifted = tuple_codes[part][:, None] >> np.maximum(shift, 0).astype(np.uint64)
         bits = (shifted & np.uint64(1)).astype(np.uint8)[shift >= 0]
         bits = np.concatenate([carry, bits])
         # pack whole bytes and carry the remainder; the last band is padded
-        cut = bits.size if k + 1 == n_chunks else bits.size & ~7
+        cut = bits.size if c + 1 == fields["n_chunks"] else bits.size & ~7
         bands.append(np.packbits(bits[:cut]).tobytes())
         carry = bits[cut:]
     return bands

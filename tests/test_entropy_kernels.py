@@ -1,23 +1,25 @@
 """The entropy stage's fast kernels held to their references.
 
 * The scatter packer must cut the same bands, byte for byte, as the
-  bit-matrix oracle in ``huffman_reference.py``: random alphabets, code
-  lengths up to 16 (clamped tables included), chunk sizes whose bit counts
-  force carries, group sizes that split chunks across packing groups, and
-  empty and single-symbol streams.
+  bit-matrix oracle in ``huffman_reference.py``: random alphabets and
+  offsets, every tuple size the rule allows (k = 1, 2, 3, 7 and 12 on
+  streams the encoder codes in those tuples), code lengths up to 16 (clamped
+  tables included), chunk sizes whose bit counts force carries, group sizes
+  that split chunks across packing groups, padded last tuples, and empty and
+  one-tuple streams.
 * The in-thread decode (the vectorized row walk above
-  ``_MIN_VECTOR_CHUNKS`` chunks) must equal the per-symbol scalar loop on both
+  ``_MIN_VECTOR_CHUNKS`` chunks) must equal the per-tuple scalar loop on both
   sides of the crossover, batch and streaming at random feed splits, and must
   reject exactly the corrupt bodies the scalar loop rejects.
 * ``peak_scratch_bytes`` must bound the packer's traced allocation peak.
 * A crafted stream whose last chunk stalls on its boundary must raise on
   every decode path.
 * On both kernels, batch and streaming: an unused window at the first, a
-  middle or the last symbol of a full or a short tail chunk is rejected as
+  middle or the last tuple of a full or a short tail chunk is rejected as
   the reference rejects it, unused windows the tail chunk's surplus walk
-  reads are ignored, and alphabets past ``uint16`` and Kraft-incomplete
-  (clamped) tables decode like the reference.
-* The row walk's traced peak is bounded by its arrays: 2 B per symbol for
+  reads are ignored, and symbols up to 65537 (W past ``uint16``),
+  Kraft-incomplete and length-clamped tables decode like the reference.
+* The row walk's traced peak is bounded by its arrays: 2 B per tuple for
   the window record, never an ``int64`` one.
 """
 
@@ -30,10 +32,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from huffman_reference import bit_matrix_bands
+from huffman_reference import any_count, bit_matrix_bands, pinned_code_table
 from repro.compressors import huffman
 from repro.compressors.huffman import (
     MAX_CODE_LENGTH,
@@ -42,26 +44,27 @@ from repro.compressors.huffman import (
     _decode_reference,
 )
 
-_HEADER = struct.Struct("<IQII")
+_HEADER = struct.Struct("<IIBQII")  # lo, W, k, count, tuples per chunk, chunks
 
 
-def _symbols(kind: str, size: int, alphabet: int, seed: int) -> np.ndarray:
+def _symbols(kind: str, size: int, alphabet: int, seed: int, lo: int = 0) -> np.ndarray:
     rng = np.random.default_rng(seed)
     if kind == "uniform":
-        return rng.integers(0, alphabet, size=size)
+        return lo + rng.integers(0, alphabet, size=size)
     if kind == "skewed":
         # geometric-ish frequencies: short codes up front, long rare ones
         p = 2.0 ** (-0.7 * np.arange(alphabet))
-        return rng.choice(alphabet, size=size, p=p / p.sum())
+        return lo + rng.choice(alphabet, size=size, p=p / p.sum())
     if kind == "clamped":
-        # Fibonacci counts build a tree 18 levels deep: the table is clamped
+        # Fibonacci counts build a tree 18 levels deep: the table is clamped.
+        # Spaced 4 apart, the range is 73 wide, so the code is over singles.
         fib = [1, 1]
         while len(fib) < 19:
             fib.append(fib[-1] + fib[-2])
-        symbols = np.repeat(np.arange(19), fib)
+        symbols = lo + 4 * np.repeat(np.arange(19), fib)
         rng.shuffle(symbols)
         return symbols
-    return np.full(size, alphabet - 1, dtype=np.int64)  # single symbol
+    return np.full(size, lo + alphabet - 1, dtype=np.int64)  # single symbol
 
 
 def _pieces(blob: bytes, cuts: list[int]):
@@ -77,10 +80,10 @@ def _decode_all_paths(payload: bytes, cuts: list[int]) -> "list[np.ndarray | Non
     """Batch and streaming; ``None`` where it raised."""
     results = []
     try:
-        results.append(HuffmanCoder().decode(payload))
+        results.append(HuffmanCoder().decode(payload, any_count))
     except ValueError:
         results.append(None)
-    consumer = HuffmanCoder().stream_consumer()
+    consumer = HuffmanCoder().stream_consumer(any_count)
     try:
         for piece in _pieces(payload, cuts):
             consumer.feed(piece)
@@ -94,32 +97,92 @@ class TestPacker:
     @settings(max_examples=80, deadline=None)
     @given(kind=st.sampled_from(["uniform", "skewed", "clamped", "single"]),
            size=st.integers(0, 3000), alphabet=st.integers(1, 300),
+           lo=st.sampled_from([0, 1, 32768]),
            seed=st.integers(0, 2 ** 32 - 1), chunk=st.integers(1, 97),
            group=st.integers(1, 400))
-    def test_bands_match_bit_matrix_oracle(self, kind, size, alphabet, seed,
+    def test_bands_match_bit_matrix_oracle(self, kind, size, alphabet, lo, seed,
                                            chunk, group):
-        symbols = _symbols(kind, size, alphabet, seed)
-        with mock.patch.object(huffman, "_PACK_GROUP_SYMBOLS", group):
+        symbols = _symbols(kind, size, alphabet, seed, lo)
+        with mock.patch.object(huffman, "_PACK_GROUP_TUPLES", group):
             producer = ChunkBandProducer(symbols, chunk)
         bands = list(producer.bands())
         assert bands == bit_matrix_bands(symbols, producer.pinned_header)
         stream = producer.magic_and_crc() + producer.pinned_header + b"".join(bands)
         assert len(stream) == producer.stream_length
-        np.testing.assert_array_equal(HuffmanCoder().decode(stream), symbols)
+        np.testing.assert_array_equal(HuffmanCoder().decode(stream, any_count), symbols)
+
+    @pytest.mark.parametrize("width, k", [(2, 12), (3, 7), (16, 3), (51, 2), (70, 1)])
+    @pytest.mark.parametrize("size", [40_000, 40_003])  # 40003 pads the last tuple
+    def test_each_tuple_size_matches_the_oracle(self, width, k, size):
+        # one dominant symbol: the tuple code beats singles wherever W allows
+        rng = np.random.default_rng(width)
+        symbols = np.where(rng.random(size) < 0.9, width // 2,
+                           rng.integers(0, width, size)) + 7
+        symbols[:2] = 7, 7 + width - 1
+        producer = ChunkBandProducer(symbols, 64)
+        fields, _ = pinned_code_table(producer.pinned_header)
+        assert (fields["width"], fields["k"]) == (width, k)
+        bands = list(producer.bands())
+        assert bands == bit_matrix_bands(symbols, producer.pinned_header)
+        payload = producer.magic_and_crc() + producer.pinned_header + b"".join(bands)
+        np.testing.assert_array_equal(_decode_reference(payload), symbols)
+        for decoded in _decode_all_paths(payload, [11, 400, 3000]):
+            np.testing.assert_array_equal(decoded, symbols)
+
+    @pytest.mark.parametrize("case, k", [
+        ("uniform", 1),       # tuples gain nothing and their table costs ~2 KB
+        ("dominant", 3),      # tuples are smaller outright
+        ("laplace-50k", 1),   # pairs: 239 B more for 25000 fewer decode steps
+        ("laplace-100k", 2),  # pairs: 312 B more for 50000 fewer decode steps
+    ])
+    def test_tuple_choice_weighs_bytes_against_decode_steps(self, case, k):
+        if case in ("uniform", "dominant"):
+            symbols = _symbols("uniform", 20_000, 16, 3)
+            if case == "dominant":
+                rng = np.random.default_rng(3)
+                symbols = np.where(rng.random(20_000) < 0.9, 8, symbols)
+        else:
+            n, scale = (50_000, 2.0) if case == "laplace-50k" else (100_000, 3.0)
+            rng = np.random.default_rng(7)
+            symbols = np.clip(np.rint(rng.laplace(0, scale, n)), -25, 25).astype(np.int64) + 25
+            symbols[:2] = 0, 50
+        kmax = huffman._tuple_sizes(int(np.ptp(symbols)) + 1)[-1]
+        lengths = {}
+        for size in (1, kmax):
+            with mock.patch.object(huffman, "_tuple_sizes", lambda width: (size,)):
+                lengths[size] = len(HuffmanCoder().encode(symbols))
+        producer = ChunkBandProducer(symbols)
+        assert producer.k == k and producer.stream_length == lengths[k]
+        saved_steps = symbols.size - -(-symbols.size // kmax)
+        extra = lengths[kmax] - lengths[1]
+        assert (extra * huffman._STEPS_PER_BYTE > saved_steps) == (k == 1)
+        if case.startswith("laplace"):
+            assert extra > 0  # k = kmax costs bytes either way
+
+    def test_one_tuple_stream_carries_no_code_bits(self):
+        for symbols in (np.full(100_000, 5), np.tile([0, 1], 6000)):
+            producer = ChunkBandProducer(symbols, 64)
+            assert producer.n_chunks == 1 and list(producer.bands()) == []
+            payload = HuffmanCoder(64).encode(symbols)
+            assert len(payload) == producer.stream_length < 600
+            np.testing.assert_array_equal(_decode_reference(payload), symbols)
+            for decoded in _decode_all_paths(payload, [9, 40]):
+                np.testing.assert_array_equal(decoded, symbols)
 
     def test_clamped_profile_reaches_the_length_limit(self):
         producer = ChunkBandProducer(_symbols("clamped", 0, 1, 0))
+        assert producer.k == 1
         assert max(producer.code_lengths) == MAX_CODE_LENGTH
 
     @pytest.mark.parametrize("kind, alphabet, chunk_size, group", [
-        ("skewed", 40, huffman.DEFAULT_CHUNK_SYMBOLS, None),  # default geometry
+        ("skewed", 40, huffman.DEFAULT_CHUNK_TUPLES, None),   # default geometry
         ("uniform", 20_000, 1024, 256),                       # chunk > group, ~15-bit codes
         ("skewed", 40, 300, 4096),                            # many chunks per group
     ])
     def test_peak_scratch_bounds_traced_peak(self, kind, alphabet, chunk_size, group):
         symbols = _symbols(kind, 300_000, alphabet, 9)
-        with mock.patch.object(huffman, "_PACK_GROUP_SYMBOLS",
-                               group or huffman._PACK_GROUP_SYMBOLS):
+        with mock.patch.object(huffman, "_PACK_GROUP_TUPLES",
+                               group or huffman._PACK_GROUP_TUPLES):
             producer = ChunkBandProducer(symbols, chunk_size)
         # an untraced pass first stocks the interpreter's free lists, so the
         # traced pass counts the kernel's arrays, not objects parked there
@@ -142,14 +205,26 @@ class TestDecodeMatchesScalar:
     @given(seed=st.integers(0, 2 ** 32 - 1),
            n_chunks=st.integers(1, 3 * huffman._MIN_VECTOR_CHUNKS + 2),
            chunk=st.integers(1, 64), tail=st.integers(1, 64),
-           alphabet=st.integers(1, 120),
+           alphabet=st.integers(2, 120),
            cuts=st.lists(st.integers(0, 10 ** 6), max_size=6))
     def test_both_sides_of_the_crossover(self, seed, n_chunks, chunk, tail,
                                          alphabet, cuts):
-        count = chunk * (n_chunks - 1) + min(tail, chunk)
-        symbols = _symbols("skewed", count, alphabet, seed)
+        # as many symbols as n_chunks chunks of the tuples the coder takes
+        # for them, short of a whole last tuple by a seeded pad.  The first
+        # tuple is all 0 and the last symbol is alphabet - 1, so W is the
+        # alphabet and a stream of two or more tuples uses two or more.
+        tuples = chunk * (n_chunks - 1) + min(tail, chunk)
+        for k in huffman._tuple_sizes(alphabet):
+            symbols = _symbols("skewed", tuples * k - seed % k, alphabet, seed)
+            symbols[:k] = 0
+            symbols[-1] = alphabet - 1
+            if ChunkBandProducer(symbols, chunk).k == k:
+                break
+        else:
+            assume(False)  # neither tuple size is the one its own stream takes
         payload = HuffmanCoder(chunk_size=chunk).encode(symbols)
-        assert _HEADER.unpack_from(payload, 8)[3] == n_chunks
+        head = HuffmanCoder._parse(payload, None)
+        assert (head.k, head.bit_offsets.size) == (k, n_chunks)
         reference = _decode_reference(payload)
         np.testing.assert_array_equal(reference, symbols)
         for decoded in _decode_all_paths(payload, cuts):
@@ -166,8 +241,10 @@ class TestDecodeMatchesScalar:
                                                  alphabet, flips, cuts):
         symbols = _symbols("skewed", chunk * n_chunks, alphabet, seed)
         payload = bytearray(HuffmanCoder(chunk_size=chunk).encode(symbols))
-        *_, bits_at = HuffmanCoder._parse_header(bytes(payload))
+        bits_at = HuffmanCoder._parse(bytes(payload), None).bits_at
         body_bits = (len(payload) - bits_at) * 8
+        if body_bits == 0:
+            return  # a one-tuple stream has no code bits to flip
         for flip in flips:
             bit = flip % body_bits
             payload[bits_at + bit // 8] ^= 0x80 >> (bit % 8)
@@ -183,6 +260,21 @@ class TestDecodeMatchesScalar:
                 np.testing.assert_array_equal(decoded, expected)
 
 
+def _crafted(chunks_bits: "list[str]", tuples: "list[int]", pad: str = "0") -> bytes:
+    """A k = 1 HUF4 stream over the codes ``0 -> "0"`` and ``1 -> "10"`` (W =
+    2; windows starting ``11`` are unused) whose chunks hold the given bit
+    strings and declare the given tuple counts.  ``pad`` fills the last byte
+    behind the final code."""
+    bits = "".join(chunks_bits)
+    total = len(bits)
+    bits += pad * (-total % 8)
+    body = (_HEADER.pack(0, 2, 1, sum(tuples), tuples[0], len(tuples))
+            + b"\xc0" + b"\x01"  # tuples 0 and 1 used; lengths 1 and 2
+            + np.array([len(b) for b in chunks_bits], dtype="<u4").tobytes()
+            + (int(bits, 2).to_bytes(len(bits) // 8, "big") if bits else b""))
+    return b"HUF4" + struct.pack("<I", zlib.crc32(body)) + body
+
+
 def _stalling_stream(n_chunks: int) -> bytes:
     """``n_chunks`` chunks of 4 symbols over the codes ``0 -> "0"``,
     ``1 -> "10"`` (windows starting ``11`` are unused).
@@ -192,14 +284,9 @@ def _stalling_stream(n_chunks: int) -> bytes:
     behind it are ``11``.  Its cursor reaches the recorded end one symbol early
     and then reads an unused window there.
     """
-    bits = "1010100" * (n_chunks - 1) + "10100"
-    assert len(bits) % 8 == 6
-    bits += "11"
-    index = b"".join(struct.pack("<QQ", 7 * k, 4) for k in range(n_chunks))
-    body = (_HEADER.pack(2, 4 * n_chunks, 4, n_chunks) + bytes([1, 2]) + index
-            + struct.pack("<Q", len(bits) - 2)
-            + int(bits, 2).to_bytes(len(bits) // 8, "big"))
-    return b"HUF3" + struct.pack("<I", zlib.crc32(body)) + body
+    stream = _crafted(["1010100"] * (n_chunks - 1) + ["10100"], [4] * n_chunks, pad="1")
+    assert (7 * (n_chunks - 1) + 5) % 8 == 6
+    return stream
 
 
 @pytest.mark.parametrize("n_chunks", [8, 64])
@@ -210,12 +297,12 @@ class TestStalledChunkRejected:
 
     def test_batch_decode(self, n_chunks):
         with pytest.raises(ValueError, match="corrupt Huffman stream"):
-            HuffmanCoder().decode(_stalling_stream(n_chunks))
+            HuffmanCoder().decode(_stalling_stream(n_chunks), any_count)
 
     @pytest.mark.parametrize("piece", [1, 1 << 20])
     def test_streaming_decode(self, n_chunks, piece):
         blob = _stalling_stream(n_chunks)
-        consumer = HuffmanCoder().stream_consumer()
+        consumer = HuffmanCoder().stream_consumer(any_count)
         with pytest.raises(ValueError, match="corrupt Huffman stream"):
             for start in range(0, len(blob), piece):
                 consumer.feed(blob[start:start + piece])
@@ -225,7 +312,7 @@ class TestStalledChunkRejected:
         # force the vectorized kernel even for the narrowest band
         with mock.patch.object(huffman, "_MIN_VECTOR_CHUNKS", 1):
             with pytest.raises(ValueError, match="no codeword"):
-                HuffmanCoder().decode(_stalling_stream(n_chunks))
+                HuffmanCoder().decode(_stalling_stream(n_chunks), any_count)
 
 
 _KERNELS = {"walk": 1, "scalar": 1 << 30}  # the _MIN_VECTOR_CHUNKS forcing each
@@ -233,20 +320,11 @@ _TOKENS = {0: "0", 1: "10", None: "11"}    # None writes an unused window
 
 
 def _token_stream(chunks: "list[list]", pad: str = "0") -> bytes:
-    """A HUF3 stream over the codes ``0 -> "0"`` and ``1 -> "10"`` whose
-    chunks hold the given tokens; a ``None`` token is a declared symbol whose
-    window starts ``11``, which no code covers.  ``pad`` fills the last
-    byte behind the final code."""
-    bits, index = "", b""
-    for tokens in chunks:
-        index += struct.pack("<QQ", len(bits), len(tokens))
-        bits += "".join(_TOKENS[t] for t in tokens)
-    total = len(bits)
-    bits += pad * (-total % 8)
-    body = (_HEADER.pack(2, sum(map(len, chunks)), len(chunks[0]), len(chunks))
-            + bytes([1, 2]) + index + struct.pack("<Q", total)
-            + int(bits, 2).to_bytes(len(bits) // 8, "big"))
-    return b"HUF3" + struct.pack("<I", zlib.crc32(body)) + body
+    """A crafted stream (:func:`_crafted`) whose chunks hold the given tokens;
+    a ``None`` token is a declared symbol whose window starts ``11``, which
+    no code covers."""
+    return _crafted(["".join(_TOKENS[t] for t in tokens) for tokens in chunks],
+                    [len(tokens) for tokens in chunks], pad)
 
 
 def _kernel_decodes(payload: bytes, kernel: str) -> "list[np.ndarray | None]":
@@ -285,54 +363,73 @@ class TestKernelEdges:
 
     @pytest.mark.parametrize("chunk_size", [5000, 1250, 250])
     def test_alphabet_past_uint16(self, kernel, chunk_size):
-        # SZ2's radius-32768 quantizer emits codes up to 65537
+        # SZ2's radius-32768 quantizer emits codes up to 65537: W = 65538
         rng = np.random.default_rng(17)
         symbols = rng.integers(0, 40, size=5000)
         symbols[rng.choice(5000, size=60, replace=False)] = \
-            rng.choice([65535, 65536, 65537, 70000], size=60)
+            rng.choice([65535, 65536, 65537], size=60)
         payload = HuffmanCoder(chunk_size=chunk_size).encode(symbols)
+        assert pinned_code_table(payload[8:])[0]["width"] == 65538
         np.testing.assert_array_equal(_decode_reference(payload), symbols)
         for decoded in _kernel_decodes(payload, kernel):
             np.testing.assert_array_equal(decoded, symbols)
 
     @pytest.mark.parametrize("chunk_size", [1 << 16, 2000, 512])
-    def test_kraft_incomplete_table(self, kernel, chunk_size):
+    def test_length_clamped_table(self, kernel, chunk_size):
         symbols = _symbols("clamped", 0, 1, 23)
         producer = ChunkBandProducer(symbols, chunk_size)
-        lengths = np.frombuffer(producer.code_lengths, dtype=np.uint8).astype(np.int64)
-        assert np.sum(1 << (MAX_CODE_LENGTH - lengths[lengths > 0])) < 1 << MAX_CODE_LENGTH
+        assert max(producer.code_lengths) == MAX_CODE_LENGTH
         payload = HuffmanCoder.assemble(producer)
         np.testing.assert_array_equal(_decode_reference(payload), symbols)
         for decoded in _kernel_decodes(payload, kernel):
             np.testing.assert_array_equal(decoded, symbols)
 
+    def test_kraft_incomplete_table(self, kernel):
+        # the crafted codes "0" and "10" leave every window "11..." unused
+        chunks = [list(self.FULL) for _ in range(20)] + [list(self.TAIL)]
+        payload = _token_stream(chunks)
+        expected = np.array(sum(chunks, []))
+        np.testing.assert_array_equal(_decode_reference(payload), expected)
+        for decoded in _kernel_decodes(payload, kernel):
+            np.testing.assert_array_equal(decoded, expected)
 
-def test_walk_peak_is_bounded_by_its_arrays():
+
+@pytest.mark.parametrize("alphabet, k", [(16, 1), (51, 2)])
+def test_walk_peak_is_bounded_by_its_arrays(alphabet, k):
     """One default decode's traced peak, phase by phase.
 
-    The walk holds the bit windows (8 ``uint16`` per stream byte, built from
+    The header parse builds the window tables, ``int64`` lengths and
+    ``int32`` values (12 B per 16-bit window), which live through every
+    phase.  The walk holds the bit windows (8 ``uint16`` per stream byte, built from
     ``uint32`` fields of 4 B per byte) plus the ``uint16`` window record.
     Once the windows are freed, the gather holds the record, the ``intp``
-    copy ``take`` makes of it and the ``int32`` symbols; the widening holds
-    those symbols and the ``int64`` output.  With 4-bit codes an ``int64``
-    record beside the windows would exceed every one of these phases.
+    copy ``take`` makes of it and the ``int32`` ranks; the widening holds
+    those ranks, the ``int64`` output and one tile of gathered symbols.  With
+    4-bit codes an ``int64`` record beside the windows would exceed every
+    one of these phases.
     """
-    symbols = np.random.default_rng(5).integers(0, 16, size=1 << 16)
-    payload = HuffmanCoder(chunk_size=1024).encode(symbols)
-    _, index, _, _, bits_at = HuffmanCoder._parse_header(payload)
-    width, steps = index.shape[0], int(index[0, 1])
+    rng = np.random.default_rng(5)
+    symbols = rng.integers(0, alphabet, size=1 << 16) if k == 1 else \
+        np.where(rng.random(1 << 16) < 0.9, 25, rng.integers(0, alphabet, 1 << 16))
+    symbols[:2] = 0, alphabet - 1
+    payload = HuffmanCoder(chunk_size=1024 // k).encode(symbols)
+    head = HuffmanCoder._parse(payload, None)
+    assert head.k == k
+    width, steps = head.bit_offsets.size, int(head.tuple_counts[0])
     assert width >= huffman._MIN_VECTOR_CHUNKS
-    n_bytes, n_syms = len(payload) - bits_at, width * steps
+    n_bytes, n_tuples = len(payload) - head.bits_at, width * steps
+    tile = width * min(steps, huffman._TRANSPOSE_STEPS)
     phases = {"windows": 20 * n_bytes,
-              "walk": 16 * n_bytes + 2 * n_syms,
-              "gather": (2 + 8 + 4) * n_syms,
-              "widen": (4 + 8) * n_syms}
-    bound = max(phases.values()) + (64 << 10)  # + header arrays, ufunc buffers
+              "walk": 16 * n_bytes + 2 * n_tuples,
+              "gather": (2 + 8 + 4) * n_tuples,
+              "widen": (4 + 8 * k) * n_tuples + (8 + 8 * k) * tile}
+    tables = 12 << MAX_CODE_LENGTH
+    bound = max(phases.values()) + tables + (64 << 10)  # + header arrays, ufunc buffers
     coder = HuffmanCoder()
-    coder.decode(payload)  # caches the tables and stocks the free lists
+    coder.decode(payload, any_count)  # stocks the interpreter's free lists
     tracemalloc.start()
     try:
-        decoded = coder.decode(payload)
+        decoded = coder.decode(payload, any_count)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -1,4 +1,4 @@
-"""Tests for the chunked canonical Huffman coder (bitstream version 3)."""
+"""Tests for the chunked canonical Huffman coder (HUF4 tuple streams)."""
 
 import struct
 import zlib
@@ -6,29 +6,42 @@ import zlib
 import numpy as np
 import pytest
 
+from huffman_reference import any_count
 from repro.compressors.huffman import (
-    DEFAULT_CHUNK_SYMBOLS,
+    DEFAULT_CHUNK_TUPLES,
     MAX_CODE_LENGTH,
     HuffmanCoder,
     _decode_reference,
-    _decode_tables_cached,
 )
 
-_HEADER = struct.Struct("<IQII")
+_HEADER = struct.Struct("<IIBQII")  # lo, W, k, count, tuples per chunk, chunks
 _PREFIX_LEN = 8
 
 
-def _parse_header(payload: bytes):
-    """(alphabet, count, chunk_size, n_chunks, index array) of a v3 payload."""
-    alphabet, count, chunk_size, n_chunks = _HEADER.unpack_from(payload, _PREFIX_LEN)
-    index = np.frombuffer(payload, dtype="<u8", count=2 * n_chunks,
-                          offset=_PREFIX_LEN + _HEADER.size + alphabet).reshape(n_chunks, 2)
-    return alphabet, count, chunk_size, n_chunks, index
+def _parse_header(payload: bytes) -> dict:
+    """The fields of a HUF4 payload, with the byte offset of each section."""
+    lo, width, k, count, chunk, n_chunks = _HEADER.unpack_from(payload, _PREFIX_LEN)
+    fields = {"lo": lo, "width": width, "k": k, "count": count, "chunk": chunk,
+              "n_chunks": n_chunks, "bitmap_at": _PREFIX_LEN + _HEADER.size}
+    bitmap = np.frombuffer(payload, dtype=np.uint8, count=-(-width ** k // 8),
+                           offset=fields["bitmap_at"])
+    used = int(np.unpackbits(bitmap).sum())
+    fields["lengths_at"] = fields["bitmap_at"] + bitmap.size
+    fields["chunks_at"] = fields["lengths_at"] + ((used + 1) // 2 if used > 1 else 0)
+    fields["chunk_bits"] = np.frombuffer(payload, dtype="<u4", count=n_chunks,
+                                         offset=fields["chunks_at"]).astype(np.int64)
+    fields["bits_at"] = fields["chunks_at"] + 4 * n_chunks
+    return fields
 
 
 def _refresh_crc(payload: bytes) -> bytes:
     """Recompute the CRC field so structural checks behind it are reachable."""
     return payload[:4] + struct.pack("<I", zlib.crc32(payload[8:])) + payload[8:]
+
+
+def _patched(payload: bytes, at: int, data: bytes) -> bytes:
+    """``payload`` with ``data`` written at ``at`` and the CRC re-stamped."""
+    return _refresh_crc(payload[:at] + data + payload[at + len(data):])
 
 
 @pytest.fixture
@@ -39,45 +52,45 @@ def coder() -> HuffmanCoder:
 class TestRoundtrip:
     def test_simple_sequence(self, coder):
         symbols = np.array([0, 1, 1, 2, 2, 2, 3, 3, 3, 3], dtype=np.int64)
-        np.testing.assert_array_equal(coder.decode(coder.encode(symbols)), symbols)
+        np.testing.assert_array_equal(coder.decode(coder.encode(symbols), any_count), symbols)
 
     def test_single_symbol_alphabet(self, coder):
         symbols = np.full(1000, 7, dtype=np.int64)
-        decoded = coder.decode(coder.encode(symbols))
+        decoded = coder.decode(coder.encode(symbols), any_count)
         np.testing.assert_array_equal(decoded, symbols)
 
     def test_two_symbols(self, coder):
         symbols = np.array([0, 1] * 50, dtype=np.int64)
-        np.testing.assert_array_equal(coder.decode(coder.encode(symbols)), symbols)
+        np.testing.assert_array_equal(coder.decode(coder.encode(symbols), any_count), symbols)
 
     def test_empty_input(self, coder):
-        out = coder.decode(coder.encode(np.array([], dtype=np.int64)))
+        out = coder.decode(coder.encode(np.array([], dtype=np.int64)), any_count)
         assert out.size == 0
 
     def test_skewed_distribution(self, coder):
         rng = np.random.default_rng(0)
         symbols = rng.geometric(0.3, size=5000) - 1
-        np.testing.assert_array_equal(coder.decode(coder.encode(symbols)), symbols)
+        np.testing.assert_array_equal(coder.decode(coder.encode(symbols), any_count), symbols)
 
     def test_uniform_large_alphabet(self, coder):
         rng = np.random.default_rng(1)
         symbols = rng.integers(0, 500, size=3000)
-        np.testing.assert_array_equal(coder.decode(coder.encode(symbols)), symbols)
+        np.testing.assert_array_equal(coder.decode(coder.encode(symbols), any_count), symbols)
 
     def test_quantization_like_stream(self, coder):
         # the typical SZ stream: one dominant central symbol, a spread around it
         rng = np.random.default_rng(2)
         symbols = np.clip(np.rint(rng.normal(1000, 3, size=20000)), 0, 2000).astype(np.int64)
-        np.testing.assert_array_equal(coder.decode(coder.encode(symbols)), symbols)
+        np.testing.assert_array_equal(coder.decode(coder.encode(symbols), any_count), symbols)
 
     def test_sparse_alphabet_with_gaps(self, coder):
         symbols = np.array([0, 1000, 0, 1000, 5, 0, 1000], dtype=np.int64)
-        np.testing.assert_array_equal(coder.decode(coder.encode(symbols)), symbols)
+        np.testing.assert_array_equal(coder.decode(coder.encode(symbols), any_count), symbols)
 
     def test_various_integer_dtypes(self, coder):
         for dtype in (np.int16, np.int32, np.uint16, np.int64):
             symbols = np.arange(50, dtype=dtype)
-            np.testing.assert_array_equal(coder.decode(coder.encode(symbols)), symbols.astype(np.int64))
+            np.testing.assert_array_equal(coder.decode(coder.encode(symbols), any_count), symbols.astype(np.int64))
 
 
 class TestCompression:
@@ -98,7 +111,7 @@ class TestCompression:
         counts = (2 ** np.arange(24)).astype(np.int64)
         symbols = np.repeat(np.arange(24), np.minimum(counts, 5000))
         rng.shuffle(symbols)
-        decoded = coder.decode(coder.encode(symbols))
+        decoded = coder.decode(coder.encode(symbols), any_count)
         np.testing.assert_array_equal(np.sort(decoded), np.sort(symbols))
 
     def test_max_code_length_constant(self):
@@ -119,28 +132,27 @@ def _distributions() -> dict[str, np.ndarray]:
 
 class TestChunkedFormat:
     def test_header_records_consistent_chunk_index(self):
+        # consecutive symbols of a period-37 ramp repeat as 37 distinct pairs
         symbols = np.arange(50_000, dtype=np.int64) % 37
         payload = HuffmanCoder(chunk_size=1024).encode(symbols)
-        alphabet, count, chunk_size, n_chunks, index = _parse_header(payload)
-        assert (alphabet, count, chunk_size) == (37, 50_000, 1024)
-        assert n_chunks == -(-50_000 // 1024)
-        offsets, counts = index[:, 0].astype(np.int64), index[:, 1].astype(np.int64)
-        assert offsets[0] == 0
-        assert np.all(np.diff(offsets) > 0)
-        assert counts.sum() == 50_000
-        assert np.all(counts[:-1] == 1024)
+        fields = _parse_header(payload)
+        assert (fields["lo"], fields["width"], fields["k"], fields["count"],
+                fields["chunk"]) == (0, 37, 2, 50_000, 1024)
+        assert fields["n_chunks"] == -(-25_000 // 1024)
+        bits = fields["chunk_bits"]
+        assert np.all(bits[:-1] >= 1024) and np.all(bits[:-1] <= 1024 * MAX_CODE_LENGTH)
+        assert len(payload) == fields["bits_at"] + (int(bits.sum()) + 7) // 8
 
     def test_small_streams_get_smaller_chunks(self):
         # a 64Ki-symbol stream must not end up as a single 64Ki chunk: the
         # encoder shrinks chunks so the decoder has parallelism to work with
-        payload = HuffmanCoder().encode(np.zeros(1 << 16, dtype=np.int64))
-        *_, n_chunks, _ = _parse_header(payload)
-        assert n_chunks > 8
+        symbols = np.random.default_rng(7).integers(0, 100, 1 << 16)
+        assert _parse_header(HuffmanCoder().encode(symbols))["n_chunks"] > 8
 
     def test_configured_chunk_size_is_a_cap(self):
-        payload = HuffmanCoder(chunk_size=512).encode(np.zeros(100_000, dtype=np.int64))
-        _, _, chunk_size, _, _ = _parse_header(payload)
-        assert chunk_size == 512
+        symbols = np.random.default_rng(8).integers(0, 100, 100_000)
+        payload = HuffmanCoder(chunk_size=512).encode(symbols)
+        assert _parse_header(payload)["chunk"] == 512
 
     @pytest.mark.parametrize("name", sorted(_distributions()))
     def test_decode_bit_identical_to_reference(self, name):
@@ -149,25 +161,16 @@ class TestChunkedFormat:
         payload = coder.encode(symbols)
         reference = _decode_reference(payload)
         np.testing.assert_array_equal(reference, symbols)
-        np.testing.assert_array_equal(coder.decode(payload), reference)
+        np.testing.assert_array_equal(coder.decode(payload, any_count), reference)
 
     def test_invalid_construction_rejected(self):
         with pytest.raises(ValueError):
             HuffmanCoder(chunk_size=0)
+        with pytest.raises(ValueError, match="u32"):
+            HuffmanCoder(chunk_size=1 << 28)  # 16 bits per tuple overflow a u32
 
     def test_default_chunk_constant_sane(self):
-        assert 1024 <= DEFAULT_CHUNK_SYMBOLS <= (1 << 20)
-
-    def test_decode_table_cache_hits_across_streams(self):
-        # two streams with one histogram embed one code table, so the second
-        # decode reuses the first one's window tables
-        rng = np.random.default_rng(46)
-        coder = HuffmanCoder()
-        symbols = rng.integers(0, 64, size=30_000)
-        before = _decode_tables_cached.cache_info().hits
-        coder.decode(coder.encode(symbols))
-        coder.decode(coder.encode(rng.permutation(symbols)))
-        assert _decode_tables_cached.cache_info().hits > before
+        assert 1024 <= DEFAULT_CHUNK_TUPLES <= (1 << 20)
 
 
 @pytest.fixture
@@ -186,7 +189,7 @@ class TestCorruption:
         coder = HuffmanCoder()
         for cut in range(len(payload)):
             with pytest.raises(ValueError):
-                coder.decode(payload[:cut])
+                coder.decode(payload[:cut], any_count)
 
     def test_bitflip_fuzz_every_byte(self, chunked_payload):
         symbols, payload = chunked_payload
@@ -195,7 +198,7 @@ class TestCorruption:
             mutated = bytearray(payload)
             mutated[i] ^= 1 << (i % 8)
             try:
-                decoded = coder.decode(bytes(mutated))
+                decoded = coder.decode(bytes(mutated), any_count)
             except ValueError:
                 continue
             np.testing.assert_array_equal(decoded, symbols)
@@ -203,62 +206,152 @@ class TestCorruption:
     def test_bad_magic_rejected(self, coder, chunked_payload):
         _, payload = chunked_payload
         with pytest.raises(ValueError, match="magic"):
-            coder.decode(b"XXXX" + payload[4:])
+            coder.decode(b"XXXX" + payload[4:], any_count)
 
     def test_crc_mismatch_rejected(self, coder, chunked_payload):
         _, payload = chunked_payload
         mutated = bytearray(payload)
         mutated[-1] ^= 0xFF
         with pytest.raises(ValueError, match="CRC"):
-            coder.decode(bytes(mutated))
+            coder.decode(bytes(mutated), any_count)
 
     def test_unused_window_detected(self, coder):
-        # single-symbol alphabet: the upper half of the window table is unused
-        # (length 0); forcing a set bit into the stream must not silently
-        # decode to symbol 0 with the cursor never advancing
-        payload = bytearray(coder.encode(np.full(20_000, 3, dtype=np.int64)))
-        payload[-4] |= 0x80
+        # a complete 1-bit code over random bits, with its table rewritten
+        # to lengths 1 and 2: every window starting "11" is now unused and
+        # must not silently decode or stall the cursor
+        payload = coder.encode(np.random.default_rng(9).integers(0, 2, 20_000))
+        fields = _parse_header(payload)
+        assert fields["k"] == 1
         with pytest.raises(ValueError, match="corrupt Huffman stream"):
-            coder.decode(bytes(_refresh_crc(bytes(payload))))
+            coder.decode(_patched(payload, fields["lengths_at"], b"\x01"), any_count)
 
     def test_chunk_boundary_mismatch_detected(self, chunked_payload):
-        # shift the second chunk's recorded bit offset by one: both its chunk
-        # and its predecessor now fail the decode-to-boundary check
+        # move one bit from the second chunk's length to the first's: both
+        # chunks now fail the decode-to-boundary check
         _, payload = chunked_payload
-        alphabet, *_ = _parse_header(payload)
-        entry = _PREFIX_LEN + _HEADER.size + alphabet + 16
-        (offset,) = struct.unpack_from("<Q", payload, entry)
-        mutated = bytearray(payload)
-        mutated[entry:entry + 8] = struct.pack("<Q", offset + 1)
-        with pytest.raises(ValueError, match="corrupt Huffman stream"):
-            HuffmanCoder().decode(_refresh_crc(bytes(mutated)))
+        fields = _parse_header(payload)
+        bits = fields["chunk_bits"].copy()
+        bits[0] += 1
+        bits[1] -= 1
+        mutated = _patched(payload, fields["chunks_at"], bits.astype("<u4").tobytes())
+        with pytest.raises(ValueError, match="boundary"):
+            HuffmanCoder().decode(mutated, any_count)
 
     def test_trailing_bits_detected(self):
-        # declare 8 extra bits (and ship the extra byte): the final chunk no
-        # longer ends exactly at total_bits, which the old `pos > total_bits`
-        # check would have missed
-        symbols = np.full(20_000, 3, dtype=np.int64)
+        # declare 8 extra bits in the last chunk (and ship the extra byte):
+        # it no longer decodes to its recorded end
+        symbols = np.random.default_rng(10).integers(0, 100, 20_000)
         payload = HuffmanCoder(chunk_size=1024).encode(symbols)
-        alphabet, _, _, n_chunks, _ = _parse_header(payload)
-        at = _PREFIX_LEN + _HEADER.size + alphabet + 16 * n_chunks
-        (total_bits,) = struct.unpack_from("<Q", payload, at)
-        mutated = payload[:at] + struct.pack("<Q", total_bits + 8) + \
-            payload[at + 8:] + b"\x00"
+        fields = _parse_header(payload)
+        bits = fields["chunk_bits"].copy()
+        bits[-1] += 8
+        mutated = _patched(payload + b"\x00", fields["chunks_at"],
+                           bits.astype("<u4").tobytes())
         with pytest.raises(ValueError, match="boundary"):
-            HuffmanCoder().decode(_refresh_crc(mutated))
+            HuffmanCoder().decode(mutated, any_count)
 
     def test_overstated_symbol_count_rejected(self, chunked_payload):
         _, payload = chunked_payload
-        mutated = bytearray(payload)
-        mutated[_PREFIX_LEN + 4:_PREFIX_LEN + 12] = struct.pack("<Q", 2 ** 40)
+        mutated = _patched(payload, _PREFIX_LEN + 9, struct.pack("<Q", 2 ** 40))
         with pytest.raises(ValueError, match="corrupt Huffman stream"):
-            HuffmanCoder().decode(_refresh_crc(bytes(mutated)))
+            HuffmanCoder().decode(mutated, any_count)
 
     def test_kraft_violating_length_table_rejected(self, coder):
-        # three one-bit codes cannot coexist; the table build must refuse
-        symbols = np.array([0, 1, 2] * 100, dtype=np.int64)
-        payload = bytearray(coder.encode(symbols))
-        lengths_at = _PREFIX_LEN + _HEADER.size
-        payload[lengths_at:lengths_at + 3] = bytes([1, 1, 1])
-        with pytest.raises(ValueError, match="corrupt Huffman stream"):
-            coder.decode(_refresh_crc(bytes(payload)))
+        # every used tuple one bit long: more codes than one bit can hold
+        payload = coder.encode(np.random.default_rng(11).integers(0, 3, 300))
+        fields = _parse_header(payload)
+        size = fields["chunks_at"] - fields["lengths_at"]
+        assert size >= 2
+        with pytest.raises(ValueError, match="Kraft"):
+            coder.decode(_patched(payload, fields["lengths_at"], bytes(size)), any_count)
+
+
+class TestHuf4Rules:
+    """Each HUF4 rule rejects a stream on the batch and the streaming decoder.
+
+    Every mutation re-stamps the CRC, so the structural check itself fires.
+    """
+
+    @staticmethod
+    def _assert_rejected(payload: bytes, match: str) -> None:
+        with pytest.raises(ValueError, match=match):
+            HuffmanCoder().decode(payload, any_count)
+        consumer = HuffmanCoder().stream_consumer(any_count)
+        with pytest.raises(ValueError, match="corrupt Huffman stream|overrun"):
+            for start in range(0, len(payload), 7):
+                consumer.feed(payload[start:start + 7])
+            consumer.finish()
+
+    @pytest.fixture
+    def tuples(self) -> "tuple[np.ndarray, bytes]":
+        # W = 3, so the rule allows k = 1 and k = 7; 2001 symbols pad the last
+        # 7-tuple with 6 copies of lo
+        rng = np.random.default_rng(12)
+        symbols = 4 + np.where(rng.random(2001) < 0.9, 1, rng.integers(0, 3, 2001))
+        symbols[:2] = 4, 6
+        payload = HuffmanCoder(chunk_size=32).encode(symbols)
+        assert _parse_header(payload)["k"] == 7
+        return symbols, payload
+
+    @pytest.mark.parametrize("k", [2, 3, 6, 8, 0, 255])
+    def test_k_outside_the_rule(self, tuples, k):
+        _, payload = tuples
+        self._assert_rejected(_patched(payload, _PREFIX_LEN + 8, bytes([k])),
+                              "tuple rule")
+
+    def test_k_of_one_past_the_tuple_alphabet(self):
+        symbols = np.random.default_rng(13).integers(0, 5000, 3000)
+        payload = HuffmanCoder().encode(symbols)
+        assert _parse_header(payload)["k"] == 1
+        self._assert_rejected(_patched(payload, _PREFIX_LEN + 8, b"\x02"), "tuple rule")
+
+    def test_bitmap_bit_past_the_tuple_alphabet(self, tuples):
+        _, payload = tuples
+        fields = _parse_header(payload)
+        last = fields["lengths_at"] - 1  # 3**7 = 2187 bits: 5 pad bits in the last byte
+        mutated = _patched(payload, last, bytes([payload[last] | 1]))
+        self._assert_rejected(mutated, "marks tuple 2191 of 2187")
+
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_chunk_bit_length_out_of_range(self, tuples, delta):
+        _, payload = tuples
+        fields = _parse_header(payload)
+        bits = fields["chunk_bits"].copy()
+        bits[0] = 32 - 1 if delta < 0 else 32 * MAX_CODE_LENGTH + 1
+        mutated = _patched(payload, fields["chunks_at"], bits.astype("<u4").tobytes())
+        self._assert_rejected(mutated, "chunk bit lengths fall outside 1 to 16")
+
+    def test_one_tuple_stream_carries_no_bits(self):
+        payload = HuffmanCoder().encode(np.full(500, 3))
+        fields = _parse_header(payload)
+        assert fields["n_chunks"] == 1 and len(payload) == fields["bits_at"]
+        mutated = _patched(payload + b"\x00", fields["chunks_at"], struct.pack("<I", 8))
+        self._assert_rejected(mutated, "chunk bit lengths fall outside 0 to 0")
+
+    def test_pad_other_than_lo(self, tuples):
+        # 2002 symbols fill the last 7-tuple; declaring 2001 turns the last
+        # symbol, which is not lo, into pad
+        rng = np.random.default_rng(14)
+        symbols = 4 + np.where(rng.random(2002) < 0.9, 1, rng.integers(0, 3, 2002))
+        symbols[:2] = 4, 6
+        symbols[-1] = 5
+        payload = HuffmanCoder(chunk_size=32).encode(symbols)
+        assert _parse_header(payload)["k"] == 7
+        np.testing.assert_array_equal(HuffmanCoder().decode(payload, any_count), symbols)
+        mutated = _patched(payload, _PREFIX_LEN + 9, struct.pack("<Q", 2001))
+        self._assert_rejected(mutated, "padded with the smallest symbol")
+
+    def test_trailing_bytes(self, tuples):
+        _, payload = tuples
+        self._assert_rejected(_refresh_crc(payload + b"\x00"), "holds .* bytes but")
+
+    def test_padded_tuples_round_trip(self, tuples):
+        symbols, payload = tuples
+        np.testing.assert_array_equal(HuffmanCoder().decode(payload, any_count), symbols)
+        np.testing.assert_array_equal(_decode_reference(payload), symbols)
+
+    def test_empty_stream_fields_are_fixed(self):
+        payload = HuffmanCoder().encode(np.zeros(0, dtype=np.int64))
+        assert len(payload) == _PREFIX_LEN + _HEADER.size
+        self._assert_rejected(_patched(payload, _PREFIX_LEN, struct.pack("<I", 1)),
+                              "empty stream")

@@ -3,6 +3,7 @@ execution backends, worker-resident clients in the coordinator, and the
 durable drift-aware profile cache — plus the bit-identity matrix proving the
 persistent path reproduces the fresh-pool reference exactly."""
 
+import json
 import os
 import pickle
 
@@ -301,6 +302,18 @@ class TestDurableProfileCache:
                               error_bounds=(1e-2,))
         other.profile_tensors(self._tensors())
         assert other.cache_info()["misses"] == 2
+
+    def test_version_one_cache_starts_empty(self, tmp_path):
+        # version-1 measurements priced SZ bodies of HUF3 plus zlib
+        path = tmp_path / "cache.json"
+        CodecProfiler(cost_model="analytic",
+                      profile_cache=path).profile_tensors(self._tensors())
+        payload = json.loads(path.read_text())
+        assert payload["version"] == 2 and payload["entries"]
+        path.write_text(json.dumps(dict(payload, version=1)))
+        stale = CodecProfiler(cost_model="analytic", profile_cache=path)
+        stale.profile_tensors(self._tensors())
+        assert stale.cache_info()["misses"] == 2
 
     def test_corrupt_cache_starts_empty(self, tmp_path):
         path = tmp_path / "cache.json"

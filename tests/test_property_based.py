@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from huffman_reference import any_count
 from repro.compressors import (
     BloscLZCodec,
     HuffmanCoder,
@@ -66,7 +67,7 @@ def test_szx_error_bound_invariant(data, rel_bound):
                           elements=st.integers(min_value=0, max_value=5000)))
 def test_huffman_roundtrip_identity(symbols):
     coder = HuffmanCoder()
-    np.testing.assert_array_equal(coder.decode(coder.encode(symbols)), symbols)
+    np.testing.assert_array_equal(coder.decode(coder.encode(symbols), any_count), symbols)
 
 
 @settings(max_examples=50, deadline=None)

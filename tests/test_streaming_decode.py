@@ -1,7 +1,7 @@
 """Streaming zero-copy decode path: bit-identity with the batch decoders.
 
 Covers every layer of the incremental pipeline — the ``ChunkBandConsumer``
-over HUF3 streams, the lossless ``decompressor()`` API, the SZ2/SZ3
+over HUF4 streams, the lossless ``decompressor()`` API, the SZ2/SZ3
 ``SZStreamDecoder``, and the FedSZ container ``StreamingStateDecoder`` — under
 one invariant: a stream fed in arbitrary pieces decodes bit-identically to the
 batch path, and corrupt or truncated input raises :class:`ValueError` exactly
@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from huffman_reference import any_count
 from repro.compressors.huffman import MAX_CODE_LENGTH, HuffmanCoder
 from repro.compressors.lossless import available_lossless, get_lossless
 from repro.compressors.sz2 import SZ2Compressor
@@ -45,31 +46,30 @@ def _small_state(seed: int = 5) -> dict[str, np.ndarray]:
     }
 
 
-_HUF3_HEADER = struct.Struct("<IQII")  # alphabet, count, chunk_size, n_chunks
-_HUF3_PREFIX = 8                       # magic + crc32
+_HUF4_HEADER = struct.Struct("<IIBQII")  # lo, W, k, count, tuples per chunk, chunks
+_HUF4_PREFIX = 8                         # magic + crc32
 
 
-def _huf3_fields(blob: bytes) -> dict:
-    """The editable fields of a HUF3 stream (see FORMATS.md)."""
-    alphabet, count, chunk_size, n_chunks = _HUF3_HEADER.unpack_from(blob, _HUF3_PREFIX)
-    at = _HUF3_PREFIX + _HUF3_HEADER.size
-    lengths = blob[at:at + alphabet]
-    at += alphabet
-    index = np.frombuffer(blob, dtype="<u8", count=2 * n_chunks,
-                          offset=at).reshape(n_chunks, 2).astype(np.int64)
-    at += 16 * n_chunks
-    (total_bits,) = struct.unpack_from("<Q", blob, at)
-    return {"magic": blob[:4], "count": count, "chunk_size": chunk_size,
-            "lengths": lengths, "index": index, "total_bits": total_bits,
-            "bits": blob[at + 8:]}
+def _huf4_fields(blob: bytes) -> dict:
+    """The editable fields of a HUF4 stream (see FORMATS.md)."""
+    lo, width, k, count, chunk, n_chunks = _HUF4_HEADER.unpack_from(blob, _HUF4_PREFIX)
+    at = _HUF4_PREFIX + _HUF4_HEADER.size
+    map_len = -(-width ** k // 8)
+    used = int(np.unpackbits(np.frombuffer(blob, np.uint8, map_len, at)).sum())
+    table_len = map_len + ((used + 1) // 2 if used > 1 else 0)
+    table = blob[at:at + table_len]
+    at += table_len
+    bits = np.frombuffer(blob, dtype="<u4", count=n_chunks, offset=at).astype(np.int64)
+    return {"magic": blob[:4], "lo": lo, "width": width, "k": k, "count": count,
+            "chunk": chunk, "n_chunks": n_chunks, "table": table, "bits": bits,
+            "code": blob[at + 4 * n_chunks:]}
 
 
-def _huf3_pack(fields: dict) -> bytes:
-    """Serialize ``fields`` back to a HUF3 stream with a valid CRC."""
-    body = _HUF3_HEADER.pack(len(fields["lengths"]), fields["count"],
-                             fields["chunk_size"], len(fields["index"])) \
-        + fields["lengths"] + fields["index"].astype("<u8").tobytes() \
-        + struct.pack("<Q", fields["total_bits"]) + fields["bits"]
+def _huf4_pack(fields: dict) -> bytes:
+    """Serialize ``fields`` back to a HUF4 stream with a valid CRC."""
+    body = _HUF4_HEADER.pack(fields["lo"], fields["width"], fields["k"], fields["count"],
+                             fields["chunk"], fields["n_chunks"]) \
+        + fields["table"] + fields["bits"].astype("<u4").tobytes() + fields["code"]
     return fields["magic"] + struct.pack("<I", zlib.crc32(body)) + body
 
 
@@ -101,8 +101,8 @@ class TestChunkBandConsumer:
         codes = rng.integers(0, 80, size=1500).astype(np.int64)
         coder = HuffmanCoder(chunk_size=128)
         blob = coder.encode(codes)
-        expected = coder.decode(blob)
-        consumer = coder.stream_consumer()
+        expected = coder.decode(blob, any_count)
+        consumer = coder.stream_consumer(any_count)
         _feed_pieces(consumer, blob, piece)
         got = consumer.finish()
         assert np.array_equal(got, expected) and got.dtype == expected.dtype
@@ -112,13 +112,13 @@ class TestChunkBandConsumer:
         codes = rng.integers(0, 9, size=1024).astype(np.int64)
         coder = HuffmanCoder(chunk_size=64)
         blob = coder.encode(codes)
-        probe = coder.stream_consumer()
+        probe = coder.stream_consumer(any_count)
         probe.feed(blob)
         assert probe.header_ready and probe.chunks_total == 16
         for chunk in (0, 3, probe.chunks_total - 1):
             prefix = probe.required_prefix(chunk)
             assert prefix <= len(blob)
-            consumer = coder.stream_consumer()
+            consumer = coder.stream_consumer(any_count)
             consumer.feed(blob[:prefix])
             # the documented contract: that prefix suffices for chunks 0..k
             assert consumer.chunks_decoded >= chunk + 1
@@ -128,7 +128,7 @@ class TestChunkBandConsumer:
         coder = HuffmanCoder(chunk_size=16)
         blob = coder.encode(codes)
         for cut in range(len(blob)):
-            consumer = coder.stream_consumer()
+            consumer = coder.stream_consumer(any_count)
             consumer.feed(blob[:cut])
             with pytest.raises(ValueError):
                 consumer.finish()
@@ -141,10 +141,10 @@ class TestChunkBandConsumer:
         for pos in range(0, len(blob), 11):
             corrupt = bytes(blob[:pos]) + bytes([blob[pos] ^ 0x40]) + bytes(blob[pos + 1:])
             try:
-                expected = coder.decode(corrupt)
+                expected = coder.decode(corrupt, any_count)
             except ValueError:
                 expected = None
-            consumer = coder.stream_consumer()
+            consumer = coder.stream_consumer(any_count)
             try:
                 consumer.feed(corrupt)
                 got = consumer.finish()
@@ -160,7 +160,7 @@ class TestChunkBandConsumer:
         coder = HuffmanCoder(chunk_size=32)
         blob = bytearray(coder.encode(codes))
         blob[-1] ^= 0x01  # flip a bit inside the packed chunk bits
-        consumer = coder.stream_consumer()
+        consumer = coder.stream_consumer(any_count)
         split = len(blob) // 2
         with pytest.raises(ValueError):
             consumer.feed(bytes(blob[:split]))
@@ -172,53 +172,55 @@ class TestChunkBandConsumer:
         codes = rng.integers(0, 10, size=2048).astype(np.int64)
         coder = HuffmanCoder(chunk_size=128)
         blob = coder.encode(codes)
-        probe = coder.stream_consumer()
+        probe = coder.stream_consumer(any_count)
         probe.feed(blob)
         # cut strictly inside chunk 1's byte range: after its chunk starts,
         # before its required prefix completes
         lo, hi = probe.required_prefix(0), probe.required_prefix(1)
         assert hi - lo >= 2, "need a multi-byte second chunk for this test"
         cut = (lo + hi) // 2
-        consumer = coder.stream_consumer()
+        consumer = coder.stream_consumer(any_count)
         consumer.feed(blob[:cut])
         decoded_mid = consumer.chunks_decoded
         consumer.feed(blob[cut:])
-        assert np.array_equal(consumer.finish(), coder.decode(blob))
+        assert np.array_equal(consumer.finish(), coder.decode(blob, any_count))
         assert decoded_mid >= 1  # chunk 0 decoded while chunk 1 was split
 
     @pytest.mark.parametrize("n_codes, edit, message", [
-        # a (row, column) key forges one chunk-index cell, a name one field;
-        # 700 symbols at 64 per chunk make 11 chunks
-        pytest.param(700, {"chunk_size": 0}, "cannot cover", id="zero-chunk-size"),
-        pytest.param(700, {"chunk_size": 128}, "cannot cover", id="chunk-count"),
-        pytest.param(700, {"count": 699}, "symbol counts disagree", id="stream-length"),
-        pytest.param(700, {(0, 1): 65}, "symbol counts disagree", id="symbol-count"),
-        pytest.param(700, {(0, 0): 1}, "bit offsets", id="first-offset"),
-        # fewer bits than symbols: every code is at least one bit long
-        pytest.param(700, {(1, 0): 63}, "bit offsets", id="short-span"),
-        pytest.param(700, {(1, 0): 64 * MAX_CODE_LENGTH + 1}, "bit offsets",
+        # a ("bits", c) key forges chunk c's bit length, a name one field;
+        # 700 symbols of W = 24 code as singles, 11 chunks of 64
+        pytest.param(700, {"chunk": 0}, "cannot cover", id="zero-chunk-size"),
+        pytest.param(700, {"chunk": 128}, "cannot cover", id="chunk-count"),
+        pytest.param(700, {"count": 640}, "cannot cover", id="stream-length"),
+        pytest.param(700, {"k": 3}, "tuple rule", id="tuple-size"),
+        # fewer bits than tuples: every code is at least one bit long
+        pytest.param(700, {("bits", 1): 63}, "chunk bit lengths", id="short-span"),
+        pytest.param(700, {("bits", 1): 64 * MAX_CODE_LENGTH + 1}, "chunk bit lengths",
                      id="long-span"),
-        pytest.param(0, {"total_bits": 8, "bits": b"\x00"}, "empty stream",
-                     id="empty-with-bits"),
-        pytest.param(0, {"index": np.zeros((1, 2), dtype=np.int64)}, "empty stream",
-                     id="empty-with-chunk"),
+        pytest.param(700, {"count": 0}, "empty stream", id="empty-with-bits"),
+        pytest.param(0, {"n_chunks": 1, "bits": np.zeros(1, dtype=np.int64)},
+                     "empty stream", id="empty-with-chunk"),
     ])
     def test_index_rule_parity_with_batch(self, n_codes, edit, message):
-        # one forged chunk-index field per case, CRC re-stamped: the batch
-        # header parse and the streaming consumer share one geometry check,
-        # so both must reject the stream with the same message
+        # one forged header field per case, CRC re-stamped: the batch and the
+        # streaming decoder share one header parser, so both must reject the
+        # stream with the same message
         codes = np.random.default_rng(6).integers(0, 24, size=n_codes).astype(np.int64)
+        if n_codes:
+            codes[:2] = 0, 23
         coder = HuffmanCoder(chunk_size=64)
-        fields = _huf3_fields(coder.encode(codes))
+        blob = coder.encode(codes)
+        fields = _huf4_fields(blob)
+        assert n_codes == 0 or (fields["k"], fields["n_chunks"]) == (1, 11)
         for key, value in edit.items():
             if isinstance(key, tuple):
-                fields["index"][key] = value
+                fields["bits"][key[1]] = value
             else:
                 fields[key] = value
-        blob = _huf3_pack(fields)
+        blob = _huf4_pack(fields)
         with pytest.raises(ValueError, match=message) as batch:
-            coder.decode(blob)
-        consumer = coder.stream_consumer()
+            coder.decode(blob, any_count)
+        consumer = coder.stream_consumer(any_count)
         with pytest.raises(ValueError) as stream:
             consumer.feed(blob)
             consumer.finish()
@@ -322,12 +324,6 @@ class TestSZStreamDecoder:
             else:
                 assert np.array_equal(got, expected)
 
-    def test_chained_lossless_backend(self, cls):
-        compressor, _, payload = self._payload(cls, lossless_backend="bzip2")
-        decoder = compressor.stream_decoder()
-        _feed_pieces(decoder, payload, 101)
-        assert np.array_equal(decoder.finish(), compressor.decompress(payload))
-
     @settings(max_examples=8, deadline=None)
     @given(seed=st.integers(0, 1000), piece=st.integers(1, 512))
     def test_property_piecewise_equivalence(self, cls, seed, piece):
@@ -338,44 +334,40 @@ class TestSZStreamDecoder:
 
 
 def _huffman_bomb(count: int) -> bytes:
-    """A HUF3 header and chunk index declaring ``count`` symbols, no bits.
+    """A one-tuple HUF4 stream declaring ``count`` symbols, no code bits.
 
-    The fixed fields, code table and index are self-consistent, so a decoder
-    that trusted them would size its output (8 B per symbol) before any code
-    bit arrived.
+    Its fields are self-consistent (a one-tuple code spends zero bits, so
+    the chunk lengths are all 0), so a decoder that trusted them would size
+    its output (8 B per symbol) from a 50-byte stream.
     """
     chunk = 1 << 31
     n_chunks = -(-count // chunk)
-    index = b"".join(struct.pack("<QQ", k * chunk, min(chunk, count - k * chunk))
-                     for k in range(n_chunks))
-    body = (struct.pack("<IQII", 1, count, chunk, n_chunks) + b"\x01" + index
-            + struct.pack("<Q", count))
-    return b"HUF3" + struct.pack("<I", zlib.crc32(body)) + body
+    body = (struct.pack("<IIBQII", 0, 1, 1, count, chunk, n_chunks) + b"\x80"
+            + bytes(4 * n_chunks))
+    return b"HUF4" + struct.pack("<I", zlib.crc32(body)) + body
 
 
 class TestContainerBoundsHuffmanCount:
     """A body may only embed the Huffman stream its container implies.
 
-    The payloads declare 10 float32 elements and wrap a HUF3 header that
-    declares 3 * 2**31 symbols (48 GiB of decoded codes).  Batch decode
-    rejects them; the streaming decoder must too, before it allocates.
+    The payloads declare 10 float32 elements and embed a HUF4 stream that
+    declares 3 * 2**31 symbols (48 GiB of decoded codes).  The batch and the
+    streaming decoder must both reject them before they allocate.
     """
 
     HEADER = struct.pack("<BBQd", 0, 1, 10, 0.01)  # float32, shape (10,), bound
 
     def _assert_rejected_small(self, compressor, body: bytes, match: str) -> None:
-        payload = self.HEADER + zlib.compress(body)
-        with pytest.raises(ValueError):
-            compressor.decompress(payload)
-        decoder = compressor.stream_decoder()
-        tracemalloc.start()
-        try:
-            with pytest.raises(ValueError, match=match):
-                decoder.feed(payload)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1 << 20
+        payload = self.HEADER + body
+        for decode in (compressor.decompress, _stream_decode(compressor)):
+            tracemalloc.start()
+            try:
+                with pytest.raises(ValueError, match=match):
+                    decode(payload)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20
 
     def test_sz2_symbol_count_pinned_by_geometry(self):
         bomb = _huffman_bomb(3 << 31)
@@ -414,6 +406,82 @@ class TestContainerBoundsHuffmanCount:
         body = struct.pack("<QIB", 3 << 31, 32768, 0) + _huffman_bomb(3 << 31)
         self._assert_rejected_small(SZ3Compressor(), body,
                                     "length 6442450944 does not match the header's 10")
+
+
+def _at_most_a_million(count: int) -> None:
+    if count > 10 ** 6:
+        raise ValueError(f"{count} symbols declared, at most 1000000 expected")
+
+
+class TestStandaloneDecodeBoundsCount:
+    """Outside a container only the caller can bound a one-tuple stream's
+    count, so both decode surfaces require a ``check_count``.  The bomb is a
+    66-byte stream declaring 2**34 symbols (128 GiB of decoded codes)."""
+
+    BOMB = _huffman_bomb(1 << 34)
+
+    def test_count_check_is_required(self):
+        with pytest.raises(TypeError):
+            HuffmanCoder().decode(self.BOMB)
+        with pytest.raises(TypeError):
+            HuffmanCoder().stream_consumer()
+
+    @pytest.mark.parametrize("path", ["batch", "stream"])
+    def test_declared_count_rejected_small(self, path):
+        def decode(payload: bytes) -> np.ndarray:
+            if path == "batch":
+                return HuffmanCoder().decode(payload, _at_most_a_million)
+            consumer = HuffmanCoder().stream_consumer(_at_most_a_million)
+            consumer.feed(payload)
+            return consumer.finish()
+        assert len(self.BOMB) < 100
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="17179869184 symbols declared"):
+                decode(self.BOMB)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+
+def _stream_decode(compressor):
+    """Decode a whole payload through ``compressor.stream_decoder()``."""
+    def decode(payload: bytes) -> np.ndarray:
+        decoder = compressor.stream_decoder()
+        decoder.feed(payload)
+        return decoder.finish()
+    return decode
+
+
+@pytest.fixture(scope="module")
+def deflated_zeros() -> bytes:
+    """zlib level 1 of 300 MiB of zeros, deflated in 1 MiB pieces (~1.3 MB)."""
+    deflate = zlib.compressobj(1)
+    piece = bytes(1 << 20)
+    return b"".join([*(deflate.compress(piece) for _ in range(300)), deflate.flush()])
+
+
+@pytest.mark.parametrize("cls", [SZ2Compressor, SZ3Compressor])
+@pytest.mark.parametrize("path", ["batch", "stream"])
+def test_deflate_bomb_body_rejected_small(cls, path, deflated_zeros):
+    """A 10-element float32 header over 300 MiB of deflated zeros.
+
+    Such a body used to be inflated whole before any field was read (a
+    603 MiB traced peak); SZ bodies carry no lossless pass now, so its bytes
+    are read as the body's own fields and fail the geometry checks at once.
+    """
+    compressor = cls(error_bound=1e-2)
+    payload = TestContainerBoundsHuffmanCount.HEADER + deflated_zeros
+    decode = compressor.decompress if path == "batch" else _stream_decode(compressor)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError):
+            decode(payload)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
 
 
 class TestPipelineStreaming:

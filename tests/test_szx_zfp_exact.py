@@ -20,6 +20,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from repro.compressors import szx
 from repro.compressors.szx import SZxCompressor
 from repro.compressors.zfp import ZFPCompressor
 
@@ -140,3 +141,23 @@ class TestSZxAllocation:
         peak, result = self._peak(header + body, path)
         assert result.shape == (1000,) and np.all(result == np.float32(0.25))
         assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("width", [*range(1, 45), 64])
+def test_szx_periodic_packer_matches_the_bit_matrix(width):
+    """SZx packs 8 codes into ``width`` bytes with a fixed shift pattern.
+
+    Its bytes must be exactly :func:`numpy.packbits` over the codes' MSB-first
+    bits (the bit matrix it replaced, padding included), and its mirror must
+    read the codes back, at every width the encoder emits (1 to 44 bits) and
+    the widest the decoder accepts.
+    """
+    rng = np.random.default_rng(width)
+    for count in (1, 7, 8, 9, 1003):
+        codes = rng.integers(0, 1 << 63, count, dtype=np.uint64) >> np.uint64(64 - width)
+        codes[0] = (1 << width) - 1
+        shifts = np.arange(width - 1, -1, -1, dtype=np.uint64)
+        bits = ((codes[:, None] >> shifts[None, :]) & np.uint64(1)).astype(np.uint8)
+        packed = szx._pack_fixed(codes, width)
+        assert packed.tobytes() == np.packbits(bits.ravel()).tobytes()
+        np.testing.assert_array_equal(szx._unpack_fixed(packed, width, count), codes)
