@@ -1,29 +1,15 @@
-"""Coordinator services: tree aggregation, overlapped uplinks, durable rounds.
+"""Coordinator services: tree aggregation, persistent runtime, durable rounds.
 
-Three drills over an 8-client FedAvg run on a simulated 2 Mbps uplink:
+Drills over an 8-client FedAvg run on a simulated 2 Mbps uplink:
 
 * **flat vs tree** — aggregate each round through :class:`TreeAggregator` at
   several fan-ins and through the flat reference; the outputs must be
   bit-identical (the double-double partial-sum kernel makes FedAvg grouping
   insensitive), and the per-round aggregation wall time is reported.
-* **pool vs async** — ship the same round's updates over the execution-backend
-  pool and over the asyncio overlapped-uplink path (``overlap="async"``, where
-  simulated delays become awaits); results must match bit-for-bit and the
-  async round should approach ``max`` rather than ``sum`` of the delays.
-  A third leg re-runs the async path with ``streaming=True`` so each update
-  decodes incrementally as its simulated packets arrive — same bit-identity
-  requirement.
-* **aggregate on arrival** — re-run the rounds with
-  ``aggregate_on_arrival=True`` (batch-workers, inline, and streamed-encode
-  pooled variants): every deterministic field must match the batch-aggregation
-  reference bit-for-bit, and the reported peak decoded-update residency must
-  be 1 on the inline path against the fleet-sized residency of the batch path
-  — the server folds each update as its ship lands instead of holding all of
-  them.
-* **persistent vs fresh** — run the same rounds under the persistent runtime
-  (one long-lived 4-worker pool, worker-resident clients) and under the
-  historic fresh-pool-per-map path; the records must match bit-for-bit, and
-  pool spinups plus per-client pickled train-task bytes are reported.
+* **persistent runtime** — run the rounds under the persistent runtime (one
+  long-lived 4-worker pool, worker-resident clients); the run must spin up
+  one pool, and the per-client pickled train-task bytes of the resident form
+  must undercut the full-ship form.
 * **kill-and-resume** (``--kill-resume``) — launch a journaled run in a child
   process that hard-exits mid-round (``REPRO_JOURNAL_CRASH_AFTER``), resume it
   from the journal, and require the combined result to match an uninterrupted
@@ -57,6 +43,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from bench_utils import fl_settings, quick_fl_data, save_results
 from repro.core import NetworkModel
 from repro.fl import FederatedSimulation, RawUpdateCodec, TreeAggregator, fedavg_aggregate
+from repro.fl.coordinator import deterministic_fields
 from repro.fl.coordinator.coordinator import TrainTask
 from repro.metrics import ExperimentRecord, Table
 from repro.nn import build_model
@@ -80,16 +67,6 @@ def _build_simulation(train, test, cfg, backend: str = "thread", **kwargs):
                                batch_size=cfg["batch_size"], lr=cfg["lr"],
                                seed=SEED, uplink="parallel", backend=backend,
                                **kwargs)
-
-
-def _deterministic_fields(result):
-    """Everything a SimulationResult must reproduce bit-for-bit."""
-    return [(r.accuracy, r.uncompressed_bytes, r.transmitted_bytes,
-             r.communication_seconds, tuple(r.client_losses),
-             tuple(r.participants), tuple(r.dropped_clients),
-             tuple(r.straggler_clients), tuple(r.late_clients),
-             tuple(sorted(r.absorbed_clients.items())))
-            for r in result.rounds]
 
 
 # ---------------------------------------------------------------------------
@@ -126,78 +103,22 @@ def _run_tree_drill(train, test, cfg, backend: str):
     flat_run = _build_simulation(train, test, cfg, backend=backend).run(ROUNDS)
     tree_run = _build_simulation(train, test, cfg, backend=backend,
                                  tree_fanout=FAN_INS[0]).run(ROUNDS)
-    assert _deterministic_fields(tree_run) == _deterministic_fields(flat_run), \
+    assert deterministic_fields(tree_run) == deterministic_fields(flat_run), \
         "tree-aggregated run diverged from the flat run"
     return rows
 
 
-def _run_overlap_drill(train, test, cfg, backend: str):
-    """Pool vs asyncio-overlapped uplinks (batch and streaming decode)."""
-    walls, results = {}, {}
-    for label, overlap, streaming in (("pool", "pool", False),
-                                      ("async", "async", False),
-                                      ("async-streaming", "async", True)):
-        sim = _build_simulation(train, test, cfg, backend=backend,
-                                max_workers=1, overlap=overlap,
-                                streaming=streaming)
-        start = time.perf_counter()
-        results[label] = sim.run(ROUNDS)
-        walls[label] = time.perf_counter() - start
-    for label in ("async", "async-streaming"):
-        assert _deterministic_fields(results[label]) == \
-            _deterministic_fields(results["pool"]), \
-            f"{label} overlapped uplinks diverged from the pool path"
-    return walls, results
-
-
-def _run_arrival_drill(train, test, cfg, backend: str) -> dict:
-    """Aggregate-on-arrival vs batch: bit-identity and O(1) residency."""
-    walls, runs = {}, {}
-    variants = (
-        ("batch", dict(max_workers=1)),
-        ("arrival", dict(max_workers=1, aggregate_on_arrival=True)),
-        ("arrival-streamed", dict(max_workers=4, streaming_encode=True,
-                                  aggregate_on_arrival=True)),
-    )
-    for label, kwargs in variants:
-        sim = _build_simulation(train, test, cfg, backend=backend, **kwargs)
-        start = time.perf_counter()
-        runs[label] = sim.run(ROUNDS)
-        walls[label] = time.perf_counter() - start
-    for label in ("arrival", "arrival-streamed"):
-        assert _deterministic_fields(runs[label]) == \
-            _deterministic_fields(runs["batch"]), \
-            f"{label} aggregation diverged from the batch reference"
-
-    residency = {label: max(r.peak_update_residency for r in runs[label].rounds)
-                 for label, _ in variants}
-    # batch aggregation holds every decoded update until the round ends;
-    # the arrival path folds each one as its ship completes, so the inline
-    # (single-worker) path keeps exactly one update resident
-    assert residency["batch"] == N_CLIENTS, \
-        f"batch path expected {N_CLIENTS} resident updates, saw {residency['batch']}"
-    assert residency["arrival"] == 1, \
-        f"inline arrival path expected 1 resident update, saw {residency['arrival']}"
-    # the pooled path's reorder buffer tracks arrival skew (completion order
-    # is timing-dependent), so it is reported rather than asserted
-    return {"walls": walls, "residency": residency}
-
-
 def _run_persistent_drill(train, test, cfg, backend: str) -> dict:
-    """Persistent runtime vs fresh pools: bit-identity, spinups, task bytes."""
+    """Persistent runtime: one pool per run, resident train-task bytes."""
     exec_backend = get_backend(backend)
-    runs, walls, spinups = {}, {}, {}
-    for label, persistent in (("persistent", True), ("fresh", False)):
-        sim = _build_simulation(train, test, cfg, backend=backend,
-                                max_workers=4, persistent=persistent)
-        before = exec_backend.pool_spinups
-        start = time.perf_counter()
-        runs[label] = sim.run(ROUNDS)
-        walls[label] = time.perf_counter() - start
-        spinups[label] = exec_backend.pool_spinups - before
-    assert _deterministic_fields(runs["persistent"]) == \
-        _deterministic_fields(runs["fresh"]), \
-        "persistent runtime diverged from the fresh-pool path"
+    sim = _build_simulation(train, test, cfg, backend=backend, max_workers=4)
+    before = exec_backend.pool_spinups
+    start = time.perf_counter()
+    result = sim.run(ROUNDS)
+    wall = time.perf_counter() - start
+    spinups = exec_backend.pool_spinups - before
+    if backend != "serial":
+        assert spinups == 1, f"expected one pool per run, got {spinups}"
 
     client = sim.clients[0]
     global_state = sim.server.global_state()
@@ -209,7 +130,7 @@ def _run_persistent_drill(train, test, cfg, backend: str) -> dict:
             client_id=client.client_id, epochs=1, round_index=0,
             state_handle=arena.handle, fleet=("bench", 0))))
     assert resident_bytes < full_bytes
-    return {"walls": walls, "spinups": spinups,
+    return {"wall": wall, "spinups": spinups, "result": result,
             "full_task_bytes": full_bytes,
             "resident_task_bytes": resident_bytes}
 
@@ -242,7 +163,7 @@ def _run_kill_resume_drill(backend: str) -> dict:
                                         journal_dir=journal_dir, resume=True)
         resumed = resumed_sim.run(ROUNDS)
 
-        assert _deterministic_fields(resumed) == _deterministic_fields(reference), \
+        assert deterministic_fields(resumed) == deterministic_fields(reference), \
             "resumed run diverged from the uninterrupted reference"
         ref_state = reference_sim.server.global_state()
         res_state = resumed_sim.server.global_state()
@@ -264,46 +185,27 @@ def _child_main(backend: str, journal_dir: str) -> int:
 
 
 # ---------------------------------------------------------------------------
-def _check_and_report(backend: str, persist: bool, assert_speedup: bool,
-                      kill_resume: bool) -> int:
+def _check_and_report(backend: str, persist: bool, kill_resume: bool) -> int:
     cfg = fl_settings()
     train, test = quick_fl_data("cifar10", seed=47)
 
     tree_rows = _run_tree_drill(train, test, cfg, backend)
-    walls, results = _run_overlap_drill(train, test, cfg, backend)
-    arrival = _run_arrival_drill(train, test, cfg, backend)
     persistent = _run_persistent_drill(train, test, cfg, backend)
 
     table = Table(f"Coordinator services ({backend} backend) - {N_CLIENTS} "
                   f"clients, {ROUNDS} rounds, {BANDWIDTH_MBPS:g} Mbps simulated uplink",
                   ["drill", "wall (s)", "bit-identical"])
     record = ExperimentRecord("coordinator",
-                              "tree aggregation + overlapped uplinks + durable rounds")
+                              "tree aggregation + persistent runtime + durable rounds")
     record.add(backend=backend, host_cores=os.cpu_count() or 1)
     for label, wall, identical in tree_rows:
         table.add_row(f"aggregate {label}", f"{wall * 1e3:.2f}ms", str(identical))
         record.add(drill=f"aggregate-{label}", wall_seconds=wall)
-    for label in ("pool", "async", "async-streaming"):
-        table.add_row(f"uplinks {label}", f"{walls[label]:.2f}",
-                      str(label == "pool" or
-                          _deterministic_fields(results[label]) ==
-                          _deterministic_fields(results["pool"])))
-        record.add(drill=f"uplinks-{label}", wall_seconds=walls[label],
-                   final_accuracy=results[label].final_accuracy)
-    for label in ("batch", "arrival", "arrival-streamed"):
-        table.add_row(f"aggregate-on-arrival {label} "
-                      f"({arrival['residency'][label]} resident)",
-                      f"{arrival['walls'][label]:.2f}", "True")
-        record.add(drill=f"arrival-{label}",
-                   wall_seconds=arrival["walls"][label],
-                   peak_update_residency=arrival["residency"][label])
-    for label in ("persistent", "fresh"):
-        table.add_row(f"runtime {label} "
-                      f"({persistent['spinups'][label]} pool spinups)",
-                      f"{persistent['walls'][label]:.2f}", "True")
-        record.add(drill=f"runtime-{label}",
-                   wall_seconds=persistent["walls"][label],
-                   pool_spinups=persistent["spinups"][label])
+    table.add_row(f"runtime persistent ({persistent['spinups']} pool spinups)",
+                  f"{persistent['wall']:.2f}", "-")
+    record.add(drill="runtime-persistent", wall_seconds=persistent["wall"],
+               pool_spinups=persistent["spinups"],
+               final_accuracy=persistent["result"].final_accuracy)
     record.add(full_task_bytes=persistent["full_task_bytes"],
                resident_task_bytes=persistent["resident_task_bytes"])
     if kill_resume:
@@ -316,21 +218,13 @@ def _check_and_report(backend: str, persist: bool, assert_speedup: bool,
     else:
         print()
         print(table.render())
-
-    # with a 1-worker pool the simulated delays sleep serially, so the async
-    # path (delays overlap on the event loop) must finish measurably sooner;
-    # skipped on shared CI runners where wall-clock comparisons are flaky
-    if assert_speedup and not os.environ.get("CI"):
-        assert walls["async"] < walls["pool"], \
-            f"async {walls['async']:.2f}s not faster than pool {walls['pool']:.2f}s"
     return 0
 
 
 def bench_coordinator(benchmark):
     """pytest-benchmark harness (historic entry point; thread backend)."""
     benchmark.pedantic(
-        lambda: _check_and_report("thread", persist=True, assert_speedup=True,
-                                  kill_resume=False),
+        lambda: _check_and_report("thread", persist=True, kill_resume=False),
         rounds=1, iterations=1)
 
 
@@ -340,8 +234,8 @@ def main(argv: "list[str] | None" = None) -> int:
                         choices=("serial", "thread", "process"),
                         help="execution backend for pooled stages")
     parser.add_argument("--smoke", action="store_true",
-                        help="correctness-only drill: no timing assertion, "
-                             "results are not persisted (CI mode)")
+                        help="correctness-only drill: results are not "
+                             "persisted (CI mode)")
     parser.add_argument("--kill-resume", action="store_true",
                         help="also run the crash-mid-round + journal-resume drill")
     parser.add_argument("--_child", action="store_true", help=argparse.SUPPRESS)
@@ -351,7 +245,6 @@ def main(argv: "list[str] | None" = None) -> int:
     if args._child:
         return _child_main(args.backend, args.journal_dir)
     return _check_and_report(args.backend, persist=not args.smoke,
-                             assert_speedup=not args.smoke,
                              kill_resume=args.kill_resume)
 
 

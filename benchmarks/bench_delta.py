@@ -53,6 +53,7 @@ from repro.core import FedSZConfig
 from repro.data import make_dataset, train_test_split
 from repro.fl import FederatedSimulation, FedSZUpdateCodec, fedavg_aggregate
 from repro.fl.client import FLClient
+from repro.fl.coordinator import deterministic_fields
 from repro.fl.delta import DeltaUpdateCodec, advance_accumulator
 from repro.metrics import ExperimentRecord, Table
 from repro.nn import build_model
@@ -106,16 +107,6 @@ def _build_simulation(train, test, settings: dict, **kwargs):
                                codec=_codec(), batch_size=BATCH_SIZE,
                                lr=settings["lr"], seed=SEED,
                                uplink="parallel", **kwargs)
-
-
-def _deterministic_fields(result):
-    """Every round field a delta run must reproduce bit-for-bit."""
-    return [(r.accuracy, r.uncompressed_bytes, r.transmitted_bytes,
-             r.communication_seconds, tuple(r.client_losses),
-             tuple(r.participants), tuple(r.dropped_clients),
-             tuple(r.late_clients), tuple(r.delta_clients),
-             tuple(sorted(r.delta_degrades.items())))
-            for r in result.rounds]
 
 
 # ---------------------------------------------------------------------------
@@ -209,17 +200,15 @@ def _run_identity_drill(train, test, settings: dict, backend: str) -> list:
                                   max_workers=1, delta=True).run(rounds)
     variants = [{"backend": backend, "max_workers": 1},
                 {"backend": backend, "max_workers": 4},
-                {"backend": backend, "max_workers": 1,
-                 "streaming": True, "streaming_encode": True},
-                {"backend": backend, "max_workers": 4,
-                 "streaming": True, "streaming_encode": True}]
+                {"backend": backend, "max_workers": 1, "streaming": True},
+                {"backend": backend, "max_workers": 4, "streaming": True}]
     labels = []
     for kwargs in variants:
         label = "{}-w{}{}".format(kwargs["backend"], kwargs["max_workers"],
                                   "-streaming" if kwargs.get("streaming") else "")
         got = _build_simulation(train, test, settings, delta=True,
                                 **kwargs).run(rounds)
-        assert _deterministic_fields(got) == _deterministic_fields(reference), \
+        assert deterministic_fields(got) == deterministic_fields(reference), \
             f"delta run on {label} diverged from the serial reference"
         labels.append(label)
     return labels
@@ -256,7 +245,7 @@ def _run_kill_resume_drill(settings: dict, backend: str) -> dict:
                                         resume=True)
         resumed = resumed_sim.run(rounds)
 
-        assert _deterministic_fields(resumed) == _deterministic_fields(reference), \
+        assert deterministic_fields(resumed) == deterministic_fields(reference), \
             "resumed delta run diverged from the uninterrupted reference"
         ref_state = reference_sim.server.global_state()
         res_state = resumed_sim.server.global_state()

@@ -1,21 +1,26 @@
-"""Streaming decode: bytes-in-flight vs wall-clock on a simulated uplink.
+"""Streaming ships: bytes-in-flight vs wall-clock on a simulated uplink.
 
-Two drills over one compressed model update on a 2 Mbps simulated link:
+Three drills over one compressed model update on a 2 Mbps simulated link:
 
-* **bytes-in-flight** — ship the update through the streaming decode path at
-  several packet sizes and report, per size, when decode *can* start (first
-  packet arrival) against when the full transfer completes, plus the decode
-  time the consumer managed to hide inside the transfer window
-  (``ShipResult.decode_overlap_seconds``).  The analytic invariant — decode
-  starts strictly before the transfer finishes whenever the payload spans more
-  than one packet — is asserted unconditionally.
+* **bytes-in-flight** — ship the update through the streaming path at
+  several packet sizes and report, per size, the link's analytic wire
+  schedule (``NetworkModel.packet_arrivals``: time zero at the first byte on
+  the wire, an instant producer) as its first and last packet arrival, plus
+  the decode time the consumer managed to hide inside the transfer window
+  (``ShipResult.decode_overlap_seconds``).  The ship itself runs that
+  schedule re-timed behind its encoder (time zero at encode start; the
+  encode-overlap drill reports that side), so the two schedule columns
+  describe the wire, not the ship's clock.  Asserted unconditionally: a
+  payload that spans more than one packet has its first packet arrive
+  strictly before its last, so decode can start inside the transfer.
 * **wall-clock** — re-ship with ``simulate_delay=True`` so packet arrivals are
-  real sleeps, batch vs streaming: the streaming ship decodes during the
-  sleeps, so only the residual tail lands after the last packet.  The
+  real sleeps, batch vs streaming: the streaming ship starts the transfer at
+  the first encoded piece and decodes during the sleeps, so only the
+  residual tail lands after the last packet.  The
   wall-clock speedup assertion is gated on ``os.cpu_count() > 1``; shared
   single-core hosts time sleeps too coarsely to compare reliably.
 * **encode overlap** — the producer-side mirror: ship with
-  ``streaming_encode=True`` at the same packet sizes and report when the first
+  ``streaming=True`` at the same packet sizes and report when the first
   simulated byte leaves (``ShipResult.first_byte_seconds``) against when the
   encode completes, plus the encode time hidden inside the transfer window
   (``ShipResult.encode_overlap_seconds``) and the producer's peak staging
@@ -74,7 +79,7 @@ def _assert_states_match(streamed, reference) -> None:
 
 # ---------------------------------------------------------------------------
 def _run_bytes_in_flight_drill(state, codec, backend: str):
-    """Packet-size sweep: decode start vs transfer end, overlap per size."""
+    """Packet-size sweep: the wire's first vs last packet, overlap per size."""
     network = NetworkModel(bandwidth_mbps=BANDWIDTH_MBPS)
     task = ShipTask(client_id=0, state=state, codec=codec, network=network)
     batch = ship_update_task(task)
@@ -88,16 +93,18 @@ def _run_bytes_in_flight_drill(state, codec, backend: str):
         assert result.transfer_seconds == batch.transfer_seconds, \
             "streaming must not change the recorded transfer time"
 
+        # the analytic wire schedule the ship gates behind its encoder
         schedule = network.packet_arrivals(result.payload_bytes, packet_bytes)
-        decode_start, transfer_end = schedule[0][1], schedule[-1][1]
+        first_packet, last_packet = schedule[0][1], schedule[-1][1]
         if len(schedule) > 1:
-            # the whole point of streaming: decode begins before the wire is done
-            assert decode_start < transfer_end, \
-                (f"decode start {decode_start:.4f}s not before transfer end "
-                 f"{transfer_end:.4f}s at packet_bytes={packet_bytes}")
+            # the whole point of streaming: decode can begin before the wire
+            # is done
+            assert first_packet < last_packet, \
+                (f"first packet at {first_packet:.4f}s not before the last at "
+                 f"{last_packet:.4f}s at packet_bytes={packet_bytes}")
         overlap = result.decode_overlap_seconds or 0.0
         rows.append((packet_bytes, result.payload_bytes, len(schedule),
-                     decode_start, transfer_end, result.decode_seconds,
+                     first_packet, last_packet, result.decode_seconds,
                      overlap))
     return batch, rows
 
@@ -111,7 +118,7 @@ def _run_encode_overlap_drill(state, codec, backend: str):
 
     rows = []
     for packet_bytes in PACKET_SIZES:
-        transport = SimulatedTransport(backend=backend, streaming_encode=True,
+        transport = SimulatedTransport(backend=backend, streaming=True,
                                        packet_bytes=packet_bytes)
         result = transport.ship(task)
         assert result.payload == batch.payload, \
@@ -164,14 +171,16 @@ def _check_and_report(backend: str, persist: bool, assert_speedup: bool) -> int:
     walls, wall_results = _run_wall_clock_drill(state, codec, backend)
 
     host_cores = os.cpu_count() or 1
-    table = Table(f"Streaming decode ({backend} backend, {host_cores} core"
+    table = Table(f"Streaming ship ({backend} backend, {host_cores} core"
                   f"{'s' if host_cores != 1 else ''}) - "
                   f"{raw_bytes / 1024:.0f} KiB update, "
                   f"{BANDWIDTH_MBPS:g} Mbps simulated uplink",
-                  ["packet bytes", "payload", "packets", "decode start (s)",
-                   "transfer end (s)", "decode (s)", "overlapped (s)"])
+                  ["packet bytes", "payload", "packets",
+                   "wire first packet (s)", "wire last packet (s)",
+                   "decode (s)", "overlapped (s)"])
     record = ExperimentRecord("streaming",
-                              "incremental decode overlapped with the simulated transfer")
+                              "incremental encode and decode overlapped with "
+                              "the simulated transfer")
     record.add(backend=backend, host_cores=host_cores, raw_bytes=raw_bytes,
                payload_bytes=batch.payload_bytes)
     for packet_bytes, payload, packets, start, end, decode, overlap in flight_rows:
@@ -179,7 +188,8 @@ def _check_and_report(backend: str, persist: bool, assert_speedup: bool) -> int:
                       f"{start:.4f}", f"{end:.4f}", f"{decode * 1e3:.2f}ms",
                       f"{overlap * 1e3:.2f}ms")
         record.add(drill="bytes-in-flight", packet_bytes=packet_bytes,
-                   packets=packets, decode_start_s=start, transfer_end_s=end,
+                   packets=packets, wire_first_packet_s=start,
+                   wire_last_packet_s=end,
                    decode_seconds=decode, decode_overlap_seconds=overlap)
 
     encode_table = Table("Streaming encode - first byte out vs encode end "

@@ -183,14 +183,12 @@ def build_parser() -> argparse.ArgumentParser:
                           help="resume an interrupted run from --journal-dir "
                                "instead of starting fresh")
     simulate.add_argument("--streaming", action="store_true",
-                          help="decode updates incrementally as simulated "
-                               "packets arrive, overlapping decompression "
-                               "with the transfer (bit-identical results)")
-    simulate.add_argument("--streaming-encode", action="store_true",
-                          help="encode updates incrementally and start the "
-                               "simulated transfer at the first ready payload "
-                               "piece, overlapping compression with the "
-                               "transfer (bit-identical results)")
+                          help="encode and decode updates incrementally: the "
+                               "simulated transfer starts at the first ready "
+                               "payload piece and packets decode as they "
+                               "arrive, overlapping compression and "
+                               "decompression with the transfer "
+                               "(bit-identical results)")
     simulate.add_argument("--delta", action="store_true",
                           help="ship error-feedback residuals against the "
                                "broadcast state (v5 delta frames) on the "
@@ -198,12 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
                                "warm reference send state - reference instead "
                                "of the full state, degrading to full-state "
                                "frames after any gap")
-    simulate.add_argument("--aggregate-on-arrival", action="store_true",
-                          help="fold each decoded update into the running "
-                               "aggregate as its ship completes instead of "
-                               "holding every update until the round ends "
-                               "(bit-identical results, O(workers) server "
-                               "residency)")
     _add_entropy_arguments(simulate)
     _add_plan_arguments(simulate)
     _add_backend_argument(simulate)
@@ -297,8 +289,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                                       backend=args.backend, tree_fanout=args.tree_fanout,
                                       journal_dir=journal_dir, resume=args.resume,
                                       streaming=args.streaming,
-                                      streaming_encode=args.streaming_encode,
-                                      aggregate_on_arrival=args.aggregate_on_arrival,
                                       delta=args.delta and label == "fedsz")
         except ValueError as exc:
             # round-engine ranges that need cross-flag context (--participation
@@ -333,7 +323,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
           f"({raw.total_transmitted_bytes / max(fedsz.total_transmitted_bytes, 1):.2f}x reduction)")
     print(f"comm time @{args.bandwidth:g} Mbps: {format_seconds(raw.total_communication_seconds)} vs "
           f"{format_seconds(fedsz.total_communication_seconds)}")
-    if args.streaming_encode:
+    if args.streaming:
         for label, result in results.items():
             streamed = [r for r in result.rounds
                         if r.mean_first_byte_seconds is not None]
@@ -346,12 +336,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                   f"{format_seconds(first_byte)}, {format_seconds(hidden)} of "
                   f"encode hidden in the transfer window, peak scratch "
                   f"{format_bytes(scratch)}")
-    if args.aggregate_on_arrival:
-        residency = max((r.peak_update_residency or 0
-                         for result in results.values() for r in result.rounds),
-                        default=0)
-        print(f"aggregate on arrival: peak resident decoded updates {residency} "
-              f"(fleet size {args.clients})")
     if args.delta:
         rounds = fedsz.rounds
         shipped = sum(len(r.delta_clients) for r in rounds)

@@ -25,6 +25,7 @@ import bz2
 import gzip
 import lzma
 import struct
+import sys
 import zlib
 
 import numpy as np
@@ -306,11 +307,18 @@ class BloscLZCodec(LosslessCodec):
 
     def decompress(self, payload: bytes) -> bytes:
         itemsize, length = struct.unpack_from("<BQ", payload, 0)
-        raw = zlib.decompress(payload[9:])
-        out = _unshuffle(raw, itemsize)
-        if len(out) != length:
+        if length >= sys.maxsize:
             raise ValueError("blosclz payload corrupt: length mismatch")
-        return out
+        # the header's length caps the inflate: a body that would expand
+        # past it stops one byte over instead of inflating whole
+        inflater = zlib.decompressobj()
+        try:
+            raw = inflater.decompress(memoryview(payload)[9:], length + 1)
+        except zlib.error as exc:
+            raise ValueError(f"blosclz payload corrupt ({exc})") from exc
+        if len(raw) != length or not inflater.eof or inflater.unused_data:
+            raise ValueError("blosclz payload corrupt: length mismatch")
+        return _unshuffle(raw, itemsize)
 
 
 class ShuffleRLECodec(LosslessCodec):

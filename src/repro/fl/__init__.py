@@ -11,7 +11,6 @@ from repro.fl.client import ClientUpdate, FLClient
 from repro.fl.codec import FedSZUpdateCodec, RawUpdateCodec, UpdateCodec
 from repro.fl.coordinator import (
     Aggregator,
-    ArrivalAggregator,
     Coordinator,
     FlatAggregator,
     PartialAggregate,
@@ -20,7 +19,6 @@ from repro.fl.coordinator import (
     RoundScheduler,
     SimulatedTransport,
     StalenessPolicy,
-    Transport,
     TreeAggregator,
 )
 from repro.fl.scaling import (
@@ -62,11 +60,9 @@ __all__ = [
     "RoundPlan",
     "StalenessPolicy",
     "Aggregator",
-    "ArrivalAggregator",
     "FlatAggregator",
     "TreeAggregator",
     "PartialAggregate",
     "RoundJournal",
-    "Transport",
     "SimulatedTransport",
 ]

@@ -33,7 +33,6 @@ import numpy as np
 
 __all__ = [
     "Aggregator",
-    "ArrivalAggregator",
     "FlatAggregator",
     "TreeAggregator",
     "PartialAggregate",
@@ -191,75 +190,6 @@ class FlatAggregator(Aggregator):
         leaves = [PartialAggregate.of(state, w)
                   for state, w in zip(states, normalized)]
         return _fold(leaves).finalize()
-
-
-class ArrivalAggregator:
-    """Order-preserving streaming FedAvg: states fold in as they arrive.
-
-    The coordinator's aggregate-on-arrival path: a round's membership (and so
-    its weight vector) is known before any update finishes shipping, so the
-    server does not need to hold every decoded state until the last one lands.
-    Construct with the full weight vector, then :meth:`add` each client's
-    state at its *position* in that vector as its ship completes — in any
-    arrival order.  A state folds into the single running compensated partial
-    the moment every earlier position has folded, and its buffers are released
-    right away, so peak resident decoded updates is the out-of-order window
-    (bounded by the transport's worker count), not the fleet size.
-
-    Bit-identical to :meth:`FlatAggregator.aggregate` of the same states in
-    position order, by construction: the weight vector is validated and
-    normalized upfront exactly as the batch kernel does, the leaves are the
-    same ``PartialAggregate.of(state, normalized[i])``, and merges happen in
-    the same left-fold position order — arrival order moves only the
-    *wall-clock moment* of each merge, never its operands or their order.
-    (Key/shape mismatches still raise, from :meth:`PartialAggregate.merge`
-    at fold time rather than upfront.)
-    """
-
-    def __init__(self, weights: Sequence[float]) -> None:
-        if len(weights) == 0:
-            raise ValueError("need at least one client state to aggregate")
-        weight_array = np.asarray(weights, dtype=np.float64)
-        if np.any(weight_array < 0) or weight_array.sum() <= 0:
-            raise ValueError("weights must be non-negative and not all zero")
-        self._normalized = weight_array / weight_array.sum()
-        self._pending: "dict[int, dict[str, np.ndarray]]" = {}
-        self._next = 0
-        self._running: "PartialAggregate | None" = None
-        #: high-water mark of decoded states held waiting for their turn (the
-        #: state being folded counts while it sits in the reorder window)
-        self.peak_resident = 0
-
-    def __len__(self) -> int:
-        return int(self._normalized.size)
-
-    @property
-    def arrived(self) -> int:
-        """How many states have folded into the running partial so far."""
-        return self._next
-
-    def add(self, index: int, state: dict[str, np.ndarray]) -> None:
-        """Fold in ``state`` at ``index``, its position in the weight vector."""
-        if not 0 <= index < len(self):
-            raise IndexError(f"state index {index} out of range for "
-                             f"{len(self)} expected states")
-        if index < self._next or index in self._pending:
-            raise ValueError(f"state {index} was already added")
-        self._pending[index] = state
-        self.peak_resident = max(self.peak_resident, len(self._pending))
-        while self._next in self._pending:
-            ready = self._pending.pop(self._next)
-            leaf = PartialAggregate.of(ready, self._normalized[self._next])
-            self._running = leaf if self._running is None \
-                else self._running.merge(leaf)
-            self._next += 1
-
-    def finalize(self) -> "OrderedDict[str, np.ndarray]":
-        """Collapse to the aggregated state once every position has folded."""
-        if self._next != len(self):
-            raise ValueError(f"only {self._next} of {len(self)} expected "
-                             f"states have arrived")
-        return self._running.finalize()
 
 
 class TreeAggregator(Aggregator):

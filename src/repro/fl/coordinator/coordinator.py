@@ -5,10 +5,11 @@ loop that used to live inside ``FederatedSimulation.run_round``.  It composes
 
 * a :class:`~repro.fl.coordinator.scheduler.RoundScheduler` (seeded scenario
   draws),
-* a :class:`~repro.fl.coordinator.transport.Transport` (encode → transfer →
-  decode, pooled or asyncio-overlapped),
+* a :class:`~repro.fl.coordinator.transport.SimulatedTransport` (encode →
+  transfer → decode, pooled over the execution backend),
 * a :class:`~repro.fl.server.FedAvgServer` whose aggregation routes through an
   :class:`~repro.fl.coordinator.aggregator.Aggregator` (flat or tree),
+  called once per round after lateness triage,
 * an optional :class:`~repro.fl.coordinator.journal.RoundJournal` for durable,
   resumable rounds, and
 * a :class:`~repro.fl.coordinator.scheduler.StalenessPolicy` deciding the fate
@@ -16,8 +17,8 @@ loop that used to live inside ``FederatedSimulation.run_round``.  It composes
 
 Determinism contract: every quantity that decides *numerics* (scenario draws,
 batch order, transfer-time lateness, aggregation order) is a pure function of
-the scenario seed and the round index — never of wall clock, worker count, or
-overlap mode.  Wall-clock measurements (train/encode/decode seconds) ride
+the scenario seed and the round index — never of wall clock, backend, or
+worker count.  Wall-clock measurements (train/encode/decode seconds) ride
 along as data.  That is what makes a journal resume bit-identical on every
 deterministic field: completed rounds replay from their records, the
 interrupted round re-derives its plan, replays already-shipped payloads
@@ -27,7 +28,6 @@ interrupted round re-derives its plan, replays already-shipped payloads
 
 from __future__ import annotations
 
-import asyncio
 import contextlib
 import itertools
 import os
@@ -39,28 +39,22 @@ import numpy as np
 
 from repro.core.network import round_communication_time
 from repro.fl.client import ClientUpdate, FLClient
-from repro.fl.coordinator.aggregator import ArrivalAggregator
 from repro.fl.coordinator.journal import JournalState, RoundJournal, ShippedEvent
 from repro.fl.coordinator.records import RoundRecord, SimulationResult
 from repro.fl.coordinator.residency import (discard_fleet, install_fleet,
                                             resident_client)
 from repro.fl.coordinator.scheduler import RoundScheduler, StalenessPolicy
-from repro.fl.coordinator.transport import ShipResult, ShipTask, Transport
+from repro.fl.coordinator.transport import (ShipResult, ShipTask,
+                                            SimulatedTransport)
 from repro.fl.delta import DeltaTracker, DeltaUpdateCodec
 from repro.utils.parallel import (ArenaHandle, ExecutionBackend,
                                   SharedMemoryArena, get_backend)
 
 # NOTE: fl/server.py imports the aggregation kernel from this package, so this
 # module must not import fl.server back at runtime — the server below is typed
-# by its duck interface (global_state / aggregate / apply_aggregate / evaluate
-# / model).
+# by its duck interface (global_state / aggregate / evaluate / model).
 
-__all__ = ["Coordinator", "TrainTask", "train_clients_parallel", "OVERLAP_MODES"]
-
-#: how a round's uplinks share time: "pool" fans ship tasks over the execution
-#: backend (the historic path); "async" holds every uplink in flight on one
-#: event loop, simulated delays becoming awaits
-OVERLAP_MODES = ("pool", "async")
+__all__ = ["Coordinator", "TrainTask", "train_clients_parallel"]
 
 #: resident-fleet tokens are unique per (process, coordinator scope) so two
 #: concurrent coordinators in one process can never collide
@@ -204,20 +198,16 @@ class Coordinator:
     """
 
     def __init__(self, *, clients: Sequence[FLClient], server,
-                 scheduler: RoundScheduler, transport: Transport,
+                 scheduler: RoundScheduler, transport: SimulatedTransport,
                  client_codecs: Sequence, client_networks: Sequence,
                  codec_name: str, local_epochs: int = 1,
                  straggler_slowdown: float = 4.0, uplink: str = "serial",
                  backend: "str | ExecutionBackend" = "thread",
-                 max_workers: "int | None" = 1, overlap: str = "pool",
+                 max_workers: "int | None" = 1,
                  round_deadline_s: "float | None" = None,
                  staleness: "StalenessPolicy | None" = None,
                  journal: "RoundJournal | None" = None,
-                 journal_state: "JournalState | None" = None,
-                 persistent: bool = True,
-                 aggregate_on_arrival: bool = False) -> None:
-        if overlap not in OVERLAP_MODES:
-            raise ValueError(f"overlap must be one of {OVERLAP_MODES}, got {overlap!r}")
+                 journal_state: "JournalState | None" = None) -> None:
         if round_deadline_s is not None and round_deadline_s <= 0:
             raise ValueError("round_deadline_s must be positive")
         self.clients = list(clients)
@@ -232,17 +222,9 @@ class Coordinator:
         self.uplink = uplink
         self.backend = get_backend(backend)
         self.max_workers = max_workers
-        self.overlap = overlap
         self.round_deadline_s = round_deadline_s
-        # aggregate-on-arrival folds each decoded update into a running
-        # compensated partial as its ship completes (bit-identical to the
-        # batch aggregation; see ArrivalAggregator).  A round deadline makes
-        # membership depend on per-ship transfer times, so deadline rounds
-        # degrade to batch-at-end aggregation.
-        self.aggregate_on_arrival = bool(aggregate_on_arrival)
         self.staleness = staleness if staleness is not None else StalenessPolicy()
         self.journal = journal
-        self.persistent = bool(persistent)
         self._resident: "_ResidentFleet | None" = None
         # cross-round delta state: one tracker over every delta-wrapped codec
         # (None when the fleet ships plain updates — zero behavior change)
@@ -350,42 +332,6 @@ class Coordinator:
                                    len(self.clients), self.server.global_state())
             self._run_started = True
 
-    def _ship(self, tasks: "list[ShipTask]") -> "list[ShipResult]":
-        """Ship a round's updates through the configured overlap mode."""
-        if not tasks:
-            return []
-        if self.overlap == "async":
-            async def _all_uplinks():
-                return await asyncio.gather(
-                    *(self.transport.ship_async(task) for task in tasks))
-            return list(asyncio.run(_all_uplinks()))
-        return self.transport.ship_batch(tasks)
-
-    def _ship_arrival(self, tasks: "list[ShipTask]", on_arrival) -> None:
-        """Ship a round's updates, invoking ``on_arrival(index, result)`` as
-        each completes instead of materializing the full result list.
-
-        The aggregate-on-arrival driver: the handler folds each decoded update
-        into the running aggregate and releases its buffers, so peak resident
-        updates is the in-flight window, not the round's fan-in.  Results may
-        arrive out of task order under concurrency; every result carries the
-        same values the batch path would (the transport's contract).
-        """
-        if not tasks:
-            return
-        if self.overlap == "async":
-            async def _all_uplinks():
-                async def _one(index: int, task: ShipTask):
-                    return index, await self.transport.ship_async(task)
-                pending = [_one(index, task) for index, task in enumerate(tasks)]
-                for next_done in asyncio.as_completed(pending):
-                    index, result = await next_done
-                    on_arrival(index, result)
-            asyncio.run(_all_uplinks())
-            return
-        for index, result in self.transport.ship_iter(tasks):
-            on_arrival(index, result)
-
     # -- persistent runtime -------------------------------------------------
     @contextlib.contextmanager
     def persistent_runtime(self):
@@ -400,11 +346,11 @@ class Coordinator:
         inline degrades (``serial``, one resolved worker, nested process
         workers) resolve against.
 
-        Re-entrant calls and ``persistent=False`` coordinators are no-ops, so
-        :meth:`run` can always wrap its round loop.  On exit the pool is torn
-        down and the fleet discarded; tasks must not outlive the scope.
+        Re-entrant calls are no-ops, so :meth:`run` can always wrap its round
+        loop.  On exit the pool is torn down and the fleet discarded; tasks
+        must not outlive the scope.
         """
-        if not self.persistent or self._resident is not None:
+        if self._resident is not None:
             yield
             return
         token = f"fleet-{os.getpid()}-{next(_FLEET_COUNTER)}"
@@ -501,74 +447,6 @@ class Coordinator:
                 self.clients[cid].receive_global(update.state)
         return updates
 
-    def _aggregate_arrivals(self, round_index: int, plan, tasks: "list[ShipTask]",
-                            fresh_ids: "list[int]", updates: "list[ClientUpdate]",
-                            shipments: "dict[int, _Shipment]",
-                            admitted: "list[_LateUpdate]") -> "int | None":
-        """Ship and fold: each update merges into the running aggregate as its
-        ship lands, and its buffers are released, so server-side peak decoded-
-        update residency is the transport's in-flight window — O(workers), not
-        O(participants).  Bit-identical to the batch path because the weight
-        vector, the leaves, and the fold order are exactly
-        :class:`FlatAggregator`'s (participants in plan order, then admitted
-        late updates); arrival order moves only the wall-clock moment of each
-        merge.  Returns the peak resident update count (``None`` when the
-        round aggregated nothing).
-        """
-        samples = {cid: update.num_samples
-                   for cid, update in zip(fresh_ids, updates)}
-        for cid, shipment in shipments.items():
-            samples[cid] = shipment.num_samples
-        weights = [samples[cid] for cid in plan.participants] \
-            + [late.num_samples for late in admitted]
-        if not weights:
-            self.server.aggregate([], [], allow_empty=True)
-            return None
-        arrival = ArrivalAggregator(weights)
-        position = {cid: index for index, cid in enumerate(plan.participants)}
-        # replayed ships and admitted late updates are already decoded — they
-        # take their reorder slots up front (they were resident regardless:
-        # the journal replay and the staleness queue held them)
-        for cid, shipment in shipments.items():
-            arrival.add(position[cid], shipment.result.state)
-            shipment.result.state = {}
-        for offset, late in enumerate(admitted):
-            arrival.add(len(plan.participants) + offset, late.state)
-
-        def _on_arrival(index: int, result: ShipResult) -> None:
-            cid = fresh_ids[index]
-            update = updates[index]
-            shipment = _Shipment(result=result,
-                                 train_seconds=update.train_seconds,
-                                 train_loss=update.train_loss,
-                                 num_samples=update.num_samples)
-            shipments[cid] = shipment
-            if self._delta is not None:
-                # per-client channels are independent, so folding in arrival
-                # order is deterministic anyway; must run before the decoded
-                # state is released below
-                shipment.delta_sidecar = self._delta.complete_ship(
-                    cid, update.state, result.state,
-                    sidecar=self.journal is not None)
-            if self.journal is not None:
-                # journaled at arrival — event order follows completion order,
-                # but replay keys events by client, so resume is unaffected
-                self.journal.record_shipped(round_index, result,
-                                            shipment.train_seconds,
-                                            shipment.train_loss,
-                                            shipment.num_samples,
-                                            status="ontime",
-                                            delta_sidecar=shipment.delta_sidecar)
-            arrival.add(position[cid], result.state)
-            # folded: the decoded update (and any journaled payload copy) is
-            # not needed again — release before the next ship lands
-            result.state = {}
-            result.payload = None
-
-        self._ship_arrival(tasks, _on_arrival)
-        self.server.apply_aggregate(arrival.finalize())
-        return max(arrival.peak_resident, 1)
-
     def _profile_cache_counters(self) -> "dict[str, int] | None":
         """Fleet-wide profiler cache counters, or None without profilers.
 
@@ -633,10 +511,8 @@ class Coordinator:
         ]
 
         # staleness triage: previously-queued late updates are absorbed at the
-        # first admissible round and dropped once they expire.  A pure
-        # function of the queue and the round index, computed before shipping
-        # because the arrival path needs the admitted set (and with it the
-        # round's complete weight vector) before the first ship lands.
+        # first admissible round and dropped once they expire — a pure
+        # function of the queue and the round index
         admitted = [late for late in self._pending_late
                     if self.staleness.admits(late.origin_round, round_index)]
         admitted.sort(key=lambda late: (late.origin_round, late.client_id))
@@ -648,57 +524,44 @@ class Coordinator:
         for cid, event in replayed.items():
             shipments[cid] = self._materialize(event)
 
-        # aggregate-on-arrival needs the round's membership fixed before the
-        # first ship completes: no deadline means no fresh ship can be late,
-        # and a resumed journal must not carry late-status replays either
-        arrival_active = (self.aggregate_on_arrival
-                          and self.round_deadline_s is None
-                          and not any(s.late for s in shipments.values()))
-        if arrival_active:
-            peak_residency = self._aggregate_arrivals(
-                round_index, plan, tasks, fresh_ids, updates, shipments, admitted)
-            ontime = list(plan.participants)
-            late_ids: "list[int]" = []
-        else:
-            results = self._ship(tasks)
-            for cid, update, result in zip(fresh_ids, updates, results):
-                shipment = _Shipment(result=result, train_seconds=update.train_seconds,
-                                     train_loss=update.train_loss,
-                                     num_samples=update.num_samples)
-                # lateness is decided on the *modeled* transfer time, which is
-                # analytic and straggler-inflated — never on wall clock
-                shipment.late = (self.round_deadline_s is not None
-                                 and result.transfer_seconds > self.round_deadline_s)
-                shipments[cid] = shipment
-                if self._delta is not None:
-                    if shipment.late:
-                        # the server never acknowledged this state — the
-                        # client's reference is gone until its next full ship
-                        self._delta.invalidate(cid, "late")
-                    else:
-                        shipment.delta_sidecar = self._delta.complete_ship(
-                            cid, update.state, result.state,
-                            sidecar=self.journal is not None)
+        results = self.transport.ship_batch(tasks) if tasks else []
+        for cid, update, result in zip(fresh_ids, updates, results):
+            shipment = _Shipment(result=result, train_seconds=update.train_seconds,
+                                 train_loss=update.train_loss,
+                                 num_samples=update.num_samples)
+            # lateness is decided on the *modeled* transfer time, which is
+            # analytic and straggler-inflated — never on wall clock
+            shipment.late = (self.round_deadline_s is not None
+                             and result.transfer_seconds > self.round_deadline_s)
+            shipments[cid] = shipment
+            if self._delta is not None:
+                if shipment.late:
+                    # the server never acknowledged this state — the
+                    # client's reference is gone until its next full ship
+                    self._delta.invalidate(cid, "late")
+                else:
+                    shipment.delta_sidecar = self._delta.complete_ship(
+                        cid, update.state, result.state,
+                        sidecar=self.journal is not None)
 
-            if self.journal is not None:
-                for cid in plan.participants:
-                    shipment = shipments[cid]
-                    if shipment.replayed:
-                        continue  # already journaled by the interrupted run
-                    self.journal.record_shipped(
-                        round_index, shipment.result, shipment.train_seconds,
-                        shipment.train_loss, shipment.num_samples,
-                        status="late" if shipment.late else "ontime",
-                        delta_sidecar=shipment.delta_sidecar)
+        if self.journal is not None:
+            for cid in plan.participants:
+                shipment = shipments[cid]
+                if shipment.replayed:
+                    continue  # already journaled by the interrupted run
+                self.journal.record_shipped(
+                    round_index, shipment.result, shipment.train_seconds,
+                    shipment.train_loss, shipment.num_samples,
+                    status="late" if shipment.late else "ontime",
+                    delta_sidecar=shipment.delta_sidecar)
 
-            ontime = [cid for cid in plan.participants if not shipments[cid].late]
-            late_ids = [cid for cid in plan.participants if shipments[cid].late]
-            states = [shipments[cid].result.state for cid in ontime] \
-                + [late.state for late in admitted]
-            weights = [shipments[cid].num_samples for cid in ontime] \
-                + [late.num_samples for late in admitted]
-            self.server.aggregate(states, weights, allow_empty=True)
-            peak_residency = len(states) if states else None
+        ontime = [cid for cid in plan.participants if not shipments[cid].late]
+        late_ids = [cid for cid in plan.participants if shipments[cid].late]
+        states = [shipments[cid].result.state for cid in ontime] \
+            + [late.state for late in admitted]
+        weights = [shipments[cid].num_samples for cid in ontime] \
+            + [late.num_samples for late in admitted]
+        self.server.aggregate(states, weights, allow_empty=True)
 
         start = time.perf_counter()
         accuracy = self.server.evaluate()
@@ -765,7 +628,6 @@ class Coordinator:
                 [r.first_byte_seconds for r in streamed]) if streamed else None,
             mean_encode_overlap_seconds=_mean(
                 [r.encode_overlap_seconds for r in streamed]) if streamed else None,
-            peak_update_residency=peak_residency,
             delta_clients=delta_clients,
             delta_degrades=delta_degrades,
         )

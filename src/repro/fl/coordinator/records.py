@@ -5,6 +5,8 @@ split into coordinator services — the :class:`Coordinator` builds them, the
 :class:`~repro.fl.coordinator.journal.RoundJournal` persists and replays them,
 and ``fl/simulation.py`` re-exports them unchanged for the historic import
 path (``from repro.fl.simulation import RoundRecord``).
+:func:`deterministic_fields` is the one comparison of seeded records that
+every bit-identity and resume check uses.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 from repro.core.pipeline import FedSZReport
 from repro.core.plan import CompressionPlan
 
-__all__ = ["RoundRecord", "SimulationResult"]
+__all__ = ["RoundRecord", "SimulationResult", "deterministic_fields"]
 
 
 @dataclass
@@ -72,12 +74,6 @@ class RoundRecord:
     #: transport encodes in batch.  A measurement — excluded from replay and
     #: bit-identity checks
     mean_encode_overlap_seconds: "float | None" = None
-    #: high-water mark of decoded client updates resident server-side during
-    #: aggregation: the full fan-in for batch aggregation, the reorder window
-    #: (bounded by transport concurrency) under aggregate-on-arrival; ``None``
-    #: when nothing was aggregated.  A measurement — excluded from replay and
-    #: bit-identity checks
-    peak_update_residency: "int | None" = None
     #: ids of participants that shipped delta-framed residuals this round
     #: (empty without a delta codec).  Deterministic — journaled and replayed
     delta_clients: list[int] = field(default_factory=list)
@@ -91,6 +87,26 @@ class RoundRecord:
     def compression_ratio(self) -> float:
         """Aggregate upload compression ratio across all clients this round."""
         return self.uncompressed_bytes / self.transmitted_bytes if self.transmitted_bytes else 1.0
+
+
+def deterministic_fields(result: "SimulationResult") -> "list[tuple]":
+    """Per round, every field a seeded run must reproduce bit-for-bit.
+
+    The fields a journal replays as deterministic: the round index,
+    accuracy, both byte counts, the modeled communication time, the client
+    losses, the participant/dropped/straggler/late lists, the absorbed late
+    updates and the delta ships and degrades.  Wall-clock measurements and
+    the reports are left out, so two runs compare with ``==`` on the
+    returned lists.
+    """
+    return [(r.round_index, r.accuracy, r.uncompressed_bytes,
+             r.transmitted_bytes,
+             r.communication_seconds, tuple(r.client_losses),
+             tuple(r.participants), tuple(r.dropped_clients),
+             tuple(r.straggler_clients), tuple(r.late_clients),
+             tuple(sorted(r.absorbed_clients.items())),
+             tuple(r.delta_clients), tuple(sorted(r.delta_degrades.items())))
+            for r in result.rounds]
 
 
 @dataclass

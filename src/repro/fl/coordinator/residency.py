@@ -13,7 +13,7 @@ state, and :func:`resident_client` resolves the reference inside the worker.
 
 The registry is plain module-global process memory:
 
-* **process/subinterpreter workers** get their own copy installed by the
+* **process workers** get their own copy installed by the
   initializer (that is the point),
 * **thread workers and inline degrades** share the caller's registry — the
   coordinator installs the fleet in its own process too, so a map that

@@ -1,34 +1,30 @@
 """Transport service: encode → transfer → decode of one client's update.
 
-Wraps what used to be ``fl/simulation.py::_ship_update_task`` behind a
-:class:`Transport` interface so the round engine can swap the simulated link
-for a real one (gRPC, MPI) without touching scheduling or aggregation.  The
-task function stays module-level over an explicit picklable argument struct —
-the PR-4 contract that lets the ``process`` backend ship it to a GIL-free
-worker — and :class:`SimulatedTransport` additionally offers an asyncio path
-where the simulated delay becomes an ``await`` instead of a pool-blocking
-sleep, so one thread can hold many uplinks in flight at once.
+:class:`SimulatedTransport` is the link the paper's methodology models: each
+round's ship tasks fan out over the configured
+:class:`~repro.utils.parallel.ExecutionBackend` pool, so simulated transfer
+delays (``simulate_delay=True``) overlap across clients instead of sleeping
+serially.  The task function stays module-level over an explicit picklable
+argument struct — the contract that lets the ``process`` backend ship it to
+a GIL-free worker.
 
 The uncompressed byte count of an update is computed analytically from array
 sizes (:func:`repro.utils.serialization.packed_arrays_nbytes`); the historic
 path re-encoded the entire state through ``RawUpdateCodec`` per client per
 round just to measure ``len()`` of bytes it then threw away.
 
-Three opt-in wire refinements (all bit-identical to the defaults):
+Two wire refinements (both bit-identical to the default batch ship):
 
-* ``streaming=True`` decodes each update through the codec's incremental
-  :meth:`~repro.fl.codec.UpdateCodec.stream_decoder`, fed packet by packet on
-  the link's analytic arrival schedule, so Eqn. 1's ``t_D`` overlaps ``S'/B``;
-  the measured overlap is reported on ``ShipResult.decode_overlap_seconds``.
-* ``streaming_encode=True`` encodes through the codec's incremental
-  :meth:`~repro.fl.codec.UpdateCodec.stream_encoder` and starts the simulated
-  transfer at the *first ready piece* instead of at payload completion: the
-  analytic packet schedule is re-timed behind the producer (a packet leaves
-  once the wire is free *and* its bytes exist), so Eqn. 1's ``t_C`` overlaps
-  ``S'/B``.  The hidden encode time is reported on
-  ``ShipResult.encode_overlap_seconds`` (alongside the producer's first-piece
-  latency and peak packing scratch); the recorded ``transfer_seconds`` stays
-  the analytic wire time, so the deterministic fields are unchanged.
+* ``streaming=True`` encodes through the codec's incremental
+  :meth:`~repro.fl.codec.UpdateCodec.stream_encoder` and decodes through its
+  :meth:`~repro.fl.codec.UpdateCodec.stream_decoder`.  The link's analytic
+  packet schedule is re-timed behind the producer (a packet leaves once the
+  wire is free *and* its bytes exist) and each packet is fed to the decoder
+  as it arrives, so Eqn. 1's ``t_C`` and ``t_D`` both overlap ``S'/B``.  The
+  hidden time is reported on ``ShipResult.encode_overlap_seconds`` and
+  ``decode_overlap_seconds`` (alongside the producer's first-piece latency
+  and peak packing scratch); the recorded ``transfer_seconds`` stays the
+  analytic wire time, so the deterministic fields are unchanged.
 * On backends with the ``pickles_arguments`` trait, ``ship_batch`` moves each
   task's tensors through a :class:`~repro.utils.parallel.SharedMemoryArena`
   segment instead of pickling the buffers into the task.
@@ -36,13 +32,10 @@ Three opt-in wire refinements (all bit-identical to the defaults):
 
 from __future__ import annotations
 
-import abc
-import asyncio
 import bisect
 import itertools
 import os
 import time
-from concurrent.futures import as_completed
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -55,14 +48,14 @@ from repro.utils.parallel import (ArenaHandle, ExecutionBackend,
                                   SharedMemoryArena, get_backend)
 from repro.utils.serialization import packed_arrays_nbytes
 
-__all__ = ["ShipTask", "ShipResult", "ship_update_task", "Transport",
-           "SimulatedTransport", "DEFAULT_PACKET_BYTES"]
+__all__ = ["ShipTask", "ShipResult", "ship_update_task", "SimulatedTransport",
+           "DEFAULT_PACKET_BYTES"]
 
 from repro.core.pipeline import FedSZReport
 
-#: simulated wire segment size for the streaming decode path; small enough
-#: that a multi-chunk Huffman stream spans many packets, large enough that
-#: per-packet bookkeeping stays negligible against decode work
+#: simulated wire segment size for the streaming path; small enough that a
+#: multi-chunk Huffman stream spans many packets, large enough that
+#: per-packet bookkeeping stays negligible against codec work
 DEFAULT_PACKET_BYTES = 64 * 1024
 
 #: distinguishes each transport's hoisted-reference registry token (ids can
@@ -83,14 +76,10 @@ class ShipTask:
     #: retain the encoded payload on the result (journaling needs the bytes
     #: back; everyone else keeps memory flat by dropping them)
     keep_payload: bool = False
-    #: decode through the codec's incremental stream decoder, paced by the
-    #: link's analytic packet schedule, so decode time hides inside transfer
-    #: time (bit-identical outputs either way)
+    #: encode and decode through the codec's incremental stream coders, with
+    #: the link's packet schedule gated behind the encoder's pieces, so codec
+    #: time hides inside transfer time (bit-identical outputs either way)
     streaming: bool = False
-    #: encode through the codec's incremental stream encoder and start the
-    #: simulated transfer at the first ready piece, so encode time hides
-    #: inside transfer time (bit-identical outputs either way)
-    streaming_encode: bool = False
     #: simulated wire segment size used when ``streaming`` is set
     packet_bytes: int = DEFAULT_PACKET_BYTES
     #: when set, ``state`` is empty and the tensors live in a shared-memory
@@ -122,84 +111,21 @@ class ShipResult:
     report: "FedSZReport | None"
     #: the encoded payload itself, only when ``ShipTask.keep_payload`` was set
     payload: "bytes | None" = None
-    #: streaming path only: the portion of ``decode_seconds`` that the busy
+    #: streaming ships only: the portion of ``decode_seconds`` that the busy
     #: model places *before* the last byte's arrival — decode work hidden
-    #: inside the transfer window (``None`` on the batch decode path)
+    #: inside the transfer window (``None`` on batch ships)
     decode_overlap_seconds: "float | None" = None
-    #: streaming-encode path only: encode work hidden inside the transfer
-    #: window — the sequential ``encode + transfer`` span minus the overlapped
-    #: wire completion under the producer-gated packet schedule (``None`` on
-    #: the batch encode path)
+    #: streaming ships only: encode work hidden inside the transfer window —
+    #: the sequential ``encode + transfer`` span minus the overlapped wire
+    #: completion under the producer-gated packet schedule (``None`` on batch
+    #: ships)
     encode_overlap_seconds: "float | None" = None
-    #: streaming-encode path only: seconds until the encoder's first payload
-    #: piece was ready to leave (the stream's first-byte-out latency)
+    #: streaming ships only: seconds until the encoder's first payload piece
+    #: was ready to leave (the stream's first-byte-out latency)
     first_byte_seconds: "float | None" = None
-    #: streaming-encode path only: the encoder's analytic peak emission
-    #: scratch estimate in bytes (0 when the codec does not track it)
+    #: streaming ships only: the encoder's analytic peak emission scratch
+    #: estimate in bytes (0 when the codec does not track it)
     encode_scratch_bytes: int = 0
-
-
-def _encode(task: ShipTask) -> tuple[bytes, "FedSZReport | None", float, int, float]:
-    """Encode phase: payload, report, encode wall time, raw bytes, transfer time."""
-    start = time.perf_counter()
-    payload, report = task.codec.encode_with_report(task.state)
-    encode_seconds = time.perf_counter() - start
-    # the uncompressed size is a pure function of the arrays' dtypes/shapes
-    # and key names — no need to serialize the whole state to measure it
-    raw_bytes = packed_arrays_nbytes(task.state)
-    transfer_seconds = task.network.transfer_time(len(payload)) * task.straggler_slowdown
-    return payload, report, encode_seconds, raw_bytes, transfer_seconds
-
-
-@dataclass
-class _StreamedEncode:
-    """What :func:`_stream_encode` measures beyond the batch encode phase."""
-
-    payload: bytes
-    report: "FedSZReport | None"
-    encode_seconds: float
-    raw_bytes: int
-    transfer_seconds: float
-    #: cumulative payload byte offset at the end of each producer piece
-    piece_ends: "list[int]"
-    #: cumulative encode seconds when each piece became available
-    piece_ready: "list[float]"
-    first_byte_seconds: float
-    scratch_bytes: int
-
-
-def _stream_encode(task: ShipTask) -> _StreamedEncode:
-    """Encode phase through the codec's incremental stream encoder.
-
-    The concatenated pieces are byte-identical to the batch
-    :func:`_encode` payload (the codec's contract), so every downstream
-    quantity derived from the payload is unchanged; what streaming adds is
-    the per-piece availability times the wire model is gated on.
-    """
-    encoder = task.codec.stream_encoder()
-    pieces: "list[bytes]" = []
-    ends: "list[int]" = []
-    ready: "list[float]" = []
-    total = 0
-    start = time.perf_counter()
-    for piece in encoder.chunks(task.state):
-        if not piece:
-            continue
-        now = time.perf_counter() - start
-        pieces.append(piece)
-        total += len(piece)
-        ends.append(total)
-        ready.append(now)
-    encode_seconds = time.perf_counter() - start
-    payload = b"".join(pieces)
-    raw_bytes = packed_arrays_nbytes(task.state)
-    transfer_seconds = task.network.transfer_time(len(payload)) * task.straggler_slowdown
-    return _StreamedEncode(payload=payload, report=encoder.report,
-                           encode_seconds=encode_seconds, raw_bytes=raw_bytes,
-                           transfer_seconds=transfer_seconds, piece_ends=ends,
-                           piece_ready=ready,
-                           first_byte_seconds=ready[0] if ready else 0.0,
-                           scratch_bytes=encoder.peak_scratch_bytes)
 
 
 def _gated_schedule(schedule: "list[tuple[int, float]]", piece_ends: "list[int]",
@@ -228,58 +154,24 @@ def _gated_schedule(schedule: "list[tuple[int, float]]", piece_ends: "list[int]"
     return gated
 
 
-def _decode(task: ShipTask, payload: bytes) -> tuple[dict[str, np.ndarray], float]:
-    """Decode phase: server-side state and decode wall time."""
-    start = time.perf_counter()
-    state = task.codec.decode(payload)
-    return state, time.perf_counter() - start
-
-
-def _result(task: ShipTask, payload: bytes, report, encode_seconds: float,
-            raw_bytes: int, transfer_seconds: float,
-            state: dict[str, np.ndarray], decode_seconds: float,
-            decode_overlap_seconds: "float | None" = None,
-            encode_overlap_seconds: "float | None" = None,
-            first_byte_seconds: "float | None" = None,
-            encode_scratch_bytes: int = 0) -> ShipResult:
-    return ShipResult(client_id=task.client_id, payload_bytes=len(payload),
-                      raw_bytes=raw_bytes, encode_seconds=encode_seconds,
-                      transfer_seconds=transfer_seconds,
-                      decode_seconds=decode_seconds, state=state, report=report,
-                      payload=payload if task.keep_payload else None,
-                      decode_overlap_seconds=decode_overlap_seconds,
-                      encode_overlap_seconds=encode_overlap_seconds,
-                      first_byte_seconds=first_byte_seconds,
-                      encode_scratch_bytes=encode_scratch_bytes)
-
-
 def _stream_decode(task: ShipTask, payload: bytes,
-                   schedule: "list[tuple[int, float]] | None" = None,
-                   elapsed: float = 0.0):
+                   schedule: "list[tuple[int, float]]", elapsed: float):
     """Streaming decode of one payload against its packet-arrival schedule.
 
-    Generator protocol: yields the simulated delay to wait before each packet
-    (only when the link injects real delays — the sync driver sleeps it, the
-    asyncio driver awaits it) and *returns* ``(state, decode_seconds,
-    overlap_seconds)``.
+    Returns ``(state, decode_seconds, overlap_seconds)``.  ``schedule``'s
+    time zero is encode start and ``elapsed`` is how much of that clock has
+    already passed in wall time (the encode wall time); on a real-delay link
+    each packet is fed only once its arrival time has passed.
 
-    The overlap accounting is a busy-time model over the analytic schedule:
-    packet ``i`` starts decoding no earlier than its arrival and no earlier
-    than packet ``i-1`` finished, and ``finish()`` runs after the last packet.
+    The overlap accounting is a busy-time model over the schedule: packet
+    ``i`` starts decoding no earlier than its arrival and no earlier than
+    packet ``i-1`` finished, and ``finish()`` runs after the last packet.
     ``overlap_seconds`` is the decode compute that fits before the last byte's
     arrival — the part of Eqn. 1's ``t_D`` hidden inside ``S'/B``.  Every
     recorded quantity is analytic or per-call wall time, never a function of
-    scheduling, so pooled and async drivers report identical semantics.
-
-    ``schedule`` overrides the link's analytic arrivals (the streaming-encode
-    path passes its producer-gated schedule, whose time zero is encode start);
-    ``elapsed`` is how much of the schedule's clock has already passed in wall
-    time when this generator starts (the encode wall time on that path).
+    scheduling.
     """
     decoder = task.codec.stream_decoder()
-    if schedule is None:
-        schedule = task.network.packet_arrivals(len(payload), task.packet_bytes,
-                                                task.straggler_slowdown)
     view = memoryview(payload)
     busy_end = 0.0
     total = 0.0
@@ -287,7 +179,9 @@ def _stream_decode(task: ShipTask, payload: bytes,
     wall_start = time.perf_counter() - elapsed
     for end, arrival in schedule:
         if task.network.simulate_delay:
-            yield max(0.0, arrival - (time.perf_counter() - wall_start))
+            delay = arrival - (time.perf_counter() - wall_start)
+            if delay > 0:
+                time.sleep(delay)
         start = time.perf_counter()
         decoder.feed(view[pos:end])
         elapsed = time.perf_counter() - start
@@ -303,34 +197,6 @@ def _stream_decode(task: ShipTask, payload: bytes,
     return state, total, max(0.0, total - residual)
 
 
-def _run_stream_decode(task: ShipTask, payload: bytes,
-                       schedule: "list[tuple[int, float]] | None" = None,
-                       elapsed: float = 0.0):
-    """Drive :func:`_stream_decode` synchronously (sleeping the delays)."""
-    steps = _stream_decode(task, payload, schedule, elapsed)
-    try:
-        while True:
-            delay = next(steps)
-            if delay > 0:
-                time.sleep(delay)
-    except StopIteration as stop:
-        return stop.value
-
-
-async def _run_stream_decode_async(task: ShipTask, payload: bytes,
-                                   schedule: "list[tuple[int, float]] | None" = None,
-                                   elapsed: float = 0.0):
-    """Drive :func:`_stream_decode` on the event loop (awaiting the delays)."""
-    steps = _stream_decode(task, payload, schedule, elapsed)
-    try:
-        while True:
-            # awaiting even a zero delay yields, so other uplinks' packets
-            # interleave with this decode exactly as on a real wire
-            await asyncio.sleep(next(steps))
-    except StopIteration as stop:
-        return stop.value
-
-
 def ship_update_task(task: ShipTask) -> ShipResult:
     """Encode, transfer, and decode one client's update.
 
@@ -341,14 +207,11 @@ def ship_update_task(task: ShipTask) -> ShipResult:
     worker; per-client compression statistics come from the codec's per-call
     reporting API, so they stay accurate at any worker count on any backend.
 
-    With ``task.streaming`` the decode runs through the codec's incremental
-    stream decoder paced by the link's packet schedule — same decoded bytes,
-    same recorded ``transfer_seconds``, plus the measured decode/transfer
-    overlap.  With ``task.streaming_encode`` the encode runs through the
-    codec's incremental stream encoder and the packet schedule is re-timed
-    behind the producer — same payload bytes, same recorded
-    ``transfer_seconds``, plus the measured encode/transfer overlap (and the
-    two compose: a producer-gated schedule feeds the stream decoder).  With
+    A batch ship encodes, sleeps the transfer time (on a real-delay link),
+    then decodes.  With ``task.streaming`` the encoder's pieces gate the
+    link's packet schedule and each packet feeds the stream decoder as it
+    arrives — same payload bytes, same decoded state, same recorded
+    ``transfer_seconds``, plus the measured encode and decode overlap.  With
     ``task.state_handle`` the tensors are read from a shared-memory arena
     instead of the (empty) pickled ``state``; with ``task.reference_token``
     the delta codec's reference state is resolved from the worker-resident
@@ -388,113 +251,73 @@ def ship_update_task(task: ShipTask) -> ShipResult:
                 # segment itself is unlinked by its owning transport
                 pass
         return result
-    if task.streaming_encode:
-        enc, schedule, completion, encode_overlap = _stream_encode_phase(task)
-        if task.streaming:
-            state, decode_seconds, overlap = _run_stream_decode(
-                task, enc.payload, schedule, elapsed=enc.encode_seconds)
-            return _result(task, enc.payload, enc.report, enc.encode_seconds,
-                           enc.raw_bytes, enc.transfer_seconds, state,
-                           decode_seconds, overlap, encode_overlap,
-                           enc.first_byte_seconds, enc.scratch_bytes)
-        if task.network.simulate_delay:
-            # encode wall time already elapsed; only the remaining wire time
-            # of the overlapped span is simulated
-            time.sleep(max(0.0, completion - enc.encode_seconds))
-        state, decode_seconds = _decode(task, enc.payload)
-        return _result(task, enc.payload, enc.report, enc.encode_seconds,
-                       enc.raw_bytes, enc.transfer_seconds, state,
-                       decode_seconds, None, encode_overlap,
-                       enc.first_byte_seconds, enc.scratch_bytes)
-    payload, report, encode_seconds, raw_bytes, transfer_seconds = _encode(task)
+    start = time.perf_counter()
     if task.streaming:
-        state, decode_seconds, overlap = _run_stream_decode(task, payload)
-        return _result(task, payload, report, encode_seconds, raw_bytes,
-                       transfer_seconds, state, decode_seconds, overlap)
-    if task.network.simulate_delay:
-        time.sleep(transfer_seconds)
-    state, decode_seconds = _decode(task, payload)
-    return _result(task, payload, report, encode_seconds, raw_bytes,
-                   transfer_seconds, state, decode_seconds)
-
-
-def _stream_encode_phase(task: ShipTask):
-    """Streaming-encode phase shared by the pooled and asyncio drivers.
-
-    Returns ``(measurements, gated_schedule, wire_completion,
-    encode_overlap_seconds)``.  The overlap is the sequential
-    ``encode + transfer`` span minus the overlapped completion — the part of
-    Eqn. 1's ``t_C`` the wire hid — and is 0 by construction when nothing
-    overlaps (a single-packet payload gates on the last piece).
-    """
-    enc = _stream_encode(task)
+        # the concatenated pieces are byte-identical to the batch payload
+        # (the codec's contract); streaming adds when each piece was ready
+        encoder = task.codec.stream_encoder()
+        pieces: "list[bytes]" = []
+        piece_ends: "list[int]" = []
+        piece_ready: "list[float]" = []
+        for piece in encoder.chunks(task.state):
+            if piece:
+                piece_ready.append(time.perf_counter() - start)
+                pieces.append(piece)
+                piece_ends.append(len(piece) + (piece_ends[-1] if piece_ends else 0))
+        payload, report = b"".join(pieces), encoder.report
+    else:
+        payload, report = task.codec.encode_with_report(task.state)
+    encode_seconds = time.perf_counter() - start
+    transfer_seconds = task.network.transfer_time(len(payload)) * task.straggler_slowdown
+    result = ShipResult(client_id=task.client_id, payload_bytes=len(payload),
+                        # a pure function of the arrays' dtypes/shapes and key
+                        # names — no need to serialize the state to measure it
+                        raw_bytes=packed_arrays_nbytes(task.state),
+                        encode_seconds=encode_seconds,
+                        transfer_seconds=transfer_seconds, decode_seconds=0.0,
+                        state={}, report=report,
+                        payload=payload if task.keep_payload else None)
+    if not task.streaming:
+        if task.network.simulate_delay:
+            time.sleep(transfer_seconds)
+        start = time.perf_counter()
+        result.state = task.codec.decode(payload)
+        result.decode_seconds = time.perf_counter() - start
+        return result
     schedule = _gated_schedule(
-        task.network.packet_arrivals(len(enc.payload), task.packet_bytes,
+        task.network.packet_arrivals(len(payload), task.packet_bytes,
                                      task.straggler_slowdown),
-        enc.piece_ends, enc.piece_ready)
-    completion = schedule[-1][1]
-    overlap = max(0.0, enc.encode_seconds + enc.transfer_seconds - completion)
-    return enc, schedule, completion, overlap
+        piece_ends, piece_ready)
+    result.state, result.decode_seconds, result.decode_overlap_seconds = \
+        _stream_decode(task, payload, schedule, elapsed=encode_seconds)
+    # the sequential encode + transfer span minus the overlapped completion:
+    # the part of t_C the wire hid (0 when a single packet gates on the
+    # last piece)
+    result.encode_overlap_seconds = max(
+        0.0, encode_seconds + transfer_seconds - schedule[-1][1])
+    result.first_byte_seconds = piece_ready[0] if piece_ready else 0.0
+    result.encode_scratch_bytes = encoder.peak_scratch_bytes
+    return result
 
 
-class Transport(abc.ABC):
-    """How an encoded update crosses the network to the aggregating server."""
-
-    name: str = "base"
-
-    @abc.abstractmethod
-    def ship(self, task: ShipTask) -> ShipResult:
-        """Move one client's update end to end; returns the decoded result."""
-
-    def ship_batch(self, tasks: "list[ShipTask]") -> "list[ShipResult]":
-        """Ship several updates; default is sequential :meth:`ship` calls."""
-        return [self.ship(task) for task in tasks]
-
-    def ship_iter(self, tasks: "list[ShipTask]"):
-        """Yield ``(task_index, result)`` pairs as ships complete.
-
-        The coordinator's aggregate-on-arrival path consumes this to fold each
-        decoded update into the running aggregate (and release its buffers)
-        the moment its ship lands, so peak resident decoded updates is bounded
-        by the transport's concurrency, not the round's fan-in.  Results may
-        surface out of task order on concurrent transports; each carries the
-        same values it would in :meth:`ship_batch` (deterministic fields never
-        depend on scheduling).  Default: sequential, in task order.
-        """
-        for index, task in enumerate(tasks):
-            yield index, self.ship(task)
-
-    async def ship_async(self, task: ShipTask) -> ShipResult:
-        """Asyncio variant; default delegates to the synchronous path."""
-        return self.ship(task)
-
-
-class SimulatedTransport(Transport):
+class SimulatedTransport:
     """The in-process simulated link the paper's methodology models.
 
-    ``ship_batch`` fans tasks over the configured
-    :class:`~repro.utils.parallel.ExecutionBackend` pool (the historic round
-    engine path, bit-identical at any worker count); :meth:`ship_async` is the
-    overlapped-uplink path, where the simulated transfer delay is an
-    ``asyncio.sleep`` await — many in-flight uplinks share one thread, and the
-    round's wall clock approaches ``Σ codec time + max transfer`` instead of
-    the serial sum.  Both paths produce identical :class:`ShipResult` values:
-    every recorded quantity is analytic or per-task wall time, never a
-    function of scheduling.
+    :meth:`ship_batch` fans a round's tasks over the configured
+    :class:`~repro.utils.parallel.ExecutionBackend` pool, bit-identical at
+    any worker count: every recorded quantity is analytic or per-task wall
+    time, never a function of scheduling.  ``streaming`` and
+    ``packet_bytes`` are stamped onto every task this transport ships.
     """
-
-    name = "simulated"
 
     def __init__(self, backend: "str | ExecutionBackend" = "thread",
                  max_workers: "int | None" = 1, streaming: bool = False,
-                 packet_bytes: int = DEFAULT_PACKET_BYTES,
-                 streaming_encode: bool = False) -> None:
+                 packet_bytes: int = DEFAULT_PACKET_BYTES) -> None:
         if packet_bytes < 1:
             raise ValueError("packet_bytes must be >= 1")
         self.backend = get_backend(backend)
         self.max_workers = max_workers
         self.streaming = bool(streaming)
-        self.streaming_encode = bool(streaming_encode)
         self.packet_bytes = int(packet_bytes)
         # stable registry token for hoisted delta references: workers key
         # their resident copy on it, so each round's install replaces the last
@@ -526,15 +349,14 @@ class SimulatedTransport(Transport):
         """Stamp this transport's wire knobs onto a task (task wins if set)."""
         if self.streaming and not task.streaming:
             task = replace(task, streaming=True, packet_bytes=self.packet_bytes)
-        if self.streaming_encode and not task.streaming_encode:
-            task = replace(task, streaming_encode=True,
-                           packet_bytes=self.packet_bytes)
         return task
 
     def ship(self, task: ShipTask) -> ShipResult:
+        """Move one client's update end to end in the calling thread."""
         return ship_update_task(self._configure(task))
 
     def ship_batch(self, tasks: "list[ShipTask]") -> "list[ShipResult]":
+        """Ship a round's updates over the backend pool, results in task order."""
         tasks = [self._configure(task) for task in tasks]
         if not self.backend.pickles_arguments:
             return self.backend.map(ship_update_task, tasks, workers=self.max_workers)
@@ -555,84 +377,3 @@ class SimulatedTransport(Transport):
         finally:
             for arena in arenas:
                 arena.close()
-
-    def ship_iter(self, tasks: "list[ShipTask]"):
-        """Yield ``(task_index, result)`` in completion order over the pool.
-
-        Same per-result values as :meth:`ship_batch` — only the order in which
-        they surface (and therefore the caller's peak resident set) differs.
-        Each pickling-backend arena is destroyed as soon as its own result
-        returns, so arena residency tracks the in-flight window too.
-        """
-        tasks = [self._configure(task) for task in tasks]
-        if not tasks:
-            return
-        workers = self.backend.resolve_workers(self.max_workers, len(tasks))
-        if workers <= 1:
-            # inline degrade: strict task order, one update resident at a time
-            for index, task in enumerate(tasks):
-                yield index, ship_update_task(task)
-            return
-        arenas: "dict[int, SharedMemoryArena]" = {}
-        ref_arenas: "list[SharedMemoryArena]" = []
-        ref_map: dict = {}
-        with self.backend.executor(self.max_workers, n_items=len(tasks)) as pool:
-            try:
-                indexed = {}
-                for index, task in enumerate(tasks):
-                    if self.backend.pickles_arguments:
-                        task = self._hoist_reference(task, ref_map, ref_arenas)
-                        arena = SharedMemoryArena(task.state)
-                        arenas[index] = arena
-                        task = replace(task, state={}, state_handle=arena.handle)
-                    indexed[pool.submit(ship_update_task, task)] = index
-                for future in as_completed(indexed):
-                    index = indexed[future]
-                    arena = arenas.pop(index, None)
-                    if arena is not None:
-                        arena.close()
-                    yield index, future.result()
-            finally:
-                for arena in arenas.values():
-                    arena.close()
-                # reference arenas are shared across tasks — destroyed only
-                # once every ship of the round has surfaced
-                for arena in ref_arenas:
-                    arena.close()
-
-    async def ship_async(self, task: ShipTask) -> ShipResult:
-        task = self._configure(task)
-        if task.streaming_encode:
-            enc, schedule, completion, encode_overlap = _stream_encode_phase(task)
-            if task.streaming:
-                state, decode_seconds, overlap = await _run_stream_decode_async(
-                    task, enc.payload, schedule, elapsed=enc.encode_seconds)
-                return _result(task, enc.payload, enc.report, enc.encode_seconds,
-                               enc.raw_bytes, enc.transfer_seconds, state,
-                               decode_seconds, overlap, encode_overlap,
-                               enc.first_byte_seconds, enc.scratch_bytes)
-            if task.network.simulate_delay:
-                # only the wire time the encode did not hide is awaited; the
-                # event loop runs other uplinks meanwhile
-                await asyncio.sleep(max(0.0, completion - enc.encode_seconds))
-            state, decode_seconds = _decode(task, enc.payload)
-            return _result(task, enc.payload, enc.report, enc.encode_seconds,
-                           enc.raw_bytes, enc.transfer_seconds, state,
-                           decode_seconds, None, encode_overlap,
-                           enc.first_byte_seconds, enc.scratch_bytes)
-        payload, report, encode_seconds, raw_bytes, transfer_seconds = _encode(task)
-        if task.streaming:
-            # per-packet awaits: the event loop runs other uplinks between
-            # this client's packets, and decode rides inside the gaps
-            state, decode_seconds, overlap = \
-                await _run_stream_decode_async(task, payload)
-            return _result(task, payload, report, encode_seconds, raw_bytes,
-                           transfer_seconds, state, decode_seconds, overlap)
-        if task.network.simulate_delay:
-            # the await is the whole point: the event loop runs other uplinks
-            # (their codec work and their delays) while this transfer is in
-            # flight, so delays overlap without a worker pool
-            await asyncio.sleep(transfer_seconds)
-        state, decode_seconds = _decode(task, payload)
-        return _result(task, payload, report, encode_seconds, raw_bytes,
-                       transfer_seconds, state, decode_seconds)

@@ -1,4 +1,9 @@
-"""FedAvg server: weighted aggregation of client updates and global evaluation."""
+"""FedAvg server: weighted aggregation of client updates and global evaluation.
+
+The round coordinator calls :meth:`FedAvgServer.aggregate` exactly once per
+round, after it has triaged late updates, with the on-time states plus any
+admitted late ones.
+"""
 
 from __future__ import annotations
 
@@ -88,19 +93,6 @@ class FedAvgServer:
             new_state = self.aggregator.aggregate(states, weights)
         else:
             new_state = fedavg_aggregate(states, weights)
-        self.model.load_state_dict(new_state)
-        return new_state
-
-    def apply_aggregate(self, new_state: dict[str, np.ndarray]) \
-            -> dict[str, np.ndarray]:
-        """Install an externally-aggregated state into the global model.
-
-        The coordinator's aggregate-on-arrival path folds client states into a
-        running partial as ships complete (see
-        :class:`~repro.fl.coordinator.aggregator.ArrivalAggregator`) and hands
-        the finalized state here — bit-identical to :meth:`aggregate` of the
-        same states, without ever holding them all resident.
-        """
         self.model.load_state_dict(new_state)
         return new_state
 

@@ -7,9 +7,7 @@ the round engine itself now lives in :mod:`repro.fl.coordinator`:
 * :class:`~repro.fl.coordinator.scheduler.RoundScheduler` owns the seeded
   scenario draws (participation sampling, dropouts, stragglers),
 * :class:`~repro.fl.coordinator.transport.SimulatedTransport` owns the
-  encode → transfer → decode pipeline (pooled over the execution backend, or
-  asyncio-overlapped with ``overlap="async"`` where simulated delays become
-  awaits and one thread holds every uplink in flight),
+  encode → transfer → decode pipeline, pooled over the execution backend,
 * :class:`~repro.fl.coordinator.aggregator.TreeAggregator` optionally replaces
   flat FedAvg with a hierarchical merge (``tree_fanout``), bit-identical at
   every fan-in,
@@ -47,29 +45,14 @@ full-participation semantics, which the test suite pins bit-for-bit):
   the journal layout.
 * ``round_deadline_s`` / ``max_staleness`` — late-update triage; the default
   (no deadline) changes nothing.
-* ``overlap`` — ``"pool"`` (historic) or ``"async"`` (overlapped uplinks).
-* ``streaming`` — decode each update through the codec's incremental stream
-  decoder, fed on the link's analytic packet schedule so decompression
-  overlaps the transfer (bit-identical outputs; per-client overlap is
-  reported on ``ShipResult.decode_overlap_seconds``).
-* ``streaming_encode`` — encode each update through the codec's incremental
-  stream encoder and start the simulated transfer at the first ready payload
-  piece, so compression overlaps the transfer window (bit-identical outputs;
-  per-client hidden encode time is reported on
-  ``ShipResult.encode_overlap_seconds``, and the round record carries the
-  fleet's mean first-byte-out latency and peak encode scratch).
-* ``aggregate_on_arrival`` — fold each decoded update into the running
-  compensated aggregate as its ship completes instead of holding every state
-  until the round ends; bit-identical to batch aggregation (same weights,
-  same fold order), with server-side peak update residency bounded by the
-  transport's concurrency instead of the round's fan-in.  Rounds with a
-  ``round_deadline_s`` degrade to batch-at-end (membership is not known
-  until every modeled transfer time is).
-* ``persistent`` — ``True`` (default) backs :meth:`run` with one long-lived
-  worker pool for the whole run and, on pickling backends, worker-resident
-  client shards (train tasks ship O(model state), not O(dataset shard));
-  ``False`` restores the historic fresh-pool-per-map path.  Bit-identical
-  either way.
+* ``streaming`` — encode and decode each update through the codec's
+  incremental stream coders: the simulated transfer starts at the first
+  ready payload piece and each packet is decoded as it arrives, so both
+  compression and decompression overlap the transfer window (bit-identical
+  outputs; per-client hidden time is reported on
+  ``ShipResult.encode_overlap_seconds`` / ``decode_overlap_seconds``, and the
+  round record carries the fleet's mean first-byte-out latency and peak
+  encode scratch).
 * ``delta`` — wrap every client codec in the v5 error-feedback delta codec
   (:class:`~repro.fl.delta.DeltaUpdateCodec`): from each client's second
   consecutive participation onward it ships the residual against the
@@ -78,6 +61,11 @@ full-participation semantics, which the test suite pins bit-for-bit):
   without a valid reference (first round, after a dropout or late ship,
   after a roster change, after a lost resume sidecar) degrade to a
   full-state frame — visible per round on ``RoundRecord.delta_degrades``.
+
+:meth:`run` backs the whole run with one long-lived worker pool and, on
+pickling backends, worker-resident client shards (train tasks ship O(model
+state), not O(dataset shard)); every round aggregates once, after lateness
+triage.
 
 ``seed=None`` now draws one fresh scenario seed and derives *everything*
 (partitioning, client seeds, scenario draws) from it, so even an unseeded run
@@ -95,7 +83,7 @@ from repro.data.partition import partition_dataset
 from repro.fl.client import FLClient
 from repro.fl.codec import FedSZUpdateCodec, RawUpdateCodec, UpdateCodec
 from repro.fl.coordinator.aggregator import TreeAggregator
-from repro.fl.coordinator.coordinator import (OVERLAP_MODES, Coordinator,
+from repro.fl.coordinator.coordinator import (Coordinator,
                                               train_clients_parallel)
 from repro.fl.coordinator.journal import RoundJournal
 from repro.fl.coordinator.records import RoundRecord, SimulationResult
@@ -148,17 +136,13 @@ class FederatedSimulation:
                  tree_fanout: int = 0,
                  journal_dir=None, resume: bool = False,
                  round_deadline_s: float | None = None,
-                 max_staleness: int = 0, overlap: str = "pool",
-                 streaming: bool = False, streaming_encode: bool = False,
-                 aggregate_on_arrival: bool = False,
-                 persistent: bool = True, delta: bool = False) -> None:
+                 max_staleness: int = 0, streaming: bool = False,
+                 delta: bool = False) -> None:
         if max_workers is not None and max_workers < 1:
             raise ValueError("max_workers must be >= 1")
         self.backend = get_backend(backend)  # unknown names raise ValueError
         if uplink not in UPLINK_MODES:
             raise ValueError(f"uplink must be one of {UPLINK_MODES}, got {uplink!r}")
-        if overlap not in OVERLAP_MODES:
-            raise ValueError(f"overlap must be one of {OVERLAP_MODES}, got {overlap!r}")
         if tree_fanout and tree_fanout < 2:
             raise ValueError(f"tree_fanout must be 0 (flat) or >= 2, got {tree_fanout}")
         if resume and journal_dir is None:
@@ -233,8 +217,7 @@ class FederatedSimulation:
 
         self.transport = SimulatedTransport(backend=self.backend,
                                             max_workers=max_workers,
-                                            streaming=streaming,
-                                            streaming_encode=streaming_encode)
+                                            streaming=streaming)
         self.coordinator = Coordinator(
             clients=self.clients, server=self.server, scheduler=self.scheduler,
             transport=self.transport, client_codecs=self.client_codecs,
@@ -242,11 +225,10 @@ class FederatedSimulation:
             codec_name=f"delta+{self.codec.name}" if self.delta else self.codec.name,
             local_epochs=self.local_epochs,
             straggler_slowdown=self.straggler_slowdown, uplink=uplink,
-            backend=self.backend, max_workers=max_workers, overlap=overlap,
+            backend=self.backend, max_workers=max_workers,
             round_deadline_s=round_deadline_s,
             staleness=StalenessPolicy(max_staleness=max_staleness),
-            journal=self.journal, journal_state=journal_state,
-            persistent=persistent, aggregate_on_arrival=aggregate_on_arrival)
+            journal=self.journal, journal_state=journal_state)
 
     # ------------------------------------------------------------------
     @property

@@ -18,11 +18,6 @@ abstraction with three built-in implementations:
   contract: the mapped function must be a module-level callable and both its
   arguments and results must pickle.  Closures and lambdas are rejected by
   pickle itself.
-* ``subinterpreter`` — a :class:`~concurrent.futures.InterpreterPoolExecutor`
-  (PEP 734, Python 3.13+): one interpreter (and one GIL) per worker inside a
-  single process.  Registered on every interpreter so it is discoverable, but
-  running work on it raises a clean :class:`ValueError` when the executor
-  class is missing.  Same picklability contract as ``process``.
 
 Backends that pickle their arguments (``pickles_arguments`` trait) can ship
 large NumPy buffers through a :class:`SharedMemoryArena` instead: the caller
@@ -78,7 +73,6 @@ import contextlib
 import os
 import sys
 import threading
-from concurrent import futures
 from concurrent.futures import Executor, Future, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 from multiprocessing import shared_memory
@@ -91,7 +85,6 @@ __all__ = [
     "SerialBackend",
     "ThreadBackend",
     "ProcessBackend",
-    "SubinterpreterBackend",
     "PersistentPool",
     "SharedMemoryArena",
     "ArenaHandle",
@@ -498,61 +491,6 @@ class ProcessBackend(ExecutionBackend):
             return list(pool.map(func, items, chunksize=chunksize))
 
 
-class SubinterpreterBackend(ExecutionBackend):
-    """Per-subinterpreter execution (PEP 734) on Python 3.13+.
-
-    Each worker runs in its own interpreter — with its own GIL — inside one
-    process: GIL-free scaling like ``process`` with cheaper worker startup
-    and no fork.  The executor pickles tasks and arguments across the
-    interpreter boundary, so the picklability contract is exactly
-    :class:`ProcessBackend`'s (and ``pickles_arguments`` is set: arena
-    shipping applies here too).
-
-    The backend is registered on every interpreter so tooling can list it,
-    but :meth:`map` / :meth:`executor` raise :class:`ValueError` when
-    :class:`concurrent.futures.InterpreterPoolExecutor` is absent.
-    """
-
-    name = "subinterpreter"
-    shared_memory = False
-    pickles_arguments = True
-
-    @staticmethod
-    def supported() -> bool:
-        """True when this interpreter can create subinterpreter pools."""
-        return hasattr(futures, "InterpreterPoolExecutor")
-
-    def _require_support(self) -> None:
-        if not self.supported():
-            raise ValueError(
-                "the 'subinterpreter' backend requires Python >= 3.13 "
-                "(concurrent.futures.InterpreterPoolExecutor); this is "
-                f"Python {sys.version.split()[0]} — use 'process' instead")
-
-    def default_workers(self) -> int:
-        # like processes: one interpreter per core, nothing to overlap past
-        return os.cpu_count() or 1
-
-    def map(self, func: Callable[[T], R], items: Sequence[T],
-            workers: int | None = None, chunksize: int | None = None) -> list[R]:
-        # raise the version error even for the workers==1 sequential degrade:
-        # a backend that silently works single-worker but fails at 4 would be
-        # a debugging trap
-        self._require_support()
-        return super().map(func, items, workers=workers, chunksize=chunksize)
-
-    def executor(self, workers: int | None = None, n_items: int | None = None) -> Executor:
-        self._require_support()
-        return super().executor(workers, n_items)
-
-    def _make_executor(self, workers: int, initializer: Callable | None = None,
-                       initargs: tuple = ()) -> Executor:
-        self._require_support()
-        return futures.InterpreterPoolExecutor(max_workers=workers,
-                                               initializer=initializer,
-                                               initargs=initargs)
-
-
 # ----------------------------------------------------------------------
 # Shared-memory shipping for pickling backends
 # ----------------------------------------------------------------------
@@ -652,9 +590,8 @@ class SharedMemoryArena:
 
     Packs a mapping of arrays into one ``multiprocessing.shared_memory``
     segment; the picklable :attr:`handle` names the segment and where each
-    array lives inside it, so a ``process`` (or ``subinterpreter``) task
-    receives kilobytes of metadata instead of a serialized copy of every
-    tensor.  Only worth using on backends with the ``pickles_arguments``
+    array lives inside it, so a ``process`` task receives kilobytes of
+    metadata instead of a serialized copy of every tensor.  Only worth using on backends with the ``pickles_arguments``
     trait — in-process backends see the caller's arrays anyway.
 
     Lifecycle: the creating side owns the segment.  It packs, hands
@@ -722,7 +659,6 @@ def register_backend(backend: ExecutionBackend) -> ExecutionBackend:
 register_backend(SerialBackend())
 register_backend(ThreadBackend())
 register_backend(ProcessBackend())
-register_backend(SubinterpreterBackend())
 
 
 def available_backends() -> tuple[str, ...]:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -19,8 +20,10 @@ from repro.fl import (
     TreeAggregator,
     fedavg_aggregate,
 )
-from repro.fl.coordinator import (PartialAggregate, RoundPlan, ShipTask,
-                                  resolve_scenario_seed, ship_update_task)
+from repro.fl.coordinator import (Coordinator, PartialAggregate, RoundPlan,
+                                  ShipTask, SimulatedTransport,
+                                  deterministic_fields, resolve_scenario_seed,
+                                  ship_update_task)
 from repro.nn import build_model
 from repro.utils.serialization import packed_arrays_nbytes
 
@@ -34,16 +37,6 @@ def _make_sim(train, test, **kwargs):
     defaults = dict(n_clients=3, seed=5, local_epochs=1, batch_size=16, lr=0.15)
     defaults.update(kwargs)
     return FederatedSimulation(_factory, train, test, **defaults)
-
-
-def _deterministic_fields(result):
-    """Every field of a SimulationResult that must be seed-reproducible."""
-    return [(r.accuracy, r.uncompressed_bytes, r.transmitted_bytes,
-             r.communication_seconds, tuple(r.client_losses),
-             tuple(r.participants), tuple(r.dropped_clients),
-             tuple(r.straggler_clients), tuple(r.late_clients),
-             tuple(sorted(r.absorbed_clients.items())))
-            for r in result.rounds]
 
 
 @pytest.fixture(scope="module")
@@ -212,10 +205,10 @@ class TestRoundJournal:
         train, test = fl_split
         reference = _make_sim(train, test).run(2)
         live = _make_sim(train, test, journal_dir=tmp_path / "j").run(2)
-        assert _deterministic_fields(live) == _deterministic_fields(reference)
+        assert deterministic_fields(live) == deterministic_fields(reference)
         replayed = _make_sim(train, test, journal_dir=tmp_path / "j",
                              resume=True).run(2)
-        assert _deterministic_fields(replayed) == _deterministic_fields(reference)
+        assert deterministic_fields(replayed) == deterministic_fields(reference)
         # replay preserves the wall-clock measurements of the original run
         assert [r.mean_train_seconds for r in replayed.rounds] == \
             [r.mean_train_seconds for r in live.rounds]
@@ -275,7 +268,7 @@ class TestCrashResume:
         resumed_sim = _make_sim(train, test, journal_dir=tmp_path / "j",
                                 resume=True)
         resumed = resumed_sim.run(2)
-        assert _deterministic_fields(resumed) == _deterministic_fields(reference)
+        assert deterministic_fields(resumed) == deterministic_fields(reference)
         ref_state = reference_sim.server.global_state()
         res_state = resumed_sim.server.global_state()
         assert all(np.array_equal(ref_state[k], res_state[k]) for k in ref_state)
@@ -288,7 +281,7 @@ class TestCrashResume:
         _truncate_journal(tmp_path / "j", keep_events=6)
         resumed = _make_sim(train, test, journal_dir=tmp_path / "j",
                             resume=True).run(2)
-        assert _deterministic_fields(resumed) == _deterministic_fields(reference)
+        assert deterministic_fields(resumed) == deterministic_fields(reference)
 
     def test_resume_extends_run(self, tmp_path, fl_split):
         train, test = fl_split
@@ -296,7 +289,7 @@ class TestCrashResume:
         _make_sim(train, test, journal_dir=tmp_path / "j").run(2)
         extended = _make_sim(train, test, journal_dir=tmp_path / "j",
                              resume=True).run(3)
-        assert _deterministic_fields(extended) == _deterministic_fields(reference)
+        assert deterministic_fields(extended) == deterministic_fields(reference)
 
     def test_crash_env_hook_hard_exits(self, tmp_path, fl_split, monkeypatch):
         train, test = fl_split
@@ -347,18 +340,107 @@ class TestStalenessEndToEnd:
         assert result.rounds[0].late_clients == []
         assert result.rounds[0].absorbed_clients == {}
 
-
-class TestAsyncOverlap:
-    def test_async_matches_pool_bit_for_bit(self, fl_split):
+    def test_streaming_ships_triage_like_batch(self, fl_split):
+        # lateness is decided on the modeled transfer time, which a streamed
+        # ship records exactly as a batch ship does
         train, test = fl_split
-        pool = _make_sim(train, test).run(2)
-        overlapped = _make_sim(train, test, overlap="async").run(2)
-        assert _deterministic_fields(overlapped) == _deterministic_fields(pool)
+        kwargs = dict(n_clients=2, network=NetworkModel(bandwidth_mbps=0.001),
+                      round_deadline_s=1e-4, max_staleness=1)
+        batch = _make_sim(train, test, **kwargs).run(2)
+        streamed = _make_sim(train, test, streaming=True, **kwargs).run(2)
+        assert streamed.rounds[0].participants == []
+        assert streamed.rounds[0].late_clients == [0, 1]
+        assert streamed.rounds[1].absorbed_clients == {0: 0, 1: 0}
+        assert deterministic_fields(streamed) == deterministic_fields(batch)
 
-    def test_unknown_overlap_rejected(self, fl_split):
+
+class _HeldRawCodec(RawUpdateCodec):
+    """Raw codec that logs each decode; a held one waits for all the others.
+
+    Holding client 0's decode until every other client of the batch has
+    decoded makes a pool complete the batch in another order than the one it
+    was submitted in.
+    """
+
+    def __init__(self, client_id, log, release, others, hold=False):
+        self.client_id = client_id
+        self.log = log
+        self.release = release
+        self.others = others
+        self.hold = hold
+
+    def decode(self, payload):
+        if self.hold:
+            assert self.release.wait(timeout=30), "the other ships never decoded"
+        state = super().decode(payload)
+        self.log.append(self.client_id)
+        if len(self.log) == self.others:
+            self.release.set()
+        return state
+
+
+class TestPooledUplinks:
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13])
+    def test_out_of_order_completion_aggregates_in_task_order(self, n):
+        # the round aggregates once, pairing each result with its client's
+        # weight by position: ship_batch must hand results back in task order
+        # however the pool completes them, at every fan-in
+        rng = np.random.default_rng(n)
+        states = _random_states(n, rng)
+        weights = list(rng.integers(1, 200, size=n))
+        log, release = [], threading.Event()
+        tasks = [ShipTask(client_id=cid, state=state,
+                          codec=_HeldRawCodec(cid, log, release, n - 1,
+                                              hold=cid == 0 and n > 1),
+                          network=NetworkModel(bandwidth_mbps=10.0))
+                 for cid, state in enumerate(states)]
+        results = SimulatedTransport(backend="thread",
+                                     max_workers=4).ship_batch(tasks)
+        assert sorted(log) == list(range(n))  # every ship decoded once
+        if n > 1:
+            assert log[-1] == 0  # the first task completed last
+        assert [r.client_id for r in results] == list(range(n))
+        merged = fedavg_aggregate([r.state for r in results], weights)
+        reference = fedavg_aggregate(states, weights)
+        assert list(merged) == list(reference)
+        for key in reference:
+            assert merged[key].dtype == reference[key].dtype
+            assert np.array_equal(merged[key], reference[key]), key
+
+
+#: (owner, keyword, value) of every settable value that chose between two
+#: round-engine paths; each path now has one implementation
+_REMOVED_ENGINE_KNOBS = [
+    ("FederatedSimulation", "overlap", "async"),
+    ("FederatedSimulation", "aggregate_on_arrival", True),
+    ("FederatedSimulation", "persistent", False),
+    ("FederatedSimulation", "streaming_encode", True),
+    ("Coordinator", "overlap", "async"),
+    ("Coordinator", "aggregate_on_arrival", True),
+    ("Coordinator", "persistent", False),
+    ("SimulatedTransport", "streaming_encode", True),
+    ("ShipTask", "streaming_encode", True),
+]
+
+
+class TestOneEnginePath:
+    @pytest.mark.parametrize("owner, knob, value", _REMOVED_ENGINE_KNOBS,
+                             ids=[f"{owner}-{knob}"
+                                  for owner, knob, _ in _REMOVED_ENGINE_KNOBS])
+    def test_removed_knob_rejected(self, fl_split, owner, knob, value):
+        # an error, not a silently ignored option that selects nothing
         train, test = fl_split
-        with pytest.raises(ValueError, match="overlap must be one of"):
-            _make_sim(train, test, overlap="fiber")
+        build = {
+            "FederatedSimulation": lambda **kw: _make_sim(train, test, **kw),
+            "Coordinator": Coordinator,
+            "SimulatedTransport": SimulatedTransport,
+            "ShipTask": lambda **kw: ShipTask(client_id=0, state={},
+                                              codec=RawUpdateCodec(),
+                                              network=NetworkModel(), **kw),
+        }[owner]
+        with pytest.raises(TypeError,
+                           match=f"unexpected keyword argument '{knob}'"):
+            build(**{knob: value})
 
 
 class TestTreeFanoutEndToEnd:
@@ -367,7 +449,7 @@ class TestTreeFanoutEndToEnd:
         train, test = fl_split
         flat = _make_sim(train, test).run(2)
         tree = _make_sim(train, test, tree_fanout=fan_in).run(2)
-        assert _deterministic_fields(tree) == _deterministic_fields(flat)
+        assert deterministic_fields(tree) == deterministic_fields(flat)
 
     def test_invalid_fanout_rejected(self, fl_split):
         train, test = fl_split

@@ -12,6 +12,7 @@ import pytest
 from repro.core import FedSZConfig
 from repro.data import make_dataset, train_test_split
 from repro.fl import FederatedSimulation, FedSZUpdateCodec, RawUpdateCodec
+from repro.fl.coordinator import deterministic_fields
 from repro.fl.delta import (MODE_DELTA, MODE_FULL, DeltaChannel,
                             DeltaTracker, DeltaUpdateCodec,
                             advance_accumulator, ef_residual, pack_frame,
@@ -414,13 +415,6 @@ def _make_sim(split, **kwargs):
     return FederatedSimulation(_factory, train, test, **defaults)
 
 
-def _delta_fields(result):
-    return [(r.round_index, r.transmitted_bytes, r.accuracy,
-             tuple(r.client_losses), tuple(r.delta_clients),
-             tuple(sorted(r.delta_degrades.items())))
-            for r in result.rounds]
-
-
 class TestDeltaSimulation:
     def test_round_zero_full_then_residuals_shrink_bytes(self, delta_split):
         full = _make_sim(delta_split, delta=False).run(3)
@@ -435,11 +429,11 @@ class TestDeltaSimulation:
         ref = _make_sim(delta_split, backend="serial", max_workers=1).run(3)
         for kwargs in ({"backend": "thread", "max_workers": 4},
                        {"backend": "thread", "max_workers": 4,
-                        "streaming": True, "streaming_encode": True},
+                        "streaming": True},
                        {"backend": "process", "max_workers": 2,
-                        "streaming": True, "streaming_encode": True}):
+                        "streaming": True}):
             got = _make_sim(delta_split, **kwargs).run(3)
-            assert _delta_fields(got) == _delta_fields(ref), kwargs
+            assert deterministic_fields(got) == deterministic_fields(ref), kwargs
 
     def test_dropout_degrades_next_participation(self, delta_split):
         result = _make_sim(delta_split, dropout_prob=0.4, seed=9).run(5)
@@ -460,7 +454,7 @@ class TestDeltaSimulation:
         _make_sim(delta_split, journal_dir=tmp_path / "j").run(2)
         resumed = _make_sim(delta_split, journal_dir=tmp_path / "j",
                             resume=True).run(4)
-        assert _delta_fields(resumed) == _delta_fields(reference)
+        assert deterministic_fields(resumed) == deterministic_fields(reference)
 
     def test_kill_resume_drill_bit_identical(self, tmp_path, delta_split,
                                              monkeypatch):
@@ -476,7 +470,7 @@ class TestDeltaSimulation:
         monkeypatch.delenv("REPRO_JOURNAL_CRASH_AFTER")
         resumed = _make_sim(delta_split, journal_dir=tmp_path / "j",
                             resume=True).run(3)
-        assert _delta_fields(resumed) == _delta_fields(reference)
+        assert deterministic_fields(resumed) == deterministic_fields(reference)
 
     def test_missing_sidecars_degrade_to_full_ship(self, tmp_path, delta_split):
         _make_sim(delta_split, journal_dir=tmp_path / "j").run(2)

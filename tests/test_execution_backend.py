@@ -69,8 +69,7 @@ def _spin(seconds: float) -> float:
 
 class TestRegistry:
     def test_builtin_backends_registered(self):
-        assert available_backends() == ("serial", "thread", "process",
-                                        "subinterpreter")
+        assert available_backends() == ("serial", "thread", "process")
 
     def test_get_backend_by_name_and_instance(self):
         thread = get_backend("thread")
@@ -96,6 +95,11 @@ class TestRegistry:
         assert not get_backend("process").shared_memory
         assert not get_backend("serial").gil_bound
         assert get_backend("serial").shared_memory
+
+    def test_pickles_arguments_trait_matrix(self):
+        assert get_backend("process").pickles_arguments
+        assert not get_backend("serial").pickles_arguments
+        assert not get_backend("thread").pickles_arguments
 
     def test_backends_are_picklable(self):
         import pickle
@@ -359,46 +363,6 @@ def _arena_sum(handle) -> float:
         total = float(sum(a.sum() for a in arrays.values()))
         del arrays  # the views must die before the attachment closes
     return total
-
-
-class TestSubinterpreterBackend:
-    """Satellite: the PEP 734 backend registers everywhere but only runs on
-    interpreters that ship ``InterpreterPoolExecutor`` (Python 3.13+)."""
-
-    def test_registered_with_traits(self):
-        from repro.utils.parallel import SubinterpreterBackend
-
-        assert "subinterpreter" in available_backends()
-        backend = get_backend("subinterpreter")
-        assert isinstance(backend, SubinterpreterBackend)
-        assert backend.pickles_arguments
-        assert not backend.shared_memory
-        assert not backend.gil_bound
-
-    def test_pickles_arguments_trait_matrix(self):
-        assert get_backend("process").pickles_arguments
-        assert not get_backend("serial").pickles_arguments
-        assert not get_backend("thread").pickles_arguments
-
-    def test_unsupported_interpreter_raises_cleanly(self):
-        backend = get_backend("subinterpreter")
-        if backend.supported():
-            pytest.skip("this interpreter supports subinterpreter pools")
-        # even the workers=1 sequential degrade must raise: a backend that
-        # works single-worker but fails at 4 would be a debugging trap
-        with pytest.raises(ValueError, match="3.13"):
-            backend.map(_square, [1, 2, 3], workers=1)
-        with pytest.raises(ValueError, match="3.13"):
-            backend.executor(2)
-        with pytest.raises(ValueError, match="subinterpreter"):
-            map_parallel(_square, [1, 2], backend="subinterpreter")
-
-    def test_supported_interpreter_matches_serial(self):
-        backend = get_backend("subinterpreter")
-        if not backend.supported():
-            pytest.skip("requires Python >= 3.13 (InterpreterPoolExecutor)")
-        items = list(range(20))
-        assert backend.map(_square, items, workers=4) == [x * x for x in items]
 
 
 class TestSharedMemoryArena:

@@ -70,11 +70,12 @@ class TestCompressionBehaviour:
         # structural check on configuration rather than timing (timing is flaky in CI)
         assert ZstdLikeCodec().level < GzipCodec().level
 
-    def test_blosclz_length_corruption_detected(self):
+    @pytest.mark.parametrize("byte", [1, 8])
+    def test_blosclz_length_corruption_detected(self, byte):
         codec = BloscLZCodec()
         payload = bytearray(codec.compress(b"0123456789abcdef"))
-        payload[1] ^= 0xFF  # corrupt the recorded length
-        with pytest.raises(Exception):
+        payload[byte] ^= 0xFF  # corrupt the recorded length (byte 8: >= 2**63)
+        with pytest.raises(ValueError, match="length mismatch"):
             codec.decompress(bytes(payload))
 
 

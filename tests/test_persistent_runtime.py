@@ -1,8 +1,9 @@
 """Tests for the persistent fleet runtime: long-lived pool scopes on the
 execution backends, worker-resident clients in the coordinator, and the
-durable drift-aware profile cache — plus the bit-identity matrix proving the
-persistent path reproduces the fresh-pool reference exactly."""
+durable drift-aware profile cache — plus the bit-identity matrix proving
+every backend x worker count reproduces the serial 1-worker run exactly."""
 
+import contextlib
 import json
 import os
 import pickle
@@ -15,6 +16,7 @@ from repro.core.profiling import CodecProfiler, ProfiledPolicy
 from repro.fl import FederatedSimulation, FedSZUpdateCodec, RawUpdateCodec
 from repro.fl.client import FLClient
 from repro.fl.coordinator.coordinator import TrainTask, _train_client_task
+from repro.fl.coordinator.records import deterministic_fields
 from repro.fl.coordinator.residency import (discard_fleet, install_fleet,
                                             resident_client)
 from repro.nn import build_model
@@ -31,12 +33,6 @@ def _make_sim(tiny_split, **kwargs):
     kwargs.setdefault("lr", 0.1)
     kwargs.setdefault("seed", 5)
     return FederatedSimulation(_factory, train, test, **kwargs)
-
-
-def _deterministic_fields(result):
-    return [(r.accuracy, r.uncompressed_bytes, r.transmitted_bytes,
-             r.communication_seconds, tuple(r.client_losses),
-             tuple(r.participants)) for r in result.rounds]
 
 
 # module-level and picklable for the process backend
@@ -157,35 +153,35 @@ class TestResidency:
 
 
 # ---------------------------------------------------------------------------
-# Bit-identity: persistent runtime vs the fresh-pool path
+# Bit-identity: the persistent runtime vs the serial 1-worker reference
 # ---------------------------------------------------------------------------
 
 class TestPersistentBitIdentity:
     @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
     @pytest.mark.parametrize("workers", [1, 4])
-    def test_matrix_matches_fresh_path(self, tiny_split, backend, workers):
+    def test_matrix_matches_serial_reference(self, tiny_split, backend, workers):
         """Acceptance criterion: seeded records are bit-identical with
-        persistent pools + worker-resident clients vs fresh pools, across
-        serial/thread/process x workers {1, 4}."""
-        fresh = _make_sim(tiny_split, n_clients=4, max_workers=workers,
-                          backend=backend, persistent=False).run(2)
+        persistent pools + worker-resident clients across serial/thread/
+        process x workers {1, 4}, against the serial 1-worker run."""
+        reference = _make_sim(tiny_split, n_clients=4, max_workers=1,
+                              backend="serial").run(2)
         persistent = _make_sim(tiny_split, n_clients=4, max_workers=workers,
-                               backend=backend, persistent=True).run(2)
-        assert _deterministic_fields(persistent) == _deterministic_fields(fresh)
+                               backend=backend).run(2)
+        assert deterministic_fields(persistent) == deterministic_fields(reference)
 
-    def test_fedsz_bitstreams_match_fresh_path(self, tiny_split):
-        def run(persistent):
+    def test_fedsz_bitstreams_match_serial_reference(self, tiny_split):
+        def run(backend, workers):
             codec = FedSZUpdateCodec(FedSZConfig(error_bound=1e-2))
-            return _make_sim(tiny_split, n_clients=3, max_workers=3,
-                             codec=codec, persistent=persistent).run(2)
-        fresh, persistent = run(False), run(True)
-        assert _deterministic_fields(persistent) == _deterministic_fields(fresh)
+            return _make_sim(tiny_split, n_clients=3, max_workers=workers,
+                             backend=backend, codec=codec).run(2)
+        reference, persistent = run("serial", 1), run("thread", 3)
+        assert deterministic_fields(persistent) == deterministic_fields(reference)
 
     def test_persistent_run_spins_one_pool(self, tiny_split):
         backend = get_backend("thread")
         before = backend.pool_spinups
         _make_sim(tiny_split, n_clients=4, max_workers=4,
-                  backend="thread", persistent=True).run(2)
+                  backend="thread").run(2)
         assert backend.pool_spinups - before == 1
 
 
@@ -229,20 +225,31 @@ class TestRosterInvalidation:
             # the round still trained the replacement via full-ship tasks
             assert len(record.client_losses) == 3
 
-    def test_roster_change_matches_fresh_reference(self, tiny_split):
-        """Invalidation is not just detected — the results stay correct."""
+    @pytest.mark.parametrize("backend,workers", [("thread", 4), ("process", 2)])
+    def test_roster_change_matches_fresh_reference(self, tiny_split, backend,
+                                                   workers):
+        """Invalidation is not just detected — the results stay correct.
+
+        The reference runs the same rounds outside any persistent scope, so
+        every map spins a fresh pool and every task ships its full client.
+        On the process backend the roster change deactivates residency, so
+        the persistent run's second round ships full clients over the live
+        multi-worker pool."""
         def run(persistent):
-            sim = _make_sim(tiny_split, n_clients=4, max_workers=4,
-                            backend="thread", persistent=persistent)
+            sim = _make_sim(tiny_split, n_clients=4, max_workers=workers,
+                            backend=backend)
             coord = sim.coordinator
             records = []
-            with coord.persistent_runtime():
+            with coord.persistent_runtime() if persistent \
+                    else contextlib.nullcontext():
                 records.append(coord.run_round(0))
                 replacement = FLClient(client_id=0, model=_factory(),
                                        dataset=coord.clients[0].dataset,
                                        seed=coord.clients[0].seed)
                 coord.clients[0] = replacement
                 records.append(coord.run_round(1))
+                if persistent:
+                    assert coord._resident.active is (backend == "thread")
             return [(r.accuracy, tuple(r.client_losses), r.transmitted_bytes)
                     for r in records]
         assert run(True) == run(False)
@@ -415,4 +422,4 @@ class TestJournalResumeWarmCache:
         # so drift-tolerant reuse follows the same measurement history
         reference = _make_sim(tiny_split, n_clients=2,
                               codec=_profiled_codec(cache_ref)).run(2)
-        assert _deterministic_fields(resumed) == _deterministic_fields(reference)
+        assert deterministic_fields(resumed) == deterministic_fields(reference)

@@ -484,6 +484,33 @@ def test_deflate_bomb_body_rejected_small(cls, path, deflated_zeros):
     assert peak < 4 << 20
 
 
+@pytest.mark.parametrize("path", ["codec", "batch", "stream"])
+def test_lossless_bomb_rejected_small(path, deflated_zeros):
+    """A blosclz body declaring 40 bytes over 300 MiB of deflated zeros.
+
+    blosclz is the default ``lossless_codec``, so every FedSZ container's
+    ``__lossless__`` entry goes through it.  The codec used to inflate the
+    whole body before comparing its length with the header's (a ~603 MiB
+    traced peak); the declared length now caps the inflate.
+    """
+    bomb = struct.pack("<BQ", 4, 40) + deflated_zeros
+    compressor = FedSZCompressor(FedSZConfig())
+    entries = unpack_bytes_dict(compressor.compress_state_dict(_small_state()))
+    entries["__lossless__"] = bomb
+    container = pack_bytes_dict(entries)
+    decode = {"codec": lambda: get_lossless("blosclz").decompress(bomb),
+              "batch": lambda: compressor.decompress_state_dict(container),
+              "stream": lambda: _stream_decode(compressor)(container)}[path]
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="blosclz payload corrupt"):
+            decode()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
+
+
 class TestPipelineStreaming:
     def test_state_decoder_matches_batch_with_report(self):
         compressor = FedSZCompressor(FedSZConfig())

@@ -4,11 +4,9 @@ The producer-side mirror of ``test_streaming_decode.py`` — covers every layer
 of the incremental encode pipeline (the ``ChunkBandProducer`` over HUF4
 streams, the lossless ``compressor()`` API, the SZ2/SZ3 ``SZStreamEncoder``,
 the FedSZ container ``StreamingStateEncoder``, and the transport's
-producer-gated wire model) under the PR's non-negotiable invariant: the
-concatenation of a producer's pieces is byte-identical to the batch encoder's
-output, for every input split and on every backend at every worker count.
-Also pins the aggregate-on-arrival server path bit-for-bit against batch
-FedAvg at every fan-in and arrival order.
+producer-gated wire model) under one invariant: the concatenation of a
+producer's pieces is byte-identical to the batch encoder's output, for every
+input split and on every backend at every worker count.
 """
 
 from __future__ import annotations
@@ -29,15 +27,8 @@ from repro.core import NetworkModel
 from repro.core.config import FedSZConfig
 from repro.core.pipeline import FedSZCompressor
 from repro.data import make_dataset, train_test_split
-from repro.fl import (
-    ArrivalAggregator,
-    FederatedSimulation,
-    FedSZUpdateCodec,
-    RawUpdateCodec,
-    fedavg_aggregate,
-)
-from repro.fl.coordinator.transport import (ShipTask, SimulatedTransport,
-                                            ship_update_task)
+from repro.fl import FederatedSimulation, FedSZUpdateCodec, RawUpdateCodec
+from repro.fl.coordinator.transport import ShipTask, ship_update_task
 
 BACKENDS = ("serial", "thread", "process")
 
@@ -293,7 +284,7 @@ class TestTransportStreamingEncode:
         codec = FedSZUpdateCodec(FedSZConfig())
         batch = ship_update_task(self._task(codec, keep_payload=True))
         streamed = ship_update_task(self._task(codec, keep_payload=True,
-                                               streaming_encode=True))
+                                               streaming=True))
         assert streamed.payload == batch.payload
         assert streamed.payload_bytes == batch.payload_bytes
         assert streamed.transfer_seconds == batch.transfer_seconds
@@ -302,7 +293,7 @@ class TestTransportStreamingEncode:
 
     def test_overlap_fields_reported(self):
         codec = FedSZUpdateCodec(FedSZConfig())
-        result = ship_update_task(self._task(codec, streaming_encode=True))
+        result = ship_update_task(self._task(codec, streaming=True))
         # the first payload piece leaves before encode completes — that gap
         # is the analytic guarantee the wire model is gated on
         assert result.first_byte_seconds is not None
@@ -310,6 +301,7 @@ class TestTransportStreamingEncode:
         assert result.encode_overlap_seconds is not None
         assert result.encode_overlap_seconds >= 0.0
         assert result.encode_scratch_bytes > 0
+        assert result.decode_overlap_seconds is not None
 
     def test_batch_path_leaves_fields_unset(self):
         codec = FedSZUpdateCodec(FedSZConfig())
@@ -320,153 +312,20 @@ class TestTransportStreamingEncode:
 
     def test_raw_codec_single_piece_has_no_overlap_window(self):
         result = ship_update_task(self._task(RawUpdateCodec(),
-                                             streaming_encode=True))
+                                             streaming=True))
         # one piece: the wire gates on the whole payload, so the hidden
         # encode time can only be generator-teardown noise
         assert result.encode_overlap_seconds <= \
             result.encode_seconds - result.first_byte_seconds + 1e-12
 
-    def test_composes_with_streaming_decode(self):
-        codec = FedSZUpdateCodec(FedSZConfig())
-        batch = ship_update_task(self._task(codec))
-        both = ship_update_task(self._task(codec, streaming_encode=True,
-                                           streaming=True))
-        assert both.payload_bytes == batch.payload_bytes
-        assert both.decode_overlap_seconds is not None
-        for key in batch.state:
-            assert np.array_equal(both.state[key], batch.state[key])
 
-    def test_ship_iter_yields_every_result_once(self):
-        codec = FedSZUpdateCodec(FedSZConfig())
-        transport = SimulatedTransport(backend="thread", max_workers=4,
-                                       streaming_encode=True)
-        tasks = [ShipTask(client_id=i, state=_model_state(seed=i), codec=codec,
-                          network=NetworkModel(bandwidth_mbps=10.0))
-                 for i in range(5)]
-        batch = transport.ship_batch(tasks)
-        seen = dict(transport.ship_iter(tasks))
-        assert sorted(seen) == list(range(5))
-        for index, result in seen.items():
-            assert result.payload_bytes == batch[index].payload_bytes
-            assert result.client_id == batch[index].client_id
-
-
-class TestArrivalAggregator:
-    def _states(self, n, rng):
-        states = []
-        for _ in range(n):
-            states.append({
-                "w": rng.standard_normal((4, 3)).astype(np.float32),
-                "b": rng.standard_normal(6),
-                "steps": np.asarray(rng.integers(0, 100, size=3), dtype=np.int64),
-            })
-        return states
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13])
-    def test_bit_identical_to_batch_at_every_fan_in(self, n):
-        rng = np.random.default_rng(n)
-        states = self._states(n, rng)
-        weights = list(rng.integers(1, 200, size=n))
-        batch = fedavg_aggregate(states, weights)
-        for trial in range(3):
-            order = np.random.default_rng(trial).permutation(n)
-            arrival = ArrivalAggregator(weights)
-            for index in order:
-                arrival.add(int(index), states[index])
-            merged = arrival.finalize()
-            assert list(merged) == list(batch)
-            for key in batch:
-                assert batch[key].dtype == merged[key].dtype
-                assert np.array_equal(batch[key], merged[key]), (key, trial)
-
-    def test_in_order_arrival_is_o1_resident(self):
-        rng = np.random.default_rng(0)
-        states = self._states(6, rng)
-        arrival = ArrivalAggregator([1.0] * 6)
-        for index, state in enumerate(states):
-            arrival.add(index, state)
-        assert arrival.peak_resident == 1
-        assert arrival.arrived == 6
-
-    def test_reverse_arrival_peaks_at_fan_in(self):
-        rng = np.random.default_rng(0)
-        states = self._states(4, rng)
-        arrival = ArrivalAggregator([1.0] * 4)
-        for index in (3, 2, 1, 0):
-            arrival.add(index, states[index])
-        assert arrival.peak_resident == 4
-
-    def test_errors(self):
-        rng = np.random.default_rng(0)
-        states = self._states(2, rng)
-        with pytest.raises(ValueError):
-            ArrivalAggregator([])
-        with pytest.raises(ValueError):
-            ArrivalAggregator([-1.0, 1.0])
-        arrival = ArrivalAggregator([1.0, 1.0])
-        arrival.add(0, states[0])
-        with pytest.raises(ValueError):
-            arrival.add(0, states[0])
-        with pytest.raises(IndexError):
-            arrival.add(2, states[1])
-        with pytest.raises(ValueError):
-            arrival.finalize()  # one state still missing
-        with pytest.raises(ValueError):
-            arrival.add(1, {"other": np.zeros(3)})  # mismatched keys
-
-
-class TestAggregateOnArrivalRounds:
-    @pytest.mark.parametrize("overlap", ["pool", "async"])
-    def test_bit_identical_to_batch_rounds(self, fl_split, overlap):
-        train, test = fl_split
-        kwargs = dict(n_clients=3, seed=5, lr=0.15, local_epochs=1,
-                      batch_size=16)
-        ref = FederatedSimulation(_factory, train, test,
-                                  codec=RawUpdateCodec(), **kwargs).run(2)
-        arr = FederatedSimulation(_factory, train, test,
-                                  codec=RawUpdateCodec(), max_workers=3,
-                                  overlap=overlap, streaming_encode=True,
-                                  aggregate_on_arrival=True, **kwargs).run(2)
-        assert arr.accuracies == ref.accuracies
-        assert [r.transmitted_bytes for r in arr.rounds] == \
-            [r.transmitted_bytes for r in ref.rounds]
-        assert [r.client_losses for r in arr.rounds] == \
-            [r.client_losses for r in ref.rounds]
-
-    def test_residency_is_bounded_by_workers_not_fleet(self, fl_split):
-        train, test = fl_split
-        sim = FederatedSimulation(_factory, train, test, n_clients=4,
-                                  codec=RawUpdateCodec(), seed=5, lr=0.15,
-                                  batch_size=16, max_workers=1,
-                                  aggregate_on_arrival=True)
-        record = sim.run_round(0)
-        assert record.peak_update_residency == 1
-        batch = FederatedSimulation(_factory, train, test, n_clients=4,
-                                    codec=RawUpdateCodec(), seed=5, lr=0.15,
-                                    batch_size=16, max_workers=1)
-        assert batch.run_round(0).peak_update_residency == 4
-
-    def test_deadline_degrades_to_batch_path(self, fl_split):
-        train, test = fl_split
-        slow = NetworkModel(bandwidth_mbps=0.001)
-        sim = FederatedSimulation(_factory, train, test, n_clients=2,
-                                  codec=RawUpdateCodec(), seed=5, lr=0.15,
-                                  batch_size=16, network=slow,
-                                  round_deadline_s=1e-4, max_staleness=1,
-                                  aggregate_on_arrival=True)
-        result = sim.run(2)
-        # late triage still works exactly as without the knob
-        assert result.rounds[0].participants == []
-        assert result.rounds[0].late_clients == [0, 1]
-        assert result.rounds[1].absorbed_clients == {0: 0, 1: 0}
-
+class TestStreamingRounds:
     def test_round_record_surfaces_encode_measurements(self, fl_split):
         train, test = fl_split
         codec = FedSZUpdateCodec(FedSZConfig(error_bound=1e-2))
         sim = FederatedSimulation(_factory, train, test, n_clients=2,
                                   codec=codec, seed=5, lr=0.15, batch_size=16,
-                                  streaming_encode=True,
-                                  aggregate_on_arrival=True)
+                                  streaming=True)
         record = sim.run_round(0)
         assert record.peak_encode_scratch_bytes > 0
         assert record.mean_first_byte_seconds is not None
@@ -479,8 +338,7 @@ class TestJournalResumeThroughStreamingEncode:
                                                      tmp_path, monkeypatch):
         train, test = fl_split
         kwargs = dict(n_clients=3, seed=5, lr=0.15, local_epochs=1,
-                      batch_size=16, streaming_encode=True,
-                      aggregate_on_arrival=True)
+                      batch_size=16, streaming=True)
         ref = FederatedSimulation(_factory, train, test,
                                   codec=RawUpdateCodec(), **kwargs).run(2)
 

@@ -2,13 +2,11 @@
 engine with ``streaming=True``.
 
 The determinism contract under test: switching the transport to the streaming
-decode path (pooled or asyncio-overlapped, any backend) changes *when* decode
-work happens, never *what* is decoded or any analytically recorded quantity.
+path (any backend) changes *when* encode and decode work happens, never *what*
+is encoded or decoded or any analytically recorded quantity.
 """
 
 from __future__ import annotations
-
-import asyncio
 
 import numpy as np
 import pytest
@@ -17,6 +15,7 @@ from repro.core.config import FedSZConfig
 from repro.core.network import NetworkModel
 from repro.data.datasets import make_dataset
 from repro.fl.codec import FedSZUpdateCodec, RawUpdateCodec
+from repro.fl.coordinator.records import deterministic_fields
 from repro.fl.coordinator.transport import (DEFAULT_PACKET_BYTES, ShipTask,
                                             SimulatedTransport,
                                             ship_update_task)
@@ -97,18 +96,29 @@ class TestStreamingShip:
                                         straggler_slowdown=3.0))
         assert slowed.transfer_seconds == pytest.approx(3.0 * plain.transfer_seconds)
 
-    def test_async_streaming_matches_sync(self):
+    def test_pooled_streaming_matches_single_ships(self):
+        # concurrent stream coders on a thread pool, sharing the fleet's one
+        # codec as the round engine does, ship exactly what one ship at a
+        # time ships
         codec = FedSZUpdateCodec(FedSZConfig())
         net = NetworkModel(bandwidth_mbps=4.0)
-        transport = SimulatedTransport(backend="serial", streaming=True,
-                                       packet_bytes=4096)
-        sync_result = transport.ship(_task(codec, net))
-        async_result = asyncio.run(transport.ship_async(_task(codec, net)))
-        for key in sync_result.state:
-            np.testing.assert_array_equal(async_result.state[key],
-                                          sync_result.state[key])
-        assert async_result.transfer_seconds == sync_result.transfer_seconds
-        assert async_result.decode_overlap_seconds is not None
+        tasks = [ShipTask(client_id=i, state=_state(seed=i), codec=codec,
+                          network=net) for i in range(4)]
+        pooled = SimulatedTransport(backend="thread", max_workers=4,
+                                    streaming=True,
+                                    packet_bytes=4096).ship_batch(tasks)
+        single = SimulatedTransport(backend="serial", streaming=True,
+                                    packet_bytes=4096)
+        for task, got in zip(tasks, pooled):
+            want = single.ship(task)
+            assert got.client_id == want.client_id
+            assert list(got.state) == list(want.state)
+            for key in want.state:
+                np.testing.assert_array_equal(got.state[key], want.state[key])
+            assert got.payload_bytes == want.payload_bytes
+            assert got.transfer_seconds == want.transfer_seconds
+            assert got.decode_overlap_seconds is not None
+            assert got.encode_overlap_seconds is not None
 
     def test_simulated_delay_streams_in_real_time(self):
         # a real-sleep link must still produce identical bytes when streamed
@@ -191,21 +201,14 @@ class TestSimulationStreaming:
         result = sim.run(2)
         return result, sim.server.global_state()
 
-    @staticmethod
-    def _fields(result):
-        return [(r.accuracy, r.uncompressed_bytes, r.transmitted_bytes,
-                 r.communication_seconds, tuple(r.client_losses),
-                 tuple(r.participants), tuple(r.straggler_clients))
-                for r in result.rounds]
-
     @pytest.mark.parametrize("kwargs", [
         {"streaming": True},
-        {"streaming": True, "overlap": "async"},
+        {"streaming": True, "max_workers": 3},
         {"streaming": True, "backend": "process", "max_workers": 2},
-    ], ids=["pool", "async", "process-arena"])
+    ], ids=["pool", "thread-3", "process-arena"])
     def test_streaming_rounds_bit_identical(self, fl_data, kwargs):
         reference, ref_state = self._run(fl_data)
         got, got_state = self._run(fl_data, **kwargs)
-        assert self._fields(got) == self._fields(reference)
+        assert deterministic_fields(got) == deterministic_fields(reference)
         for key in ref_state:
             np.testing.assert_array_equal(got_state[key], ref_state[key])
