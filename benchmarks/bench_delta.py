@@ -15,10 +15,10 @@ and FDL5 framing):
   into what the server actually sees.  Every float tensor must stay within
   ``EF_SLACK`` x the configured relative error bound of the reference —
   error feedback keeps single-round quantization errors from accumulating.
-* **bit-identity** — the delta run re-executed across execution backends,
-  worker counts, and the streaming encode/decode paths must reproduce every
-  deterministic round field (including ``delta_clients`` / ``delta_degrades``)
-  bit-for-bit against the serial reference.
+* **bit-identity** — the delta run re-executed across execution backends and
+  worker counts must reproduce every deterministic round field (including
+  ``delta_clients`` / ``delta_degrades``) bit-for-bit against the serial
+  reference.
 * **kill-and-resume** (``--kill-resume``) — a journaled delta run is crashed
   mid-round in a child process (``REPRO_JOURNAL_CRASH_AFTER``), resumed from
   the journal plus the delta sidecars, and must match an uninterrupted
@@ -194,20 +194,15 @@ def _run_error_bound_drill(settings: dict) -> float:
 
 
 def _run_identity_drill(train, test, settings: dict, backend: str) -> list:
-    """Delta runs across backend x workers x streaming match the serial run."""
+    """Delta runs across backend x workers match the serial run."""
     rounds = settings["rounds"]
     reference = _build_simulation(train, test, settings, backend="serial",
                                   max_workers=1, delta=True).run(rounds)
-    variants = [{"backend": backend, "max_workers": 1},
-                {"backend": backend, "max_workers": 4},
-                {"backend": backend, "max_workers": 1, "streaming": True},
-                {"backend": backend, "max_workers": 4, "streaming": True}]
     labels = []
-    for kwargs in variants:
-        label = "{}-w{}{}".format(kwargs["backend"], kwargs["max_workers"],
-                                  "-streaming" if kwargs.get("streaming") else "")
-        got = _build_simulation(train, test, settings, delta=True,
-                                **kwargs).run(rounds)
+    for workers in (1, 4):
+        label = f"{backend}-w{workers}"
+        got = _build_simulation(train, test, settings, delta=True, backend=backend,
+                                max_workers=workers).run(rounds)
         assert deterministic_fields(got) == deterministic_fields(reference), \
             f"delta run on {label} diverged from the serial reference"
         labels.append(label)

@@ -33,8 +33,6 @@ HEADLINE_KEYS: dict[str, list[str]] = {
     "coordinator": ["final_accuracy", "resident_task_bytes", "full_task_bytes"],
     "pipeline": ["speedup", "ratio", "effective_workers"],
     "entropy": ["speedup", "total_default_seconds", "total_reference_seconds"],
-    "streaming": ["first_byte_seconds", "encode_overlap_seconds",
-                  "decode_overlap_seconds"],
     "selection": ["agreement_factor", "plan_crossover_mbps",
                   "analytic_crossover_mbps"],
     "table1": ["ratio", "accuracy", "baseline_accuracy"],

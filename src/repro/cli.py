@@ -182,13 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--resume", action="store_true",
                           help="resume an interrupted run from --journal-dir "
                                "instead of starting fresh")
-    simulate.add_argument("--streaming", action="store_true",
-                          help="encode and decode updates incrementally: the "
-                               "simulated transfer starts at the first ready "
-                               "payload piece and packets decode as they "
-                               "arrive, overlapping compression and "
-                               "decompression with the transfer "
-                               "(bit-identical results)")
     simulate.add_argument("--delta", action="store_true",
                           help="ship error-feedback residuals against the "
                                "broadcast state (v5 delta frames) on the "
@@ -288,7 +281,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                                       dropout_prob=args.dropout, straggler_prob=args.straggler,
                                       backend=args.backend, tree_fanout=args.tree_fanout,
                                       journal_dir=journal_dir, resume=args.resume,
-                                      streaming=args.streaming,
                                       delta=args.delta and label == "fedsz")
         except ValueError as exc:
             # round-engine ranges that need cross-flag context (--participation
@@ -323,19 +315,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
           f"({raw.total_transmitted_bytes / max(fedsz.total_transmitted_bytes, 1):.2f}x reduction)")
     print(f"comm time @{args.bandwidth:g} Mbps: {format_seconds(raw.total_communication_seconds)} vs "
           f"{format_seconds(fedsz.total_communication_seconds)}")
-    if args.streaming:
-        for label, result in results.items():
-            streamed = [r for r in result.rounds
-                        if r.mean_first_byte_seconds is not None]
-            if not streamed:
-                continue
-            first_byte = float(np.mean([r.mean_first_byte_seconds for r in streamed]))
-            hidden = float(np.mean([r.mean_encode_overlap_seconds for r in streamed]))
-            scratch = max(r.peak_encode_scratch_bytes for r in streamed)
-            print(f"encode overlap: {label}: first byte out after "
-                  f"{format_seconds(first_byte)}, {format_seconds(hidden)} of "
-                  f"encode hidden in the transfer window, peak scratch "
-                  f"{format_bytes(scratch)}")
     if args.delta:
         rounds = fedsz.rounds
         shipped = sum(len(r.delta_clients) for r in rounds)

@@ -31,8 +31,6 @@ __all__ = [
     "ErrorBound",
     "Compressor",
     "LossyCompressor",
-    "TensorStreamDecoder",
-    "TensorStreamEncoder",
     "CompressionStats",
     "roundtrip",
 ]
@@ -161,10 +159,8 @@ class LossyCompressor(Compressor):
     def _encode_prelude(self, data: np.ndarray) -> tuple[bytes, np.ndarray, float]:
         """Resolve the bound and build the shared container header.
 
-        Returns ``(header, flat_float64, abs_bound)``.  Shared by the batch
-        :meth:`compress` and the streaming encoders so both paths pin the
-        identical header (bound resolution, ULP shaving, shape record) before
-        any body byte exists.
+        Returns ``(header, flat_float64, abs_bound)``: the bound resolution,
+        ULP shaving and shape record happen before any body byte exists.
         """
         data = np.asarray(data)
         if data.dtype not in self._DTYPE_CODES:
@@ -189,12 +185,10 @@ class LossyCompressor(Compressor):
 
     @classmethod
     def _parse_container_header(cls, payload) -> tuple[np.dtype, tuple, int, float, int]:
-        """Validate the shared lossy header of a (possibly partial) payload.
+        """Validate the shared lossy header of a payload.
 
-        Returns ``(dtype, shape, count, abs_bound, body_offset)``.  Shared by
-        the batch :meth:`decompress` and the streaming decoders so both paths
-        run identical validation; a truncated or corrupt header raises
-        :class:`ValueError`.
+        Returns ``(dtype, shape, count, abs_bound, body_offset)``; a
+        truncated or corrupt header raises :class:`ValueError`.
         """
         if len(payload) < 2:
             raise ValueError(f"corrupt lossy payload: header needs 2 bytes, "
@@ -223,18 +217,6 @@ class LossyCompressor(Compressor):
                              f"implausible {count} elements")
         return dtype, shape, count, abs_bound, offset
 
-    def _normalized_body_decode(self, decode, *args):
-        """Run a body decoder with failures normalized to :class:`ValueError`."""
-        try:
-            return decode(*args)
-        except ValueError:
-            raise
-        except Exception as exc:
-            # backend failures (zlib.error, struct.error, IndexError, ...) on
-            # corrupt bodies are part of the same documented contract
-            raise ValueError(f"corrupt lossy payload: body failed to decode "
-                             f"({type(exc).__name__}: {exc})") from exc
-
     def decompress(self, payload: bytes) -> np.ndarray:
         """Reconstruct the array stored in ``payload``.
 
@@ -243,31 +225,16 @@ class LossyCompressor(Compressor):
         kind are normalized to the same contract.
         """
         dtype, shape, count, abs_bound, offset = self._parse_container_header(payload)
-        flat = self._normalized_body_decode(
-            self._decompress_float1d, payload[offset:], count, abs_bound, dtype)
+        try:
+            flat = self._decompress_float1d(payload[offset:], count, abs_bound, dtype)
+        except ValueError:
+            raise
+        except Exception as exc:
+            # backend failures (zlib.error, struct.error, IndexError, ...) on
+            # corrupt bodies are part of the same documented contract
+            raise ValueError(f"corrupt lossy payload: body failed to decode "
+                             f"({type(exc).__name__}: {exc})") from exc
         return flat.astype(dtype, copy=False).reshape(shape)
-
-    def stream_decoder(self) -> "TensorStreamDecoder":
-        """Return a push-based incremental decoder for one lossy payload.
-
-        The base implementation buffers the whole payload and decodes at
-        :meth:`TensorStreamDecoder.finish` — correct for every codec but
-        overlaps nothing.  Codecs whose body embeds an incrementally decodable
-        entropy stream (SZ2/SZ3) override this to decode while bytes arrive;
-        both paths produce bit-identical arrays.
-        """
-        return TensorStreamDecoder(self)
-
-    def stream_encoder(self) -> "TensorStreamEncoder":
-        """Return a pull-based incremental encoder for one lossy payload.
-
-        The base implementation pins the shared container header, then emits
-        the whole body in one piece — correct for every codec but overlaps
-        nothing.  Codecs whose body embeds an incrementally producible entropy
-        stream (SZ2/SZ3) override this to emit the body as it is coded; either
-        way the concatenated pieces are byte-identical to :meth:`compress`.
-        """
-        return TensorStreamEncoder(self)
 
     def with_error_bound(self, error_bound: ErrorBound | float,
                          mode: ErrorBoundMode | str | None = None) -> "LossyCompressor":
@@ -281,64 +248,6 @@ class LossyCompressor(Compressor):
         clone.__dict__.update(self.__dict__)
         clone.error_bound = bound
         return clone
-
-
-class TensorStreamDecoder:
-    """Push-based incremental decoder for one lossy tensor payload.
-
-    :meth:`feed` accepts payload bytes in any chunking; :meth:`finish`
-    returns the reconstructed array (or raises :class:`ValueError` for a
-    truncated/corrupt stream, like :meth:`LossyCompressor.decompress`).
-    This base implementation simply buffers and decodes at the end; codec
-    subclasses overlap the expensive stages with arrival.
-    """
-
-    def __init__(self, compressor: LossyCompressor) -> None:
-        self._compressor = compressor
-        self._buf = bytearray()
-        self._result: np.ndarray | None = None
-
-    @property
-    def bytes_received(self) -> int:
-        """Payload bytes fed so far."""
-        return len(self._buf)
-
-    def feed(self, data) -> None:
-        """Consume arriving payload bytes."""
-        if self._result is not None:
-            raise ValueError("cannot feed a finished tensor stream decoder")
-        self._buf += memoryview(data)
-
-    def finish(self) -> np.ndarray:
-        """Return the reconstructed array once the stream is complete."""
-        if self._result is None:
-            self._result = self._compressor.decompress(bytes(self._buf))
-        return self._result
-
-
-class TensorStreamEncoder:
-    """Pull-based incremental encoder for one lossy tensor payload.
-
-    :meth:`chunks` yields payload byte pieces in stream order; their
-    concatenation is byte-identical to :meth:`LossyCompressor.compress` on
-    the same data.  This base implementation emits the whole payload in a
-    single piece by delegating to :meth:`~LossyCompressor.compress`, which
-    makes it correct for every codec — including ones that override
-    ``compress`` wholesale (e.g. verbatim) — but overlaps nothing.  Codecs
-    with an incrementally producible body (SZ2/SZ3) substitute
-    :class:`~repro.compressors.streaming.SZStreamEncoder`, which emits the
-    pinned container header first and body pieces as they are coded.
-    ``scratch_bytes`` reports the encoder's analytic peak scratch estimate
-    after the generator is exhausted (0 when the codec does not track it).
-    """
-
-    def __init__(self, compressor: LossyCompressor) -> None:
-        self._compressor = compressor
-        self.scratch_bytes = 0
-
-    def chunks(self, data: np.ndarray):
-        """Yield the payload pieces for ``data`` in stream order."""
-        yield self._compressor.compress(data)
 
 
 _U64 = struct.Struct("<Q")

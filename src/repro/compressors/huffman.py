@@ -62,9 +62,9 @@ record, gather their ``int64`` code lengths, add).  After the walk one
 ``int32`` gather maps the record to used-tuple ranks and one gather through a
 ``(U, k)`` symbol table widens them into the ``int64`` output (for ``k = 1``
 the window table holds the symbols, so the widening is a copy).  The lookup
-tables are built once per stream; unused windows hold -1.  A stream (or a streaming burst) of fewer than
-:data:`_MIN_VECTOR_CHUNKS` chunks runs the scalar loop instead; both kernels
-return identical symbols and reject identical streams.
+tables are built once per stream; unused windows hold -1.  A stream of fewer
+than :data:`_MIN_VECTOR_CHUNKS` chunks runs the scalar loop instead; both
+kernels return identical symbols and reject identical streams.
 
 A corrupted or truncated payload always raises :class:`ValueError`: every
 header field is checked (``k`` against the rule, the chunk count against the
@@ -73,9 +73,9 @@ geometry, no bitmap bit at or past ``W**k``, each chunk between 1 and
 unused window is detected, every chunk must decode to exactly its boundary,
 the pad must be ``lo``, and no byte may follow the code bits.  A one-tuple
 stream spends no code bits, so nothing in a short payload bounds the count
-it declares: both decode surfaces therefore take a required
-``check_count``, the caller's rule for that count, and run it before
-anything is sized by the count.
+it declares: the decoder therefore takes a required ``check_count``, the
+caller's rule for that count, and runs it before anything is sized by the
+count.
 """
 
 from __future__ import annotations
@@ -86,10 +86,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from repro.utils.bitstream import StreamBuffer
-
-__all__ = ["HuffmanCoder", "ChunkBandConsumer", "ChunkBandProducer",
-           "MAX_CODE_LENGTH", "DEFAULT_CHUNK_TUPLES"]
+__all__ = ["HuffmanCoder", "ChunkBandProducer", "MAX_CODE_LENGTH",
+           "DEFAULT_CHUNK_TUPLES"]
 
 #: Longest permitted codeword.  16 keeps the decode lookup table at 64K entries.
 MAX_CODE_LENGTH = 16
@@ -296,11 +294,10 @@ def _decode_tables(lo: int, width: int, k: int, code_table: bytes
     the ``(U, k)`` ``int64`` symbols; for ``k = 1`` that gather is folded in
     and the value is the symbol itself (``int64`` only past ``int32``),
     which saves the walk a widening pass.  Each stream's header parse builds
-    them once (0.2 ms for a ResNet-50 tensor's table) and a streaming
-    consumer keeps them for all its bursts.  Tuple codes make matching tables
-    rare across streams: an LRU of them kept 89 distinct 768 KB entries
-    through one AlexNet delta run (68 MB) against the singles-only format's
-    33.
+    them once (0.2 ms for a ResNet-50 tensor's table).  Tuple codes make
+    matching tables rare across streams: an LRU of them kept 89 distinct
+    768 KB entries through one AlexNet delta run (68 MB) against the
+    singles-only format's 33.
     """
     map_len = _bitmap_bytes(width, k)
     used = _used_tuples(np.frombuffer(code_table, dtype=np.uint8, count=map_len),
@@ -469,30 +466,18 @@ def _decode_band_vectorized(bit_bytes: np.ndarray, table_len: np.ndarray,
     return out.reshape(-1)[:((width - 1) * steps + tail) * k]
 
 
-def _rebase(bit_bytes: np.ndarray, bit_offsets: np.ndarray,
-            chunk_ends: np.ndarray) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
-    """The byte window spanned by the chunks, with positions relative to it."""
-    byte0 = int(bit_offsets[0]) >> 3
-    byte_hi = (int(chunk_ends[-1]) + 7) >> 3
-    return (bit_bytes[byte0:byte_hi], bit_offsets - (byte0 << 3),
-            chunk_ends - (byte0 << 3))
-
-
 def _decode_chunks(bit_bytes: np.ndarray, tables: "tuple[np.ndarray, ...]",
                    bit_offsets: np.ndarray, tuple_counts: np.ndarray,
                    chunk_ends: np.ndarray) -> np.ndarray:
-    """Decode consecutive chunks in-thread with the kernel that suits them.
+    """Decode a stream's chunks in-thread with the kernel that suits them.
 
     Returns every symbol of their tuples, pad included.  ``bit_offsets`` and
-    ``chunk_ends`` are bit positions in ``bit_bytes``; the chunks are first
-    rebased onto the zero-copy byte window they span, so a streaming
-    consumer's burst never touches bytes outside it.  A one-tuple code
+    ``chunk_ends`` are bit positions in ``bit_bytes``.  A one-tuple code
     spends no bits, so its chunks are filled, not walked.
     """
     symbols = tables[2]
     if symbols.shape[0] == 1:
         return np.tile(symbols[0], int(tuple_counts.sum()))
-    bit_bytes, bit_offsets, chunk_ends = _rebase(bit_bytes, bit_offsets, chunk_ends)
     kernel = _decode_scalar if bit_offsets.size < _MIN_VECTOR_CHUNKS \
         else _decode_band_vectorized
     return kernel(bit_bytes, *tables, bit_offsets, tuple_counts, chunk_ends)
@@ -514,48 +499,25 @@ class _Header(NamedTuple):
     tables: "tuple | None"     # from _decode_tables; None for an empty stream
     bit_offsets: np.ndarray    # per chunk, int64
     tuple_counts: np.ndarray   # per chunk, int64
-    tuple_starts: np.ndarray   # per chunk, int64
     chunk_ends: np.ndarray     # per chunk, int64
     bits_at: int               # byte offset of the code bits
     length: int                # total stream bytes
 
 
-class _BytesView:
-    """The read side of :class:`~repro.utils.bitstream.StreamBuffer` over a
-    complete payload, so batch decode parses with the streaming parser."""
+def _parse_header(view: memoryview, check_count: "Callable[[int], None] | None") -> _Header:
+    """Parse and check the header of a whole HUF4 stream (CRC excluded).
 
-    def __init__(self, payload) -> None:
-        self._view = memoryview(payload)
-
-    def has(self, count: int, offset: int = 0) -> bool:
-        return self._view.nbytes - offset >= count
-
-    def view(self, start: int = 0, stop: "int | None" = None) -> memoryview:
-        return self._view[start:stop]
-
-
-def _parse_header(buf, check_count: "Callable[[int], None] | None") -> "_Header | None":
-    """Parse and check a HUF4 header from the bytes ``buf`` holds so far.
-
-    Returns ``None`` while more bytes are needed.  Each field is checked as
-    soon as it arrives and before anything is sized by it: ``check_count``
+    Each field is checked before anything is sized by it: ``check_count``
     (the enclosing container's rule for the symbol count) runs on the fixed
     fields, the bitmap is read only once all of it is present, and so on.
-    Shared by :meth:`HuffmanCoder.decode` and :class:`ChunkBandConsumer`, so
-    both reject a bad header with the same message.  The CRC is not checked
-    here.
     """
-    if not buf.has(_FIXED_LEN):
-        return None
-    if bytes(buf.view(0, 4)) != _MAGIC:
-        raise _corrupt("bad magic (not a HUF4 stream)")
-    lo, width, k, count, chunk, n_chunks = _HEADER.unpack(buf.view(_PREFIX_LEN, _FIXED_LEN))
+    lo, width, k, count, chunk, n_chunks = _HEADER.unpack_from(view, _PREFIX_LEN)
     if check_count is not None:
         check_count(count)
     if count == 0:
         if (lo, width, k, chunk, n_chunks) != (0, 0, 1, 0, 0):
             raise _corrupt("empty stream declares symbols, tuples or chunks")
-        return _Header(0, 1, 0, None, *np.zeros((4, 0), dtype=np.int64),
+        return _Header(0, 1, 0, None, *np.zeros((3, 0), dtype=np.int64),
                        _FIXED_LEN, _FIXED_LEN)
     if width == 0 or k not in _tuple_sizes(width):
         raise _corrupt(f"{k}-symbol tuples break the tuple rule for W = {width}")
@@ -564,15 +526,14 @@ def _parse_header(buf, check_count: "Callable[[int], None] | None") -> "_Header 
         raise _corrupt(f"{n_chunks} chunks cannot cover {n_tuples} tuples "
                        f"at {chunk} tuples per chunk")
     map_len = _bitmap_bytes(width, k)
-    if not buf.has(map_len, _FIXED_LEN):
-        return None
-    used = _used_tuples(np.frombuffer(buf.view(_FIXED_LEN, _FIXED_LEN + map_len),
+    if view.nbytes - _FIXED_LEN < map_len:
+        raise _corrupt(f"stream truncated inside the header ({view.nbytes} bytes)")
+    used = _used_tuples(np.frombuffer(view[_FIXED_LEN:_FIXED_LEN + map_len],
                                       dtype=np.uint8), width ** k).size
     at = _FIXED_LEN + map_len + _length_bytes(used)
-    if not buf.has(4 * n_chunks, at):
-        return None
-    chunk_bits = np.frombuffer(buf.view(at, at + 4 * n_chunks),
-                               dtype="<u4").astype(np.int64)
+    if view.nbytes - at < 4 * n_chunks:
+        raise _corrupt(f"stream truncated inside the header ({view.nbytes} bytes)")
+    chunk_bits = np.frombuffer(view[at:at + 4 * n_chunks], dtype="<u4").astype(np.int64)
     tuple_counts = np.full(n_chunks, chunk, dtype=np.int64)
     tuple_counts[-1] = n_tuples - (n_chunks - 1) * chunk
     per_tuple = (1, MAX_CODE_LENGTH) if used > 1 else (0, 0)
@@ -581,12 +542,11 @@ def _parse_header(buf, check_count: "Callable[[int], None] | None") -> "_Header 
         raise _corrupt(f"chunk bit lengths fall outside {per_tuple[0]} to "
                        f"{per_tuple[1]} bits per tuple")
     # a bad code table fails here
-    tables = _decode_tables(lo, width, k, bytes(buf.view(_FIXED_LEN, at)))
+    tables = _decode_tables(lo, width, k, bytes(view[_FIXED_LEN:at]))
     chunk_ends = np.cumsum(chunk_bits)
     bits_at = at + 4 * n_chunks
     return _Header(lo, k, count, tables, chunk_ends - chunk_bits, tuple_counts,
-                   np.cumsum(tuple_counts) - tuple_counts, chunk_ends, bits_at,
-                   bits_at + ((int(chunk_ends[-1]) + 7) >> 3))
+                   chunk_ends, bits_at, bits_at + ((int(chunk_ends[-1]) + 7) >> 3))
 
 
 def _decode_reference(payload: bytes) -> np.ndarray:
@@ -606,171 +566,6 @@ def _decode_reference(payload: bytes) -> np.ndarray:
                                      *tables, head.bit_offsets, head.tuple_counts,
                                      head.chunk_ends),
                       head.count, head.lo)
-
-
-class ChunkBandConsumer:
-    """Incremental decoder for HUF4 streams: feed bytes, get symbols.
-
-    The per-chunk bit lengths make any *byte prefix* of the stream useful:
-    chunk ``c`` is decodable as soon as the prefix covers the header plus
-    ``ceil(chunk_end_bit(c) / 8)`` bytes of the packed bits.  This consumer
-    exploits that to overlap decode time with arrival time (the paper's
-    ``t_D`` hiding inside ``S'/B``): :meth:`feed` accepts stream bytes in any
-    chunking, parses the header progressively, and eagerly decodes every
-    chunk whose bytes have fully arrived.  Each burst of newly-ready chunks
-    goes through :func:`_decode_chunks` in the calling thread, the same
-    kernels as :meth:`HuffmanCoder.decode`, so the symbols are bit-identical
-    to a non-streaming decode.
-
-    The stream's CRC-32 covers the *entire* payload, so it can only be
-    verified once the last byte arrives: :meth:`finish` checks it (and the
-    declared total length) before releasing the symbol array.  Structural
-    corruption that a prefix already proves — bad magic, a header field the
-    rules exclude, a chunk that decodes past its boundary, over-long streams
-    — raises :class:`ValueError` from :meth:`feed` at the earliest byte that
-    exposes it.  Callers must treat the symbols as tentative until
-    :meth:`finish` returns.
-
-    ``check_count`` is the enclosing container's check of the declared
-    symbol count: it is called with the header's count as soon as the fixed
-    fields arrive, before anything is sized by that count, and raises
-    :class:`ValueError` for any count the container rules out.  It is
-    required: a one-tuple stream spends no code bits, so about 50 bytes can
-    declare any count, and only the caller knows how many symbols to expect.
-    """
-
-    def __init__(self, check_count: "Callable[[int], None]") -> None:
-        self._check_count = check_count
-        self._buf = StreamBuffer()
-        self._crc = 0
-        self._crc_pos = _PREFIX_LEN  # next byte offset to fold into the CRC
-        self._crc_stored: "int | None" = None
-        self._header: "_Header | None" = None
-        self._out: "np.ndarray | None" = None  # every tuple's symbols, pad included
-        self._next_chunk = 0
-        self._finished: "np.ndarray | None" = None
-
-    # -- public surface ------------------------------------------------
-    @property
-    def header_ready(self) -> bool:
-        """True once the full header (code table + chunk lengths) has arrived."""
-        return self._header is not None
-
-    @property
-    def chunks_total(self) -> "int | None":
-        """Number of chunks in the stream (``None`` before the header)."""
-        return self._header.bit_offsets.size if self._header is not None else None
-
-    @property
-    def chunks_decoded(self) -> int:
-        """Chunks decoded so far."""
-        return self._next_chunk
-
-    @property
-    def symbols_decoded(self) -> int:
-        """Symbols decoded so far (a prefix of the final array)."""
-        head = self._header
-        if head is None or self._next_chunk == 0:
-            return 0
-        last = self._next_chunk - 1
-        tuples = int(head.tuple_starts[last] + head.tuple_counts[last])
-        return min(tuples * head.k, head.count)
-
-    @property
-    def bytes_received(self) -> int:
-        """Stream bytes fed so far."""
-        return self._buf.available
-
-    def required_prefix(self, chunk: int) -> int:
-        """Bytes of stream prefix sufficient to decode chunks ``0..chunk``.
-
-        Only available once the header has arrived; this is the quantity the
-        FORMATS.md streaming contract specifies.
-        """
-        if self._header is None:
-            raise ValueError("header has not arrived yet")
-        head = self._header
-        if head.count == 0:
-            return head.bits_at
-        return head.bits_at + ((int(head.chunk_ends[chunk]) + 7) >> 3)
-
-    def feed(self, data) -> int:
-        """Consume arriving stream bytes; decodes every newly-complete chunk.
-
-        Returns the number of symbols decoded so far.  Raises
-        :class:`ValueError` on structurally corrupt input.
-        """
-        if self._finished is not None:
-            raise ValueError("cannot feed a finished Huffman stream consumer")
-        self._buf.feed(data)
-        if self._header is None:
-            self._try_parse_header()
-        self._update_crc()
-        if self._header is not None:
-            self._decode_ready()
-        return self.symbols_decoded
-
-    def finish(self) -> np.ndarray:
-        """Verify total length and CRC-32, then return the decoded symbols."""
-        if self._finished is not None:
-            return self._finished
-        if self._header is None:
-            raise _corrupt(f"stream truncated inside the header "
-                           f"({self._buf.available} bytes arrived)")
-        if not self._buf.complete:
-            raise _corrupt(f"stream truncated: {self._buf.available} of "
-                           f"{self._buf.expected} bytes arrived")
-        self._update_crc()
-        if self._crc != self._crc_stored:
-            raise _corrupt("CRC-32 mismatch")
-        self._decode_ready()
-        head = self._header
-        if self._next_chunk != head.bit_offsets.size:
-            raise _corrupt("stream ended before every chunk decoded")
-        self._finished = np.zeros(0, dtype=np.int64) if self._out is None \
-            else _check_pad(self._out, head.count, head.lo)
-        return self._finished
-
-    # -- internals -----------------------------------------------------
-    def _update_crc(self) -> None:
-        if self._crc_pos < self._buf.available:
-            self._crc = zlib.crc32(self._buf.view(self._crc_pos), self._crc)
-            self._crc_pos = self._buf.available
-
-    def _try_parse_header(self) -> None:
-        """Parse the header once present, with :func:`_parse_header`'s checks."""
-        head = _parse_header(self._buf, self._check_count)
-        if head is None:
-            return
-        (self._crc_stored,) = struct.unpack("<I", self._buf.view(4, _PREFIX_LEN))
-        # from here on the total stream length is pinned; over-feeding raises
-        self._buf.expect(head.length)
-        self._header = head
-        if head.count:
-            self._out = np.empty(int(head.tuple_counts.sum()) * head.k, dtype=np.int64)
-
-    def _ready_chunks(self) -> int:
-        """Index one past the last chunk whose bytes have fully arrived."""
-        head = self._header
-        if head.count == 0:
-            return 0
-        avail_bits = (self._buf.available - head.bits_at) << 3
-        # chunk c is ready when ceil(chunk_ends[c] / 8) bytes arrived, i.e.
-        # chunk_ends[c] <= available whole bits
-        return int(np.searchsorted(head.chunk_ends, avail_bits, side="right"))
-
-    def _decode_ready(self) -> None:
-        """Eagerly decode every chunk whose bytes have arrived."""
-        lo, hi = self._next_chunk, self._ready_chunks()
-        if hi <= lo:
-            return
-        head = self._header
-        band = _decode_chunks(np.frombuffer(self._buf.view(head.bits_at), dtype=np.uint8),
-                              head.tables, head.bit_offsets[lo:hi],
-                              head.tuple_counts[lo:hi], head.chunk_ends[lo:hi])
-        base = int(head.tuple_starts[lo]) * head.k
-        self._out[base:base + band.size] = band
-        self._next_chunk = hi
 
 
 #: Bytes of packing scratch per tuple of a group: the int64 codes, lengths,
@@ -864,8 +659,7 @@ def _tuple_indices(rel: np.ndarray, width: int, k: int) -> np.ndarray:
 
 
 class ChunkBandProducer:
-    """Incremental encoder for HUF4 streams: the twin of
-    :class:`ChunkBandConsumer`.
+    """Band-by-band encoder for HUF4 streams.
 
     The encoder has every symbol in memory before the first bit is packed,
     so after one symbol pass (used range, tuples, histogram, code lengths,
@@ -878,17 +672,13 @@ class ChunkBandProducer:
 
     Packing a group of whole chunks (:data:`_PACK_GROUP_TUPLES` tuples, or
     one larger chunk) instead of the whole stream bounds the packing scratch:
-    :attr:`peak_scratch_bytes` reports its analytic high-water mark, which is
-    what the round engine surfaces as encode scratch.
+    :attr:`peak_scratch_bytes` reports its analytic high-water mark.
 
     The one field that cannot be pinned early is the stream CRC-32 at byte
     offset 4: it covers the packed bands, so :meth:`magic_and_crc` only
-    becomes available once :meth:`bands` is exhausted.  Consumers that need
-    the stream in byte order therefore stage bands until the prefix is
-    released — :meth:`chunks` does exactly that and yields the byte-order
-    stream (prefix, pinned header, then each band), whose concatenation
-    equals :meth:`HuffmanCoder.encode` for the same ``chunk_size``.  See the
-    producer-side framing contract in FORMATS.md.
+    becomes available once :meth:`bands` is exhausted.
+    :meth:`HuffmanCoder.assemble` writes the bands behind the pinned header
+    and the prefix last.
     """
 
     def __init__(self, symbols: np.ndarray,
@@ -1014,20 +804,6 @@ class ChunkBandProducer:
                              "bands() before reading the stream prefix")
         return _MAGIC + struct.pack("<I", self._crc)
 
-    def chunks(self):
-        """Byte-order view of the stream: prefix, pinned header, then bands.
-
-        Because the CRC at offset 4 is pinned last, bands are staged
-        internally until packing completes; the staging high-water mark is
-        the packed bits themselves, never the packing scratch.  The
-        concatenation of the yielded pieces is byte-identical to
-        :meth:`HuffmanCoder.encode` at the same ``chunk_size``.
-        """
-        staged = list(self.bands())
-        yield self.magic_and_crc()
-        yield self.pinned_header
-        yield from staged
-
 
 def _check_chunk_size(chunk_size: int) -> None:
     if not 1 <= chunk_size <= _MAX_CHUNK_TUPLES:
@@ -1071,24 +847,6 @@ class HuffmanCoder:
         out[:_PREFIX_LEN] = producer.magic_and_crc()
         return bytes(out)
 
-    def stream_producer(self, symbols: np.ndarray) -> ChunkBandProducer:
-        """Return a :class:`ChunkBandProducer` over ``symbols``.
-
-        The producer uses this coder's ``chunk_size``, so its byte-order
-        stream (:meth:`ChunkBandProducer.chunks`) concatenates to exactly
-        what :meth:`encode` returns.
-        """
-        return ChunkBandProducer(symbols, self.chunk_size)
-
-    @staticmethod
-    def stream_consumer(check_count: "Callable[[int], None]") -> ChunkBandConsumer:
-        """Return a :class:`ChunkBandConsumer` for incremental decoding.
-
-        ``check_count`` (required) vets the declared symbol count before the
-        consumer allocates for it (see :class:`ChunkBandConsumer`).
-        """
-        return ChunkBandConsumer(check_count=check_count)
-
     # ------------------------------------------------------------------
     @staticmethod
     def _parse(payload, check_count: "Callable[[int], None] | None") -> _Header:
@@ -1099,17 +857,17 @@ class HuffmanCoder:
         :func:`_parse_header`'s, and the payload must end exactly where the
         code bits do.
         """
-        if len(payload) < _FIXED_LEN:
-            raise _corrupt(f"header needs {_FIXED_LEN} bytes, got {len(payload)}")
-        (crc_stored,) = struct.unpack_from("<I", payload, 4)
-        if payload[:4] == _MAGIC and \
-                zlib.crc32(memoryview(payload)[_PREFIX_LEN:]) != crc_stored:
+        view = memoryview(payload)
+        if view.nbytes < _FIXED_LEN:
+            raise _corrupt(f"header needs {_FIXED_LEN} bytes, got {view.nbytes}")
+        if bytes(view[:4]) != _MAGIC:
+            raise _corrupt("bad magic (not a HUF4 stream)")
+        (crc_stored,) = struct.unpack_from("<I", view, 4)
+        if zlib.crc32(view[_PREFIX_LEN:]) != crc_stored:
             raise _corrupt("CRC-32 mismatch")
-        head = _parse_header(_BytesView(payload), check_count)
-        if head is None:
-            raise _corrupt(f"stream truncated inside the header ({len(payload)} bytes)")
-        if len(payload) != head.length:
-            raise _corrupt(f"stream holds {len(payload)} bytes but its header "
+        head = _parse_header(view, check_count)
+        if view.nbytes != head.length:
+            raise _corrupt(f"stream holds {view.nbytes} bytes but its header "
                            f"and chunk lengths declare {head.length}")
         return head
 
@@ -1119,8 +877,7 @@ class HuffmanCoder:
         The whole stream decodes in the calling thread as one vectorized row
         walk; a stream of fewer than :data:`_MIN_VECTOR_CHUNKS` chunks runs
         the per-tuple scalar loop.  ``check_count`` (required) vets the
-        declared symbol count before anything is sized by it, as in
-        :class:`ChunkBandConsumer`.
+        declared symbol count before anything is sized by it.
         """
         head = self._parse(payload, check_count)
         if head.count == 0:

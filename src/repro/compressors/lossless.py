@@ -16,7 +16,9 @@ codec libraries are available offline, so this module provides:
   mid-level DEFLATE configuration standing in for zstd's speed/ratio point).
 
 All codecs are *byte* codecs: they compress ``bytes`` to ``bytes``.  Array
-convenience wrappers live on the base class.
+convenience wrappers live on the base class.  Every ``decompress`` reads its
+payload exactly: a truncated, corrupt or over-long payload raises
+:class:`ValueError`, never the backend library's own exception type.
 """
 
 from __future__ import annotations
@@ -32,10 +34,6 @@ import numpy as np
 
 __all__ = [
     "LosslessCodec",
-    "StreamCompressor",
-    "BufferedStreamCompressor",
-    "StreamDecompressor",
-    "BufferedStreamDecompressor",
     "BloscLZCodec",
     "ShuffleRLECodec",
     "ZlibCodec",
@@ -46,169 +44,6 @@ __all__ = [
     "available_lossless",
     "get_lossless",
 ]
-
-
-class StreamCompressor:
-    """Push-based incremental counterpart of :meth:`LosslessCodec.compress`.
-
-    ``feed`` accepts plaintext bytes as they are produced and returns whatever
-    compressed output became available; ``finish`` flushes the tail.  The
-    concatenation of all returned bytes is byte-identical to ``compress`` over
-    the whole plaintext, for every way the plaintext is split into pieces —
-    that is the producer-side streaming contract (see FORMATS.md), and it is
-    what lets a simulated transfer start before the encode completes.
-    """
-
-    def feed(self, data) -> bytes:
-        raise NotImplementedError
-
-    def finish(self) -> bytes:
-        raise NotImplementedError
-
-
-class BufferedStreamCompressor(StreamCompressor):
-    """Fallback for codecs with no incremental backend: buffer, then compress.
-
-    Used by the filter-based codecs (blosc-lz, shuffle-rle), whose shuffle
-    transform needs the whole body before the first output byte is decidable,
-    and by gzip, whose batch header is assembled differently across Python
-    versions.  All compressed bytes surface at :meth:`finish`.
-    """
-
-    def __init__(self, codec: "LosslessCodec") -> None:
-        self._codec = codec
-        self._buf = bytearray()
-
-    def feed(self, data) -> bytes:
-        self._buf += memoryview(data)
-        return b""
-
-    def finish(self) -> bytes:
-        return self._codec.compress(bytes(self._buf))
-
-
-class _IncrementalStreamCompressor(StreamCompressor):
-    """Wrapper over the stdlib incremental compressor objects.
-
-    ``zlib.compressobj`` / ``bz2.BZ2Compressor`` / ``lzma.LZMACompressor``
-    produce output that does not depend on how the input was chunked (no
-    sync points are emitted between feeds), so the concatenated output equals
-    the corresponding one-shot batch function byte for byte.
-    """
-
-    def __init__(self, obj) -> None:
-        self._obj = obj
-
-    def feed(self, data) -> bytes:
-        return self._obj.compress(bytes(data))
-
-    def finish(self) -> bytes:
-        return self._obj.flush()
-
-
-class StreamDecompressor:
-    """Push-based incremental counterpart of :meth:`LosslessCodec.decompress`.
-
-    ``feed`` accepts compressed bytes as they arrive and returns whatever
-    plaintext became available; ``finish`` flushes the tail and verifies the
-    stream actually ended.  The concatenation of all returned plaintext is
-    byte-identical to ``decompress`` over the whole payload.  Corrupt or
-    truncated input raises :class:`ValueError` (never a backend-specific
-    exception), matching the repo-wide corruption contract.
-    """
-
-    def feed(self, data) -> bytes:
-        raise NotImplementedError
-
-    def finish(self) -> bytes:
-        raise NotImplementedError
-
-
-class BufferedStreamDecompressor(StreamDecompressor):
-    """Fallback for codecs with no incremental backend: buffer, then decompress.
-
-    Used by the filter-based codecs (blosc-lz, shuffle-rle) whose inverse
-    transform needs the whole body, and by the identity codec.  All plaintext
-    surfaces at :meth:`finish`.
-    """
-
-    def __init__(self, codec: "LosslessCodec") -> None:
-        self._codec = codec
-        self._buf = bytearray()
-
-    def feed(self, data) -> bytes:
-        self._buf += memoryview(data)
-        return b""
-
-    def finish(self) -> bytes:
-        try:
-            return self._codec.decompress(bytes(self._buf))
-        except ValueError:
-            raise
-        except Exception as exc:
-            raise ValueError(f"corrupt lossless stream "
-                             f"({type(exc).__name__}: {exc})") from exc
-
-
-class _ChainedStreamDecompressor(StreamDecompressor):
-    """Incremental wrapper over the stdlib decompressor objects.
-
-    ``factory`` builds one single-member decompressor (``zlib.decompressobj``,
-    ``bz2.BZ2Decompressor``, ...).  ``chain`` reproduces the batch functions'
-    concatenated-member behaviour (gzip/bz2/xz); ``ignore_trailing``
-    reproduces their tolerance for garbage after a completed stream
-    (``zlib.decompress`` ignores trailers unconditionally; bz2/xz ignore
-    trailing bytes only once at least one member decoded; gzip raises).
-    """
-
-    def __init__(self, factory, *, chain: bool, ignore_trailing: bool) -> None:
-        self._factory = factory
-        self._chain = chain
-        self._ignore_trailing = ignore_trailing
-        self._obj = None
-        self._started = False   # current member has consumed bytes
-        self._members = 0       # completed members
-        self._discard = False   # trailing bytes are being ignored
-
-    def feed(self, data) -> bytes:
-        data = bytes(data)
-        if self._discard:
-            return b""
-        out: list[bytes] = []
-        while data:
-            if self._obj is None:
-                self._obj = self._factory()
-                self._started = False
-            try:
-                out.append(self._obj.decompress(data))
-            except Exception as exc:
-                if self._members and self._ignore_trailing and not self._started:
-                    self._discard = True
-                    break
-                raise ValueError(f"corrupt lossless stream "
-                                 f"({type(exc).__name__}: {exc})") from exc
-            self._started = True
-            if not self._obj.eof:
-                break
-            self._members += 1
-            data = self._obj.unused_data
-            self._obj = None
-            if not self._chain:
-                if data and not self._ignore_trailing:
-                    raise ValueError("corrupt lossless stream: trailing data "
-                                     "after the end-of-stream marker")
-                self._discard = True
-                break
-        return b"".join(out)
-
-    def finish(self) -> bytes:
-        if not self._discard:
-            if self._obj is not None and self._started and not self._obj.eof:
-                raise ValueError("corrupt lossless stream: input ended before "
-                                 "the end-of-stream marker")
-            if self._members == 0 and not self._started:
-                raise ValueError("corrupt lossless stream: no data")
-        return b""
 
 
 class LosslessCodec:
@@ -224,27 +59,6 @@ class LosslessCodec:
         """Invert :meth:`compress`."""
         return bytes(payload)
 
-    def compressor(self) -> StreamCompressor:
-        """Return a push-based incremental compressor for one stream.
-
-        Codecs backed by a stdlib incremental object override this to release
-        compressed bytes as plaintext is fed; the default buffers everything
-        and compresses at ``finish`` (correct for any codec, overlaps
-        nothing).  Either way the concatenated output is byte-identical to
-        :meth:`compress` over the whole plaintext.
-        """
-        return BufferedStreamCompressor(self)
-
-    def decompressor(self) -> StreamDecompressor:
-        """Return a push-based incremental decompressor for one stream.
-
-        Codecs backed by a stdlib incremental object override this to release
-        plaintext as compressed bytes arrive; the default buffers everything
-        and decompresses at ``finish`` (correct for any codec, overlaps
-        nothing).
-        """
-        return BufferedStreamDecompressor(self)
-
     # -- array convenience ----------------------------------------------------
     def compress_array(self, array: np.ndarray) -> bytes:
         """Compress an ndarray, preserving dtype and shape."""
@@ -257,16 +71,45 @@ class LosslessCodec:
 
     def decompress_array(self, payload: bytes) -> np.ndarray:
         """Invert :meth:`compress_array`."""
-        (dlen,) = struct.unpack_from("<I", payload, 0)
-        offset = 4
-        dtype = np.dtype(payload[offset : offset + dlen].decode())
-        offset += dlen
-        (ndim,) = struct.unpack_from("<I", payload, offset)
-        offset += 4
-        shape = struct.unpack_from(f"<{ndim}Q", payload, offset) if ndim else ()
+        try:
+            (dlen,) = struct.unpack_from("<I", payload, 0)
+            offset = 4
+            dtype = np.dtype(payload[offset : offset + dlen].decode())
+            offset += dlen
+            (ndim,) = struct.unpack_from("<I", payload, offset)
+            offset += 4
+            shape = struct.unpack_from(f"<{ndim}Q", payload, offset) if ndim else ()
+        except (struct.error, TypeError, UnicodeDecodeError) as exc:
+            raise ValueError(f"{self.name} array header corrupt ({exc})") from exc
         offset += 8 * ndim
         raw = self.decompress(payload[offset:])
         return np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+
+
+_HEADER = struct.Struct("<BQ")  # itemsize, original length (blosclz, shuffle-rle)
+
+
+def _read_header(payload: bytes, name: str) -> tuple[int, int]:
+    if len(payload) < _HEADER.size:
+        raise ValueError(f"{name} payload corrupt: {len(payload)} bytes cannot "
+                         f"hold its {_HEADER.size}-byte header")
+    return _HEADER.unpack_from(payload, 0)
+
+
+def _one_stream(decompressor, payload: bytes, name: str, errors) -> bytes:
+    """Decode ``payload`` as exactly one complete stream of ``decompressor``'s
+    format: the stream must end, leave no byte unused, and the backend's
+    ``errors`` surface as :class:`ValueError`."""
+    try:
+        raw = decompressor.decompress(payload)
+    except errors as exc:
+        raise ValueError(f"{name} payload corrupt ({exc})") from exc
+    if not decompressor.eof:
+        raise ValueError(f"{name} payload corrupt: the stream is truncated")
+    if decompressor.unused_data:
+        raise ValueError(f"{name} payload corrupt: {len(decompressor.unused_data)} "
+                         f"bytes after the end of the stream")
+    return raw
 
 
 def _shuffle(data: bytes, itemsize: int) -> bytes:
@@ -303,17 +146,17 @@ class BloscLZCodec(LosslessCodec):
         itemsize = self.itemsize if len(data) % max(self.itemsize, 1) == 0 else 1
         shuffled = _shuffle(data, itemsize)
         body = zlib.compress(shuffled, self.level)
-        return struct.pack("<BQ", itemsize, len(data)) + body
+        return _HEADER.pack(itemsize, len(data)) + body
 
     def decompress(self, payload: bytes) -> bytes:
-        itemsize, length = struct.unpack_from("<BQ", payload, 0)
+        itemsize, length = _read_header(payload, self.name)
         if length >= sys.maxsize:
             raise ValueError("blosclz payload corrupt: length mismatch")
         # the header's length caps the inflate: a body that would expand
         # past it stops one byte over instead of inflating whole
         inflater = zlib.decompressobj()
         try:
-            raw = inflater.decompress(memoryview(payload)[9:], length + 1)
+            raw = inflater.decompress(memoryview(payload)[_HEADER.size:], length + 1)
         except zlib.error as exc:
             raise ValueError(f"blosclz payload corrupt ({exc})") from exc
         if len(raw) != length or not inflater.eof or inflater.unused_data:
@@ -340,7 +183,7 @@ class ShuffleRLECodec(LosslessCodec):
     def compress(self, data: bytes) -> bytes:
         itemsize = self.itemsize if len(data) % max(self.itemsize, 1) == 0 else 1
         shuffled = np.frombuffer(_shuffle(data, itemsize), dtype=np.uint8)
-        header = struct.pack("<BQ", itemsize, len(data))
+        header = _HEADER.pack(itemsize, len(data))
         if shuffled.size == 0:
             return header
         # run-length encode: boundaries where the byte value changes
@@ -372,18 +215,19 @@ class ShuffleRLECodec(LosslessCodec):
         return header + body
 
     def decompress(self, payload: bytes) -> bytes:
-        itemsize, length = struct.unpack_from("<BQ", payload, 0)
-        body = np.frombuffer(payload, dtype=np.uint8, offset=9)
-        if body.size == 0:
-            return b""
+        itemsize, length = _read_header(payload, self.name)
+        body = np.frombuffer(payload, dtype=np.uint8, offset=_HEADER.size)
+        if body.size % 2:
+            raise ValueError("shuffle-rle payload corrupt: odd run body")
         pairs = body.reshape(-1, 2)
-        values = pairs[:, 0]
-        lengths = pairs[:, 1].astype(np.int64)
-        shuffled = np.repeat(values, lengths).tobytes()
-        out = _unshuffle(shuffled, itemsize)
-        if len(out) != length:
+        # the encoder writes no empty run, so a (value, 0) pair is not a run
+        if not pairs[:, 1].all():
+            raise ValueError("shuffle-rle payload corrupt: a run of length 0")
+        # the header's length caps the expansion: the runs must add up to it
+        # before np.repeat sizes anything by them
+        if int(pairs[:, 1].sum(dtype=np.int64)) != length:
             raise ValueError("shuffle-rle payload corrupt: length mismatch")
-        return out
+        return _unshuffle(np.repeat(pairs[:, 0], pairs[:, 1]).tobytes(), itemsize)
 
 
 class ZlibCodec(LosslessCodec):
@@ -398,15 +242,7 @@ class ZlibCodec(LosslessCodec):
         return zlib.compress(data, self.level)
 
     def decompress(self, payload: bytes) -> bytes:
-        return zlib.decompress(payload)
-
-    def compressor(self) -> StreamCompressor:
-        return _IncrementalStreamCompressor(zlib.compressobj(self.level))
-
-    def decompressor(self) -> StreamDecompressor:
-        # zlib.decompress ignores any bytes after the end-of-stream marker
-        return _ChainedStreamDecompressor(zlib.decompressobj,
-                                          chain=False, ignore_trailing=True)
+        return _one_stream(zlib.decompressobj(), payload, self.name, zlib.error)
 
 
 class GzipCodec(LosslessCodec):
@@ -421,13 +257,9 @@ class GzipCodec(LosslessCodec):
         return gzip.compress(data, compresslevel=self.level)
 
     def decompress(self, payload: bytes) -> bytes:
-        return gzip.decompress(payload)
-
-    def decompressor(self) -> StreamDecompressor:
-        # wbits=31 decodes one gzip member (header + CRC trailer verified);
-        # gzip.decompress accepts concatenated members but rejects trailers
-        return _ChainedStreamDecompressor(lambda: zlib.decompressobj(31),
-                                          chain=True, ignore_trailing=False)
+        # one gzip member, its CRC-32 and length trailer checked by zlib
+        return _one_stream(zlib.decompressobj(16 + zlib.MAX_WBITS), payload,
+                           self.name, zlib.error)
 
 
 class Bzip2Codec(LosslessCodec):
@@ -442,14 +274,7 @@ class Bzip2Codec(LosslessCodec):
         return bz2.compress(data, self.level)
 
     def decompress(self, payload: bytes) -> bytes:
-        return bz2.decompress(payload)
-
-    def compressor(self) -> StreamCompressor:
-        return _IncrementalStreamCompressor(bz2.BZ2Compressor(self.level))
-
-    def decompressor(self) -> StreamDecompressor:
-        return _ChainedStreamDecompressor(bz2.BZ2Decompressor,
-                                          chain=True, ignore_trailing=True)
+        return _one_stream(bz2.BZ2Decompressor(), payload, self.name, OSError)
 
 
 class LzmaCodec(LosslessCodec):
@@ -464,14 +289,7 @@ class LzmaCodec(LosslessCodec):
         return lzma.compress(data, preset=self.preset)
 
     def decompress(self, payload: bytes) -> bytes:
-        return lzma.decompress(payload)
-
-    def compressor(self) -> StreamCompressor:
-        return _IncrementalStreamCompressor(lzma.LZMACompressor(preset=self.preset))
-
-    def decompressor(self) -> StreamDecompressor:
-        return _ChainedStreamDecompressor(lzma.LZMADecompressor,
-                                          chain=True, ignore_trailing=True)
+        return _one_stream(lzma.LZMADecompressor(), payload, self.name, lzma.LZMAError)
 
 
 class ZstdLikeCodec(LosslessCodec):
@@ -490,14 +308,7 @@ class ZstdLikeCodec(LosslessCodec):
         return zlib.compress(data, self.level)
 
     def decompress(self, payload: bytes) -> bytes:
-        return zlib.decompress(payload)
-
-    def compressor(self) -> StreamCompressor:
-        return _IncrementalStreamCompressor(zlib.compressobj(self.level))
-
-    def decompressor(self) -> StreamDecompressor:
-        return _ChainedStreamDecompressor(zlib.decompressobj,
-                                          chain=False, ignore_trailing=True)
+        return _one_stream(zlib.decompressobj(), payload, self.name, zlib.error)
 
 
 _LOSSLESS: dict[str, type[LosslessCodec]] = {

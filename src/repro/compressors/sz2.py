@@ -84,15 +84,12 @@ from __future__ import annotations
 
 import functools
 import struct
-from typing import Callable
 
 import numpy as np
 
 from repro.compressors.base import ErrorBound, ErrorBoundMode, LossyCompressor
 from repro.compressors.huffman import DEFAULT_CHUNK_TUPLES, HuffmanCoder
 from repro.compressors.quantizer import LinearQuantizer, QuantizationResult
-from repro.compressors.streaming import SZStreamDecoder, SZStreamEncoder
-from repro.utils.bitstream import StreamBuffer
 
 __all__ = ["SZ2Compressor"]
 
@@ -165,12 +162,9 @@ class SZ2Compressor(LossyCompressor):
         """Split the body into (pre-Huffman pieces, quantization
         codes, post-Huffman pieces).
 
-        Shared by the batch :meth:`_compress_float1d` and the streaming
-        :class:`~repro.compressors.streaming.SZStreamEncoder`, which entropy-
-        codes the returned symbols through a
-        :class:`~repro.compressors.huffman.ChunkBandProducer` so both paths
-        produce byte-identical bodies.  ``codes is None`` marks the
-        empty-array escape (no embedded Huffman stream).
+        :meth:`_compress_float1d` Huffman-codes the codes between the two
+        lists of pieces.  ``codes is None`` marks the empty-array escape (no
+        embedded Huffman stream).
         """
         bs = self.block_size
         n = data.size
@@ -237,61 +231,7 @@ class SZ2Compressor(LossyCompressor):
     # ------------------------------------------------------------------
     def _decompress_float1d(self, body: bytes, count: int, abs_bound: float,
                             dtype: np.dtype) -> np.ndarray:
-        return self._decode_body(body, count, abs_bound, dtype)
-
-    def stream_decoder(self) -> SZStreamDecoder:
-        """Incremental decoder that overlaps the Huffman stage with arrival."""
-        return SZStreamDecoder(self)
-
-    def stream_encoder(self) -> SZStreamEncoder:
-        """Incremental encoder that emits the body as the Huffman stage codes."""
-        return SZStreamEncoder(self)
-
-    def _huffman_span(self, body: "StreamBuffer", count: int
-                      ) -> "tuple[int, int, Callable[[int], None] | None] | None":
-        """Locate the embedded Huffman stream in a body prefix.
-
-        Returns ``(start, length, check_count)`` once the pre-Huffman fields
-        have arrived, ``None`` while more bytes are needed.  Length 0 means
-        the body has no Huffman stream (the empty-array escape).  The block
-        geometry is checked against the container's ``count`` as soon as it
-        arrives, and ``check_count`` rejects any symbol count but the
-        ``blocks * block size`` codes that geometry implies; both raise the
-        batch decode's errors.  The remaining fields are validated by the
-        batch parser at finish.
-        """
-        if not body.has(16):
-            return None
-        block_size, n_blocks, _ = struct.unpack("<IQI", body.view(0, 16))
-        _check_geometry(block_size, n_blocks, count)
-        if n_blocks == 0:
-            return 16, 0, None
-        offset = 25  # past <IQI>, original_len and the predictor field
-        if not body.has(offset):
-            return None
-        if _check_predictor(body.view(24, 25)[0]) == _HYBRID:
-            if not body.has(8, offset):
-                return None
-            (sel_len,) = struct.unpack("<Q", body.view(offset, offset + 8))
-            offset += 8 + sel_len
-            if not body.has(8, offset):
-                return None
-            (coef_count,) = struct.unpack("<Q", body.view(offset, offset + 8))
-            offset += 8 + 4 * coef_count
-        if not body.has(8, offset):
-            return None
-        (huff_len,) = struct.unpack("<Q", body.view(offset, offset + 8))
-        return offset + 8, huff_len, functools.partial(
-            _check_code_count, n_blocks=n_blocks, block_size=block_size)
-
-    def _decode_body(self, body: bytes, count: int, abs_bound: float,
-                           dtype: np.dtype,
-                           codes: "np.ndarray | None" = None) -> np.ndarray:
         """Reconstruct from the body.
-
-        ``codes`` carries pre-decoded Huffman symbols from the streaming
-        consumer; ``None`` (the batch path) decodes them here.  Both sources
-        run the same kernels, so the output is bit-identical either way.
 
         Every geometry field, the Huffman stream's symbol count included, is
         checked against the container's ``count`` before it sizes anything,
@@ -329,11 +269,10 @@ class SZ2Compressor(LossyCompressor):
             offset += 4 * coef_count
         (huff_len,) = struct.unpack_from("<Q", body, offset)
         offset += 8
-        if codes is None:
-            codes = self.huffman.decode(
-                memoryview(body)[offset : offset + huff_len],
-                check_count=functools.partial(_check_code_count, n_blocks=n_blocks,
-                                              block_size=block_size))
+        codes = self.huffman.decode(
+            memoryview(body)[offset : offset + huff_len],
+            check_count=functools.partial(_check_code_count, n_blocks=n_blocks,
+                                          block_size=block_size))
         offset += huff_len
         _check_code_count(codes.size, n_blocks, block_size)
         outliers, offset = LinearQuantizer.unpack_outliers(body, offset)

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import functools
 import struct
-from typing import Callable
 
 import numpy as np
 
@@ -46,8 +45,6 @@ from repro.compressors.base import ErrorBound, ErrorBoundMode, LossyCompressor
 from repro.compressors.huffman import DEFAULT_CHUNK_TUPLES, HuffmanCoder
 from repro.compressors.predictors import InterpolationPredictor
 from repro.compressors.quantizer import LinearQuantizer
-from repro.compressors.streaming import SZStreamDecoder, SZStreamEncoder
-from repro.utils.bitstream import StreamBuffer
 
 __all__ = ["SZ3Compressor"]
 
@@ -79,9 +76,8 @@ class SZ3Compressor(LossyCompressor):
         """Split the body into (pre-Huffman pieces, quantization
         codes, post-Huffman pieces).
 
-        Same contract as :meth:`SZ2Compressor._body_parts`: shared by the
-        batch path and the streaming :class:`SZStreamEncoder`, with ``codes
-        is None`` marking the empty-array escape.
+        Same contract as :meth:`SZ2Compressor._body_parts`: ``codes is
+        None`` marks the empty-array escape.
         """
         n = data.size
         if n == 0:
@@ -121,56 +117,8 @@ class SZ3Compressor(LossyCompressor):
     # ------------------------------------------------------------------
     def _decompress_float1d(self, body: bytes, count: int, abs_bound: float,
                             dtype: np.dtype) -> np.ndarray:
-        return self._decode_body(body, count, abs_bound, dtype)
-
-    def stream_decoder(self) -> SZStreamDecoder:
-        """Incremental decoder that overlaps the Huffman stage with arrival."""
-        return SZStreamDecoder(self)
-
-    def stream_encoder(self) -> SZStreamEncoder:
-        """Incremental encoder that emits the body as the Huffman stage codes."""
-        return SZStreamEncoder(self)
-
-    def _huffman_span(self, body: "StreamBuffer", count: int
-                      ) -> "tuple[int, int, Callable[[int], None] | None] | None":
-        """Locate the embedded Huffman stream in a body prefix.
-
-        Same contract as :meth:`SZ2Compressor._huffman_span`: ``(start,
-        length, check_count)`` once the pre-Huffman fields (anchor block
-        included) have arrived, ``None`` while more bytes are needed, length
-        0 for the empty-array escape.  The element and anchor counts are
-        checked against the container's ``count`` as they arrive, and
-        ``check_count`` rejects any symbol count but ``count`` minus the
-        anchors.
-        """
-        fixed = struct.calcsize("<QIB")
-        if not body.has(fixed):
-            return None
-        n, _, anchor_code = struct.unpack("<QIB", body.view(0, fixed))
-        _check_length(n, count)
-        itemsize = _anchor_dtype(anchor_code).itemsize
-        if n == 0:
-            return fixed, 0, None
-        offset = fixed
-        if not body.has(8, offset):
-            return None
-        (anchor_count,) = struct.unpack("<Q", body.view(offset, offset + 8))
-        _check_anchors(anchor_count, n)
-        offset += 8 + itemsize * anchor_count
-        if not body.has(8, offset):
-            return None
-        (huff_len,) = struct.unpack("<Q", body.view(offset, offset + 8))
-        return offset + 8, huff_len, functools.partial(
-            _check_code_count, expected=n - anchor_count)
-
-    def _decode_body(self, body: bytes, count: int, abs_bound: float,
-                           dtype: np.dtype,
-                           codes: "np.ndarray | None" = None) -> np.ndarray:
         """Reconstruct from the body.
 
-        ``codes`` carries pre-decoded Huffman symbols from the streaming
-        consumer; ``None`` (the batch path) decodes them here.  Both sources
-        run the same kernels, so the output is bit-identical either way.
         The element, anchor and code counts are checked against the
         container's ``count`` (the code count before the Huffman stream
         sizes anything), the anchor flag must be 0 or 1, every zero
@@ -191,11 +139,10 @@ class SZ3Compressor(LossyCompressor):
         offset += anchor_dtype.itemsize * anchor_count
         (huff_len,) = struct.unpack_from("<Q", body, offset)
         offset += 8
-        if codes is None:
-            codes = self.huffman.decode(
-                memoryview(body)[offset : offset + huff_len],
-                check_count=functools.partial(_check_code_count,
-                                              expected=n - anchor_count))
+        codes = self.huffman.decode(
+            memoryview(body)[offset : offset + huff_len],
+            check_count=functools.partial(_check_code_count,
+                                          expected=n - anchor_count))
         offset += huff_len
         _check_code_count(codes.size, n - anchor_count)
         outliers, offset = LinearQuantizer.unpack_outliers(body, offset)

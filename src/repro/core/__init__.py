@@ -9,7 +9,7 @@ The core package implements Algorithm 1 and Figure 1 of the paper:
    policy registry (uniform / size-adaptive / mixed-codec) that decide each
    lossy tensor's codec, bound, and options,
 3. :mod:`repro.core.pipeline` — the plan-driven FedSZ pipeline producing a
-   single self-describing (version-6, possibly mixed-codec) bitstream per
+   single self-describing (version-7, possibly mixed-codec) bitstream per
    client update,
 4. :mod:`repro.core.network` — the bandwidth/benefit model of Eqn. (1),
 5. :mod:`repro.core.profiling` — the measured-candidate profiling subsystem

@@ -177,27 +177,6 @@ class NetworkModel:
         """Seconds needed to move ``size_bytes`` across the link."""
         return communication_time(size_bytes, self.bandwidth_mbps, self.latency_s)
 
-    def packet_arrivals(self, size_bytes: int, packet_bytes: int,
-                        slowdown: float = 1.0) -> "list[tuple[int, float]]":
-        """Analytic per-packet arrival schedule for one transfer.
-
-        Splits ``size_bytes`` into ``packet_bytes`` segments and returns one
-        ``(prefix_end_byte, arrival_seconds)`` pair per packet, where a prefix
-        arrives at ``(latency + prefix_bits / bandwidth) * slowdown``.  The
-        last entry's arrival therefore equals ``transfer_time(size_bytes) *
-        slowdown`` exactly — a streaming consumer paced by this schedule
-        observes the same total transfer the batch path records.  An empty
-        payload still yields one zero-length packet at the latency, so stream
-        completion stays an observable event.
-        """
-        if packet_bytes < 1:
-            raise ValueError("packet_bytes must be >= 1")
-        size = int(size_bytes)
-        ends = list(range(packet_bytes, size, packet_bytes)) + [size]
-        return [(end, communication_time(end, self.bandwidth_mbps,
-                                         self.latency_s) * slowdown)
-                for end in ends]
-
     def transfer(self, size_bytes: float) -> float:
         """Model one transfer; sleeps for the transfer time when simulating."""
         duration = self.transfer_time(size_bytes)

@@ -18,7 +18,7 @@ Client side (:meth:`FedSZCompressor.compress_with_report`):
    tasks run unchanged on a thread pool or across a process boundary,
 4. serialize the lossless partition into a single buffer and compress it with
    the configured lossless codec,
-5. pack everything into one version-6 bitstream: each ``lossy::`` payload is
+5. pack everything into one version-7 bitstream: each ``lossy::`` payload is
    prefixed with its codec id and the manifest embeds the full plan summary,
    so mixed-codec streams roundtrip with no out-of-band state.
 
@@ -40,7 +40,6 @@ import os
 import struct
 import time
 from collections import OrderedDict
-from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -62,8 +61,7 @@ from repro.core.plan import (
 from repro.utils.parallel import get_backend, map_parallel
 from repro.utils.serialization import pack_arrays, pack_bytes_dict, unpack_arrays, unpack_bytes_dict
 
-__all__ = ["FedSZCompressor", "FedSZReport", "StreamingStateDecoder",
-           "StreamingStateEncoder"]
+__all__ = ["FedSZCompressor", "FedSZReport"]
 
 #: bumped to 7 for the HUF4 entropy stage: SZ2 and SZ3 bodies embed a tuple
 #: Huffman stream and no lossless pass wraps them.  6 added the SZ2 body's
@@ -522,62 +520,6 @@ class FedSZCompressor:
         return state
 
     # ------------------------------------------------------------------
-    def stream_encoder(self) -> "StreamingStateEncoder":
-        """A pull-based incremental encoder for one FedSZ bitstream.
-
-        Iterate :meth:`StreamingStateEncoder.chunks` to get wire byte pieces
-        as the encode progresses — the container preamble and manifest leave
-        before any tensor has been compressed, and each tensor entry leaves
-        the moment its payload completes, which is how the coordinator hides
-        ``t_C`` inside ``S'/B``.  The concatenated pieces are bit-identical to
-        :meth:`compress_with_report` over the same state dict.
-        """
-        return StreamingStateEncoder(self)
-
-    def compress_stream(self, state: dict[str, np.ndarray]) -> "Iterator[bytes]":
-        """Encode ``state`` as an iterator of FedSZ bitstream byte chunks.
-
-        The first chunk (container preamble plus the manifest entry) is
-        available after only the plan build; subsequent chunks surface as each
-        entry's payload completes.  Joining every chunk yields exactly
-        :meth:`compress_state_dict`'s bitstream.
-        """
-        return self.stream_encoder().chunks(state)
-
-    # ------------------------------------------------------------------
-    def stream_decoder(self) -> "StreamingStateDecoder":
-        """A push-based incremental decoder for one FedSZ bitstream.
-
-        Feed it wire bytes as they arrive (in any chunking) and it decodes
-        eagerly — the SZ2/SZ3 entropy stage runs on chunk bands while the rest
-        of the stream is still in flight, which is how the coordinator hides
-        ``t_D`` inside ``S'/B``.  The final state dict is bit-identical to
-        :meth:`decompress_with_report` over the same bytes.
-        """
-        return StreamingStateDecoder(self)
-
-    def decompress_stream(self, chunks) \
-            -> "Iterator[tuple[str, np.ndarray]]":
-        """Decode a FedSZ bitstream from an iterable of byte chunks.
-
-        Yields ``(name, tensor)`` pairs as each tensor's bytes complete —
-        lossy tensors surface mid-stream in plan order, the lossless partition
-        after the last chunk.  Tensors and their order match
-        :meth:`decompress_state_dict` exactly; a truncated or corrupt stream
-        raises :class:`ValueError`.
-        """
-        decoder = self.stream_decoder()
-        yielded: set[str] = set()
-        for chunk in chunks:
-            for name, array in decoder.feed(chunk):
-                yielded.add(name)
-                yield name, array
-        state, _ = decoder.finish()
-        for name, array in state.items():
-            if name not in yielded:
-                yield name, array
-
-    # ------------------------------------------------------------------
     def roundtrip(self, state: dict[str, np.ndarray]) -> tuple["OrderedDict[str, np.ndarray]", FedSZReport]:
         """Compress then decompress ``state``; returns the reconstruction and report."""
         payload, report = self.compress_with_report(state)
@@ -589,376 +531,3 @@ class FedSZCompressor:
     def partition(self, state: dict[str, np.ndarray]) -> PartitionedState:
         """Expose the partitioning decision for inspection (Table III)."""
         return partition_state_dict(state, self.config)
-
-
-class StreamingStateEncoder:
-    """Pull-based encoder for one version-6 FedSZ bitstream.
-
-    :meth:`chunks` yields wire byte pieces in stream order; their
-    concatenation is byte-identical to
-    :meth:`FedSZCompressor.compress_state_dict` on the same state dict.  The
-    encode-side mirror of :class:`StreamingStateDecoder`'s consumption
-    contract: the ``__manifest__`` entry is emitted *first* (a streaming
-    decoder needs the plan before any lossy payload), then ``__lossless__``,
-    then the ``lossy::`` entries in manifest plan order.
-
-    Overlap is at container-entry granularity: each entry's u64 value-length
-    prefix pins the entry's byte budget, so an entry's first byte cannot
-    leave until its payload is complete — but the container preamble plus the
-    manifest leave after only the plan build (the stream's first-byte-out
-    latency), and entry ``j``'s bytes can be on the wire while entry ``j+1``
-    is still being coded.  Within a lossy entry the codec's
-    :meth:`~repro.compressors.base.LossyCompressor.stream_encoder` codes the
-    payload, so the SZ2/SZ3 Huffman stage runs with per-chunk emission
-    scratch even though its pieces are staged until the entry completes.
-
-    Tensors are encoded sequentially in wire order (the per-tensor fan-out of
-    the batch path would not change the bytes — the batch bitstream is
-    bit-identical at any worker count — only their production order, which
-    here *is* the contract).
-
-    After the generator is exhausted, ``report`` holds the same per-call
-    statistics :meth:`FedSZCompressor.compress_with_report` returns and
-    ``peak_scratch_bytes`` the largest per-tensor encoder scratch estimate.
-    """
-
-    def __init__(self, pipeline: FedSZCompressor) -> None:
-        self._pipeline = pipeline
-        self.report: "FedSZReport | None" = None
-        self.peak_scratch_bytes = 0
-
-    @staticmethod
-    def _entry_header(key: str, val_len: int) -> bytes:
-        raw = key.encode("utf-8")
-        return struct.pack("<I", len(raw)) + raw + struct.pack("<Q", val_len)
-
-    def chunks(self, state: dict[str, np.ndarray]) -> "Iterator[bytes]":
-        """Yield the bitstream pieces for ``state`` in wire order."""
-        pipeline = self._pipeline
-        _check_tensor_names(state)
-        start = time.perf_counter()
-        partition = partition_state_dict(state, pipeline.config)
-        plan = pipeline.policy.build_plan(partition.lossy, pipeline._plan_config,
-                                          delta=pipeline.delta_hint)
-        if plan.tensor_names != list(partition.lossy):
-            raise ValueError(
-                f"policy {type(pipeline.policy).__name__} returned a plan for "
-                f"{plan.tensor_names!r} but the lossy partition is "
-                f"{list(partition.lossy)!r}; plans must cover every lossy "
-                f"tensor in partition order")
-
-        sent = 0
-        manifest = _MANIFEST_HEADER.pack(_FORMAT_VERSION, len(state)) + pack_plan(plan)
-        preamble = b"FSZB" + struct.pack("<I", 2 + len(partition.lossy)) \
-            + self._entry_header("__manifest__", len(manifest)) + manifest
-        sent += len(preamble)
-        yield preamble
-
-        lossless_raw = pack_arrays(dict(partition.lossless))
-        lossless_payload = pipeline.lossless.compress(lossless_raw)
-        piece = self._entry_header("__lossless__", len(lossless_payload)) \
-            + lossless_payload
-        sent += len(piece)
-        yield piece
-
-        lossy_compressed = 0
-        for name, array in partition.lossy.items():
-            tensor_plan = plan[name]
-            compressor = pipeline._scaled_compressor_for(tensor_plan, name)
-            encoder = compressor.stream_encoder()
-            staged = [_tag_payload(tensor_plan.codec, b"")]
-            staged.extend(encoder.chunks(array))
-            self.peak_scratch_bytes = max(self.peak_scratch_bytes,
-                                          encoder.scratch_bytes)
-            payload_len = sum(len(p) for p in staged)
-            lossy_compressed += payload_len
-            piece = self._entry_header(f"lossy::{name}", payload_len) \
-                + b"".join(staged)
-            sent += len(piece)
-            yield piece
-
-        elapsed = time.perf_counter() - start
-        self.report = FedSZReport(
-            original_bytes=partition.total_bytes,
-            compressed_bytes=sent,
-            lossy_original_bytes=partition.lossy_bytes,
-            lossy_compressed_bytes=lossy_compressed,
-            lossless_original_bytes=partition.lossless_bytes,
-            lossless_compressed_bytes=len(lossless_payload),
-            compress_seconds=elapsed,
-            plan=plan,
-        )
-        pipeline.last_report = self.report
-        pipeline.last_plan = plan
-
-
-class _LossyStreamSink:
-    """Routes one ``lossy::`` entry's bytes through its tensor stream decoder.
-
-    Parses the codec-id prefix as its bytes land, cross-checks it against the
-    manifest plan, then forwards everything else to the codec's
-    :meth:`~repro.compressors.base.LossyCompressor.stream_decoder`.
-    """
-
-    def __init__(self, pipeline: "FedSZCompressor", key: str, expected_codec: str) -> None:
-        self._pipeline = pipeline
-        self._key = key
-        self._expected = expected_codec
-        self._tag_len: "int | None" = None
-        self._tag = bytearray()
-        self._decoder = None
-
-    def feed(self, data: memoryview) -> None:
-        if self._decoder is None:
-            data = self._absorb_tag(data)
-            if self._decoder is None:
-                return
-        if data.nbytes:
-            self._decoder.feed(data)
-
-    def _absorb_tag(self, data: memoryview) -> memoryview:
-        if self._tag_len is None:
-            if not data.nbytes:
-                return data
-            self._tag_len = data[0]
-            data = data[1:]
-            if self._tag_len < 1:
-                raise ValueError(f"corrupt FedSZ bitstream: entry {self._key!r} "
-                                 f"has a truncated codec tag")
-        take = min(self._tag_len - len(self._tag), data.nbytes)
-        self._tag += data[:take]
-        data = data[take:]
-        if len(self._tag) == self._tag_len:
-            try:
-                codec = bytes(self._tag).decode("ascii")
-            except UnicodeDecodeError as exc:
-                raise ValueError(f"corrupt FedSZ bitstream: entry {self._key!r} "
-                                 f"codec tag is not ASCII") from exc
-            if codec != self._expected:
-                raise ValueError(f"corrupt FedSZ bitstream: entry {self._key!r} is "
-                                 f"tagged {codec!r} but the manifest plan says "
-                                 f"{self._expected!r}")
-            self._decoder = self._pipeline._decoder_for(codec).stream_decoder()
-        return data
-
-    def finish(self) -> np.ndarray:
-        if self._tag_len is None:
-            raise ValueError(f"corrupt FedSZ bitstream: entry {self._key!r} is empty")
-        if self._decoder is None:
-            raise ValueError(f"corrupt FedSZ bitstream: entry {self._key!r} "
-                             f"has a truncated codec tag")
-        return _decode_or_valueerror(lambda _: self._decoder.finish(), b"", self._key)
-
-
-class StreamingStateDecoder:
-    """Push-based decoder for one version-6 FedSZ bitstream.
-
-    :meth:`feed` accepts wire bytes in any chunking and returns the lossy
-    tensors whose payloads completed during that call; :meth:`finish`
-    validates the stream end and returns the full state dict plus a decode
-    report.  The tensors, their order, and every validation error class match
-    :meth:`FedSZCompressor.decompress_with_report` bit for bit.
-
-    Two consumption-contract requirements beyond the batch decoder (both
-    guaranteed by the encoder, see FORMATS.md): the ``__manifest__`` entry
-    must be the container's *first* entry (the plan must be known before any
-    lossy payload can be dispatched), and ``lossy::`` entries must appear in
-    manifest plan order (the batch decoder requires this too).
-
-    ``decompress_seconds`` in the report accumulates only time spent inside
-    :meth:`feed`/:meth:`finish` — on a simulated wire that is the decode work
-    actually overlapped with transfer, not the wall-clock span of arrival.
-    """
-
-    def __init__(self, pipeline: FedSZCompressor) -> None:
-        self._pipeline = pipeline
-        self._pending = bytearray()   # partial header-field bytes
-        self._received = 0
-        self._seconds = 0.0
-        self._stage = "magic"         # magic -> keylen -> key -> vallen -> value -> end
-        self._declared = 0            # container entry count
-        self._entries_done = 0
-        self._key = ""
-        self._key_len = 0
-        self._val_len = 0
-        self._val_got = 0
-        self._sink = None
-        self._n_entries: "int | None" = None
-        self._plan: "CompressionPlan | None" = None
-        self._lossy_done: "OrderedDict[str, np.ndarray]" = OrderedDict()
-        self._lossy_compressed = 0
-        self._lossless_arrays: dict[str, np.ndarray] = {}
-        self._lossless_compressed = 0
-        self._result = None
-
-    # -- observability ---------------------------------------------------
-    @property
-    def bytes_received(self) -> int:
-        """Wire bytes fed so far."""
-        return self._received
-
-    @property
-    def tensors_completed(self) -> int:
-        """Lossy tensors fully decoded so far."""
-        return len(self._lossy_done)
-
-    @property
-    def plan(self) -> "CompressionPlan | None":
-        """The manifest plan (available once the first entry has arrived)."""
-        return self._plan
-
-    @property
-    def decode_seconds(self) -> float:
-        """Time spent inside :meth:`feed`/:meth:`finish` so far."""
-        return self._seconds
-
-    # -- streaming surface ----------------------------------------------
-    def feed(self, data) -> list[tuple[str, np.ndarray]]:
-        """Consume arriving wire bytes; returns tensors completed by them."""
-        if self._result is not None:
-            raise ValueError("cannot feed a finished FedSZ stream decoder")
-        start = time.perf_counter()
-        data = memoryview(data)
-        self._received += data.nbytes
-        completed: list[tuple[str, np.ndarray]] = []
-        while data.nbytes and self._stage != "end":
-            data = self._step(data, completed)
-        self._seconds += time.perf_counter() - start
-        return completed
-
-    def finish(self) -> tuple["OrderedDict[str, np.ndarray]", FedSZReport]:
-        """Validate stream completion; returns ``(state_dict, report)``."""
-        if self._result is not None:
-            return self._result
-        start = time.perf_counter()
-        if self._stage == "magic":
-            raise ValueError("not a packed bytes dictionary (bad magic)")
-        if self._stage != "end":
-            raise ValueError(f"truncated FedSZ bitstream: stream ended inside "
-                             f"entry {self._entries_done + 1} of {self._declared} "
-                             f"({self._received} bytes received)")
-        if self._plan is None:
-            raise ValueError("not a FedSZ bitstream: missing manifest")
-        payload_names = list(self._lossy_done)
-        if payload_names != self._plan.tensor_names:
-            raise ValueError(
-                f"corrupt FedSZ bitstream: manifest plans tensors "
-                f"{self._plan.tensor_names!r} but the stream carries "
-                f"{payload_names!r}")
-        state: "OrderedDict[str, np.ndarray]" = OrderedDict(self._lossy_done)
-        for name, array in self._lossless_arrays.items():
-            if name in state:
-                raise ValueError(f"corrupt FedSZ bitstream: tensor {name!r} appears "
-                                 f"in both partitions")
-            state[name] = array
-        if len(state) != self._n_entries:
-            raise ValueError(f"corrupt FedSZ bitstream: manifest declares "
-                             f"{self._n_entries} tensors but {len(state)} were decoded")
-        self._seconds += time.perf_counter() - start
-        report = FedSZReport(
-            original_bytes=sum(int(v.nbytes) for v in state.values()),
-            compressed_bytes=self._received,
-            lossy_original_bytes=sum(int(self._lossy_done[n].nbytes)
-                                     for n in payload_names),
-            lossy_compressed_bytes=self._lossy_compressed,
-            lossless_original_bytes=sum(int(v.nbytes)
-                                        for v in self._lossless_arrays.values()),
-            lossless_compressed_bytes=self._lossless_compressed,
-            compress_seconds=0.0,
-            decompress_seconds=self._seconds,
-            plan=self._plan,
-        )
-        self._result = (state, report)
-        return self._result
-
-    # -- internals -------------------------------------------------------
-    def _step(self, data: memoryview, completed: list) -> memoryview:
-        if self._stage == "value":
-            take = min(self._val_len - self._val_got, data.nbytes)
-            self._val_got += take
-            self._sink_feed(data[:take])
-            if self._val_got == self._val_len:
-                self._entry_done(completed)
-            return data[take:]
-        need = {"magic": 8, "keylen": 4, "vallen": 8, "key": self._key_len}[self._stage]
-        take = min(need - len(self._pending), data.nbytes)
-        self._pending += data[:take]
-        data = data[take:]
-        if len(self._pending) < need:
-            return data
-        field = bytes(self._pending)
-        self._pending.clear()
-        if self._stage == "magic":
-            if field[:4] != b"FSZB":
-                raise ValueError("not a packed bytes dictionary (bad magic)")
-            (self._declared,) = struct.unpack("<I", field[4:])
-            self._stage = "keylen" if self._declared else "end"
-        elif self._stage == "keylen":
-            (self._key_len,) = struct.unpack("<I", field)
-            self._stage = "key"
-        elif self._stage == "key":
-            self._key = field.decode("utf-8")  # UnicodeDecodeError is a ValueError
-            self._stage = "vallen"
-        else:  # vallen
-            (self._val_len,) = struct.unpack("<Q", field)
-            self._val_got = 0
-            self._open_sink()
-            self._stage = "value"
-            if self._val_len == 0:
-                self._entry_done(completed)
-        return data
-
-    def _open_sink(self) -> None:
-        key = self._key
-        if self._entries_done == 0 and key != "__manifest__":
-            raise ValueError(f"streaming decode requires {'__manifest__'!r} as the "
-                             f"first FedSZ container entry, got {key!r} "
-                             f"(see FORMATS.md)")
-        if key == "__manifest__":
-            if self._entries_done != 0:
-                raise ValueError("corrupt FedSZ bitstream: duplicate manifest entry")
-            self._sink = bytearray()
-        elif key == "__lossless__":
-            if self._lossless_compressed or self._lossless_arrays:
-                raise ValueError("corrupt FedSZ bitstream: duplicate "
-                                 "'__lossless__' entry")
-            self._lossless_compressed = self._val_len
-            self._sink = bytearray()
-        elif key.startswith(_LOSSY_PREFIX):
-            name = key[len(_LOSSY_PREFIX):]
-            idx = len(self._lossy_done)
-            plan_names = self._plan.tensor_names
-            if idx >= len(plan_names) or name != plan_names[idx]:
-                raise ValueError(
-                    f"corrupt FedSZ bitstream: manifest plans tensors "
-                    f"{plan_names!r} but the stream carries {key!r} at "
-                    f"lossy position {idx}")
-            self._lossy_compressed += self._val_len
-            self._sink = _LossyStreamSink(self._pipeline, key,
-                                          self._plan[name].codec)
-        else:
-            raise ValueError(f"unexpected entry {key!r} in FedSZ bitstream")
-
-    def _sink_feed(self, data: memoryview) -> None:
-        if isinstance(self._sink, bytearray):
-            self._sink += data
-        else:
-            self._sink.feed(data)
-
-    def _entry_done(self, completed: list) -> None:
-        key, sink = self._key, self._sink
-        if key == "__manifest__":
-            self._n_entries, self._plan = self._pipeline._parse_manifest(bytes(sink))
-        elif key == "__lossless__":
-            if sink:
-                raw = _decode_or_valueerror(self._pipeline.lossless.decompress,
-                                            bytes(sink), "__lossless__")
-                self._lossless_arrays = unpack_arrays(raw)
-        else:
-            name = key[len(_LOSSY_PREFIX):]
-            array = sink.finish()
-            self._lossy_done[name] = array
-            completed.append((name, array))
-        self._sink = None
-        self._entries_done += 1
-        self._stage = "end" if self._entries_done == self._declared else "keylen"

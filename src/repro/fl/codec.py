@@ -10,7 +10,6 @@ plain packed-array serialization standing in for pickled tensors) and
 from __future__ import annotations
 
 import abc
-import time
 from collections import OrderedDict
 
 import numpy as np
@@ -21,110 +20,7 @@ from repro.core.pipeline import FedSZCompressor, FedSZReport
 from repro.core.plan import CompressionPolicy
 from repro.utils.serialization import pack_arrays, unpack_arrays
 
-__all__ = ["UpdateCodec", "UpdateStreamDecoder", "UpdateStreamEncoder",
-           "RawUpdateCodec", "FedSZUpdateCodec"]
-
-
-class UpdateStreamEncoder:
-    """Pull-based encoder for one client update's wire bytes.
-
-    :meth:`chunks` yields the update's payload pieces in wire order; their
-    concatenation is byte-identical to :meth:`UpdateCodec.encode` of the same
-    state dict.  The transport starts the simulated transfer at the first
-    piece, so encode overlaps the wire.  This base implementation encodes in
-    one piece (bit-identical, no overlap); FedSZ overrides
-    :meth:`UpdateCodec.stream_encoder` with the pipeline's incremental
-    encoder, whose manifest piece leaves before any tensor is compressed.
-
-    After the generator is exhausted, ``report`` holds the codec's per-call
-    :class:`~repro.core.pipeline.FedSZReport` (``None`` for codecs that
-    collect none) and ``peak_scratch_bytes`` the encoder's peak scratch
-    estimate (0 when untracked).
-    """
-
-    def __init__(self, codec: "UpdateCodec") -> None:
-        self._codec = codec
-        self.report: "FedSZReport | None" = None
-        self.peak_scratch_bytes = 0
-
-    def chunks(self, state: dict[str, np.ndarray]):
-        """Yield the wire payload pieces for ``state``."""
-        payload, self.report = self._codec.encode_with_report(state)
-        yield payload
-
-
-class _FedSZUpdateStreamEncoder(UpdateStreamEncoder):
-    """Streams the FedSZ pipeline encoder's pieces straight to the wire."""
-
-    def __init__(self, compressor: FedSZCompressor) -> None:
-        self._encoder = compressor.stream_encoder()
-        self.report = None
-        self.peak_scratch_bytes = 0
-
-    def chunks(self, state: dict[str, np.ndarray]):
-        yield from self._encoder.chunks(state)
-        self.report = self._encoder.report
-        self.peak_scratch_bytes = self._encoder.peak_scratch_bytes
-
-
-class UpdateStreamDecoder:
-    """Push-based decoder for one client update's wire bytes.
-
-    :meth:`feed` accepts payload bytes as they arrive (per simulated packet on
-    the coordinator's wire); :meth:`finish` returns the decoded state dict and
-    a :class:`~repro.core.pipeline.FedSZReport` (or ``None`` for codecs that
-    collect none), exactly matching a batch :meth:`UpdateCodec.decode` of the
-    same bytes.  This base implementation buffers and decodes at the end —
-    codecs with an incremental path override :meth:`UpdateCodec.stream_decoder`
-    to overlap decode with arrival.
-    """
-
-    def __init__(self, codec: "UpdateCodec") -> None:
-        self._codec = codec
-        self._buf = bytearray()
-        self._result = None
-
-    @property
-    def decode_seconds(self) -> float:
-        """Decode time spent so far (all at ``finish`` for the buffered base)."""
-        return getattr(self, "_seconds", 0.0)
-
-    def feed(self, data) -> None:
-        """Consume arriving wire bytes."""
-        if self._result is not None:
-            raise ValueError("cannot feed a finished update stream decoder")
-        self._buf += memoryview(data)
-
-    def finish(self) -> "tuple[OrderedDict[str, np.ndarray], FedSZReport | None]":
-        """Return ``(state_dict, report)`` once the stream is complete."""
-        if self._result is None:
-            start = time.perf_counter()
-            state = self._codec.decode(bytes(self._buf))
-            self._seconds = time.perf_counter() - start
-            self._result = (state, None)
-        return self._result
-
-
-class _FedSZUpdateStreamDecoder(UpdateStreamDecoder):
-    """Streams wire bytes straight into the FedSZ pipeline decoder."""
-
-    def __init__(self, compressor: FedSZCompressor) -> None:
-        self._decoder = compressor.stream_decoder()
-        self._result = None
-
-    @property
-    def decode_seconds(self) -> float:
-        return self._decoder.decode_seconds
-
-    def feed(self, data) -> None:
-        if self._result is not None:
-            raise ValueError("cannot feed a finished update stream decoder")
-        self._decoder.feed(data)
-
-    def finish(self) -> "tuple[OrderedDict[str, np.ndarray], FedSZReport]":
-        if self._result is None:
-            self._result = self._decoder.finish()
-        return self._result
+__all__ = ["UpdateCodec", "RawUpdateCodec", "FedSZUpdateCodec"]
 
 
 class UpdateCodec(abc.ABC):
@@ -157,26 +53,6 @@ class UpdateCodec(abc.ABC):
         unchanged.  The round engine calls this once per client.
         """
         return self
-
-    def stream_decoder(self) -> UpdateStreamDecoder:
-        """A push-based decoder for one update's wire bytes.
-
-        The transport feeds it simulated packet arrivals so decode overlaps
-        transfer.  The base implementation buffers and decodes at the end
-        (bit-identical, no overlap); FedSZ overrides it with the pipeline's
-        incremental decoder.
-        """
-        return UpdateStreamDecoder(self)
-
-    def stream_encoder(self) -> UpdateStreamEncoder:
-        """A pull-based encoder for one update's wire bytes.
-
-        The transport drains it to start the simulated transfer at the first
-        ready piece so encode overlaps the wire.  The base implementation
-        emits the whole payload in one piece (bit-identical, no overlap);
-        FedSZ overrides it with the pipeline's incremental encoder.
-        """
-        return UpdateStreamEncoder(self)
 
     @property
     def profiler(self) -> "object | None":
@@ -236,14 +112,6 @@ class FedSZUpdateCodec(UpdateCodec):
             -> tuple[bytes, FedSZReport]:
         """Encode one update and return its per-call :class:`FedSZReport`."""
         return self.compressor.compress_with_report(state)
-
-    def stream_decoder(self) -> _FedSZUpdateStreamDecoder:
-        """An incremental decoder running the streaming FedSZ pipeline."""
-        return _FedSZUpdateStreamDecoder(self.compressor)
-
-    def stream_encoder(self) -> _FedSZUpdateStreamEncoder:
-        """An incremental encoder running the streaming FedSZ pipeline."""
-        return _FedSZUpdateStreamEncoder(self.compressor)
 
     @property
     def profiler(self) -> "object | None":

@@ -597,10 +597,6 @@ class Coordinator:
         def _mean(values: "list[float]") -> float:
             return float(np.mean(values)) if values else 0.0
 
-        # streamed-encode measurements ride on fresh ships only (replayed
-        # shipments rebuild without them) and are None-off like profile_cache
-        streamed = [s.result for s in ordered
-                    if s.result.first_byte_seconds is not None]
         record = RoundRecord(
             round_index=round_index,
             accuracy=accuracy,
@@ -622,12 +618,6 @@ class Coordinator:
             absorbed_clients={late.client_id: late.origin_round
                               for late in admitted},
             profile_cache=self._profile_cache_counters(),
-            peak_encode_scratch_bytes=max(
-                (s.result.encode_scratch_bytes for s in ordered), default=0),
-            mean_first_byte_seconds=_mean(
-                [r.first_byte_seconds for r in streamed]) if streamed else None,
-            mean_encode_overlap_seconds=_mean(
-                [r.encode_overlap_seconds for r in streamed]) if streamed else None,
             delta_clients=delta_clients,
             delta_degrades=delta_degrades,
         )

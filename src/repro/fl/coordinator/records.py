@@ -59,21 +59,6 @@ class RoundRecord:
     #: when no client codec exposes a profiler.  A measurement, not a numeric:
     #: journal replay and bit-identity checks ignore it, like the timing fields
     profile_cache: "dict[str, int] | None" = None
-    #: widest encode-side scratch buffer any client's streaming producer
-    #: estimated this round (bytes); 0 when the transport encodes in batch.
-    #: A measurement like ``profile_cache``: journal replay and bit-identity
-    #: checks ignore it
-    peak_encode_scratch_bytes: int = 0
-    #: mean wall-clock latency from encode start to the first wire-ready
-    #: payload piece across this round's streamed encodes; ``None`` when the
-    #: transport encodes in batch (first byte waits for the whole payload).
-    #: A measurement — excluded from replay and bit-identity checks
-    mean_first_byte_seconds: "float | None" = None
-    #: mean encode time the producer-gated wire hid inside the transfer
-    #: window this round (Eqn. 1's overlapped ``t_C``); ``None`` when the
-    #: transport encodes in batch.  A measurement — excluded from replay and
-    #: bit-identity checks
-    mean_encode_overlap_seconds: "float | None" = None
     #: ids of participants that shipped delta-framed residuals this round
     #: (empty without a delta codec).  Deterministic — journaled and replayed
     delta_clients: list[int] = field(default_factory=list)

@@ -1,10 +1,10 @@
 """Cross-round residual shipping: the error-feedback delta codec.
 
-After PRs 7–9 hid the encode/decode time inside the transfer window, the
-remaining Eqn.-1 lever is the payload size ``S'`` itself.  Round-over-round
-client states differ by tiny, low-entropy residuals, so this module ships
-``state − reference`` (the last server-acknowledged global state) instead of
-the raw state, wrapped in a small versioned frame:
+Eqn. 1's wire term is ``S'/B``, so the payload size ``S'`` is a lever of
+its own.  Round-over-round client states differ by tiny, low-entropy
+residuals, so this module ships ``state − reference`` (the last
+server-acknowledged global state) instead of the raw state, wrapped in a
+small versioned frame:
 
 Frame format (v5, FORMATS.md)::
 
@@ -64,7 +64,7 @@ from collections import OrderedDict
 import numpy as np
 
 from repro.core.network import NetworkModel
-from repro.fl.codec import UpdateCodec, UpdateStreamDecoder, UpdateStreamEncoder
+from repro.fl.codec import UpdateCodec
 from repro.utils.serialization import pack_arrays, unpack_arrays
 
 __all__ = ["DeltaUpdateCodec", "DeltaChannel", "DeltaTracker", "FRAME_MAGIC",
@@ -213,84 +213,6 @@ class DeltaChannel:
         self.degrade = reason
 
 
-class _DeltaStreamEncoder(UpdateStreamEncoder):
-    """Streams the frame, then the inner encoder's pieces, in wire order."""
-
-    def __init__(self, codec: "DeltaUpdateCodec") -> None:
-        self._codec = codec
-        self.report = None
-        self.peak_scratch_bytes = 0
-
-    def chunks(self, state: dict[str, np.ndarray]):
-        codec = self._codec
-        inner = codec.inner.stream_encoder()
-        compressor = None
-        if codec._armed_delta:
-            yield pack_frame(MODE_DELTA, codec._generation)
-            payload_state = ef_residual(state, codec._require_reference(
-                codec._generation), codec._acc)
-            compressor = getattr(codec.inner, "compressor", None)
-            if compressor is not None:
-                compressor.bound_scales = _rel_scales(state)
-        else:
-            yield pack_frame(MODE_FULL, max(codec._generation, 0))
-            payload_state = state
-        try:
-            yield from inner.chunks(payload_state)
-        finally:
-            if compressor is not None:
-                compressor.bound_scales = None
-        self.report = inner.report
-        self.peak_scratch_bytes = inner.peak_scratch_bytes
-
-
-class _DeltaStreamDecoder(UpdateStreamDecoder):
-    """Absorbs the frame, validates the generation at the earliest byte,
-    then forwards everything to the inner codec's stream decoder."""
-
-    def __init__(self, codec: "DeltaUpdateCodec") -> None:
-        self._codec = codec
-        self._head = bytearray()
-        self._mode: "int | None" = None
-        self._inner: "UpdateStreamDecoder | None" = None
-        self._result = None
-
-    @property
-    def decode_seconds(self) -> float:
-        return self._inner.decode_seconds if self._inner is not None else 0.0
-
-    def feed(self, data) -> None:
-        if self._result is not None:
-            raise ValueError("cannot feed a finished update stream decoder")
-        data = memoryview(data)
-        if self._inner is None:
-            take = min(_FRAME.size - len(self._head), data.nbytes)
-            self._head += data[:take]
-            data = data[take:]
-            if len(self._head) < _FRAME.size:
-                return
-            self._mode, generation, _ = parse_frame(bytes(self._head))
-            if self._mode == MODE_DELTA:
-                # fail at the earliest byte that proves a stale reference
-                self._codec._require_reference(generation)
-            self._inner = self._codec.inner.stream_decoder()
-        if data.nbytes:
-            self._inner.feed(data)
-
-    def finish(self):
-        if self._result is None:
-            if self._inner is None:
-                parse_frame(bytes(self._head))  # raises the truncation error
-                raise ValueError("truncated delta frame")
-            state, report = self._inner.finish()
-            if self._mode == MODE_DELTA:
-                state = reconstruct(
-                    self._codec._require_reference(self._codec._generation),
-                    state)
-            self._result = (state, report)
-        return self._result
-
-
 class DeltaUpdateCodec(UpdateCodec):
     """Wrap an update codec with v5 delta framing and error feedback.
 
@@ -401,12 +323,6 @@ class DeltaUpdateCodec(UpdateCodec):
         if resolved is self.inner:
             return self
         return DeltaUpdateCodec(resolved)
-
-    def stream_decoder(self) -> _DeltaStreamDecoder:
-        return _DeltaStreamDecoder(self)
-
-    def stream_encoder(self) -> _DeltaStreamEncoder:
-        return _DeltaStreamEncoder(self)
 
     @property
     def profiler(self):

@@ -7,7 +7,8 @@ the round engine itself now lives in :mod:`repro.fl.coordinator`:
 * :class:`~repro.fl.coordinator.scheduler.RoundScheduler` owns the seeded
   scenario draws (participation sampling, dropouts, stragglers),
 * :class:`~repro.fl.coordinator.transport.SimulatedTransport` owns the
-  encode → transfer → decode pipeline, pooled over the execution backend,
+  encode → transfer → decode pipeline (Eqn. 1's ``t_C + S'/B + t_D``, in
+  that order), pooled over the execution backend,
 * :class:`~repro.fl.coordinator.aggregator.TreeAggregator` optionally replaces
   flat FedAvg with a hierarchical merge (``tree_fanout``), bit-identical at
   every fan-in,
@@ -45,14 +46,6 @@ full-participation semantics, which the test suite pins bit-for-bit):
   the journal layout.
 * ``round_deadline_s`` / ``max_staleness`` — late-update triage; the default
   (no deadline) changes nothing.
-* ``streaming`` — encode and decode each update through the codec's
-  incremental stream coders: the simulated transfer starts at the first
-  ready payload piece and each packet is decoded as it arrives, so both
-  compression and decompression overlap the transfer window (bit-identical
-  outputs; per-client hidden time is reported on
-  ``ShipResult.encode_overlap_seconds`` / ``decode_overlap_seconds``, and the
-  round record carries the fleet's mean first-byte-out latency and peak
-  encode scratch).
 * ``delta`` — wrap every client codec in the v5 error-feedback delta codec
   (:class:`~repro.fl.delta.DeltaUpdateCodec`): from each client's second
   consecutive participation onward it ships the residual against the
@@ -136,8 +129,7 @@ class FederatedSimulation:
                  tree_fanout: int = 0,
                  journal_dir=None, resume: bool = False,
                  round_deadline_s: float | None = None,
-                 max_staleness: int = 0, streaming: bool = False,
-                 delta: bool = False) -> None:
+                 max_staleness: int = 0, delta: bool = False) -> None:
         if max_workers is not None and max_workers < 1:
             raise ValueError("max_workers must be >= 1")
         self.backend = get_backend(backend)  # unknown names raise ValueError
@@ -216,8 +208,7 @@ class FederatedSimulation:
         self.server = FedAvgServer(global_model, test_dataset, aggregator=aggregator)
 
         self.transport = SimulatedTransport(backend=self.backend,
-                                            max_workers=max_workers,
-                                            streaming=streaming)
+                                            max_workers=max_workers)
         self.coordinator = Coordinator(
             clients=self.clients, server=self.server, scheduler=self.scheduler,
             transport=self.transport, client_codecs=self.client_codecs,

@@ -1,94 +1,18 @@
-"""Bit-level writer/reader used by the Huffman coder and the ZFP-like codec.
+"""Bit-level writer/reader over NumPy ``uint8`` buffers.
 
 Both classes operate on whole NumPy ``uint8`` buffers so the hot paths stay
 vectorized: bits are accumulated in Python integers only at the API boundary,
 while bulk operations (``write_bits_array`` / ``read_bits_array``) pack and
 unpack many fixed-width fields at once with :func:`numpy.packbits` /
-:func:`numpy.unpackbits`.
-
-:class:`StreamBuffer` is the byte-level counterpart for *incremental*
-consumers: a growable assembly buffer that accepts chunks of a byte stream as
-they arrive (off a socket, a simulated wire, or an incremental decompressor)
-and hands out zero-copy ``memoryview`` windows over the bytes received so far.
-It is the substrate the streaming Huffman consumer and the streaming FedSZ
-pipeline decoders are built on.
+:func:`numpy.unpackbits`.  No codec calls them: the Huffman stage packs its
+codes with one scatter per group and ZFP with :func:`numpy.packbits`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["BitWriter", "BitReader", "StreamBuffer"]
-
-
-class StreamBuffer:
-    """Growable byte-assembly buffer for incremental stream consumers.
-
-    ``feed`` appends arriving bytes (any bytes-like object; the data is copied
-    into the assembly buffer exactly once), ``view`` returns a zero-copy
-    ``memoryview`` window over bytes already received, and ``available`` is the
-    running total.  Consumers typically keep a cursor of how far they have
-    parsed and call :meth:`has` to decide whether the next field is complete.
-
-    An optional ``expected`` total length makes over-feeding a hard error —
-    a stream that delivers more bytes than its header declared is corrupt, and
-    the error should surface at the byte that proves it, not at finish time.
-    """
-
-    def __init__(self, expected: int | None = None) -> None:
-        if expected is not None and expected < 0:
-            raise ValueError("expected length must be non-negative")
-        self._data = bytearray()
-        self._expected = expected
-
-    @property
-    def available(self) -> int:
-        """Number of bytes received so far."""
-        return len(self._data)
-
-    @property
-    def expected(self) -> int | None:
-        """Declared total stream length, when known."""
-        return self._expected
-
-    def expect(self, total: int) -> None:
-        """Declare the total stream length once it becomes known.
-
-        Raises :class:`ValueError` if the bytes already received exceed it.
-        """
-        if total < 0:
-            raise ValueError("expected length must be non-negative")
-        self._expected = total
-        if len(self._data) > total:
-            raise ValueError(f"stream overrun: {len(self._data)} bytes received "
-                             f"but only {total} were declared")
-
-    def feed(self, data) -> int:
-        """Append ``data`` (bytes-like) to the buffer; returns bytes appended."""
-        view = memoryview(data)
-        if self._expected is not None and \
-                len(self._data) + view.nbytes > self._expected:
-            raise ValueError(f"stream overrun: {len(self._data) + view.nbytes} "
-                             f"bytes received but only {self._expected} were declared")
-        self._data += view
-        return view.nbytes
-
-    def has(self, count: int, offset: int = 0) -> bool:
-        """True when at least ``count`` bytes are available from ``offset``."""
-        return len(self._data) - offset >= count
-
-    def view(self, start: int = 0, stop: int | None = None) -> memoryview:
-        """Zero-copy window over received bytes (``stop=None`` = everything)."""
-        stop = len(self._data) if stop is None else stop
-        if start < 0 or stop > len(self._data) or start > stop:
-            raise ValueError(f"view [{start}:{stop}) outside the {len(self._data)} "
-                             f"bytes received")
-        return memoryview(self._data)[start:stop]
-
-    @property
-    def complete(self) -> bool:
-        """True when the declared total has fully arrived."""
-        return self._expected is not None and len(self._data) == self._expected
+__all__ = ["BitWriter", "BitReader"]
 
 
 class BitWriter:

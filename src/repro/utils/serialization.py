@@ -6,7 +6,9 @@ format instead so the layout is documented, deterministic, and safe to
 deserialize on the server side.  Every declared length is bounds-checked
 against the remaining buffer, so a truncated or corrupted bitstream raises
 :class:`ValueError` instead of leaking ``struct.error`` / ``IndexError`` or
-silently returning short data.
+silently returning short data.  A buffer is read exactly: a key that repeats
+or a byte after the last entry raises :class:`ValueError` too, since
+``pack_*`` writes neither.
 
 Layout (all integers little-endian):
 
@@ -47,6 +49,21 @@ def _require(buf: memoryview, offset: int, needed: int, what: str) -> None:
             f"{offset}, but only {max(len(buf) - offset, 0)} remain")
 
 
+def _unpack_key(buf: memoryview, offset: int, result: dict, what: str) -> tuple[str, int]:
+    """An entry's key, which no earlier entry of ``result`` may have used."""
+    key, offset = _unpack_str(buf, offset, what)
+    if key in result:
+        raise ValueError(f"corrupt buffer: {what} {key!r} appears twice")
+    return key, offset
+
+
+def _expect_end(buf: memoryview, offset: int) -> None:
+    """Raise ``ValueError`` unless the last entry ended the buffer."""
+    if offset != len(buf):
+        raise ValueError(f"corrupt buffer: {len(buf) - offset} bytes after "
+                         f"the last entry")
+
+
 def _pack_str(out: list[bytes], text: str) -> None:
     raw = text.encode("utf-8")
     out.append(struct.pack("<I", len(raw)))
@@ -82,13 +99,14 @@ def unpack_bytes_dict(data: bytes) -> dict[str, bytes]:
     offset = 8
     result: dict[str, bytes] = {}
     for _ in range(count):
-        key, offset = _unpack_str(buf, offset, "entry key")
+        key, offset = _unpack_key(buf, offset, result, "entry key")
         _require(buf, offset, 8, f"length of value {key!r}")
         (length,) = struct.unpack_from("<Q", buf, offset)
         offset += 8
         _require(buf, offset, length, f"value {key!r}")
         result[key] = bytes(buf[offset : offset + length])
         offset += length
+    _expect_end(buf, offset)
     return result
 
 
@@ -139,7 +157,7 @@ def unpack_arrays(data: bytes) -> dict[str, np.ndarray]:
     offset = 8
     result: dict[str, np.ndarray] = {}
     for _ in range(count):
-        key, offset = _unpack_str(buf, offset, "array name")
+        key, offset = _unpack_key(buf, offset, result, "array name")
         dtype_str, offset = _unpack_str(buf, offset, f"dtype of array {key!r}")
         try:
             dtype = np.dtype(dtype_str)
@@ -165,4 +183,5 @@ def unpack_arrays(data: bytes) -> dict[str, np.ndarray]:
         raw = bytes(buf[offset : offset + length])
         offset += length
         result[key] = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+    _expect_end(buf, offset)
     return result

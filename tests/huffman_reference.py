@@ -7,11 +7,13 @@ max_code_length`` bit matrix, keeping the valid bits behind the bits the
 previous chunk left over and packing the whole bytes.  It is slow and
 memory-hungry but obviously right, so the property tests hold the fast
 scatter packer and its vectorized tuple forming to its bands byte for byte.
+:func:`any_count` and :func:`one_tuple_bomb` serve the decode tests.
 """
 
 from __future__ import annotations
 
 import struct
+import zlib
 
 import numpy as np
 
@@ -21,6 +23,19 @@ _HEADER = struct.Struct("<IIBQII")  # lo, W, k, count, tuples per chunk, chunks
 def any_count(count: int) -> None:
     """A ``check_count`` that accepts every declared symbol count, for the
     streams a test built (or corrupted) itself."""
+
+
+def one_tuple_bomb(count: int) -> bytes:
+    """A one-tuple HUF4 stream declaring ``count`` symbols, no code bits.
+
+    Its fields are self-consistent (a one-tuple code spends zero bits, so
+    the chunk lengths are all 0), so a decoder that trusted them would size
+    its output (8 B per symbol) from a 50-byte stream.
+    """
+    chunk = 1 << 31
+    n_chunks = -(-count // chunk)
+    body = _HEADER.pack(0, 1, 1, count, chunk, n_chunks) + b"\x80" + bytes(4 * n_chunks)
+    return b"HUF4" + struct.pack("<I", zlib.crc32(body)) + body
 
 
 def pinned_code_table(pinned_header: bytes) -> "tuple[dict, dict]":

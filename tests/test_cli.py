@@ -47,9 +47,9 @@ class TestParser:
         assert args.straggler == 0.0 and args.dropout == 0.0
 
     @pytest.mark.parametrize("flag", ["--aggregate-on-arrival",
-                                      "--streaming-encode"])
+                                      "--streaming-encode", "--streaming"])
     def test_removed_engine_flags_rejected(self, flag, capsys):
-        # --streaming alone now streams encode and decode; the round engine
+        # every ship is encode, transfer, then decode, and the round engine
         # always aggregates once per round
         with pytest.raises(SystemExit) as excinfo:
             build_parser().parse_args(["simulate", flag])
@@ -192,14 +192,6 @@ class TestCommands:
         out = capsys.readouterr().out
         assert exit_code == 0
         assert "final accuracy" in out
-
-    def test_simulate_streaming_reports_encode_overlap(self, capsys):
-        exit_code = main(["simulate", "--model", "mlp", "--rounds", "1", "--clients", "2",
-                          "--samples", "120", "--image-size", "8", "--streaming"])
-        out = capsys.readouterr().out
-        assert exit_code == 0
-        assert "encode overlap: fedsz: first byte out after" in out
-        assert "of encode hidden in the transfer window" in out
 
     def test_simulate_profiled_heterogeneous_fleet(self, capsys):
         exit_code = main(["simulate", "--model", "mlp", "--rounds", "1", "--clients", "3",

@@ -4,14 +4,16 @@ from __future__ import annotations
 
 import os
 import threading
+import time
 
 import numpy as np
 import pytest
 
-from repro.core import NetworkModel
+from repro.core import FedSZConfig, NetworkModel
 from repro.data import make_dataset, train_test_split
 from repro.fl import (
     FederatedSimulation,
+    FedSZUpdateCodec,
     FlatAggregator,
     RawUpdateCodec,
     RoundJournal,
@@ -340,19 +342,6 @@ class TestStalenessEndToEnd:
         assert result.rounds[0].late_clients == []
         assert result.rounds[0].absorbed_clients == {}
 
-    def test_streaming_ships_triage_like_batch(self, fl_split):
-        # lateness is decided on the modeled transfer time, which a streamed
-        # ship records exactly as a batch ship does
-        train, test = fl_split
-        kwargs = dict(n_clients=2, network=NetworkModel(bandwidth_mbps=0.001),
-                      round_deadline_s=1e-4, max_staleness=1)
-        batch = _make_sim(train, test, **kwargs).run(2)
-        streamed = _make_sim(train, test, streaming=True, **kwargs).run(2)
-        assert streamed.rounds[0].participants == []
-        assert streamed.rounds[0].late_clients == [0, 1]
-        assert streamed.rounds[1].absorbed_clients == {0: 0, 1: 0}
-        assert deterministic_fields(streamed) == deterministic_fields(batch)
-
 
 class _HeldRawCodec(RawUpdateCodec):
     """Raw codec that logs each decode; a held one waits for all the others.
@@ -408,6 +397,86 @@ class TestPooledUplinks:
             assert np.array_equal(merged[key], reference[key]), key
 
 
+def _ship_state(seed: int = 12) -> dict[str, np.ndarray]:
+    rng = np.random.default_rng(seed)
+    return {"w": rng.normal(0, 1, (32, 64)).astype(np.float32),
+            "b": rng.normal(0, 1, 32).astype(np.float32)}
+
+
+class TestShipUpdateTask:
+    """One ship is encode → transfer → decode: it hands back exactly what the
+    codec decodes, and its recorded transfer time is the link's analytic one."""
+
+    @pytest.mark.parametrize("codec_factory", [
+        RawUpdateCodec, lambda: FedSZUpdateCodec(FedSZConfig())], ids=["raw", "fedsz"])
+    def test_ship_returns_the_codec_roundtrip(self, codec_factory):
+        codec = codec_factory()
+        state = _ship_state()
+        net = NetworkModel(bandwidth_mbps=4.0, latency_s=0.01)
+        result = ship_update_task(ShipTask(client_id=7, state=state, codec=codec,
+                                           network=net))
+        payload = codec.encode(state)
+        expected = codec.decode(payload)
+        assert result.client_id == 7
+        assert list(result.state) == list(expected)
+        for key in expected:
+            np.testing.assert_array_equal(result.state[key], expected[key])
+            assert result.state[key].dtype == expected[key].dtype
+        assert result.payload_bytes == len(payload)
+        assert result.raw_bytes == packed_arrays_nbytes(state)
+        assert result.transfer_seconds == net.transfer_time(len(payload))
+
+    def test_kept_payload_is_the_shipped_payload(self):
+        codec = FedSZUpdateCodec(FedSZConfig())
+        result = ship_update_task(ShipTask(client_id=0, state=_ship_state(), codec=codec,
+                                           network=NetworkModel(), keep_payload=True))
+        assert len(result.payload) == result.payload_bytes
+        decoded = codec.decode(result.payload)
+        for key in result.state:
+            np.testing.assert_array_equal(decoded[key], result.state[key])
+
+    def test_straggler_slowdown_scales_transfer(self):
+        net = NetworkModel(bandwidth_mbps=4.0, latency_s=0.02)
+        plain, slowed = (ship_update_task(ShipTask(client_id=0, state=_ship_state(),
+                                                   codec=RawUpdateCodec(), network=net,
+                                                   straggler_slowdown=slowdown))
+                         for slowdown in (1.0, 3.0))
+        assert slowed.transfer_seconds == pytest.approx(3.0 * plain.transfer_seconds)
+        assert slowed.payload_bytes == plain.payload_bytes
+
+    def test_real_delay_link_sleeps_the_transfer_and_ships_the_same_update(self):
+        state = _ship_state()
+        instant = ship_update_task(ShipTask(client_id=0, state=state, codec=RawUpdateCodec(),
+                                            network=NetworkModel(bandwidth_mbps=2000.0,
+                                                                 latency_s=0.02)))
+        start = time.perf_counter()
+        delayed = ship_update_task(ShipTask(client_id=0, state=state, codec=RawUpdateCodec(),
+                                            network=NetworkModel(bandwidth_mbps=2000.0,
+                                                                 latency_s=0.02,
+                                                                 simulate_delay=True)))
+        assert time.perf_counter() - start >= delayed.transfer_seconds
+        assert delayed.transfer_seconds == instant.transfer_seconds
+        for key in state:
+            np.testing.assert_array_equal(delayed.state[key], instant.state[key])
+
+    def test_thread_pool_matches_one_ship_at_a_time(self):
+        # concurrent ships on a thread pool share the fleet's one codec, as
+        # the round engine does, and ship exactly what one ship at a time does
+        codec = FedSZUpdateCodec(FedSZConfig())
+        net = NetworkModel(bandwidth_mbps=4.0)
+        tasks = [ShipTask(client_id=i, state=_ship_state(seed=i), codec=codec,
+                          network=net) for i in range(4)]
+        pooled = SimulatedTransport(backend="thread", max_workers=4).ship_batch(tasks)
+        for task, got in zip(tasks, pooled):
+            want = ship_update_task(task)
+            assert got.client_id == want.client_id
+            assert list(got.state) == list(want.state)
+            for key in want.state:
+                np.testing.assert_array_equal(got.state[key], want.state[key])
+            assert got.payload_bytes == want.payload_bytes
+            assert got.transfer_seconds == want.transfer_seconds
+
+
 #: (owner, keyword, value) of every settable value that chose between two
 #: round-engine paths; each path now has one implementation
 _REMOVED_ENGINE_KNOBS = [
@@ -415,11 +484,16 @@ _REMOVED_ENGINE_KNOBS = [
     ("FederatedSimulation", "aggregate_on_arrival", True),
     ("FederatedSimulation", "persistent", False),
     ("FederatedSimulation", "streaming_encode", True),
+    ("FederatedSimulation", "streaming", True),
     ("Coordinator", "overlap", "async"),
     ("Coordinator", "aggregate_on_arrival", True),
     ("Coordinator", "persistent", False),
     ("SimulatedTransport", "streaming_encode", True),
+    ("SimulatedTransport", "streaming", True),
+    ("SimulatedTransport", "packet_bytes", 2048),
     ("ShipTask", "streaming_encode", True),
+    ("ShipTask", "streaming", True),
+    ("ShipTask", "packet_bytes", 2048),
 ]
 
 

@@ -3,8 +3,21 @@
 import numpy as np
 import pytest
 
+from repro.compressors.lossless import available_lossless
 from repro.core import FedSZCompressor, FedSZConfig
 from repro.nn import build_model
+
+
+def _mixed_state(seed: int = 5) -> dict[str, np.ndarray]:
+    """float32 and float64 weights beside a bias and an empty tensor."""
+    rng = np.random.default_rng(seed)
+    return {
+        "conv.weight": rng.normal(0, 1, (64, 3, 3, 3)).astype(np.float32),
+        "conv.bias": rng.normal(0, 1, 64).astype(np.float32),
+        "fc.weight": rng.normal(0, 0.3, (100, 256)).astype(np.float32),
+        "head.weight": rng.normal(0, 0.1, (50, 800)).astype(np.float64),
+        "empty": np.zeros(0, dtype=np.float32),
+    }
 
 
 @pytest.fixture
@@ -51,6 +64,17 @@ class TestRoundtrip:
         assert report.decompress_seconds > 0
         assert report.throughput_mbps > 0
 
+    def test_decode_report_matches_encode_report(self, fedsz, small_state):
+        payload, report = fedsz.compress_with_report(small_state)
+        _, decoded = fedsz.decompress_with_report(payload)
+        assert decoded.compressed_bytes == report.compressed_bytes == len(payload)
+        assert decoded.original_bytes == report.original_bytes \
+            == sum(value.nbytes for value in small_state.values())
+        for field in ("lossy_original_bytes", "lossy_compressed_bytes",
+                      "lossless_original_bytes", "lossless_compressed_bytes"):
+            assert getattr(decoded, field) == getattr(report, field), field
+        assert decoded.plan == report.plan
+
     def test_empty_state_roundtrip(self, fedsz):
         recon = fedsz.decompress_state_dict(fedsz.compress_state_dict({}))
         assert recon == {}
@@ -71,11 +95,27 @@ class TestConfigurationVariants:
         assert set(recon) == set(small_state)
         assert report.ratio > 1.0
 
-    @pytest.mark.parametrize("codec", ["blosclz", "zlib", "gzip", "zstd", "xz"])
+    @pytest.mark.parametrize("codec", available_lossless())
     def test_every_lossless_codec_works_in_pipeline(self, codec, small_state):
         fedsz = FedSZCompressor(FedSZConfig(lossless_codec=codec))
         recon, _ = fedsz.roundtrip(small_state)
         assert set(recon) == set(small_state)
+        for name in fedsz.partition(small_state).lossless:
+            np.testing.assert_array_equal(recon[name], small_state[name])
+
+    @pytest.mark.parametrize("config", [
+        FedSZConfig(),
+        FedSZConfig(lossy_compressor="sz3", lossless_codec="zstd"),
+        FedSZConfig(error_bound=1e-4, lossless_codec="bzip2"),
+    ], ids=["default", "sz3-zstd", "1e-4-bzip2"])
+    def test_container_is_a_function_of_config_and_state(self, config):
+        state = _mixed_state()
+        payload = FedSZCompressor(config).compress_state_dict(state)
+        assert FedSZCompressor(config).compress_state_dict(state) == payload
+        recon = FedSZCompressor(config).decompress_state_dict(payload)
+        assert set(recon) == set(state)
+        for key, value in state.items():
+            assert recon[key].shape == value.shape and recon[key].dtype == value.dtype
 
     @pytest.mark.parametrize("compressor", ["sz2", "sz3"])
     def test_pipeline_workers_bit_identical_bitstreams(self, compressor, small_state):

@@ -178,34 +178,6 @@ class TestDeltaCodec:
         with pytest.raises(ValueError, match="no reference"):
             codec.decode(payload)
 
-    def test_streaming_paths_byte_identical(self):
-        for delta in (False, True):
-            codec = self._codec()
-            ref, state = _state(15), _state(16)
-            if delta:
-                codec.arm(ref, 2, delta=True)
-            batch = codec.encode(state)
-            encoder = codec.stream_encoder()
-            streamed = b"".join(encoder.chunks(state))
-            assert streamed == batch
-            decoder = codec.stream_decoder()
-            for k in range(0, len(batch), 997):
-                decoder.feed(batch[k:k + 997])
-            recon, _report = decoder.finish()
-            expected = codec.decode(batch)
-            for name in expected:
-                np.testing.assert_array_equal(recon[name], expected[name])
-
-    def test_stream_decoder_rejects_stale_generation_at_first_bytes(self):
-        codec = self._codec()
-        ref = _state(17)
-        codec.arm(ref, 4, delta=True)
-        payload = codec.encode(_state(18))
-        codec.arm(ref, 5, delta=True)
-        decoder = codec.stream_decoder()
-        with pytest.raises(ValueError, match="generation"):
-            decoder.feed(payload[:13])
-
     def test_detached_clone_needs_reattachment(self):
         codec = self._codec()
         ref = _state(19)
@@ -425,13 +397,10 @@ class TestDeltaSimulation:
             assert r.delta_clients == [0, 1, 2]
             assert r.transmitted_bytes < full.rounds[r.round_index].transmitted_bytes
 
-    def test_bit_identical_across_backends_and_streaming(self, delta_split):
+    def test_bit_identical_across_backends(self, delta_split):
         ref = _make_sim(delta_split, backend="serial", max_workers=1).run(3)
         for kwargs in ({"backend": "thread", "max_workers": 4},
-                       {"backend": "thread", "max_workers": 4,
-                        "streaming": True},
-                       {"backend": "process", "max_workers": 2,
-                        "streaming": True}):
+                       {"backend": "process", "max_workers": 2}):
             got = _make_sim(delta_split, **kwargs).run(3)
             assert deterministic_fields(got) == deterministic_fields(ref), kwargs
 

@@ -9,12 +9,14 @@
   one-tuple streams.
 * The in-thread decode (the vectorized row walk above
   ``_MIN_VECTOR_CHUNKS`` chunks) must equal the per-tuple scalar loop on both
-  sides of the crossover, batch and streaming at random feed splits, and must
-  reject exactly the corrupt bodies the scalar loop rejects.
-* ``peak_scratch_bytes`` must bound the packer's traced allocation peak.
+  sides of the crossover, and must reject exactly the corrupt bodies the
+  scalar loop rejects.
+* ``peak_scratch_bytes`` must bound the packer's traced allocation peak, and
+  the header and stream length are pinned before any band is packed, while
+  the CRC waits for the last band.
 * A crafted stream whose last chunk stalls on its boundary must raise on
   every decode path.
-* On both kernels, batch and streaming: an unused window at the first, a
+* On both kernels: an unused window at the first, a
   middle or the last tuple of a full or a short tail chunk is rejected as
   the reference rejects it, unused windows the tail chunk's surplus walk
   reads are ignored, and symbols up to 65537 (W past ``uint16``),
@@ -67,30 +69,16 @@ def _symbols(kind: str, size: int, alphabet: int, seed: int, lo: int = 0) -> np.
     return np.full(size, lo + alphabet - 1, dtype=np.int64)  # single symbol
 
 
-def _pieces(blob: bytes, cuts: list[int]):
-    edges = sorted({0, len(blob), *(c % (len(blob) + 1) for c in cuts)})
-    return [blob[a:b] for a, b in zip(edges[:-1], edges[1:])]
-
-
 def _refresh_crc(payload: bytes) -> bytes:
     return payload[:4] + struct.pack("<I", zlib.crc32(payload[8:])) + payload[8:]
 
 
-def _decode_all_paths(payload: bytes, cuts: list[int]) -> "list[np.ndarray | None]":
-    """Batch and streaming; ``None`` where it raised."""
-    results = []
+def _decode_or_none(payload: bytes) -> "np.ndarray | None":
+    """The default decode; ``None`` where it raised."""
     try:
-        results.append(HuffmanCoder().decode(payload, any_count))
+        return HuffmanCoder().decode(payload, any_count)
     except ValueError:
-        results.append(None)
-    consumer = HuffmanCoder().stream_consumer(any_count)
-    try:
-        for piece in _pieces(payload, cuts):
-            consumer.feed(piece)
-        results.append(consumer.finish())
-    except ValueError:
-        results.append(None)
-    return results
+        return None
 
 
 class TestPacker:
@@ -126,8 +114,7 @@ class TestPacker:
         assert bands == bit_matrix_bands(symbols, producer.pinned_header)
         payload = producer.magic_and_crc() + producer.pinned_header + b"".join(bands)
         np.testing.assert_array_equal(_decode_reference(payload), symbols)
-        for decoded in _decode_all_paths(payload, [11, 400, 3000]):
-            np.testing.assert_array_equal(decoded, symbols)
+        np.testing.assert_array_equal(_decode_or_none(payload), symbols)
 
     @pytest.mark.parametrize("case, k", [
         ("uniform", 1),       # tuples gain nothing and their table costs ~2 KB
@@ -166,8 +153,24 @@ class TestPacker:
             payload = HuffmanCoder(64).encode(symbols)
             assert len(payload) == producer.stream_length < 600
             np.testing.assert_array_equal(_decode_reference(payload), symbols)
-            for decoded in _decode_all_paths(payload, [9, 40]):
-                np.testing.assert_array_equal(decoded, symbols)
+            np.testing.assert_array_equal(_decode_or_none(payload), symbols)
+
+    def test_header_and_length_pinned_before_any_band(self):
+        rng = np.random.default_rng(1)
+        codes = rng.integers(0, 40, size=2048).astype(np.int64)
+        producer = ChunkBandProducer(codes, 256)
+        # available before bands() has run at all
+        assert producer.pinned_header
+        assert producer.stream_length == len(HuffmanCoder(chunk_size=256).encode(codes))
+        assert producer.peak_scratch_bytes > 0
+
+    def test_crc_gated_on_band_completion(self):
+        producer = ChunkBandProducer(np.arange(300, dtype=np.int64), 64)
+        with pytest.raises(ValueError):
+            producer.magic_and_crc()
+        for _ in producer.bands():
+            pass
+        assert len(producer.magic_and_crc()) == 8
 
     def test_clamped_profile_reaches_the_length_limit(self):
         producer = ChunkBandProducer(_symbols("clamped", 0, 1, 0))
@@ -205,10 +208,9 @@ class TestDecodeMatchesScalar:
     @given(seed=st.integers(0, 2 ** 32 - 1),
            n_chunks=st.integers(1, 3 * huffman._MIN_VECTOR_CHUNKS + 2),
            chunk=st.integers(1, 64), tail=st.integers(1, 64),
-           alphabet=st.integers(2, 120),
-           cuts=st.lists(st.integers(0, 10 ** 6), max_size=6))
+           alphabet=st.integers(2, 120))
     def test_both_sides_of_the_crossover(self, seed, n_chunks, chunk, tail,
-                                         alphabet, cuts):
+                                         alphabet):
         # as many symbols as n_chunks chunks of the tuples the coder takes
         # for them, short of a whole last tuple by a seeded pad.  The first
         # tuple is all 0 and the last symbol is alphabet - 1, so W is the
@@ -227,18 +229,17 @@ class TestDecodeMatchesScalar:
         assert (head.k, head.bit_offsets.size) == (k, n_chunks)
         reference = _decode_reference(payload)
         np.testing.assert_array_equal(reference, symbols)
-        for decoded in _decode_all_paths(payload, cuts):
-            assert decoded is not None
-            np.testing.assert_array_equal(decoded, reference)
+        decoded = _decode_or_none(payload)
+        assert decoded is not None
+        np.testing.assert_array_equal(decoded, reference)
 
     @settings(max_examples=120, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1),
            n_chunks=st.integers(1, 3 * huffman._MIN_VECTOR_CHUNKS + 2),
            chunk=st.integers(1, 64), alphabet=st.integers(2, 40),
-           flips=st.lists(st.integers(0, 10 ** 9), min_size=1, max_size=3),
-           cuts=st.lists(st.integers(0, 10 ** 6), max_size=4))
+           flips=st.lists(st.integers(0, 10 ** 9), min_size=1, max_size=3))
     def test_corrupt_bodies_rejected_like_scalar(self, seed, n_chunks, chunk,
-                                                 alphabet, flips, cuts):
+                                                 alphabet, flips):
         symbols = _symbols("skewed", chunk * n_chunks, alphabet, seed)
         payload = bytearray(HuffmanCoder(chunk_size=chunk).encode(symbols))
         bits_at = HuffmanCoder._parse(bytes(payload), None).bits_at
@@ -253,11 +254,11 @@ class TestDecodeMatchesScalar:
             expected = _decode_reference(mutated)
         except ValueError:
             expected = None
-        for decoded in _decode_all_paths(mutated, cuts):
-            if expected is None:
-                assert decoded is None
-            else:
-                np.testing.assert_array_equal(decoded, expected)
+        decoded = _decode_or_none(mutated)
+        if expected is None:
+            assert decoded is None
+        else:
+            np.testing.assert_array_equal(decoded, expected)
 
 
 def _crafted(chunks_bits: "list[str]", tuples: "list[int]", pad: str = "0") -> bytes:
@@ -299,15 +300,6 @@ class TestStalledChunkRejected:
         with pytest.raises(ValueError, match="corrupt Huffman stream"):
             HuffmanCoder().decode(_stalling_stream(n_chunks), any_count)
 
-    @pytest.mark.parametrize("piece", [1, 1 << 20])
-    def test_streaming_decode(self, n_chunks, piece):
-        blob = _stalling_stream(n_chunks)
-        consumer = HuffmanCoder().stream_consumer(any_count)
-        with pytest.raises(ValueError, match="corrupt Huffman stream"):
-            for start in range(0, len(blob), piece):
-                consumer.feed(blob[start:start + piece])
-            consumer.finish()
-
     def test_walk_itself_rejects(self, n_chunks):
         # force the vectorized kernel even for the narrowest band
         with mock.patch.object(huffman, "_MIN_VECTOR_CHUNKS", 1):
@@ -327,12 +319,10 @@ def _token_stream(chunks: "list[list]", pad: str = "0") -> bytes:
                     [len(tokens) for tokens in chunks], pad)
 
 
-def _kernel_decodes(payload: bytes, kernel: str) -> "list[np.ndarray | None]":
-    """:func:`_decode_all_paths` on ``kernel``, streaming in at most ~200
-    pieces (one byte each for the crafted streams)."""
-    cuts = list(range(0, len(payload), 1 + len(payload) // 200))
+def _kernel_decode(payload: bytes, kernel: str) -> "np.ndarray | None":
+    """:func:`_decode_or_none` on ``kernel``."""
     with mock.patch.object(huffman, "_MIN_VECTOR_CHUNKS", _KERNELS[kernel]):
-        return _decode_all_paths(payload, cuts)
+        return _decode_or_none(payload)
 
 
 @pytest.mark.parametrize("kernel", sorted(_KERNELS))
@@ -349,7 +339,7 @@ class TestKernelEdges:
         payload = _token_stream(chunks)
         with pytest.raises(ValueError, match="corrupt Huffman stream"):
             _decode_reference(payload)
-        assert _kernel_decodes(payload, kernel) == [None] * 2
+        assert _kernel_decode(payload, kernel) is None
 
     def test_unused_windows_past_a_short_tail_are_ignored(self, kernel):
         chunks = [list(self.FULL) for _ in range(3)] + [list(self.TAIL)]
@@ -358,8 +348,7 @@ class TestKernelEdges:
         payload = _token_stream(chunks, pad="1")
         expected = np.array(sum(chunks, []))
         np.testing.assert_array_equal(_decode_reference(payload), expected)
-        for decoded in _kernel_decodes(payload, kernel):
-            np.testing.assert_array_equal(decoded, expected)
+        np.testing.assert_array_equal(_kernel_decode(payload, kernel), expected)
 
     @pytest.mark.parametrize("chunk_size", [5000, 1250, 250])
     def test_alphabet_past_uint16(self, kernel, chunk_size):
@@ -371,8 +360,7 @@ class TestKernelEdges:
         payload = HuffmanCoder(chunk_size=chunk_size).encode(symbols)
         assert pinned_code_table(payload[8:])[0]["width"] == 65538
         np.testing.assert_array_equal(_decode_reference(payload), symbols)
-        for decoded in _kernel_decodes(payload, kernel):
-            np.testing.assert_array_equal(decoded, symbols)
+        np.testing.assert_array_equal(_kernel_decode(payload, kernel), symbols)
 
     @pytest.mark.parametrize("chunk_size", [1 << 16, 2000, 512])
     def test_length_clamped_table(self, kernel, chunk_size):
@@ -381,8 +369,7 @@ class TestKernelEdges:
         assert max(producer.code_lengths) == MAX_CODE_LENGTH
         payload = HuffmanCoder.assemble(producer)
         np.testing.assert_array_equal(_decode_reference(payload), symbols)
-        for decoded in _kernel_decodes(payload, kernel):
-            np.testing.assert_array_equal(decoded, symbols)
+        np.testing.assert_array_equal(_kernel_decode(payload, kernel), symbols)
 
     def test_kraft_incomplete_table(self, kernel):
         # the crafted codes "0" and "10" leave every window "11..." unused
@@ -390,8 +377,7 @@ class TestKernelEdges:
         payload = _token_stream(chunks)
         expected = np.array(sum(chunks, []))
         np.testing.assert_array_equal(_decode_reference(payload), expected)
-        for decoded in _kernel_decodes(payload, kernel):
-            np.testing.assert_array_equal(decoded, expected)
+        np.testing.assert_array_equal(_kernel_decode(payload, kernel), expected)
 
 
 @pytest.mark.parametrize("alphabet, k", [(16, 1), (51, 2)])

@@ -19,8 +19,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import FedSZCompressor, FedSZConfig
+from repro.core import FedSZCompressor, FedSZConfig, NetworkModel
 from repro.fl import FederatedSimulation, FedSZUpdateCodec
+from repro.fl.coordinator.transport import ShipTask, SimulatedTransport
 from repro.nn import build_model
 from repro.utils.parallel import (
     ExecutionBackend,
@@ -223,6 +224,24 @@ class TestPipelineEquivalence:
                 for key in ref_recon:
                     np.testing.assert_array_equal(recon[key], ref_recon[key])
 
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_mixed_dtype_state_bit_identical(self, backend, workers):
+        # float64 weights and an empty tensor beside the float32 ones
+        rng = np.random.default_rng(5)
+        state = {"conv.weight": rng.normal(0, 1, (64, 3, 3, 3)).astype(np.float32),
+                 "conv.bias": rng.normal(0, 1, 64).astype(np.float32),
+                 "head.weight": rng.normal(0, 0.1, (50, 800)).astype(np.float64),
+                 "empty": np.zeros(0, dtype=np.float32)}
+        reference = FedSZCompressor(FedSZConfig())
+        fedsz = FedSZCompressor(FedSZConfig(backend=backend, pipeline_workers=workers))
+        payload = fedsz.compress_state_dict(state)
+        assert payload == reference.compress_state_dict(state)
+        recon = fedsz.decompress_state_dict(payload)
+        for key, value in reference.decompress_state_dict(payload).items():
+            np.testing.assert_array_equal(recon[key], value)
+            assert recon[key].dtype == value.dtype
+
     def test_mixed_codec_plan_bit_identical_across_backends(self, state):
         def compress(backend):
             config = FedSZConfig(policy="mixed-codec",
@@ -325,6 +344,26 @@ class TestRoundEngineEquivalence:
         for a, b in zip(sims["serial"].clients, sims["process"].clients):
             for key, value in a.model.state_dict().items():
                 np.testing.assert_array_equal(value, b.model.state_dict()[key])
+
+    def test_process_ship_batch_matches_serial(self):
+        # a pickling backend moves each task's tensors through a shared-memory
+        # arena; the shipped results must match the in-process reference
+        rng = np.random.default_rng(12)
+        codec = FedSZUpdateCodec(FedSZConfig())
+        net = NetworkModel(bandwidth_mbps=4.0)
+        tasks = [ShipTask(client_id=i, codec=codec, network=net,
+                          state={"w": rng.normal(0, 1, (32, 64)).astype(np.float32),
+                                 "b": rng.normal(0, 1, 32).astype(np.float32)})
+                 for i in range(3)]
+        serial = SimulatedTransport(backend="serial").ship_batch(tasks)
+        pooled = SimulatedTransport(backend="process", max_workers=2).ship_batch(tasks)
+        assert [r.client_id for r in pooled] == [r.client_id for r in serial]
+        for a, b in zip(serial, pooled):
+            assert list(a.state) == list(b.state)
+            for key in a.state:
+                np.testing.assert_array_equal(a.state[key], b.state[key])
+            assert a.payload_bytes == b.payload_bytes
+            assert a.transfer_seconds == b.transfer_seconds
 
     def test_unknown_backend_rejected(self, tiny_split):
         train, test = tiny_split

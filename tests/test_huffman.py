@@ -1,12 +1,13 @@
 """Tests for the chunked canonical Huffman coder (HUF4 tuple streams)."""
 
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
 import pytest
 
-from huffman_reference import any_count
+from huffman_reference import any_count, one_tuple_bomb
 from repro.compressors.huffman import (
     DEFAULT_CHUNK_TUPLES,
     MAX_CODE_LENGTH,
@@ -163,6 +164,15 @@ class TestChunkedFormat:
         np.testing.assert_array_equal(reference, symbols)
         np.testing.assert_array_equal(coder.decode(payload, any_count), reference)
 
+    @pytest.mark.parametrize("chunk", [1, 7, 64, 1 << 20])
+    def test_every_chunk_size_decodes_to_the_reference(self, chunk):
+        # the chunking is self-describing: a coder configured otherwise reads it
+        codes = np.random.default_rng(0).integers(0, 80, size=1500).astype(np.int64)
+        payload = HuffmanCoder(chunk_size=chunk).encode(codes)
+        assert _parse_header(payload)["chunk"] <= chunk
+        np.testing.assert_array_equal(_decode_reference(payload), codes)
+        np.testing.assert_array_equal(HuffmanCoder().decode(payload, any_count), codes)
+
     def test_invalid_construction_rejected(self):
         with pytest.raises(ValueError):
             HuffmanCoder(chunk_size=0)
@@ -267,7 +277,7 @@ class TestCorruption:
 
 
 class TestHuf4Rules:
-    """Each HUF4 rule rejects a stream on the batch and the streaming decoder.
+    """Each HUF4 rule rejects a stream, with a message that names it.
 
     Every mutation re-stamps the CRC, so the structural check itself fires.
     """
@@ -276,11 +286,6 @@ class TestHuf4Rules:
     def _assert_rejected(payload: bytes, match: str) -> None:
         with pytest.raises(ValueError, match=match):
             HuffmanCoder().decode(payload, any_count)
-        consumer = HuffmanCoder().stream_consumer(any_count)
-        with pytest.raises(ValueError, match="corrupt Huffman stream|overrun"):
-            for start in range(0, len(payload), 7):
-                consumer.feed(payload[start:start + 7])
-            consumer.finish()
 
     @pytest.fixture
     def tuples(self) -> "tuple[np.ndarray, bytes]":
@@ -341,6 +346,18 @@ class TestHuf4Rules:
         mutated = _patched(payload, _PREFIX_LEN + 9, struct.pack("<Q", 2001))
         self._assert_rejected(mutated, "padded with the smallest symbol")
 
+    def test_length_table_pad_nibble(self):
+        # five used singles pack their code lengths into three bytes; the
+        # last byte's low nibble is pad and must be zero
+        symbols = np.random.default_rng(15).choice([0, 100, 200, 300, 4000], 3000)
+        payload = HuffmanCoder().encode(symbols)
+        fields = _parse_header(payload)
+        assert fields["k"] == 1 and fields["chunks_at"] - fields["lengths_at"] == 3
+        last = fields["chunks_at"] - 1
+        assert payload[last] & 0x0F == 0
+        self._assert_rejected(_patched(payload, last, bytes([payload[last] | 0x01])),
+                              "pad nibble is not zero")
+
     def test_trailing_bytes(self, tuples):
         _, payload = tuples
         self._assert_rejected(_refresh_crc(payload + b"\x00"), "holds .* bytes but")
@@ -355,3 +372,64 @@ class TestHuf4Rules:
         assert len(payload) == _PREFIX_LEN + _HEADER.size
         self._assert_rejected(_patched(payload, _PREFIX_LEN, struct.pack("<I", 1)),
                               "empty stream")
+
+    #: byte offset (past the magic and CRC) and layout of each fixed field
+    _FIELDS = {"k": (8, "<B"), "count": (9, "<Q"), "chunk": (17, "<I"),
+               "n_chunks": (21, "<I")}
+
+    @pytest.mark.parametrize("n_codes, field, value, message", [
+        # 700 symbols of W = 24 code as singles, 11 chunks of 64; "bits1"
+        # forges chunk 1's bit length
+        pytest.param(700, "chunk", 0, "cannot cover", id="zero-chunk-size"),
+        pytest.param(700, "chunk", 128, "cannot cover", id="chunk-count"),
+        pytest.param(700, "count", 640, "cannot cover", id="stream-length"),
+        pytest.param(700, "k", 3, "tuple rule", id="tuple-size"),
+        # fewer bits than tuples: every code is at least one bit long
+        pytest.param(700, "bits1", 63, "chunk bit lengths", id="short-span"),
+        pytest.param(700, "bits1", 64 * MAX_CODE_LENGTH + 1, "chunk bit lengths",
+                     id="long-span"),
+        pytest.param(700, "count", 0, "empty stream", id="empty-with-bits"),
+        pytest.param(0, "n_chunks", 1, "empty stream", id="empty-with-chunk"),
+    ])
+    def test_forged_index_field(self, n_codes, field, value, message):
+        codes = np.random.default_rng(6).integers(0, 24, size=n_codes).astype(np.int64)
+        if n_codes:
+            codes[:2] = 0, 23
+        payload = HuffmanCoder(chunk_size=64).encode(codes)
+        if n_codes:
+            fields = _parse_header(payload)
+            assert (fields["k"], fields["n_chunks"]) == (1, 11)
+        if field == "bits1":
+            at, layout = _parse_header(payload)["chunks_at"] + 4, "<I"
+        else:
+            at, layout = self._FIELDS[field]
+            at += _PREFIX_LEN
+        self._assert_rejected(_patched(payload, at, struct.pack(layout, value)), message)
+
+
+def _at_most_a_million(count: int) -> None:
+    if count > 10 ** 6:
+        raise ValueError(f"{count} symbols declared, at most 1000000 expected")
+
+
+class TestStandaloneDecodeBoundsCount:
+    """Outside a container only the caller can bound a one-tuple stream's
+    count, so decode requires a ``check_count``.  The bomb is a 66-byte
+    stream declaring 2**34 symbols (128 GiB of decoded codes)."""
+
+    BOMB = one_tuple_bomb(1 << 34)
+
+    def test_count_check_is_required(self):
+        with pytest.raises(TypeError):
+            HuffmanCoder().decode(self.BOMB)
+
+    def test_declared_count_rejected_small(self):
+        assert len(self.BOMB) < 100
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="17179869184 symbols declared"):
+                HuffmanCoder().decode(self.BOMB, _at_most_a_million)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20

@@ -142,6 +142,21 @@ class TestPaperQualitativeFindings:
         assert ratios == sorted(ratios)
 
 
+@pytest.mark.parametrize("cls", [SZ2Compressor, SZ3Compressor])
+@pytest.mark.parametrize("chunk", [1, 7, 256, 1 << 20])
+def test_entropy_chunk_changes_framing_not_values(cls, chunk):
+    """``entropy_chunk`` caps the tuples per Huffman chunk: it changes the
+    payload's framing, never the reconstruction, and the payload describes
+    its own chunking, so a decoder configured otherwise reads it too."""
+    data = np.cumsum(np.random.default_rng(7).normal(0, 0.01, 6000)).astype(np.float32)
+    default = cls(error_bound=1e-2)
+    want = default.decompress(default.compress(data)).view(np.uint32)
+    chunked = cls(error_bound=1e-2, entropy_chunk=chunk)
+    payload = chunked.compress(data)
+    assert np.array_equal(chunked.decompress(payload).view(np.uint32), want)
+    assert np.array_equal(default.decompress(payload).view(np.uint32), want)
+
+
 class TestConfigurationAndRegistry:
     def test_available_lossy_names(self):
         assert set(available_lossy()) >= {"sz2", "sz3", "szx", "zfp"}

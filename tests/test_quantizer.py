@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.compressors.quantizer import LinearQuantizer
 
@@ -132,3 +134,69 @@ class TestOutlierPacking:
         payload = b"PREFIX" + LinearQuantizer.pack_outliers(values)
         out, _ = LinearQuantizer.unpack_outliers(payload, offset=6)
         np.testing.assert_array_equal(out, values)
+
+
+class TestQuantizerScratchRewrite:
+    """The out=/where= rewrite of LinearQuantizer.quantize is bit-identical
+    to the naive expression-per-temporary reference, including on the
+    overflow/NaN/inf escape paths."""
+
+    @staticmethod
+    def _reference(data, predictions, abs_bound, radius):
+        data = np.asarray(data, dtype=np.float64)
+        predictions = np.asarray(predictions, dtype=np.float64)
+        with np.errstate(over="ignore", invalid="ignore"):
+            residual = data - predictions
+            q_float = np.rint(residual / (2.0 * abs_bound))
+            predictable = np.isfinite(q_float) & (np.abs(q_float) <= radius)
+            q = np.where(predictable, q_float, 0.0).astype(np.int64)
+            candidate = predictions + 2.0 * abs_bound * q
+            predictable &= np.isfinite(candidate)
+            q = np.where(predictable, q, 0)
+            reconstructed = np.where(predictable, candidate, data)
+        codes = np.where(predictable, q + radius + 1, 0)
+        outliers = data[~predictable].astype(np.float64)
+        return codes, outliers, reconstructed
+
+    @pytest.mark.parametrize("case", [
+        "normal", "huge_ratio", "nonfinite", "reconstruction_overflow",
+        "tiny_bound",
+    ])
+    def test_bit_identical_to_reference(self, case):
+        rng = np.random.default_rng(17)
+        data = rng.normal(0, 1, 4096)
+        predictions = data + rng.normal(0, 0.01, 4096)
+        bound = 1e-3
+        if case == "huge_ratio":
+            data[::7] = 1e300
+            bound = 1e-12
+        elif case == "nonfinite":
+            data[::5] = np.nan
+            data[1::5] = np.inf
+            predictions[2::5] = -np.inf
+        elif case == "reconstruction_overflow":
+            data[::3] = 1.75e308
+            predictions[::3] = 1.6e308
+            bound = 1e307
+        elif case == "tiny_bound":
+            bound = 5e-324
+        quantizer = LinearQuantizer(radius=255)
+        result = quantizer.quantize(data, predictions, bound)
+        codes, outliers, recon = self._reference(data, predictions, bound, 255)
+        assert np.array_equal(result.codes, codes)
+        assert np.array_equal(result.outliers, outliers, equal_nan=True)
+        assert np.array_equal(result.reconstructed, recon, equal_nan=True)
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 1000),
+           exponent=st.integers(-10, -1))
+    def test_property_bit_identical(self, seed, exponent):
+        rng = np.random.default_rng(seed)
+        data = rng.normal(0, 1, 500)
+        predictions = data + rng.normal(0, 10.0 ** exponent, 500)
+        quantizer = LinearQuantizer(radius=32768)
+        result = quantizer.quantize(data, predictions, 1e-2)
+        codes, outliers, recon = self._reference(data, predictions, 1e-2, 32768)
+        assert np.array_equal(result.codes, codes)
+        assert np.array_equal(result.outliers, outliers)
+        assert np.array_equal(result.reconstructed, recon)

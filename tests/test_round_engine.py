@@ -15,6 +15,7 @@ from repro.fl import (
     map_parallel,
     train_clients_parallel,
 )
+from repro.fl.coordinator import deterministic_fields
 from repro.utils.parallel import resolve_worker_count
 from repro.nn import build_model
 
@@ -69,6 +70,28 @@ class TestDeterminism:
         assert parallel.accuracies == sequential.accuracies
         assert [r.transmitted_bytes for r in parallel.rounds] == \
             [r.transmitted_bytes for r in sequential.rounds]
+
+    @pytest.mark.parametrize("kwargs", [
+        {"backend": "serial"},
+        {"max_workers": 3},
+        {"backend": "process", "max_workers": 2},
+    ], ids=["serial", "thread-3", "process-arena"])
+    def test_straggler_rounds_bit_identical_on_every_pool(self, tiny_split, kwargs):
+        # every recorded quantity and the global model are a function of the
+        # seed, never of the pool that ran the ships
+        def run(**extra):
+            codec = FedSZUpdateCodec(FedSZConfig())
+            sim = _make_sim(tiny_split, n_clients=3, codec=codec, seed=17,
+                            network=NetworkModel(bandwidth_mbps=5.0),
+                            batch_size=32, straggler_prob=0.3, **extra)
+            return sim.run(2), sim.server.global_state()
+
+        reference, ref_state = run()
+        assert any(record.straggler_clients for record in reference.rounds)
+        got, got_state = run(**kwargs)
+        assert deterministic_fields(got) == deterministic_fields(reference)
+        for key in ref_state:
+            np.testing.assert_array_equal(got_state[key], ref_state[key])
 
     def test_scenario_draw_is_seeded_and_worker_independent(self, tiny_split):
         kwargs = dict(n_clients=4, participation=0.5, dropout_prob=0.3, straggler_prob=0.4)

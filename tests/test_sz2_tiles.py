@@ -1,9 +1,8 @@
 """SZ2's tiled codec body held to the whole-array oracle, and its decoder's
 exact-geometry rule.
 
-* Batch ``compress`` and the concatenated ``stream_encoder().chunks`` must
-  produce the oracle's payload (``sz2_reference.py``) byte for byte, and
-  ``decompress`` / ``stream_decoder()`` its reconstruction bit for bit, in
+* ``compress`` must produce the oracle's payload (``sz2_reference.py``)
+  byte for byte, and ``decompress`` its reconstruction bit for bit, in
   each predictor mode forced on every input and in the mode the encoder
   picks: lengths on both sides of a block and of a tile, multi-tile tensors
   with a ragged tail, float32 and float64, ABS and REL bounds, constant
@@ -15,7 +14,8 @@ exact-geometry rule.
 * Every body field that sizes the tiled decoder is checked against the
   container's element count, the predictor field must name a known mode,
   and the body must be consumed exactly; each violation raises
-  ``ValueError`` on the batch and the streaming decoder, in both modes.
+  ``ValueError`` in both modes, on the codec's decoder and through a FedSZ
+  container.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from container_reference import container_decoder
 from huffman_reference import any_count
 from sz2_reference import HYBRID, ZERO, reference_compress, reference_reconstruct
 from repro.compressors import sz2
@@ -111,19 +112,12 @@ def _predictor(comp: SZ2Compressor, payload: bytes) -> "int | None":
 
 
 def _assert_matches_oracle(comp: SZ2Compressor, data: np.ndarray) -> "int | None":
-    """Hold batch and streaming encode and decode to the oracle's bytes and
-    values for the predictor the encoder picks; return that predictor."""
+    """Hold encode and decode to the oracle's bytes and values for the
+    predictor the encoder picks; return that predictor."""
     payload = comp.compress(data)
     predictor = _predictor(comp, payload)
     assert payload == reference_compress(comp, data, predictor)
-    assert b"".join(comp.stream_encoder().chunks(data)) == payload
-
-    want = _bits(reference_reconstruct(comp, payload))
-    assert _bits(comp.decompress(payload)) == want
-    decoder = comp.stream_decoder()
-    for start in range(0, len(payload), 4099):
-        decoder.feed(payload[start : start + 4099])
-    assert _bits(decoder.finish()) == want
+    assert _bits(comp.decompress(payload)) == _bits(reference_reconstruct(comp, payload))
     return predictor
 
 
@@ -238,16 +232,12 @@ class TestExactGeometry:
         assert _split(body)["predictor"] == predictor
         return header, body
 
+    def _decode(self, payload: bytes) -> np.ndarray:
+        return self.comp.decompress(payload)
+
     def _assert_rejected(self, header: bytes, body: bytes, match: str) -> None:
-        payload = header + body
         with pytest.raises(ValueError, match=match):
-            self.comp.decompress(payload)
-        for piece in (len(payload), 5):
-            decoder = self.comp.stream_decoder()
-            with pytest.raises(ValueError, match=match):
-                for start in range(0, len(payload), piece):
-                    decoder.feed(payload[start : start + piece])
-                decoder.finish()
+            self._decode(header + body)
 
     def _rebuilt(self, mode: int = HYBRID, **changes) -> tuple[bytes, bytes]:
         """A payload of ``mode`` with ``changes`` applied to its body fields."""
@@ -266,7 +256,7 @@ class TestExactGeometry:
         else:
             assert "selectors" not in fields and "coefficients" not in fields
         assert len(fields["outliers"]) > 0
-        assert self.comp.decompress(header + body).shape == (1000,)
+        assert self._decode(header + body).shape == (1000,)
 
     def test_no_blocks_for_nonempty_tensor(self):
         # the probe: a 1000-element header over a zero-padded 300 KB body
@@ -346,8 +336,19 @@ class TestExactGeometry:
         self._assert_rejected(header, body, "outlier")
 
     def test_trailing_bytes_rejected(self, predictor):
-        # the probe: trailing plaintext used to be accepted by both
-        # decompress and stream_decoder()
+        # the probe: trailing plaintext used to be accepted
         header, body = self._payload(predictor)
         self._assert_rejected(header, body + b"\0", "1 bytes after the last field")
         self._assert_rejected(header, body + bytes(64), "64 bytes after the last field")
+
+
+class TestExactGeometryInContainer(TestExactGeometry):
+    """The same rules through a FedSZ container, whose SZ2 decoder has the
+    default configuration (relative bound, default block size): the body's
+    own fields size the decode, and each rejection reaches the caller."""
+
+    # a container keeps an empty tensor in its lossless partition
+    test_empty_tensor_escape_is_exact = None
+
+    def _decode(self, payload: bytes) -> np.ndarray:
+        return container_decoder("sz2", payload)()

@@ -1,7 +1,7 @@
 """SZ3's decoder consumes its body exactly.
 
-Each rule below raises ``ValueError`` on the batch decoder and on
-``stream_decoder()`` fed whole or in 5-byte pieces:
+Each rule below raises ``ValueError`` on the codec's decoder and through a
+FedSZ container:
 
 * one outlier per zero code, no more (a body whose outlier count is raised
   by one, with one more float64 appended, used to decode),
@@ -17,6 +17,7 @@ import struct
 import numpy as np
 import pytest
 
+from container_reference import container_decoder
 from repro.compressors.sz3 import SZ3Compressor
 
 _FIXED = struct.Struct("<QIB")  # element count, radius, anchor dtype flag
@@ -38,16 +39,12 @@ class TestExactBody:
         assert _FIXED.unpack_from(body)[2] == 1  # float64 anchors
         return header, body
 
+    def _decode(self, payload: bytes) -> np.ndarray:
+        return self.comp.decompress(payload)
+
     def _assert_rejected(self, header: bytes, body: bytes, match: str) -> None:
-        payload = header + body
         with pytest.raises(ValueError, match=match):
-            self.comp.decompress(payload)
-        for piece in (len(payload), 5):
-            decoder = self.comp.stream_decoder()
-            with pytest.raises(ValueError, match=match):
-                for start in range(0, len(payload), piece):
-                    decoder.feed(payload[start : start + piece])
-                decoder.finish()
+            self._decode(header + body)
 
     def _outlier_count_offset(self, body: bytes) -> int:
         """Offset of the outlier count: the body ends with the outliers."""
@@ -60,7 +57,7 @@ class TestExactBody:
 
     def test_valid_payload_decodes(self):
         header, body = self._valid()
-        got = self.comp.decompress(header + body)
+        got = self._decode(header + body)
         assert got.shape == (1000,) and np.isinf(got[3]) and np.isinf(got[500])
 
     def test_extra_outlier_rejected(self):
@@ -86,3 +83,14 @@ class TestExactBody:
         header, body = self._valid()
         changed = body[:12] + bytes([flag]) + body[13:]
         self._assert_rejected(header, changed, f"unknown anchor dtype flag {flag}")
+
+
+class TestExactBodyInContainer(TestExactBody):
+    """The same rules through a FedSZ container, whose SZ3 decoder has the
+    default configuration (a relative bound)."""
+
+    # a container keeps an empty tensor in its lossless partition
+    test_empty_tensor_escape_is_exact = None
+
+    def _decode(self, payload: bytes) -> np.ndarray:
+        return container_decoder("sz3", payload)()
