@@ -1,11 +1,7 @@
-"""Coordinator services: tree aggregation, persistent runtime, durable rounds.
+"""Coordinator services: persistent runtime, durable rounds.
 
 Drills over an 8-client FedAvg run on a simulated 2 Mbps uplink:
 
-* **flat vs tree** — aggregate each round through :class:`TreeAggregator` at
-  several fan-ins and through the flat reference; the outputs must be
-  bit-identical (the double-double partial-sum kernel makes FedAvg grouping
-  insensitive), and the per-round aggregation wall time is reported.
 * **persistent runtime** — run the rounds under the persistent runtime (one
   long-lived 4-worker pool, worker-resident clients); the run must spin up
   one pool, and the per-client pickled train-task bytes of the resident form
@@ -42,7 +38,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from bench_utils import fl_settings, quick_fl_data, save_results
 from repro.core import NetworkModel
-from repro.fl import FederatedSimulation, RawUpdateCodec, TreeAggregator, fedavg_aggregate
+from repro.fl import FederatedSimulation, RawUpdateCodec
 from repro.fl.coordinator import deterministic_fields
 from repro.fl.coordinator.coordinator import TrainTask
 from repro.metrics import ExperimentRecord, Table
@@ -52,7 +48,6 @@ from repro.utils.parallel import SharedMemoryArena, get_backend
 N_CLIENTS = 8
 ROUNDS = 2
 BANDWIDTH_MBPS = 2.0
-FAN_INS = (2, 3, 4)
 SEED = 13
 
 
@@ -70,44 +65,6 @@ def _build_simulation(train, test, cfg, backend: str = "thread", **kwargs):
 
 
 # ---------------------------------------------------------------------------
-def _run_tree_drill(train, test, cfg, backend: str):
-    """Flat vs tree aggregation: per-round wall and bit-identity."""
-    # one training round's states/weights, reused for every aggregation timing
-    sim = _build_simulation(train, test, cfg, backend=backend)
-    global_state = sim.server.global_state()
-    rng = np.random.default_rng(SEED)
-    states = []
-    for _ in range(N_CLIENTS):
-        jitter = {k: np.asarray(v) + rng.normal(0, 0.01, np.shape(v)).astype(
-            np.asarray(v).dtype) if np.asarray(v).dtype.kind == "f" else np.asarray(v)
-            for k, v in global_state.items()}
-        states.append(jitter)
-    weights = list(rng.integers(16, 64, size=N_CLIENTS))
-
-    start = time.perf_counter()
-    flat = fedavg_aggregate(states, weights)
-    flat_wall = time.perf_counter() - start
-
-    rows = [("flat", flat_wall, True)]
-    for fan_in in FAN_INS:
-        tree_agg = TreeAggregator(fan_in=fan_in)
-        start = time.perf_counter()
-        tree = tree_agg.aggregate(states, weights)
-        wall = time.perf_counter() - start
-        identical = all(np.array_equal(flat[k], tree[k])
-                        and flat[k].dtype == tree[k].dtype for k in flat)
-        rows.append((f"tree fan-in {fan_in}", wall, identical))
-        assert identical, f"tree fan-in {fan_in} diverged from flat aggregation"
-
-    # end-to-end: a tree-aggregated run matches the flat run on every field
-    flat_run = _build_simulation(train, test, cfg, backend=backend).run(ROUNDS)
-    tree_run = _build_simulation(train, test, cfg, backend=backend,
-                                 tree_fanout=FAN_INS[0]).run(ROUNDS)
-    assert deterministic_fields(tree_run) == deterministic_fields(flat_run), \
-        "tree-aggregated run diverged from the flat run"
-    return rows
-
-
 def _run_persistent_drill(train, test, cfg, backend: str) -> dict:
     """Persistent runtime: one pool per run, resident train-task bytes."""
     exec_backend = get_backend(backend)
@@ -189,18 +146,13 @@ def _check_and_report(backend: str, persist: bool, kill_resume: bool) -> int:
     cfg = fl_settings()
     train, test = quick_fl_data("cifar10", seed=47)
 
-    tree_rows = _run_tree_drill(train, test, cfg, backend)
     persistent = _run_persistent_drill(train, test, cfg, backend)
 
     table = Table(f"Coordinator services ({backend} backend) - {N_CLIENTS} "
                   f"clients, {ROUNDS} rounds, {BANDWIDTH_MBPS:g} Mbps simulated uplink",
                   ["drill", "wall (s)", "bit-identical"])
-    record = ExperimentRecord("coordinator",
-                              "tree aggregation + persistent runtime + durable rounds")
+    record = ExperimentRecord("coordinator", "persistent runtime + durable rounds")
     record.add(backend=backend, host_cores=os.cpu_count() or 1)
-    for label, wall, identical in tree_rows:
-        table.add_row(f"aggregate {label}", f"{wall * 1e3:.2f}ms", str(identical))
-        record.add(drill=f"aggregate-{label}", wall_seconds=wall)
     table.add_row(f"runtime persistent ({persistent['spinups']} pool spinups)",
                   f"{persistent['wall']:.2f}", "-")
     record.add(drill="runtime-persistent", wall_seconds=persistent["wall"],

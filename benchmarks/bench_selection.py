@@ -20,11 +20,7 @@ Two experiments on a trained-looking state dict:
 
 ``--smoke`` runs a small model on the deterministic analytic cost model with
 no result persistence, so CI can exercise the profiled policy (and the
-picklability of its candidate tasks) on every backend.  ``--profile-cache
-PATH`` adds a warm-start drill: the sweep is profiled cold into a durable
-cache at PATH, then re-profiled by a fresh profiler loading that cache — the
-warm pass must measure nothing (zero misses, zero drifts) and resolve
-byte-identical plans.
+picklability of its candidate tasks) on every backend.
 
 Run with ``PYTHONPATH=src python benchmarks/bench_selection.py [--smoke]``.
 """
@@ -32,7 +28,6 @@ Run with ``PYTHONPATH=src python benchmarks/bench_selection.py [--smoke]``.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -209,43 +204,6 @@ def bench_selection(model: str, bandwidths: "tuple[float, ...]", cost_model: str
     return 0
 
 
-def warm_start_drill(model: str, cost_model: str, backend: str, workers: int,
-                     bound: float, cache_path: str) -> int:
-    """Durable profile cache: a warm start must plan without measuring.
-
-    Profiles the model's lossy partition cold (writing the cache), then hands
-    the same tensors to a *fresh* profiler constructed over the same cache
-    file.  The warm profiler must resolve the identical plan from disk alone —
-    zero misses, zero drifts — which is what makes round 2+ (and run 2+)
-    plan-building measurement-free.
-    """
-    state = trained_like_state(model)
-    config = FedSZConfig(error_bound=bound)
-    lossy = partition_state_dict(state, config).lossy
-    if os.path.exists(cache_path):
-        os.remove(cache_path)
-
-    plans, infos = {}, {}
-    for label in ("cold", "warm"):
-        profiler = CodecProfiler(cost_model=cost_model, backend=backend,
-                                 workers=workers, profile_cache=cache_path)
-        policy = ProfiledPolicy(bandwidth_mbps=10.0, profiler=profiler,
-                                max_bound=bound)
-        plans[label] = policy.build_plan(lossy, config)
-        infos[label] = profiler.cache_info()
-        print(f"profile cache ({label}): {infos[label]}")
-
-    assert infos["cold"]["misses"] > 0, "cold start should have measured"
-    assert infos["warm"]["misses"] == 0 and infos["warm"]["drifts"] == 0, \
-        f"warm start re-measured: {infos['warm']}"
-    cold = [(e.name, e.codec, e.error_bound, e.mode) for e in plans["cold"]]
-    warm = [(e.name, e.codec, e.error_bound, e.mode) for e in plans["warm"]]
-    assert warm == cold, "warm-start plan diverged from the cold plan"
-    print(f"warm start OK: {len(warm)} tensors planned measurement-free "
-          f"from {cache_path}")
-    return 0
-
-
 def main(argv: "list[str] | None" = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--model", default="resnet50",
@@ -267,21 +225,14 @@ def main(argv: "list[str] | None" = None) -> int:
     parser.add_argument("--smoke", action="store_true",
                         help="small model, analytic cost model, no persistence "
                              "(correctness-only CI mode)")
-    parser.add_argument("--profile-cache", default=None, metavar="PATH",
-                        help="also run the durable-cache warm-start drill "
-                             "against this path (the file is recreated)")
     args = parser.parse_args(argv)
 
     model = "simplecnn" if args.smoke else args.model
     cost_model = "analytic" if args.smoke else args.cost_model
-    status = bench_selection(model, tuple(args.bandwidths),
-                             cost_model=cost_model, backend=args.backend,
-                             workers=args.workers, bound=args.bound,
-                             persist=not args.smoke)
-    if status == 0 and args.profile_cache is not None:
-        status = warm_start_drill(model, cost_model, args.backend,
-                                  args.workers, args.bound, args.profile_cache)
-    return status
+    return bench_selection(model, tuple(args.bandwidths),
+                           cost_model=cost_model, backend=args.backend,
+                           workers=args.workers, bound=args.bound,
+                           persist=not args.smoke)
 
 
 if __name__ == "__main__":

@@ -93,11 +93,6 @@ def _add_plan_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--small-tensor-codec", default="szx",
                         help="codec for tensors below the mixed-codec size cutoff "
                              "(only used with --policy mixed-codec)")
-    parser.add_argument("--profile-cache", default=None, metavar="PATH",
-                        help="persist the profiled policy's measurement cache "
-                             "to this JSON file (format in FORMATS.md): warm "
-                             "runs reuse measurements until the sampled "
-                             "statistics drift; requires --policy profiled")
 
 
 def _fedsz_config(args: argparse.Namespace, **extra) -> FedSZConfig:
@@ -108,10 +103,6 @@ def _fedsz_config(args: argparse.Namespace, **extra) -> FedSZConfig:
     one-line CLI error.
     """
     policy_options = dict(extra.pop("policy_options", {}))
-    profile_cache = getattr(args, "profile_cache", None)
-    if profile_cache is not None and args.policy != "profiled":
-        raise ValueError("--profile-cache requires --policy profiled "
-                         "(only the profiled policy measures anything)")
     if args.policy == "mixed-codec":
         policy_options.setdefault("small_codec", args.small_tensor_codec)
     elif args.policy == "profiled":
@@ -119,8 +110,6 @@ def _fedsz_config(args: argparse.Namespace, **extra) -> FedSZConfig:
         # keeps CLI runs reproducible on any host
         policy_options.setdefault("bandwidth_mbps", args.bandwidth)
         policy_options.setdefault("max_bound", args.bound)
-        if profile_cache is not None:
-            policy_options.setdefault("profile_cache", profile_cache)
     return FedSZConfig(error_bound=args.bound, entropy_chunk=args.entropy_chunk,
                        policy=args.policy, pipeline_workers=args.pipeline_workers,
                        backend=args.backend,
@@ -171,10 +160,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="per-round probability that a client straggles (4x slowdown)")
     simulate.add_argument("--dropout", type=float, default=0.0,
                           help="per-round probability that a sampled client drops out")
-    simulate.add_argument("--tree-fanout", type=int, default=0,
-                          help="aggregate through a tree of this fan-in instead "
-                               "of flat FedAvg (0 = flat; >= 2 = tree, "
-                               "bit-identical result)")
     simulate.add_argument("--journal-dir", default=None,
                           help="make rounds durable: journal every round to this "
                                "directory (per-codec subdirectories) so an "
@@ -232,8 +217,7 @@ def _cmd_compress(args: argparse.Namespace) -> int:
     profiler = getattr(fedsz.policy, "profiler", None)
     if profiler is not None:
         info = profiler.cache_info()
-        print(f"profile cache:    {info['hits']} hits / {info['misses']} misses "
-              f"/ {info['drifts']} drifts")
+        print(f"profile cache:    {info['hits']} hits / {info['misses']} misses")
     print(f"max abs error:    {worst:.3e}  (bound {args.bound:g} relative)")
     return 0
 
@@ -279,7 +263,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                                       seed=args.seed + 2,
                                       max_workers=args.workers, participation=args.participation,
                                       dropout_prob=args.dropout, straggler_prob=args.straggler,
-                                      backend=args.backend, tree_fanout=args.tree_fanout,
+                                      backend=args.backend,
                                       journal_dir=journal_dir, resume=args.resume,
                                       delta=args.delta and label == "fedsz")
         except ValueError as exc:
@@ -305,8 +289,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     profiler = last_sims["fedsz"].codec.profiler
     if profiler is not None:
         info = profiler.cache_info()
-        print(f"profile cache:  {info['hits']} hits / {info['misses']} misses "
-              f"/ {info['drifts']} drifts")
+        print(f"profile cache:  {info['hits']} hits / {info['misses']} misses")
 
     raw, fedsz = results["uncompressed"], results["fedsz"]
     print(f"\nfinal accuracy: uncompressed {raw.final_accuracy:.2%} vs fedsz {fedsz.final_accuracy:.2%}")

@@ -9,9 +9,9 @@ one-off experiment into a reusable subsystem:
   candidate grid out over an :class:`~repro.utils.parallel.ExecutionBackend`.
   Timings come from the wall clock by default, or from an injectable
   :class:`CostModel` so tests and single-core CI containers stay fully
-  deterministic.  Profiles are cached by content fingerprint: re-profiling the
-  same bytes is a dictionary lookup, and the cache key excludes the tensor
-  name so weight-tied tensors share one measurement.
+  deterministic.  Profiles are cached in memory by exact content fingerprint:
+  re-profiling the same bytes is a dictionary lookup, and the cache key
+  excludes the tensor name so weight-tied tensors share one measurement.
 * :class:`TensorProfile` — the measurements for one tensor, with the Pareto
   frontier over (ratio up, runtime down) and per-link end-to-end time
   estimates (Eqn. 1, optionally :class:`~repro.core.network.DeviceProfile`
@@ -26,15 +26,14 @@ one-off experiment into a reusable subsystem:
 
 Determinism contract: with a :class:`CostModel` injected, profiles — and
 therefore plans and bitstreams — depend only on tensor bytes and the profiler
-configuration, never on wall clock, worker count, or execution backend.
+configuration, never on wall clock, worker count, execution backend, or the
+order in which concurrent clients reach the cache.
 :mod:`repro.core.selection` is a thin wrapper over this module.
 """
 
 from __future__ import annotations
 
 import abc
-import json
-import os
 import threading
 import time
 import zlib
@@ -64,42 +63,6 @@ __all__ = [
 DEFAULT_CANDIDATES = ("sz2", "sz3", "szx", "zfp")
 #: Error-bound grid of Problem 2 around the paper's recommended 1e-2 point.
 DEFAULT_ERROR_BOUNDS = (1e-4, 1e-3, 1e-2)
-
-#: on-disk profile-cache identity (see FORMATS.md "Profile cache").  Version 2:
-#: the cached ``compressed_bytes`` and timings of version-1 files were measured
-#: on SZ2/SZ3 bodies of the version-6 Huffman stream plus a zlib pass, which
-#: bitstream version 7 replaced with HUF4 and no lossless pass, so a version-1
-#: file loads empty.
-PROFILE_CACHE_FORMAT = "fedsz-profile-cache"
-PROFILE_CACHE_VERSION = 2
-#: default drift threshold when a durable cache is enabled without one
-DEFAULT_DRIFT_THRESHOLD = 0.25
-
-
-def _sample_stats(sample: np.ndarray) -> dict:
-    """Summary statistics of a profiling sample, for drift comparison."""
-    data = np.asarray(sample, dtype=np.float64).ravel()
-    if data.size == 0:
-        return {"mean": 0.0, "std": 0.0, "absmax": 0.0}
-    return {"mean": float(data.mean()), "std": float(data.std()),
-            "absmax": float(np.max(np.abs(data)))}
-
-
-def _drifted(old: Mapping[str, float], new: Mapping[str, float],
-             threshold: float) -> bool:
-    """True when sampled-window statistics moved past ``threshold``.
-
-    Shifts are measured relative to the *anchor* (the last measured window),
-    never the previous comparison — re-measure decisions cannot ratchet
-    through a slow sequence of sub-threshold steps.  The scale floor keeps
-    near-zero tensors from flagging drift on float noise.
-    """
-    scale = max(old["std"], abs(old["mean"]), 1e-12)
-    return (abs(new["mean"] - old["mean"]) > threshold * scale
-            or abs(new["std"] - old["std"]) > threshold * scale
-            or abs(new["absmax"] - old["absmax"])
-            > threshold * max(old["absmax"], scale))
-
 
 # ---------------------------------------------------------------------------
 # Measurements
@@ -359,22 +322,9 @@ class CodecProfiler:
       CRC-32 of the sample bytes); re-profiling identical bytes never
       re-measures, and the hit/miss counters make that observable.  The key
       deliberately excludes the tensor name, so tied or duplicated tensors
-      share one measurement.
-    * **Drift detection** — with ``drift_threshold`` set (implied by
-      ``profile_cache``), a tensor whose exact fingerprint misses but whose
-      (shape, dtype, sample size) matches a previously measured *anchor* is
-      compared statistically: if its sampled-window mean/std/absmax stay
-      within the threshold of the anchor's, the anchor's measurements are
-      reused (a hit — this is what makes round 2+ of training
-      measurement-free); past the threshold the tensor is re-measured and
-      becomes the new anchor (counted in ``drifts``).  Distinct same-shape
-      tensors with statistics inside the threshold deliberately share one
-      measurement — the sample is a throughput/ratio estimate, not a hash.
-    * **Durability** — ``profile_cache`` names a JSON file (format in
-      FORMATS.md) holding the anchors; it is loaded at construction when its
-      versioned header and grid match this profiler's, rewritten atomically
-      after every call that measured, and ignored (started empty) when
-      missing, corrupt, or written under a different grid.
+      share one measurement.  The cache lives in memory only, and a tensor
+      whose bytes changed is measured again, so a profile never depends on
+      which tensor happened to be measured first.
     * **Fan-out** — uncached ``tensor x candidate`` pairs dispatch as one flat
       :meth:`ExecutionBackend.map` batch of picklable tasks; results are
       order-stable, so profiles are identical on any backend at any worker
@@ -391,9 +341,7 @@ class CodecProfiler:
                  sample_limit: int | None = 65536, seed: int = 0,
                  cost_model: "CostModel | str | None" = None,
                  backend: "str | ExecutionBackend" = "thread",
-                 workers: int | None = 1,
-                 profile_cache: "str | os.PathLike | None" = None,
-                 drift_threshold: float | None = None) -> None:
+                 workers: int | None = 1) -> None:
         from repro.compressors.registry import available_lossy
 
         self.candidates = tuple(candidates) if candidates is not None else DEFAULT_CANDIDATES
@@ -420,28 +368,10 @@ class CodecProfiler:
         if workers is not None and workers < 1:
             raise ValueError("workers must be >= 1")
         self.workers = workers
-        self.profile_cache = os.fspath(profile_cache) \
-            if profile_cache is not None else None
-        if drift_threshold is None and self.profile_cache is not None:
-            drift_threshold = DEFAULT_DRIFT_THRESHOLD
-        if drift_threshold is not None and \
-                (not np.isfinite(drift_threshold) or drift_threshold <= 0):
-            raise ValueError(f"drift_threshold must be positive and finite, "
-                             f"got {drift_threshold!r}")
-        self.drift_threshold = float(drift_threshold) \
-            if drift_threshold is not None else None
         self.cache_hits = 0
         self.cache_misses = 0
-        self.cache_drifts = 0
         self._cache: dict[tuple, tuple[CandidateMeasurement, ...]] = {}
-        #: drift bookkeeping: (shape, dtype, sample size, delta) -> the
-        #: anchor's exact fingerprint, and exact fingerprint -> its sample
-        #: statistics
-        self._anchors: dict[tuple, tuple] = {}
-        self._stats: dict[tuple, dict] = {}
         self._lock = threading.Lock()
-        if self.profile_cache is not None:
-            self._load_cache_file()
 
     # -- pickling: locks don't cross process boundaries, the cache does ------
     def __getstate__(self) -> dict:
@@ -461,104 +391,10 @@ class CodecProfiler:
                      for bound in self.error_bounds)
 
     def cache_info(self) -> dict:
-        """Hit/miss/drift counters and resident profile count."""
+        """Hit/miss counters and resident profile count."""
         with self._lock:
             return {"hits": self.cache_hits, "misses": self.cache_misses,
-                    "drifts": self.cache_drifts, "profiles": len(self._cache)}
-
-    # -- durable cache -------------------------------------------------------
-    def _grid_descriptor(self) -> dict:
-        """The profiler identity a durable cache must match to be reusable.
-
-        Any knob that changes what a measurement *means* is included; the
-        dispatch knobs (backend/workers) are not — profiles are identical
-        whatever runs them.
-        """
-        return {
-            "candidates": list(self.candidates),
-            "error_bounds": [float(b) for b in self.error_bounds],
-            "mode": self.mode.value,
-            "sample_limit": self.sample_limit,
-            "seed": self.seed,
-            "cost_model": "measured" if self.cost_model is None
-            else self.cost_model.label,
-        }
-
-    def _load_cache_file(self) -> None:
-        """Adopt the on-disk anchors; any mismatch or damage starts empty.
-
-        Silent-on-mismatch is deliberate: a cache written under a different
-        grid is not an error, it is simply not *this* profiler's cache.
-        """
-        try:
-            with open(self.profile_cache, "r", encoding="utf-8") as fh:
-                payload = json.load(fh)
-            if payload.get("format") != PROFILE_CACHE_FORMAT:
-                return
-            if payload.get("version") != PROFILE_CACHE_VERSION:
-                return
-            if payload.get("grid") != self._grid_descriptor():
-                return
-            for entry in payload["entries"]:
-                key = (tuple(int(d) for d in entry["shape"]),
-                       str(entry["dtype"]), int(entry["sample_size"]),
-                       int(entry["crc32"]), bool(entry.get("delta", False)))
-                measurements = tuple(
-                    CandidateMeasurement(
-                        codec=str(m["codec"]),
-                        error_bound=float(m["error_bound"]),
-                        mode=ErrorBoundMode(m["mode"]),
-                        sample_bytes=int(m["sample_bytes"]),
-                        compressed_bytes=int(m["compressed_bytes"]),
-                        compress_seconds=float(m["compress_seconds"]),
-                        decompress_seconds=float(m["decompress_seconds"]),
-                        max_abs_error=float(m["max_abs_error"]))
-                    for m in entry["measurements"])
-                stats = {"mean": float(entry["stats"]["mean"]),
-                         "std": float(entry["stats"]["std"]),
-                         "absmax": float(entry["stats"]["absmax"])}
-                with self._lock:
-                    self._cache[key] = measurements
-                    self._stats[key] = stats
-                    self._anchors[self._anchor_bucket(key)] = key
-        except (OSError, ValueError, KeyError, TypeError):
-            return
-
-    def _save_cache_file(self) -> None:
-        """Atomically rewrite the durable cache with the current anchors.
-
-        Anchors only — fingerprint aliases created by drift-tolerant reuse
-        rebuild themselves on the next run, so the file stays bounded by the
-        number of distinct tensor geometries, not the number of rounds.
-        """
-        with self._lock:
-            entries = []
-            for key in self._anchors.values():
-                measurements = self._cache.get(key)
-                stats = self._stats.get(key)
-                if measurements is None or stats is None:
-                    continue
-                shape, dtype, sample_size, crc, is_delta = key
-                entries.append({
-                    "shape": list(shape), "dtype": dtype,
-                    "sample_size": sample_size, "crc32": crc,
-                    "delta": is_delta, "stats": stats,
-                    "measurements": [{
-                        "codec": m.codec, "error_bound": m.error_bound,
-                        "mode": m.mode.value, "sample_bytes": m.sample_bytes,
-                        "compressed_bytes": m.compressed_bytes,
-                        "compress_seconds": m.compress_seconds,
-                        "decompress_seconds": m.decompress_seconds,
-                        "max_abs_error": m.max_abs_error,
-                    } for m in measurements],
-                })
-        payload = {"format": PROFILE_CACHE_FORMAT,
-                   "version": PROFILE_CACHE_VERSION,
-                   "grid": self._grid_descriptor(), "entries": entries}
-        tmp = f"{self.profile_cache}.tmp.{os.getpid()}"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh)
-        os.replace(tmp, self.profile_cache)
+                    "profiles": len(self._cache)}
 
     def sample(self, name: str, array: np.ndarray) -> np.ndarray:
         """The deterministic sample of ``array`` the grid is measured on.
@@ -582,14 +418,6 @@ class CodecProfiler:
         return (tuple(np.asarray(array).shape), str(sample.dtype),
                 int(sample.size), zlib.crc32(sample.tobytes()), bool(delta))
 
-    @staticmethod
-    def _anchor_bucket(key: tuple) -> tuple:
-        """The drift-anchor bucket of a fingerprint: geometry plus the delta
-        flag, without the content CRC.  Residual tensors (delta codec wire
-        dicts) share shapes with full states but have entirely different
-        statistics — bucketing them together would thrash both anchors."""
-        return key[:3] + key[4:]
-
     def profile_tensors(self, tensors: "Mapping[str, np.ndarray]",
                         backend: "str | ExecutionBackend | None" = None,
                         workers: int | None = None, delta: bool = False,
@@ -602,14 +430,12 @@ class CodecProfiler:
         profiler's own dispatch configuration for this call (``None`` =
         inherit) — the hook the profiled policy uses to honour the pipeline
         config's execution knobs on a shared profiler.  Profiles are
-        identical whatever runs them.  ``delta`` folds into the fingerprint
-        (and drift-anchor bucket), keeping residual-tensor profiles disjoint
-        from full-state ones.
+        identical whatever runs them.  ``delta`` folds into the fingerprint,
+        keeping residual-tensor profiles disjoint from full-state ones.
         """
         samples: "OrderedDict[str, np.ndarray]" = OrderedDict()
         keys: dict[str, tuple] = {}
         missing: "OrderedDict[tuple, np.ndarray]" = OrderedDict()
-        pending_stats: dict[tuple, dict] = {}
         for name, array in tensors.items():
             array = np.asarray(array)
             sample = self.sample(name, array)
@@ -619,26 +445,8 @@ class CodecProfiler:
                 if key in self._cache or key in missing:
                     self.cache_hits += 1
                     continue
-                if self.drift_threshold is None:
-                    self.cache_misses += 1
-                    missing[key] = sample
-                    continue
-                stats = _sample_stats(sample)
-                anchor = self._anchors.get(self._anchor_bucket(key))
-                if anchor is not None and anchor in self._cache and \
-                        not _drifted(self._stats[anchor], stats,
-                                     self.drift_threshold):
-                    # content moved, statistics did not: reuse the anchor's
-                    # measurements under the new fingerprint
-                    self._cache[key] = self._cache[anchor]
-                    self.cache_hits += 1
-                    continue
-                if anchor is not None:
-                    self.cache_drifts += 1
-                else:
-                    self.cache_misses += 1
+                self.cache_misses += 1
                 missing[key] = sample
-                pending_stats[key] = stats
 
         if missing:
             tasks = [_CandidateTask(codec, bound, self.mode, sample, self.cost_model)
@@ -652,13 +460,6 @@ class CodecProfiler:
             with self._lock:
                 for i, key in enumerate(missing):
                     self._cache[key] = tuple(results[i * grid_size:(i + 1) * grid_size])
-                    if key in pending_stats:
-                        # a freshly measured tensor becomes its geometry's
-                        # drift anchor
-                        self._stats[key] = pending_stats[key]
-                        self._anchors[self._anchor_bucket(key)] = key
-            if self.profile_cache is not None:
-                self._save_cache_file()
 
         profiles: "OrderedDict[str, TensorProfile]" = OrderedDict()
         for name, array in tensors.items():
@@ -709,11 +510,6 @@ class ProfiledPolicy(CompressionPolicy):
     they inherit the pipeline config's ``backend``/``pipeline_workers`` at
     plan-build time, so the one execution knob that drives every other
     fan-out stage drives profiling too.
-
-    ``profile_cache`` (a path) makes the profiler's measurement cache durable
-    across runs, with statistical drift detection tuned by
-    ``drift_threshold`` — see :class:`CodecProfiler` for the semantics and
-    FORMATS.md for the on-disk format.
     """
 
     name = "profiled"
@@ -727,8 +523,6 @@ class ProfiledPolicy(CompressionPolicy):
                  cost_model: "CostModel | str | None" = "analytic",
                  sample_limit: int | None = 65536, seed: int = 0,
                  profiler: CodecProfiler | None = None,
-                 profile_cache: "str | os.PathLike | None" = None,
-                 drift_threshold: float | None = None,
                  fallback_codec: str = "verbatim",
                  backend: "str | ExecutionBackend | None" = None,
                  workers: int | None = None,
@@ -758,18 +552,12 @@ class ProfiledPolicy(CompressionPolicy):
             if candidates is not None or error_bounds is not None:
                 raise ValueError("candidates/error_bounds belong to the profiler; "
                                  "configure them there when passing one explicitly")
-            if profile_cache is not None or drift_threshold is not None:
-                raise ValueError("profile_cache/drift_threshold belong to the "
-                                 "profiler; configure them there when passing "
-                                 "one explicitly")
             self.profiler = profiler
         else:
             self.profiler = CodecProfiler(candidates=candidates,
                                           error_bounds=error_bounds,
                                           sample_limit=sample_limit, seed=seed,
-                                          cost_model=cost_model,
-                                          profile_cache=profile_cache,
-                                          drift_threshold=drift_threshold)
+                                          cost_model=cost_model)
         from repro.compressors.registry import available_lossy
 
         if fallback_codec not in available_lossy():

@@ -10,16 +10,13 @@ decodes, aggregates, and evaluates the global model each round.
 from repro.fl.client import ClientUpdate, FLClient
 from repro.fl.codec import FedSZUpdateCodec, RawUpdateCodec, UpdateCodec
 from repro.fl.coordinator import (
-    Aggregator,
     Coordinator,
-    FlatAggregator,
     PartialAggregate,
     RoundJournal,
     RoundPlan,
     RoundScheduler,
     SimulatedTransport,
     StalenessPolicy,
-    TreeAggregator,
 )
 from repro.fl.scaling import (
     ScalingResult,
@@ -59,9 +56,6 @@ __all__ = [
     "RoundScheduler",
     "RoundPlan",
     "StalenessPolicy",
-    "Aggregator",
-    "FlatAggregator",
-    "TreeAggregator",
     "PartialAggregate",
     "RoundJournal",
     "SimulatedTransport",

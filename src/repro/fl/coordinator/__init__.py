@@ -4,16 +4,16 @@ The round engine that used to live as one monolithic loop inside
 ``fl/simulation.py`` is decomposed here into small, separately-testable
 services — :class:`RoundScheduler` (seeded scenario draws),
 :class:`SimulatedTransport` (encode → transfer → decode over the execution
-backend's pool), :class:`Aggregator` with flat and hierarchical (tree)
-implementations, :class:`RoundJournal` (durable, resumable rounds),
+backend's pool), :func:`weighted_mean_states` (the compensated FedAvg kernel
+behind ``FedAvgServer.aggregate``), :class:`RoundJournal` (durable, resumable
+rounds),
 :class:`StalenessPolicy` (late-update admission), and the
 :class:`Coordinator` that composes them: one ship path, one aggregation per
 round after lateness triage, and one persistent worker pool per run.
 ``FederatedSimulation`` remains the thin synchronous facade over this package.
 """
 
-from repro.fl.coordinator.aggregator import (Aggregator, FlatAggregator,
-                                             PartialAggregate, TreeAggregator,
+from repro.fl.coordinator.aggregator import (PartialAggregate,
                                              weighted_mean_states)
 from repro.fl.coordinator.coordinator import (Coordinator,
                                               train_clients_parallel)
@@ -29,7 +29,6 @@ from repro.fl.coordinator.transport import (ShipResult, ShipTask,
                                             ship_update_task)
 
 __all__ = [
-    "Aggregator", "FlatAggregator", "TreeAggregator",
     "PartialAggregate", "weighted_mean_states",
     "Coordinator", "train_clients_parallel",
     "RoundJournal", "JournalState", "PartialRoundState", "ShippedEvent",

@@ -1,22 +1,18 @@
-"""Aggregation services: flat FedAvg and hierarchical (tree) partial-sum merge.
+"""FedAvg aggregation: one compensated weighted-mean kernel.
 
-FedAvg is a weighted mean, and a weighted mean is associative once it is
-carried as a *weight-carrying partial sum* ``(Σ w_i·x_i, Σ w_i)``: any grouping
-of clients into edge aggregators whose partials merge at a root computes the
-same mean.  That associativity is what lets millions of clients fan into edge
-aggregators instead of one flat server pass (ROADMAP open item 1).
+FedAvg is a weighted mean, carried here as a *weight-carrying partial sum*
+``(Σ w_i·x_i, Σ w_i)``: each client becomes a leaf :class:`PartialAggregate`,
+the leaves fold left in client order, and the fold divides once at the end.
 
-Floating-point addition, however, is *not* associative — a naive float64
-partial sum would drift by a few ulps depending on the tree shape, and the
-test suite pins tree-vs-flat aggregation **bit-for-bit** at every fan-in.  So
-partial sums here carry each element as an unevaluated double-double
-``(hi, lo)`` pair (Knuth's TwoSum): merging two partials loses only bits below
-``2^-106`` relative, about ``10^16`` times finer than the float64 collapse at
-the root and far below anything a float32 (or float64) state-dict cast can
-observe.  Every grouping therefore rounds to identical output arrays, and
-:func:`repro.fl.server.fedavg_aggregate` routes through the same kernel
-(:class:`FlatAggregator` is the single-group special case), so the flat
-reference and any :class:`TreeAggregator` fan-in agree exactly.
+Each element of a partial sum is an unevaluated double-double ``(hi, lo)``
+pair (Knuth's TwoSum): merging two partials loses only bits below ``2^-106``
+relative, about ``10^16`` times finer than the float64 collapse in
+:meth:`PartialAggregate.finalize` and far below anything a float32 (or
+float64) state-dict cast can observe.  The compensation is part of the
+aggregate's bits: every seeded record and journal snapshot depends on it.
+:func:`repro.fl.server.fedavg_aggregate`, which
+:meth:`~repro.fl.server.FedAvgServer.aggregate` calls, is
+:func:`weighted_mean_states`.
 
 Integer-dtype state entries are rounded to the nearest integer before the
 cast back (``np.rint``); the historic ``astype`` truncation biased counters
@@ -25,19 +21,12 @@ toward zero.
 
 from __future__ import annotations
 
-import abc
 from collections import OrderedDict
 from typing import Sequence
 
 import numpy as np
 
-__all__ = [
-    "Aggregator",
-    "FlatAggregator",
-    "TreeAggregator",
-    "PartialAggregate",
-    "weighted_mean_states",
-]
+__all__ = ["PartialAggregate", "weighted_mean_states"]
 
 
 def _two_sum(a, b):
@@ -50,7 +39,7 @@ def _two_sum(a, b):
 
 def _validate_states(states: Sequence[dict[str, np.ndarray]],
                      weights: "Sequence[float] | None") -> np.ndarray:
-    """Shared FedAvg input validation; returns the raw weight vector."""
+    """FedAvg input validation; returns the raw weight vector."""
     if not states:
         raise ValueError("need at least one client state to aggregate")
     if weights is None:
@@ -58,7 +47,9 @@ def _validate_states(states: Sequence[dict[str, np.ndarray]],
     if len(weights) != len(states):
         raise ValueError("weights and states must have the same length")
     weight_array = np.asarray(weights, dtype=np.float64)
-    if np.any(weight_array < 0) or weight_array.sum() <= 0:
+    # a NaN or infinite weight would turn every aggregated element into NaN
+    if not np.all(np.isfinite(weight_array)) or np.any(weight_array < 0) \
+            or weight_array.sum() <= 0:
         raise ValueError("weights must be non-negative and not all zero")
     reference = states[0]
     reference_keys = list(reference.keys())
@@ -73,12 +64,12 @@ def _validate_states(states: Sequence[dict[str, np.ndarray]],
 
 
 class PartialAggregate:
-    """A weight-carrying partial FedAvg sum, mergeable at any fan-in.
+    """A weight-carrying partial FedAvg sum.
 
     Carries ``Σ w_i·x_i`` per tensor and ``Σ w_i``, each as a compensated
-    double-double ``(hi, lo)`` pair so that :meth:`merge` is
-    grouping-insensitive to far below output precision (see module docstring).
-    ``finalize`` divides and casts back to the reference dtypes.
+    double-double ``(hi, lo)`` pair so that :meth:`merge` loses only bits far
+    below output precision (see module docstring).  ``finalize`` divides and
+    casts back to the reference dtypes.
     """
 
     __slots__ = ("sums", "weight", "count", "_dtypes")
@@ -140,89 +131,18 @@ class PartialAggregate:
         return result
 
 
-def _fold(partials: Sequence[PartialAggregate]) -> PartialAggregate:
-    """Left fold of partials — the canonical merge order within one group."""
-    merged = partials[0]
-    for partial in partials[1:]:
-        merged = merged.merge(partial)
-    return merged
-
-
 def weighted_mean_states(states: Sequence[dict[str, np.ndarray]],
                          weights: "Sequence[float] | None" = None) \
         -> "OrderedDict[str, np.ndarray]":
-    """Weighted mean of state dicts through the compensated flat kernel.
+    """Weighted mean of state dicts (weights default to uniform).
 
-    The implementation behind :func:`repro.fl.server.fedavg_aggregate`; kept
-    here so flat and tree aggregation share one arithmetic path.
+    Every client folds, in order, into one compensated partial sum.
     """
-    return FlatAggregator().aggregate(states, weights)
-
-
-class Aggregator(abc.ABC):
-    """How a round's decoded client states become the next global state."""
-
-    #: registry-ish label shown by ``repr`` and recorded by benchmarks
-    name: str = "base"
-
-    @abc.abstractmethod
-    def aggregate(self, states: Sequence[dict[str, np.ndarray]],
-                  weights: "Sequence[float] | None" = None) \
-            -> "OrderedDict[str, np.ndarray]":
-        """Weighted FedAvg of ``states`` (weights default to uniform)."""
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging convenience
-        return f"{type(self).__name__}(name={self.name!r})"
-
-
-class FlatAggregator(Aggregator):
-    """Single-pass FedAvg: every client folds into one partial sum."""
-
-    name = "flat"
-
-    def aggregate(self, states: Sequence[dict[str, np.ndarray]],
-                  weights: "Sequence[float] | None" = None) \
-            -> "OrderedDict[str, np.ndarray]":
-        weight_array = _validate_states(states, weights)
-        # normalizing before the leaves keeps the carried totals O(1) and
-        # makes the single-client round the exact identity (w/w = 1.0)
-        normalized = weight_array / weight_array.sum()
-        leaves = [PartialAggregate.of(state, w)
-                  for state, w in zip(states, normalized)]
-        return _fold(leaves).finalize()
-
-
-class TreeAggregator(Aggregator):
-    """Hierarchical FedAvg: clients fan into edge aggregators, edges into a root.
-
-    ``fan_in`` children merge per node; with ``n`` clients the tree is
-    ``ceil(log_fan_in(n))`` levels deep, which is the shape a planet-scale
-    deployment uses to keep any single aggregator's inbound load bounded.
-    Bit-identical to :class:`FlatAggregator` at every fan-in (see module
-    docstring for why), which the test suite and
-    ``benchmarks/bench_coordinator.py`` both enforce.
-    """
-
-    name = "tree"
-
-    def __init__(self, fan_in: int = 8) -> None:
-        if fan_in < 2:
-            raise ValueError(f"fan_in must be >= 2, got {fan_in}")
-        self.fan_in = int(fan_in)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging convenience
-        return f"TreeAggregator(fan_in={self.fan_in})"
-
-    def aggregate(self, states: Sequence[dict[str, np.ndarray]],
-                  weights: "Sequence[float] | None" = None) \
-            -> "OrderedDict[str, np.ndarray]":
-        weight_array = _validate_states(states, weights)
-        normalized = weight_array / weight_array.sum()
-        level: "list[PartialAggregate]" = [
-            PartialAggregate.of(state, w)
-            for state, w in zip(states, normalized)
-        ]
-        while len(level) > 1:
-            level = [_fold(level[start:start + self.fan_in])
-                     for start in range(0, len(level), self.fan_in)]
-        return level[0].finalize()
+    weight_array = _validate_states(states, weights)
+    # normalizing before the leaves keeps the carried totals O(1) and
+    # makes the single-client round the exact identity (w/w = 1.0)
+    normalized = weight_array / weight_array.sum()
+    merged = PartialAggregate.of(states[0], normalized[0])
+    for state, weight in zip(states[1:], normalized[1:]):
+        merged = merged.merge(PartialAggregate.of(state, weight))
+    return merged.finalize()

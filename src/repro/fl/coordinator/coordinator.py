@@ -7,9 +7,9 @@ loop that used to live inside ``FederatedSimulation.run_round``.  It composes
   draws),
 * a :class:`~repro.fl.coordinator.transport.SimulatedTransport` (encode →
   transfer → decode, pooled over the execution backend),
-* a :class:`~repro.fl.server.FedAvgServer` whose aggregation routes through an
-  :class:`~repro.fl.coordinator.aggregator.Aggregator` (flat or tree),
-  called once per round after lateness triage,
+* a :class:`~repro.fl.server.FedAvgServer` whose aggregation routes through
+  :func:`~repro.fl.coordinator.aggregator.weighted_mean_states`, called once
+  per round after lateness triage,
 * an optional :class:`~repro.fl.coordinator.journal.RoundJournal` for durable,
   resumable rounds, and
 * a :class:`~repro.fl.coordinator.scheduler.StalenessPolicy` deciding the fate
@@ -447,28 +447,6 @@ class Coordinator:
                 self.clients[cid].receive_global(update.state)
         return updates
 
-    def _profile_cache_counters(self) -> "dict[str, int] | None":
-        """Fleet-wide profiler cache counters, or None without profilers.
-
-        Client codecs that expose a ``profiler`` (the ``profiled`` policy)
-        usually share one instance across the fleet, so profilers are deduped
-        by identity before summing their :meth:`cache_info` counters.
-        """
-        profilers, seen = [], set()
-        for codec in self.client_codecs:
-            profiler = getattr(codec, "profiler", None)
-            if profiler is not None and id(profiler) not in seen:
-                seen.add(id(profiler))
-                profilers.append(profiler)
-        if not profilers:
-            return None
-        totals = {"hits": 0, "misses": 0, "drifts": 0, "profiles": 0}
-        for profiler in profilers:
-            info = profiler.cache_info()
-            for key in totals:
-                totals[key] += int(info.get(key, 0))
-        return totals
-
     def run_round(self, round_index: int) -> RoundRecord:
         """Execute one communication round and return its measurements."""
         self._ensure_run_started()
@@ -617,7 +595,6 @@ class Coordinator:
             late_clients=list(late_ids),
             absorbed_clients={late.client_id: late.origin_round
                               for late in admitted},
-            profile_cache=self._profile_cache_counters(),
             delta_clients=delta_clients,
             delta_degrades=delta_degrades,
         )

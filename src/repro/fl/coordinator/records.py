@@ -54,11 +54,6 @@ class RoundRecord:
     #: late updates absorbed into this round's aggregate: client id -> the
     #: round the update was trained in (empty without a staleness window)
     absorbed_clients: dict[int, int] = field(default_factory=dict)
-    #: cumulative profiler-cache counters (hits/misses/drifts/profiles) at the
-    #: end of this round, summed over the fleet's distinct profilers; ``None``
-    #: when no client codec exposes a profiler.  A measurement, not a numeric:
-    #: journal replay and bit-identity checks ignore it, like the timing fields
-    profile_cache: "dict[str, int] | None" = None
     #: ids of participants that shipped delta-framed residuals this round
     #: (empty without a delta codec).  Deterministic — journaled and replayed
     delta_clients: list[int] = field(default_factory=list)

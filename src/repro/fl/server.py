@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.data.datasets import Dataset
 from repro.data.loader import BatchLoader
-from repro.fl.coordinator.aggregator import Aggregator, weighted_mean_states
+from repro.fl.coordinator.aggregator import weighted_mean_states
 from repro.nn.module import Module
 
 __all__ = ["fedavg_aggregate", "evaluate_model", "FedAvgServer"]
@@ -30,12 +30,11 @@ def fedavg_aggregate(states: Sequence[dict[str, np.ndarray]],
     whatever subset of clients reported in (an *empty* round is handled by
     :meth:`FedAvgServer.aggregate` with ``allow_empty=True``).
 
-    Routes through the compensated flat kernel in
-    :mod:`repro.fl.coordinator.aggregator`, the same arithmetic path the
-    hierarchical :class:`~repro.fl.coordinator.aggregator.TreeAggregator`
-    uses — which is what makes tree and flat aggregation bit-identical.
-    Integer-dtype entries round to nearest on the cast back (the historic
-    ``astype`` truncated toward zero, biasing counters low every round).
+    Routes through the compensated kernel in
+    :mod:`repro.fl.coordinator.aggregator`: every client folds, in order,
+    into one double-double partial sum.  Integer-dtype entries round to
+    nearest on the cast back (the historic ``astype`` truncated toward zero,
+    biasing counters low every round).
     """
     return weighted_mean_states(states, weights)
 
@@ -60,17 +59,12 @@ def evaluate_model(model: Module, dataset: Dataset, batch_size: int = 128) -> fl
 class FedAvgServer:
     """Holds the global model and coordinates aggregation/validation.
 
-    ``aggregator`` selects the aggregation topology: ``None`` is the flat
-    FedAvg reference (:func:`fedavg_aggregate`); passing a
-    :class:`~repro.fl.coordinator.aggregator.TreeAggregator` fans clients into
-    edge aggregators instead — bit-identical output, bounded per-node fan-in.
+    Aggregation is :func:`fedavg_aggregate`, applied to the global model.
     """
 
-    def __init__(self, model: Module, test_dataset: Dataset | None = None,
-                 aggregator: "Aggregator | None" = None) -> None:
+    def __init__(self, model: Module, test_dataset: Dataset | None = None) -> None:
         self.model = model
         self.test_dataset = test_dataset
-        self.aggregator = aggregator
 
     def global_state(self) -> "OrderedDict[str, np.ndarray]":
         """Copy of the current global state dict."""
@@ -89,10 +83,7 @@ class FedAvgServer:
             # nothing arrived: the global model carries over untouched (and
             # the non-empty common case never pays for a state-dict copy)
             return self.global_state()
-        if self.aggregator is not None:
-            new_state = self.aggregator.aggregate(states, weights)
-        else:
-            new_state = fedavg_aggregate(states, weights)
+        new_state = fedavg_aggregate(states, weights)
         self.model.load_state_dict(new_state)
         return new_state
 

@@ -9,9 +9,9 @@ the round engine itself now lives in :mod:`repro.fl.coordinator`:
 * :class:`~repro.fl.coordinator.transport.SimulatedTransport` owns the
   encode → transfer → decode pipeline (Eqn. 1's ``t_C + S'/B + t_D``, in
   that order), pooled over the execution backend,
-* :class:`~repro.fl.coordinator.aggregator.TreeAggregator` optionally replaces
-  flat FedAvg with a hierarchical merge (``tree_fanout``), bit-identical at
-  every fan-in,
+* :class:`~repro.fl.server.FedAvgServer` aggregates once per round through
+  the compensated FedAvg kernel
+  (:func:`~repro.fl.coordinator.aggregator.weighted_mean_states`),
 * :class:`~repro.fl.coordinator.journal.RoundJournal` makes rounds durable
   (``journal_dir``): a run killed mid-round resumes (``resume=True``) and
   produces the same records as an uninterrupted run,
@@ -40,8 +40,6 @@ full-participation semantics, which the test suite pins bit-for-bit):
   sum) or ``"parallel"`` (independent links: the max).
 * ``compute_factors`` — optional per-client device-speed factors (reported
   train time scaling only).
-* ``tree_fanout`` — ``0`` for flat FedAvg (default); ``>= 2`` aggregates
-  through a tree of that fan-in (bit-identical result).
 * ``journal_dir`` / ``resume`` — durable rounds on disk; see FORMATS.md for
   the journal layout.
 * ``round_deadline_s`` / ``max_staleness`` — late-update triage; the default
@@ -75,7 +73,6 @@ from repro.data.datasets import Dataset
 from repro.data.partition import partition_dataset
 from repro.fl.client import FLClient
 from repro.fl.codec import FedSZUpdateCodec, RawUpdateCodec, UpdateCodec
-from repro.fl.coordinator.aggregator import TreeAggregator
 from repro.fl.coordinator.coordinator import (Coordinator,
                                               train_clients_parallel)
 from repro.fl.coordinator.journal import RoundJournal
@@ -126,7 +123,6 @@ class FederatedSimulation:
                  uplink: str = "serial",
                  compute_factors: Sequence[float] | None = None,
                  backend: "str | ExecutionBackend" = "thread",
-                 tree_fanout: int = 0,
                  journal_dir=None, resume: bool = False,
                  round_deadline_s: float | None = None,
                  max_staleness: int = 0, delta: bool = False) -> None:
@@ -135,8 +131,6 @@ class FederatedSimulation:
         self.backend = get_backend(backend)  # unknown names raise ValueError
         if uplink not in UPLINK_MODES:
             raise ValueError(f"uplink must be one of {UPLINK_MODES}, got {uplink!r}")
-        if tree_fanout and tree_fanout < 2:
-            raise ValueError(f"tree_fanout must be 0 (flat) or >= 2, got {tree_fanout}")
         if resume and journal_dir is None:
             raise ValueError("resume=True requires journal_dir")
         # the scheduler carries the scenario validation (identical messages to
@@ -204,8 +198,7 @@ class FederatedSimulation:
             for i, shard in enumerate(shards)
         ]
         global_model: Module = model_factory()
-        aggregator = TreeAggregator(fan_in=tree_fanout) if tree_fanout else None
-        self.server = FedAvgServer(global_model, test_dataset, aggregator=aggregator)
+        self.server = FedAvgServer(global_model, test_dataset)
 
         self.transport = SimulatedTransport(backend=self.backend,
                                             max_workers=max_workers)

@@ -1,12 +1,12 @@
 """Low-level utilities shared by the FedSZ reproduction.
 
-The subpackage provides bit-level I/O (:mod:`repro.utils.bitstream`), wall-clock
-timing helpers (:mod:`repro.utils.timer`), deterministic RNG construction
-(:mod:`repro.utils.rng`), and small serialization helpers used by the
-compression pipeline (:mod:`repro.utils.serialization`).
+The subpackage provides wall-clock timing helpers (:mod:`repro.utils.timer`),
+deterministic RNG construction (:mod:`repro.utils.rng`), small serialization
+helpers used by the compression pipeline (:mod:`repro.utils.serialization`),
+and the execution backends every fan-out stage runs on
+(:mod:`repro.utils.parallel`).
 """
 
-from repro.utils.bitstream import BitReader, BitWriter
 from repro.utils.rng import make_rng, spawn_rngs
 from repro.utils.serialization import (
     pack_arrays,
@@ -17,8 +17,6 @@ from repro.utils.serialization import (
 from repro.utils.timer import Timer, format_bytes, format_seconds
 
 __all__ = [
-    "BitReader",
-    "BitWriter",
     "Timer",
     "format_bytes",
     "format_seconds",

@@ -1,8 +1,21 @@
 """Tests for the command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
+
+
+#: flags of deleted features, each an argparse error (exit 2)
+_REMOVED_FLAGS = [
+    ("simulate", "--aggregate-on-arrival"),
+    ("simulate", "--streaming-encode"),
+    ("simulate", "--streaming"),
+    ("simulate", "--tree-fanout"),
+    ("simulate", "--profile-cache"),
+    ("compress", "--profile-cache"),
+]
 
 
 class TestParser:
@@ -46,13 +59,15 @@ class TestParser:
         assert args.participation == 1.0
         assert args.straggler == 0.0 and args.dropout == 0.0
 
-    @pytest.mark.parametrize("flag", ["--aggregate-on-arrival",
-                                      "--streaming-encode", "--streaming"])
-    def test_removed_engine_flags_rejected(self, flag, capsys):
-        # every ship is encode, transfer, then decode, and the round engine
-        # always aggregates once per round
+    @pytest.mark.parametrize("command, flag", _REMOVED_FLAGS, ids=[
+        flag if command == "simulate" else f"{command}-{flag}"
+        for command, flag in _REMOVED_FLAGS])
+    def test_removed_engine_flags_rejected(self, command, flag, capsys):
+        # every ship is encode, transfer, then decode, the round engine
+        # always aggregates once per round through flat FedAvg, and the
+        # profiler's cache lives in memory only
         with pytest.raises(SystemExit) as excinfo:
-            build_parser().parse_args(["simulate", flag])
+            build_parser().parse_args([command, flag])
         assert excinfo.value.code == 2
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
@@ -135,6 +150,21 @@ class TestCommands:
         assert exit_code == 0
         assert "profiled policy" in out
         assert "verbatim" in out
+
+    @pytest.mark.parametrize("argv", [
+        ["compress", "--model", "simplecnn"],
+        ["simulate", "--model", "mlp", "--rounds", "1", "--clients", "2",
+         "--samples", "60", "--image-size", "8"],
+    ], ids=["compress", "simulate"])
+    def test_profiled_run_prints_cache_hits_and_misses(self, argv, capsys):
+        exit_code = main(argv + ["--policy", "profiled"])
+        out = capsys.readouterr().out
+        assert exit_code == 0
+        line = next(line for line in out.splitlines()
+                    if line.startswith("profile cache:"))
+        counters = re.fullmatch(r"profile cache:\s+(\d+) hits / (\d+) misses", line)
+        assert counters is not None, line
+        assert int(counters.group(2)) > 0
 
     def test_compress_profiled_on_slow_link_compresses(self, capsys):
         exit_code = main(["compress", "--model", "simplecnn", "--policy", "profiled",

@@ -1,25 +1,26 @@
-"""Coordinator services: tree aggregation, scheduling, journal, crash-resume."""
+"""Coordinator services: FedAvg kernel, scheduling, journal, crash-resume."""
 
 from __future__ import annotations
 
 import os
 import threading
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from repro.core import FedSZConfig, NetworkModel
+from repro.core import (CodecProfiler, FedSZCompressor, FedSZConfig,
+                        NetworkModel, ProfiledPolicy)
 from repro.data import make_dataset, train_test_split
 from repro.fl import (
     FederatedSimulation,
     FedSZUpdateCodec,
-    FlatAggregator,
+    FedAvgServer,
     RawUpdateCodec,
     RoundJournal,
     RoundScheduler,
     StalenessPolicy,
-    TreeAggregator,
     fedavg_aggregate,
 )
 from repro.fl.coordinator import (Coordinator, PartialAggregate, RoundPlan,
@@ -59,27 +60,82 @@ def _random_states(n, rng, with_ints=True):
     return states
 
 
-class TestTreeAggregator:
-    @pytest.mark.parametrize("fan_in", [2, 3, 4, 7, 16])
-    def test_bit_identical_to_flat_at_every_fan_in(self, fan_in):
-        rng = np.random.default_rng(99)
-        states = _random_states(11, rng)
-        weights = list(rng.integers(1, 200, size=11))
-        flat = fedavg_aggregate(states, weights)
-        tree = TreeAggregator(fan_in=fan_in).aggregate(states, weights)
-        assert list(flat) == list(tree)
-        for key in flat:
-            assert flat[key].dtype == tree[key].dtype
-            assert np.array_equal(flat[key], tree[key]), key
+def _wide_states(n, rng):
+    # float64 values over six decades, so that a plain float64 fold rounds
+    # away from the exact sum on many elements
+    return [{"w64": rng.standard_normal(257) * 10.0 ** rng.uniform(-3, 3, 257),
+             "w32": rng.standard_normal((3, 5, 7)).astype(np.float32),
+             "steps": rng.integers(0, 1000, size=4)} for _ in range(n)]
 
-    def test_extreme_weight_spread_still_bit_identical(self):
-        rng = np.random.default_rng(3)
-        states = _random_states(9, rng, with_ints=False)
-        weights = [1e-6, 1e6, 1.0, 3.0, 1e-3, 7e5, 2.0, 1e4, 5.0]
-        flat = fedavg_aggregate(states, weights)
-        for fan_in in (2, 3, 5):
-            tree = TreeAggregator(fan_in=fan_in).aggregate(states, weights)
-            assert all(np.array_equal(flat[k], tree[k]) for k in flat)
+
+def _correctly_rounded_mean(states, weights):
+    """FedAvg in exact rational arithmetic over the kernel's own float64
+    leaves (``x * w / sum(w)``), rounded once: what a fold that loses no bit
+    while summing returns."""
+    raw = np.asarray(weights, dtype=np.float64)
+    normalized = [float(w) for w in raw / raw.sum()]
+    total = float(sum(Fraction(w) for w in normalized))
+    result = {}
+    for key, reference in states[0].items():
+        reference = np.asarray(reference)
+        leaves = [np.asarray(state[key]).astype(np.float64).ravel() * w
+                  for state, w in zip(states, normalized)]
+        sums = np.array([float(sum(Fraction(float(leaf[i])) for leaf in leaves))
+                         for i in range(reference.size)])
+        value = (sums / total).reshape(reference.shape)
+        if reference.dtype.kind in "iub":
+            value = np.rint(value)
+        result[key] = value.astype(reference.dtype)
+    return result
+
+
+#: the weight spread of a fleet mixing tiny and huge shards
+_EXTREME_WEIGHTS = [1e-6, 1e6, 1.0, 3.0, 1e-3, 7e5, 2.0, 1e4, 5.0, 0.5, 42.0]
+
+_MEAN_CASES = [(2, "uniform"), (3, "samples"), (4, "tiny"), (7, "samples"),
+               (11, "extreme"), (16, "samples"), (32, "samples")]
+
+
+class TestFedAvgKernel:
+    @pytest.mark.parametrize("n, kind", _MEAN_CASES,
+                             ids=[f"{n}-{kind}" for n, kind in _MEAN_CASES])
+    def test_matches_correctly_rounded_mean(self, n, kind):
+        # the compensated partial sum keeps every bit an output can show:
+        # the aggregate is the exact weighted sum of the leaves, rounded once
+        rng = np.random.default_rng(1000 + n)
+        states = _wide_states(n, rng)
+        if kind == "uniform":
+            weights = [1.0] * n
+        elif kind == "extreme":
+            weights = _EXTREME_WEIGHTS[:n]
+        else:
+            counts = rng.integers(1, 200, size=n).astype(np.float64)
+            weights = list(counts * (1e-200 if kind == "tiny" else 1.0))
+        got = fedavg_aggregate(states, None if kind == "uniform" else weights)
+        want = _correctly_rounded_mean(states, weights)
+        assert list(got) == list(want)
+        for key in want:
+            assert got[key].dtype == want[key].dtype, key
+            assert np.array_equal(got[key], want[key]), key
+
+    @pytest.mark.parametrize("position", [0, 2, 4], ids=["first", "middle", "last"])
+    def test_zero_weight_client_changes_nothing(self, position):
+        rng = np.random.default_rng(31)
+        states = _random_states(5, rng)
+        weights = [4.0, 1.0, 3.0, 2.0, 5.0]
+        weights[position] = 0.0
+        kept = [i for i in range(5) if i != position]
+        with_zero = fedavg_aggregate(states, weights)
+        without = fedavg_aggregate([states[i] for i in kept],
+                                   [weights[i] for i in kept])
+        for key in without:
+            assert np.array_equal(with_zero[key], without[key]), key
+
+    def test_half_way_integer_means_round_to_even(self):
+        states = [{"c": np.array([0, 1, 2, 3], dtype=np.int64)},
+                  {"c": np.array([1, 2, 3, 4], dtype=np.int64)}]
+        out = fedavg_aggregate(states)
+        assert np.array_equal(out["c"], np.array([0, 2, 2, 4]))
 
     def test_single_state_is_exact_identity(self):
         rng = np.random.default_rng(17)
@@ -96,10 +152,6 @@ class TestTreeAggregator:
         out = fedavg_aggregate(states, [1, 3])
         assert out["c"].dtype == np.int64
         assert np.array_equal(out["c"], np.array([1, 2]))
-
-    def test_fan_in_below_two_rejected(self):
-        with pytest.raises(ValueError, match="fan_in must be >= 2"):
-            TreeAggregator(fan_in=1)
 
     def test_partial_merge_carries_weights(self):
         # merging partials of two halves must equal aggregating the whole
@@ -130,7 +182,26 @@ class TestTreeAggregator:
         with pytest.raises(ValueError, match="mismatched keys"):
             fedavg_aggregate([state, {"v": np.ones(3)}])
         with pytest.raises(ValueError, match="mismatched shapes"):
-            FlatAggregator().aggregate([state, {"w": np.ones(4)}])
+            fedavg_aggregate([state, {"w": np.ones(4)}])
+        # a NaN or infinite weight is rejected before any leaf is built,
+        # instead of returning an all-NaN global state
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match="non-negative and not all zero"):
+                fedavg_aggregate([state, state], [bad, 1.0])
+
+    @pytest.mark.parametrize("other, weight, message", [
+        ({"v": np.ones(3)}, 0.5, "mismatched keys"),
+        ({"w": np.ones(4)}, 0.5, "mismatched shapes"),
+        (None, 0.0, "non-negative and not all zero"),
+    ], ids=["keys", "shapes", "zero-total"])
+    def test_partial_guards(self, other, weight, message):
+        # a caller folding partials itself gets the same errors
+        partial = PartialAggregate.of({"w": np.ones(3)}, weight)
+        with pytest.raises(ValueError, match=message):
+            if other is None:
+                partial.finalize()
+            else:
+                partial.merge(PartialAggregate.of(other, weight))
 
 
 class TestRoundScheduler:
@@ -517,18 +588,43 @@ class TestOneEnginePath:
             build(**{knob: value})
 
 
-class TestTreeFanoutEndToEnd:
-    @pytest.mark.parametrize("fan_in", [2, 3])
-    def test_tree_run_matches_flat_run(self, fl_split, fan_in):
-        train, test = fl_split
-        flat = _make_sim(train, test).run(2)
-        tree = _make_sim(train, test, tree_fanout=fan_in).run(2)
-        assert deterministic_fields(tree) == deterministic_fields(flat)
+#: the durable profile cache with its drift anchors, and tree aggregation:
+#: each is gone, and naming it is an error
+_REMOVED_SCALE_KNOBS = [
+    ("CodecProfiler", "profile_cache", "profiles.json"),
+    ("CodecProfiler", "drift_threshold", 0.25),
+    ("ProfiledPolicy", "profile_cache", "profiles.json"),
+    ("ProfiledPolicy", "drift_threshold", 0.25),
+    ("FedAvgServer", "aggregator", None),
+    ("FederatedSimulation", "tree_fanout", 2),
+]
 
-    def test_invalid_fanout_rejected(self, fl_split):
+
+class TestOneProfilerOneKernel:
+    @pytest.mark.parametrize("owner, knob, value", _REMOVED_SCALE_KNOBS,
+                             ids=[f"{owner}-{knob}"
+                                  for owner, knob, _ in _REMOVED_SCALE_KNOBS])
+    def test_removed_knob_rejected(self, fl_split, owner, knob, value):
         train, test = fl_split
-        with pytest.raises(ValueError, match="tree_fanout"):
-            _make_sim(train, test, tree_fanout=1)
+        build = {
+            "CodecProfiler": CodecProfiler,
+            "ProfiledPolicy": ProfiledPolicy,
+            "FedAvgServer": lambda **kw: FedAvgServer(_factory(), **kw),
+            "FederatedSimulation": lambda **kw: _make_sim(train, test, **kw),
+        }[owner]
+        with pytest.raises(TypeError,
+                           match=f"unexpected keyword argument '{knob}'"):
+            build(**{knob: value})
+
+    @pytest.mark.parametrize("knob, value", [("profile_cache", "profiles.json"),
+                                             ("drift_threshold", 0.25)])
+    def test_removed_policy_option_rejected(self, knob, value):
+        # the pipeline resolves its policy at construction, so a stale
+        # option fails there instead of planning without it
+        config = FedSZConfig(policy="profiled", policy_options={knob: value})
+        with pytest.raises(TypeError,
+                           match=f"unexpected keyword argument '{knob}'"):
+            FedSZCompressor(config)
 
 
 class TestSatelliteRegressions:

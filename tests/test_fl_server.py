@@ -71,6 +71,18 @@ class TestServer:
         np.testing.assert_allclose(server.global_state()["net.1.weight"],
                                    new_state["net.1.weight"])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")],
+                             ids=["nan", "inf", "-inf"])
+    def test_non_finite_weight_leaves_global_model_untouched(self, bad):
+        server = FedAvgServer(build_model("mlp", num_classes=4, image_size=8))
+        before = server.global_state()
+        update = {k: v + 1.0 for k, v in before.items()}
+        with pytest.raises(ValueError, match="non-negative and not all zero"):
+            server.aggregate([update, update], weights=[bad, 1.0])
+        after = server.global_state()
+        for key in before:
+            assert np.array_equal(after[key], before[key]), key
+
     def test_evaluate_requires_dataset(self):
         server = FedAvgServer(build_model("mlp", num_classes=4, image_size=8))
         with pytest.raises(ValueError):

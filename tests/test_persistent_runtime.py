@@ -1,18 +1,15 @@
 """Tests for the persistent fleet runtime: long-lived pool scopes on the
 execution backends, worker-resident clients in the coordinator, and the
-durable drift-aware profile cache — plus the bit-identity matrix proving
+journal resume of a profiled run — plus the bit-identity matrix proving
 every backend x worker count reproduces the serial 1-worker run exactly."""
 
 import contextlib
-import json
-import os
 import pickle
 
 import numpy as np
 import pytest
 
 from repro.core.config import FedSZConfig
-from repro.core.profiling import CodecProfiler, ProfiledPolicy
 from repro.fl import FederatedSimulation, FedSZUpdateCodec, RawUpdateCodec
 from repro.fl.client import FLClient
 from repro.fl.coordinator.coordinator import TrainTask, _train_client_task
@@ -256,170 +253,48 @@ class TestRosterInvalidation:
 
 
 # ---------------------------------------------------------------------------
-# Durable profile cache
+# Journal resume of a profiled run
 # ---------------------------------------------------------------------------
 
-class TestDurableProfileCache:
-    def _tensors(self, seed=0):
-        rng = np.random.default_rng(seed)
-        return {"w": rng.normal(size=(48, 32)).astype(np.float32),
-                "b": rng.normal(size=(64,)).astype(np.float32)}
-
-    def test_warm_start_is_measurement_free(self, tmp_path):
-        path = tmp_path / "cache.json"
-        cold = CodecProfiler(cost_model="analytic", profile_cache=path)
-        profiles = cold.profile_tensors(self._tensors())
-        assert cold.cache_info()["misses"] == 2
-        assert path.exists()
-
-        warm = CodecProfiler(cost_model="analytic", profile_cache=path)
-        reloaded = warm.profile_tensors(self._tensors())
-        assert warm.cache_info() == {"hits": 2, "misses": 0, "drifts": 0,
-                                     "profiles": 2}
-        for name in profiles:
-            assert reloaded[name].measurements == profiles[name].measurements
-
-    def test_drift_reuses_within_threshold(self, tmp_path):
-        profiler = CodecProfiler(cost_model="analytic",
-                                 profile_cache=tmp_path / "cache.json",
-                                 drift_threshold=0.25)
-        base = self._tensors()
-        profiler.profile_tensors(base)
-        nudged = {k: v + np.float32(1e-5) for k, v in base.items()}
-        profiler.profile_tensors(nudged)
-        info = profiler.cache_info()
-        assert info["hits"] == 2 and info["drifts"] == 0
-
-    def test_drift_remeasures_past_threshold(self, tmp_path):
-        profiler = CodecProfiler(cost_model="analytic",
-                                 profile_cache=tmp_path / "cache.json",
-                                 drift_threshold=0.25)
-        base = self._tensors()
-        profiler.profile_tensors(base)
-        shifted = {k: v * np.float32(10.0) for k, v in base.items()}
-        profiler.profile_tensors(shifted)
-        info = profiler.cache_info()
-        assert info["drifts"] == 2 and info["misses"] == 2
-
-    def test_grid_mismatch_starts_empty(self, tmp_path):
-        path = tmp_path / "cache.json"
-        CodecProfiler(cost_model="analytic",
-                      profile_cache=path).profile_tensors(self._tensors())
-        other = CodecProfiler(cost_model="analytic", profile_cache=path,
-                              error_bounds=(1e-2,))
-        other.profile_tensors(self._tensors())
-        assert other.cache_info()["misses"] == 2
-
-    def test_version_one_cache_starts_empty(self, tmp_path):
-        # version-1 measurements priced SZ bodies of HUF3 plus zlib
-        path = tmp_path / "cache.json"
-        CodecProfiler(cost_model="analytic",
-                      profile_cache=path).profile_tensors(self._tensors())
-        payload = json.loads(path.read_text())
-        assert payload["version"] == 2 and payload["entries"]
-        path.write_text(json.dumps(dict(payload, version=1)))
-        stale = CodecProfiler(cost_model="analytic", profile_cache=path)
-        stale.profile_tensors(self._tensors())
-        assert stale.cache_info()["misses"] == 2
-
-    def test_corrupt_cache_starts_empty(self, tmp_path):
-        path = tmp_path / "cache.json"
-        path.write_text("{not json")
-        profiler = CodecProfiler(cost_model="analytic", profile_cache=path)
-        profiler.profile_tensors(self._tensors())
-        assert profiler.cache_info()["misses"] == 2
-
-    def test_policy_rejects_cache_with_explicit_profiler(self, tmp_path):
-        with pytest.raises(ValueError, match="belong to the profiler"):
-            ProfiledPolicy(profiler=CodecProfiler(cost_model="analytic"),
-                           profile_cache=tmp_path / "cache.json")
-
-    def test_invalid_drift_threshold(self):
-        with pytest.raises(ValueError, match="drift_threshold"):
-            CodecProfiler(cost_model="analytic", drift_threshold=0.0)
-
-
-# ---------------------------------------------------------------------------
-# Profile-cache counters in round records + warm rounds
-# ---------------------------------------------------------------------------
-
-def _profiled_codec(tmp_path=None, **options):
-    policy_options = {"bandwidth_mbps": 10.0, "max_bound": 1e-2, **options}
-    if tmp_path is not None:
-        policy_options["profile_cache"] = os.fspath(tmp_path)
+def _profiled_codec():
     config = FedSZConfig(error_bound=1e-2, policy="profiled",
-                         policy_options=policy_options)
+                         policy_options={"bandwidth_mbps": 10.0,
+                                         "max_bound": 1e-2})
     return FedSZUpdateCodec(config)
 
 
-class TestRoundRecordCounters:
-    def test_raw_codec_reports_none(self, tiny_split):
-        result = _make_sim(tiny_split, n_clients=2).run(1)
-        assert result.rounds[0].profile_cache is None
-
-    def test_profiled_codec_reports_counters(self, tiny_split, tmp_path):
-        codec = _profiled_codec(tmp_path / "cache.json")
-        result = _make_sim(tiny_split, n_clients=2, codec=codec).run(2)
-        first, last = result.rounds[0].profile_cache, result.rounds[1].profile_cache
-        assert set(first) == {"hits", "misses", "drifts", "profiles"}
-        assert first["misses"] > 0
-        # counters are cumulative: later rounds never report less
-        assert last["hits"] >= first["hits"]
-        assert last["misses"] >= first["misses"]
-
-    def test_warm_cache_makes_later_rounds_measurement_free(self, tiny_split,
-                                                            tmp_path):
-        """Acceptance criterion: with a warm cache, round 2+ plan-building is
-        profiler-measurement-free (drift-tolerant reuse turns every lookup
-        into a hit)."""
-        codec = _profiled_codec(tmp_path / "cache.json", drift_threshold=50.0)
-        result = _make_sim(tiny_split, n_clients=2, codec=codec).run(3)
-        counters = [r.profile_cache for r in result.rounds]
-        assert counters[0]["misses"] > 0
-        for later in counters[1:]:
-            assert later["misses"] == counters[0]["misses"]
-            assert later["drifts"] == 0
-        assert counters[2]["hits"] > counters[0]["hits"]
-
-    def test_second_run_starts_warm_from_disk(self, tiny_split, tmp_path):
-        path = tmp_path / "cache.json"
-        _make_sim(tiny_split, n_clients=2,
-                  codec=_profiled_codec(path, drift_threshold=50.0)).run(1)
-        codec = _profiled_codec(path, drift_threshold=50.0)
-        result = _make_sim(tiny_split, n_clients=2, codec=codec).run(1)
-        info = result.rounds[0].profile_cache
-        assert info["misses"] == 0 and info["drifts"] == 0 and info["hits"] > 0
+_RESUME_CASES = [("serial", False), ("thread", False), ("thread", True),
+                 ("process", True)]
 
 
-# ---------------------------------------------------------------------------
-# Journal resume with a warm profile cache
-# ---------------------------------------------------------------------------
-
-class TestJournalResumeWarmCache:
-    def test_resume_with_warm_cache_matches_uninterrupted(self, tiny_split,
-                                                          tmp_path):
-        """Satellite requirement: journal resume=True works with a warm
-        profile cache — the resumed half plans from the cache the first half
-        wrote, and the combined records match an uninterrupted reference."""
+class TestJournalResumeProfiled:
+    @pytest.mark.parametrize("backend, delta", _RESUME_CASES,
+                             ids=[f"{b}-delta" if d else b for b, d in _RESUME_CASES])
+    def test_resume_with_cold_profiler_matches_uninterrupted(self, tiny_split,
+                                                             tmp_path, backend,
+                                                             delta):
+        """A journaled profiled run, resumed by a fresh codec whose profiler
+        has measured nothing, matches the uninterrupted run: the profile of a
+        tensor is a function of its bytes, never of what the cache held."""
         journal = tmp_path / "journal"
-        cache_a = tmp_path / "cache_a.json"
-        cache_ref = tmp_path / "cache_ref.json"
+        options = dict(n_clients=2, backend=backend, max_workers=2, delta=delta)
+        _make_sim(tiny_split, codec=_profiled_codec(), journal_dir=journal,
+                  **options).run(1)
 
-        # first half: one journaled round, cache written to disk
-        _make_sim(tiny_split, n_clients=2, codec=_profiled_codec(cache_a),
-                  journal_dir=journal).run(1)
-        assert cache_a.exists()
-
-        # resumed half: replays round 0, runs round 1 live from the warm cache
-        codec = _profiled_codec(cache_a)
-        resumed_sim = _make_sim(tiny_split, n_clients=2, codec=codec,
-                                journal_dir=journal, resume=True)
-        assert codec.profiler.cache_info()["profiles"] > 0, \
-            "resumed run should construct with the warm cache loaded"
+        codec = _profiled_codec()
+        resumed_sim = _make_sim(tiny_split, codec=codec, journal_dir=journal,
+                                resume=True, **options)
+        assert codec.profiler.cache_info()["profiles"] == 0
         resumed = resumed_sim.run(2)
+        if not get_backend(backend).pickles_arguments:
+            # a process worker measures on its own copy of the profiler
+            assert codec.profiler.cache_info()["misses"] > 0
 
-        # uninterrupted reference with its own (initially empty) cache file,
-        # so drift-tolerant reuse follows the same measurement history
-        reference = _make_sim(tiny_split, n_clients=2,
-                              codec=_profiled_codec(cache_ref)).run(2)
+        reference_sim = _make_sim(tiny_split, codec=_profiled_codec(), **options)
+        reference = reference_sim.run(2)
         assert deterministic_fields(resumed) == deterministic_fields(reference)
+        ref_state = reference_sim.server.global_state()
+        res_state = resumed_sim.server.global_state()
+        assert list(res_state) == list(ref_state)
+        for key in ref_state:
+            assert np.array_equal(res_state[key], ref_state[key]), key
