@@ -6,10 +6,11 @@ Drills over an 8-client FedAvg run on a simulated 2 Mbps uplink:
   long-lived 4-worker pool, worker-resident clients); the run must spin up
   one pool, and the per-client pickled train-task bytes of the resident form
   must undercut the full-ship form.
-* **kill-and-resume** (``--kill-resume``) — launch a journaled run in a child
-  process that hard-exits mid-round (``REPRO_JOURNAL_CRASH_AFTER``), resume it
-  from the journal, and require the combined result to match an uninterrupted
-  reference on every deterministic field plus the final global state.
+* **kill-and-resume** (``--kill-resume``) — launch a journaled ``alexnet`` run
+  (the built-in model with dropout) in a child process that hard-exits
+  mid-round (``REPRO_JOURNAL_CRASH_AFTER``), resume it from the journal, and
+  require the combined result to match an uninterrupted reference on every
+  deterministic field plus the final global state.
 
 Two entry points:
 
@@ -49,14 +50,19 @@ N_CLIENTS = 8
 ROUNDS = 2
 BANDWIDTH_MBPS = 2.0
 SEED = 13
+#: the kill-resume drill trains through dropout, so a resumed run must
+#: reproduce the masks of the rounds it retrains
+KILL_RESUME_MODEL = "alexnet"
 
 
-def _build_simulation(train, test, cfg, backend: str = "thread", **kwargs):
+def _build_simulation(train, test, cfg, backend: str = "thread",
+                      simulate_delay: bool = True, **kwargs):
     def factory():
         return build_model(cfg["model"], num_classes=10, in_channels=3,
                            image_size=cfg["image_size"], seed=0)
 
-    network = NetworkModel(bandwidth_mbps=BANDWIDTH_MBPS, simulate_delay=True)
+    network = NetworkModel(bandwidth_mbps=BANDWIDTH_MBPS,
+                           simulate_delay=simulate_delay)
     return FederatedSimulation(factory, train, test, n_clients=N_CLIENTS,
                                codec=RawUpdateCodec(), network=network,
                                batch_size=cfg["batch_size"], lr=cfg["lr"],
@@ -92,6 +98,19 @@ def _run_persistent_drill(train, test, cfg, backend: str) -> dict:
             "resident_task_bytes": resident_bytes}
 
 
+def _kill_resume_simulation(backend: str, **kwargs):
+    """The kill-resume drill's run: child, reference and resume alike.
+
+    The drill compares deterministic fields, which carry the analytic
+    transfer time, so it sleeps no real transfer time: at 2 Mbps each raw
+    alexnet ship would sleep seconds and check nothing more.
+    """
+    cfg = dict(fl_settings(), model=KILL_RESUME_MODEL)
+    train, test = quick_fl_data("cifar10", seed=47)
+    return _build_simulation(train, test, cfg, backend=backend,
+                             simulate_delay=False, **kwargs)
+
+
 def _run_kill_resume_drill(backend: str) -> dict:
     """Kill a journaled child mid-round, resume, compare to uninterrupted."""
     with tempfile.TemporaryDirectory(prefix="fedsz-journal-") as journal_dir:
@@ -112,12 +131,10 @@ def _run_kill_resume_drill(backend: str) -> dict:
                 f"crash child expected to hard-exit 42, got {child.returncode}:\n"
                 f"{child.stderr[-2000:]}")
 
-        cfg = fl_settings()
-        train, test = quick_fl_data("cifar10", seed=47)
-        reference_sim = _build_simulation(train, test, cfg, backend=backend)
+        reference_sim = _kill_resume_simulation(backend)
         reference = reference_sim.run(ROUNDS)
-        resumed_sim = _build_simulation(train, test, cfg, backend=backend,
-                                        journal_dir=journal_dir, resume=True)
+        resumed_sim = _kill_resume_simulation(backend, journal_dir=journal_dir,
+                                              resume=True)
         resumed = resumed_sim.run(ROUNDS)
 
         assert deterministic_fields(resumed) == deterministic_fields(reference), \
@@ -133,10 +150,7 @@ def _run_kill_resume_drill(backend: str) -> dict:
 
 def _child_main(backend: str, journal_dir: str) -> int:
     """Child half of the kill-resume drill: run journaled until the crash hook."""
-    cfg = fl_settings()
-    train, test = quick_fl_data("cifar10", seed=47)
-    sim = _build_simulation(train, test, cfg, backend=backend,
-                            journal_dir=journal_dir)
+    sim = _kill_resume_simulation(backend, journal_dir=journal_dir)
     sim.run(ROUNDS)  # REPRO_JOURNAL_CRASH_AFTER hard-exits before completion
     return 0  # reached only if the crash hook never fired
 

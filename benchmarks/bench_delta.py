@@ -19,10 +19,11 @@ and FDL5 framing):
   worker counts must reproduce every deterministic round field (including
   ``delta_clients`` / ``delta_degrades``) bit-for-bit against the serial
   reference.
-* **kill-and-resume** (``--kill-resume``) — a journaled delta run is crashed
-  mid-round in a child process (``REPRO_JOURNAL_CRASH_AFTER``), resumed from
-  the journal plus the delta sidecars, and must match an uninterrupted
-  reference on every deterministic field and the final global state.
+* **kill-and-resume** (``--kill-resume``) — a journaled delta run of
+  ``alexnet`` (the built-in model with dropout) is crashed mid-round in a
+  child process (``REPRO_JOURNAL_CRASH_AFTER``), resumed from the journal
+  plus the delta sidecars, and must match an uninterrupted reference on every
+  deterministic field and the final global state.
 
 Two entry points:
 
@@ -74,6 +75,9 @@ SMOKE_RATIO_FLOOR = 1.2
 #: quantization error into this round's residual, so a single round may
 #: overshoot the bound by the carried error before feedback cancels it
 EF_SLACK = 2.5
+#: the kill-resume drill trains through dropout, so a resumed run must
+#: reproduce the masks of the rounds it retrains
+KILL_RESUME_MODEL = "alexnet"
 
 
 def _settings(smoke: bool) -> dict:
@@ -96,9 +100,10 @@ def _codec() -> FedSZUpdateCodec:
                                         threshold=THRESHOLD))
 
 
-def _build_simulation(train, test, settings: dict, **kwargs):
+def _build_simulation(train, test, settings: dict, model: str = "simplecnn",
+                      **kwargs):
     def factory():
-        return build_model("simplecnn", num_classes=10, in_channels=3,
+        return build_model(model, num_classes=10, in_channels=3,
                            image_size=settings["image_size"], seed=0)
 
     kwargs.setdefault("backend", "serial")
@@ -233,9 +238,11 @@ def _run_kill_resume_drill(settings: dict, backend: str) -> dict:
         train, test = _data(settings)
         rounds = settings["rounds"]
         reference_sim = _build_simulation(train, test, settings,
+                                          model=KILL_RESUME_MODEL,
                                           backend=backend, delta=True)
         reference = reference_sim.run(rounds)
-        resumed_sim = _build_simulation(train, test, settings, backend=backend,
+        resumed_sim = _build_simulation(train, test, settings,
+                                        model=KILL_RESUME_MODEL, backend=backend,
                                         delta=True, journal_dir=journal_dir,
                                         resume=True)
         resumed = resumed_sim.run(rounds)
@@ -255,8 +262,8 @@ def _child_main(backend: str, journal_dir: str, smoke: bool) -> int:
     """Child half of the kill-resume drill: run journaled until the crash hook."""
     settings = _settings(smoke)
     train, test = _data(settings)
-    sim = _build_simulation(train, test, settings, backend=backend, delta=True,
-                            journal_dir=journal_dir)
+    sim = _build_simulation(train, test, settings, model=KILL_RESUME_MODEL,
+                            backend=backend, delta=True, journal_dir=journal_dir)
     sim.run(settings["rounds"])  # REPRO_JOURNAL_CRASH_AFTER hard-exits first
     return 0  # reached only if the crash hook never fired
 

@@ -1,4 +1,4 @@
-"""Plan-driven state-dict pipeline: parallel fan-out and the mixed-codec frontier.
+"""Plan-driven state-dict pipeline: parallel fan-out and the codec frontier.
 
 Two experiments on a paper-scale state dict (the repo's CPU-scaled ``resnet50``
 rebuilt at the paper's size — ``width=64``, blocks ``(3, 4, 6, 3)``, ~23.5M
@@ -15,11 +15,10 @@ parameters — matching ``bench_entropy``):
    assertion is skipped — the run still verifies bit-identity and records the
    hardware context (and backend) in the JSON.
 
-2. **Mixed-codec frontier** — the ratio/throughput tradeoff FedSZ's Table I
-   implies: uniform SZx (fastest), uniform SZ2/SZ3 (best ratio), and
-   ``mixed-codec`` plans routing small tensors to SZx at several size cutoffs.
-   Every variant's reconstruction is checked against its plan's per-tensor
-   error bounds.
+2. **Codec frontier** — the ratio/throughput tradeoff of FedSZ's Table I
+   under Algorithm 1's uniform plan: SZx (fastest) against SZ2/SZ3 (best
+   ratio).  Every variant's reconstruction is checked against its plan's
+   per-tensor error bounds.
 
 ``--smoke`` runs a small model with one repetition and no timing assertion so
 CI can exercise the parallel path and every frontier variant on each Python
@@ -128,27 +127,16 @@ def bench_parallel(state: dict, workers: int, repeats: int,
     return table, stats
 
 
-def bench_frontier(state: dict, cutoffs: list[int], repeats: int) -> tuple[Table, list[dict]]:
-    """Ratio/throughput frontier: uniform codecs vs mixed-codec plans."""
-    variants: list[tuple[str, FedSZConfig]] = [
-        ("uniform szx", FedSZConfig(lossy_compressor="szx")),
-        ("uniform sz2", FedSZConfig(lossy_compressor="sz2")),
-        ("uniform sz3", FedSZConfig(lossy_compressor="sz3")),
-    ]
-    for cutoff in cutoffs:
-        variants.append((
-            f"mixed szx<{cutoff // 1024}Ki + sz2",
-            FedSZConfig(lossy_compressor="sz2", policy="mixed-codec",
-                        policy_options={"small_codec": "szx", "size_cutoff": cutoff}),
-        ))
-
+def bench_frontier(state: dict, repeats: int) -> tuple[Table, list[dict]]:
+    """Ratio/throughput frontier of the uniform plan over SZx, SZ2 and SZ3."""
     original_mb = sum(v.nbytes for v in state.values()) / 1e6
-    table = Table("Mixed-codec ratio/throughput frontier (paper-scale state dict)",
+    table = Table("Uniform-plan codec ratio/throughput frontier",
                   ["plan", "ratio", "compress (s)", "MB/s", "decompress (s)",
-                   "MB/s ", "szx tensors"])
+                   "MB/s "])
     rows: list[dict] = []
-    for label, config in variants:
-        fedsz = FedSZCompressor(config)
+    for codec in ("szx", "sz2", "sz3"):
+        label = f"uniform {codec}"
+        fedsz = FedSZCompressor(FedSZConfig(lossy_compressor=codec))
         best_c = best_d = float("inf")
         payload = recon = report = None
         for _ in range(repeats):
@@ -159,19 +147,16 @@ def bench_frontier(state: dict, cutoffs: list[int], repeats: int) -> tuple[Table
             recon, _ = fedsz.decompress_with_report(payload)
             best_d = min(best_d, time.perf_counter() - start)
         _verify_bounds(fedsz, state, recon)
-        szx_tensors = sum(1 for entry in fedsz.last_plan if entry.codec == "szx")
         table.add_row(label, f"{report.ratio:.2f}x", f"{best_c:.2f}",
                       f"{original_mb / best_c:.1f}", f"{best_d:.2f}",
-                      f"{original_mb / best_d:.1f}", szx_tensors)
+                      f"{original_mb / best_d:.1f}")
         rows.append({"plan": label, "ratio": report.ratio,
                      "compress_seconds": best_c, "decompress_seconds": best_d,
-                     "compressed_bytes": report.compressed_bytes,
-                     "szx_tensors": szx_tensors,
-                     "codecs": fedsz.last_plan.codecs})
+                     "compressed_bytes": report.compressed_bytes})
     return table, rows
 
 
-def bench_pipeline(model: str, workers: int, cutoffs: list[int], repeats: int,
+def bench_pipeline(model: str, workers: int, repeats: int,
                    min_speedup: float | None, model_kwargs: dict | None = None,
                    persist: bool = True, backend: str = "thread") -> int:
     state = trained_like_state(model, **(model_kwargs or {}))
@@ -181,11 +166,11 @@ def bench_pipeline(model: str, workers: int, cutoffs: list[int], repeats: int,
 
     par_table, par_stats = bench_parallel(state, workers, repeats, min_speedup,
                                           backend=backend)
-    frontier_table, frontier_rows = bench_frontier(state, cutoffs, repeats)
+    frontier_table, frontier_rows = bench_frontier(state, repeats)
 
     record = ExperimentRecord("pipeline",
                               "plan-driven pipeline: parallel per-tensor fan-out "
-                              "(bit-identical) and the mixed-codec frontier")
+                              "(bit-identical) and the uniform-plan codec frontier")
     record.add(model=model, parameters=int(n_params), **par_stats)
     for row in frontier_rows:
         record.add(**row)
@@ -213,9 +198,6 @@ def main(argv: "list[str] | None" = None) -> int:
                         help="model whose state dict supplies the tensors")
     parser.add_argument("--workers", type=int, default=4,
                         help="pipeline_workers for the parallel path")
-    parser.add_argument("--cutoffs", type=int, nargs="+",
-                        default=[16 * 1024, 64 * 1024, 256 * 1024],
-                        help="mixed-codec size cutoffs (elements) to sweep")
     parser.add_argument("--repeats", type=int, default=2,
                         help="timing repetitions (best-of)")
     parser.add_argument("--min-speedup", type=float, default=1.3,
@@ -234,11 +216,11 @@ def main(argv: "list[str] | None" = None) -> int:
     args = parser.parse_args(argv)
 
     if args.smoke:
-        return bench_pipeline("simplecnn", args.workers, cutoffs=[2048],
+        return bench_pipeline("simplecnn", args.workers,
                               repeats=1, min_speedup=None, persist=False,
                               backend=args.backend)
     model_kwargs = None if args.repro_scale else PAPER_SCALE.get(args.model)
-    return bench_pipeline(args.model, args.workers, cutoffs=args.cutoffs,
+    return bench_pipeline(args.model, args.workers,
                           repeats=args.repeats, min_speedup=args.min_speedup,
                           model_kwargs=model_kwargs, backend=args.backend)
 

@@ -73,26 +73,17 @@ def _add_backend_argument(parser: argparse.ArgumentParser) -> None:
                              "and round results are identical across backends")
 
 
-def _add_entropy_arguments(parser: argparse.ArgumentParser) -> None:
-    """Knobs of the SZ2/SZ3 chunked Huffman entropy stage."""
-    parser.add_argument("--entropy-chunk", type=int, default=FedSZConfig.entropy_chunk,
-                        help="max symbol tuples per independently-decodable Huffman chunk")
-
-
 def _add_plan_arguments(parser: argparse.ArgumentParser) -> None:
     """Knobs of the plan-driven per-tensor compression pipeline."""
     parser.add_argument("--policy", default=FedSZConfig.policy,
                         help="plan policy assigning each lossy tensor its codec and "
-                             "bound: uniform, size-adaptive, mixed-codec, or "
-                             "profiled (measures the candidate grid and picks the "
-                             "Eqn.-1 optimum for the --bandwidth link)")
+                             "bound: uniform (Algorithm 1: one codec, one bound) "
+                             "or profiled (measures the candidate grid and picks "
+                             "the Eqn.-1 optimum for the --bandwidth link)")
     parser.add_argument("--pipeline-workers", type=int, default=FedSZConfig.pipeline_workers,
                         help="per-tensor compress/decompress threads (1 = the "
                              "sequential reference path; bitstreams are "
                              "bit-identical at any count)")
-    parser.add_argument("--small-tensor-codec", default="szx",
-                        help="codec for tensors below the mixed-codec size cutoff "
-                             "(only used with --policy mixed-codec)")
 
 
 def _fedsz_config(args: argparse.Namespace, **extra) -> FedSZConfig:
@@ -102,15 +93,12 @@ def _fedsz_config(args: argparse.Namespace, **extra) -> FedSZConfig:
     names and out-of-range knobs; the command wrappers turn that into a
     one-line CLI error.
     """
-    policy_options = dict(extra.pop("policy_options", {}))
-    if args.policy == "mixed-codec":
-        policy_options.setdefault("small_codec", args.small_tensor_codec)
-    elif args.policy == "profiled":
+    policy_options = {}
+    if args.policy == "profiled":
         # profile against the link the command models; the analytic cost model
         # keeps CLI runs reproducible on any host
-        policy_options.setdefault("bandwidth_mbps", args.bandwidth)
-        policy_options.setdefault("max_bound", args.bound)
-    return FedSZConfig(error_bound=args.bound, entropy_chunk=args.entropy_chunk,
+        policy_options = {"bandwidth_mbps": args.bandwidth, "max_bound": args.bound}
+    return FedSZConfig(error_bound=args.bound,
                        policy=args.policy, pipeline_workers=args.pipeline_workers,
                        backend=args.backend,
                        policy_options=policy_options, **extra)
@@ -130,7 +118,6 @@ def build_parser() -> argparse.ArgumentParser:
     compress.add_argument("--lossless", default="blosclz", help="lossless codec for metadata")
     compress.add_argument("--bandwidth", type=float, default=10.0,
                           help="uplink Mbps the profiled policy plans against")
-    _add_entropy_arguments(compress)
     _add_plan_arguments(compress)
     _add_backend_argument(compress)
 
@@ -174,7 +161,6 @@ def build_parser() -> argparse.ArgumentParser:
                                "warm reference send state - reference instead "
                                "of the full state, degrading to full-state "
                                "frames after any gap")
-    _add_entropy_arguments(simulate)
     _add_plan_arguments(simulate)
     _add_backend_argument(simulate)
 
@@ -288,8 +274,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                   f"codecs {', '.join(plan.codecs)}")
     profiler = last_sims["fedsz"].codec.profiler
     if profiler is not None:
-        info = profiler.cache_info()
-        print(f"profile cache:  {info['hits']} hits / {info['misses']} misses")
+        if get_backend(args.backend).pickles_arguments and args.workers > 1:
+            # every ship task profiles on its own pickled copy of the policy,
+            # so the counters grow in the worker processes, not in this one
+            print("profile cache:  counters are kept in the worker processes")
+        else:
+            info = profiler.cache_info()
+            print(f"profile cache:  {info['hits']} hits / {info['misses']} misses")
 
     raw, fedsz = results["uncompressed"], results["fedsz"]
     print(f"\nfinal accuracy: uncompressed {raw.final_accuracy:.2%} vs fedsz {fedsz.final_accuracy:.2%}")

@@ -5,12 +5,11 @@ The core package implements Algorithm 1 and Figure 1 of the paper:
 1. :mod:`repro.core.partition` — split a model ``state_dict`` into the large
    weight tensors (lossy-compressible) and the remaining metadata
    (lossless-only),
-2. :mod:`repro.core.plan` — per-tensor compression plans and the pluggable
-   policy registry (uniform / size-adaptive / mixed-codec) that decide each
-   lossy tensor's codec, bound, and options,
+2. :mod:`repro.core.plan` — per-tensor compression plans and the two plan
+   policies that decide each lossy tensor's codec and bound: ``uniform``
+   (Algorithm 1) and ``profiled`` (Problems 1 and 2),
 3. :mod:`repro.core.pipeline` — the plan-driven FedSZ pipeline producing a
-   single self-describing (version-7, possibly mixed-codec) bitstream per
-   client update,
+   single self-describing (version-7) bitstream per client update,
 4. :mod:`repro.core.network` — the bandwidth/benefit model of Eqn. (1),
 5. :mod:`repro.core.profiling` — the measured-candidate profiling subsystem
    (sampled roundtrips, cached :class:`TensorProfile`\\ s, Pareto frontier)
@@ -22,16 +21,12 @@ The core package implements Algorithm 1 and Figure 1 of the paper:
 from repro.core.config import FedSZConfig
 from repro.core.plan import (
     PLAN_PROVENANCE_KEY,
-    AdaptiveBoundPolicy,
     CompressionPlan,
     CompressionPolicy,
-    MixedCodecPolicy,
-    SizeAdaptivePolicy,
     TensorPlan,
     UniformPolicy,
     available_policies,
     get_policy,
-    register_policy,
 )
 from repro.core.network import (
     DeviceProfile,
@@ -65,18 +60,14 @@ from repro.core.selection import (
 
 __all__ = [
     "FedSZConfig",
-    "AdaptiveBoundPolicy",
     "FedSZCompressor",
     "FedSZReport",
     "TensorPlan",
     "CompressionPlan",
     "CompressionPolicy",
     "UniformPolicy",
-    "SizeAdaptivePolicy",
-    "MixedCodecPolicy",
     "available_policies",
     "get_policy",
-    "register_policy",
     "PartitionedState",
     "partition_state_dict",
     "lossy_fraction",

@@ -28,13 +28,11 @@ class FedSZConfig:
     * ``lossy_name_tokens`` — substrings of the state-dict key that mark a
       tensor as a candidate for lossy compression (Algorithm 1 checks for
       ``"weight"``),
-    * ``entropy_chunk`` — the most symbol tuples per independently-decodable
-      chunk of the SZ2/SZ3 Huffman entropy stage (decode always runs in-thread),
     * ``policy`` / ``policy_options`` — registry name and constructor kwargs
       of the plan policy (:mod:`repro.core.plan`) that assigns each lossy
-      tensor its codec/bound/options; ``"uniform"`` reproduces the historic
-      one-codec-one-bound behaviour, ``"size-adaptive"`` shrinks bounds on
-      small tensors, ``"mixed-codec"`` routes small tensors to a fast codec,
+      tensor its codec and bound: ``"uniform"`` is Algorithm 1's one codec
+      and one bound, ``"profiled"`` measures the candidates per link
+      (Problems 1 and 2, Section IV),
     * ``pipeline_workers`` — per-tensor compress/decompress concurrency of the
       state-dict pipeline: ``1`` is the strictly sequential reference path,
       larger values fan tensors out over the execution backend (bit-identical
@@ -55,12 +53,9 @@ class FedSZConfig:
     lossless_codec: str = "blosclz"
     threshold: int = 1024
     lossy_name_tokens: tuple[str, ...] = ("weight",)
-    entropy_chunk: int = 65536
     policy: str = "uniform"
     pipeline_workers: int = 1
     backend: str = "thread"
-    lossy_options: dict = field(default_factory=dict)
-    lossless_options: dict = field(default_factory=dict)
     policy_options: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -68,8 +63,6 @@ class FedSZConfig:
             raise ValueError("error_bound must be positive")
         if self.threshold < 0:
             raise ValueError("threshold must be non-negative")
-        if self.entropy_chunk < 1:
-            raise ValueError("entropy_chunk must be >= 1")
         if self.pipeline_workers < 1:
             raise ValueError("pipeline_workers must be >= 1")
         get_backend(self.backend)  # unknown names raise ValueError here

@@ -6,9 +6,9 @@ Client side (:meth:`FedSZCompressor.compress_with_report`):
 2. ask the configured plan policy (:mod:`repro.core.plan`) for a
    :class:`~repro.core.plan.CompressionPlan` — one
    :class:`~repro.core.plan.TensorPlan` (codec, bound, mode, options) per
-   lossy tensor; the ``uniform`` policy reproduces the historic
-   one-codec-one-bound behaviour, ``size-adaptive`` and ``mixed-codec``
-   exploit the paper's per-workload EBLC tradeoff,
+   lossy tensor; the ``uniform`` policy is Algorithm 1's one codec and one
+   bound, the ``profiled`` policy picks both per link by measurement
+   (Problems 1 and 2),
 3. compress every lossy tensor per its plan entry, fanning the tensors out
    over the configured execution backend (serial / thread / process, see
    :mod:`repro.utils.parallel`) when ``pipeline_workers > 1`` (``1`` is the
@@ -20,7 +20,8 @@ Client side (:meth:`FedSZCompressor.compress_with_report`):
    the configured lossless codec,
 5. pack everything into one version-7 bitstream: each ``lossy::`` payload is
    prefixed with its codec id and the manifest embeds the full plan summary,
-   so mixed-codec streams roundtrip with no out-of-band state.
+   so streams whose tensors use different codecs roundtrip with no
+   out-of-band state.
 
 Server side (:meth:`FedSZCompressor.decompress_state_dict`) parses the
 manifest plan, dispatches every lossy payload to the codec named by its
@@ -73,9 +74,6 @@ __all__ = ["FedSZCompressor", "FedSZReport"]
 #: Huffman entropy stage, 2 the SZ3 anchor dtype flag / ZFP verbatim trailer /
 #: SZx verbatim escape — see FORMATS.md.)
 _FORMAT_VERSION = 7
-#: Lossy compressors whose payloads carry a Huffman entropy stage and
-#: therefore accept the ``entropy_chunk`` knob.
-_ENTROPY_CODED = ("sz2", "sz3")
 #: Outer-bitstream keys owned by the format itself.  Tensor names may not
 #: collide with them (or with the ``lossy::`` namespace prefix) — a state dict
 #: using them is rejected at compression time instead of risking a bitstream
@@ -83,20 +81,6 @@ _ENTROPY_CODED = ("sz2", "sz3")
 _RESERVED_KEYS = ("__manifest__", "__lossless__")
 _LOSSY_PREFIX = "lossy::"
 _MANIFEST_HEADER = struct.Struct("<IQ")
-
-
-def lossy_kwargs_from_config(config: FedSZConfig, codec: str | None = None) -> dict:
-    """Factory kwargs for a lossy compressor instantiated under ``config``.
-
-    ``config.lossy_options`` apply only to the configured default codec (they
-    are options *of that codec*); ``entropy_chunk`` applies to any codec
-    with a Huffman stage.  Explicit ``lossy_options`` entries win.
-    """
-    codec = codec if codec is not None else config.lossy_compressor
-    kwargs = dict(config.lossy_options) if codec == config.lossy_compressor else {}
-    if codec in _ENTROPY_CODED:
-        kwargs.setdefault("entropy_chunk", config.entropy_chunk)
-    return kwargs
 
 
 def _decode_or_valueerror(decode, payload: bytes, entry: str):
@@ -248,10 +232,9 @@ class FedSZCompressor:
             self.config.lossy_compressor,
             error_bound=self.config.error_bound,
             mode=self.config.error_mode,
-            **lossy_kwargs_from_config(self.config),
         )
         self.lossless = lossless if lossless is not None else get_lossless(
-            self.config.lossless_codec, **self.config.lossless_options)
+            self.config.lossless_codec)
         if policy is None:
             policy = self.config.policy
         self.policy = policy if isinstance(policy, CompressionPolicy) \
@@ -270,11 +253,6 @@ class FedSZCompressor:
         self.last_report: FedSZReport | None = None
         self.last_plan: CompressionPlan | None = None
         self._decoder_cache: dict[str, LossyCompressor] = {}
-        #: set by the delta codec when the next encode compresses residual
-        #: tensors rather than raw state — content-profiling policies key
-        #: their caches on it so residual statistics never alias full-state
-        #: anchors (plans stay pure functions of the actual input)
-        self.delta_hint = False
         #: per-tensor REL-bound resolution scales ``{name: value_range}`` set
         #: by the delta codec for one encode.  A REL bound resolved against a
         #: *residual* tensor's tiny range would silently tighten the
@@ -304,12 +282,6 @@ class FedSZCompressor:
         # so this number is the fan-out that actually runs
         return backend.resolve_workers(max(1, workers), max(1, workers))
 
-    def plan_state_dict(self, state: dict[str, np.ndarray]) -> CompressionPlan:
-        """The per-tensor plan the policy would apply to ``state``."""
-        partition = partition_state_dict(state, self.config)
-        return self.policy.build_plan(partition.lossy, self._plan_config,
-                                      delta=self.delta_hint)
-
     def _compressor_for(self, plan: TensorPlan) -> LossyCompressor:
         """A lossy compressor configured exactly as ``plan`` prescribes.
 
@@ -322,10 +294,8 @@ class FedSZCompressor:
             # reuse the (possibly injected) instance so non-registry
             # compressors keep working; cloning re-binds only the bound
             return self.lossy.with_error_bound(plan.error_bound, plan.mode)
-        kwargs = lossy_kwargs_from_config(self.config, plan.codec)
-        kwargs.update(options)
         return get_lossy(plan.codec, error_bound=plan.error_bound, mode=plan.mode,
-                         **kwargs)
+                         **options)
 
     def _scaled_compressor_for(self, plan: TensorPlan, name: str) -> LossyCompressor:
         """:meth:`_compressor_for`, with a REL bound resolved against
@@ -354,7 +324,7 @@ class FedSZCompressor:
             if codec not in available_lossy():
                 raise ValueError(f"corrupt or unsupported FedSZ bitstream: unknown "
                                  f"codec {codec!r}; available: {available_lossy()}")
-            decoder = get_lossy(codec, **lossy_kwargs_from_config(self.config, codec))
+            decoder = get_lossy(codec)
             self._decoder_cache[codec] = decoder
         return decoder
 
@@ -370,8 +340,7 @@ class FedSZCompressor:
         _check_tensor_names(state)
         start = time.perf_counter()
         partition = partition_state_dict(state, self.config)
-        plan = self.policy.build_plan(partition.lossy, self._plan_config,
-                                      delta=self.delta_hint)
+        plan = self.policy.build_plan(partition.lossy, self._plan_config)
         if plan.tensor_names != list(partition.lossy):
             # a third-party policy reordering or dropping tensors must fail
             # here, not as a confusing corruption error on every decode

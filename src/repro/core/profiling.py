@@ -45,7 +45,8 @@ import numpy as np
 
 from repro.compressors.base import ErrorBoundMode
 from repro.core.network import DeviceProfile, NetworkModel, end_to_end_seconds
-from repro.core.plan import PLAN_PROVENANCE_KEY, CompressionPolicy, TensorPlan
+from repro.core.plan import (PLAN_PROVENANCE_KEY, CompressionPlan, CompressionPolicy,
+                             TensorPlan)
 from repro.utils.parallel import ExecutionBackend, get_backend
 
 __all__ = [
@@ -413,14 +414,13 @@ class CodecProfiler:
         start = int(rng.integers(0, flat.size - limit + 1))
         return flat[start:start + limit]
 
-    def _fingerprint(self, array: np.ndarray, sample: np.ndarray,
-                     delta: bool = False) -> tuple:
+    def _fingerprint(self, array: np.ndarray, sample: np.ndarray) -> tuple:
         return (tuple(np.asarray(array).shape), str(sample.dtype),
-                int(sample.size), zlib.crc32(sample.tobytes()), bool(delta))
+                int(sample.size), zlib.crc32(sample.tobytes()))
 
     def profile_tensors(self, tensors: "Mapping[str, np.ndarray]",
                         backend: "str | ExecutionBackend | None" = None,
-                        workers: int | None = None, delta: bool = False,
+                        workers: int | None = None,
                         ) -> "OrderedDict[str, TensorProfile]":
         """Profile every tensor, measuring only the fingerprints not yet cached.
 
@@ -430,8 +430,7 @@ class CodecProfiler:
         profiler's own dispatch configuration for this call (``None`` =
         inherit) — the hook the profiled policy uses to honour the pipeline
         config's execution knobs on a shared profiler.  Profiles are
-        identical whatever runs them.  ``delta`` folds into the fingerprint,
-        keeping residual-tensor profiles disjoint from full-state ones.
+        identical whatever runs them.
         """
         samples: "OrderedDict[str, np.ndarray]" = OrderedDict()
         keys: dict[str, tuple] = {}
@@ -440,7 +439,7 @@ class CodecProfiler:
             array = np.asarray(array)
             sample = self.sample(name, array)
             samples[name] = sample
-            keys[name] = key = self._fingerprint(array, sample, delta)
+            keys[name] = key = self._fingerprint(array, sample)
             with self._lock:
                 if key in self._cache or key in missing:
                     self.cache_hits += 1
@@ -525,9 +524,7 @@ class ProfiledPolicy(CompressionPolicy):
                  profiler: CodecProfiler | None = None,
                  fallback_codec: str = "verbatim",
                  backend: "str | ExecutionBackend | None" = None,
-                 workers: int | None = None,
-                 overrides: "Mapping[str, Mapping[str, object]] | None" = None) -> None:
-        super().__init__(overrides)
+                 workers: int | None = None) -> None:
         self.backend = get_backend(backend) if backend is not None else None
         if workers is not None and workers < 1:
             raise ValueError("workers must be >= 1")
@@ -578,8 +575,7 @@ class ProfiledPolicy(CompressionPolicy):
         return ProfiledPolicy(network=network, max_bound=self.max_bound,
                               device=self.device, profiler=self.profiler,
                               fallback_codec=self.fallback_codec,
-                              backend=self.backend, workers=self.workers,
-                              overrides=self.overrides)
+                              backend=self.backend, workers=self.workers)
 
     # ------------------------------------------------------------------
     def _provenance(self, profile: TensorProfile,
@@ -604,8 +600,7 @@ class ProfiledPolicy(CompressionPolicy):
                          "estimated_ratio": measurement.ratio})
         return base
 
-    def _prepare(self, tensors: "Mapping[str, np.ndarray]", config,
-                 delta: bool = False) -> object:
+    def build_plan(self, tensors: "Mapping[str, np.ndarray]", config) -> CompressionPlan:
         # inherit the pipeline's execution knobs unless explicitly overridden,
         # so the config's one backend switch also steers profiling fan-out
         backend = self.backend if self.backend is not None \
@@ -613,27 +608,22 @@ class ProfiledPolicy(CompressionPolicy):
         workers = self.workers if self.workers is not None \
             else getattr(config, "pipeline_workers", None)
         profiles = self.profiler.profile_tensors(tensors, backend=backend,
-                                                 workers=workers, delta=delta)
+                                                 workers=workers)
         cap = self.max_bound if self.max_bound is not None else config.error_bound
-        choices: dict[str, TensorPlan] = {}
+        entries: "OrderedDict[str, TensorPlan]" = OrderedDict()
         for name, profile in profiles.items():
             measurement, modeled = profile.best_for_link(
                 self.bandwidth_mbps, self.latency_s, device=self.device,
                 max_bound=cap)
-            provenance = self._provenance(profile, measurement, modeled)
+            options = {PLAN_PROVENANCE_KEY: self._provenance(profile, measurement,
+                                                             modeled)}
             if measurement is None:
                 # above the crossover: ship the tensor losslessly rather than
                 # pay for compression that slows the round down
-                choices[name] = TensorPlan(
-                    name, self.fallback_codec, cap, config.error_mode,
-                    options={PLAN_PROVENANCE_KEY: provenance})
+                entries[name] = TensorPlan(name, self.fallback_codec, cap,
+                                           config.error_mode, options=options)
             else:
-                choices[name] = TensorPlan(
-                    name, measurement.codec, measurement.error_bound,
-                    measurement.mode,
-                    options={PLAN_PROVENANCE_KEY: provenance})
-        return choices
-
-    def _plan_tensor(self, name: str, array: np.ndarray, config,
-                     context: object) -> TensorPlan:
-        return context[name]
+                entries[name] = TensorPlan(name, measurement.codec,
+                                           measurement.error_bound,
+                                           measurement.mode, options=options)
+        return CompressionPlan(entries)

@@ -9,6 +9,7 @@ import numpy as np
 
 from repro.data.datasets import Dataset
 from repro.data.loader import BatchLoader
+from repro.nn.layers import Dropout
 from repro.nn.loss import CrossEntropyLoss
 from repro.nn.module import Module
 from repro.nn.optim import SGD
@@ -78,13 +79,23 @@ class FLClient:
         return (self.seed + round_index * 0x9E3779B97F4A7C15) % (2 ** 63)
 
     def train_local(self, epochs: int = 1, round_index: int = 0) -> ClientUpdate:
-        """Run ``epochs`` of local SGD and return the updated state dict."""
+        """Run ``epochs`` of local SGD and return the updated state dict.
+
+        Dropout masks come from one generator seeded by ``(seed,
+        round_index)`` alone, like the batch order, so a round retrains the
+        same on a resumed run, on a fresh replica and in any worker process.
+        """
         start = time.perf_counter()
         self.model.train(True)
         optimizer = SGD(self.model.parameters(), lr=self.lr, momentum=self.momentum,
                         weight_decay=self.weight_decay)
+        loader_seed = self._loader_seed(round_index)
         loader = BatchLoader(self.dataset, batch_size=self.batch_size, shuffle=True,
-                             seed=self._loader_seed(round_index))
+                             seed=loader_seed)
+        masks = np.random.default_rng([loader_seed, 1])
+        for module in self.model.modules():
+            if isinstance(module, Dropout):
+                module.rng = masks
         last_loss = float("nan")
         for _ in range(epochs):
             for images, labels in loader:

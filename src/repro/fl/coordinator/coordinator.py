@@ -23,7 +23,9 @@ along as data.  That is what makes a journal resume bit-identical on every
 deterministic field: completed rounds replay from their records, the
 interrupted round re-derives its plan, replays already-shipped payloads
 (decode is deterministic), and re-trains only the clients that never shipped
-(training is a pure function of global state, shard, seed, and round index).
+(training is a pure function of global state, shard, seed, and round index:
+the replica's state is overwritten before every local fit, and the batch
+order and dropout masks are seeded by the client seed and round index alone).
 """
 
 from __future__ import annotations
@@ -133,7 +135,9 @@ def train_clients_parallel(clients: Sequence[FLClient], global_state: dict,
     This is the full-ship path: every task carries its client.  The
     coordinator's persistent runtime replaces it with worker-resident tasks
     (see :meth:`Coordinator.persistent_runtime`) — bit-identically, since
-    training is a pure function of ``(global_state, shard, seed, round)``.
+    training is a pure function of ``(global_state, shard, seed, round)``:
+    even the dropout masks are re-seeded per round by
+    :meth:`~repro.fl.client.FLClient.train_local`.
     """
     exec_backend = get_backend(backend)
     updates = exec_backend.map(

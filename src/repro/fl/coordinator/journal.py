@@ -130,13 +130,6 @@ class JournalState:
     #: reference was last invalidated (``None`` + no sidecar = never shipped)
     delta_state: "dict[int, dict]" = field(default_factory=dict)
 
-    @property
-    def next_round_index(self) -> int:
-        """First round the resumed run must execute (the partial one, if any)."""
-        if self.partial is not None:
-            return self.partial.plan.round_index
-        return len(self.records)
-
 
 class RoundJournal:
     """Append-only durable record of one federated run (see module docstring)."""

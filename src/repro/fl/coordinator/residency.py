@@ -24,7 +24,10 @@ The registry is plain module-global process memory:
   worker can train any client from its resident copy, and results stay
   bit-identical because training is a pure function of ``(global_state,
   shard, seed, round_index)`` — ``receive_global`` overwrites the replica's
-  state before every local fit.
+  state before every local fit, and ``train_local`` re-seeds the batch order
+  and the dropout masks from the client seed and round index, so no
+  generator state carries over from whichever worker trained the client
+  last.
 
 Invalidation: the *generation* half of the reference.  When the caller's
 roster changes, the coordinator bumps the generation — on shared-memory

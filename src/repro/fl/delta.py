@@ -242,12 +242,6 @@ class DeltaUpdateCodec(UpdateCodec):
         self._generation = int(generation)
         self._armed_delta = bool(delta)
         self._acc = acc
-        compressor = getattr(self.inner, "compressor", None)
-        if compressor is not None:
-            # the compression policy profiles residual tensors separately
-            # from full states (see ProfiledPolicy) — same shapes, wildly
-            # different content statistics
-            compressor.delta_hint = bool(delta)
 
     def disarm(self) -> None:
         """Release the armed reference and accumulator."""
@@ -257,7 +251,6 @@ class DeltaUpdateCodec(UpdateCodec):
         self._acc = None
         compressor = getattr(self.inner, "compressor", None)
         if compressor is not None:
-            compressor.delta_hint = False
             compressor.bound_scales = None
 
     def detached(self) -> "DeltaUpdateCodec":

@@ -92,9 +92,9 @@ __all__ = ["RoundRecord", "SimulationResult", "FederatedSimulation",
 def _delta_client_codec(codec: UpdateCodec) -> DeltaUpdateCodec:
     """One client's delta wrapper around a *private* inner codec.
 
-    The delta codec arms per-ship state (REL-bound scales, the delta hint)
-    onto its inner compressor, so clients cannot share an inner
-    instance the way link-agnostic codecs otherwise do.  FedSZ inners keep
+    The delta codec arms per-ship state (the REL-bound scales) onto its
+    inner compressor, so clients cannot share an inner instance the way
+    link-agnostic codecs otherwise do.  FedSZ inners keep
     sharing the plan policy (and through it the profiler cache) — only the
     compressor shell is per-client.
     """
@@ -215,13 +215,6 @@ class FederatedSimulation:
             journal=self.journal, journal_state=journal_state)
 
     # ------------------------------------------------------------------
-    @property
-    def _full_participation(self) -> bool:
-        return self.scheduler.full_participation
-
-    def _participation_count(self) -> int:
-        return self.scheduler.participation_count()
-
     def plan_round(self, round_index: int) -> tuple[list[int], list[int], list[int]]:
         """Seeded scenario draw for one round: (participants, dropped, stragglers).
 
@@ -243,12 +236,3 @@ class FederatedSimulation:
         identical on every deterministic field to an uninterrupted run.
         """
         return self.coordinator.run(n_rounds)
-
-
-def make_fedsz_simulation(model_factory, train_dataset: Dataset, test_dataset: Dataset,
-                          error_bound: float = 1e-2, **kwargs) -> FederatedSimulation:
-    """Convenience constructor wiring a FedSZ codec at the given error bound."""
-    from repro.core.config import FedSZConfig
-
-    codec = FedSZUpdateCodec(FedSZConfig(error_bound=error_bound))
-    return FederatedSimulation(model_factory, train_dataset, test_dataset, codec=codec, **kwargs)

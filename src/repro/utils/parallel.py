@@ -44,9 +44,8 @@ up and tears it down.  Call sites that fan out repeatedly (a federated run
 maps training and shipping every round) wrap the whole run in
 :meth:`ExecutionBackend.persistent`, a scope backed by one long-lived pool:
 
-* inside the scope, ``map``/``executor`` calls **from the thread that entered
-  it** reuse the scope's pool (``executor`` returns a non-owning view whose
-  ``shutdown`` is a no-op, so ``with`` blocks cannot kill the shared pool);
+* inside the scope, ``map`` calls **from the thread that entered it** reuse
+  the scope's pool;
 * calls from *other* threads — e.g. a nested fan-out issued inside a pool
   worker — keep the historic fresh-pool/sequential behaviour, which is what
   makes the scope deadlock-free by construction;
@@ -73,7 +72,7 @@ import contextlib
 import os
 import sys
 import threading
-from concurrent.futures import Executor, Future, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 from multiprocessing import shared_memory
 from typing import Callable, Iterable, Mapping, Sequence, TypeVar
@@ -148,18 +147,6 @@ def _in_process_worker() -> bool:
     return os.environ.get(_PROCESS_WORKER_ENV) == "1"
 
 
-class _SerialExecutor(Executor):
-    """`submit` semantics for the serial backend: run inline, wrap the result."""
-
-    def submit(self, fn, /, *args, **kwargs) -> Future:
-        future: Future = Future()
-        try:
-            future.set_result(fn(*args, **kwargs))
-        except BaseException as exc:  # noqa: BLE001 - mirrored into the future
-            future.set_exception(exc)
-        return future
-
-
 class PersistentPool:
     """A live :meth:`ExecutionBackend.persistent` scope: one long-lived pool.
 
@@ -188,38 +175,16 @@ class PersistentPool:
         return list(self.executor.map(func, items, chunksize=chunksize))
 
 
-class _ScopedExecutor(Executor):
-    """Non-owning view of a persistent pool.
-
-    Returned by :meth:`ExecutionBackend.executor` inside a persistent scope so
-    the ubiquitous ``with backend.executor(...) as pool:`` idiom keeps working:
-    ``shutdown`` (and therefore ``__exit__``) is a no-op — the scope, not the
-    call site, owns the pool's lifetime.
-    """
-
-    def __init__(self, executor: Executor) -> None:
-        self._executor = executor
-
-    def submit(self, fn, /, *args, **kwargs) -> Future:
-        return self._executor.submit(fn, *args, **kwargs)
-
-    def map(self, fn, *iterables, **kwargs):
-        return self._executor.map(fn, *iterables, **kwargs)
-
-    def shutdown(self, wait: bool = True, *, cancel_futures: bool = False) -> None:
-        pass
-
-
 class ExecutionBackend(abc.ABC):
     """One way of running independent work items: serial, threads, or processes.
 
     Backends are (almost) stateless and picklable; pools live only for the
-    duration of a single :meth:`map` or :meth:`executor` call — unless the
-    caller opens a :meth:`persistent` scope, whose one long-lived pool backs
-    every ``map``/``executor`` call issued *from the entering thread* for the
-    scope's lifetime.  The scope bookkeeping is thread-local and dropped on
-    pickling, so instances remain safe to share between threads and to embed
-    in compressor objects that cross a process boundary themselves.
+    duration of a single :meth:`map` call — unless the caller opens a
+    :meth:`persistent` scope, whose one long-lived pool backs every ``map``
+    call issued *from the entering thread* for the scope's lifetime.  The
+    scope bookkeeping is thread-local and dropped on pickling, so instances
+    remain safe to share between threads and to embed in compressor objects
+    that cross a process boundary themselves.
     """
 
     #: registry key; also what ``repr`` and the CLI show
@@ -265,22 +230,22 @@ class ExecutionBackend(abc.ABC):
             workers = self.default_workers()
         return max(1, min(workers, n_items))
 
-    @abc.abstractmethod
     def _make_executor(self, workers: int, initializer: Callable | None = None,
                        initargs: tuple = ()) -> Executor:
-        """A fresh executor with ``workers`` slots (``submit`` semantics).
+        """A fresh pool with ``workers`` slots.
 
-        ``initializer(*initargs)`` runs once per worker as it spawns; backends
-        that degrade to inline execution run it on the calling thread instead,
-        so code inside a scope may rely on it having run wherever tasks run.
+        ``initializer(*initargs)`` runs once per worker as it spawns.  Only
+        reached with more than one resolved worker outside a degraded scope,
+        so a backend that always resolves one worker (``serial``) builds no
+        pool and need not override this.
         """
+        raise NotImplementedError(f"the {self.name} backend builds no pool")
 
     def _new_executor(self, workers: int, initializer: Callable | None = None,
                       initargs: tuple = ()) -> Executor:
         """:meth:`_make_executor` plus the ``pool_spinups`` accounting."""
         pool = self._make_executor(workers, initializer, initargs)
-        if not isinstance(pool, _SerialExecutor):
-            self.pool_spinups += 1
+        self.pool_spinups += 1
         return pool
 
     # -- persistent scope ---------------------------------------------------
@@ -312,7 +277,7 @@ class ExecutionBackend(abc.ABC):
     @contextlib.contextmanager
     def persistent(self, workers: int | None = None,
                    initializer: Callable | None = None, initargs: tuple = ()):
-        """One long-lived pool backing every map/executor call in this scope.
+        """One long-lived pool backing every map call in this scope.
 
         Yields the :class:`PersistentPool` (or ``None`` when the scope
         degrades: the ``serial`` backend, a resolved worker count of 1, or a
@@ -350,27 +315,6 @@ class ExecutionBackend(abc.ABC):
         self.__dict__.update(state)
 
     # -----------------------------------------------------------------------
-    def executor(self, workers: int | None = None, n_items: int | None = None) -> Executor:
-        """A context-managed executor for callers that need ``submit``.
-
-        ``n_items`` (when known) participates in worker resolution exactly as
-        in :meth:`map`; without it the requested (or default) count is used
-        unclamped.  Inside a persistent scope (entered on this thread) the
-        returned executor is a non-owning view of the scope's pool whose
-        ``shutdown`` is a no-op — the scope's worker count wins over
-        ``workers``.
-        """
-        if n_items is not None:
-            resolved = self.resolve_workers(workers, n_items)
-        else:
-            if workers is not None and workers < 1:
-                raise ValueError("workers must be >= 1")
-            resolved = max(1, workers if workers is not None else self.default_workers())
-        scope = self._active_scope()
-        if scope is not None and resolved > 1:
-            return _ScopedExecutor(scope.executor)
-        return self._new_executor(resolved)
-
     def map(self, func: Callable[[T], R], items: Sequence[T],
             workers: int | None = None, chunksize: int | None = None) -> list[R]:
         """Apply ``func`` to every item, preserving order.
@@ -421,12 +365,6 @@ class SerialBackend(ExecutionBackend):
             raise ValueError("workers must be >= 1")
         return 1
 
-    def _make_executor(self, workers: int, initializer: Callable | None = None,
-                       initargs: tuple = ()) -> Executor:
-        if initializer is not None:
-            initializer(*initargs)
-        return _SerialExecutor()
-
 
 class ThreadBackend(ExecutionBackend):
     """Thread-pool execution (GIL-sharing; best for BLAS / I/O overlap)."""
@@ -471,12 +409,6 @@ class ProcessBackend(ExecutionBackend):
 
     def _make_executor(self, workers: int, initializer: Callable | None = None,
                        initargs: tuple = ()) -> Executor:
-        if _in_process_worker():
-            # never nest: submit-style use inside a process-pool worker runs
-            # inline, mirroring the map() degrade
-            if initializer is not None:
-                initializer(*initargs)
-            return _SerialExecutor()
         return ProcessPoolExecutor(max_workers=workers,
                                    initializer=_process_worker_init,
                                    initargs=(initializer, initargs))

@@ -15,6 +15,10 @@ _REMOVED_FLAGS = [
     ("simulate", "--tree-fanout"),
     ("simulate", "--profile-cache"),
     ("compress", "--profile-cache"),
+    ("simulate", "--entropy-chunk"),
+    ("compress", "--entropy-chunk"),
+    ("simulate", "--small-tensor-codec"),
+    ("compress", "--small-tensor-codec"),
 ]
 
 
@@ -64,19 +68,13 @@ class TestParser:
         for command, flag in _REMOVED_FLAGS])
     def test_removed_engine_flags_rejected(self, command, flag, capsys):
         # every ship is encode, transfer, then decode, the round engine
-        # always aggregates once per round through flat FedAvg, and the
-        # profiler's cache lives in memory only
+        # always aggregates once per round through flat FedAvg, the
+        # profiler's cache lives in memory only, SZ2/SZ3 keep their default
+        # Huffman chunk and plans come from the uniform or profiled rule
         with pytest.raises(SystemExit) as excinfo:
             build_parser().parse_args([command, flag])
         assert excinfo.value.code == 2
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
-
-    def test_entropy_flags(self):
-        for command in ("compress", "simulate"):
-            args = build_parser().parse_args([command, "--entropy-chunk", "4096"])
-            assert args.entropy_chunk == 4096
-        defaults = build_parser().parse_args(["compress"])
-        assert defaults.entropy_chunk == 65536
 
     def test_backend_flag(self):
         for command in ("compress", "simulate"):
@@ -88,16 +86,13 @@ class TestParser:
 
     def test_plan_flags(self):
         for command in ("compress", "simulate"):
-            args = build_parser().parse_args([command, "--policy", "mixed-codec",
-                                              "--pipeline-workers", "4",
-                                              "--small-tensor-codec", "zfp"])
-            assert args.policy == "mixed-codec"
+            args = build_parser().parse_args([command, "--policy", "profiled",
+                                              "--pipeline-workers", "4"])
+            assert args.policy == "profiled"
             assert args.pipeline_workers == 4
-            assert args.small_tensor_codec == "zfp"
         defaults = build_parser().parse_args(["compress"])
         assert defaults.policy == "uniform"
         assert defaults.pipeline_workers == 1
-        assert defaults.small_tensor_codec == "szx"
 
     def test_profiled_policy_flags(self):
         args = build_parser().parse_args(["compress", "--policy", "profiled",
@@ -135,12 +130,14 @@ class TestCommands:
         assert exit_code == 0
         assert "szx" in capsys.readouterr().out
 
-    def test_compress_with_mixed_codec_policy(self, capsys):
-        exit_code = main(["compress", "--model", "simplecnn", "--policy", "mixed-codec",
-                          "--pipeline-workers", "2"])
+    def test_compress_with_mixed_codec_plan(self, capsys):
+        # on a 1 Mbps link the analytic profile sends the large tensors to
+        # SZ2 and the small ones to SZx: one stream, two codecs
+        exit_code = main(["compress", "--model", "simplecnn", "--policy", "profiled",
+                          "--bandwidth", "1", "--pipeline-workers", "2"])
         out = capsys.readouterr().out
         assert exit_code == 0
-        assert "mixed-codec policy" in out
+        assert "profiled policy, codecs: sz2, szx" in out
 
     def test_compress_with_profiled_policy(self, capsys):
         # a fast link sends the profiled plan to the verbatim fallback tier
@@ -155,13 +152,24 @@ class TestCommands:
         ["compress", "--model", "simplecnn"],
         ["simulate", "--model", "mlp", "--rounds", "1", "--clients", "2",
          "--samples", "60", "--image-size", "8"],
-    ], ids=["compress", "simulate"])
+        ["simulate", "--model", "mlp", "--rounds", "1", "--clients", "2",
+         "--samples", "60", "--image-size", "8", "--backend", "process",
+         "--workers", "2"],
+        # one worker runs every ship in this process, so the counters are real
+        ["simulate", "--model", "mlp", "--rounds", "1", "--clients", "2",
+         "--samples", "60", "--image-size", "8", "--backend", "process"],
+    ], ids=["compress", "simulate", "simulate-process", "simulate-process-1-worker"])
     def test_profiled_run_prints_cache_hits_and_misses(self, argv, capsys):
         exit_code = main(argv + ["--policy", "profiled"])
         out = capsys.readouterr().out
         assert exit_code == 0
         line = next(line for line in out.splitlines()
                     if line.startswith("profile cache:"))
+        if "--workers" in argv:
+            # each ship profiled on a pickled copy of the policy: the parent's
+            # counters never saw it, so the line must not print them
+            assert line == "profile cache:  counters are kept in the worker processes"
+            return
         counters = re.fullmatch(r"profile cache:\s+(\d+) hits / (\d+) misses", line)
         assert counters is not None, line
         assert int(counters.group(2)) > 0
@@ -177,8 +185,7 @@ class TestCommands:
         (["--policy", "round-robin"], "unknown plan policy"),
         (["--lossless", "snappy"], "unknown lossless codec"),
         (["--compressor", "fpzip"], "unknown lossy compressor"),
-        (["--policy", "mixed-codec", "--small-tensor-codec", "nope"],
-         "unknown lossy compressor"),
+        (["--policy", "mixed-codec"], "unknown plan policy"),
         (["--pipeline-workers", "0"], "pipeline_workers"),
     ])
     def test_unknown_names_get_one_line_errors(self, capsys, flags, fragment):

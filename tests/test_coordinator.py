@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import os
 import threading
 import time
@@ -31,15 +32,21 @@ from repro.nn import build_model
 from repro.utils.serialization import packed_arrays_nbytes
 
 
-def _factory():
-    return build_model("simplecnn", num_classes=10, in_channels=3,
-                       image_size=16, seed=0)
+#: a narrow alexnet: its two dropout layers are what the resume tests
+#: need, at a fraction of the full model's training time
+NARROW_ALEXNET = {"width": 8, "hidden": 64}
 
 
-def _make_sim(train, test, **kwargs):
+def _factory(model="simplecnn"):
+    return build_model(model, num_classes=10, in_channels=3, image_size=16,
+                       seed=0, **(NARROW_ALEXNET if model == "alexnet" else {}))
+
+
+def _make_sim(train, test, model="simplecnn", **kwargs):
     defaults = dict(n_clients=3, seed=5, local_epochs=1, batch_size=16, lr=0.15)
     defaults.update(kwargs)
-    return FederatedSimulation(_factory, train, test, **defaults)
+    return FederatedSimulation(functools.partial(_factory, model), train, test,
+                               **defaults)
 
 
 @pytest.fixture(scope="module")
@@ -328,17 +335,20 @@ def _truncate_journal(journal_dir, keep_events):
 
 
 class TestCrashResume:
-    def test_mid_round_crash_resumes_bit_identical(self, tmp_path, fl_split):
+    @pytest.mark.parametrize("model", ["simplecnn", "alexnet"])
+    def test_mid_round_crash_resumes_bit_identical(self, tmp_path, fl_split, model):
+        # alexnet trains through dropout: the resumed run retrains clients on
+        # fresh replicas, whose masks must match the uninterrupted run's
         train, test = fl_split
-        reference_sim = _make_sim(train, test)
+        reference_sim = _make_sim(train, test, model)
         reference = reference_sim.run(2)
 
-        _make_sim(train, test, journal_dir=tmp_path / "j").run(2)
+        _make_sim(train, test, model, journal_dir=tmp_path / "j").run(2)
         # events: run_start, then per round: round_start + 3 ships + complete;
         # keeping 8 lines cuts round 1 after its round_start + 1 shipped client
         _truncate_journal(tmp_path / "j", keep_events=8)
 
-        resumed_sim = _make_sim(train, test, journal_dir=tmp_path / "j",
+        resumed_sim = _make_sim(train, test, model, journal_dir=tmp_path / "j",
                                 resume=True)
         resumed = resumed_sim.run(2)
         assert deterministic_fields(resumed) == deterministic_fields(reference)
@@ -346,21 +356,24 @@ class TestCrashResume:
         res_state = resumed_sim.server.global_state()
         assert all(np.array_equal(ref_state[k], res_state[k]) for k in ref_state)
 
-    def test_round_boundary_crash_resumes_bit_identical(self, tmp_path, fl_split):
+    @pytest.mark.parametrize("model", ["simplecnn", "alexnet"])
+    def test_round_boundary_crash_resumes_bit_identical(self, tmp_path, fl_split,
+                                                        model):
         train, test = fl_split
-        reference = _make_sim(train, test).run(2)
-        _make_sim(train, test, journal_dir=tmp_path / "j").run(2)
+        reference = _make_sim(train, test, model).run(2)
+        _make_sim(train, test, model, journal_dir=tmp_path / "j").run(2)
         # keep run_start + all 5 events of round 0: resume restarts round 1
         _truncate_journal(tmp_path / "j", keep_events=6)
-        resumed = _make_sim(train, test, journal_dir=tmp_path / "j",
+        resumed = _make_sim(train, test, model, journal_dir=tmp_path / "j",
                             resume=True).run(2)
         assert deterministic_fields(resumed) == deterministic_fields(reference)
 
-    def test_resume_extends_run(self, tmp_path, fl_split):
+    @pytest.mark.parametrize("model", ["simplecnn", "alexnet"])
+    def test_resume_extends_run(self, tmp_path, fl_split, model):
         train, test = fl_split
-        reference = _make_sim(train, test).run(3)
-        _make_sim(train, test, journal_dir=tmp_path / "j").run(2)
-        extended = _make_sim(train, test, journal_dir=tmp_path / "j",
+        reference = _make_sim(train, test, model).run(3)
+        _make_sim(train, test, model, journal_dir=tmp_path / "j").run(2)
+        extended = _make_sim(train, test, model, journal_dir=tmp_path / "j",
                              resume=True).run(3)
         assert deterministic_fields(extended) == deterministic_fields(reference)
 

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro.compressors.lossless import available_lossless
-from repro.core import FedSZCompressor, FedSZConfig
+from repro.compressors.huffman import DEFAULT_CHUNK_TUPLES
+from repro.compressors.registry import get_lossy
+from repro.core import FedSZCompressor, FedSZConfig, TensorPlan
 from repro.nn import build_model
 
 
@@ -121,11 +123,10 @@ class TestConfigurationVariants:
     def test_pipeline_workers_bit_identical_bitstreams(self, compressor, small_state):
         # the per-tensor fan-out changes which thread decodes each multi-chunk
         # entropy stream, never the bytes on the wire or the reconstruction
-        sequential = FedSZCompressor(FedSZConfig(
-            lossy_compressor=compressor, error_bound=1e-2, entropy_chunk=1024))
-        threaded = FedSZCompressor(FedSZConfig(
-            lossy_compressor=compressor, error_bound=1e-2, entropy_chunk=1024,
-            backend="thread", pipeline_workers=4))
+        lossy = get_lossy(compressor, error_bound=1e-2, entropy_chunk=1024)
+        sequential = FedSZCompressor(FedSZConfig(), lossy=lossy)
+        threaded = FedSZCompressor(FedSZConfig(backend="thread", pipeline_workers=4),
+                                   lossy=lossy)
         payload = sequential.compress_state_dict(small_state)
         assert payload == threaded.compress_state_dict(small_state)
         recon_seq = sequential.decompress_state_dict(payload)
@@ -133,9 +134,18 @@ class TestConfigurationVariants:
         for key in recon_seq:
             np.testing.assert_array_equal(recon_seq[key], recon_par[key])
 
-    def test_invalid_entropy_config_rejected(self):
-        with pytest.raises(ValueError):
-            FedSZConfig(entropy_chunk=0)
+    @pytest.mark.parametrize("compressor", ["sz2", "sz3"])
+    def test_configured_codecs_keep_the_default_huffman_chunk(self, compressor):
+        # the config carries no chunk size: the default codec, a plan's
+        # codec and a decoder all take the codec's own default, so default
+        # bitstreams never depend on the pipeline that built them
+        fedsz = FedSZCompressor(FedSZConfig(lossy_compressor="szx"))
+        built = (FedSZCompressor(FedSZConfig(lossy_compressor=compressor)).lossy,
+                 fedsz._compressor_for(TensorPlan("w", compressor, 1e-2)),
+                 fedsz._decoder_for(compressor))
+        for codec in built:
+            assert codec.name == compressor
+            assert codec.huffman.chunk_size == DEFAULT_CHUNK_TUPLES == 1 << 16
 
     def test_larger_bound_better_ratio(self, small_state):
         state = build_model("alexnet").state_dict()

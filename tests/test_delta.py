@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import os
 import pickle
 from types import SimpleNamespace
@@ -366,9 +367,14 @@ class TestTracker:
 
 
 # ---------------------------------------------------------------------------
-def _factory():
-    return build_model("simplecnn", num_classes=10, in_channels=3,
-                       image_size=16, seed=0)
+#: a narrow alexnet: its two dropout layers are what the resume tests
+#: need, at a fraction of the full model's training time
+NARROW_ALEXNET = {"width": 8, "hidden": 64}
+
+
+def _factory(model="simplecnn"):
+    return build_model(model, num_classes=10, in_channels=3, image_size=16,
+                       seed=0, **(NARROW_ALEXNET if model == "alexnet" else {}))
 
 
 @pytest.fixture(scope="module")
@@ -377,14 +383,15 @@ def delta_split():
     return train_test_split(ds, test_fraction=0.25, seed=3)
 
 
-def _make_sim(split, **kwargs):
+def _make_sim(split, model="simplecnn", **kwargs):
     train, test = split
     defaults = dict(n_clients=3, seed=5, lr=0.1, batch_size=32,
                     codec=FedSZUpdateCodec(_config(error_bound=1e-2,
                                                    threshold=64)),
                     delta=True)
     defaults.update(kwargs)
-    return FederatedSimulation(_factory, train, test, **defaults)
+    return FederatedSimulation(functools.partial(_factory, model), train, test,
+                               **defaults)
 
 
 class TestDeltaSimulation:
@@ -418,16 +425,25 @@ class TestDeltaSimulation:
             dropped_before.update(r.dropped_clients)
         assert saw_degrade, "seed produced no dropout-then-return sequence"
 
-    def test_journal_resume_bit_identical(self, tmp_path, delta_split):
-        reference = _make_sim(delta_split).run(4)
-        _make_sim(delta_split, journal_dir=tmp_path / "j").run(2)
-        resumed = _make_sim(delta_split, journal_dir=tmp_path / "j",
-                            resume=True).run(4)
+    @pytest.mark.parametrize("model", ["simplecnn", "alexnet"])
+    def test_journal_resume_bit_identical(self, tmp_path, delta_split, model):
+        # alexnet trains through dropout: a resumed run rebuilds its replicas,
+        # so the masks must come from the round, not from generator history
+        reference_sim = _make_sim(delta_split, model)
+        reference = reference_sim.run(4)
+        _make_sim(delta_split, model, journal_dir=tmp_path / "j").run(2)
+        resumed_sim = _make_sim(delta_split, model, journal_dir=tmp_path / "j",
+                                resume=True)
+        resumed = resumed_sim.run(4)
         assert deterministic_fields(resumed) == deterministic_fields(reference)
+        ref_state = reference_sim.server.global_state()
+        res_state = resumed_sim.server.global_state()
+        assert all(np.array_equal(ref_state[k], res_state[k]) for k in ref_state)
 
+    @pytest.mark.parametrize("model", ["simplecnn", "alexnet"])
     def test_kill_resume_drill_bit_identical(self, tmp_path, delta_split,
-                                             monkeypatch):
-        reference = _make_sim(delta_split).run(3)
+                                             monkeypatch, model):
+        reference = _make_sim(delta_split, model).run(3)
 
         def fake_exit(code):
             raise SystemExit(code)
@@ -435,9 +451,9 @@ class TestDeltaSimulation:
         monkeypatch.setattr(os, "_exit", fake_exit)
         monkeypatch.setenv("REPRO_JOURNAL_CRASH_AFTER", "5")
         with pytest.raises(SystemExit):
-            _make_sim(delta_split, journal_dir=tmp_path / "j").run(3)
+            _make_sim(delta_split, model, journal_dir=tmp_path / "j").run(3)
         monkeypatch.delenv("REPRO_JOURNAL_CRASH_AFTER")
-        resumed = _make_sim(delta_split, journal_dir=tmp_path / "j",
+        resumed = _make_sim(delta_split, model, journal_dir=tmp_path / "j",
                             resume=True).run(3)
         assert deterministic_fields(resumed) == deterministic_fields(reference)
 

@@ -1,4 +1,4 @@
-"""The unified ExecutionBackend layer: registry, worker resolution, map/submit
+"""The unified ExecutionBackend layer: registry, worker resolution, map
 semantics, and the serial/thread/process equivalence matrix across the plan
 pipeline and the round engine.
 
@@ -34,6 +34,7 @@ from repro.utils.parallel import (
     resolve_worker_count,
 )
 from repro.utils.serialization import pack_bytes_dict, unpack_bytes_dict
+from tiered_policy import TieredPolicy
 
 BACKENDS = ("serial", "thread", "process")
 
@@ -160,18 +161,6 @@ class TestMapSemantics:
                            max_workers=2, backend="process")
         assert out == [[1, 4], [9, 16]]
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_executor_submit_semantics(self, backend):
-        with get_backend(backend).executor(workers=2) as pool:
-            futures = [pool.submit(_square, x) for x in (2, 3)]
-            assert [f.result() for f in futures] == [4, 9]
-
-    def test_serial_executor_wraps_exceptions(self):
-        with get_backend("serial").executor() as pool:
-            future = pool.submit(_boom, 1)
-        with pytest.raises(RuntimeError, match="worker failed"):
-            future.result()
-
     @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),
                         reason="CPU masks are a Linux API")
     def test_process_workers_spread_but_not_pinned(self):
@@ -222,11 +211,9 @@ class TestPipelineEquivalence:
 
     def test_mixed_codec_plan_bit_identical_across_backends(self, state):
         def compress(backend):
-            config = FedSZConfig(policy="mixed-codec",
-                                 policy_options={"small_codec": "szx",
-                                                 "size_cutoff": 4096},
-                                 backend=backend, pipeline_workers=2)
-            return FedSZCompressor(config).compress_state_dict(state)
+            config = FedSZConfig(backend=backend, pipeline_workers=2)
+            fedsz = FedSZCompressor(config, policy=TieredPolicy("szx", cutoff=4096))
+            return fedsz.compress_state_dict(state)
 
         serial = compress("serial")
         assert compress("thread") == serial
@@ -270,11 +257,12 @@ class TestPipelineEquivalence:
 
 
 class TestRoundEngineEquivalence:
-    def _run(self, tiny_split, backend, workers, policy="uniform", delta=False):
+    def _run(self, tiny_split, backend, workers, policy="uniform", delta=False,
+             model="simplecnn"):
         train, test = tiny_split
 
         def factory():
-            return build_model("simplecnn", num_classes=10, in_channels=3,
+            return build_model(model, num_classes=10, in_channels=3,
                                image_size=16, seed=0)
 
         codec = FedSZUpdateCodec(FedSZConfig(error_bound=1e-2, backend=backend,
@@ -284,18 +272,21 @@ class TestRoundEngineEquivalence:
                                   backend=backend, delta=delta)
         return sim.run(2), sim.server.global_state()
 
-    @pytest.mark.parametrize("policy, delta", [("uniform", False),
-                                               ("profiled", False),
-                                               ("profiled", True)],
-                             ids=["uniform", "profiled", "profiled-delta"])
+    @pytest.mark.parametrize("policy, delta, model", [
+        ("uniform", False, "simplecnn"),
+        ("profiled", False, "simplecnn"),
+        ("profiled", True, "simplecnn"),
+        ("uniform", True, "alexnet"),
+    ], ids=["uniform", "profiled", "profiled-delta", "alexnet-delta"])
     def test_round_records_identical_across_backends(self, tiny_split, policy,
-                                                     delta):
+                                                     delta, model):
         """A seeded 2-round simulation produces identical RoundRecords and
         global states on serial, thread, and process backends; the profiled
         case plans every ship (a cold full state, then delta residuals) from
-        the profiler's exact cache on each backend."""
+        the profiler's exact cache on each backend.  AlexNet trains through
+        dropout, whose masks must not depend on which worker holds a client."""
         runs = {backend: self._run(tiny_split, backend, workers=2,
-                                   policy=policy, delta=delta)
+                                   policy=policy, delta=delta, model=model)
                 for backend in BACKENDS}
         reference, reference_state = runs["serial"]
         for backend, (result, state) in runs.items():

@@ -1,87 +1,13 @@
-"""Tests for the extension features: adaptive bounds, DP codec, parallel training."""
+"""Tests for the extension features: DP codec, parallel training."""
 
 import numpy as np
 import pytest
 
-from repro.core import (
-    AdaptiveBoundPolicy,
-    FedSZCompressor,
-    FedSZConfig,
-    SizeAdaptivePolicy,
-)
+from repro.core import FedSZConfig
 from repro.data import partition_dataset
 from repro.fl import FLClient, fedavg_aggregate, map_parallel, train_clients_parallel
 from repro.nn import build_model
 from repro.privacy import DPFedSZConfig, DPFedSZUpdateCodec
-
-
-class TestAdaptiveBoundPolicy:
-    def test_largest_tensor_keeps_base_bound(self):
-        policy = AdaptiveBoundPolicy(base_bound=1e-2, min_bound=1e-4)
-        tensors = {"big.weight": np.zeros(100_000, dtype=np.float32),
-                   "small.weight": np.zeros(2_000, dtype=np.float32)}
-        bounds = policy.bounds_for(tensors)
-        assert bounds["big.weight"] == pytest.approx(1e-2)
-        assert bounds["small.weight"] < 1e-2
-
-    def test_bounds_clamped_to_min(self):
-        policy = AdaptiveBoundPolicy(base_bound=1e-2, min_bound=5e-3, size_exponent=5.0)
-        tensors = {"big.weight": np.zeros(10_000), "tiny.weight": np.zeros(8)}
-        bounds = policy.bounds_for(tensors)
-        assert bounds["tiny.weight"] == pytest.approx(5e-3)
-
-    def test_zero_exponent_disables_adaptation(self):
-        policy = AdaptiveBoundPolicy(base_bound=1e-2, size_exponent=0.0)
-        tensors = {"a.weight": np.zeros(10), "b.weight": np.zeros(10_000)}
-        bounds = list(policy.bounds_for(tensors).values())
-        assert all(b == pytest.approx(1e-2) for b in bounds)
-
-    def test_empty_input(self):
-        assert AdaptiveBoundPolicy().bounds_for({}) == {}
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            AdaptiveBoundPolicy(base_bound=1e-3, min_bound=1e-2)
-        with pytest.raises(ValueError):
-            AdaptiveBoundPolicy(size_exponent=-1)
-
-
-class TestSizeAdaptiveFedSZCompressor:
-    def test_roundtrip_and_error_tighter_on_small_tensors(self, small_state):
-        config = FedSZConfig(error_bound=1e-1, threshold=64)
-        adaptive = FedSZCompressor(config, policy=SizeAdaptivePolicy(base_bound=1e-1,
-                                                                     min_bound=1e-3))
-        payload = adaptive.compress_state_dict(small_state)
-        recon = adaptive.decompress_state_dict(payload)
-        assert set(recon) == set(small_state)
-        bounds = adaptive.last_plan.bounds()
-        assert bounds, "policy bounds were not recorded"
-
-        partition = adaptive.partition(small_state)
-        sizes = {k: v.size for k, v in partition.lossy.items()}
-        largest = max(sizes, key=sizes.get)
-        smallest = min(sizes, key=sizes.get)
-        if largest != smallest:
-            assert bounds[smallest] <= bounds[largest]
-            # the smaller tensor is reconstructed proportionally more accurately
-            for name, bound in bounds.items():
-                original = small_state[name].astype(np.float64)
-                rng_val = float(original.max() - original.min()) or 1.0
-                err = float(np.max(np.abs(recon[name].astype(np.float64) - original)))
-                assert err <= bound * rng_val * (1 + 1e-6) + 1e-9
-
-    def test_adaptive_payload_at_least_as_accurate_as_uniform(self, small_state):
-        config = FedSZConfig(error_bound=1e-1, threshold=64)
-        uniform = FedSZCompressor(config)
-        adaptive = FedSZCompressor(config, policy=SizeAdaptivePolicy(base_bound=1e-1))
-        uniform_recon, _ = uniform.roundtrip(small_state)
-        adaptive_recon = adaptive.decompress_state_dict(adaptive.compress_state_dict(small_state))
-
-        def total_error(recon):
-            return sum(float(np.abs(recon[k].astype(np.float64) - small_state[k].astype(np.float64)).sum())
-                       for k in small_state)
-
-        assert total_error(adaptive_recon) <= total_error(uniform_recon) * 1.01
 
 
 class TestDPFedSZCodec:

@@ -71,6 +71,34 @@ class TestClient:
                 epochs=1, round_index=round_index).train_loss
         assert losses[0] != losses[1]
 
+    @pytest.mark.parametrize("round_index", [0, 1, 3])
+    def test_dropout_masks_ignore_generator_history(self, tiny_split, round_index):
+        # alexnet's dropout draws its masks from a generator outside the
+        # state dict: a replica that already trained other rounds must train
+        # this round exactly like a fresh replica (a resumed run, or another
+        # worker process, holds a fresh one)
+        train, _ = tiny_split
+        sub = train.subset(np.arange(64))
+
+        def alexnet():
+            # narrow: its two dropout layers are what the test needs
+            return build_model("alexnet", num_classes=10, in_channels=3,
+                               image_size=16, seed=0, width=8, hidden=64)
+
+        state = alexnet().state_dict()
+        used = FLClient(0, alexnet(), sub, batch_size=32, lr=0.1, seed=4)
+        for earlier in (5, 6):
+            used.receive_global(state)
+            used.train_local(epochs=1, round_index=earlier)
+        fresh = FLClient(0, alexnet(), sub, batch_size=32, lr=0.1, seed=4)
+        trained = {}
+        for label, client in (("used", used), ("fresh", fresh)):
+            client.receive_global(state)
+            trained[label] = client.train_local(epochs=1,
+                                                round_index=round_index).state
+        for key in state:
+            np.testing.assert_array_equal(trained["used"][key], trained["fresh"][key])
+
 
 class TestCodecs:
     def test_raw_codec_bit_exact(self, small_state):

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.core import FedSZCompressor, FedSZConfig, NetworkModel, SizeAdaptivePolicy
+from repro.core import FedSZConfig, NetworkModel
 from repro.core.selection import select_error_bound
 from repro.data import make_dataset, train_test_split
-from repro.fl import FederatedSimulation, FedSZUpdateCodec, RawUpdateCodec, UpdateCodec
+from repro.fl import FederatedSimulation, FedSZUpdateCodec, RawUpdateCodec
 from repro.nn import build_model
 from repro.privacy import DPFedSZConfig, DPFedSZUpdateCodec
 
@@ -14,22 +14,6 @@ from repro.privacy import DPFedSZConfig, DPFedSZUpdateCodec
 def _factory(image_size=16, num_classes=10):
     return build_model("simplecnn", num_classes=num_classes, in_channels=3,
                        image_size=image_size, seed=0)
-
-
-class _AdaptiveCodec(UpdateCodec):
-    """FedSZ codec variant backed by the adaptive per-tensor bound compressor."""
-
-    name = "fedsz-adaptive"
-
-    def __init__(self, config: FedSZConfig) -> None:
-        self.compressor = FedSZCompressor(
-            config, policy=SizeAdaptivePolicy(base_bound=config.error_bound))
-
-    def encode(self, state):
-        return self.compressor.compress_state_dict(state)
-
-    def decode(self, payload):
-        return self.compressor.decompress_state_dict(payload)
 
 
 class TestFederatedWithExtensions:
@@ -43,17 +27,6 @@ class TestFederatedWithExtensions:
         assert result.mean_compression_ratio > 1.0
         # with a generous epsilon the model still learns something
         assert result.final_accuracy >= result.accuracies[0] - 0.05
-
-    def test_adaptive_codec_in_simulation_matches_uniform(self, tiny_split):
-        train, test = tiny_split
-        uniform = FederatedSimulation(_factory, train, test, n_clients=2,
-                                      codec=FedSZUpdateCodec(FedSZConfig(error_bound=1e-2)),
-                                      lr=0.15, seed=2).run(3)
-        adaptive = FederatedSimulation(_factory, train, test, n_clients=2,
-                                       codec=_AdaptiveCodec(FedSZConfig(error_bound=1e-2)),
-                                       lr=0.15, seed=2).run(3)
-        assert abs(adaptive.final_accuracy - uniform.final_accuracy) < 0.15
-        assert adaptive.total_transmitted_bytes > 0
 
     def test_problem2_bound_selection_on_real_runs(self):
         # a miniature version of the paper's operating-point selection: run the

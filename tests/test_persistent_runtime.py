@@ -24,12 +24,18 @@ def _factory():
     return build_model("simplecnn", num_classes=10, in_channels=3, image_size=16, seed=0)
 
 
-def _make_sim(tiny_split, **kwargs):
+def _alexnet():
+    # narrow: its two dropout layers are what the test needs
+    return build_model("alexnet", num_classes=10, in_channels=3, image_size=16, seed=0,
+                       width=8, hidden=64)
+
+
+def _make_sim(tiny_split, model_factory=_factory, **kwargs):
     train, test = tiny_split
     kwargs.setdefault("codec", RawUpdateCodec())
     kwargs.setdefault("lr", 0.1)
     kwargs.setdefault("seed", 5)
-    return FederatedSimulation(_factory, train, test, **kwargs)
+    return FederatedSimulation(model_factory, train, test, **kwargs)
 
 
 # module-level and picklable for the process backend
@@ -55,8 +61,6 @@ class TestPersistentScope:
             assert scope is not None
             for _ in range(3):
                 assert backend.map(_square, [1, 2, 3], workers=2) == [1, 4, 9]
-            with backend.executor(workers=2) as pool:
-                assert pool.submit(_square, 5).result() == 25
         assert backend.pool_spinups - before == 1
 
     def test_fresh_pools_without_scope(self):
@@ -83,6 +87,18 @@ class TestPersistentScope:
             assert scope is None
             assert backend.map(_square, [2]) == [4]
         assert ran == [1]
+
+    def test_serial_backend_never_builds_a_pool(self):
+        # serial resolves every map and scope to one inline worker, so no
+        # pool exists to count
+        backend = get_backend("serial")
+        before = backend.pool_spinups
+        assert backend.map(_square, [1, 2, 3], workers=4) == [1, 4, 9]
+        with backend.persistent(4):
+            assert backend.map(_square, [1, 2, 3], workers=4) == [1, 4, 9]
+        assert backend.pool_spinups == before
+        with pytest.raises(NotImplementedError, match="serial"):
+            backend._make_executor(2)
 
     def test_single_worker_scope_degrades(self):
         backend = get_backend("thread")
@@ -165,6 +181,21 @@ class TestPersistentBitIdentity:
         persistent = _make_sim(tiny_split, n_clients=4, max_workers=workers,
                                backend=backend).run(2)
         assert deterministic_fields(persistent) == deterministic_fields(reference)
+
+    def test_resident_dropout_replicas_match_serial_reference(self, tiny_split):
+        """Worker-resident alexnet replicas on worker processes: which worker
+        trained a client in an earlier round must not leak into its dropout
+        masks."""
+        runs = {}
+        for label, name, workers in (("reference", "serial", 1),
+                                     ("pooled", "process", 2)):
+            sim = _make_sim(tiny_split, model_factory=_alexnet, n_clients=4,
+                            max_workers=workers, backend=name)
+            runs[label] = (sim.run(3), sim.server.global_state())
+        (reference, ref_state), (pooled, pooled_state) = runs["reference"], runs["pooled"]
+        assert deterministic_fields(pooled) == deterministic_fields(reference)
+        for key in ref_state:
+            np.testing.assert_array_equal(pooled_state[key], ref_state[key])
 
     def test_fedsz_bitstreams_match_serial_reference(self, tiny_split):
         def run(backend, workers):

@@ -4,10 +4,11 @@ Covers the format-4 pipeline refactor end to end:
 
 * :class:`TensorPlan` / :class:`CompressionPlan` validation and the manifest
   plan-summary wire form (roundtrip, truncation at every byte, field fuzz),
-* the policy registry (``uniform`` / ``size-adaptive`` / ``mixed-codec``,
-  per-name overrides, third-party registration),
-* hypothesis roundtrip properties for mixed-codec plans over every codec
-  pair x dtype x bound mode, with the error bound verified per tensor,
+* the policy registry (``uniform`` / ``profiled``) and the options that
+  left it,
+* hypothesis roundtrip properties for plans that mix codecs (the test-local
+  :class:`~tiered_policy.TieredPolicy`) over every codec pair x dtype x bound
+  mode, with the error bound verified per tensor,
 * bit-identical bitstreams and reconstructions at ``pipeline_workers`` 1 vs 4,
 * manifest truncation + bit-flip fuzz for the v4 bitstream,
 * base lossy-payload header validation (truncation at every byte, unknown
@@ -26,24 +27,22 @@ from hypothesis import strategies as st
 from repro.compressors.base import ErrorBoundMode
 from repro.compressors.registry import available_lossy, get_lossy
 from repro.core import (
-    AdaptiveBoundPolicy,
+    CodecProfiler,
     CompressionPlan,
     FedSZCompressor,
     FedSZConfig,
-    MixedCodecPolicy,
-    SizeAdaptivePolicy,
+    ProfiledPolicy,
     TensorPlan,
     UniformPolicy,
     available_policies,
     get_policy,
-    register_policy,
 )
-from repro.core.partition import partition_state_dict
 from repro.core.plan import pack_plan, unpack_plan
 from repro.data import make_dataset, train_test_split
 from repro.fl import FederatedSimulation, FedSZUpdateCodec, RawUpdateCodec
 from repro.nn import build_model
 from repro.utils.serialization import pack_bytes_dict, unpack_bytes_dict
+from tiered_policy import TieredPolicy
 
 CODECS = ("sz2", "sz3", "szx", "zfp")
 
@@ -69,12 +68,6 @@ class TestTensorPlan:
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             TensorPlan(**kwargs)
-
-    def test_evolve_revalidates(self):
-        plan = TensorPlan("w", "sz2", 1e-2)
-        assert plan.evolve(codec="szx").codec == "szx"
-        with pytest.raises(ValueError):
-            plan.evolve(error_bound=-1.0)
 
     def test_plan_key_must_match_entry_name(self):
         with pytest.raises(ValueError, match="keyed"):
@@ -151,41 +144,12 @@ class TestPlanWireFormat:
 
 class TestPolicyRegistry:
     def test_builtins_registered(self):
-        assert {"uniform", "size-adaptive", "mixed-codec"} <= set(available_policies())
+        # the paper's two rules: Algorithm 1 and Problems 1-2
+        assert available_policies() == ["profiled", "uniform"]
 
     def test_unknown_policy_raises_valueerror(self):
         with pytest.raises(ValueError, match="unknown plan policy"):
             get_policy("round-robin")
-
-    def test_register_and_overwrite_rules(self):
-        class _Custom(UniformPolicy):
-            name = "custom-test-policy"
-
-        register_policy("custom-test-policy", _Custom)
-        try:
-            assert isinstance(get_policy("custom-test-policy"), _Custom)
-            with pytest.raises(ValueError, match="already registered"):
-                register_policy("custom-test-policy", _Custom)
-            register_policy("custom-test-policy", _Custom, overwrite=True)
-        finally:
-            from repro.core.plan import _POLICIES
-            _POLICIES.pop("custom-test-policy", None)
-
-    def test_override_unknown_field_rejected(self):
-        with pytest.raises(ValueError, match="unknown plan fields"):
-            UniformPolicy(overrides={"w": {"codex": "sz3"}})
-
-    def test_override_unknown_codec_rejected_eagerly(self):
-        with pytest.raises(ValueError, match="unknown lossy compressor"):
-            UniformPolicy(overrides={"w": {"codec": "fpzip"}})
-
-    def test_override_naming_absent_tensor_rejected(self):
-        # a typo'd override name must not silently ship the tensor on the
-        # default plan
-        policy = UniformPolicy(overrides={"clasifier.weight": {"error_bound": 1e-5}})
-        tensors = {"classifier.weight": np.zeros(64, dtype=np.float32)}
-        with pytest.raises(ValueError, match="absent from the lossy partition"):
-            policy.build_plan(tensors, FedSZConfig())
 
     def test_non_json_options_rejected_at_plan_construction(self):
         with pytest.raises(ValueError, match="JSON-serializable"):
@@ -209,66 +173,52 @@ class TestPolicies:
             assert entry.error_bound == pytest.approx(2e-3)
             assert entry.mode is ErrorBoundMode.ABS
 
-    def test_size_adaptive_matches_adaptive_bound_policy(self):
-        tensors = self._tensors()
-        config = FedSZConfig(error_bound=1e-1)
-        plan = SizeAdaptivePolicy(min_bound=1e-3).build_plan(tensors, config)
-        expected = AdaptiveBoundPolicy(base_bound=1e-1, min_bound=1e-3).bounds_for(tensors)
-        assert plan.bounds() == expected
-        assert plan["small.weight"].error_bound < plan["large.weight"].error_bound
-
-    def test_mixed_codec_cutoff(self):
-        config = FedSZConfig(lossy_compressor="sz2")
-        plan = MixedCodecPolicy(small_codec="szx", size_cutoff=1024) \
-            .build_plan(self._tensors(), config)
-        assert plan["small.weight"].codec == "szx"
-        assert plan["large.weight"].codec == "sz2"
-
-    def test_mixed_codec_tier_bounds(self):
-        config = FedSZConfig(error_bound=1e-2)
-        plan = MixedCodecPolicy(size_cutoff=1024, small_bound=1e-3) \
-            .build_plan(self._tensors(), config)
-        assert plan["small.weight"].error_bound == pytest.approx(1e-3)
-        assert plan["large.weight"].error_bound == pytest.approx(1e-2)
-
-    def test_policy_numeric_knobs_validated_at_construction(self):
-        with pytest.raises(ValueError, match="small_bound"):
-            MixedCodecPolicy(small_bound=-1.0)
-        with pytest.raises(ValueError, match="large_bound"):
-            MixedCodecPolicy(large_bound=float("nan"))
-        with pytest.raises(ValueError, match="min_bound"):
-            SizeAdaptivePolicy(min_bound=0.0)
-
     def test_non_ascii_codec_name_is_valueerror(self):
         plan = CompressionPlan({"w": TensorPlan("w", "codéc", 1e-2)})
         with pytest.raises(ValueError, match="ASCII"):
             pack_plan(plan)
 
-    def test_mixed_codec_unknown_tier_codec_rejected_at_construction(self):
-        # a typo must fail when the policy is built, not midway through a
-        # compress (or silently, when no tensor falls below the cutoff)
-        with pytest.raises(ValueError, match="unknown lossy compressor"):
-            MixedCodecPolicy(small_codec="nope")
-        with pytest.raises(ValueError, match="unknown lossy compressor"):
-            MixedCodecPolicy(large_codec="nope")
-        with pytest.raises(ValueError, match="unknown lossy compressor"):
-            FedSZCompressor(FedSZConfig(policy="mixed-codec",
-                                        policy_options={"small_codec": "nope"}))
 
-    def test_per_name_overrides_apply_on_every_policy(self):
-        overrides = {"large.weight": {"codec": "zfp", "error_bound": 7e-3}}
-        config = FedSZConfig()
-        for policy in (UniformPolicy(overrides=overrides),
-                       SizeAdaptivePolicy(overrides=overrides),
-                       MixedCodecPolicy(overrides=overrides)):
-            plan = policy.build_plan(self._tensors(), config)
-            assert plan["large.weight"].codec == "zfp"
-            assert plan["large.weight"].error_bound == pytest.approx(7e-3)
-            assert plan["small.weight"].codec != "zfp"
+#: config fields nothing read: each is gone, and naming it is an error
+_REMOVED_CONFIG_FIELDS = [("lossy_options", {"block_size": 64}),
+                          ("lossless_options", {"level": 9}),
+                          ("entropy_chunk", 1024)]
+
+
+class TestRemovedPlanKnobs:
+    """Plans come from the paper's two rules; every extra is rejected."""
+
+    @pytest.mark.parametrize("field, value", _REMOVED_CONFIG_FIELDS,
+                             ids=[f for f, _ in _REMOVED_CONFIG_FIELDS])
+    def test_removed_config_field_rejected(self, field, value):
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{field}'"):
+            FedSZConfig(**{field: value})
+
+    @pytest.mark.parametrize("policy, message", [
+        (UniformPolicy, "takes no arguments"),
+        (ProfiledPolicy, "unexpected keyword argument 'overrides'"),
+    ], ids=["uniform", "profiled"])
+    def test_overrides_rejected(self, policy, message):
+        with pytest.raises(TypeError, match=message):
+            policy(overrides={"w": {"codec": "sz3"}})
+
+    def test_planner_has_no_delta_flag(self):
+        tensors = {"w": np.zeros(64, dtype=np.float32)}
+        with pytest.raises(TypeError, match="unexpected keyword argument 'delta'"):
+            CodecProfiler().profile_tensors(tensors, delta=True)
+        with pytest.raises(TypeError, match="unexpected keyword argument 'delta'"):
+            UniformPolicy().build_plan(tensors, FedSZConfig(), delta=True)
+
+    @pytest.mark.parametrize("name", ["size-adaptive", "mixed-codec"])
+    def test_removed_policy_name_rejected(self, name):
+        config = FedSZConfig(policy=name)
+        with pytest.raises(ValueError,
+                           match=r"unknown plan policy .*\['profiled', 'uniform'\]"):
+            FedSZCompressor(config)
 
 
 # ---------------------------------------------------------------------------
-# Mixed-codec roundtrips (the acceptance-criteria scenario + hypothesis)
+# Mixed-codec roundtrips (a test-local tiered plan + hypothesis)
 # ---------------------------------------------------------------------------
 
 def _abs_tolerance(entry: TensorPlan, original: np.ndarray) -> float:
@@ -290,17 +240,15 @@ def _assert_bounds_hold(plan: CompressionPlan, state: dict, recon: dict) -> None
 
 class TestMixedCodecRoundtrip:
     def test_szx_small_sz2_large_one_bitstream(self):
-        """The ISSUE acceptance scenario: SZx small + SZ2 large in one v4 stream."""
+        """SZx small + SZ2 large in one stream."""
         rng = np.random.default_rng(11)
         state = {
             "head.weight": rng.normal(0, 0.1, size=512).astype(np.float32),
             "body.weight": rng.normal(0, 0.1, size=(64, 512)).astype(np.float32),
             "head.bias": rng.normal(size=8).astype(np.float32),
         }
-        config = FedSZConfig(lossy_compressor="sz2", error_bound=1e-2, threshold=64,
-                             policy="mixed-codec",
-                             policy_options={"small_codec": "szx", "size_cutoff": 1024})
-        fedsz = FedSZCompressor(config)
+        config = FedSZConfig(lossy_compressor="sz2", error_bound=1e-2, threshold=64)
+        fedsz = FedSZCompressor(config, policy=TieredPolicy("szx", cutoff=1024))
         payload, report = fedsz.compress_with_report(state)
         assert fedsz.last_plan["head.weight"].codec == "szx"
         assert fedsz.last_plan["body.weight"].codec == "sz2"
@@ -362,14 +310,16 @@ class TestMixedCodecPairProperties:
         }
         bound = 5e-3 if mode is ErrorBoundMode.ABS else 1e-2
         config = FedSZConfig(lossy_compressor=large_codec, error_bound=bound,
-                             error_mode=mode, threshold=64, policy="mixed-codec",
-                             policy_options={"small_codec": small_codec,
-                                             "size_cutoff": 512})
-        fedsz = FedSZCompressor(config)
+                             error_mode=mode, threshold=64)
+        # the small tier gets half the bound: one stream, per-tensor bounds
+        fedsz = FedSZCompressor(config, policy=TieredPolicy(small_codec, cutoff=512,
+                                                            small_bound=bound / 2))
         payload, _ = fedsz.compress_with_report(state)
         plan = fedsz.last_plan
         assert plan["tiny.weight"].codec == small_codec
         assert plan["big.weight"].codec == large_codec
+        assert plan["tiny.weight"].error_bound == pytest.approx(bound / 2)
+        assert plan["big.weight"].error_bound == pytest.approx(bound)
 
         recon = FedSZCompressor().decompress_state_dict(payload)
         assert set(recon) == set(state)
@@ -393,10 +343,11 @@ class TestPipelineWorkers:
 
         monkeypatch.setattr(pipeline_module.os, "cpu_count", lambda: 8)
 
-    @pytest.mark.parametrize("policy", ["uniform", "mixed-codec"])
+    @pytest.mark.parametrize("policy", [UniformPolicy(), TieredPolicy()],
+                             ids=["uniform", "mixed-codec"])
     def test_workers_bit_identical(self, small_state, policy):
-        sequential = FedSZCompressor(FedSZConfig(policy=policy, pipeline_workers=1))
-        threaded = FedSZCompressor(FedSZConfig(policy=policy, pipeline_workers=4))
+        sequential = FedSZCompressor(FedSZConfig(pipeline_workers=1), policy=policy)
+        threaded = FedSZCompressor(FedSZConfig(pipeline_workers=4), policy=policy)
         assert threaded._pipeline_workers() == 4
         payload = sequential.compress_state_dict(small_state)
         assert payload == threaded.compress_state_dict(small_state)
@@ -419,8 +370,8 @@ class TestPipelineWorkers:
 
     def test_policy_reordering_or_dropping_tensors_fails_at_compress(self, small_state):
         class _Misbehaving(UniformPolicy):
-            def build_plan(self, tensors, config, delta=False):
-                plan = super().build_plan(tensors, config, delta=delta)
+            def build_plan(self, tensors, config):
+                plan = super().build_plan(tensors, config)
                 entries = OrderedDict(sorted(plan.entries.items(), reverse=True))
                 return CompressionPlan(entries)
 
@@ -448,8 +399,8 @@ def v4_stream():
         "conv.weight": rng.normal(size=(8, 16)).astype(np.float32),
         "conv.bias": rng.normal(size=8).astype(np.float32),
     }
-    fedsz = FedSZCompressor(FedSZConfig(threshold=16, policy="mixed-codec",
-                                        policy_options={"size_cutoff": 4096}))
+    fedsz = FedSZCompressor(FedSZConfig(threshold=16),
+                            policy=TieredPolicy("szx", cutoff=4096))
     stream = fedsz.compress_state_dict(state)
     return fedsz, state, stream
 
@@ -583,17 +534,3 @@ class TestRoundEngineClientReports:
     def test_uncompressed_codec_collects_no_reports(self):
         record = self._simulation(RawUpdateCodec()).run_round(0)
         assert record.client_reports == {}
-
-
-# ---------------------------------------------------------------------------
-# Size-adaptive bounds are plan-driven
-# ---------------------------------------------------------------------------
-
-class TestAdaptiveIsPlanDriven:
-    def test_adaptive_bounds_unchanged_from_policy_math(self, small_state):
-        config = FedSZConfig(error_bound=1e-1, threshold=64)
-        adaptive = FedSZCompressor(config, policy=SizeAdaptivePolicy(base_bound=1e-1))
-        adaptive.compress_state_dict(small_state)
-        lossy = partition_state_dict(small_state, config).lossy
-        expected = AdaptiveBoundPolicy(base_bound=1e-1).bounds_for(dict(lossy))
-        assert adaptive.last_plan.bounds() == expected

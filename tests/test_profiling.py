@@ -462,10 +462,9 @@ class TestProfiledPolicy:
         seen = {}
         original = CodecProfiler.profile_tensors
 
-        def spy(self, tensors, backend=None, workers=None, delta=False):
+        def spy(self, tensors, backend=None, workers=None):
             seen["backend"], seen["workers"] = backend, workers
-            return original(self, tensors, backend=backend, workers=workers,
-                            delta=delta)
+            return original(self, tensors, backend=backend, workers=workers)
 
         monkeypatch.setattr(profiling_module.CodecProfiler, "profile_tensors", spy)
         config = FedSZConfig(backend="serial", pipeline_workers=3)
@@ -485,12 +484,6 @@ class TestProfiledPolicy:
             original = plan[entry.name].options[PLAN_PROVENANCE_KEY]
             assert provenance == original
             json.dumps(provenance)  # stays JSON-serializable
-
-    def test_overrides_still_apply(self, tensors):
-        policy = ProfiledPolicy(bandwidth_mbps=1.0,
-                                overrides={"layer1.weight": {"codec": "zfp"}})
-        plan = policy.build_plan(tensors, FedSZConfig())
-        assert plan["layer1.weight"].codec == "zfp"
 
 
 class TestProfiledPipeline:
