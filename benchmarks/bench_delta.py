@@ -6,9 +6,11 @@ Four drills over a seeded FedAvg run of the round-engine bench model
 and FDL5 framing):
 
 * **ratio** — the same run with and without ``delta=True``; round 0 is a cold
-  full ship on both sides, and from round 2 onward (warm reference on every
-  client) the delta payload must be at least ``RATIO_FLOOR`` times smaller.
-  Per-round degrade reasons ride along from the :class:`RoundRecord` fields.
+  full ship on both sides, which the delta side codes against the broadcast
+  both ends hold (FDL5 mode 2), so it must already be smaller, and from
+  round 2 onward (warm reference on every client) the delta payload must be
+  at least ``RATIO_FLOOR`` times smaller.  Per-round degrade reasons ride
+  along from the :class:`RoundRecord` fields.
 * **error feedback** — an FLClient-driven loop outside the simulation: each
   round the clients train, their true states are FedAvg'd into the
   uncompressed reference, and the delta-codec reconstructions are FedAvg'd
@@ -126,13 +128,17 @@ def _run_ratio_drill(train, test, settings: dict, backend: str,
 
     ratios = [f.transmitted_bytes / d.transmitted_bytes
               for f, d in zip(full.rounds, delta.rounds)]
-    # round 0 is a cold full ship on every client: both sides pay the same
-    # payload (modulo the 13-byte FDL5 frame), and the record says why
+    # round 0 is a cold full ship on every client, and the record says why;
+    # the delta side codes its full states against the round's broadcast,
+    # which both ends hold, so it must already ship fewer bytes
     first = delta.rounds[0]
     assert not first.delta_clients, \
         f"round 0 shipped deltas without a warm reference: {first.delta_clients}"
     assert set(first.delta_degrades.values()) == {"cold"}, \
         f"round 0 degrades should all be 'cold': {first.delta_degrades}"
+    assert first.transmitted_bytes < full.rounds[0].transmitted_bytes, \
+        (f"round 0: the cold ships took {first.transmitted_bytes} B against "
+         f"full-state FedSZ's {full.rounds[0].transmitted_bytes} B")
     # from round 2 onward every participant holds a warm server-acknowledged
     # reference, so the residual payload must clear the ratio floor
     for record, ratio in zip(delta.rounds[2:], ratios[2:]):
@@ -302,11 +308,14 @@ def _check_and_report(backend: str, smoke: bool, kill_resume: bool) -> int:
                    delta_clients=len(d.delta_clients),
                    degrades=dict(d.delta_degrades))
     warm = ratio["ratios"][2:]
-    record.add(warm_ratio_min=min(warm), warm_ratio_mean=float(np.mean(warm)),
+    cold = ratio["ratios"][0]
+    record.add(cold_ratio=cold,
+               warm_ratio_min=min(warm), warm_ratio_mean=float(np.mean(warm)),
                ef_worst_bound_fraction=worst_ef,
                bit_identical_variants=identity_labels)
 
     summary = Table("Delta drills", ["drill", "result"])
+    summary.add_row("cold round 0", f"{cold:.2f}x smaller than full-state (gate > 1x)")
     summary.add_row("warm ratio (rounds 2+)",
                     f"min {min(warm):.2f}x / floor {ratio_floor:g}x")
     summary.add_row("error feedback",

@@ -26,8 +26,8 @@ RESULTS_DIR = Path(__file__).resolve().parent / "results"
 
 #: experiment name -> row keys worth surfacing in the summary
 HEADLINE_KEYS: dict[str, list[str]] = {
-    "delta": ["warm_ratio_min", "warm_ratio_mean", "ef_worst_bound_fraction",
-              "bit_identical_variants"],
+    "delta": ["cold_ratio", "warm_ratio_min", "warm_ratio_mean",
+              "ef_worst_bound_fraction", "bit_identical_variants"],
     "round_engine": ["speedup", "transmitted_bytes", "final_accuracy",
                      "resident_task_bytes"],
     "coordinator": ["final_accuracy", "resident_task_bytes", "full_task_bytes"],

@@ -133,6 +133,13 @@ class LossyCompressor(Compressor):
         u64* shape
         f64  absolute error bound actually used
         ...  compressor-specific body
+
+    Both directions take an optional ``reference``: an array that the
+    decoder holds too (in federated learning, the receiver's copy of the
+    round's broadcast).  The encoder hands it to the body only when its dtype
+    and element count equal the tensor's.  A codec that can code against it
+    (SZ2's reference grid) may; the others ignore it.  A body coded against a
+    reference decodes only with that same reference.
     """
 
     _DTYPE_CODES = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
@@ -147,13 +154,23 @@ class LossyCompressor(Compressor):
 
     # -- subclass hooks ----------------------------------------------------
     @abc.abstractmethod
-    def _compress_float1d(self, data: np.ndarray, abs_bound: float) -> bytes:
-        """Compress a contiguous 1-D float array under an absolute bound."""
+    def _compress_float1d(self, data: np.ndarray, abs_bound: float,
+                          reference: "np.ndarray | None" = None) -> bytes:
+        """Compress a contiguous 1-D float array under an absolute bound.
+
+        ``reference`` is ``None`` or a flat array of ``data``'s size in the
+        tensor's dtype, which the decoder will hold too.
+        """
 
     @abc.abstractmethod
     def _decompress_float1d(self, body: bytes, count: int, abs_bound: float,
-                            dtype: np.dtype) -> np.ndarray:
-        """Reconstruct ``count`` values from a compressor-specific body."""
+                            dtype: np.dtype,
+                            reference: "np.ndarray | None" = None) -> np.ndarray:
+        """Reconstruct ``count`` values from a compressor-specific body.
+
+        ``reference`` is what the caller passed to :meth:`decompress`,
+        unchecked: a body that needs it checks it.
+        """
 
     # -- public API ---------------------------------------------------------
     def _encode_prelude(self, data: np.ndarray) -> tuple[bytes, np.ndarray, float]:
@@ -179,9 +196,17 @@ class LossyCompressor(Compressor):
         header += struct.pack("<d", abs_bound)
         return header, flat.astype(np.float64, copy=False), abs_bound
 
-    def compress(self, data: np.ndarray) -> bytes:
+    def compress(self, data: np.ndarray,
+                 reference: "np.ndarray | None" = None) -> bytes:
         header, flat, abs_bound = self._encode_prelude(data)
-        return header + self._compress_float1d(flat, abs_bound)
+        if reference is not None:
+            reference = np.asarray(reference)
+            dtype = self._CODE_DTYPES[header[0]]  # the header's first byte
+            # a reference the decoder could not check against the header is
+            # not offered at all
+            usable = reference.dtype == dtype and reference.size == flat.size
+            reference = reference.ravel() if usable else None
+        return header + self._compress_float1d(flat, abs_bound, reference)
 
     @classmethod
     def _parse_container_header(cls, payload) -> tuple[np.dtype, tuple, int, float, int]:
@@ -217,16 +242,20 @@ class LossyCompressor(Compressor):
                              f"implausible {count} elements")
         return dtype, shape, count, abs_bound, offset
 
-    def decompress(self, payload: bytes) -> np.ndarray:
+    def decompress(self, payload: bytes,
+                   reference: "np.ndarray | None" = None) -> np.ndarray:
         """Reconstruct the array stored in ``payload``.
 
         A truncated or corrupted payload raises :class:`ValueError` — every
         header field is validated before use and body-decoder failures of any
-        kind are normalized to the same contract.
+        kind are normalized to the same contract.  So does a body coded
+        against a reference when ``reference`` is missing or does not match
+        the header's dtype and element count.
         """
         dtype, shape, count, abs_bound, offset = self._parse_container_header(payload)
         try:
-            flat = self._decompress_float1d(payload[offset:], count, abs_bound, dtype)
+            flat = self._decompress_float1d(payload[offset:], count, abs_bound, dtype,
+                                            reference)
         except ValueError:
             raise
         except Exception as exc:

@@ -22,7 +22,14 @@ Each tensor first picks its predictor (the body's predictor field):
 
 * **hybrid** -- per block, the mean or the least-squares line, whichever has
   the smaller SSE, with a selector bit and float32 coefficients per block;
-* **zero** -- every value quantized against zero, with no side fields.
+* **zero** -- every value quantized against zero, with no side fields;
+* **reference grid** -- only when the caller supplies a reference array that
+  the decoder holds too (a federated client's copy of the round's
+  broadcast): the zero grid's index ``q = rint(x / 2 * bound)`` of each
+  value minus the reference's index ``r`` on the same grid.  The decoder
+  adds ``r`` back, so the reconstruction is the zero grid's bit for bit;
+  only the codes change, and on a trained state near its broadcast most of
+  them are 0.
 
 Model weights are spiky (the paper's Fig. 2), so on them the block fits buy
 no lower code entropy than plain quantization and the coefficients cost
@@ -32,9 +39,19 @@ tensor when it fits one tile, else :data:`_SAMPLE_BLOCKS` evenly strided
 whole blocks -- by estimated body bits: the codes' order-0 entropy and the
 outliers scaled to the tensor, the size of a HUF4 code table over them,
 and, for the hybrid, its selector and coefficient bits
-(:func:`_estimated_bits`).  The
-cheaper estimate wins.  The rule is a deterministic function of the values
-and the bound; the decoder only reads the field.
+(:func:`_estimated_bits`).  With a reference, the reference grid is priced
+on the same blocks.  The cheapest estimate wins.  The rule is a
+deterministic function of the values, the reference and the bound; the
+decoder only reads the field.
+
+The reference index ``r`` goes through the quantizer's own screens: a
+reference value that the zero grid would store verbatim (non-finite, past
+the radius, or reconstructing past the float64 range) takes ``r = 0``, and
+the ragged last block is padded with the reference's final value, as the
+tensor's is with its own.  A value that is an outlier on the zero grid stays
+a verbatim outlier.  A value whose ``q - r`` leaves the radius takes the
+same escape and stores its zero-grid reconstruction ``2 * bound * q`` as the
+float64, so the decoder writes what the zero grid would.
 
 Both directions walk the tensor in tiles of :data:`_TILE_BLOCKS` blocks, so
 every NumPy pass touches a cache-sized slice and no full-size float64
@@ -57,7 +74,7 @@ header)::
     u64   number of blocks
     u32   quantizer radius
     u64   element count
-    u8    predictor (0 = hybrid, 1 = zero)
+    u8    predictor (0 = hybrid, 1 = zero, 2 = reference grid)
     hybrid only:
       u64   selector byte count, selector bitmap (1 bit per block:
             0 = mean predictor, 1 = regression)
@@ -72,11 +89,12 @@ size, 0, radius`` prefix alone.
 The decoder trusts no size in the body: before any field sizes an array it
 checks ``block size >= 2``, ``blocks == ceil(count / block size)`` (so no
 blocks only for an empty tensor), ``element count == count``, a predictor of
-0 or 1, for the hybrid ``ceil(blocks / 8)`` selector bytes and one
-coefficient per block plus one per regression block, a Huffman stream that
-declares ``blocks * block size`` codes (checked before the stream sizes
-anything), one outlier per zero code, and that no byte follows the outlier
-tail, where ``count`` comes from the container header.  Any mismatch raises
+0, 1 or 2, for the reference grid a supplied reference of ``count`` values
+in the header's dtype, for the hybrid ``ceil(blocks / 8)`` selector bytes
+and one coefficient per block plus one per regression block, a Huffman
+stream that declares ``blocks * block size`` codes (checked before the
+stream sizes anything), one outlier per zero code, and that no byte follows
+the outlier tail, where ``count`` comes from the container header.  Any mismatch raises
 :class:`ValueError`.
 """
 
@@ -103,8 +121,10 @@ _TILE_BLOCKS = 512
 
 #: The body's predictor field.  ``_HYBRID`` bodies carry a mean-or-regression
 #: selector and float32 coefficients per block; ``_ZERO`` bodies quantize
-#: every value against a zero prediction and carry neither.
-_HYBRID, _ZERO = 0, 1
+#: every value against a zero prediction and carry neither; ``_REFERENCE``
+#: bodies carry the zero grid's indices minus a reference's, which only a
+#: decoder holding that reference can add back.
+_HYBRID, _ZERO, _REFERENCE = 0, 1, 2
 
 #: Whole blocks the predictor choice scores on a tensor larger than one tile.
 #: Against scoring every block, over 117 multi-tile tensors (weights, delta
@@ -150,21 +170,24 @@ class SZ2Compressor(LossyCompressor):
         self.huffman = HuffmanCoder(chunk_size=entropy_chunk)
 
     # ------------------------------------------------------------------
-    def _compress_float1d(self, data: np.ndarray, abs_bound: float) -> bytes:
-        prefix, codes, suffix = self._body_parts(data, abs_bound)
+    def _compress_float1d(self, data: np.ndarray, abs_bound: float,
+                          reference: "np.ndarray | None" = None) -> bytes:
+        prefix, codes, suffix = self._body_parts(data, abs_bound, reference)
         if codes is None:
             return b"".join(prefix + suffix)
         huff = self.huffman.encode(codes)
         return b"".join([*prefix, struct.pack("<Q", len(huff)), huff, *suffix])
 
-    def _body_parts(self, data: np.ndarray, abs_bound: float
+    def _body_parts(self, data: np.ndarray, abs_bound: float,
+                    reference: "np.ndarray | None" = None
                     ) -> "tuple[list[bytes], np.ndarray | None, list[bytes]]":
         """Split the body into (pre-Huffman pieces, quantization
         codes, post-Huffman pieces).
 
         :meth:`_compress_float1d` Huffman-codes the codes between the two
         lists of pieces.  ``codes is None`` marks the empty-array escape (no
-        embedded Huffman stream).
+        embedded Huffman stream).  ``reference``, when given, is a flat
+        array of ``data``'s size that makes the reference grid a candidate.
         """
         bs = self.block_size
         n = data.size
@@ -178,16 +201,22 @@ class SZ2Compressor(LossyCompressor):
         slope_coef = np.empty(n_blocks, dtype=np.float32)
         codes = np.empty(n_blocks * bs, dtype=np.int64)
 
-        # Score both predictors on the same blocks: a one-tile tensor whole
+        # Score the predictors on the same blocks: a one-tile tensor whole
         # (so the winner's codes are the body's), a larger one on
         # _SAMPLE_BLOCKS evenly strided whole blocks.
         whole = n_blocks <= _TILE_BLOCKS
+        ref_blocks = None
         if whole:
             blocks = next(_tiles(data, bs))[2]
+            if reference is not None:
+                ref_blocks = next(_tiles(reference, bs))[2]
             sel, first, slope, sample_codes = use_regression, first_coef, slope_coef, codes
         else:
             stride = (n // bs) // _SAMPLE_BLOCKS * bs
-            blocks = data[np.arange(0, _SAMPLE_BLOCKS * stride, stride)[:, None] + np.arange(bs)]
+            rows = np.arange(0, _SAMPLE_BLOCKS * stride, stride)[:, None] + np.arange(bs)
+            blocks = data[rows]
+            if reference is not None:
+                ref_blocks = reference[rows]
             sel = np.empty(_SAMPLE_BLOCKS, dtype=bool)
             first, slope = np.empty((2, _SAMPLE_BLOCKS), dtype=np.float32)
             sample_codes = None
@@ -197,23 +226,35 @@ class SZ2Compressor(LossyCompressor):
         zero = self.quantizer.quantize(blocks.ravel(), None, abs_bound)
         scale = n_blocks / blocks.shape[0]
         side = n_blocks * (1 + 32) + 32 * scale * int(np.count_nonzero(sel))
-        zero_wins = (_estimated_bits(zero, scale) + _ZERO_MARGIN_BITS
-                     < _estimated_bits(hybrid, scale) + side)
+        hybrid_bits = _estimated_bits(hybrid, scale) + side
+        zero_bits = _estimated_bits(zero, scale) + _ZERO_MARGIN_BITS
+        predictor = _ZERO if zero_bits < hybrid_bits else _HYBRID
+        candidates = {_HYBRID: hybrid, _ZERO: zero}
+        if ref_blocks is not None:
+            candidates[_REFERENCE] = _recode(zero, _reference_index(
+                self.quantizer, ref_blocks.ravel(), abs_bound), self.quantizer.radius)
+            if _estimated_bits(candidates[_REFERENCE], scale) < min(zero_bits, hybrid_bits):
+                predictor = _REFERENCE
 
         if whole:
-            winner = zero if zero_wins else hybrid
+            winner = candidates[predictor]
             codes, outliers = winner.codes, [winner.outliers]
         else:
             outliers = []
+            ref_tiles = _tiles(reference, bs) if predictor == _REFERENCE else None
             for b0, b1, tile in _tiles(data, bs):
-                pred = None if zero_wins else fit.predict(
+                pred = None if predictor != _HYBRID else fit.predict(
                     tile, use_regression[b0:b1], first_coef[b0:b1], slope_coef[b0:b1]).ravel()
                 quant = self.quantizer.quantize(tile.ravel(), pred, abs_bound,
                                                 codes=codes[b0 * bs : b1 * bs])
+                if ref_tiles is not None:
+                    index = _reference_index(self.quantizer, next(ref_tiles)[2].ravel(),
+                                             abs_bound)
+                    quant = _recode(quant, index, self.quantizer.radius, out=quant.codes)
                 outliers.append(quant.outliers)
         suffix = [LinearQuantizer.pack_outliers(np.concatenate(outliers))]
-        if zero_wins:
-            return [head, struct.pack("<QB", n, _ZERO)], codes, suffix
+        if predictor != _HYBRID:
+            return [head, struct.pack("<QB", n, predictor)], codes, suffix
 
         # Coefficients are stored in block order: one float for mean blocks,
         # two floats (intercept, slope) for regression blocks.
@@ -230,13 +271,16 @@ class SZ2Compressor(LossyCompressor):
 
     # ------------------------------------------------------------------
     def _decompress_float1d(self, body: bytes, count: int, abs_bound: float,
-                            dtype: np.dtype) -> np.ndarray:
+                            dtype: np.dtype,
+                            reference: "np.ndarray | None" = None) -> np.ndarray:
         """Reconstruct from the body.
 
         Every geometry field, the Huffman stream's symbol count included, is
         checked against the container's ``count`` before it sizes anything,
         and the body must be consumed exactly; any mismatch raises
-        :class:`ValueError`.
+        :class:`ValueError`.  A reference-grid body also needs ``reference``
+        to hold ``count`` values of ``dtype``; hybrid and zero bodies ignore
+        it.
         """
         block_size, n_blocks, radius = struct.unpack_from("<IQI", body, 0)
         offset = 16
@@ -249,7 +293,10 @@ class SZ2Compressor(LossyCompressor):
         if original_len != count:
             raise ValueError(f"corrupt sz2 body: length {original_len} does not "
                              f"match the header's {count} elements")
-        if _check_predictor(predictor) == _HYBRID:
+        predictor = _check_predictor(predictor)
+        if predictor == _REFERENCE:
+            reference = _check_reference(reference, count, dtype)
+        if predictor == _HYBRID:
             (sel_len,) = struct.unpack_from("<Q", body, offset)
             offset += 8
             if sel_len != -(-n_blocks // 8):
@@ -291,6 +338,7 @@ class SZ2Compressor(LossyCompressor):
             idx = np.arange(block_size, dtype=np.float64)
             pred = np.empty((min(_TILE_BLOCKS, n_blocks), block_size))
         quantizer = LinearQuantizer(radius)
+        ref_tiles = _tiles(reference, block_size) if predictor == _REFERENCE else None
         out = np.empty(n_blocks * block_size, dtype=dtype)
         used = 0
         with np.errstate(over="ignore", invalid="ignore"):
@@ -304,7 +352,13 @@ class SZ2Compressor(LossyCompressor):
                     np.add(first[b0:b1, None], p, out=p)
                     p = p.ravel()
                 tile_codes = codes[lo:hi]
-                n_out = int(np.count_nonzero(tile_codes == 0))
+                escapes = tile_codes == 0
+                n_out = int(np.count_nonzero(escapes))
+                if ref_tiles is not None:
+                    # back onto the zero grid; escapes keep code 0
+                    tile_codes = tile_codes + _reference_index(
+                        quantizer, next(ref_tiles)[2].ravel(), abs_bound)
+                    tile_codes[escapes] = 0
                 quantizer.dequantize(tile_codes, outliers[used : used + n_out], p,
                                      abs_bound, out=out[lo:hi])
                 used += n_out
@@ -435,7 +489,53 @@ def _estimated_bits(quant: QuantizationResult, scale: float) -> float:
     return scale * (entropy + 64 * quant.outliers.size) + table
 
 
+def _reference_index(quantizer: LinearQuantizer, reference: np.ndarray,
+                     abs_bound: float) -> np.ndarray:
+    """Each reference value's zero-grid index ``rint(ref / 2 * bound)``.
+
+    The index goes through the quantizer's own screens: a value that the
+    zero grid would store verbatim (non-finite, past the radius, or
+    reconstructing past the float64 range) takes index 0.
+    """
+    codes = quantizer.quantize(reference, None, abs_bound).codes
+    np.subtract(codes, quantizer.radius + 1, out=codes, where=codes != 0)
+    return codes
+
+
+def _recode(zero: QuantizationResult, index: np.ndarray, radius: int,
+            out: "np.ndarray | None" = None) -> QuantizationResult:
+    """A zero-grid quantization recoded against the reference ``index``.
+
+    The code ``q + radius + 1`` becomes ``q - index + radius + 1``.  A
+    zero-grid outlier stays a verbatim outlier, and a value whose
+    ``q - index`` leaves the radius escapes with code 0 and its zero-grid
+    reconstruction ``2 * bound * q`` as the outlier, so the decoder writes
+    what the zero grid would.  ``out`` may be ``zero.codes`` itself.
+    """
+    escape = zero.codes == 0
+    codes = np.subtract(zero.codes, index, out=out)
+    escape |= codes < 1
+    escape |= codes > 2 * radius + 1
+    codes[escape] = 0
+    return QuantizationResult(codes=codes, outliers=zero.reconstructed[escape],
+                              reconstructed=zero.reconstructed)
+
+
 def _check_predictor(predictor: int) -> int:
-    if predictor not in (_HYBRID, _ZERO):
+    if predictor not in (_HYBRID, _ZERO, _REFERENCE):
         raise ValueError(f"corrupt sz2 body: unknown predictor {predictor}")
     return predictor
+
+
+def _check_reference(reference: "np.ndarray | None", count: int,
+                     dtype: np.dtype) -> np.ndarray:
+    """The flat reference a reference-grid body decodes against."""
+    if reference is None:
+        raise ValueError("sz2 body is coded against a reference grid, but no "
+                         "reference was supplied")
+    reference = np.asarray(reference)
+    if reference.size != count or reference.dtype != dtype:
+        raise ValueError(f"sz2 body is coded against a reference of {count} "
+                         f"{dtype} values, but the supplied reference holds "
+                         f"{reference.size} {reference.dtype} values")
+    return reference.ravel()

@@ -64,7 +64,8 @@ class SZ3Compressor(LossyCompressor):
         self.huffman = HuffmanCoder(chunk_size=entropy_chunk)
 
     # ------------------------------------------------------------------
-    def _compress_float1d(self, data: np.ndarray, abs_bound: float) -> bytes:
+    def _compress_float1d(self, data: np.ndarray, abs_bound: float,
+                          reference: "np.ndarray | None" = None) -> bytes:
         prefix, codes, suffix = self._body_parts(data, abs_bound)
         if codes is None:
             return b"".join(prefix + suffix)
@@ -116,7 +117,8 @@ class SZ3Compressor(LossyCompressor):
 
     # ------------------------------------------------------------------
     def _decompress_float1d(self, body: bytes, count: int, abs_bound: float,
-                            dtype: np.dtype) -> np.ndarray:
+                            dtype: np.dtype,
+                            reference: "np.ndarray | None" = None) -> np.ndarray:
         """Reconstruct from the body.
 
         The element, anchor and code counts are checked against the

@@ -64,7 +64,8 @@ class SZxCompressor(LossyCompressor):
         self.block_size = int(block_size)
 
     # ------------------------------------------------------------------
-    def _compress_float1d(self, data: np.ndarray, abs_bound: float) -> bytes:
+    def _compress_float1d(self, data: np.ndarray, abs_bound: float,
+                          reference: "np.ndarray | None" = None) -> bytes:
         n = data.size
         if n == 0:
             return _FIXED.pack(self.block_size, 0, 0, 0.0)
@@ -119,7 +120,8 @@ class SZxCompressor(LossyCompressor):
 
     # ------------------------------------------------------------------
     def _decompress_float1d(self, body: bytes, count: int, abs_bound: float,
-                            dtype: np.dtype) -> np.ndarray:
+                            dtype: np.dtype,
+                            reference: "np.ndarray | None" = None) -> np.ndarray:
         reader = BodyReader(body, "SZx")
         block_size, original_len, width, offset_value = reader.fields(_FIXED)
         if original_len != count:

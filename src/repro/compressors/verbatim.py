@@ -30,7 +30,8 @@ class VerbatimCompressor(LossyCompressor):
 
     name = "verbatim"
 
-    def compress(self, data: np.ndarray) -> bytes:
+    def compress(self, data: np.ndarray,
+                 reference: "np.ndarray | None" = None) -> bytes:
         # Override the base implementation: the float64 working copy it hands
         # to ``_compress_float1d`` would double the size of float32 tensors,
         # and verbatim storage must cost exactly the original bytes.
@@ -43,12 +44,14 @@ class VerbatimCompressor(LossyCompressor):
         header += struct.pack("<d", 0.0)  # the bound actually achieved
         return header + flat.tobytes()
 
-    def _compress_float1d(self, data: np.ndarray, abs_bound: float) -> bytes:
+    def _compress_float1d(self, data: np.ndarray, abs_bound: float,
+                          reference: "np.ndarray | None" = None) -> bytes:
         # unused by the ``compress`` override above; kept for ABC completeness
         return np.ascontiguousarray(data).tobytes()
 
     def _decompress_float1d(self, body: bytes, count: int, abs_bound: float,
-                            dtype: np.dtype) -> np.ndarray:
+                            dtype: np.dtype,
+                            reference: "np.ndarray | None" = None) -> np.ndarray:
         expected = count * dtype.itemsize
         if len(body) != expected:
             raise ValueError(f"corrupt verbatim payload: body has {len(body)} "

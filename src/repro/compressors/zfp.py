@@ -101,7 +101,8 @@ class ZFPCompressor(LossyCompressor):
         return int(np.clip(precision, 2, 30))
 
     # ------------------------------------------------------------------
-    def _compress_float1d(self, data: np.ndarray, abs_bound: float) -> bytes:
+    def _compress_float1d(self, data: np.ndarray, abs_bound: float,
+                          reference: "np.ndarray | None" = None) -> bytes:
         n = data.size
         if n == 0:
             return _FIXED.pack(_BLOCK, 0, 0)
@@ -159,7 +160,8 @@ class ZFPCompressor(LossyCompressor):
 
     # ------------------------------------------------------------------
     def _decompress_float1d(self, body: bytes, count: int, abs_bound: float,
-                            dtype: np.dtype) -> np.ndarray:
+                            dtype: np.dtype,
+                            reference: "np.ndarray | None" = None) -> np.ndarray:
         reader = BodyReader(body, "ZFP")
         block, original_len, precision = reader.fields(_FIXED)
         if original_len != count:

@@ -65,9 +65,11 @@ from repro.utils.serialization import pack_arrays, pack_bytes_dict, unpack_array
 __all__ = ["FedSZCompressor", "FedSZReport"]
 
 #: bumped to 7 for the HUF4 entropy stage: SZ2 and SZ3 bodies embed a tuple
-#: Huffman stream and no lossless pass wraps them.  6 added the SZ2 body's
-#: predictor field (hybrid block prediction or a zero predictor with no side
-#: fields).  4 made the format plan-driven:
+#: Huffman stream and no lossless pass wraps them.  (8 is SZ2's reference
+#: grid, which only a stream coded against a reference carries, so the
+#: manifest stays at 7 and a stream without one keeps its v7 bytes.)  6 added
+#: the SZ2 body's predictor field (hybrid block prediction or a zero
+#: predictor with no side fields).  4 made the format plan-driven:
 #: every ``lossy::`` payload is prefixed with its codec id and the manifest
 #: carries the full per-tensor plan summary, so one bitstream may mix codecs
 #: and bounds.  (5 is the delta frame's ``FDL5`` magic, 3 added the chunked
@@ -110,29 +112,33 @@ def _check_tensor_names(state: dict) -> None:
             f"({', '.join(_RESERVED_KEYS)}, and the {_LOSSY_PREFIX!r} prefix); rename them")
 
 
-def _compress_tensor_task(task: "tuple[TensorPlan, np.ndarray, LossyCompressor]"
-                          ) -> bytes:
+def _compress_tensor_task(task: "tuple[TensorPlan, np.ndarray, LossyCompressor, "
+                                "np.ndarray | None]") -> bytes:
     """Compress one tensor per its plan entry into a tagged payload.
 
-    Module-level with an explicit ``(TensorPlan, ndarray, compressor)``
-    argument struct so the per-tensor fan-out satisfies the process backend's
-    picklability contract (compressor instances hold only plain configuration
-    state and pickle cheaply; the bitstream bytes come back as the result).
+    Module-level with an explicit ``(TensorPlan, ndarray, compressor,
+    reference)`` argument struct so the per-tensor fan-out satisfies the
+    process backend's picklability contract (compressor instances hold only
+    plain configuration state and pickle cheaply; the bitstream bytes come
+    back as the result).  ``reference`` is the receiver's copy of the tensor
+    or ``None``.
     """
-    plan, array, compressor = task
-    return _tag_payload(plan.codec, compressor.compress(array))
+    plan, array, compressor, reference = task
+    return _tag_payload(plan.codec, compressor.compress(array, reference))
 
 
-def _decompress_tensor_task(task: "tuple[str, bytes, LossyCompressor]") -> np.ndarray:
+def _decompress_tensor_task(task: "tuple[str, bytes, LossyCompressor, np.ndarray | None]"
+                            ) -> np.ndarray:
     """Decode one tagged lossy payload body back into its tensor.
 
-    The ``(entry_key, body, decoder)`` struct is picklable for the process
-    backend; failures are normalized to :class:`ValueError` *inside* the task
-    so the documented corruption contract holds identically across backends
-    (exceptions cross the process boundary already wrapped).
+    The ``(entry_key, body, decoder, reference)`` struct is picklable for the
+    process backend; failures are normalized to :class:`ValueError` *inside*
+    the task so the documented corruption contract holds identically across
+    backends (exceptions cross the process boundary already wrapped).
     """
-    key, body, decoder = task
-    return _decode_or_valueerror(decoder.decompress, body, key)
+    key, body, decoder, reference = task
+    return _decode_or_valueerror(
+        lambda payload: decoder.decompress(payload, reference), body, key)
 
 
 def _tag_payload(codec: str, body: bytes) -> bytes:
@@ -329,13 +335,22 @@ class FedSZCompressor:
         return decoder
 
     # ------------------------------------------------------------------
-    def compress_with_report(self, state: dict[str, np.ndarray]) -> tuple[bytes, FedSZReport]:
+    def compress_with_report(self, state: dict[str, np.ndarray],
+                             reference: "dict[str, np.ndarray] | None" = None
+                             ) -> tuple[bytes, FedSZReport]:
         """Compress ``state`` into one FedSZ bitstream; returns per-call stats.
 
         The per-tensor plan is fanned out over the configured execution
         backend when ``config.pipeline_workers > 1``; the bitstream is
         bit-identical at any worker count on any backend.  Also updates the
         ``last_report``/``last_plan`` convenience slots.
+
+        ``reference`` is a state the decoder will hold too (a federated
+        client's copy of the round's broadcast).  Each lossy tensor is
+        offered its same-named reference tensor, which SZ2 may code against
+        (its reference grid); such a stream decodes only through
+        :meth:`decompress_with_report` with the same ``reference``.  Without
+        one, the bitstream is the plain one.
         """
         _check_tensor_names(state)
         start = time.perf_counter()
@@ -350,8 +365,9 @@ class FedSZCompressor:
                 f"{list(partition.lossy)!r}; plans must cover every lossy "
                 f"tensor in partition order")
 
+        reference = reference or {}
         tasks = [(plan[name], array,
-                  self._scaled_compressor_for(plan[name], name))
+                  self._scaled_compressor_for(plan[name], name), reference.get(name))
                  for name, array in partition.lossy.items()]
         results = map_parallel(_compress_tensor_task, tasks,
                                max_workers=self._pipeline_workers(),
@@ -402,9 +418,15 @@ class FedSZCompressor:
                              f"trailing bytes after the plan summary")
         return n_entries, plan
 
-    def decompress_with_report(self, bitstream: bytes) \
+    def decompress_with_report(self, bitstream: bytes,
+                               reference: "dict[str, np.ndarray] | None" = None) \
             -> tuple["OrderedDict[str, np.ndarray]", FedSZReport]:
         """Reconstruct the state dict from a FedSZ bitstream, with statistics.
+
+        ``reference`` is the state the stream was coded against, if any (see
+        :meth:`compress_with_report`); a payload coded against a reference
+        tensor raises :class:`ValueError` when its same-named tensor here is
+        missing or differs in dtype or element count.
 
         Dispatch is per tensor: each ``lossy::`` payload names its codec,
         which must agree with the manifest plan; decoding fans out over the
@@ -440,6 +462,7 @@ class FedSZCompressor:
 
         lossy_compressed = sum(len(payload) for _, payload in lossy_entries)
 
+        reference = reference or {}
         tasks = []
         for key, payload in lossy_entries:
             name = key[len(_LOSSY_PREFIX):]
@@ -448,7 +471,7 @@ class FedSZCompressor:
                 raise ValueError(f"corrupt FedSZ bitstream: entry {key!r} is "
                                  f"tagged {codec!r} but the manifest plan says "
                                  f"{plan[name].codec!r}")
-            tasks.append((key, body, self._decoder_for(codec)))
+            tasks.append((key, body, self._decoder_for(codec), reference.get(name)))
         arrays = map_parallel(_decompress_tensor_task, tasks,
                               max_workers=self._pipeline_workers(),
                               backend=self.config.backend)
@@ -477,9 +500,12 @@ class FedSZCompressor:
         )
         return state, report
 
-    def decompress_state_dict(self, bitstream: bytes) -> "OrderedDict[str, np.ndarray]":
-        """Reconstruct the state dict from a FedSZ bitstream."""
-        state, report = self.decompress_with_report(bitstream)
+    def decompress_state_dict(self, bitstream: bytes,
+                              reference: "dict[str, np.ndarray] | None" = None
+                              ) -> "OrderedDict[str, np.ndarray]":
+        """Reconstruct the state dict from a FedSZ bitstream (coded against
+        ``reference``, if any)."""
+        state, report = self.decompress_with_report(bitstream, reference)
         previous = self.last_report
         if previous is not None:
             # replace instead of mutating in place so a concurrent reader never

@@ -105,13 +105,21 @@ class FedSZUpdateCodec(UpdateCodec):
     def encode(self, state: dict[str, np.ndarray]) -> bytes:
         return self.compressor.compress_state_dict(state)
 
-    def decode(self, payload: bytes) -> "OrderedDict[str, np.ndarray]":
-        return self.compressor.decompress_state_dict(payload)
+    def decode(self, payload: bytes, reference: "dict[str, np.ndarray] | None" = None
+               ) -> "OrderedDict[str, np.ndarray]":
+        """Decode one update; ``reference`` is the state it was encoded
+        against, if any (see :meth:`encode_with_report`)."""
+        return self.compressor.decompress_state_dict(payload, reference)
 
-    def encode_with_report(self, state: dict[str, np.ndarray]) \
+    def encode_with_report(self, state: dict[str, np.ndarray],
+                           reference: "dict[str, np.ndarray] | None" = None) \
             -> tuple[bytes, FedSZReport]:
-        """Encode one update and return its per-call :class:`FedSZReport`."""
-        return self.compressor.compress_with_report(state)
+        """Encode one update and return its per-call :class:`FedSZReport`.
+
+        ``reference`` is a state the receiver holds too; SZ2 tensors may be
+        coded against it, and the payload then decodes only with it.
+        """
+        return self.compressor.compress_with_report(state, reference)
 
     @property
     def profiler(self) -> "object | None":

@@ -285,8 +285,9 @@ class Coordinator:
         payload = self.journal.read_payload(event)
         codec = self.client_codecs[event.client_id]
         if self._delta is not None and isinstance(codec, DeltaUpdateCodec):
-            # a journaled delta payload decodes only against the broadcast
-            # state of its origin round — rearm from that round's snapshot
+            # a journaled payload, residual or full state, decodes only
+            # against the broadcast of its origin round (FDL5 modes 1 and
+            # 2) — rearm from that round's snapshot
             try:
                 reference = self.journal.load_snapshot(
                     self.journal.reference_snapshot(event.round_index))

@@ -6,17 +6,26 @@ residuals, so this module ships ``state − reference`` (the last
 server-acknowledged global state) instead of the raw state, wrapped in a
 small versioned frame:
 
-Frame format (v5, FORMATS.md)::
+Frame format (FDL5; FORMATS.md, versions 5 and 8)::
 
     4s   magic b"FDL5"
-    u8   mode (0 = full state, 1 = delta against the armed reference)
+    u8   mode (0 = full state, 1 = delta against the armed reference,
+               2 = full state coded against the armed reference)
     u64  reference generation (the round index the reference was produced by)
 
 followed by the *inner* codec's ordinary bitstream — of the raw state in
-full mode, of the residual dict in delta mode.  The generation tag makes a
-stale reference fail loudly at decode time instead of silently reconstructing
-against the wrong state; the coordinator degrades such clients to full-state
-ships (mode 0), which need no reference at all.
+the full modes, of the residual dict in delta mode.  Mode 2 offers the
+reference to the inner FedSZ codec, whose SZ2 tensors code their zero-grid
+indices against the reference's (SZ2's reference grid): it reconstructs
+exactly what mode 0 would, in a fraction of the bytes, but decodes only
+against the same reference.  The generation tag makes a stale reference fail
+loudly at decode time instead of silently reconstructing against the wrong
+state, and both referenced modes check the decoded tensors' names, shapes
+and dtypes against the reference's.  The coordinator degrades a client whose
+accumulator cannot be trusted to a full-state ship (mode 2): its reference
+is the round's broadcast, which sender and receiver hold whatever the
+client's history.  Mode 0 is what an unarmed codec ships; it needs no
+reference at all.
 
 Error feedback
 --------------
@@ -64,11 +73,11 @@ from collections import OrderedDict
 import numpy as np
 
 from repro.core.network import NetworkModel
-from repro.fl.codec import UpdateCodec
+from repro.fl.codec import FedSZUpdateCodec, UpdateCodec
 from repro.utils.serialization import pack_arrays, unpack_arrays
 
 __all__ = ["DeltaUpdateCodec", "DeltaChannel", "DeltaTracker", "FRAME_MAGIC",
-           "MODE_FULL", "MODE_DELTA", "pack_frame", "parse_frame",
+           "MODE_FULL", "MODE_DELTA", "MODE_REFERENCE", "pack_frame", "parse_frame",
            "ef_residual", "reconstruct", "advance_accumulator",
            "pack_sidecar", "restore_sidecar"]
 
@@ -76,24 +85,46 @@ FRAME_MAGIC = b"FDL5"
 _FRAME = struct.Struct("<4sBQ")  # magic, mode, generation
 MODE_FULL = 0
 MODE_DELTA = 1
+MODE_REFERENCE = 2
 
 
 def pack_frame(mode: int, generation: int) -> bytes:
-    """Serialize the 13-byte v5 delta frame."""
+    """Serialize the 13-byte FDL5 delta frame."""
     return _FRAME.pack(FRAME_MAGIC, mode, generation)
 
 
 def parse_frame(payload: bytes) -> tuple[int, int, int]:
-    """Parse and validate a v5 frame; returns ``(mode, generation, offset)``."""
+    """Parse and validate an FDL5 frame; returns ``(mode, generation, offset)``."""
     if len(payload) < _FRAME.size:
         raise ValueError(f"truncated delta frame: {len(payload)} of "
                          f"{_FRAME.size} bytes")
     magic, mode, generation = _FRAME.unpack_from(payload, 0)
     if magic != FRAME_MAGIC:
         raise ValueError("not a delta-framed update (bad FDL5 magic)")
-    if mode not in (MODE_FULL, MODE_DELTA):
+    if mode not in (MODE_FULL, MODE_DELTA, MODE_REFERENCE):
         raise ValueError(f"corrupt delta frame: unknown mode {mode}")
     return mode, generation, _FRAME.size
+
+
+def _mismatch(reference: dict, state: dict) -> "str | None":
+    """Why ``state`` does not have the reference's tensor names, shapes and
+    dtypes, or ``None`` when it does."""
+    if state.keys() != reference.keys():
+        return f"tensors {sorted(state.keys() ^ reference.keys())!r} are not in both"
+    for name, array in state.items():
+        ref = reference[name]
+        if array.shape != ref.shape or array.dtype != ref.dtype:
+            return (f"tensor {name!r} is {array.dtype}{list(array.shape)}, the "
+                    f"reference's {ref.dtype}{list(ref.shape)}")
+    return None
+
+
+def _check_decoded(reference: dict, decoded: dict) -> dict:
+    """``decoded``, if it has the reference's names, shapes and dtypes."""
+    problem = _mismatch(reference, decoded)
+    if problem is not None:
+        raise ValueError(f"corrupt delta-framed update: {problem}")
+    return decoded
 
 
 # ---------------------------------------------------------------------------
@@ -214,14 +245,17 @@ class DeltaChannel:
 
 
 class DeltaUpdateCodec(UpdateCodec):
-    """Wrap an update codec with v5 delta framing and error feedback.
+    """Wrap an update codec with FDL5 delta framing and error feedback.
 
     The wrapper is armed per ship by the coordinator (:meth:`arm`) with the
     reference state, its generation, and the client's accumulator;
     :meth:`disarm` drops the references so a parked codec never pins a stale
-    state dict in memory.  Unarmed codecs encode full-state frames (mode 0)
-    — the always-safe degrade path.  The inner codec's entropy stage builds
-    fresh Huffman tables for every ship, residual or full.
+    state dict in memory.  An armed full-state ship is a mode-2 frame, coded
+    against the reference, when the inner codec is FedSZ and the state has
+    the reference's tensor names, shapes and dtypes; otherwise, and always
+    when unarmed, it is a mode-0 frame, which needs no reference.  The inner
+    codec's entropy stage builds fresh Huffman tables for every ship,
+    residual or full.
     """
 
     def __init__(self, inner: UpdateCodec) -> None:
@@ -301,15 +335,26 @@ class DeltaUpdateCodec(UpdateCodec):
                 if compressor is not None:
                     compressor.bound_scales = None
             return pack_frame(MODE_DELTA, self._generation) + inner_payload, report
+        reference = self._reference
+        if reference is not None and isinstance(self.inner, FedSZUpdateCodec) \
+                and _mismatch(reference, state) is None:
+            inner_payload, report = self.inner.encode_with_report(state, reference)
+            return pack_frame(MODE_REFERENCE, self._generation) + inner_payload, report
         inner_payload, report = self.inner.encode_with_report(state)
         return pack_frame(MODE_FULL, max(self._generation, 0)) + inner_payload, report
 
     def decode(self, payload: bytes) -> "OrderedDict[str, np.ndarray]":
         mode, generation, offset = parse_frame(payload)
+        if mode == MODE_FULL:
+            return self.inner.decode(payload[offset:])
+        reference = self._require_reference(generation)
         if mode == MODE_DELTA:
-            reference = self._require_reference(generation)
-            return reconstruct(reference, self.inner.decode(payload[offset:]))
-        return self.inner.decode(payload[offset:])
+            residual = self.inner.decode(payload[offset:])
+            return reconstruct(reference, _check_decoded(reference, residual))
+        if not isinstance(self.inner, FedSZUpdateCodec):
+            raise ValueError(f"corrupt delta frame: mode {MODE_REFERENCE} needs a "
+                             f"FedSZ inner codec, not {self.inner.name!r}")
+        return _check_decoded(reference, self.inner.decode(payload[offset:], reference))
 
     def for_network(self, network: NetworkModel) -> "DeltaUpdateCodec":
         resolved = self.inner.for_network(network)

@@ -72,6 +72,7 @@ import contextlib
 import os
 import sys
 import threading
+import time
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 from multiprocessing import shared_memory
@@ -129,9 +130,26 @@ def _spread_process_worker() -> None:
         pass
 
 
+#: Seconds between a process-pool worker's checks that the process that
+#: started it is still its parent.
+_ORPHAN_POLL_S = 0.5
+
+
+def _exit_when_orphaned(parent: int) -> None:
+    """Hard-exit this worker once ``parent`` is no longer its parent.
+
+    A pool holder that hard-exits (``os._exit``, ``kill -9``) never shuts its
+    pool down: its workers would block on the call queue for good,
+    reparented, holding the dead process's stdout and stderr open.
+    """
+    while os.getppid() == parent:
+        time.sleep(_ORPHAN_POLL_S)
+    os._exit(1)
+
+
 def _process_worker_init(initializer=None, initargs=()) -> None:
-    """Process-pool initializer: mark and spread the worker, then run the
-    caller's hook.
+    """Process-pool initializer: mark and spread the worker, watch for its
+    parent's death, then run the caller's hook.
 
     Module-level so it pickles; ``initializer`` and ``initargs`` ride along as
     ``initargs`` of the real :class:`ProcessPoolExecutor`, which is exactly
@@ -139,6 +157,8 @@ def _process_worker_init(initializer=None, initargs=()) -> None:
     """
     _mark_process_worker()
     _spread_process_worker()
+    threading.Thread(target=_exit_when_orphaned, args=(os.getppid(),),
+                     name="repro-orphan-watch", daemon=True).start()
     if initializer is not None:
         initializer(*initargs)
 

@@ -21,9 +21,11 @@ from repro.utils.serialization import pack_bytes_dict, unpack_bytes_dict
 _NAME = "w.weight"
 
 
-def container_decoder(codec: str, payload: bytes) -> Callable[[], np.ndarray]:
+def container_decoder(codec: str, payload: bytes,
+                      reference: "np.ndarray | None" = None) -> Callable[[], np.ndarray]:
     """A call that decodes ``payload`` (a ``codec`` payload whose header is
-    intact) as the one lossy tensor of a FedSZ container.
+    intact) as the one lossy tensor of a FedSZ container, against
+    ``reference`` when one is given.
 
     The container is built up front, so a traced call measures the decode
     alone.  A container keeps empty tensors in its lossless partition, so
@@ -35,4 +37,5 @@ def container_decoder(codec: str, payload: bytes) -> Callable[[], np.ndarray]:
     tagged = entries[f"lossy::{_NAME}"]
     entries[f"lossy::{_NAME}"] = tagged[:1 + tagged[0]] + payload
     container = pack_bytes_dict(entries)
-    return lambda: fedsz.decompress_state_dict(container)[_NAME]
+    state = None if reference is None else {_NAME: reference}
+    return lambda: fedsz.decompress_state_dict(container, state)[_NAME]

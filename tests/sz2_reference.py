@@ -1,14 +1,15 @@
 """Byte-identity oracle for the tiled SZ2 codec body.
 
 :func:`reference_body_parts` and :func:`reference_reconstruct` are the
-whole-array SZ2 front end and reconstruction, in both predictor modes of the
+whole-array SZ2 front end and reconstruction, in every predictor mode of the
 body.  The hybrid is what the production
 :class:`~repro.compressors.sz2.SZ2Compressor` ran before it walked each
 tensor in cache-sized tiles of blocks: pad the tensor to whole blocks, fit
 both block predictors over every block at once, materialise both full
 prediction arrays, pick per block, and quantize (or dequantize) the whole
 tensor in one call.  The zero mode quantizes the padded tensor against an
-explicit zeros array.  They are memory-hungry but obviously right, so the
+explicit zeros array, and the reference grid subtracts the padded
+reference's zero-grid indices from those codes.  They are memory-hungry but obviously right, so the
 property tests hold the tiled kernels to their bytes and values bit for bit.
 The predictor choice is the encoder's own business: the oracle takes the
 mode as an argument, and its hybrid bytes differ from the pre-v6 body only
@@ -65,13 +66,24 @@ def predictions_from_regression(coefficients: np.ndarray, block_size: int) -> np
     return coefficients[:, 0:1] + coefficients[:, 1:2] * idx[None, :]
 
 
-HYBRID, ZERO = 0, 1  # the body's predictor field
+HYBRID, ZERO, REFERENCE = 0, 1, 2  # the body's predictor field
 
 
-def reference_body_parts(compressor, data: np.ndarray, abs_bound: float, predictor: int
+def reference_grid_index(quantizer: LinearQuantizer, reference: np.ndarray,
+                         block_size: int, abs_bound: float) -> np.ndarray:
+    """The padded reference's zero-grid index per value, 0 where the zero
+    grid would store the reference value verbatim."""
+    blocks, _ = block_pad(reference, block_size)
+    codes = quantizer.quantize(blocks.ravel(), np.zeros(blocks.size), abs_bound).codes
+    return np.where(codes == 0, 0, codes - (quantizer.radius + 1))
+
+
+def reference_body_parts(compressor, data: np.ndarray, abs_bound: float, predictor: int,
+                         reference: "np.ndarray | None" = None
                          ) -> "tuple[list[bytes], np.ndarray | None, list[bytes]]":
     """The ``(prefix, codes, suffix)`` split ``compressor._body_parts`` must
-    return when it picks ``predictor`` (ignored for an empty tensor)."""
+    return when it picks ``predictor`` (ignored for an empty tensor);
+    ``reference`` is the reference grid's array."""
     if data.size == 0:
         return [struct.pack("<IQI", compressor.block_size, 0, compressor.quantizer.radius)], None, []
 
@@ -82,6 +94,14 @@ def reference_body_parts(compressor, data: np.ndarray, abs_bound: float, predict
     if predictor == ZERO:
         quant = compressor.quantizer.quantize(blocks.ravel(), np.zeros(blocks.size), abs_bound)
         return head, quant.codes, [LinearQuantizer.pack_outliers(quant.outliers)]
+    if predictor == REFERENCE:
+        radius = compressor.quantizer.radius
+        quant = compressor.quantizer.quantize(blocks.ravel(), np.zeros(blocks.size), abs_bound)
+        d = quant.codes - (radius + 1) - reference_grid_index(
+            compressor.quantizer, reference, compressor.block_size, abs_bound)
+        escape = (quant.codes == 0) | (np.abs(d) > radius)
+        codes = np.where(escape, 0, d + radius + 1)
+        return head, codes, [LinearQuantizer.pack_outliers(quant.reconstructed[escape])]
 
     with np.errstate(over="ignore", invalid="ignore"):
         mean_pred, mean_coef = block_mean_predictor(blocks)
@@ -108,11 +128,13 @@ def reference_body_parts(compressor, data: np.ndarray, abs_bound: float, predict
     return prefix, quant.codes, suffix
 
 
-def reference_compress(compressor, data: np.ndarray, predictor: int) -> bytes:
-    """The payload ``compressor.compress(data)`` must produce when it picks
-    ``predictor``."""
+def reference_compress(compressor, data: np.ndarray, predictor: int,
+                       reference: "np.ndarray | None" = None) -> bytes:
+    """The payload ``compressor.compress(data, reference)`` must produce when
+    it picks ``predictor``."""
     header, flat, abs_bound = compressor._encode_prelude(data)
-    prefix, codes, suffix = reference_body_parts(compressor, flat, abs_bound, predictor)
+    prefix, codes, suffix = reference_body_parts(compressor, flat, abs_bound, predictor,
+                                                 reference)
     body = b"".join(prefix)
     if codes is not None:
         huff = compressor.huffman.encode(codes)
@@ -120,8 +142,9 @@ def reference_compress(compressor, data: np.ndarray, predictor: int) -> bytes:
     return header + body + b"".join(suffix)
 
 
-def reference_reconstruct(compressor, payload: bytes) -> np.ndarray:
-    """The array ``compressor.decompress(payload)`` must return."""
+def reference_reconstruct(compressor, payload: bytes,
+                          reference: "np.ndarray | None" = None) -> np.ndarray:
+    """The array ``compressor.decompress(payload, reference)`` must return."""
     dtype, shape, count, abs_bound, offset = compressor._parse_container_header(payload)
     body = payload[offset:]
     block_size, n_blocks, radius = struct.unpack_from("<IQI", body, 0)
@@ -145,6 +168,10 @@ def reference_reconstruct(compressor, payload: bytes) -> np.ndarray:
     codes = compressor.huffman.decode(body[offset : offset + huff_len], any_count)
     offset += huff_len
     outliers, offset = LinearQuantizer.unpack_outliers(body, offset)
+    if predictor == REFERENCE:
+        index = reference_grid_index(LinearQuantizer(radius), reference, block_size,
+                                     abs_bound)
+        codes = np.where(codes == 0, 0, codes + index)
 
     predictions = np.zeros((n_blocks, block_size), dtype=np.float64)
     if predictor == HYBRID:

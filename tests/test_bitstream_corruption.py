@@ -283,9 +283,11 @@ class TestContainerBoundsHuffmanCount:
     """
 
     @staticmethod
-    def _assert_rejected_small(compressor, body: bytes, match: str) -> None:
+    def _assert_rejected_small(compressor, body: bytes, match: str,
+                               reference: "np.ndarray | None" = None) -> None:
         payload = _LOSSY_HEADER + body
-        assert _peak_of_rejection(lambda: compressor.decompress(payload), match) < 1 << 20
+        assert _peak_of_rejection(lambda: compressor.decompress(payload, reference),
+                                  match) < 1 << 20
 
     def test_sz2_symbol_count_pinned_by_geometry(self):
         bomb = one_tuple_bomb(3 << 31)
@@ -302,6 +304,23 @@ class TestContainerBoundsHuffmanCount:
                 + struct.pack("<Q", len(bomb) + (3 << 28)) + bomb)
         self._assert_rejected_small(SZ2Compressor(), body,
                                     "6442450944 codes for 2 blocks of 8")
+
+    def test_sz2_reference_grid_symbol_count_pinned_by_geometry(self):
+        bomb = one_tuple_bomb(3 << 31)
+        body = (struct.pack("<IQIQB", 8, 2, 32768, 10, 2)  # reference grid
+                + struct.pack("<Q", len(bomb) + (3 << 28)) + bomb)
+        self._assert_rejected_small(SZ2Compressor(), body,
+                                    "6442450944 codes for 2 blocks of 8",
+                                    reference=np.zeros(10, np.float32))
+
+    @pytest.mark.parametrize("reference, match", [
+        (None, "no reference was supplied"),
+        (np.zeros(11, np.float32), "holds 11 float32 values"),
+        (np.zeros(10, np.float64), "holds 10 float64 values"),
+    ], ids=["missing", "count", "dtype"])
+    def test_sz2_reference_checked_before_huffman_bytes(self, reference, match):
+        body = struct.pack("<IQIQB", 8, 2, 32768, 10, 2) + one_tuple_bomb(3 << 31)
+        self._assert_rejected_small(SZ2Compressor(), body, match, reference)
 
     def test_sz2_predictor_checked_before_huffman_bytes(self):
         body = struct.pack("<IQIQB", 8, 2, 32768, 10, 7) + one_tuple_bomb(3 << 31)
@@ -330,8 +349,9 @@ class TestContainerBoundsHuffmanCountInContainer(TestContainerBoundsHuffmanCount
     """The same bodies as the one lossy tensor of a FedSZ container."""
 
     @staticmethod
-    def _assert_rejected_small(compressor, body: bytes, match: str) -> None:
-        decode = container_decoder(compressor.name, _LOSSY_HEADER + body)
+    def _assert_rejected_small(compressor, body: bytes, match: str,
+                               reference: "np.ndarray | None" = None) -> None:
+        decode = container_decoder(compressor.name, _LOSSY_HEADER + body, reference)
         assert _peak_of_rejection(decode, match) < 1 << 20
 
 

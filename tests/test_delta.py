@@ -11,15 +11,17 @@ import numpy as np
 import pytest
 
 from repro.core import FedSZConfig
+from repro.core.network import NetworkModel
 from repro.data import make_dataset, train_test_split
 from repro.fl import FederatedSimulation, FedSZUpdateCodec, RawUpdateCodec
 from repro.fl.coordinator import deterministic_fields
-from repro.fl.delta import (MODE_DELTA, MODE_FULL, DeltaChannel,
-                            DeltaTracker, DeltaUpdateCodec,
+from repro.fl.delta import (MODE_DELTA, MODE_FULL, MODE_REFERENCE,
+                            DeltaChannel, DeltaTracker, DeltaUpdateCodec,
                             advance_accumulator, ef_residual, pack_frame,
                             pack_sidecar, parse_frame, reconstruct,
                             restore_sidecar)
 from repro.nn import build_model
+from repro.utils.serialization import pack_bytes_dict, unpack_bytes_dict
 
 
 def _state(seed=0, scale=1.0):
@@ -29,6 +31,17 @@ def _state(seed=0, scale=1.0):
         "fc.bias": (scale * rng.standard_normal(8)).astype(np.float32),
         "steps": np.asarray(rng.integers(0, 100, size=4), dtype=np.int64),
     }
+
+
+def _near(reference, seed, step=1e-4):
+    """A trained-like state: every float tensor a small step from ``reference``."""
+    rng = np.random.default_rng(seed)
+    return {k: (v + step * rng.standard_normal(v.shape)).astype(v.dtype)
+            if v.dtype.kind == "f" else v.copy() for k, v in reference.items()}
+
+
+def _bits(state: dict) -> dict:
+    return {k: (v.dtype.str, v.shape, v.tobytes()) for k, v in state.items()}
 
 
 def _config(**kw):
@@ -43,6 +56,7 @@ class TestFrame:
         assert len(payload) == 13
         assert parse_frame(payload) == (MODE_DELTA, 7, 13)
         assert parse_frame(pack_frame(MODE_FULL, 0))[0] == MODE_FULL
+        assert parse_frame(pack_frame(MODE_REFERENCE, 4)) == (MODE_REFERENCE, 4, 13)
 
     def test_bad_magic_rejected(self):
         with pytest.raises(ValueError, match="FDL5"):
@@ -53,10 +67,11 @@ class TestFrame:
             parse_frame(pack_frame(MODE_FULL, 0)[:12])
 
     def test_unknown_mode_rejected(self):
-        bad = bytearray(pack_frame(MODE_FULL, 0))
-        bad[4] = 9
-        with pytest.raises(ValueError, match="mode"):
-            parse_frame(bytes(bad))
+        for mode in (3, 9):
+            bad = bytearray(pack_frame(MODE_FULL, 0))
+            bad[4] = mode
+            with pytest.raises(ValueError, match=f"unknown mode {mode}"):
+                parse_frame(bytes(bad))
 
 
 class TestKernels:
@@ -190,6 +205,93 @@ class TestDeltaCodec:
         clone.attach_reference(ref)
         recon = clone.decode(payload)
         np.testing.assert_array_equal(recon["steps"], _state(20)["steps"])
+
+    def test_armed_full_ship_codes_against_the_reference(self):
+        # mode 2 reconstructs exactly what mode 0 does, in fewer bytes
+        codec = self._codec()
+        ref = _state(40)
+        state = _near(ref, 41)
+        plain = codec.encode(state)
+        assert parse_frame(plain)[0] == MODE_FULL
+        codec.arm(ref, 4, delta=False)
+        payload = codec.encode(state)
+        assert parse_frame(payload)[:2] == (MODE_REFERENCE, 4)
+        assert len(payload) < len(plain)
+        assert _bits(codec.decode(payload)) == _bits(codec.inner.decode(plain[13:]))
+
+    def test_reference_frame_decodes_only_against_its_reference(self):
+        codec = self._codec()
+        ref = _state(42)
+        codec.arm(ref, 4, delta=False)
+        payload = codec.encode(_near(ref, 43))
+        codec.arm(ref, 5, delta=False)
+        with pytest.raises(ValueError, match="generation 4 but generation 5"):
+            codec.decode(payload)
+        codec.disarm()
+        with pytest.raises(ValueError, match="no reference"):
+            codec.decode(payload)
+
+    def test_reference_frame_needs_a_fedsz_inner_codec(self):
+        codec = self._codec()
+        ref = _state(44)
+        codec.arm(ref, 1, delta=False)
+        payload = codec.encode(_near(ref, 45))
+        raw = DeltaUpdateCodec(RawUpdateCodec())
+        raw.arm(ref, 1, delta=False)
+        with pytest.raises(ValueError, match="FedSZ inner codec"):
+            raw.decode(payload)
+        # an armed raw codec has nothing to code against the reference
+        assert parse_frame(raw.encode(ref))[0] == MODE_FULL
+
+    @pytest.mark.parametrize("extra", ["tensor", "dtype"])
+    def test_state_unlike_the_reference_ships_mode_zero(self, extra):
+        codec = self._codec()
+        ref = _state(46)
+        state = _near(ref, 47)
+        if extra == "tensor":
+            state["extra"] = np.zeros(3, np.float32)
+        else:
+            state["fc.bias"] = state["fc.bias"].astype(np.float64)
+        codec.arm(ref, 2, delta=False)
+        payload = codec.encode(state)
+        assert parse_frame(payload)[0] == MODE_FULL
+        assert payload[13:] == codec.inner.encode(state)
+
+    @pytest.mark.parametrize("delta", [True, False], ids=["delta", "full"])
+    def test_flipped_lossy_dtype_rejected(self, delta):
+        # a float32 tensor whose lossy payload claims float64 decodes to the
+        # right shape in the wrong dtype; the armed reference pins the dtype
+        codec = self._codec()
+        ref = _state(48)
+        codec.arm(ref, 2, delta=delta)
+        payload = codec.encode(_near(ref, 49, step=0.01))
+        assert parse_frame(payload)[0] == (MODE_DELTA if delta else MODE_REFERENCE)
+        entries = unpack_bytes_dict(payload[13:])
+        tagged = bytearray(entries["lossy::fc.weight"])
+        dtype_at = 1 + tagged[0]  # after the codec tag
+        assert tagged[dtype_at] == 0  # float32
+        tagged[dtype_at] = 1
+        entries["lossy::fc.weight"] = bytes(tagged)
+        with pytest.raises(ValueError, match="float64"):
+            codec.decode(payload[:13] + pack_bytes_dict(entries))
+
+    @pytest.mark.parametrize("backend, workers", [
+        ("thread", 1), ("thread", 2), ("process", 1), ("process", 2)])
+    def test_reference_ship_bit_identical_across_backends(self, backend, workers):
+        # one tensor of several tiles, one of one tile, and the exact ones
+        ref = dict(_state(50), **{"conv.weight": np.random.default_rng(51).standard_normal(
+            (300, 256)).astype(np.float32)})
+        state = _near(ref, 52)
+
+        def ship(**kw):
+            codec = self._codec(**kw)
+            codec.arm(ref, 7, delta=False)
+            payload = codec.encode(state)
+            return payload, _bits(codec.decode(payload))
+
+        payload, recon = ship(backend="serial")
+        assert parse_frame(payload)[0] == MODE_REFERENCE
+        assert ship(backend=backend, pipeline_workers=workers) == (payload, recon)
 
     def test_armed_codec_pickles_byte_identically(self):
         codec = self._codec()
@@ -383,6 +485,12 @@ def delta_split():
     return train_test_split(ds, test_fraction=0.25, seed=3)
 
 
+#: a link so slow that every ship misses the deadline and is absorbed one
+#: round late
+_LATE = dict(network=NetworkModel(bandwidth_mbps=0.001), round_deadline_s=1e-4,
+             max_staleness=1)
+
+
 def _make_sim(split, model="simplecnn", **kwargs):
     train, test = split
     defaults = dict(n_clients=3, seed=5, lr=0.1, batch_size=32,
@@ -403,6 +511,8 @@ class TestDeltaSimulation:
         for r in res.rounds[1:]:
             assert r.delta_clients == [0, 1, 2]
             assert r.transmitted_bytes < full.rounds[r.round_index].transmitted_bytes
+        # the cold ships are full states coded against the broadcast
+        assert res.rounds[0].transmitted_bytes < 0.75 * full.rounds[0].transmitted_bytes
 
     def test_bit_identical_across_backends(self, delta_split):
         ref = _make_sim(delta_split, backend="serial", max_workers=1).run(3)
@@ -456,6 +566,40 @@ class TestDeltaSimulation:
         resumed = _make_sim(delta_split, model, journal_dir=tmp_path / "j",
                             resume=True).run(3)
         assert deterministic_fields(resumed) == deterministic_fields(reference)
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_late_full_ships_replay_against_their_origin_snapshot(
+            self, tmp_path, delta_split, backend):
+        # every ship misses the deadline, so every round ships full states
+        # coded against its broadcast, and the next round absorbs them; the
+        # resume decodes round 0's journaled late ships against the initial
+        # snapshot
+        late = dict(_LATE, backend=backend, max_workers=2)
+        reference_sim = _make_sim(delta_split, **late)
+        reference = reference_sim.run(3)
+        assert reference.rounds[0].late_clients == [0, 1, 2]
+        assert reference.rounds[1].absorbed_clients == {0: 0, 1: 0, 2: 0}
+        _make_sim(delta_split, journal_dir=tmp_path / "j", **late).run(1)
+        resumed_sim = _make_sim(delta_split, journal_dir=tmp_path / "j",
+                                resume=True, **late)
+        resumed = resumed_sim.run(3)
+        assert deterministic_fields(resumed) == deterministic_fields(reference)
+        assert _bits(resumed_sim.server.global_state()) == \
+            _bits(reference_sim.server.global_state())
+
+    def test_late_replay_without_its_snapshot_degrades(self, tmp_path, delta_split):
+        _make_sim(delta_split, journal_dir=tmp_path / "j", **_LATE).run(1)
+        os.unlink(tmp_path / "j" / "snapshots" / "initial.fsza")
+        # the resumed run lifts the deadline, so round 1 ships on time and
+        # its record says why each client shipped a full state
+        resumed = _make_sim(delta_split, journal_dir=tmp_path / "j", resume=True,
+                            network=_LATE["network"], max_staleness=1).run(3)
+        assert len(resumed.rounds) == 3
+        assert resumed.rounds[0].late_clients == [0, 1, 2]
+        assert resumed.rounds[1].absorbed_clients == {}
+        assert resumed.rounds[1].delta_degrades == {0: "replay-loss", 1: "replay-loss",
+                                                    2: "replay-loss"}
+        assert resumed.rounds[2].delta_clients == [0, 1, 2]
 
     def test_missing_sidecars_degrade_to_full_ship(self, tmp_path, delta_split):
         _make_sim(delta_split, journal_dir=tmp_path / "j").run(2)

@@ -4,7 +4,14 @@ journal resume of a profiled run — plus the bit-identity matrix proving
 every backend x worker count reproduces the serial 1-worker run exactly."""
 
 import contextlib
+import os
 import pickle
+import signal
+import subprocess
+import sys
+import textwrap
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -128,6 +135,53 @@ class TestPersistentScope:
         assert len(updates) == 2
         assert updates[0].client_id == 0
         assert backend.pool_spinups - before == 1
+
+
+#: a pool holder that hard-exits, as the journal's crash hook does, after
+#: printing its workers' pids
+_ORPHANING_CHILD = textwrap.dedent("""
+    import multiprocessing, os
+    from repro.utils.parallel import get_backend
+    with get_backend("process").persistent(2) as pool:
+        pool.map(abs, range(8))
+        print(*(p.pid for p in multiprocessing.active_children()), flush=True)
+        os._exit(42)
+""")
+
+
+def _proc_state(pid: int) -> "str | None":
+    """The state letter of ``/proc/<pid>/stat``, or ``None`` once it is gone."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return None
+    return stat.rsplit(")", 1)[1].split()[0]
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+def test_process_workers_exit_with_their_pool_holder(tmp_path):
+    # the output goes to files: surviving workers would hold a pipe open
+    out, err = tmp_path / "pids.txt", tmp_path / "stderr.txt"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    with out.open("w") as stdout, err.open("w") as stderr:
+        child = subprocess.run([sys.executable, "-c", _ORPHANING_CHILD], env=env,
+                               stdout=stdout, stderr=stderr, timeout=60)
+    assert child.returncode == 42, err.read_text()[-2000:]
+    pids = [int(pid) for pid in out.read_text().split()]
+    assert len(pids) == 2
+    try:
+        deadline = time.monotonic() + 10
+        while any(_proc_state(pid) not in (None, "Z") for pid in pids) \
+                and time.monotonic() < deadline:
+            time.sleep(0.1)
+        states = {pid: _proc_state(pid) for pid in pids}
+        assert all(state in (None, "Z") for state in states.values()), states
+    finally:
+        for pid in pids:
+            if _proc_state(pid) not in (None, "Z"):
+                os.kill(pid, signal.SIGKILL)
 
 
 # ---------------------------------------------------------------------------

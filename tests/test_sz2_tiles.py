@@ -286,7 +286,8 @@ class TestExactGeometry:
         header, body = self._rebuilt(predictor, original_len=999)
         self._assert_rejected(header, body, "length 999 does not match")
 
-    @pytest.mark.parametrize("value", [2, 255])
+    # 2 is the reference grid (tests/test_sz2_reference_grid.py)
+    @pytest.mark.parametrize("value", [3, 255])
     def test_unknown_predictor_rejected(self, predictor, value):
         header, body = self._rebuilt(predictor, predictor=value)
         self._assert_rejected(header, body, f"unknown predictor {value}")
