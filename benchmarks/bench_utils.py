@@ -9,8 +9,8 @@ via the ``REPRO_BENCH_SCALE`` environment variable:
 * ``full`` — the complete grids the paper reports (hours of CPU time).
 
 The *shape* of every result (who wins, by roughly what factor, where crossovers
-fall) is the reproducible quantity at either scale; EXPERIMENTS.md records the
-quick-scale numbers next to the paper's.
+fall) is the reproducible quantity at either scale.  ``bench_timing.py`` runs
+its paper-scale wall-clock checks only at ``full``.
 """
 
 from __future__ import annotations

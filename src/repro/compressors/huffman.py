@@ -552,8 +552,8 @@ def _parse_header(view: memoryview, check_count: "Callable[[int], None] | None")
 def _decode_reference(payload: bytes) -> np.ndarray:
     """Decode a whole stream with :func:`_decode_scalar` at any chunk count.
 
-    The reference the tests and ``benchmarks/bench_entropy.py`` hold the
-    default :meth:`HuffmanCoder.decode` against.
+    The reference the tests hold the default :meth:`HuffmanCoder.decode`
+    against for equality, and ``benchmarks/bench_timing.py`` for speed.
     """
     head = HuffmanCoder._parse(payload, None)
     if head.count == 0:

@@ -29,8 +29,10 @@ moment of death) and rejects corruption anywhere else.
 
 The ``REPRO_JOURNAL_CRASH_AFTER`` environment variable is a test hook: when
 set to ``N``, the process hard-exits (``os._exit(42)``) immediately after the
-``N``-th event of this process reaches the log — the kill-and-resume drill in
-``benchmarks/bench_coordinator.py`` and CI uses it to die mid-round for real.
+``N``-th event of this process reaches the log —
+``tests/test_coordinator.py::TestCrashResume::test_killed_process_resumes_bit_identical``
+runs a child process (``tests/crash_child.py``) with it to die mid-round for
+real.
 """
 
 from __future__ import annotations

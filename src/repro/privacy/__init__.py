@@ -1,7 +1,6 @@
 """Compression-error analysis and the differential-privacy connection (Section VII-D)."""
 
 from repro.privacy.dp import epsilon_for_laplace_noise, laplace_mechanism_scale
-from repro.privacy.dp_codec import DPFedSZConfig, DPFedSZUpdateCodec
 from repro.privacy.error_analysis import (
     ErrorDistributionFit,
     analyze_error_distribution,
@@ -14,6 +13,4 @@ __all__ = [
     "ErrorDistributionFit",
     "laplace_mechanism_scale",
     "epsilon_for_laplace_noise",
-    "DPFedSZConfig",
-    "DPFedSZUpdateCodec",
 ]

@@ -4,13 +4,17 @@ from __future__ import annotations
 
 import functools
 import os
+import subprocess
+import sys
 import threading
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from crash_child import CASES, simulation
 from repro.core import (CodecProfiler, FedSZCompressor, FedSZConfig,
                         NetworkModel, ProfiledPolicy)
 from repro.data import make_dataset, train_test_split
@@ -334,6 +338,15 @@ def _truncate_journal(journal_dir, keep_events):
     log.write_text("\n".join(lines[:keep_events]) + "\n")
 
 
+@functools.lru_cache(maxsize=None)
+def _uninterrupted(case):
+    """The case's run without a crash: its records and final global state
+    (deterministic, so one thread-backend run serves both backends)."""
+    sim = simulation(case, "thread")
+    result = sim.run(CASES[case][1])
+    return deterministic_fields(result), sim.server.global_state()
+
+
 class TestCrashResume:
     @pytest.mark.parametrize("model", ["simplecnn", "alexnet"])
     def test_mid_round_crash_resumes_bit_identical(self, tmp_path, fl_split, model):
@@ -393,6 +406,32 @@ class TestCrashResume:
         # the journal holds exactly the events appended before the crash
         lines = (tmp_path / "j" / "journal.jsonl").read_text().splitlines()
         assert len(lines) == 3
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_killed_process_resumes_bit_identical(self, tmp_path, case, backend):
+        # a real hard exit: the child process dies mid-round with its pool
+        # and journal open, and a fresh run resumes from what it left
+        crash_after, rounds = CASES[case]
+        journal = tmp_path / "j"
+        env = dict(os.environ, REPRO_JOURNAL_CRASH_AFTER=str(crash_after),
+                   PYTHONPATH=os.pathsep.join(filter(None, [
+                       str(Path(__file__).resolve().parent.parent / "src"),
+                       os.environ.get("PYTHONPATH")])))
+        # pool workers that outlived the child would hold its pipes open:
+        # the timeout fails the test instead of hanging it
+        child_script = Path(__file__).with_name("crash_child.py")
+        child = subprocess.run([sys.executable, str(child_script), case, backend,
+                                str(journal)], env=env, capture_output=True,
+                               text=True, timeout=120)
+        assert child.returncode == 42, child.stderr[-2000:]
+
+        resumed_sim = simulation(case, backend, journal_dir=journal, resume=True)
+        resumed = resumed_sim.run(rounds)
+        ref_fields, ref_state = _uninterrupted(case)
+        assert deterministic_fields(resumed) == ref_fields
+        res_state = resumed_sim.server.global_state()
+        assert all(np.array_equal(ref_state[k], res_state[k]) for k in ref_state)
 
 
 class TestStalenessEndToEnd:

@@ -13,7 +13,8 @@ import pytest
 from repro.core import FedSZConfig
 from repro.core.network import NetworkModel
 from repro.data import make_dataset, train_test_split
-from repro.fl import FederatedSimulation, FedSZUpdateCodec, RawUpdateCodec
+from repro.fl import (FederatedSimulation, FedSZUpdateCodec, FLClient,
+                      RawUpdateCodec, fedavg_aggregate)
 from repro.fl.coordinator import deterministic_fields
 from repro.fl.delta import (MODE_DELTA, MODE_FULL, MODE_REFERENCE,
                             DeltaChannel, DeltaTracker, DeltaUpdateCodec,
@@ -485,6 +486,22 @@ def delta_split():
     return train_test_split(ds, test_fraction=0.25, seed=3)
 
 
+@pytest.fixture(scope="module")
+def floor_split():
+    """The data of the warm-ratio floor and the federated EF bound."""
+    ds = make_dataset("cifar10", n_samples=240, image_size=16, seed=47)
+    return train_test_split(ds, test_fraction=0.2, seed=3)
+
+
+#: the floor and bound runs: 4 simplecnn clients, every conv/linear weight on
+#: the lossy channel (only the biases stay lossless)
+_FLOOR_RUN = dict(n_clients=4, seed=11, uplink="parallel")
+
+
+def _floor_codec():
+    return FedSZUpdateCodec(_config(error_bound=1e-2, threshold=128))
+
+
 #: a link so slow that every ship misses the deadline and is absorbed one
 #: round late
 _LATE = dict(network=NetworkModel(bandwidth_mbps=0.001), round_deadline_s=1e-4,
@@ -502,6 +519,20 @@ def _make_sim(split, model="simplecnn", **kwargs):
                                **defaults)
 
 
+#: full-state over delta bytes in every warm round (round 2 on)
+RATIO_FLOOR = 2.0
+#: transient error-feedback slack: the accumulator folds last round's
+#: quantization error into this round's residual, so one round may
+#: overshoot the bound by the carried error before feedback cancels it
+EF_SLACK = 2.5
+
+
+@pytest.fixture(scope="module")
+def serial_delta_run(delta_split):
+    return deterministic_fields(
+        _make_sim(delta_split, backend="serial", max_workers=1).run(3))
+
+
 class TestDeltaSimulation:
     def test_round_zero_full_then_residuals_shrink_bytes(self, delta_split):
         full = _make_sim(delta_split, delta=False).run(3)
@@ -514,12 +545,55 @@ class TestDeltaSimulation:
         # the cold ships are full states coded against the broadcast
         assert res.rounds[0].transmitted_bytes < 0.75 * full.rounds[0].transmitted_bytes
 
-    def test_bit_identical_across_backends(self, delta_split):
-        ref = _make_sim(delta_split, backend="serial", max_workers=1).run(3)
-        for kwargs in ({"backend": "thread", "max_workers": 4},
-                       {"backend": "process", "max_workers": 2}):
-            got = _make_sim(delta_split, **kwargs).run(3)
-            assert deterministic_fields(got) == deterministic_fields(ref), kwargs
+    @pytest.mark.parametrize("backend, workers", [
+        ("thread", 1), ("thread", 4), ("process", 1), ("process", 2), ("process", 4)])
+    def test_bit_identical_across_backends(self, delta_split, serial_delta_run,
+                                           backend, workers):
+        got = _make_sim(delta_split, backend=backend, max_workers=workers).run(3)
+        assert deterministic_fields(got) == serial_delta_run
+
+    def test_warm_rounds_ship_deltas_at_the_ratio_floor(self, floor_split):
+        # from round 2 on every participant holds a server-acknowledged
+        # reference: all of them ship deltas, none degrades, and full-state
+        # FedSZ ships at least RATIO_FLOOR times the bytes (2.29x here)
+        full = _make_sim(floor_split, codec=_floor_codec(), delta=False,
+                         **_FLOOR_RUN).run(3)
+        delta = _make_sim(floor_split, codec=_floor_codec(), **_FLOOR_RUN).run(3)
+        for record, full_record in zip(delta.rounds[2:], full.rounds[2:]):
+            assert record.delta_degrades == {}
+            assert sorted(record.delta_clients) == sorted(record.participants)
+            assert full_record.transmitted_bytes >= RATIO_FLOOR * record.transmitted_bytes
+
+    def test_error_feedback_keeps_the_aggregate_within_the_bound(self, floor_split):
+        # FLClients outside the simulation, so the true trained states are
+        # observable: the FedAvg of the reconstructions (what the server
+        # aggregates) stays within EF_SLACK x the REL bound of the FedAvg of
+        # the true states, on every float tensor of every round (1.56 here)
+        train, _ = floor_split
+        clients = [FLClient(i, _factory(), train, batch_size=32, lr=0.1, seed=100 + i)
+                   for i in range(4)]
+        codecs = [DeltaUpdateCodec(_floor_codec()) for _ in clients]
+        accs = [None] * len(clients)
+        server_state = _factory().state_dict()
+        for round_index in range(3):
+            true_states, recon_states = [], []
+            for i, (client, codec) in enumerate(zip(clients, codecs)):
+                client.receive_global(server_state)
+                state = client.train_local(epochs=1, round_index=round_index).state
+                codec.arm(server_state, round_index, delta=round_index > 0, acc=accs[i])
+                recon = codec.decode(codec.encode(state))
+                accs[i] = advance_accumulator(state, recon, accs[i])
+                true_states.append(state)
+                recon_states.append(recon)
+            reference = fedavg_aggregate(true_states)
+            aggregated = fedavg_aggregate(recon_states)
+            for name, ref in reference.items():
+                if ref.dtype.kind != "f":
+                    continue
+                ref = ref.astype(np.float64)
+                err = np.max(np.abs(aggregated[name].astype(np.float64) - ref))
+                assert err <= EF_SLACK * 1e-2 * np.ptp(ref), (round_index, name)
+            server_state = aggregated  # the next round trains on what FL sees
 
     def test_dropout_degrades_next_participation(self, delta_split):
         result = _make_sim(delta_split, dropout_prob=0.4, seed=9).run(5)

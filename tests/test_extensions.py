@@ -1,60 +1,11 @@
-"""Tests for the extension features: DP codec, parallel training."""
+"""Tests for the extension features: parallel training."""
 
 import numpy as np
 import pytest
 
-from repro.core import FedSZConfig
 from repro.data import partition_dataset
 from repro.fl import FLClient, fedavg_aggregate, map_parallel, train_clients_parallel
 from repro.nn import build_model
-from repro.privacy import DPFedSZConfig, DPFedSZUpdateCodec
-
-
-class TestDPFedSZCodec:
-    def test_roundtrip_structure(self, small_state):
-        codec = DPFedSZUpdateCodec(FedSZConfig(error_bound=1e-2),
-                                   DPFedSZConfig(epsilon=1.0, clip_norm=1.0, seed=0))
-        recon = codec.decode(codec.encode(small_state))
-        assert set(recon) == set(small_state)
-        for key in small_state:
-            assert recon[key].shape == small_state[key].shape
-
-    def test_noise_scale_matches_mechanism(self):
-        codec = DPFedSZUpdateCodec(dp_config=DPFedSZConfig(epsilon=0.5, clip_norm=2.0))
-        assert codec.noise_scale == pytest.approx(2 * 2.0 / 0.5)
-
-    def test_smaller_epsilon_means_more_noise(self, small_state):
-        def perturbation(epsilon):
-            codec = DPFedSZUpdateCodec(FedSZConfig(error_bound=1e-3),
-                                       DPFedSZConfig(epsilon=epsilon, clip_norm=1.0, seed=1))
-            recon = codec.decode(codec.encode(small_state))
-            return sum(float(np.abs(recon[k].astype(np.float64) - small_state[k].astype(np.float64)).mean())
-                       for k in small_state if "weight" in k)
-
-        assert perturbation(0.1) > perturbation(10.0)
-
-    def test_metadata_left_untouched(self, small_state):
-        codec = DPFedSZUpdateCodec(FedSZConfig(error_bound=1e-2),
-                                   DPFedSZConfig(epsilon=1.0, seed=2))
-        recon = codec.decode(codec.encode(small_state))
-        # biases are in the lossless partition: no noise, bit-exact
-        for key in small_state:
-            if "bias" in key:
-                np.testing.assert_array_equal(recon[key], small_state[key])
-
-    def test_compression_still_effective(self, small_state):
-        codec = DPFedSZUpdateCodec(FedSZConfig(error_bound=1e-2),
-                                   DPFedSZConfig(epsilon=1.0, seed=3))
-        payload = codec.encode(small_state)
-        original = sum(v.nbytes for v in small_state.values())
-        assert len(payload) < original
-        assert codec.last_report is not None
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            DPFedSZConfig(epsilon=0.0)
-        with pytest.raises(ValueError):
-            DPFedSZConfig(clip_norm=-1.0)
 
 
 class TestParallelTraining:

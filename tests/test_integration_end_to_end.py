@@ -1,14 +1,10 @@
 """End-to-end integration tests crossing multiple subsystems."""
 
-import numpy as np
-import pytest
-
 from repro.core import FedSZConfig, NetworkModel
 from repro.core.selection import select_error_bound
 from repro.data import make_dataset, train_test_split
 from repro.fl import FederatedSimulation, FedSZUpdateCodec, RawUpdateCodec
 from repro.nn import build_model
-from repro.privacy import DPFedSZConfig, DPFedSZUpdateCodec
 
 
 def _factory(image_size=16, num_classes=10):
@@ -17,17 +13,6 @@ def _factory(image_size=16, num_classes=10):
 
 
 class TestFederatedWithExtensions:
-    def test_dp_fedsz_codec_in_simulation(self, tiny_split):
-        train, test = tiny_split
-        codec = DPFedSZUpdateCodec(FedSZConfig(error_bound=1e-2),
-                                   DPFedSZConfig(epsilon=5.0, clip_norm=5.0, seed=0))
-        sim = FederatedSimulation(_factory, train, test, n_clients=2, codec=codec, lr=0.15, seed=2)
-        result = sim.run(3)
-        assert len(result.rounds) == 3
-        assert result.mean_compression_ratio > 1.0
-        # with a generous epsilon the model still learns something
-        assert result.final_accuracy >= result.accuracies[0] - 0.05
-
     def test_problem2_bound_selection_on_real_runs(self):
         # a miniature version of the paper's operating-point selection: run the
         # simulation at several bounds and let select_error_bound pick one that

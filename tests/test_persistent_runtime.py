@@ -24,7 +24,7 @@ from repro.fl.coordinator.records import deterministic_fields
 from repro.fl.coordinator.residency import (discard_fleet, install_fleet,
                                             resident_client)
 from repro.nn import build_model
-from repro.utils.parallel import get_backend
+from repro.utils.parallel import SharedMemoryArena, get_backend
 
 
 def _factory():
@@ -259,12 +259,28 @@ class TestPersistentBitIdentity:
         reference, persistent = run("serial", 1), run("thread", 3)
         assert deterministic_fields(persistent) == deterministic_fields(reference)
 
-    def test_persistent_run_spins_one_pool(self, tiny_split):
-        backend = get_backend("thread")
-        before = backend.pool_spinups
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_persistent_run_spins_one_pool(self, tiny_split, backend):
+        pool_backend = get_backend(backend)
+        before = pool_backend.pool_spinups
         _make_sim(tiny_split, n_clients=4, max_workers=4,
-                  backend="thread").run(2)
-        assert backend.pool_spinups - before == 1
+                  backend=backend).run(2)
+        assert pool_backend.pool_spinups - before == 1
+
+    def test_resident_train_task_pickles_smaller_than_a_full_ship(self, tiny_split):
+        # the full-ship task carries the client (its shard included) and the
+        # broadcast state; the resident one a fleet reference and an arena
+        # handle (483 B against 188,718 B here)
+        sim = _make_sim(tiny_split, n_clients=4)
+        client, state = sim.clients[0], sim.server.global_state()
+        full = pickle.dumps(TrainTask(client_id=client.client_id, epochs=1,
+                                      round_index=0, global_state=state,
+                                      client=client))
+        with SharedMemoryArena(state) as arena:
+            resident = pickle.dumps(TrainTask(client_id=client.client_id, epochs=1,
+                                              round_index=0, state_handle=arena.handle,
+                                              fleet=("test", 0)))
+        assert len(resident) < len(full)
 
 
 # ---------------------------------------------------------------------------

@@ -31,10 +31,12 @@ from repro.core import (
     NetworkModel,
     ProfiledPolicy,
     TensorProfile,
+    crossover_bandwidth,
     get_policy,
     make_client_networks,
     select_compressor,
 )
+from repro.core.partition import partition_state_dict
 from repro.core.plan import PLAN_PROVENANCE_KEY, pack_plan, unpack_plan
 from repro.core.profiling import CandidateMeasurement, CostModel, resolve_cost_model
 from repro.fl import FederatedSimulation, FedSZUpdateCodec
@@ -571,6 +573,62 @@ class TestSelectionWrapper:
                                        error_bounds=(1e-2,), sample_limit=4_096,
                                        cost_model=AnalyticCostModel())
         assert len(grid) == 1 and best.ratio > 1.0
+
+
+#: Fig. 8's link-bandwidth sweep, in Mbps
+SWEEP_MBPS = (1.0, 5.0, 10.0, 50.0, 100.0, 500.0, 1000.0, 5000.0, 20000.0)
+
+
+def _trained_like_simplecnn():
+    """simplecnn's 32x32 state with trained statistics: heavy-tailed weights
+    (so they compress as the paper's do) and small non-zero biases."""
+    state = build_model("simplecnn", num_classes=10, in_channels=3,
+                        image_size=32, seed=0).state_dict()
+    rng = np.random.default_rng(17)
+    for key, value in state.items():
+        if "weight" in key and value.size > 1024:
+            shaped = value * np.abs(rng.standard_normal(value.shape)) ** 1.5
+            state[key] = shaped.astype(np.float32)
+        elif "bias" in key:
+            state[key] = rng.normal(0.0, 0.02, value.shape).astype(np.float32)
+    return state
+
+
+class TestPlanCrossover:
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_sweep_stays_under_raw_and_flips_at_the_analytic_crossover(self, backend):
+        """At every swept bandwidth the profiled plan models no more than
+        shipping raw (Eqn. 1), and the first bandwidth where most lossy bytes
+        ship verbatim lies within 10x of the largest per-candidate
+        ``crossover_bandwidth`` on the concatenated weights: the plan gives
+        up compression only once the last candidate stops paying (1,000
+        against 969 Mbps here)."""
+        state = _trained_like_simplecnn()
+        config = FedSZConfig(error_bound=1e-2)
+        lossy = partition_state_dict(state, config).lossy
+        lossy_bytes = sum(v.nbytes for v in lossy.values())
+        profiler = CodecProfiler(cost_model="analytic", backend=backend, workers=4)
+        flips = []
+        for bandwidth in SWEEP_MBPS:
+            plan = ProfiledPolicy(bandwidth_mbps=bandwidth, profiler=profiler,
+                                  max_bound=1e-2).build_plan(lossy, config)
+            provenance = [entry.options[PLAN_PROVENANCE_KEY] for entry in plan]
+            modeled = sum(p["modeled_seconds"] for p in provenance)
+            raw = sum(p["uncompressed_seconds"] for p in provenance)
+            assert modeled <= raw * (1 + 1e-9), bandwidth
+            verbatim = sum(lossy[e.name].nbytes for e in plan if e.codec == "verbatim")
+            if verbatim > lossy_bytes / 2:
+                flips.append(bandwidth)
+
+        weights = np.concatenate([v.ravel() for k, v in state.items()
+                                  if "weight" in k and v.size > 1024])
+        _, grid = select_compressor(weights, error_bounds=(1e-2,),
+                                    cost_model="analytic", sample_limit=65536)
+        analytic = max(crossover_bandwidth(e.compress_seconds, e.decompress_seconds,
+                                           weights.nbytes, weights.nbytes / e.ratio)
+                       for e in grid if e.ratio > 1.0)
+        assert flips, "the plan never went verbatim"
+        assert analytic / 10 <= flips[0] <= analytic * 10
 
 
 # ---------------------------------------------------------------------------
