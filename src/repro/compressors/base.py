@@ -15,9 +15,11 @@ import math
 import struct
 import time
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
+from repro.compressors.huffman import HuffmanCoder
 from repro.utils.serialization import MAX_NDIM
 
 #: A corrupt shape may multiply to astronomical element counts; refuse to
@@ -31,6 +33,7 @@ __all__ = [
     "ErrorBound",
     "Compressor",
     "LossyCompressor",
+    "OpenedPayload",
     "CompressionStats",
     "roundtrip",
 ]
@@ -119,14 +122,50 @@ class Compressor(abc.ABC):
         """Reconstruct the array stored in ``payload``."""
 
 
+class OpenedPayload(NamedTuple):
+    """A lossy payload read and checked up to its entropy stream.
+
+    :meth:`LossyCompressor.open` makes one; :meth:`LossyCompressor.decompress`
+    finishes it.  ``stream`` is the body's HUF4 stream of quantization codes
+    (a view of the payload) and ``check_count`` the body's rule for its
+    symbol count, both ``None`` for a body without one.  ``rebuild`` turns
+    the decoded codes into the flat values.  A caller that decodes the
+    streams of several payloads as one :meth:`HuffmanCoder.decode` batch
+    hands each one back with its ``codes`` and ``stream=None``.
+    """
+
+    dtype: np.dtype
+    shape: tuple
+    stream: "memoryview | None"
+    check_count: "Callable[[int], None] | None"
+    rebuild: "Callable[[np.ndarray | None], np.ndarray]"
+    codes: "np.ndarray | None" = None
+
+
+def _as_body_error(call: Callable, *args):
+    """``call(*args)``, with any failure but :class:`ValueError` raised as one.
+
+    Backend failures (``struct.error``, ``IndexError``, ...) on corrupt
+    bodies are part of the same documented contract.
+    """
+    try:
+        return call(*args)
+    except ValueError:
+        raise
+    except Exception as exc:
+        raise ValueError(f"corrupt lossy payload: body failed to decode "
+                         f"({type(exc).__name__}: {exc})") from exc
+
+
 class LossyCompressor(Compressor):
     """Base class for error-bounded lossy compressors.
 
-    Subclasses implement :meth:`_compress_float1d` / :meth:`_decompress_float1d`
-    operating on flattened ``float32``/``float64`` arrays with a resolved
-    absolute bound.  This class handles shape/dtype bookkeeping, the REL→ABS
-    resolution, and the payload header, so every compressor shares the same
-    container format::
+    Subclasses implement :meth:`_compress_float1d` and, to decode, either
+    :meth:`_decompress_float1d` or (a body with a Huffman stream)
+    :meth:`_open_body`, operating on flattened ``float32``/``float64``
+    arrays with a resolved absolute bound.  This class handles shape/dtype
+    bookkeeping, the REL→ABS resolution, and the payload header, so every
+    compressor shares the same container format::
 
         u8   dtype code (0=float32, 1=float64)
         u8   ndim
@@ -162,15 +201,29 @@ class LossyCompressor(Compressor):
         tensor's dtype, which the decoder will hold too.
         """
 
-    @abc.abstractmethod
-    def _decompress_float1d(self, body: bytes, count: int, abs_bound: float,
+    def _decompress_float1d(self, body: memoryview, count: int, abs_bound: float,
                             dtype: np.dtype,
                             reference: "np.ndarray | None" = None) -> np.ndarray:
-        """Reconstruct ``count`` values from a compressor-specific body.
+        """Reconstruct ``count`` values from a body without an entropy stream.
 
         ``reference`` is what the caller passed to :meth:`decompress`,
-        unchecked: a body that needs it checks it.
+        unchecked: a body that needs it checks it.  A codec whose body
+        carries a Huffman stream overrides :meth:`_open_body` instead.
         """
+        raise NotImplementedError(f"{type(self).__name__} decodes through _open_body")
+
+    def _open_body(self, body: memoryview, count: int, abs_bound: float,
+                   dtype: np.dtype, reference: "np.ndarray | None" = None
+                   ) -> "tuple[memoryview | None, Callable | None, Callable]":
+        """``(stream, check_count, rebuild)`` of a body (see :class:`OpenedPayload`).
+
+        A codec with a Huffman stream checks every field before it, locates
+        the stream and returns its count rule; ``rebuild(codes)`` reads the
+        rest of the body and reconstructs the flat values.  The default
+        defers the whole body to :meth:`_decompress_float1d`.
+        """
+        return None, None, lambda codes: self._decompress_float1d(
+            body, count, abs_bound, dtype, reference)
 
     # -- public API ---------------------------------------------------------
     def _encode_prelude(self, data: np.ndarray) -> tuple[bytes, np.ndarray, float]:
@@ -242,28 +295,38 @@ class LossyCompressor(Compressor):
                              f"implausible {count} elements")
         return dtype, shape, count, abs_bound, offset
 
-    def decompress(self, payload: bytes,
-                   reference: "np.ndarray | None" = None) -> np.ndarray:
-        """Reconstruct the array stored in ``payload``.
+    def open(self, payload, reference: "np.ndarray | None" = None) -> OpenedPayload:
+        """Read and check ``payload`` up to its entropy stream.
 
-        A truncated or corrupted payload raises :class:`ValueError` — every
-        header field is validated before use and body-decoder failures of any
-        kind are normalized to the same contract.  So does a body coded
-        against a reference when ``reference`` is missing or does not match
-        the header's dtype and element count.
+        The header and every body field before the stream are checked here,
+        through views of ``payload`` (no byte is copied); the stream and the
+        rest of the body wait for :meth:`decompress`.
         """
         dtype, shape, count, abs_bound, offset = self._parse_container_header(payload)
-        try:
-            flat = self._decompress_float1d(payload[offset:], count, abs_bound, dtype,
-                                            reference)
-        except ValueError:
-            raise
-        except Exception as exc:
-            # backend failures (zlib.error, struct.error, IndexError, ...) on
-            # corrupt bodies are part of the same documented contract
-            raise ValueError(f"corrupt lossy payload: body failed to decode "
-                             f"({type(exc).__name__}: {exc})") from exc
-        return flat.astype(dtype, copy=False).reshape(shape)
+        stream, check_count, rebuild = _as_body_error(
+            self._open_body, memoryview(payload)[offset:], count, abs_bound, dtype,
+            reference)
+        return OpenedPayload(dtype, shape, stream, check_count, rebuild)
+
+    def decompress(self, payload, reference: "np.ndarray | None" = None) -> np.ndarray:
+        """Reconstruct the array stored in ``payload``.
+
+        ``payload`` is the payload's bytes, or what :meth:`open` made of
+        them; a payload whose stream is still undecoded decodes it as a
+        batch of one.  A truncated or corrupted payload raises
+        :class:`ValueError` — every header field is validated before use and
+        body-decoder failures of any kind are normalized to the same
+        contract.  So does a body coded against a reference when
+        ``reference`` is missing or does not match the header's dtype and
+        element count.
+        """
+        opened = payload if isinstance(payload, OpenedPayload) \
+            else self.open(payload, reference)
+        codes = opened.codes
+        if opened.stream is not None:
+            codes = _as_body_error(HuffmanCoder().decode, opened.stream, opened.check_count)
+        flat = _as_body_error(opened.rebuild, codes)
+        return flat.astype(opened.dtype, copy=False).reshape(opened.shape)
 
     def with_error_bound(self, error_bound: ErrorBound | float,
                          mode: ErrorBoundMode | str | None = None) -> "LossyCompressor":

@@ -54,20 +54,31 @@ steps: it keeps ``kmax`` unless singles save more than a byte per
 :data:`_STEPS_PER_BYTE` tuples that ``kmax`` spares the decoder.  The
 decoder rejects any ``k`` but these two.
 
-The chunks share one code table but decode independently.  All chunks decode
-at once, in the calling thread, as one vectorized NumPy "row walk": each step
-advances every chunk's bit cursor by one tuple with three same-dtype calls
-(gather the windows under the cursors into one whole-stream ``uint16``
-record, gather their ``int64`` code lengths, add).  After the walk one
-``int32`` gather maps the record to used-tuple ranks and one gather through a
-``(U, k)`` symbol table widens them into the ``int64`` output (for ``k = 1``
-the window table holds the symbols, so the widening is a copy).  The lookup
-tables are built once per stream; unused windows hold -1.  A stream of fewer
-than :data:`_MIN_VECTOR_CHUNKS` chunks runs the scalar loop instead; both
-kernels return identical symbols and reject identical streams.
+The chunks share one code table but decode independently, in the calling
+thread, as vectorized NumPy "row walks": each step advances every walked
+chunk's bit cursor by one tuple with three calls (gather the windows under
+the cursors into one ``(steps, cursors)`` record, gather their ``int64`` code
+lengths, add).  :meth:`HuffmanCoder.decode` takes one stream or a batch (a
+FedSZ container decodes the streams of all its SZ2 and SZ3 tensors as one),
+and the walks span streams: a stream of :data:`_SHARED_WALK_CHUNKS` chunks
+or more walks alone on ``uint16`` windows, and narrower streams share a walk
+(up to :data:`_SHARED_WALK_STREAMS` of them) whose ``int32`` windows carry
+each stream's offset into the walk's concatenated tables, so a step stays
+three calls however many streams it serves.  After a walk one gather maps the record to window values and one
+gather per stream through its ``(U, k)`` symbol table widens them into its
+output (for ``k = 1`` the window table holds the symbols, so the widening is
+a copy).  A walk narrower than :data:`_MIN_VECTOR_CHUNKS` cursors costs more
+in per-step dispatch than it saves, so its streams run the per-tuple loop
+(:func:`_decode_scalar`) instead; both kernels return identical symbols and
+reject identical streams.  The output is ``int32`` (``int64`` only for a
+stream whose range reaches past it): quantization codes stay under 65538.
+The lookup tables are built once per stream; unused windows hold -1.  The
+decoder is tested against the per-tuple oracle in
+``tests/huffman_reference.py``.
 
-A corrupted or truncated payload always raises :class:`ValueError`: every
-header field is checked (``k`` against the rule, the chunk count against the
+A corrupted or truncated payload always raises :class:`ValueError` (a
+:class:`StreamError` naming its place in the batch): every header field is
+checked (``k`` against the rule, the chunk count against the
 geometry, no bitmap bit at or past ``W**k``, each chunk between 1 and
 :data:`MAX_CODE_LENGTH` bits per tuple), the CRC covers the whole payload, an
 unused window is detected, every chunk must decode to exactly its boundary,
@@ -75,7 +86,9 @@ the pad must be ``lo``, and no byte may follow the code bits.  A one-tuple
 stream spends no code bits, so nothing in a short payload bounds the count
 it declares: the decoder therefore takes a required ``check_count``, the
 caller's rule for that count, and runs it before anything is sized by the
-count.
+count.  A batch checks every stream's CRC, header and count, then every code
+table, before it sizes any window matrix or walk record; then each walk's
+chunk boundaries, then its unused windows, then every stream's pad.
 """
 
 from __future__ import annotations
@@ -86,7 +99,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-__all__ = ["HuffmanCoder", "ChunkBandProducer", "MAX_CODE_LENGTH",
+__all__ = ["HuffmanCoder", "ChunkBandProducer", "StreamError", "MAX_CODE_LENGTH",
            "DEFAULT_CHUNK_TUPLES"]
 
 #: Longest permitted codeword.  16 keeps the decode lookup table at 64K entries.
@@ -133,18 +146,6 @@ _TUPLE_ALPHABET = 4096
 #: ``kmax`` would code short streams in tuples too, whose tables cost more
 #: than they save (the 400-value Miranda-like slices grow 14-52%).
 _STEPS_PER_BYTE = 128
-
-#: Below this many chunks the vectorized row walk is narrower than its own
-#: per-step dispatch overhead, and :func:`_decode_scalar` runs instead.  The
-#: scalar loop costs ~0.1 us per tuple plus ~0.1 ms per stream; the walk
-#: 1.3-3 us per step, nearly flat in the chunk count up to ~32 chunks.
-#: Scalar time over walk time, medians of 21 runs, SZ2 codes of a ResNet-50
-#: conv tensor at 1024 tuples per chunk, 2-core x86 host (range over three
-#: runs; the host has fast and slow phases), k = 1: 1 chunk 0.06-0.07, 4
-#: chunks 0.27-0.37, 8 chunks 0.34-0.56, 12 chunks 0.81-1.52, 16 chunks
-#: 0.95-1.26, 24 chunks 1.70-2.17, 32 chunks 1.71-2.48; k = 2: 8 chunks
-#: 0.72-0.75, 12 chunks 0.81-1.09, 16 chunks 1.20-1.56, 24 chunks 1.88-3.40.
-_MIN_VECTOR_CHUNKS = 16
 
 #: Tuples :meth:`ChunkBandProducer.bands` packs per group of whole chunks
 #: (one chunk when a chunk is larger), which bounds the packing scratch.
@@ -282,34 +283,52 @@ def _length_bytes(used: int) -> int:
     return (used + 1) // 2 if used > 1 else 0
 
 
-def _decode_tables(lo: int, width: int, k: int, code_table: bytes
-                   ) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
-    """``(code lengths, values, symbols)``: the decode tables of a code table.
+class _CodeTable(NamedTuple):
+    """A stream's checked code table, compact: one entry per window range.
 
-    ``code_table`` is the stream's tuple bitmap and length nibbles.  The
-    first two tables cover all 16-bit windows: ``int64``
-    code lengths, so the row walk advances its ``int64`` cursors with a
-    same-dtype add, and ``int32`` values, -1 (length 0) for a window no code
-    covers.  A value is the window's used-tuple rank into the third table,
-    the ``(U, k)`` ``int64`` symbols; for ``k = 1`` that gather is folded in
-    and the value is the symbol itself (``int64`` only past ``int32``),
-    which saves the walk a widening pass.  Each stream's header parse builds
-    them once (0.2 ms for a ResNet-50 tensor's table).  Tuple codes make
-    matching tables rare across streams: an LRU of them kept 89 distinct
-    768 KB entries through one AlexNet delta run (68 MB) against the
-    singles-only format's 33.
+    The code lengths cover the 16-bit windows in canonical order: entry
+    ``i`` spans ``spans[i]`` windows, and a last entry with length 0 and
+    value -1 spans the windows no code covers (a Kraft-incomplete table).
+    A value is the window's used-tuple rank (``int32``) into ``symbols``,
+    the ``(U, k)`` tuples; for ``k = 1`` that gather is folded in and the
+    value is the symbol itself, which saves the walk a widening pass.
+    Symbols, and so the decoded output, are ``int32`` unless the stream's
+    range reaches past it (``int64`` then).  :func:`_walk` expands the
+    entries into its 64K-window tables: ``int64`` code lengths, so it
+    advances its ``int64`` cursors with a same-dtype add, and values (0.2 ms
+    for a ResNet-50 tensor's table).
     """
+
+    spans: np.ndarray     # int64
+    lengths: np.ndarray   # int64
+    values: np.ndarray
+    symbols: np.ndarray
+
+
+def _decode_tables(head: "_Header") -> _CodeTable:
+    """The checked code table of a stream whose header :func:`_parse_header` read.
+
+    A pad nibble that is not zero or code lengths that break the Kraft
+    inequality raise :class:`ValueError`.  Tuple codes make matching tables
+    rare across streams: an LRU of the expanded tables kept 89 distinct
+    768 KB entries through one AlexNet delta run (68 MB) against the
+    singles-only format's 33, so each stream builds its own.
+    """
+    lo, width, k = head.lo, head.width, head.k
     map_len = _bitmap_bytes(width, k)
+    code_table = head.code_table
     used = _used_tuples(np.frombuffer(code_table, dtype=np.uint8, count=map_len),
                         width ** k)
-    symbols = np.empty((used.size, k), dtype=np.int64)
+    symbol_dtype = np.int32 if lo + width <= 1 << 31 else np.int64
+    symbols = np.empty((used.size, k), dtype=symbol_dtype)
     rest = used.copy()
     for i in range(k - 1, -1, -1):
         rest, symbols[:, i] = np.divmod(rest, width)
     symbols += lo
-    value_dtype = np.int32 if k > 1 or lo + width <= 1 << 31 else np.int64
-    if used.size == 1:  # no code bits: the tables are never read
-        return np.zeros(1, dtype=np.int64), np.zeros(1, dtype=value_dtype), symbols
+    value_dtype = symbol_dtype if k == 1 else np.int32
+    if used.size == 1:  # no code bits: the windows are never read
+        none = np.zeros(0, dtype=np.int64)
+        return _CodeTable(none, none, none.astype(value_dtype), symbols)
     nibbles = np.frombuffer(code_table, dtype=np.uint8, offset=map_len)
     lengths = np.empty(2 * nibbles.size, dtype=np.int64)
     lengths[0::2] = nibbles >> 4
@@ -322,13 +341,9 @@ def _decode_tables(lo: int, width: int, k: int, code_table: bytes
     uncovered = (1 << MAX_CODE_LENGTH) - int(left[-1] + spans[-1])
     if uncovered < 0:
         raise _corrupt("code-length table violates the Kraft inequality")
-    # the windows past the last code (a Kraft-incomplete table) get length 0
-    # and value -1
-    spans = np.append(spans, uncovered)
-    table_len = np.repeat(np.append(lengths[order], 0), spans)
     values = symbols[order, 0] if k == 1 else order
-    table_value = np.repeat(np.append(values, -1).astype(value_dtype), spans)
-    return table_len, table_value, symbols
+    return _CodeTable(np.append(spans, uncovered), np.append(lengths[order], 0),
+                      np.append(values, -1).astype(value_dtype), symbols)
 
 
 def _widen(values: np.ndarray, symbols: np.ndarray) -> np.ndarray:
@@ -362,43 +377,21 @@ def _bit_windows(bit_bytes: np.ndarray) -> np.ndarray:
     return windows.reshape(-1)
 
 
-def _decode_scalar(bit_bytes: np.ndarray, table_len: np.ndarray,
-                   table_value: np.ndarray, symbols: np.ndarray,
-                   bit_offsets: np.ndarray, tuple_counts: np.ndarray,
-                   chunk_ends: np.ndarray) -> np.ndarray:
-    """Sequential per-tuple decode of consecutive chunks.
+class StreamError(ValueError):
+    """A corrupt stream of a :meth:`HuffmanCoder.decode` batch.
 
-    The reference the row walk is tested against, and the faster kernel for
-    spans narrower than :data:`_MIN_VECTOR_CHUNKS` chunks.  Per chunk, one
-    gather lists the code length at every bit position of the chunk's span;
-    the loop hops from code start to code start through that list, and the
-    starts' window values widen into symbols.
+    :attr:`index` is the stream's place in the batch, so a caller that
+    decodes several payloads' streams at once can name the payload.
     """
-    windows = _bit_windows(bit_bytes)
-    k = symbols.shape[1]
-    out = np.empty((int(tuple_counts.sum()), k), dtype=np.int64)
-    base = 0
-    for c in range(bit_offsets.size):
-        start, end = int(bit_offsets[c]), int(chunk_ends[c])
-        n_tuples = int(tuple_counts[c])
-        local = windows[start:end]
-        hops = table_len.take(local).tolist()
-        starts = [0] * n_tuples
-        pos = 0
-        rel_end = end - start
-        for i in range(n_tuples):
-            if pos >= rel_end:
-                raise _corrupt("chunk decoded past its recorded boundary")
-            hop = hops[pos]
-            if not hop:
-                raise _corrupt("bit window matches no codeword")
-            starts[i] = pos
-            pos += hop
-        if pos != rel_end:
-            raise _corrupt("chunk did not decode to its recorded boundary")
-        out[base:base + n_tuples] = _widen(table_value.take(local.take(starts)), symbols)
-        base += n_tuples
-    return out.reshape(-1)
+
+    index = 0
+
+
+def _blamed(index: int, error: ValueError) -> StreamError:
+    """``error`` as a :class:`StreamError` of the batch's stream ``index``."""
+    blamed = StreamError(str(error))
+    blamed.index = index
+    return blamed
 
 
 #: Steps per tile of the gather that widens the walk's step-major window
@@ -412,75 +405,207 @@ def _decode_scalar(bit_bytes: np.ndarray, table_len: np.ndarray,
 _TRANSPOSE_STEPS = 256
 
 
-def _decode_band_vectorized(bit_bytes: np.ndarray, table_len: np.ndarray,
-                            table_value: np.ndarray, symbols: np.ndarray,
-                            bit_offsets: np.ndarray, tuple_counts: np.ndarray,
-                            chunk_ends: np.ndarray) -> np.ndarray:
-    """Decode consecutive chunks as a vectorized row walk.
+class _Stream(NamedTuple):
+    """One stream of a row walk: its place in the batch, header, code table
+    and code bits."""
 
-    Every step advances all chunk cursors by one tuple with three NumPy
-    calls: gather the 16-bit window under each cursor into the step's row of
-    one whole-stream ``(steps, chunks)`` ``uint16`` record (2 B per tuple),
-    gather the windows' ``int64`` code lengths, and add them to the ``int64``
-    cursors.  After the walk the bit windows are freed, one contiguous
-    ``int32`` gather turns the record into window values (unused windows map
-    to -1), and a tiled gather through the ``(U, k)`` symbol table (a plain
-    copy for ``k = 1``, whose values are the symbols) widens them once into
-    the chunk-major ``int64`` output.  Every chunk but the
-    last holds the same number of tuples; a shorter last chunk walks on
-    harmlessly past its end, its surplus tuples are left out of the output
-    and the checks, and its cursor is re-derived from its own windows'
-    lengths.  A chunk is corrupt unless it ends exactly on its recorded
-    boundary (checked first) with no unused window among its tuples (an
-    unused window has length 0, so without that check a chunk that reached
-    its end early could stall on the boundary and pass).
+    index: int
+    head: "_Header"
+    code: _CodeTable
+    bits: np.ndarray   # the code bits, uint8
+
+
+def _shared_windows(streams: "list[_Stream]") -> "tuple[np.ndarray, list[int]]":
+    """The ``int32`` bit windows of several streams in one array, and each
+    stream's first bit in it.
+
+    Stream ``g``'s windows carry ``g << 16``: its offset into the walk's
+    concatenated 64K window tables, folded in here so that a step still
+    gathers lengths with one ``take``.
     """
-    width = bit_offsets.size
-    steps = int(tuple_counts[0])
-    tail = int(tuple_counts[-1])
-    windows = _bit_windows(bit_bytes)
-    cursors = bit_offsets.astype(np.int64)
-    lengths = np.empty(width, dtype=np.int64)
-    walked = np.empty((steps, width), dtype=np.uint16)
+    windows = np.empty(8 * sum(s.bits.size for s in streams), dtype=np.int32)
+    starts = []
+    at = 0
+    for g, stream in enumerate(streams):
+        starts.append(at)
+        section = windows[at:at + 8 * stream.bits.size]
+        np.add(_bit_windows(stream.bits), np.int32(g << MAX_CODE_LENGTH), out=section)
+        at += section.size
+    return windows, starts
+
+
+def _walk(streams: "list[_Stream]") -> "list[np.ndarray]":
+    """Decode every chunk of ``streams`` in one vectorized row walk.
+
+    Returns each stream's symbols, pad included.  Every step advances all
+    cursors by one tuple with three NumPy calls: gather the 16-bit window
+    under each cursor into the step's row of one ``(steps, cursors)``
+    record, gather the windows' ``int64`` code lengths, and add them to the
+    ``int64`` cursors.  A stream that walks alone does so on ``uint16``
+    windows (2 B of record per tuple) through its own tables.  Streams that
+    share a walk concatenate their tables and walk on ``int32`` windows
+    that carry each stream's table offset (:func:`_shared_windows`).
+
+    The walk takes as many steps as the longest chunk.  A chunk that holds
+    fewer tuples walks on harmlessly past its end: its cursor is read after
+    its own count of steps, and its surplus tuples are left out of the
+    output and the checks.  After the walk the bit windows are freed, one
+    gather turns the record into window values (unused windows map to -1),
+    and a tiled gather through each stream's ``(U, k)`` symbol table (a
+    plain copy for ``k = 1``, whose values are the symbols) widens its
+    columns into its chunk-major output.  A chunk is corrupt unless it ends
+    exactly on its recorded boundary (checked first, for every stream) with
+    no unused window among its tuples (an unused window has length 0, so
+    without that check a chunk that reached its end early could stall on
+    the boundary and pass).
+    """
+    # every stream's ranges span its 64K windows, so one repeat lays the
+    # streams' tables end to end
+    spans = np.concatenate([s.code.spans for s in streams])
+    table_len = np.repeat(np.concatenate([s.code.lengths for s in streams]), spans)
+    table_value = np.repeat(np.concatenate([s.code.values for s in streams]), spans)
+    if len(streams) == 1:
+        windows, starts = _bit_windows(streams[0].bits), [0]
+    else:
+        windows, starts = _shared_windows(streams)
+    cursors = np.concatenate([at + s.head.bit_offsets for at, s in zip(starts, streams)])
+    # each chunk's recorded end, less its cursor once it has walked its tuples
+    missed = np.concatenate([at + s.head.chunk_ends for at, s in zip(starts, streams)])
+    counts = np.concatenate([s.head.tuple_counts for s in streams])
+    walked = np.empty((int(counts.max()), cursors.size), dtype=windows.dtype)
+    lengths = np.empty(cursors.size, dtype=np.int64)
     # "clip" skips take's buffered bounds check: a window always indexes the
-    # 64K tables, and a corrupt chunk that drifts past the stream end fails
-    # the boundary check below anyway
-    for row in walked:
-        windows.take(cursors, out=row, mode="clip")
-        table_len.take(row, out=lengths, mode="clip")
-        cursors += lengths
+    # tables, and a corrupt chunk that drifts past the stream end fails the
+    # boundary check below anyway
+    step = 0
+    for stop in np.unique(counts).tolist():
+        for row in walked[step:stop]:
+            windows.take(cursors, out=row, mode="clip")
+            table_len.take(row, out=lengths, mode="clip")
+            cursors += lengths
+        done = counts == stop
+        missed[done] -= cursors[done]
+        step = stop
     del windows, row  # the last row is a view that would keep the record alive
-    if tail < steps:
-        cursors[-1] = bit_offsets[-1] + int(table_len.take(walked[:tail, -1]).sum())
-    if not np.array_equal(cursors, chunk_ends):
-        raise _corrupt("chunk did not decode to its recorded boundary")
+    columns = np.cumsum([0] + [s.head.bit_offsets.size for s in streams])
+    for s, c0, c1 in zip(streams, columns[:-1], columns[1:]):
+        if np.any(missed[c0:c1]):
+            raise _blamed(s.index, _corrupt("chunk did not decode to its recorded boundary"))
     values = table_value.take(walked)
     del walked
-    if min(values[:, :-1].min(initial=0), values[:tail, -1].min()) < 0:
-        raise _corrupt("bit window matches no codeword")
-    k = symbols.shape[1]
-    out = np.empty((width, steps, k), dtype=np.int64)
-    for step0 in range(0, steps, _TRANSPOSE_STEPS):
-        step1 = step0 + _TRANSPOSE_STEPS
-        out[:, step0:step1] = _widen(values[step0:step1].T, symbols)
-    return out.reshape(-1)[:((width - 1) * steps + tail) * k]
+    decoded = []
+    for s, c0, c1 in zip(streams, columns[:-1], columns[1:]):
+        steps, tail = int(s.head.tuple_counts[0]), int(s.head.tuple_counts[-1])
+        own = values[:steps, c0:c1]
+        if min(own[:, :-1].min(initial=0), own[:tail, -1].min()) < 0:
+            raise _blamed(s.index, _corrupt("bit window matches no codeword"))
+        symbols = s.code.symbols
+        k = symbols.shape[1]
+        out = np.empty((c1 - c0, steps, k), dtype=symbols.dtype)
+        for step0 in range(0, steps, _TRANSPOSE_STEPS):
+            step1 = step0 + _TRANSPOSE_STEPS
+            out[:, step0:step1] = _widen(own[step0:step1].T, symbols)
+        decoded.append(out.reshape(-1)[:((c1 - c0 - 1) * steps + tail) * k])
+    return decoded
 
 
-def _decode_chunks(bit_bytes: np.ndarray, tables: "tuple[np.ndarray, ...]",
-                   bit_offsets: np.ndarray, tuple_counts: np.ndarray,
-                   chunk_ends: np.ndarray) -> np.ndarray:
-    """Decode a stream's chunks in-thread with the kernel that suits them.
+#: A stream of at least this many chunks fills a row walk alone.  Narrower
+#: streams whose chunks hold at most ``_MIN_CHUNK_TUPLES`` tuples (the
+#: encoder's chunks for any stream under ``_TARGET_CHUNKS * _MIN_CHUNK_TUPLES``
+#: tuples) share walks, in batch order, and a shared walk closes once it
+#: holds this many cursors; so its record never exceeds ``_MIN_CHUNK_TUPLES``
+#: steps by ``2 * _SHARED_WALK_CHUNKS`` cursors.  A walk step costs ~1.8 us
+#: at 128 cursors and ~3 us at 512, so the 7 streams of a round-workload
+#: ship (6 of fewer than 16 chunks, one of 55-77) cost one walk of 1,024
+#: steps over 90-128 cursors instead of seven.  Huffman decode per warm
+#: ship of that workload (2-core host, one thread, 12 ships, best of 5,
+#: medians over 3 runs): a walk per stream 13.4-15.4 ms, shared walks
+#: 7.1-7.2 ms.  Over a ResNet-50 pass's 8 containers (best of 7 each): a
+#: walk per stream 438 ms, this line 281 ms, and every narrow stream in
+#: shared walks (no line) 338 ms.
+_SHARED_WALK_CHUNKS = 256
 
-    Returns every symbol of their tuples, pad included.  ``bit_offsets`` and
-    ``chunk_ends`` are bit positions in ``bit_bytes``.  A one-tuple code
-    spends no bits, so its chunks are filled, not walked.
+#: A shared walk also closes once it holds this many streams, since each
+#: brings 768 KB of 64K-window tables: 300 one-chunk streams of 45 bytes
+#: in one walk held 193 MiB of tables.  A round-workload ship shares one
+#: walk among its 7 streams; a ResNet-50 slice's shared walks hold 2-3.
+_SHARED_WALK_STREAMS = 8
+
+
+def _walks(streams: "list[_Stream]") -> "list[list[_Stream]]":
+    """``streams`` grouped into row walks (see :data:`_SHARED_WALK_CHUNKS`
+    and :data:`_SHARED_WALK_STREAMS`)."""
+    walks: "list[list[_Stream]]" = []
+    shared: "list[_Stream]" = []
+    width = 0
+    for stream in streams:
+        chunks = stream.head.bit_offsets.size
+        if chunks >= _SHARED_WALK_CHUNKS or stream.head.tuple_counts[0] > _MIN_CHUNK_TUPLES:
+            walks.append([stream])
+            continue
+        shared.append(stream)
+        width += chunks
+        if width >= _SHARED_WALK_CHUNKS or len(shared) == _SHARED_WALK_STREAMS:
+            walks.append(shared)
+            shared, width = [], 0
+    if shared:
+        walks.append(shared)
+    return walks
+
+
+#: A walk of fewer cursors than this is narrower than its own per-step
+#: dispatch overhead, and its streams decode one by one in
+#: :func:`_decode_scalar` instead.  The loop costs ~0.1 us per tuple plus
+#: ~0.1 ms per stream; a walk step 1.3-3 us, nearly flat up to ~32 cursors.
+#: Scalar time over walk time, medians of 21 runs, SZ2 codes of a
+#: ResNet-50 conv tensor at 1024 tuples per chunk, 2-core x86 host (range
+#: over three runs), k = 1: 1 chunk 0.06-0.07, 4 chunks 0.27-0.37, 8
+#: chunks 0.34-0.56, 12 chunks 0.81-1.52, 16 chunks 0.95-1.26, 24 chunks
+#: 1.70-2.17, 32 chunks 1.71-2.48; k = 2: 8 chunks 0.72-0.75, 12 chunks
+#: 0.81-1.09, 16 chunks 1.20-1.56, 24 chunks 1.88-3.40.  The test suite's
+#: small models decode in narrow walks: Huffman decode over the tier-1
+#: suite (11,603 streams) took 19.5 s with every group walked, against
+#: 7.3 s before streams shared walks, and 9.9 s with this loop.  A
+#: round-workload ship walks 90-128 cursors; a ResNet-50 pass walks 128-512
+#: and leaves two groups of 2 and 4 cursors to the loop.
+_MIN_VECTOR_CHUNKS = 16
+
+
+def _decode_scalar(stream: _Stream) -> np.ndarray:
+    """Sequential per-tuple decode of one stream's chunks, pad included.
+
+    Per chunk, one gather lists the code length at every bit position of
+    the chunk's span; the loop hops from code start to code start through
+    that list, and the starts' window values widen into symbols.  It
+    rejects what the walk rejects: a chunk that does not end exactly on its
+    recorded boundary, or an unused window among its tuples.
     """
-    symbols = tables[2]
-    if symbols.shape[0] == 1:
-        return np.tile(symbols[0], int(tuple_counts.sum()))
-    kernel = _decode_scalar if bit_offsets.size < _MIN_VECTOR_CHUNKS \
-        else _decode_band_vectorized
-    return kernel(bit_bytes, *tables, bit_offsets, tuple_counts, chunk_ends)
+    head, code = stream.head, stream.code
+    table_len = np.repeat(code.lengths, code.spans)
+    table_value = np.repeat(code.values, code.spans)
+    windows = _bit_windows(stream.bits)
+    symbols = code.symbols
+    out = np.empty((int(head.tuple_counts.sum()), symbols.shape[1]), dtype=symbols.dtype)
+    base = 0
+    for start, end, n_tuples in zip(head.bit_offsets.tolist(), head.chunk_ends.tolist(),
+                                    head.tuple_counts.tolist()):
+        local = windows[start:end]
+        hops = table_len.take(local).tolist()
+        starts = [0] * n_tuples
+        pos = 0
+        for i in range(n_tuples):
+            if pos >= end - start:
+                raise _blamed(stream.index, _corrupt("chunk decoded past its recorded boundary"))
+            hop = hops[pos]
+            if not hop:
+                raise _blamed(stream.index, _corrupt("bit window matches no codeword"))
+            starts[i] = pos
+            pos += hop
+        if pos != end - start:
+            raise _blamed(stream.index, _corrupt("chunk did not decode to its recorded boundary"))
+        out[base:base + n_tuples] = _widen(table_value.take(local.take(starts)), symbols)
+        base += n_tuples
+    return out.reshape(-1)
 
 
 def _check_pad(padded: np.ndarray, count: int, lo: int) -> np.ndarray:
@@ -494,9 +619,11 @@ class _Header(NamedTuple):
     """A parsed HUF4 header: everything but the code bits."""
 
     lo: int
+    width: int
     k: int
     count: int
-    tables: "tuple | None"     # from _decode_tables; None for an empty stream
+    code_table: "memoryview | None"  # the bitmap and length nibbles (None: empty stream)
+    used: int                  # used tuples
     bit_offsets: np.ndarray    # per chunk, int64
     tuple_counts: np.ndarray   # per chunk, int64
     chunk_ends: np.ndarray     # per chunk, int64
@@ -517,7 +644,7 @@ def _parse_header(view: memoryview, check_count: "Callable[[int], None] | None")
     if count == 0:
         if (lo, width, k, chunk, n_chunks) != (0, 0, 1, 0, 0):
             raise _corrupt("empty stream declares symbols, tuples or chunks")
-        return _Header(0, 1, 0, None, *np.zeros((3, 0), dtype=np.int64),
+        return _Header(0, 0, 1, 0, None, 0, *np.zeros((3, 0), dtype=np.int64),
                        _FIXED_LEN, _FIXED_LEN)
     if width == 0 or k not in _tuple_sizes(width):
         raise _corrupt(f"{k}-symbol tuples break the tuple rule for W = {width}")
@@ -541,31 +668,11 @@ def _parse_header(view: memoryview, check_count: "Callable[[int], None] | None")
             np.any(chunk_bits > tuple_counts * per_tuple[1]):
         raise _corrupt(f"chunk bit lengths fall outside {per_tuple[0]} to "
                        f"{per_tuple[1]} bits per tuple")
-    # a bad code table fails here
-    tables = _decode_tables(lo, width, k, bytes(view[_FIXED_LEN:at]))
     chunk_ends = np.cumsum(chunk_bits)
     bits_at = at + 4 * n_chunks
-    return _Header(lo, k, count, tables, chunk_ends - chunk_bits, tuple_counts,
-                   chunk_ends, bits_at, bits_at + ((int(chunk_ends[-1]) + 7) >> 3))
-
-
-def _decode_reference(payload: bytes) -> np.ndarray:
-    """Decode a whole stream with :func:`_decode_scalar` at any chunk count.
-
-    The reference the tests hold the default :meth:`HuffmanCoder.decode`
-    against for equality, and ``benchmarks/bench_timing.py`` for speed.
-    """
-    head = HuffmanCoder._parse(payload, None)
-    if head.count == 0:
-        return np.zeros(0, dtype=np.int64)
-    tables = head.tables
-    if tables[2].shape[0] == 1:
-        return _check_pad(np.tile(tables[2][0], int(head.tuple_counts.sum())),
-                          head.count, head.lo)
-    return _check_pad(_decode_scalar(np.frombuffer(payload, dtype=np.uint8, offset=head.bits_at),
-                                     *tables, head.bit_offsets, head.tuple_counts,
-                                     head.chunk_ends),
-                      head.count, head.lo)
+    return _Header(lo, width, k, count, view[_FIXED_LEN:at], used,
+                   chunk_ends - chunk_bits, tuple_counts, chunk_ends, bits_at,
+                   bits_at + ((int(chunk_ends[-1]) + 7) >> 3))
 
 
 #: Bytes of packing scratch per tuple of a group: the int64 codes, lengths,
@@ -871,19 +978,62 @@ class HuffmanCoder:
                            f"and chunk lengths declare {head.length}")
         return head
 
-    def decode(self, payload: bytes, check_count: "Callable[[int], None]") -> np.ndarray:
-        """Decode a byte string produced by :meth:`encode` back to ``int64``.
+    def decode(self, payload, check_count):
+        """Decode what :meth:`encode` produced: one stream, or a batch.
 
-        The whole stream decodes in the calling thread as one vectorized row
-        walk; a stream of fewer than :data:`_MIN_VECTOR_CHUNKS` chunks runs
-        the per-tuple scalar loop.  ``check_count`` (required) vets the
-        declared symbol count before anything is sized by it.
+        ``payload`` is one stream, or a list of streams that decode as one
+        batch; ``check_count`` (required) is then one callable, or a list
+        with one per stream, that vets its stream's declared symbol count.
+        Returns the symbols, or a list of them in batch order: ``int32``,
+        or ``int64`` for a stream whose range reaches past ``int32``.
+
+        Every stream's CRC, header and count are checked before anything is
+        sized, then every stream's code table.  The streams with code bits
+        then decode in the calling thread, in the row walks :func:`_walks`
+        groups them into (a walk under :data:`_MIN_VECTOR_CHUNKS` cursors
+        runs :func:`_decode_scalar` per stream), and every stream's pad is
+        checked last.  A stream that fails a check raises
+        :class:`StreamError` with its place in the batch.
         """
-        head = self._parse(payload, check_count)
-        if head.count == 0:
-            return np.zeros(0, dtype=np.int64)
-        return _check_pad(_decode_chunks(np.frombuffer(payload, dtype=np.uint8,
-                                                       offset=head.bits_at),
-                                         head.tables, head.bit_offsets,
-                                         head.tuple_counts, head.chunk_ends),
-                          head.count, head.lo)
+        batch = isinstance(payload, (list, tuple))
+        payloads = list(payload) if batch else [payload]
+        checks = list(check_count) if batch else [check_count]
+        if len(checks) != len(payloads):
+            raise TypeError(f"{len(payloads)} streams need as many count checks, "
+                            f"got {len(checks)}")
+        heads = []
+        for index, (stream, check) in enumerate(zip(payloads, checks)):
+            try:
+                heads.append(self._parse(stream, check))
+            except ValueError as exc:
+                raise _blamed(index, exc) from exc
+        codes = []
+        for index, head in enumerate(heads):
+            try:
+                codes.append(None if head.count == 0 else _decode_tables(head))
+            except ValueError as exc:
+                raise _blamed(index, exc) from exc
+        decoded: "list[np.ndarray | None]" = [None] * len(heads)
+        walked = []
+        for index, (stream, head, code) in enumerate(zip(payloads, heads, codes)):
+            if head.count == 0:
+                decoded[index] = np.zeros(0, dtype=np.int32)
+            elif head.used == 1:
+                # a one-tuple code spends no bits: its chunks are filled, not walked
+                decoded[index] = np.tile(code.symbols[0], int(head.tuple_counts.sum()))
+            else:
+                bits = np.frombuffer(stream, dtype=np.uint8, offset=head.bits_at)
+                walked.append(_Stream(index, head, code, bits))
+        for walk in _walks(walked):
+            if sum(stream.head.bit_offsets.size for stream in walk) < _MIN_VECTOR_CHUNKS:
+                for stream in walk:
+                    decoded[stream.index] = _decode_scalar(stream)
+            else:
+                for stream, padded in zip(walk, _walk(walk)):
+                    decoded[stream.index] = padded
+        for index, head in enumerate(heads):
+            try:
+                decoded[index] = _check_pad(decoded[index], head.count, head.lo)
+            except ValueError as exc:
+                raise _blamed(index, exc) from exc
+        return decoded if batch else decoded[0]

@@ -118,14 +118,17 @@ class LinearQuantizer:
         float64: the arithmetic stays float64 and each value is rounded once
         on store, exactly as casting the float64 result afterwards would.
 
+        ``codes`` may be any integer dtype (the decoder's are ``int32``)
+        and are read as they are, not copied to ``int64``.
+
         Mirrors the scratch discipline of :meth:`quantize`: one float64
         buffer (`work`) serves as the shifted quotient, the scaled residual,
         and the reconstruction, with every operation the same float64
         arithmetic as the naive expression-per-temporary form — bit-identical
         results, one temporary instead of four.
         """
-        codes = np.asarray(codes, dtype=np.int64)
-        work = np.subtract(codes, self.radius + 1).astype(np.float64)
+        codes = np.asarray(codes)
+        work = np.subtract(codes, self.radius + 1, dtype=np.float64)
         if out is None:
             out = work
         elif out.shape != codes.shape:

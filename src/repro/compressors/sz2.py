@@ -102,6 +102,7 @@ from __future__ import annotations
 
 import functools
 import struct
+from typing import NamedTuple
 
 import numpy as np
 
@@ -221,20 +222,25 @@ class SZ2Compressor(LossyCompressor):
             first, slope = np.empty((2, _SAMPLE_BLOCKS), dtype=np.float32)
             sample_codes = None
         pred = fit.predict(blocks, sel, first, slope)
+        radius = self.quantizer.radius
         hybrid = self.quantizer.quantize(blocks.ravel(), pred.ravel(), abs_bound,
                                          codes=sample_codes)
         zero = self.quantizer.quantize(blocks.ravel(), None, abs_bound)
-        scale = n_blocks / blocks.shape[0]
-        side = n_blocks * (1 + 32) + 32 * scale * int(np.count_nonzero(sel))
-        hybrid_bits = _estimated_bits(hybrid, scale) + side
-        zero_bits = _estimated_bits(zero, scale) + _ZERO_MARGIN_BITS
-        predictor = _ZERO if zero_bits < hybrid_bits else _HYBRID
         candidates = {_HYBRID: hybrid, _ZERO: zero}
         if ref_blocks is not None:
             candidates[_REFERENCE] = _recode(zero, _reference_index(
-                self.quantizer, ref_blocks.ravel(), abs_bound), self.quantizer.radius)
-            if _estimated_bits(candidates[_REFERENCE], scale) < min(zero_bits, hybrid_bits):
-                predictor = _REFERENCE
+                self.quantizer, ref_blocks.ravel(), abs_bound), radius)
+        if whole:  # the sampled blocks of a larger tensor hold no pad
+            candidates = {key: _pad_without_escapes(quant, n, radius)
+                          for key, quant in candidates.items()}
+        scale = n_blocks / blocks.shape[0]
+        side = n_blocks * (1 + 32) + 32 * scale * int(np.count_nonzero(sel))
+        hybrid_bits = _estimated_bits(candidates[_HYBRID], scale) + side
+        zero_bits = _estimated_bits(candidates[_ZERO], scale) + _ZERO_MARGIN_BITS
+        predictor = _ZERO if zero_bits < hybrid_bits else _HYBRID
+        if _REFERENCE in candidates and \
+                _estimated_bits(candidates[_REFERENCE], scale) < min(zero_bits, hybrid_bits):
+            predictor = _REFERENCE
 
         if whole:
             winner = candidates[predictor]
@@ -250,7 +256,9 @@ class SZ2Compressor(LossyCompressor):
                 if ref_tiles is not None:
                     index = _reference_index(self.quantizer, next(ref_tiles)[2].ravel(),
                                              abs_bound)
-                    quant = _recode(quant, index, self.quantizer.radius, out=quant.codes)
+                    quant = _recode(quant, index, radius, out=quant.codes)
+                if b1 == n_blocks:
+                    quant = _pad_without_escapes(quant, n - b0 * bs, radius)
                 outliers.append(quant.outliers)
         suffix = [LinearQuantizer.pack_outliers(np.concatenate(outliers))]
         if predictor != _HYBRID:
@@ -270,24 +278,22 @@ class SZ2Compressor(LossyCompressor):
         return prefix, codes, suffix
 
     # ------------------------------------------------------------------
-    def _decompress_float1d(self, body: bytes, count: int, abs_bound: float,
-                            dtype: np.dtype,
-                            reference: "np.ndarray | None" = None) -> np.ndarray:
-        """Reconstruct from the body.
+    def _open_body(self, body: memoryview, count: int, abs_bound: float,
+                   dtype: np.dtype, reference: "np.ndarray | None" = None):
+        """Check the body up to its Huffman stream; see :meth:`_rebuild`.
 
-        Every geometry field, the Huffman stream's symbol count included, is
-        checked against the container's ``count`` before it sizes anything,
-        and the body must be consumed exactly; any mismatch raises
-        :class:`ValueError`.  A reference-grid body also needs ``reference``
-        to hold ``count`` values of ``dtype``; hybrid and zero bodies ignore
-        it.
+        Every geometry field, the Huffman stream's symbol count rule
+        included, is checked against the container's ``count`` before it
+        sizes anything.  A reference-grid body also needs ``reference`` to
+        hold ``count`` values of ``dtype``; hybrid and zero bodies ignore
+        it.  Any mismatch raises :class:`ValueError`.
         """
         block_size, n_blocks, radius = struct.unpack_from("<IQI", body, 0)
         offset = 16
         _check_geometry(block_size, n_blocks, count)
         if n_blocks == 0:
             _expect_consumed(body, offset)
-            return np.zeros(0, dtype=dtype)
+            return None, None, lambda codes: np.zeros(0, dtype=dtype)
         original_len, predictor = struct.unpack_from("<QB", body, offset)
         offset += 9
         if original_len != count:
@@ -296,6 +302,7 @@ class SZ2Compressor(LossyCompressor):
         predictor = _check_predictor(predictor)
         if predictor == _REFERENCE:
             reference = _check_reference(reference, count, dtype)
+        use_regression = coefficients = None
         if predictor == _HYBRID:
             (sel_len,) = struct.unpack_from("<Q", body, offset)
             offset += 8
@@ -316,30 +323,45 @@ class SZ2Compressor(LossyCompressor):
             offset += 4 * coef_count
         (huff_len,) = struct.unpack_from("<Q", body, offset)
         offset += 8
-        codes = self.huffman.decode(
-            memoryview(body)[offset : offset + huff_len],
-            check_count=functools.partial(_check_code_count, n_blocks=n_blocks,
-                                          block_size=block_size))
-        offset += huff_len
-        _check_code_count(codes.size, n_blocks, block_size)
-        outliers, offset = LinearQuantizer.unpack_outliers(body, offset)
-        _expect_consumed(body, offset)
+        layout = _Layout(block_size, n_blocks, radius, predictor, use_regression,
+                         coefficients, body[offset + huff_len:], count, abs_bound,
+                         dtype, reference)
+        return (body[offset:offset + huff_len],
+                functools.partial(_check_code_count, n_blocks=n_blocks,
+                                  block_size=block_size),
+                functools.partial(self._rebuild, layout))
 
-        # Dequantize each tile straight into the output dtype.  A hybrid
-        # tile's predictions are rebuilt from the stored coefficients first.
+    @staticmethod
+    def _rebuild(layout: "_Layout", codes: np.ndarray) -> np.ndarray:
+        """Reconstruct the tensor from its decoded codes and the body fields
+        :meth:`_open_body` read.
+
+        The outlier tail must hold one outlier per zero code and end the
+        body.  Each tile is dequantized straight into the output dtype; a
+        hybrid tile's predictions are rebuilt from the stored coefficients
+        first, and a reference-grid tile's codes get the reference's index
+        back.
+        """
+        block_size, n_blocks, predictor = layout.block_size, layout.n_blocks, layout.predictor
+        abs_bound = layout.abs_bound
+        _check_code_count(codes.size, n_blocks, block_size)
+        outliers, offset = LinearQuantizer.unpack_outliers(layout.tail, 0)
+        _expect_consumed(layout.tail, offset)
+
         # Mean blocks get slope 0, so `mean + 0 * idx` is the mean itself (a
         # -0.0 mean turns +0.0, which `prediction + 2 * bound * q` cannot tell
         # apart for a bound > 0).
         if predictor == _HYBRID:
+            use_regression, coefficients = layout.use_regression, layout.coefficients
             position = _coefficient_positions(use_regression)
             first = coefficients[position].astype(np.float64)
             slope = np.zeros(n_blocks)
             slope[use_regression] = coefficients[position[use_regression] + 1]
             idx = np.arange(block_size, dtype=np.float64)
             pred = np.empty((min(_TILE_BLOCKS, n_blocks), block_size))
-        quantizer = LinearQuantizer(radius)
-        ref_tiles = _tiles(reference, block_size) if predictor == _REFERENCE else None
-        out = np.empty(n_blocks * block_size, dtype=dtype)
+        quantizer = LinearQuantizer(layout.radius)
+        ref_tiles = _tiles(layout.reference, block_size) if predictor == _REFERENCE else None
+        out = np.empty(n_blocks * block_size, dtype=layout.dtype)
         used = 0
         with np.errstate(over="ignore", invalid="ignore"):
             for b0 in range(0, n_blocks, _TILE_BLOCKS):
@@ -365,7 +387,23 @@ class SZ2Compressor(LossyCompressor):
         if used != outliers.size:
             raise ValueError(f"corrupt sz2 body: {outliers.size} outliers for "
                              f"{used} escape codes")
-        return out[:count]
+        return out[:layout.count]
+
+
+class _Layout(NamedTuple):
+    """The fields of an SZ2 body that :meth:`SZ2Compressor._rebuild` reads."""
+
+    block_size: int
+    n_blocks: int
+    radius: int
+    predictor: int
+    use_regression: "np.ndarray | None"   # hybrid only
+    coefficients: "np.ndarray | None"     # hybrid only
+    tail: memoryview                      # the body after the Huffman stream
+    count: int
+    abs_bound: float
+    dtype: np.dtype
+    reference: "np.ndarray | None"        # reference grid only, flat
 
 
 def _check_geometry(block_size: int, n_blocks: int, count: int) -> None:
@@ -469,6 +507,28 @@ def _tiles(data: np.ndarray, block_size: int):
             tile[: n - lo] = data[lo:]
             tile[n - lo:] = data[-1]
         yield b0, b1, tile.reshape(b1 - b0, block_size)
+
+
+def _pad_without_escapes(quant: QuantizationResult, real: int,
+                         radius: int) -> QuantizationResult:
+    """``quant`` with no escape among its padded positions (past ``real``).
+
+    The ragged last block is padded with the final value, so the block fits
+    see it; when that value escapes, each padded position would store it
+    again as an outlier.  The decoder drops padded values, so an escaping
+    pad takes the code of a zero residual, ``radius + 1``, and stores no
+    outlier.  The codes are changed in place.
+    """
+    pad = quant.codes[real:]
+    escaped = pad == 0
+    n_escaped = int(np.count_nonzero(escaped))
+    if not n_escaped:
+        return quant
+    pad[escaped] = radius + 1
+    # outliers are in position order, so the pad's come last
+    return QuantizationResult(codes=quant.codes,
+                              outliers=quant.outliers[:quant.outliers.size - n_escaped],
+                              reconstructed=quant.reconstructed)
 
 
 def _estimated_bits(quant: QuantizationResult, scale: float) -> float:

@@ -116,16 +116,14 @@ class SZ3Compressor(LossyCompressor):
         return prefix, codes, suffix
 
     # ------------------------------------------------------------------
-    def _decompress_float1d(self, body: bytes, count: int, abs_bound: float,
-                            dtype: np.dtype,
-                            reference: "np.ndarray | None" = None) -> np.ndarray:
-        """Reconstruct from the body.
+    def _open_body(self, body: memoryview, count: int, abs_bound: float,
+                   dtype: np.dtype, reference: "np.ndarray | None" = None):
+        """Check the body up to its Huffman stream; see :meth:`_rebuild`.
 
         The element, anchor and code counts are checked against the
         container's ``count`` (the code count before the Huffman stream
-        sizes anything), the anchor flag must be 0 or 1, every zero
-        code must have exactly one outlier, and no byte may follow the last
-        field; any mismatch raises :class:`ValueError`.
+        sizes anything) and the anchor flag must be 0 or 1; any mismatch
+        raises :class:`ValueError`.
         """
         n, radius, anchor_code = struct.unpack_from("<QIB", body, 0)
         offset = struct.calcsize("<QIB")
@@ -133,7 +131,7 @@ class SZ3Compressor(LossyCompressor):
         anchor_dtype = _anchor_dtype(anchor_code)
         if n == 0:
             _expect_consumed(body, offset)
-            return np.zeros(0, dtype=np.float64)
+            return None, None, lambda codes: np.zeros(0, dtype=np.float64)
         (anchor_count,) = struct.unpack_from("<Q", body, offset)
         offset += 8
         _check_anchors(anchor_count, n)
@@ -141,14 +139,23 @@ class SZ3Compressor(LossyCompressor):
         offset += anchor_dtype.itemsize * anchor_count
         (huff_len,) = struct.unpack_from("<Q", body, offset)
         offset += 8
-        codes = self.huffman.decode(
-            memoryview(body)[offset : offset + huff_len],
-            check_count=functools.partial(_check_code_count,
-                                          expected=n - anchor_count))
-        offset += huff_len
-        _check_code_count(codes.size, n - anchor_count)
-        outliers, offset = LinearQuantizer.unpack_outliers(body, offset)
-        _expect_consumed(body, offset)
+        return (body[offset:offset + huff_len],
+                functools.partial(_check_code_count, expected=n - anchor_count),
+                functools.partial(self._rebuild, n, radius, anchors,
+                                  body[offset + huff_len:], abs_bound))
+
+    @staticmethod
+    def _rebuild(n: int, radius: int, anchors: np.ndarray, tail: memoryview,
+                 abs_bound: float, codes: np.ndarray) -> np.ndarray:
+        """Reconstruct ``n`` values from the anchors, the decoded codes and
+        ``tail``, the body after the Huffman stream.
+
+        Every zero code must have exactly one outlier, and no byte may
+        follow the outlier tail; any mismatch raises :class:`ValueError`.
+        """
+        _check_code_count(codes.size, n - anchors.size)
+        outliers, offset = LinearQuantizer.unpack_outliers(tail, 0)
+        _expect_consumed(tail, offset)
 
         predictor = InterpolationPredictor(n)
         quantizer = LinearQuantizer(radius)

@@ -25,8 +25,10 @@ Client side (:meth:`FedSZCompressor.compress_with_report`):
 
 Server side (:meth:`FedSZCompressor.decompress_state_dict`) parses the
 manifest plan, dispatches every lossy payload to the codec named by its
-per-payload tag (cross-checked against the plan), decodes tensors on the same
-worker pool, and returns a ``state_dict`` ready for FedAvg aggregation.
+per-payload tag (cross-checked against the plan), decodes the Huffman
+streams of all its SZ2 and SZ3 payloads as one batch, rebuilds the tensors
+on the same worker pool, and returns a ``state_dict`` ready for FedAvg
+aggregation.
 
 Reporting is per-call: :meth:`compress_with_report` and
 :meth:`decompress_with_report` return a fresh :class:`FedSZReport` alongside
@@ -45,7 +47,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.compressors.base import ErrorBoundMode, LossyCompressor
+from repro.compressors.base import ErrorBoundMode, LossyCompressor, OpenedPayload
+from repro.compressors.huffman import HuffmanCoder, StreamError
 from repro.compressors.lossless import LosslessCodec, get_lossless
 from repro.compressors.registry import available_lossy, get_lossy
 from repro.core.config import FedSZConfig
@@ -60,7 +63,12 @@ from repro.core.plan import (
     unpack_plan,
 )
 from repro.utils.parallel import get_backend, map_parallel
-from repro.utils.serialization import pack_arrays, pack_bytes_dict, unpack_arrays, unpack_bytes_dict
+from repro.utils.serialization import (
+    pack_arrays,
+    pack_bytes_dict,
+    unpack_arrays,
+    unpack_bytes_views,
+)
 
 __all__ = ["FedSZCompressor", "FedSZReport"]
 
@@ -127,18 +135,46 @@ def _compress_tensor_task(task: "tuple[TensorPlan, np.ndarray, LossyCompressor, 
     return _tag_payload(plan.codec, compressor.compress(array, reference))
 
 
-def _decompress_tensor_task(task: "tuple[str, bytes, LossyCompressor, np.ndarray | None]"
-                            ) -> np.ndarray:
-    """Decode one tagged lossy payload body back into its tensor.
+def _decompress_tensor_task(task: "tuple[str, bytes | OpenedPayload, LossyCompressor, "
+                                  "np.ndarray | None]") -> np.ndarray:
+    """Decode one lossy payload body back into its tensor.
 
-    The ``(entry_key, body, decoder, reference)`` struct is picklable for the
-    process backend; failures are normalized to :class:`ValueError` *inside*
-    the task so the documented corruption contract holds identically across
-    backends (exceptions cross the process boundary already wrapped).
+    ``body`` is the payload :meth:`LossyCompressor.open` read, with its
+    codes decoded, or on a backend that pickles its tasks the payload's
+    bytes (with the tensor's ``reference``).  Failures are normalized to
+    :class:`ValueError` *inside* the task so the documented corruption
+    contract holds identically across backends (exceptions cross the
+    process boundary already wrapped).
     """
     key, body, decoder, reference = task
     return _decode_or_valueerror(
         lambda payload: decoder.decompress(payload, reference), body, key)
+
+
+def _decode_streams(tasks: "list[tuple]") -> "list[tuple]":
+    """Open every lossy body of a container and decode their Huffman streams
+    as one batch; returns the decode tasks of the opened payloads.
+
+    Each body's fields before its stream are checked first, on the calling
+    thread; the streams of all SZ2 and SZ3 entries then decode in shared
+    row walks (:meth:`HuffmanCoder.decode`), and each opened payload carries
+    its codes into the per-tensor fan-out, which rebuilds the tensors.  A
+    corrupt stream raises :class:`ValueError` naming its entry.
+    """
+    opened = [_decode_or_valueerror(lambda p: decoder.open(p, ref), body, key)
+              for key, body, decoder, ref in tasks]
+    coded = [i for i, payload in enumerate(opened) if payload.stream is not None]
+    try:
+        codes = HuffmanCoder().decode([opened[i].stream for i in coded],
+                                      [opened[i].check_count for i in coded])
+    except StreamError as exc:
+        key = tasks[coded[exc.index]][0]
+        raise ValueError(f"corrupt FedSZ bitstream: entry {key!r} failed to decode "
+                         f"({exc})") from exc
+    for i, decoded in zip(coded, codes):
+        opened[i] = opened[i]._replace(stream=None, codes=decoded)
+    return [(key, payload, decoder, None)
+            for (key, _, decoder, _), payload in zip(tasks, opened)]
 
 
 def _tag_payload(codec: str, body: bytes) -> bytes:
@@ -153,8 +189,8 @@ def _tag_payload(codec: str, body: bytes) -> bytes:
     return struct.pack("<B", len(tag)) + tag + body
 
 
-def _split_tagged_payload(payload: bytes, entry: str) -> tuple[str, bytes]:
-    """Parse the codec-id prefix off a ``lossy::`` payload."""
+def _split_tagged_payload(payload: memoryview, entry: str) -> tuple[str, memoryview]:
+    """Parse the codec-id prefix off a ``lossy::`` payload (a view of it)."""
     if len(payload) < 1:
         raise ValueError(f"corrupt FedSZ bitstream: entry {entry!r} is empty")
     tag_len = payload[0]
@@ -162,7 +198,7 @@ def _split_tagged_payload(payload: bytes, entry: str) -> tuple[str, bytes]:
         raise ValueError(f"corrupt FedSZ bitstream: entry {entry!r} has a "
                          f"truncated codec tag")
     try:
-        codec = payload[1:1 + tag_len].decode("ascii")
+        codec = bytes(payload[1:1 + tag_len]).decode("ascii")
     except UnicodeDecodeError as exc:
         raise ValueError(f"corrupt FedSZ bitstream: entry {entry!r} codec tag "
                          f"is not ASCII") from exc
@@ -429,27 +465,30 @@ class FedSZCompressor:
         missing or differs in dtype or element count.
 
         Dispatch is per tensor: each ``lossy::`` payload names its codec,
-        which must agree with the manifest plan; decoding fans out over the
-        configured execution backend when ``config.pipeline_workers > 1`` (the
-        tag/plan cross-check runs up front on the caller's thread, only the
-        inner payload decode is dispatched).  The report covers
+        which must agree with the manifest plan.  On the caller's thread,
+        after the tag/plan cross-check, every payload is opened (read as a
+        view of ``bitstream``) and all Huffman streams decode as one batch;
+        the tensor rebuilds then fan out over the configured execution
+        backend when ``config.pipeline_workers > 1``.  A backend that
+        pickles its tasks gets each payload's bytes instead, and each of its
+        workers decodes its own stream.  The report covers
         the decode side only — ``compress_seconds`` is 0, so its
         ``throughput_mbps`` (a compress-side metric) reads ``inf`` and should
         not be aggregated from decode-only reports.
         """
         start = time.perf_counter()
-        entries = unpack_bytes_dict(bitstream)
+        entries = unpack_bytes_views(bitstream)
         manifest = entries.pop("__manifest__", None)
         if manifest is None:
             raise ValueError("not a FedSZ bitstream: missing manifest")
-        n_entries, plan = self._parse_manifest(manifest)
+        n_entries, plan = self._parse_manifest(bytes(manifest))
 
-        lossless_payload = entries.pop("__lossless__", b"")
+        lossless_payload = bytes(entries.pop("__lossless__", b""))
         lossless_arrays = unpack_arrays(_decode_or_valueerror(
             self.lossless.decompress, lossless_payload, "__lossless__")) \
             if lossless_payload else {}
 
-        lossy_entries: list[tuple[str, bytes]] = []
+        lossy_entries: list[tuple[str, memoryview]] = []
         for key, payload in entries.items():
             if not key.startswith(_LOSSY_PREFIX):
                 raise ValueError(f"unexpected entry {key!r} in FedSZ bitstream")
@@ -472,6 +511,12 @@ class FedSZCompressor:
                                  f"tagged {codec!r} but the manifest plan says "
                                  f"{plan[name].codec!r}")
             tasks.append((key, body, self._decoder_for(codec), reference.get(name)))
+        if get_backend(self.config.backend).pickles_arguments:
+            # views of the bitstream do not pickle: each worker gets its
+            # entry's bytes and decodes its stream as a batch of one
+            tasks = [(key, bytes(body), decoder, ref) for key, body, decoder, ref in tasks]
+        else:
+            tasks = _decode_streams(tasks)
         arrays = map_parallel(_decompress_tensor_task, tasks,
                               max_workers=self._pipeline_workers(),
                               backend=self.config.backend)

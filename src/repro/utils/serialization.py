@@ -30,8 +30,8 @@ import struct
 
 import numpy as np
 
-__all__ = ["MAX_NDIM", "pack_bytes_dict", "unpack_bytes_dict", "pack_arrays",
-           "unpack_arrays", "packed_arrays_nbytes"]
+__all__ = ["MAX_NDIM", "pack_bytes_dict", "unpack_bytes_dict", "unpack_bytes_views",
+           "pack_arrays", "unpack_arrays", "packed_arrays_nbytes"]
 
 _MAGIC_BYTES = b"FSZB"
 _MAGIC_ARRAYS = b"FSZA"
@@ -91,20 +91,25 @@ def pack_bytes_dict(entries: dict[str, bytes]) -> bytes:
 
 def unpack_bytes_dict(data: bytes) -> dict[str, bytes]:
     """Inverse of :func:`pack_bytes_dict`."""
+    return {key: bytes(value) for key, value in unpack_bytes_views(data).items()}
+
+
+def unpack_bytes_views(data: bytes) -> dict[str, memoryview]:
+    """:func:`unpack_bytes_dict` without copying: each value is a view of ``data``."""
     buf = memoryview(data)
     if bytes(buf[:4]) != _MAGIC_BYTES:
         raise ValueError("not a packed bytes dictionary (bad magic)")
     _require(buf, 4, 4, "entry count")
     (count,) = struct.unpack_from("<I", buf, 4)
     offset = 8
-    result: dict[str, bytes] = {}
+    result: dict[str, memoryview] = {}
     for _ in range(count):
         key, offset = _unpack_key(buf, offset, result, "entry key")
         _require(buf, offset, 8, f"length of value {key!r}")
         (length,) = struct.unpack_from("<Q", buf, offset)
         offset += 8
         _require(buf, offset, length, f"value {key!r}")
-        result[key] = bytes(buf[offset : offset + length])
+        result[key] = buf[offset : offset + length]
         offset += length
     _expect_end(buf, offset)
     return result

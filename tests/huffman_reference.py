@@ -1,4 +1,4 @@
-"""Byte-identity oracle for the chunked HUF4 packer.
+"""Oracles for the chunked HUF4 coder.
 
 :func:`bit_matrix_bands` reads the code table a producer pinned, forms the
 stream's tuples one symbol at a time, assigns canonical codes one by one in
@@ -7,7 +7,11 @@ max_code_length`` bit matrix, keeping the valid bits behind the bits the
 previous chunk left over and packing the whole bytes.  It is slow and
 memory-hungry but obviously right, so the property tests hold the fast
 scatter packer and its vectorized tuple forming to its bands byte for byte.
-:func:`any_count` and :func:`one_tuple_bomb` serve the decode tests.
+
+:func:`decode_reference` decodes a stream one tuple at a time, the oracle
+the decoder's row walks are held to (and the scalar side of
+``benchmarks/bench_timing.py``'s decode check).  :func:`any_count` and
+:func:`one_tuple_bomb` serve the decode tests.
 """
 
 from __future__ import annotations
@@ -16,6 +20,8 @@ import struct
 import zlib
 
 import numpy as np
+
+from repro.compressors.huffman import HuffmanCoder, _bit_windows, _decode_tables
 
 _HEADER = struct.Struct("<IIBQII")  # lo, W, k, count, tuples per chunk, chunks
 
@@ -36,6 +42,58 @@ def one_tuple_bomb(count: int) -> bytes:
     n_chunks = -(-count // chunk)
     body = _HEADER.pack(0, 1, 1, count, chunk, n_chunks) + b"\x80" + bytes(4 * n_chunks)
     return b"HUF4" + struct.pack("<I", zlib.crc32(body)) + body
+
+
+def _corrupt(detail: str) -> ValueError:
+    return ValueError(f"corrupt Huffman stream: {detail}")
+
+
+def decode_reference(payload: bytes) -> np.ndarray:
+    """Decode a whole HUF4 stream one tuple at a time.
+
+    The header and code table come from the decoder's own parse (CRC
+    included), so this checks the walk, not the tables.  Per chunk, one gather lists
+    the code length at every bit position of the chunk's span; the loop hops
+    from code start to code start through that list, and the starts' window
+    values widen into symbols.  A chunk must end exactly on its recorded
+    boundary with no unused window on the way, and the pad must be ``lo``.
+    """
+    head = HuffmanCoder._parse(payload, None)
+    if head.count == 0:
+        return np.zeros(0, dtype=np.int64)
+    code = _decode_tables(head)
+    table_len = np.repeat(code.lengths, code.spans)
+    table_value = np.repeat(code.values, code.spans)
+    symbols = code.symbols
+    k = symbols.shape[1]
+    out = np.empty((int(head.tuple_counts.sum()), k), dtype=np.int64)
+    if symbols.shape[0] == 1:  # a one-tuple code spends no bits
+        out[:] = symbols[0]
+    else:
+        windows = _bit_windows(np.frombuffer(payload, dtype=np.uint8, offset=head.bits_at))
+        base = 0
+        for start, end, n_tuples in zip(head.bit_offsets.tolist(), head.chunk_ends.tolist(),
+                                        head.tuple_counts.tolist()):
+            local = windows[start:end]
+            hops = table_len.take(local).tolist()
+            starts = [0] * n_tuples
+            pos = 0
+            for i in range(n_tuples):
+                if pos >= end - start:
+                    raise _corrupt("chunk decoded past its recorded boundary")
+                if not hops[pos]:
+                    raise _corrupt("bit window matches no codeword")
+                starts[i] = pos
+                pos += hops[pos]
+            if pos != end - start:
+                raise _corrupt("chunk did not decode to its recorded boundary")
+            values = table_value.take(local.take(starts))
+            out[base:base + n_tuples] = values[:, None] if k == 1 else symbols[values]
+            base += n_tuples
+    padded = out.reshape(-1)
+    if np.any(padded[head.count:] != head.lo):
+        raise _corrupt("the last tuple is not padded with the smallest symbol")
+    return padded[:head.count]
 
 
 def pinned_code_table(pinned_header: bytes) -> "tuple[dict, dict]":

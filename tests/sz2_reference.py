@@ -13,7 +13,8 @@ reference's zero-grid indices from those codes.  They are memory-hungry but obvi
 property tests hold the tiled kernels to their bytes and values bit for bit.
 The predictor choice is the encoder's own business: the oracle takes the
 mode as an argument, and its hybrid bytes differ from the pre-v6 body only
-by the predictor field.  The three block-predictor helpers below live here
+by the predictor field.  In every mode a padded position that escapes is
+coded as a zero residual and stores no outlier.  The three block-predictor helpers below live here
 only for this purpose.
 """
 
@@ -89,19 +90,19 @@ def reference_body_parts(compressor, data: np.ndarray, abs_bound: float, predict
 
     blocks, original_len = block_pad(data, compressor.block_size)
     n_blocks = blocks.shape[0]
-    head = [struct.pack("<IQI", compressor.block_size, n_blocks, compressor.quantizer.radius),
+    radius = compressor.quantizer.radius
+    head = [struct.pack("<IQI", compressor.block_size, n_blocks, radius),
             struct.pack("<QB", original_len, predictor)]
     if predictor == ZERO:
         quant = compressor.quantizer.quantize(blocks.ravel(), np.zeros(blocks.size), abs_bound)
-        return head, quant.codes, [LinearQuantizer.pack_outliers(quant.outliers)]
+        return head, *_calm_pad(quant.codes, quant.outliers, original_len, radius)
     if predictor == REFERENCE:
-        radius = compressor.quantizer.radius
         quant = compressor.quantizer.quantize(blocks.ravel(), np.zeros(blocks.size), abs_bound)
         d = quant.codes - (radius + 1) - reference_grid_index(
             compressor.quantizer, reference, compressor.block_size, abs_bound)
         escape = (quant.codes == 0) | (np.abs(d) > radius)
         codes = np.where(escape, 0, d + radius + 1)
-        return head, codes, [LinearQuantizer.pack_outliers(quant.reconstructed[escape])]
+        return head, *_calm_pad(codes, quant.reconstructed[escape], original_len, radius)
 
     with np.errstate(over="ignore", invalid="ignore"):
         mean_pred, mean_coef = block_mean_predictor(blocks)
@@ -124,8 +125,21 @@ def reference_body_parts(compressor, data: np.ndarray, abs_bound: float, predict
 
     prefix = head + [struct.pack("<Q", selector_bits.size) + selector_bits.tobytes(),
                      struct.pack("<Q", coefficients.size) + coefficients.tobytes()]
-    suffix = [LinearQuantizer.pack_outliers(quant.outliers)]
-    return prefix, quant.codes, suffix
+    codes, suffix = _calm_pad(quant.codes, quant.outliers, original_len, radius)
+    return prefix, codes, suffix
+
+
+def _calm_pad(codes: np.ndarray, outliers: np.ndarray, original_len: int,
+              radius: int) -> "tuple[np.ndarray, list[bytes]]":
+    """``(codes, [packed outliers])`` once every padded position that
+    escaped is coded ``radius + 1`` (a zero residual) and its outlier, the
+    one stored for it in position order, is dropped."""
+    escapes = np.flatnonzero(codes == 0)
+    padded = escapes[escapes >= original_len]
+    codes = codes.copy()
+    codes[padded] = radius + 1
+    kept = outliers[escapes < original_len]
+    return codes, [LinearQuantizer.pack_outliers(kept)]
 
 
 def reference_compress(compressor, data: np.ndarray, predictor: int,

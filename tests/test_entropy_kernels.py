@@ -7,26 +7,33 @@
   tables included), chunk sizes whose bit counts force carries, group sizes
   that split chunks across packing groups, padded last tuples, and empty and
   one-tuple streams.
-* The in-thread decode (the vectorized row walk above
-  ``_MIN_VECTOR_CHUNKS`` chunks) must equal the per-tuple scalar loop on both
-  sides of the crossover, and must reject exactly the corrupt bodies the
-  scalar loop rejects.
+* The batch decode must equal the per-tuple scalar oracle stream by stream
+  (``huffman_reference.decode_reference``): on both sides of the grouping
+  line (``_SHARED_WALK_CHUNKS``: a stream walks alone or shares its walk)
+  and of the crossover (``_MIN_VECTOR_CHUNKS``: a walk narrower than it
+  runs the per-tuple loop), on random batches of 1 to 8 streams mixing
+  tuple sizes, ranges, empty and one-tuple streams and up to 3 x 512
+  chunks, and it must reject exactly the corrupt bodies the oracle rejects.
+  Corrupting any one stream of a batch raises ``ValueError`` that names its
+  place in the batch.
 * ``peak_scratch_bytes`` must bound the packer's traced allocation peak, and
   the header and stream length are pinned before any band is packed, while
   the CRC waits for the last band.
-* A crafted stream whose last chunk stalls on its boundary must raise on
-  every decode path.
-* On both kernels: an unused window at the first, a
+* A crafted stream whose last chunk stalls on its boundary must raise in
+  every kernel: a walk alone, a shared walk and the per-tuple loop.
+* In every kernel: an unused window at the first, a
   middle or the last tuple of a full or a short tail chunk is rejected as
   the reference rejects it, unused windows the tail chunk's surplus walk
   reads are ignored, and symbols up to 65537 (W past ``uint16``),
   Kraft-incomplete and length-clamped tables decode like the reference.
 * The row walk's traced peak is bounded by its arrays: 2 B per tuple for
-  the window record, never an ``int64`` one.
+  the window record, never an ``int64`` one; and a batch of many small
+  streams holds the window tables of a few streams at a time.
 """
 
 from __future__ import annotations
 
+import functools
 import struct
 import tracemalloc
 import zlib
@@ -37,14 +44,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from huffman_reference import any_count, bit_matrix_bands, pinned_code_table
-from repro.compressors import huffman
-from repro.compressors.huffman import (
-    MAX_CODE_LENGTH,
-    ChunkBandProducer,
-    HuffmanCoder,
-    _decode_reference,
+from huffman_reference import (
+    any_count,
+    bit_matrix_bands,
+    decode_reference,
+    one_tuple_bomb,
+    pinned_code_table,
 )
+from repro.compressors import huffman
+from repro.compressors.huffman import MAX_CODE_LENGTH, ChunkBandProducer, HuffmanCoder
 
 _HEADER = struct.Struct("<IIBQII")  # lo, W, k, count, tuples per chunk, chunks
 
@@ -113,7 +121,7 @@ class TestPacker:
         bands = list(producer.bands())
         assert bands == bit_matrix_bands(symbols, producer.pinned_header)
         payload = producer.magic_and_crc() + producer.pinned_header + b"".join(bands)
-        np.testing.assert_array_equal(_decode_reference(payload), symbols)
+        np.testing.assert_array_equal(decode_reference(payload), symbols)
         np.testing.assert_array_equal(_decode_or_none(payload), symbols)
 
     @pytest.mark.parametrize("case, k", [
@@ -152,7 +160,7 @@ class TestPacker:
             assert producer.n_chunks == 1 and list(producer.bands()) == []
             payload = HuffmanCoder(64).encode(symbols)
             assert len(payload) == producer.stream_length < 600
-            np.testing.assert_array_equal(_decode_reference(payload), symbols)
+            np.testing.assert_array_equal(decode_reference(payload), symbols)
             np.testing.assert_array_equal(_decode_or_none(payload), symbols)
 
     def test_header_and_length_pinned_before_any_band(self):
@@ -203,18 +211,54 @@ class TestPacker:
         assert peak >= producer.peak_scratch_bytes // 2
 
 
+@functools.lru_cache(maxsize=None)
+def _companion(seed: int) -> bytes:
+    """A narrow stream (3 chunks of 1024 singles) to share a walk with."""
+    symbols = _symbols("skewed", 3000, 30, seed)
+    symbols[:2] = 0, 29
+    return HuffmanCoder().encode(symbols)
+
+
+@functools.lru_cache(maxsize=None)
+def _companion_symbols(seed: int) -> np.ndarray:
+    return decode_reference(_companion(seed))
+
+
+#: the ``_SHARED_WALK_CHUNKS`` and ``_MIN_VECTOR_CHUNKS`` that put a stream
+#: in each kernel: a walk of its own, one walk shared with every stream of
+#: its batch, or the per-tuple loop
+_KERNELS = {"alone": (1, 1), "shared": (1 << 30, 1), "scalar": (1 << 30, 1 << 30)}
+
+
+def _decode_in_walk(payload: bytes, kernel: str) -> "np.ndarray | None":
+    """:func:`_decode_or_none` with ``payload`` decoded by ``kernel``
+    (:data:`_KERNELS`), in a batch between two narrow companions."""
+    batch = [_companion(1), payload, _companion(2)]
+    line, crossover = _KERNELS[kernel]
+    with mock.patch.object(huffman, "_SHARED_WALK_CHUNKS", line), \
+            mock.patch.object(huffman, "_MIN_VECTOR_CHUNKS", crossover):
+        try:
+            decoded = HuffmanCoder().decode(batch, [any_count] * 3)
+        except ValueError:
+            return None
+    for seed, symbols in zip((1, 2), decoded[::2]):
+        np.testing.assert_array_equal(symbols, _companion_symbols(seed))
+    return decoded[1]
+
+
 class TestDecodeMatchesScalar:
     @settings(max_examples=80, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1),
-           n_chunks=st.integers(1, 3 * huffman._MIN_VECTOR_CHUNKS + 2),
+           n_chunks=st.integers(1, 3 * huffman._SHARED_WALK_CHUNKS + 2),
            chunk=st.integers(1, 64), tail=st.integers(1, 64),
            alphabet=st.integers(2, 120))
-    def test_both_sides_of_the_crossover(self, seed, n_chunks, chunk, tail,
-                                         alphabet):
+    def test_both_sides_of_the_grouping_line(self, seed, n_chunks, chunk, tail,
+                                             alphabet):
         # as many symbols as n_chunks chunks of the tuples the coder takes
         # for them, short of a whole last tuple by a seeded pad.  The first
         # tuple is all 0 and the last symbol is alphabet - 1, so W is the
-        # alphabet and a stream of two or more tuples uses two or more.
+        # alphabet and a stream of two or more tuples uses two or more.  A
+        # stream under the line shares its walk with two narrow companions.
         tuples = chunk * (n_chunks - 1) + min(tail, chunk)
         for k in huffman._tuple_sizes(alphabet):
             symbols = _symbols("skewed", tuples * k - seed % k, alphabet, seed)
@@ -227,19 +271,26 @@ class TestDecodeMatchesScalar:
         payload = HuffmanCoder(chunk_size=chunk).encode(symbols)
         head = HuffmanCoder._parse(payload, None)
         assert (head.k, head.bit_offsets.size) == (k, n_chunks)
-        reference = _decode_reference(payload)
+        reference = decode_reference(payload)
         np.testing.assert_array_equal(reference, symbols)
-        decoded = _decode_or_none(payload)
-        assert decoded is not None
-        np.testing.assert_array_equal(decoded, reference)
+        batch = [_companion(1), payload, _companion(2)]
+        decoded = HuffmanCoder().decode(batch, [any_count] * 3)
+        np.testing.assert_array_equal(decoded[0], _companion_symbols(1))
+        np.testing.assert_array_equal(decoded[1], reference)
+        np.testing.assert_array_equal(decoded[2], _companion_symbols(2))
+        walks = huffman._walks([huffman._Stream(i, HuffmanCoder._parse(p, None), None, None)
+                                for i, p in enumerate(batch)])
+        alone = [[s.index for s in walk] == [1] for walk in walks]
+        assert any(alone) == (n_chunks >= huffman._SHARED_WALK_CHUNKS)
 
     @settings(max_examples=120, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1),
-           n_chunks=st.integers(1, 3 * huffman._MIN_VECTOR_CHUNKS + 2),
+           n_chunks=st.integers(1, 3 * huffman._SHARED_WALK_CHUNKS + 2),
            chunk=st.integers(1, 64), alphabet=st.integers(2, 40),
-           flips=st.lists(st.integers(0, 10 ** 9), min_size=1, max_size=3))
-    def test_corrupt_bodies_rejected_like_scalar(self, seed, n_chunks, chunk,
-                                                 alphabet, flips):
+           flips=st.lists(st.integers(0, 10 ** 9), min_size=1, max_size=3),
+           kernel=st.sampled_from(sorted(_KERNELS)))
+    def test_corrupt_bodies_rejected_like_the_oracle(self, seed, n_chunks, chunk,
+                                                     alphabet, flips, kernel):
         symbols = _symbols("skewed", chunk * n_chunks, alphabet, seed)
         payload = bytearray(HuffmanCoder(chunk_size=chunk).encode(symbols))
         bits_at = HuffmanCoder._parse(bytes(payload), None).bits_at
@@ -251,10 +302,10 @@ class TestDecodeMatchesScalar:
             payload[bits_at + bit // 8] ^= 0x80 >> (bit % 8)
         mutated = _refresh_crc(bytes(payload))
         try:
-            expected = _decode_reference(mutated)
+            expected = decode_reference(mutated)
         except ValueError:
             expected = None
-        decoded = _decode_or_none(mutated)
+        decoded = _decode_in_walk(mutated, kernel)
         if expected is None:
             assert decoded is None
         else:
@@ -290,24 +341,26 @@ def _stalling_stream(n_chunks: int) -> bytes:
     return stream
 
 
-@pytest.mark.parametrize("n_chunks", [8, 64])
+@pytest.mark.parametrize("n_chunks", [8, 64, 304])
 class TestStalledChunkRejected:
     def test_scalar_reference(self, n_chunks):
         with pytest.raises(ValueError, match="corrupt Huffman stream"):
-            _decode_reference(_stalling_stream(n_chunks))
+            decode_reference(_stalling_stream(n_chunks))
 
-    def test_batch_decode(self, n_chunks):
-        with pytest.raises(ValueError, match="corrupt Huffman stream"):
-            HuffmanCoder().decode(_stalling_stream(n_chunks), any_count)
+    @pytest.mark.parametrize("kernel", sorted(_KERNELS))
+    def test_each_kernel_rejects(self, n_chunks, kernel):
+        # a walk's stalled chunk ends on its boundary, so only the unused
+        # window it stalls on gives it away; the loop runs into the boundary
+        batch = [_companion(1), _companion(2), _stalling_stream(n_chunks)]
+        line, crossover = _KERNELS[kernel]
+        match = "past its recorded boundary" if kernel == "scalar" else "no codeword"
+        with mock.patch.object(huffman, "_SHARED_WALK_CHUNKS", line), \
+                mock.patch.object(huffman, "_MIN_VECTOR_CHUNKS", crossover):
+            with pytest.raises(huffman.StreamError, match=match) as caught:
+                HuffmanCoder().decode(batch, [any_count] * len(batch))
+        assert caught.value.index == 2
 
-    def test_walk_itself_rejects(self, n_chunks):
-        # force the vectorized kernel even for the narrowest band
-        with mock.patch.object(huffman, "_MIN_VECTOR_CHUNKS", 1):
-            with pytest.raises(ValueError, match="no codeword"):
-                HuffmanCoder().decode(_stalling_stream(n_chunks), any_count)
 
-
-_KERNELS = {"walk": 1, "scalar": 1 << 30}  # the _MIN_VECTOR_CHUNKS forcing each
 _TOKENS = {0: "0", 1: "10", None: "11"}    # None writes an unused window
 
 
@@ -317,12 +370,6 @@ def _token_stream(chunks: "list[list]", pad: str = "0") -> bytes:
     no code covers."""
     return _crafted(["".join(_TOKENS[t] for t in tokens) for tokens in chunks],
                     [len(tokens) for tokens in chunks], pad)
-
-
-def _kernel_decode(payload: bytes, kernel: str) -> "np.ndarray | None":
-    """:func:`_decode_or_none` on ``kernel``."""
-    with mock.patch.object(huffman, "_MIN_VECTOR_CHUNKS", _KERNELS[kernel]):
-        return _decode_or_none(payload)
 
 
 @pytest.mark.parametrize("kernel", sorted(_KERNELS))
@@ -338,8 +385,8 @@ class TestKernelEdges:
         tokens[{"first": 0, "middle": len(tokens) // 2, "last": -1}[position]] = None
         payload = _token_stream(chunks)
         with pytest.raises(ValueError, match="corrupt Huffman stream"):
-            _decode_reference(payload)
-        assert _kernel_decode(payload, kernel) is None
+            decode_reference(payload)
+        assert _decode_in_walk(payload, kernel) is None
 
     def test_unused_windows_past_a_short_tail_are_ignored(self, kernel):
         chunks = [list(self.FULL) for _ in range(3)] + [list(self.TAIL)]
@@ -347,8 +394,8 @@ class TestKernelEdges:
         # the ones behind it, an unused window
         payload = _token_stream(chunks, pad="1")
         expected = np.array(sum(chunks, []))
-        np.testing.assert_array_equal(_decode_reference(payload), expected)
-        np.testing.assert_array_equal(_kernel_decode(payload, kernel), expected)
+        np.testing.assert_array_equal(decode_reference(payload), expected)
+        np.testing.assert_array_equal(_decode_in_walk(payload, kernel), expected)
 
     @pytest.mark.parametrize("chunk_size", [5000, 1250, 250])
     def test_alphabet_past_uint16(self, kernel, chunk_size):
@@ -359,8 +406,8 @@ class TestKernelEdges:
             rng.choice([65535, 65536, 65537], size=60)
         payload = HuffmanCoder(chunk_size=chunk_size).encode(symbols)
         assert pinned_code_table(payload[8:])[0]["width"] == 65538
-        np.testing.assert_array_equal(_decode_reference(payload), symbols)
-        np.testing.assert_array_equal(_kernel_decode(payload, kernel), symbols)
+        np.testing.assert_array_equal(decode_reference(payload), symbols)
+        np.testing.assert_array_equal(_decode_in_walk(payload, kernel), symbols)
 
     @pytest.mark.parametrize("chunk_size", [1 << 16, 2000, 512])
     def test_length_clamped_table(self, kernel, chunk_size):
@@ -368,16 +415,145 @@ class TestKernelEdges:
         producer = ChunkBandProducer(symbols, chunk_size)
         assert max(producer.code_lengths) == MAX_CODE_LENGTH
         payload = HuffmanCoder.assemble(producer)
-        np.testing.assert_array_equal(_decode_reference(payload), symbols)
-        np.testing.assert_array_equal(_kernel_decode(payload, kernel), symbols)
+        np.testing.assert_array_equal(decode_reference(payload), symbols)
+        np.testing.assert_array_equal(_decode_in_walk(payload, kernel), symbols)
 
     def test_kraft_incomplete_table(self, kernel):
         # the crafted codes "0" and "10" leave every window "11..." unused
         chunks = [list(self.FULL) for _ in range(20)] + [list(self.TAIL)]
         payload = _token_stream(chunks)
         expected = np.array(sum(chunks, []))
-        np.testing.assert_array_equal(_decode_reference(payload), expected)
-        np.testing.assert_array_equal(_kernel_decode(payload, kernel), expected)
+        np.testing.assert_array_equal(decode_reference(payload), expected)
+        np.testing.assert_array_equal(_decode_in_walk(payload, kernel), expected)
+
+
+@st.composite
+def _streams(draw) -> "tuple[np.ndarray, bytes]":
+    """``(symbols, payload)``: an empty, a one-tuple or a coded stream of 1
+    to 3 x 512 chunks of 1 to 8 tuples, over a drawn range and offset."""
+    kind = draw(st.sampled_from(["empty", "one-tuple", "coded", "coded"]))
+    lo = draw(st.sampled_from([0, 7, 65530]))
+    if kind == "empty":
+        return np.zeros(0, dtype=np.int64), HuffmanCoder().encode(np.zeros(0, dtype=np.int64))
+    n_chunks, chunk = draw(st.integers(1, 3 * 512)), draw(st.integers(1, 8))
+    size = n_chunks * chunk - draw(st.integers(0, chunk - 1))
+    if kind == "one-tuple":
+        symbols = np.full(size, lo + draw(st.integers(0, 40)), dtype=np.int64)
+    else:
+        alphabet = draw(st.integers(2, 300))
+        symbols = _symbols(draw(st.sampled_from(["uniform", "skewed"])), size, alphabet,
+                           draw(st.integers(0, 2 ** 32 - 1)), lo)
+    return symbols, HuffmanCoder(chunk_size=chunk).encode(symbols)
+
+
+class TestBatch:
+    @settings(max_examples=40, deadline=None)
+    @given(streams=st.lists(_streams(), min_size=1, max_size=8),
+           line=st.sampled_from([1, 16, huffman._SHARED_WALK_CHUNKS]),
+           crossover=st.sampled_from([1, huffman._MIN_VECTOR_CHUNKS]))
+    def test_batch_equals_the_oracle_stream_by_stream(self, streams, line, crossover):
+        payloads = [payload for _, payload in streams]
+        with mock.patch.object(huffman, "_SHARED_WALK_CHUNKS", line), \
+                mock.patch.object(huffman, "_MIN_VECTOR_CHUNKS", crossover):
+            decoded = HuffmanCoder().decode(payloads, [any_count] * len(payloads))
+        assert len(decoded) == len(streams)
+        for (symbols, payload), got in zip(streams, decoded):
+            np.testing.assert_array_equal(decode_reference(payload), symbols)
+            np.testing.assert_array_equal(got, symbols)
+            assert got.dtype == np.int32
+
+    def test_single_stream_is_a_batch_of_one(self):
+        payload = HuffmanCoder(chunk_size=64).encode(_symbols("skewed", 5000, 30, 4))
+        single = HuffmanCoder().decode(payload, any_count)
+        (batched,) = HuffmanCoder().decode([payload], [any_count])
+        np.testing.assert_array_equal(single, batched)
+
+    def test_many_streams_share_walks_a_few_at_a_time(self):
+        # 300 streams of 2 chunks: each would bring 768 KB of window tables
+        # to a walk, so a shared walk holds at most _SHARED_WALK_STREAMS
+        symbols = np.tile(np.arange(5), 10)
+        payloads = [HuffmanCoder(chunk_size=32).encode(symbols) for _ in range(300)]
+        streams = [huffman._Stream(i, HuffmanCoder._parse(p, None), None, None)
+                   for i, p in enumerate(payloads)]
+        walks = huffman._walks(streams)
+        assert max(len(walk) for walk in walks) == huffman._SHARED_WALK_STREAMS
+        coder = HuffmanCoder()
+        coder.decode(payloads[:20], [any_count] * 20)  # stocks the free lists
+        tracemalloc.start()
+        try:
+            decoded = coder.decode(payloads, [any_count] * len(payloads))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert all(np.array_equal(got, symbols) for got in decoded)
+        tables = huffman._SHARED_WALK_STREAMS * (12 << MAX_CODE_LENGTH)
+        assert peak < tables + (2 << 20)
+
+    def test_each_stream_needs_a_count_check(self):
+        payload = HuffmanCoder().encode(np.arange(10))
+        with pytest.raises(TypeError, match="2 streams need as many count checks"):
+            HuffmanCoder().decode([payload, payload], [any_count])
+
+
+def _batch(position: int, corrupt: bytes) -> "list[bytes]":
+    """Four streams of different shapes, ``corrupt`` at ``position``."""
+    batch = [HuffmanCoder(chunk_size=64).encode(_symbols("skewed", 3000, 20, 1)),
+             _companion(5),
+             HuffmanCoder().encode(_symbols("uniform", 1 << 17, 51, 2)),  # 128 chunks
+             HuffmanCoder().encode(np.full(500, 3))]
+    batch.insert(position, corrupt)
+    return batch
+
+
+def _flipped_stream() -> bytes:
+    """A stream with one code bit flipped (and the CRC re-stamped): the
+    first flip the oracle rejects."""
+    payload = HuffmanCoder(chunk_size=64).encode(_symbols("skewed", 4000, 12, 8))
+    bits_at = HuffmanCoder._parse(payload, None).bits_at
+    for bit in range(8 * (len(payload) - bits_at)):
+        flipped = bytearray(payload)
+        flipped[bits_at + bit // 8] ^= 0x80 >> (bit % 8)
+        mutated = _refresh_crc(bytes(flipped))
+        try:
+            decode_reference(mutated)
+        except ValueError:
+            return mutated
+    raise AssertionError("no flip of the code bits was rejected")
+
+
+def _at_most_a_million(count: int) -> None:
+    if count > 10 ** 6:
+        raise ValueError(f"{count} symbols declared, at most 1000000 expected")
+
+
+_CORRUPT = {
+    "cut": lambda: HuffmanCoder().encode(_symbols("skewed", 9000, 30, 3))[:-1],
+    "flip": _flipped_stream,
+    "stall": lambda: _stalling_stream(64),
+    "bomb": lambda: one_tuple_bomb(1 << 34),
+}
+
+
+@pytest.mark.parametrize("position", [0, 2, 4])
+@pytest.mark.parametrize("corruption", sorted(_CORRUPT))
+def test_corrupt_stream_in_a_batch_is_named(corruption, position):
+    batch = _batch(position, _CORRUPT[corruption]())
+    coder = HuffmanCoder()
+    checks = [_at_most_a_million] * len(batch)
+    with pytest.raises(huffman.StreamError, match="corrupt Huffman stream|symbols declared") \
+            as caught:
+        coder.decode(batch, checks)
+    assert caught.value.index == position
+    if corruption == "bomb":
+        # rejected with the headers, before any table, window or record
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="17179869184 symbols declared"):
+                coder.decode(batch, checks)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("alphabet, k", [(16, 1), (51, 2)])
@@ -389,10 +565,10 @@ def test_walk_peak_is_bounded_by_its_arrays(alphabet, k):
     phase.  The walk holds the bit windows (8 ``uint16`` per stream byte, built from
     ``uint32`` fields of 4 B per byte) plus the ``uint16`` window record.
     Once the windows are freed, the gather holds the record, the ``intp``
-    copy ``take`` makes of it and the ``int32`` ranks; the widening holds
-    those ranks, the ``int64`` output and one tile of gathered symbols.  With
-    4-bit codes an ``int64`` record beside the windows would exceed every
-    one of these phases.
+    copy ``take`` makes of it and the ``int32`` values; the widening holds
+    those values, the ``int32`` output and one tile of gathered symbols
+    (with the ``intp`` copy of its ranks).  With 4-bit codes an ``int64``
+    record beside the windows would exceed every one of these phases.
     """
     rng = np.random.default_rng(5)
     symbols = rng.integers(0, alphabet, size=1 << 16) if k == 1 else \
@@ -402,13 +578,13 @@ def test_walk_peak_is_bounded_by_its_arrays(alphabet, k):
     head = HuffmanCoder._parse(payload, None)
     assert head.k == k
     width, steps = head.bit_offsets.size, int(head.tuple_counts[0])
-    assert width >= huffman._MIN_VECTOR_CHUNKS
+    assert width >= 16
     n_bytes, n_tuples = len(payload) - head.bits_at, width * steps
     tile = width * min(steps, huffman._TRANSPOSE_STEPS)
     phases = {"windows": 20 * n_bytes,
               "walk": 16 * n_bytes + 2 * n_tuples,
               "gather": (2 + 8 + 4) * n_tuples,
-              "widen": (4 + 8 * k) * n_tuples + (8 + 8 * k) * tile}
+              "widen": (4 + 4 * k) * n_tuples + (8 + 4 * k) * tile}
     tables = 12 << MAX_CODE_LENGTH
     bound = max(phases.values()) + tables + (64 << 10)  # + header arrays, ufunc buffers
     coder = HuffmanCoder()

@@ -7,13 +7,8 @@ import zlib
 import numpy as np
 import pytest
 
-from huffman_reference import any_count, one_tuple_bomb
-from repro.compressors.huffman import (
-    DEFAULT_CHUNK_TUPLES,
-    MAX_CODE_LENGTH,
-    HuffmanCoder,
-    _decode_reference,
-)
+from huffman_reference import any_count, decode_reference, one_tuple_bomb
+from repro.compressors.huffman import DEFAULT_CHUNK_TUPLES, MAX_CODE_LENGTH, HuffmanCoder
 
 _HEADER = struct.Struct("<IIBQII")  # lo, W, k, count, tuples per chunk, chunks
 _PREFIX_LEN = 8
@@ -160,7 +155,7 @@ class TestChunkedFormat:
         symbols = _distributions()[name]
         coder = HuffmanCoder(chunk_size=1024)
         payload = coder.encode(symbols)
-        reference = _decode_reference(payload)
+        reference = decode_reference(payload)
         np.testing.assert_array_equal(reference, symbols)
         np.testing.assert_array_equal(coder.decode(payload, any_count), reference)
 
@@ -170,7 +165,7 @@ class TestChunkedFormat:
         codes = np.random.default_rng(0).integers(0, 80, size=1500).astype(np.int64)
         payload = HuffmanCoder(chunk_size=chunk).encode(codes)
         assert _parse_header(payload)["chunk"] <= chunk
-        np.testing.assert_array_equal(_decode_reference(payload), codes)
+        np.testing.assert_array_equal(decode_reference(payload), codes)
         np.testing.assert_array_equal(HuffmanCoder().decode(payload, any_count), codes)
 
     def test_invalid_construction_rejected(self):
@@ -365,7 +360,7 @@ class TestHuf4Rules:
     def test_padded_tuples_round_trip(self, tuples):
         symbols, payload = tuples
         np.testing.assert_array_equal(HuffmanCoder().decode(payload, any_count), symbols)
-        np.testing.assert_array_equal(_decode_reference(payload), symbols)
+        np.testing.assert_array_equal(decode_reference(payload), symbols)
 
     def test_empty_stream_fields_are_fixed(self):
         payload = HuffmanCoder().encode(np.zeros(0, dtype=np.int64))

@@ -3,7 +3,8 @@ a reference array that the decoder holds too.
 
 * The oracle: on random tensors with zero-grid outliers, NaN and +-inf,
   non-finite and out-of-radius reference values, values whose index delta
-  leaves the radius, and ragged last blocks, in one tile and in several,
+  leaves the radius, and ragged last blocks whose final value may escape
+  (its padded copies store no outlier), in one tile and in several,
   the body is the whole-array oracle's byte for byte
   (``sz2_reference.py``), and its reconstruction is the zero grid's bit for
   bit.
@@ -49,9 +50,6 @@ def _case(length: int, dtype, seed: int) -> "tuple[np.ndarray, np.ndarray]":
     reference = rng.normal(0.0, 0.04, length)
     data = reference + rng.normal(0.0, 0.002, length)
     picks = rng.random(length)
-    # the ragged last block repeats the final value: keep it a plain one, so
-    # that the padding does not multiply an escape
-    picks[-1] = 1.0
     # |q(x) - q(ref)| past the radius while both indices stay inside it
     jump = picks < 0.03
     sign = np.where(rng.random(length) < 0.5, -1.0, 1.0)[jump]
@@ -107,7 +105,8 @@ def test_reference_grid_matches_oracle_and_zero_grid(length, block_size, dtype, 
 ])
 def test_padded_tail_repeats_the_final_values(length, last, last_reference):
     # the ragged last block is padded with the data's and the reference's
-    # final values, escapes included, on both sides
+    # final values on both sides; a padded position that escapes is coded
+    # as a zero residual and stores no outlier
     comp = SZ2Compressor(_BOUND, mode="abs", quantizer_radius=_RADIUS)
     data, reference = _case(length, np.float64, seed=length)
     data[-1], reference[-1] = last, last_reference
@@ -116,6 +115,28 @@ def test_padded_tail_repeats_the_final_values(length, last, last_reference):
     assert _bits(comp.decompress(payload, reference)) == _bits(zero_grid)
     coded = comp.compress(data, reference)
     assert coded == reference_compress(comp, data, _predictor(comp, coded), reference)
+
+
+@pytest.mark.parametrize("length", [2000, 2 * _TILE + 2000])
+@pytest.mark.parametrize("with_reference", [False, True])
+def test_escaping_final_value_is_stored_once(length, with_reference):
+    # the last block holds 2000 % 128 = 80 values and 48 pads, all copies
+    # of a final value past the radius: one outlier, not 49
+    comp = SZ2Compressor(_BOUND, mode="abs", quantizer_radius=_RADIUS)
+    data = np.random.default_rng(length).normal(0.0, 0.01, length)
+    data[-1] = 5.0
+    reference = data + 0.0005 if with_reference else None
+    _, flat, abs_bound = comp._encode_prelude(data)
+    _, codes, suffix = comp._body_parts(flat, abs_bound, reference)
+    assert struct.unpack_from("<Q", suffix[0])[0] == 1
+    assert np.count_nonzero(codes == 0) == 1
+    assert np.all(codes[length:] == _RADIUS + 1)  # a zero residual
+    payload = comp.compress(data, reference)
+    predictor = _predictor(comp, payload)
+    assert predictor == (REFERENCE if with_reference else ZERO)
+    assert payload == reference_compress(comp, data, predictor, reference)
+    recon = comp.decompress(payload, reference)
+    assert recon[-1] == 5.0 and np.max(np.abs(recon - data)) <= _BOUND
 
 
 @pytest.mark.parametrize("length", [1000, 2 * _TILE + 77])
