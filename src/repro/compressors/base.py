@@ -31,6 +31,7 @@ _MAX_DECODED_BYTES = 1 << 34
 __all__ = [
     "ErrorBoundMode",
     "ErrorBound",
+    "value_range",
     "Compressor",
     "LossyCompressor",
     "OpenedPayload",
@@ -55,8 +56,9 @@ class ErrorBound:
     mode: ErrorBoundMode = ErrorBoundMode.REL
 
     def __post_init__(self) -> None:
-        if self.value <= 0:
-            raise ValueError(f"error bound must be positive, got {self.value}")
+        # a non-finite bound would write a header its decoder rejects
+        if not 0 < self.value < math.inf:
+            raise ValueError(f"error bound must be positive and finite, got {self.value}")
 
     def absolute(self, data: np.ndarray) -> float:
         """Resolve the bound to an absolute tolerance for ``data``.
@@ -70,11 +72,39 @@ class ErrorBound:
         data = np.asarray(data)
         if data.size == 0:
             return float(self.value)
-        value_range = float(np.max(data) - np.min(data))
-        if value_range == 0.0:
-            scale = max(abs(float(data.flat[0])), 1.0)
+        return self.resolve(np.min(data), np.max(data))
+
+    def resolve(self, lo, hi) -> float:
+        """:meth:`absolute` for a tensor whose smallest value is ``lo`` and
+        largest is ``hi`` (scalars of its dtype); a REL bound over a
+        non-finite range raises :class:`ValueError` (see :func:`value_range`)."""
+        if self.mode is ErrorBoundMode.ABS:
+            return float(self.value)
+        span = value_range(lo, hi)
+        if span == 0.0:
+            scale = max(abs(float(lo)), 1.0)
             return float(self.value) * scale * 1e-6
-        return float(self.value) * value_range
+        return float(self.value) * span
+
+
+def value_range(lo, hi) -> float:
+    """``hi - lo`` for a tensor's smallest and largest values, as a float.
+
+    The difference is taken in the values' own dtype, so a float32 tensor's
+    range keeps the bits it always had; only when that overflows (a float32
+    range past 3.4e38) is it redone in float64.  A range that is still not
+    finite -- a float64 overflow, or NaN or infinite values -- raises
+    :class:`ValueError`: no REL bound can be resolved against it, and a
+    non-finite bound would write a payload its own decoder rejects.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        span = float(hi - lo)
+    if math.isinf(span):
+        span = float(hi) - float(lo)
+    if not math.isfinite(span):
+        raise ValueError(f"a REL error bound needs a finite value range, but "
+                         f"the data spans {float(lo)!r} to {float(hi)!r}")
+    return span
 
 
 @dataclass
@@ -197,8 +227,10 @@ class LossyCompressor(Compressor):
                           reference: "np.ndarray | None" = None) -> bytes:
         """Compress a contiguous 1-D float array under an absolute bound.
 
-        ``reference`` is ``None`` or a flat array of ``data``'s size in the
-        tensor's dtype, which the decoder will hold too.
+        ``data`` is in the tensor's own dtype (float32 or float64), and the
+        body widens what its arithmetic needs.  ``reference`` is ``None`` or
+        a flat array of ``data``'s size in the tensor's dtype, which the
+        decoder will hold too.
         """
 
     def _decompress_float1d(self, body: memoryview, count: int, abs_bound: float,
@@ -229,25 +261,36 @@ class LossyCompressor(Compressor):
     def _encode_prelude(self, data: np.ndarray) -> tuple[bytes, np.ndarray, float]:
         """Resolve the bound and build the shared container header.
 
-        Returns ``(header, flat_float64, abs_bound)``: the bound resolution,
-        ULP shaving and shape record happen before any body byte exists.
+        Returns ``(header, flat, abs_bound)``: the bound resolution, ULP
+        shaving and shape record happen before any body byte exists.
+        ``flat`` is the tensor as a contiguous 1-D array in its own dtype
+        (float32 or float64; any other dtype is cast to float32), not a
+        float64 copy: each body widens what its own arithmetic needs, per
+        tile or per level, so its bytes are those of the widened tensor.
+        The REL bound and the float32 ULP shave both come from one min and
+        one max (``max|x| = max(|min|, |max|)``).
         """
         data = np.asarray(data)
         if data.dtype not in self._DTYPE_CODES:
             data = data.astype(np.float32)
         flat = np.ascontiguousarray(data).ravel()
-        abs_bound = self.error_bound.absolute(flat) if flat.size else float(self.error_bound.value)
-        if data.dtype == np.dtype(np.float32) and flat.size:
-            # Reconstruction happens in float64 but is returned in the input
-            # dtype; shave one float32 ULP off the internal bound so the final
-            # cast cannot push the error past the user-facing guarantee.
-            ulp_margin = float(np.max(np.abs(flat))) * 2.0 ** -23
-            if abs_bound > 2 * ulp_margin:
-                abs_bound -= ulp_margin
+        is_f32 = data.dtype == np.dtype(np.float32)
+        abs_bound = float(self.error_bound.value)
+        if flat.size and (is_f32 or self.error_bound.mode is ErrorBoundMode.REL):
+            lo, hi = flat.min(), flat.max()
+            abs_bound = self.error_bound.resolve(lo, hi)
+            if is_f32:
+                # Reconstruction happens in float64 but is returned in the
+                # input dtype; shave one float32 ULP off the internal bound so
+                # the final cast cannot push the error past the user-facing
+                # guarantee.
+                ulp_margin = max(abs(float(lo)), abs(float(hi))) * 2.0 ** -23
+                if abs_bound > 2 * ulp_margin:
+                    abs_bound -= ulp_margin
         header = struct.pack("<BB", self._DTYPE_CODES[data.dtype], data.ndim)
         header += struct.pack(f"<{data.ndim}Q", *data.shape) if data.ndim else b""
         header += struct.pack("<d", abs_bound)
-        return header, flat.astype(np.float64, copy=False), abs_bound
+        return header, flat, abs_bound
 
     def compress(self, data: np.ndarray,
                  reference: "np.ndarray | None" = None) -> bytes:

@@ -19,6 +19,12 @@ Thomas, *Elements of Information Theory*, section 5.4), which matters for
 quantization codes whose most frequent symbol has ``p`` near 0.4, and the
 decoder's row walk yields ``k`` symbols per step.
 
+The encoder reads the symbols in their own integer dtype (SZ2 and SZ3 hand
+it ``int32`` codes) and makes no widened copy of them: the ``intp`` tuple
+indices come straight from the symbols (:func:`_tuple_indices`), each tuple's
+code and length share one ``int32`` table entry, and the bits are packed in
+``int32`` (:func:`_pack_codes`).
+
 Bitstream format (HUF4)
 -----------------------
 
@@ -675,50 +681,49 @@ def _parse_header(view: memoryview, check_count: "Callable[[int], None] | None")
                    bits_at + ((int(chunk_ends[-1]) + 7) >> 3))
 
 
-#: Bytes of packing scratch per tuple of a group: the int64 codes, lengths,
-#: end bits and start bytes :func:`_pack_codes` holds at once (the float64
-#: copy of the weights :func:`numpy.bincount` makes takes the place of the
-#: two it has freed by then).
-_PACK_SCRATCH_PER_TUPLE = 32
+#: Bytes of packing scratch per tuple of a group: the ``int32`` fields and
+#: positions :func:`_pack_codes` is handed, the ``intp`` start bytes and the
+#: float64 copy of the fields that :func:`numpy.bincount` makes.
+_PACK_SCRATCH_PER_TUPLE = 24
 #: Bytes of packing scratch per output byte of a group: the float64 field
-#: sums, then the uint32 fields plus two uint32 lanes, and the uint8 result
-#: with the band copies cut from it.
-_PACK_SCRATCH_PER_BYTE = 16
+#: sums with their ``uint32`` cast, then the cast and the ``uint8`` result,
+#: and the band copies cut from it.
+_PACK_SCRATCH_PER_BYTE = 14
 
 
-def _pack_codes(codes: np.ndarray, lengths: np.ndarray, lead: int) -> np.ndarray:
-    """Pack ``codes`` of ``lengths`` bits MSB-first behind ``lead`` zero bits.
+def _pack_codes(fields: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    """Pack tuple codes MSB-first into bytes.
+
+    ``fields`` holds each tuple's code left-aligned in a 24-bit field (the
+    code shifted left by ``24 - length``, see :class:`ChunkBandProducer`),
+    and ``positions`` (``int32``) is one longer: the lead bits before the
+    first code, then each code's length.
 
     A code of at most 16 bits starting at bit ``s`` lies inside the 24-bit
-    big-endian field of bytes ``s >> 3`` to ``(s >> 3) + 2``.  Shifted into
-    that field, the codes starting in one byte never overlap, so their sum is
-    their OR: :func:`numpy.bincount` adds up one field per start byte (exact
-    in float64, every sum is below ``2**24``), and each output byte ORs the
-    high, middle and low 8 bits of the fields starting 0, 1 and 2 bytes
-    earlier.  Returns ``ceil((lead + sum(lengths)) / 8)`` bytes.  Both int64
-    arguments are overwritten.
+    big-endian field of bytes ``s >> 3`` to ``(s >> 3) + 2``: its field
+    shifted right by ``s & 7``.  That stays below ``2**24``, so nothing
+    needs more than ``int32``; a group's bit offsets, at most 16 bits per
+    tuple of ``max(_PACK_GROUP_TUPLES, tuples / _TARGET_CHUNKS)``, stay far
+    below ``2**31`` too.  The codes starting in one byte never overlap, so
+    their sum is their OR: :func:`numpy.bincount` adds up one field per
+    start byte (exact in float64), and output byte ``j`` ORs the high,
+    middle and low bytes of the sums starting at ``j``, ``j - 1`` and
+    ``j - 2``.  Returns ``ceil(total bits / 8)`` bytes.  Both arguments are
+    overwritten.
     """
-    ends = np.cumsum(lengths)
-    ends += lead
-    n_bytes = (int(ends[-1]) + 7) >> 3
-    heads = ends - lengths
-    heads >>= 3
-    # the shift into the field is 24 - (start & 7) - length = 24 + 8 * head - end
-    np.left_shift(heads, 3, out=lengths)
-    lengths += 24
-    lengths -= ends
-    codes <<= lengths
-    del ends, lengths
-    fields = np.zeros(n_bytes + 2, dtype=np.uint32)
-    fields[2:] = np.bincount(heads, weights=codes, minlength=n_bytes)
-    del heads, codes
-    packed = fields[2:] >> 16
-    lane = fields[1:-1] >> 8
-    lane &= 0xFF
-    packed |= lane
-    np.bitwise_and(fields[:-2], 0xFF, out=lane)
-    packed |= lane
-    return packed.astype(np.uint8)
+    np.cumsum(positions, out=positions)       # each code's start bit, then the end
+    n_bytes = (int(positions[-1]) + 7) >> 3
+    starts = positions[:-1]
+    heads = np.right_shift(starts, 3, dtype=np.intp)
+    np.bitwise_and(starts, 7, out=starts)
+    fields >>= starts
+    sums = np.bincount(heads, weights=fields, minlength=n_bytes).astype("<u4")
+    del heads
+    lanes = sums.view(np.uint8)               # little-endian: byte m of sum j at 4j + m
+    packed = lanes[2::4].copy()
+    packed[1:] |= lanes[1::4][:-1]
+    packed[2:] |= lanes[0::4][:-2]
+    return packed
 
 
 class _Code(NamedTuple):
@@ -749,19 +754,33 @@ def _price(k: int, hist: np.ndarray, width: int, count: int, chunk_size: int) ->
     return _Code(k, used, lengths, chunk, n_chunks, length)
 
 
-def _tuple_indices(rel: np.ndarray, width: int, k: int) -> np.ndarray:
-    """Tuple indices of ``rel`` (symbols minus ``lo``), padding with 0."""
+def _tuple_indices(symbols: np.ndarray, lo: int, width: int, k: int) -> np.ndarray:
+    """The ``intp`` tuple indices of ``symbols`` over ``[lo, lo + width)``,
+    the last tuple padded with ``lo``.
+
+    The indices come straight from the symbols, ``sum s_i * W**(k-1-i)``
+    with the offset ``lo * (W**k - 1) / (W - 1)`` subtracted once, so no
+    copy of the symbols minus ``lo`` is made.  Every partial sum stays below
+    ``2**32 * W**k <= 2**44``.
+    """
+    n_tuples = -(-symbols.size // k)
+    full = symbols.size // k
+    index = np.empty(n_tuples, dtype=np.intp)
+    rows = symbols[:full * k].reshape(full, k)
+    head = index[:full]
     if k == 1:
-        return rel
-    n_tuples = -(-rel.size // k)
-    if n_tuples * k != rel.size:
-        rel = np.concatenate([rel, np.zeros(n_tuples * k - rel.size, dtype=np.int64)])
-    rows = rel.reshape(n_tuples, k)
-    index = rows[:, 0] * width
-    for i in range(1, k - 1):
-        index += rows[:, i]
-        index *= width
-    index += rows[:, k - 1]
+        np.subtract(rows[:, 0], lo, out=head, dtype=np.intp)
+    else:
+        np.multiply(rows[:, 0], width, out=head, dtype=np.intp)
+        for i in range(1, k - 1):
+            np.add(head, rows[:, i], out=head, dtype=np.intp)
+            head *= width
+        np.add(head, rows[:, k - 1], out=head, dtype=np.intp)
+        head -= lo * sum(width ** i for i in range(k))
+    if full < n_tuples:
+        tail = [int(v) - lo for v in symbols[full * k:]]
+        tail += [0] * (k - len(tail))
+        index[-1] = sum(v * width ** (k - 1 - i) for i, v in enumerate(tail))
     return index
 
 
@@ -809,10 +828,9 @@ class ChunkBandProducer:
         if hi > 0xFFFFFFFF:
             raise ValueError("Huffman symbols must be below 2**32 (stored as u32)")
         width = hi - lo + 1
-        rel = np.subtract(symbols, lo, dtype=np.int64)
         sizes = _tuple_sizes(width)
         k_top = sizes[-1]
-        index = _tuple_indices(rel, width, k_top)
+        index = _tuple_indices(symbols, lo, width, k_top)
         hist = np.bincount(index, minlength=width ** k_top)
         code = _price(k_top, hist, width, count, chunk_size)
         if len(sizes) > 1:
@@ -824,8 +842,9 @@ class ChunkBandProducer:
             single = _price(1, singles, width, count, chunk_size)
             saved_steps = count - index.size
             if (code.stream_length - single.stream_length) * _STEPS_PER_BYTE > saved_steps:
-                code, index = single, rel
-        del rel, hist
+                del index  # before the singles' indices exist
+                code, index = single, _tuple_indices(symbols, lo, width, 1)
+        del hist
         self._index = index
         self.k = k = code.k
         self._chunk = chunk = code.chunk
@@ -833,17 +852,27 @@ class ChunkBandProducer:
         self.stream_length = code.stream_length
         self.code_lengths = code.lengths.astype(np.uint8).tobytes()
 
-        # per tuple index: its canonical code and length (dense over W**k)
-        self._codes = np.zeros(width ** k, dtype=np.int64)
-        self._lengths = np.zeros(width ** k, dtype=np.int64)
-        if code.used.size > 1:
-            order, left = _canonical(code.lengths)
-            self._codes[code.used[order]] = left >> (MAX_CODE_LENGTH - code.lengths[order])
-            self._lengths[code.used] = code.lengths
+        # per tuple index (dense over W**k), one int32 entry: its canonical
+        # code left-aligned in a 24-bit field (code << (24 - length), the
+        # 16-bit left-aligned code << 8), with its length in the low byte,
+        # which the field leaves clear
+        self._entries = np.zeros(width ** k, dtype=np.int32)
         n_tuples = index.size
-        starts = np.arange(0, n_tuples, chunk, dtype=np.int64)
-        chunk_bits = np.add.reduceat(self._lengths.astype(np.uint8)[index], starts,
-                                     dtype=np.int64)
+        chunk_bits = np.zeros(self.n_chunks, dtype=np.int64)
+        if code.used.size > 1:  # a lone tuple spends no bits
+            order, left = _canonical(code.lengths)
+            self._entries[code.used[order]] = left << 8
+            lengths = np.zeros(width ** k, dtype=np.uint8)
+            lengths[code.used] = code.lengths
+            self._entries |= lengths
+            # every chunk but the last holds `chunk` tuples: a row sum each,
+            # which casts as it reads (reduceat would copy the tuples to int64)
+            tuple_bits = lengths.take(index)
+            whole = n_tuples // chunk
+            tuple_bits[:whole * chunk].reshape(whole, chunk).sum(
+                axis=1, dtype=np.int64, out=chunk_bits[:whole])
+            if whole < self.n_chunks:
+                chunk_bits[-1] = tuple_bits[whole * chunk:].sum(dtype=np.int64)
         self._chunk_ends = chunk_ends = np.cumsum(chunk_bits)
         self._total_bits = total_bits = int(chunk_ends[-1])
 
@@ -887,7 +916,12 @@ class ChunkBandProducer:
             for g0 in range(0, self.n_chunks, self._group):
                 g1 = min(g0 + self._group, self.n_chunks)
                 index = self._index[g0 * self._chunk:g1 * self._chunk]
-                packed = _pack_codes(self._codes[index], self._lengths[index], bit0 & 7)
+                fields = self._entries.take(index)
+                positions = np.empty(index.size + 1, dtype=np.int32)
+                positions[0] = bit0 & 7
+                np.bitwise_and(fields, 0xFF, out=positions[1:])
+                fields &= -0x100
+                packed = _pack_codes(fields, positions)
                 packed[0] |= carry
                 lo = 0
                 for hi in cuts[g0:g1] - (bit0 >> 3):

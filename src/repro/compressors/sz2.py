@@ -55,17 +55,20 @@ float64, so the decoder writes what the zero grid would.
 
 Both directions walk the tensor in tiles of :data:`_TILE_BLOCKS` blocks, so
 every NumPy pass touches a cache-sized slice and no full-size float64
-prediction or work array exists.  Per hybrid tile the encoder computes the
-block means once, fits the regression slope and intercept, rounds all
-coefficients to float32, scores both block predictors with those float32
-coefficients (the decoder sees nothing else), selects per block, builds the
-chosen predictions in place and quantizes into the tensor's code array; the
-decoder rebuilds a tile's predictions and dequantizes it straight into the
-output dtype.  A zero tile is quantized, and dequantized, with no prediction
-array at all.  Every per-row reduction and element-wise float64 operation is
-the one the whole-array formulation runs, on the same values, so the bytes do
-not depend on the tile size (``tests/sz2_reference.py`` keeps the whole-array
-oracle of both modes).
+prediction, work or data array exists: the encoder reads the tensor in its
+own dtype and writes one ``int32`` code array.  Per hybrid tile the encoder
+widens the tile to float64 in scratch, computes the block means once, fits
+the regression slope and intercept, rounds all coefficients to float32,
+scores both block predictors with those float32 coefficients (the decoder
+sees nothing else), selects per block, builds the chosen predictions in
+place and quantizes into the tensor's code array; the decoder rebuilds a
+tile's predictions and dequantizes it straight into the output dtype.  A
+zero or reference-grid tile goes to the quantizer as it is (a float32 view
+of a float32 tensor), and is dequantized, with no prediction array at all.
+Every per-row reduction and element-wise float64 operation is the one the
+whole-array formulation runs, on the same values, so the bytes do not
+depend on the tile size or the tensor's dtype (``tests/sz2_reference.py``
+keeps the whole-array oracle of every mode).
 
 Payload body layout (after the :class:`~repro.compressors.base.LossyCompressor`
 header)::
@@ -100,6 +103,7 @@ the outlier tail, where ``count`` comes from the container header.  Any mismatch
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import struct
 from typing import NamedTuple
@@ -152,6 +156,10 @@ _SAMPLE_BLOCKS = 64
 #: tensors whose zero body was smaller (5.5 KB in all), 0 bits on 12 (132 B).
 _ZERO_MARGIN_BITS = 0
 
+#: The largest quantizer radius SZ2 codes with.  Codes are ``int32``, and the
+#: reference grid's ``q + radius + 1 - r`` reaches ``3 * radius + 1``.
+_MAX_RADIUS = (np.iinfo(np.int32).max - 1) // 3
+
 
 class SZ2Compressor(LossyCompressor):
     """Blockwise hybrid- or zero-prediction error-bounded compressor (SZ2 style)."""
@@ -165,6 +173,8 @@ class SZ2Compressor(LossyCompressor):
         super().__init__(error_bound, mode)
         if block_size < 2:
             raise ValueError("block_size must be >= 2")
+        if quantizer_radius > _MAX_RADIUS:
+            raise ValueError(f"quantizer_radius must be at most {_MAX_RADIUS}")
         self.block_size = int(block_size)
         self.quantizer = LinearQuantizer(quantizer_radius)
         # entropy_chunk caps the tuples per Huffman chunk
@@ -200,7 +210,7 @@ class SZ2Compressor(LossyCompressor):
         use_regression = np.empty(n_blocks, dtype=bool)
         first_coef = np.empty(n_blocks, dtype=np.float32)  # mean or intercept
         slope_coef = np.empty(n_blocks, dtype=np.float32)
-        codes = np.empty(n_blocks * bs, dtype=np.int64)
+        codes = np.empty(n_blocks * bs, dtype=np.int32)
 
         # Score the predictors on the same blocks: a one-tile tensor whole
         # (so the winner's codes are the body's), a larger one on
@@ -302,6 +312,9 @@ class SZ2Compressor(LossyCompressor):
         predictor = _check_predictor(predictor)
         if predictor == _REFERENCE:
             reference = _check_reference(reference, count, dtype)
+            if radius > _MAX_RADIUS:
+                raise ValueError(f"corrupt sz2 body: radius {radius} is past the "
+                                 f"reference grid's {_MAX_RADIUS}")
         use_regression = coefficients = None
         if predictor == _HYBRID:
             (sel_len,) = struct.unpack_from("<Q", body, offset)
@@ -441,6 +454,7 @@ class _BlockFit:
         self.idx_mean = self.idx.mean()
         self.centred = self.idx - self.idx_mean
         self.idx_var = float((self.centred ** 2).sum())
+        self.wide = np.empty((rows, block_size))
         self.work = np.empty((rows, block_size))
         self.pred = np.empty((rows, block_size))
         self.mean, self.slope, self.intercept, self.mean_sse, self.reg_sse = np.empty((5, rows))
@@ -451,10 +465,14 @@ class _BlockFit:
 
         The selection goes to ``use_regression``, each row's mean or
         intercept to ``first`` and its slope to ``slope`` (float32, as
-        stored).  The returned view of the scratch is valid until the next
-        call.
+        stored).  A float32 tile is widened into scratch first, so the fits
+        run the float64 arithmetic of a float64 tile.  The returned view of
+        the scratch is valid until the next call.
         """
         r = tile.shape[0]
+        if tile.dtype != np.float64:
+            np.copyto(self.wide[:r], tile)
+            tile = self.wide[:r]
         w, p = self.work[:r], self.pred[:r]
         m, s, i = self.mean[:r], self.slope[:r], self.intercept[:r]
         # Values near the float64 extremes overflow the float32 coefficient
@@ -493,8 +511,8 @@ class _BlockFit:
 
 def _tiles(data: np.ndarray, block_size: int):
     """Yield ``(first block, end block, tile)`` over ``data`` in tiles of
-    :data:`_TILE_BLOCKS` blocks; the ragged last block is padded with the
-    final value."""
+    :data:`_TILE_BLOCKS` blocks, in ``data``'s dtype; the ragged last block
+    is padded with the final value."""
     n = data.size
     n_blocks = -(-n // block_size)
     for b0 in range(0, n_blocks, _TILE_BLOCKS):
@@ -503,7 +521,7 @@ def _tiles(data: np.ndarray, block_size: int):
         if hi <= n:
             tile = data[lo:hi]
         else:
-            tile = np.empty(hi - lo)
+            tile = np.empty(hi - lo, dtype=data.dtype)
             tile[: n - lo] = data[lo:]
             tile[n - lo:] = data[-1]
         yield b0, b1, tile.reshape(b1 - b0, block_size)
@@ -526,9 +544,7 @@ def _pad_without_escapes(quant: QuantizationResult, real: int,
         return quant
     pad[escaped] = radius + 1
     # outliers are in position order, so the pad's come last
-    return QuantizationResult(codes=quant.codes,
-                              outliers=quant.outliers[:quant.outliers.size - n_escaped],
-                              reconstructed=quant.reconstructed)
+    return dataclasses.replace(quant, outliers=quant.outliers[:quant.outliers.size - n_escaped])
 
 
 def _estimated_bits(quant: QuantizationResult, scale: float) -> float:
@@ -570,15 +586,17 @@ def _recode(zero: QuantizationResult, index: np.ndarray, radius: int,
     zero-grid outlier stays a verbatim outlier, and a value whose
     ``q - index`` leaves the radius escapes with code 0 and its zero-grid
     reconstruction ``2 * bound * q`` as the outlier, so the decoder writes
-    what the zero grid would.  ``out`` may be ``zero.codes`` itself.
+    what the zero grid would.  ``out`` may be ``zero.codes`` itself.  The
+    codes are ``int32``: they reach ``3 * radius + 1`` at most
+    (:data:`_MAX_RADIUS`).  The result has no reconstruction of its own.
     """
     escape = zero.codes == 0
+    reconstructed = zero.reconstructed  # built from the codes `out` overwrites
     codes = np.subtract(zero.codes, index, out=out)
     escape |= codes < 1
     escape |= codes > 2 * radius + 1
     codes[escape] = 0
-    return QuantizationResult(codes=codes, outliers=zero.reconstructed[escape],
-                              reconstructed=zero.reconstructed)
+    return QuantizationResult(codes, reconstructed[escape])
 
 
 def _check_predictor(predictor: int) -> int:

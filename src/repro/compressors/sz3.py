@@ -95,6 +95,8 @@ class SZ3Compressor(LossyCompressor):
 
         # The decoder only sees the stored anchors; reconstruct from the same
         # values here so both sides run identical interpolation arithmetic.
+        # Each level reads its values in the tensor's dtype and its
+        # predictions from this float64 reconstruction.
         reconstructed = np.zeros(n, dtype=np.float64)
         reconstructed[anchors_idx] = anchors.astype(np.float64)
 
@@ -107,7 +109,7 @@ class SZ3Compressor(LossyCompressor):
             code_chunks.append(quant.codes)
             outlier_chunks.append(quant.outliers)
 
-        codes = np.concatenate(code_chunks) if code_chunks else np.zeros(0, dtype=np.int64)
+        codes = np.concatenate(code_chunks) if code_chunks else np.zeros(0, dtype=np.int32)
         outliers = np.concatenate(outlier_chunks) if outlier_chunks else np.zeros(0, dtype=np.float64)
 
         prefix = [struct.pack("<QIB", n, self.quantizer.radius, 0 if f32_ok else 1),

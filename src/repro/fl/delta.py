@@ -67,11 +67,13 @@ process pools stay bit-identical to the serial path.
 
 from __future__ import annotations
 
+import math
 import struct
 from collections import OrderedDict
 
 import numpy as np
 
+from repro.compressors.base import value_range
 from repro.core.network import NetworkModel
 from repro.fl.codec import FedSZUpdateCodec, UpdateCodec
 from repro.utils.serialization import pack_arrays, unpack_arrays
@@ -133,10 +135,12 @@ def ef_residual(state: dict, reference: dict,
                 acc: "dict | None") -> "OrderedDict[str, np.ndarray]":
     """The residual dict a client ships: ``(state − reference) + acc``.
 
-    Float tensors subtract in float64, add the float64 accumulator, and cast
-    back to the state dtype so the wire dict is shaped and typed exactly like
-    a full state (the inner codec plans it identically).  Non-float tensors
-    difference in native dtype (wraparound-exact, no accumulator).
+    Float tensors subtract in float64 (one ufunc that widens as it reads,
+    no widened copy of either operand), add the float64 accumulator in
+    place, and cast back to the state dtype so the wire dict is shaped and
+    typed exactly like a full state (the inner codec plans it identically).
+    Non-float tensors difference in native dtype (wraparound-exact, no
+    accumulator).
     """
     out: "OrderedDict[str, np.ndarray]" = OrderedDict()
     for name, arr in state.items():
@@ -145,9 +149,9 @@ def ef_residual(state: dict, reference: dict,
             raise ValueError(f"reference state does not match the update: "
                              f"tensor {name!r} missing or reshaped")
         if arr.dtype.kind == "f":
-            res = arr.astype(np.float64) - ref.astype(np.float64)
+            res = np.subtract(arr, ref, dtype=np.float64)
             if acc is not None and name in acc:
-                res = res + acc[name]
+                res += acc[name]
             out[name] = res.astype(arr.dtype)
         else:
             out[name] = np.subtract(arr, ref.astype(arr.dtype, copy=False))
@@ -156,7 +160,14 @@ def ef_residual(state: dict, reference: dict,
 
 def reconstruct(reference: dict,
                 residual: dict) -> "OrderedDict[str, np.ndarray]":
-    """Invert :func:`ef_residual` on the server: ``reference + residual``."""
+    """Invert :func:`ef_residual` on the server: ``reference + residual``.
+
+    Float tensors of one dtype add in that dtype: for float16, float32 and
+    float64, one IEEE add equals the float64 add rounded to the narrower
+    format, since 53 >= 2p + 2 bits makes that double rounding innocuous
+    (Figueroa 1995).  Mixed float dtypes add in float64 and cast to the
+    residual's dtype.
+    """
     out: "OrderedDict[str, np.ndarray]" = OrderedDict()
     for name, res in residual.items():
         ref = reference.get(name)
@@ -164,8 +175,10 @@ def reconstruct(reference: dict,
             raise ValueError(f"decoded residual does not match the reference: "
                              f"tensor {name!r} missing or reshaped")
         if res.dtype.kind == "f":
-            out[name] = (ref.astype(np.float64)
-                         + res.astype(np.float64)).astype(res.dtype)
+            if ref.dtype == res.dtype and res.dtype.itemsize <= 8:
+                out[name] = np.add(ref, res)
+            else:
+                out[name] = np.add(ref, res, dtype=np.float64).astype(res.dtype)
         else:
             out[name] = np.add(ref.astype(res.dtype, copy=False), res)
     return out
@@ -184,9 +197,9 @@ def advance_accumulator(state: dict, recon: dict,
     for name, arr in state.items():
         if arr.dtype.kind != "f":
             continue
-        err = arr.astype(np.float64) - recon[name].astype(np.float64)
+        err = np.subtract(arr, recon[name], dtype=np.float64)
         if acc is not None and name in acc:
-            err = err + acc[name]
+            err += acc[name]
         out[name] = err
     return out
 
@@ -207,10 +220,17 @@ def _rel_scales(state: dict) -> dict[str, float]:
         arr = np.asarray(arr)
         if arr.dtype.kind != "f" or arr.size == 0:
             continue
-        value_range = float(np.max(arr) - np.min(arr))
-        if value_range == 0.0:
-            value_range = max(abs(float(arr.flat[0])), 1.0) * 1e-6
-        scales[name] = value_range
+        lo, hi = arr.min(), arr.max()
+        try:
+            span = value_range(lo, hi)
+        except ValueError:
+            # no REL bound resolves against this range: a lossy ship of the
+            # tensor raises at encode, as ErrorBound refuses the infinite
+            # bound, and a lossless one never reads its scale
+            span = math.inf
+        if span == 0.0:
+            span = max(abs(float(lo)), 1.0) * 1e-6
+        scales[name] = span
     return scales
 
 

@@ -15,7 +15,9 @@ The predictor choice is the encoder's own business: the oracle takes the
 mode as an argument, and its hybrid bytes differ from the pre-v6 body only
 by the predictor field.  In every mode a padded position that escapes is
 coded as a zero residual and stores no outlier.  The three block-predictor helpers below live here
-only for this purpose.
+only for this purpose.  The oracle quantizes with the float64/int64
+quantizer of ``quantizer_reference.py``, so it also holds the encoder's
+``int32`` codes and lazily built reconstruction to the eager one's bytes.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import struct
 import numpy as np
 
 from huffman_reference import any_count
+from quantizer_reference import quantize_reference
 from repro.compressors.predictors import block_pad
 from repro.compressors.quantizer import LinearQuantizer
 
@@ -75,7 +78,8 @@ def reference_grid_index(quantizer: LinearQuantizer, reference: np.ndarray,
     """The padded reference's zero-grid index per value, 0 where the zero
     grid would store the reference value verbatim."""
     blocks, _ = block_pad(reference, block_size)
-    codes = quantizer.quantize(blocks.ravel(), np.zeros(blocks.size), abs_bound).codes
+    codes, _, _ = quantize_reference(quantizer.radius, blocks.ravel(), np.zeros(blocks.size),
+                                     abs_bound)
     return np.where(codes == 0, 0, codes - (quantizer.radius + 1))
 
 
@@ -94,15 +98,17 @@ def reference_body_parts(compressor, data: np.ndarray, abs_bound: float, predict
     head = [struct.pack("<IQI", compressor.block_size, n_blocks, radius),
             struct.pack("<QB", original_len, predictor)]
     if predictor == ZERO:
-        quant = compressor.quantizer.quantize(blocks.ravel(), np.zeros(blocks.size), abs_bound)
-        return head, *_calm_pad(quant.codes, quant.outliers, original_len, radius)
+        codes, outliers, _ = quantize_reference(radius, blocks.ravel(), np.zeros(blocks.size),
+                                                abs_bound)
+        return head, *_calm_pad(codes, outliers, original_len, radius)
     if predictor == REFERENCE:
-        quant = compressor.quantizer.quantize(blocks.ravel(), np.zeros(blocks.size), abs_bound)
-        d = quant.codes - (radius + 1) - reference_grid_index(
+        zero, _, reconstructed = quantize_reference(radius, blocks.ravel(),
+                                                    np.zeros(blocks.size), abs_bound)
+        d = zero - (radius + 1) - reference_grid_index(
             compressor.quantizer, reference, compressor.block_size, abs_bound)
-        escape = (quant.codes == 0) | (np.abs(d) > radius)
+        escape = (zero == 0) | (np.abs(d) > radius)
         codes = np.where(escape, 0, d + radius + 1)
-        return head, *_calm_pad(codes, quant.reconstructed[escape], original_len, radius)
+        return head, *_calm_pad(codes, reconstructed[escape], original_len, radius)
 
     with np.errstate(over="ignore", invalid="ignore"):
         mean_pred, mean_coef = block_mean_predictor(blocks)
@@ -116,7 +122,8 @@ def reference_body_parts(compressor, data: np.ndarray, abs_bound: float, predict
         use_regression = reg_sse < mean_sse
 
     predictions = np.where(use_regression[:, None], reg_pred, mean_pred)
-    quant = compressor.quantizer.quantize(blocks.ravel(), predictions.ravel(), abs_bound)
+    codes, outliers, _ = quantize_reference(radius, blocks.ravel(), predictions.ravel(),
+                                            abs_bound)
 
     coef_chunks = [reg_coef32[i] if use_regression[i] else mean_coef32[i]
                    for i in range(n_blocks)]
@@ -125,7 +132,7 @@ def reference_body_parts(compressor, data: np.ndarray, abs_bound: float, predict
 
     prefix = head + [struct.pack("<Q", selector_bits.size) + selector_bits.tobytes(),
                      struct.pack("<Q", coefficients.size) + coefficients.tobytes()]
-    codes, suffix = _calm_pad(quant.codes, quant.outliers, original_len, radius)
+    codes, suffix = _calm_pad(codes, outliers, original_len, radius)
     return prefix, codes, suffix
 
 

@@ -4,7 +4,9 @@ one batch.
 * Decoded states are the same, bit for bit, as before the batch: pinned
   sha256 digests of the payloads and of the decoded states of SZ2 (with and
   without a reference), SZ3 and SZx containers, on ``serial`` and
-  ``thread`` at ``pipeline_workers`` 1 and 2.
+  ``thread`` at ``pipeline_workers`` 1 and 2.  ZFP containers and float64
+  states of every codec are pinned too, from before the encoder read
+  tensors in their own dtype.
 * A corrupt stream in one entry raises ``ValueError`` that names the entry.
 * The entries reach their codecs as views of the bitstream: a 1.3 MB lossy
   entry of deflated zeros is rejected through the container with a traced
@@ -35,13 +37,13 @@ def _noise(n: int, salt: int) -> np.ndarray:
     return x.astype(np.float64) / float(1 << 32) - 0.5
 
 
-def _state() -> "dict[str, np.ndarray]":
+def _state(dtype=np.float32) -> "dict[str, np.ndarray]":
     # every stream is under 256 chunks (fc.weight's 103), so all share one walk
     conv = _noise(64 * 3 * 5 * 5, 1) * 0.1 * np.abs(_noise(64 * 3 * 5 * 5, 2)) ** 2
-    return {"conv.weight": conv.reshape(64, 3, 5, 5).astype(np.float32),
-            "fc.weight": (_noise(300 * 700, 3) ** 3 * 0.2).reshape(300, 700).astype(np.float32),
-            "small.weight": np.cumsum(_noise(2000, 4) * 0.1).astype(np.float32),
-            "fc.bias": (_noise(300, 5) * 0.01).astype(np.float32)}
+    return {"conv.weight": conv.reshape(64, 3, 5, 5).astype(dtype),
+            "fc.weight": (_noise(300 * 700, 3) ** 3 * 0.2).reshape(300, 700).astype(dtype),
+            "small.weight": np.cumsum(_noise(2000, 4) * 0.1).astype(dtype),
+            "fc.bias": (_noise(300, 5) * 0.01).astype(dtype)}
 
 
 def _digest(arrays: dict) -> str:
@@ -54,9 +56,11 @@ def _digest(arrays: dict) -> str:
     return h.hexdigest()
 
 
-#: per codec: sha256 of the plain payload followed by the payload coded
-#: against the reference, then the digests of their decoded states (measured
-#: before the container decoded its streams as one batch)
+#: per codec (a float32 state, or ``codec/float64``): sha256 of the plain
+#: payload followed by the payload coded against the reference, then the
+#: digests of their decoded states (measured before the container decoded
+#: its streams as one batch; ZFP and the float64 states before the encoder
+#: read tensors in their own dtype)
 _PINNED = {
     "sz2": ("ff6580e6bdd565897ad69ba7977d390b14bc9dbf339adfe932ff37429473c469",
             "5e9653ae0879e53045dad76152e6978d7cb899490ca18a149d499db7c5df9140",
@@ -67,15 +71,31 @@ _PINNED = {
     "szx": ("34e287ee03bbf906787a3f4ebebe4d1f124bf7f4b1f31acf52114d32fab2392d",
             "f509637cb1263d1ee8fee4dd353e230252c3f6a51fa024987e2469cb9aa92429",
             "f509637cb1263d1ee8fee4dd353e230252c3f6a51fa024987e2469cb9aa92429"),
+    "zfp": ("bf3bbb71dc7f94cc6eb1698376f8135e46a9ae2f5a6d6b4b3a810b44067a8784",
+            "344fc7afc5e5c6cecca43ccdd8ad34ac2b0ae748650d624c2548ff52944315dd",
+            "344fc7afc5e5c6cecca43ccdd8ad34ac2b0ae748650d624c2548ff52944315dd"),
+    "sz2/float64": ("5e6bcab6ee0725b0f0bcc1283bf8c2e648da13dd95656c3fa3ec0d263417529b",
+                    "52f23fe956431256817447ea660ec8930bfb4f694439c3938fd873f8e7cf4b79",
+                    "52f23fe956431256817447ea660ec8930bfb4f694439c3938fd873f8e7cf4b79"),
+    "sz3/float64": ("71ca6625c9ac21099ce39b65f77fd78bcb1d6614fb18dd3c43e698129796197c",
+                    "1c6fa1af0d0fda414be3a7ebfa42c627de1c8f9a98144ed88459d92f553e96fd",
+                    "1c6fa1af0d0fda414be3a7ebfa42c627de1c8f9a98144ed88459d92f553e96fd"),
+    "szx/float64": ("1dcb250127308b9fe3820a9fea679c59b5c5d83ead23e6711bbe7e44baaebc59",
+                    "f8189919f6f9c32274bf0317075704b7bb0421aad766f692a23f32df3fc05fac",
+                    "f8189919f6f9c32274bf0317075704b7bb0421aad766f692a23f32df3fc05fac"),
+    "zfp/float64": ("7bb440a9bebc9d9c141cfe270c60ddaf2b05f286356d486b524c54fd3e61dec9",
+                    "5831eba2d9771ae841a9ccfb93f579a2f035a92be9d16a929ff768e63a734728",
+                    "5831eba2d9771ae841a9ccfb93f579a2f035a92be9d16a929ff768e63a734728"),
 }
 
 
 @pytest.mark.parametrize("backend, workers", [("serial", 1), ("thread", 1), ("thread", 2)])
 @pytest.mark.parametrize("codec", sorted(_PINNED))
 def test_decoded_states_are_pinned(codec, backend, workers):
-    state = _state()
-    reference = {name: value + np.float32(0.001) for name, value in state.items()}
-    fedsz = FedSZCompressor(FedSZConfig(lossy_compressor=codec, backend=backend,
+    name, _, dtype = codec.partition("/")
+    state = _state(np.dtype(dtype or "float32"))
+    reference = {key: value + value.dtype.type(0.001) for key, value in state.items()}
+    fedsz = FedSZCompressor(FedSZConfig(lossy_compressor=name, backend=backend,
                                         pipeline_workers=workers, threshold=128))
     plain = fedsz.compress_state_dict(state)
     coded, _ = fedsz.compress_with_report(state, reference)

@@ -9,7 +9,11 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from delta_reference import (advance_accumulator_reference, ef_residual_reference,
+                             reconstruct_reference)
 from repro.core import FedSZConfig
 from repro.core.network import NetworkModel
 from repro.data import make_dataset, train_test_split
@@ -125,6 +129,91 @@ class TestKernels:
                         None)
         with pytest.raises(ValueError, match="missing or reshaped"):
             reconstruct({}, state)
+
+
+#: values at the edges of each float format: signed zeros, subnormals, the
+#: largest finite values, infinities and NaN
+_EDGES = {np.float32: np.array([0.0, -0.0, 1e-45, -1e-45, 1.2e-38, -3e-39, 3.4028235e38,
+                                -3.4028235e38, 1.7e38, np.inf, -np.inf, np.nan]),
+          np.float64: np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310,
+                                1.7976931348623157e308, -1.7976931348623157e308, 9e307,
+                                np.inf, -np.inf, np.nan])}
+
+
+def _same_bits(got: np.ndarray, want: np.ndarray) -> None:
+    """Bit-identical arrays, with any NaN equal to any NaN."""
+    assert got.dtype == want.dtype and got.shape == want.shape
+    if got.dtype.kind != "f":
+        np.testing.assert_array_equal(got, want)
+        return
+    bits = np.dtype(f"u{got.dtype.itemsize}")
+    assert np.all((got.view(bits) == want.view(bits)) | (np.isnan(got) & np.isnan(want)))
+
+
+@st.composite
+def _kernel_case(draw):
+    """A state, a reference, a residual-like dict and an accumulator."""
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    n = draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    scale = draw(st.sampled_from([1e-40, 1e-3, 1.0, 1e37, 1e300]))
+    share = draw(st.sampled_from([0.0, 0.1, 0.6]))
+
+    def values():
+        x = rng.normal(0.0, scale, n)
+        picks = rng.random(n) < share
+        x[picks] = rng.choice(_EDGES[dtype], int(picks.sum()))
+        with np.errstate(over="ignore"):
+            return x.astype(dtype)
+
+    def ints():
+        return rng.integers(-100, 100, 4).astype(np.int64)
+
+    state = {"w": values(), "steps": ints()}
+    reference = {"w": values(), "steps": ints()}
+    acc = draw(st.sampled_from([None, "plain", "edges"]))
+    if acc is not None:
+        carry = rng.normal(0.0, scale, n) * 1e-3
+        if acc == "edges":
+            picks = rng.random(n) < 0.2
+            carry[picks] = rng.choice(_EDGES[np.float64], int(picks.sum()))
+        acc = {"w": carry}
+    residual = {"w": values(), "steps": ints()}
+    return state, reference, acc, residual
+
+
+class TestKernelsAgainstTheOracle:
+    """The kernels that subtract in float64 as they read, add the
+    accumulator in place and add same-dtype tensors in their own dtype equal
+    the kernels that widened every operand first (``delta_reference.py``)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_kernel_case())
+    def test_bit_identical(self, case):
+        state, reference, acc, residual = case
+        with np.errstate(over="ignore", invalid="ignore"):
+            for got, want in [
+                    (ef_residual(state, reference, acc),
+                     ef_residual_reference(state, reference, acc)),
+                    (reconstruct(reference, residual),
+                     reconstruct_reference(reference, residual)),
+                    (advance_accumulator(state, reference, acc),
+                     advance_accumulator_reference(state, reference, acc))]:
+                assert list(got) == list(want)
+                for name in want:
+                    _same_bits(got[name], want[name])
+
+    @settings(max_examples=50, deadline=None)
+    @given(case=_kernel_case())
+    def test_mixed_dtypes_add_in_float64(self, case):
+        _, reference, _, residual = case
+        wide = {name: value.astype(np.float64) if value.dtype.kind == "f" else value
+                for name, value in reference.items()}
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = reconstruct(wide, residual)
+            want = reconstruct_reference(wide, residual)
+        for name in want:
+            _same_bits(got[name], want[name])
 
 
 class TestDeltaCodec:

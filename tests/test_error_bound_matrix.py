@@ -17,8 +17,11 @@ the bound is hard there too; only an explicitly requested precision opts out.
 import numpy as np
 import pytest
 
-from repro.compressors.base import ErrorBoundMode
+from repro.compressors.base import ErrorBound, ErrorBoundMode
 from repro.compressors.registry import available_lossy, get_lossy
+from repro.core import FedSZCompressor, FedSZConfig
+from repro.fl import FedSZUpdateCodec
+from repro.fl.delta import DeltaUpdateCodec
 
 DTYPES = [np.float32, np.float64]
 MODES = [ErrorBoundMode.ABS, ErrorBoundMode.REL]
@@ -95,3 +98,62 @@ def test_bound_holds_on_empty_and_zero_d(name):
     recon = comp.decompress(comp.compress(scalar))
     assert recon.shape == ()
     assert abs(float(recon) - 7.25) <= 1e-2 * (1 + 1e-6)
+
+
+class TestRangePastTheDtype:
+    """A REL bound over a range the dtype cannot hold.
+
+    ``max - min`` of float32 ``[3e38, -3e38, 1, 2]`` overflows to inf in
+    float32; the range is then taken in float64, so every codec, the
+    container and a delta ship round-trip the tensor within its bound
+    (they used to write an infinite bound their decoders rejected).  A
+    float64 range that overflows raises ``ValueError`` at encode, not at
+    decode.
+    """
+
+    F32 = np.tile(np.array([3e38, -3e38, 1.0, 2.0], dtype=np.float32), 64)
+    F64 = np.tile(np.array([1.7e308, -1.7e308, 1.0, 2.0]), 64)
+
+    @staticmethod
+    def _within_bound(got: np.ndarray, want: np.ndarray) -> None:
+        bound = 1e-2 * (float(want.max()) - float(want.min()))
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.max(np.abs(got.astype(np.float64) - want.astype(np.float64))) <= bound
+
+    @pytest.mark.parametrize("name", available_lossy())
+    def test_float32_codecs_round_trip(self, name):
+        comp = get_lossy(name, error_bound=1e-2, mode=ErrorBoundMode.REL)
+        self._within_bound(comp.decompress(comp.compress(self.F32)), self.F32)
+
+    @pytest.mark.parametrize("name", [n for n in available_lossy() if n != "verbatim"])
+    def test_float64_codecs_raise_at_encode(self, name):
+        comp = get_lossy(name, error_bound=1e-2, mode=ErrorBoundMode.REL)
+        with pytest.raises(ValueError, match="finite value range"):
+            comp.compress(self.F64)
+
+    def test_container(self):
+        fedsz = FedSZCompressor(FedSZConfig(threshold=16))
+        state = {"fc.weight": self.F32.reshape(16, 16)}
+        self._within_bound(fedsz.decompress_state_dict(
+            fedsz.compress_state_dict(state))["fc.weight"], state["fc.weight"])
+        with pytest.raises(ValueError, match="finite value range"):
+            fedsz.compress_state_dict({"fc.weight": self.F64.reshape(16, 16)})
+
+    def test_delta_ship(self):
+        codec = DeltaUpdateCodec(FedSZUpdateCodec(FedSZConfig(threshold=16)))
+        for values in (self.F32, self.F64):
+            reference = {"fc.weight": values.reshape(16, 16)}
+            state = {"fc.weight": reference["fc.weight"] * values.dtype.type(0.999)}
+            codec.arm(reference, 1, delta=True)
+            if values.dtype == np.float32:
+                self._within_bound(codec.decode(codec.encode(state))["fc.weight"],
+                                   state["fc.weight"])
+            else:
+                with pytest.raises(ValueError, match="finite"):
+                    codec.encode(state)
+
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    def test_non_finite_bound_refused(self, value):
+        # it would be written into a header the decoder rejects
+        with pytest.raises(ValueError, match="positive and finite"):
+            ErrorBound(value, ErrorBoundMode.ABS)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quantizer_reference import quantize_reference
 from repro.compressors.quantizer import LinearQuantizer
 
 
@@ -91,7 +92,7 @@ class TestNoPrediction:
     def test_writes_a_code_slice(self):
         quantizer = LinearQuantizer(64)
         data = self._data()
-        codes = np.full(5000, -7, dtype=np.int64)
+        codes = np.full(5000, -7, dtype=np.int32)
         got = quantizer.quantize(data, None, 1e-3, codes=codes[500:4500])
         assert np.shares_memory(got.codes, codes)
         assert codes[500:4500].tobytes() == \
@@ -200,3 +201,101 @@ class TestQuantizerScratchRewrite:
         assert np.array_equal(result.codes, codes)
         assert np.array_equal(result.outliers, outliers)
         assert np.array_equal(result.reconstructed, recon)
+
+
+#: values at the edges of float32 and float64: signed zeros, subnormals of
+#: both formats, huge values, NaN and infinities
+_SPECIALS = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 1e-310,
+                      1e-45, -1e-40, 3.4e38, -3.4e38, 1.6e308, -1.79e308, 1e300])
+
+
+@st.composite
+def _oracle_case(draw):
+    """Data (float32 or float64), predictions (or ``None``), bound, radius."""
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    n = draw(st.integers(0, 400))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    scale = draw(st.sampled_from([1e-6, 1e-2, 1.0, 1e35, 1e300]))
+    share = draw(st.sampled_from([0.0, 0.05, 0.5]))
+    data = rng.normal(0.0, scale, n)
+    specials = rng.random(n) < share
+    data[specials] = rng.choice(_SPECIALS, int(specials.sum()))
+    with np.errstate(over="ignore"):
+        data = data.astype(dtype)
+    predictions = None
+    kind = draw(st.sampled_from(["none", "near", "far", "special"]))
+    if kind != "none":
+        with np.errstate(over="ignore", invalid="ignore"):
+            predictions = data.astype(np.float64) + rng.normal(0.0, scale, n) * \
+                (1e-3 if kind == "near" else 10.0)
+        if kind == "special":
+            picks = rng.random(n) < 0.2
+            predictions[picks] = rng.choice(_SPECIALS, int(picks.sum()))
+    # the last three make 2 * bound * radius overflow for a radius of 32768,
+    # 64 and 1 respectively
+    bound = draw(st.sampled_from([5e-324, 1e-12, 1e-3, 0.5, 1e30, 1e304, 1e306, 1e308]))
+    radius = draw(st.sampled_from([1, 4, 64, 32768]))
+    return data, predictions, bound, radius
+
+
+class TestLeanEncoderOracle:
+    """The ``int32`` encoder equals the float64/int64 one it replaced
+    (``tests/quantizer_reference.py``) bit for bit: codes, outliers and the
+    reconstruction, which may only turn a ``-0.0`` into ``+0.0``."""
+
+    @staticmethod
+    def _assert_matches(got, data, predictions, bound, radius):
+        codes, outliers, reconstructed = quantize_reference(radius, data, predictions, bound)
+        assert got.codes.dtype == np.int32
+        assert np.array_equal(got.codes.astype(np.int64), codes)
+        assert got.outliers.dtype == np.float64
+        assert got.outliers.tobytes() == outliers.tobytes()   # NaN payloads too
+        recon = got.reconstructed
+        same = recon.view(np.int64) == reconstructed.view(np.int64)
+        assert np.all(same | ((recon == 0) & (reconstructed == 0)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_oracle_case())
+    def test_equals_the_reference_quantizer(self, case):
+        data, predictions, bound, radius = case
+        got = LinearQuantizer(radius).quantize(data, predictions, bound)
+        self._assert_matches(got, data, predictions, bound, radius)
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=_oracle_case())
+    def test_code_slices_equal_the_reference_quantizer(self, case):
+        data, predictions, bound, radius = case
+        codes = np.full(data.size + 20, -7, dtype=np.int32)
+        middle = codes[10:-10]
+        got = LinearQuantizer(radius).quantize(data, predictions, bound, codes=middle)
+        assert got.codes is middle
+        assert np.all(codes[:10] == -7) and np.all(codes[-10:] == -7)
+        self._assert_matches(got, data, predictions, bound, radius)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_screen_shortcuts_keep_every_escape(self, dtype):
+        # one value of each escape next to values that take no shortcut
+        quantizer = LinearQuantizer(64)
+        data = np.array([0.01, np.nan, np.inf, -np.inf, 0.3, -0.0], dtype=dtype)
+        got = quantizer.quantize(data, None, 1e-3)
+        self._assert_matches(got, data, None, 1e-3, 64)
+        assert np.count_nonzero(got.codes == 0) == 4
+        # |q| inside the radius everywhere, but 2 * bound * radius overflows
+        got = quantizer.quantize(data[[0, 4, 5]], None, 1e307)
+        self._assert_matches(got, data[[0, 4, 5]], None, 1e307, 64)
+        # q inside the radius, but the prediction pushes the sum past the maximum
+        big = np.array([1.75e308, 1.7e308, 1.0])
+        got = quantizer.quantize(big, np.array([1.6e308, 1.7e308, 1.0]), 1e307)
+        self._assert_matches(got, big, np.array([1.6e308, 1.7e308, 1.0]), 1e307, 64)
+        assert got.codes.tolist()[0] == 0 and got.outliers.tolist() == [1.75e308]
+
+    def test_reconstruction_is_built_on_first_read(self):
+        quantizer = LinearQuantizer(64)
+        got = quantizer.quantize(np.array([0.01, -0.02]), None, 1e-3)
+        assert "reconstructed" not in vars(got)
+        first = got.reconstructed
+        assert got.reconstructed is first
+
+    def test_radius_past_int32_codes_is_refused(self):
+        with pytest.raises(ValueError, match="int32"):
+            LinearQuantizer(2 ** 30).quantize(np.zeros(3), None, 1.0)

@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 from container_reference import container_decoder
 from sz2_reference import REFERENCE, ZERO, reference_compress, reference_reconstruct
 from repro.compressors import get_lossy
-from repro.compressors.sz2 import _TILE_BLOCKS, SZ2Compressor
+from repro.compressors.sz2 import _MAX_RADIUS, _TILE_BLOCKS, SZ2Compressor
 
 _RADIUS = 64
 _BOUND = 1e-3  # ABS: the zero grid covers |x| <= 2 * _BOUND * _RADIUS = 0.128
@@ -204,6 +204,13 @@ class TestReferenceDecodeContract:
         with pytest.raises(ValueError, match="supplied reference holds"):
             self._decode(payload, wrong)
 
+    def test_radius_past_the_int32_grid_rejected(self):
+        payload, reference = self._payload()
+        at = self.comp._parse_container_header(payload)[-1] + 12  # the body's radius
+        payload = payload[:at] + struct.pack("<I", _MAX_RADIUS + 1) + payload[at + 4:]
+        with pytest.raises(ValueError, match="past the reference grid"):
+            self._decode(payload, reference)
+
     def test_a_reference_does_not_change_plain_bodies(self):
         data, reference = _case(1000, np.float32, seed=8)
         payload = self.comp.compress(data)
@@ -229,3 +236,10 @@ def test_reference_checked_before_the_huffman_stream():
         SZ2Compressor().decompress(header + body)
     with pytest.raises(ValueError, match="supplied reference holds 9"):
         SZ2Compressor().decompress(header + body, np.zeros(9, np.float32))
+
+
+def test_encoder_refuses_a_radius_past_the_int32_grid():
+    # the reference grid's codes reach 3 * radius + 1, which must fit int32
+    SZ2Compressor(quantizer_radius=_MAX_RADIUS)
+    with pytest.raises(ValueError, match="quantizer_radius"):
+        SZ2Compressor(quantizer_radius=_MAX_RADIUS + 1)

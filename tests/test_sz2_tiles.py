@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import struct
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -131,6 +132,25 @@ def test_each_predictor_matches_the_oracle(kind, predictor, length, dtype):
     assert _assert_matches_oracle(comp, _data(length, dtype, kind, seed=length)) == predictor
 
 
+class TestEncoderPeak:
+    def test_compress_peaks_under_four_times_the_tensor(self):
+        # trained-like weights: the zero predictor, pairs of codes per tuple.
+        # The encoder reads the float32 tensor as it is and writes int32
+        # codes; with a float64 copy and int64 codes it peaked at 7.0x.
+        rng = np.random.default_rng(3)
+        data = (rng.normal(0.0, 0.05, 1 << 21)
+                * np.abs(rng.normal(size=1 << 21)) ** 1.5).astype(np.float32)
+        comp = SZ2Compressor(1e-2)
+        comp.compress(data[:1 << 16])   # stock the free lists first
+        tracemalloc.start()
+        try:
+            comp.compress(data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * data.nbytes
+
+
 class TestQuantizerSlices:
     def _case(self):
         rng = np.random.default_rng(9)
@@ -142,7 +162,7 @@ class TestQuantizerSlices:
     def test_quantize_writes_a_code_slice(self):
         quantizer, data, predictions = self._case()
         whole = quantizer.quantize(data, predictions, 1e-2)
-        codes = np.full(5000, -7, dtype=np.int64)
+        codes = np.full(5000, -7, dtype=np.int32)
         for lo in range(0, 3000, 1024):
             hi = min(lo + 1024, 3000)
             part = quantizer.quantize(data[lo:hi], predictions[lo:hi], 1e-2,
@@ -151,7 +171,7 @@ class TestQuantizerSlices:
         assert np.array_equal(codes[1000:4000], whole.codes)
         assert np.all(codes[:1000] == -7) and np.all(codes[4000:] == -7)
 
-    @pytest.mark.parametrize("codes", [np.empty(3000, np.int32), np.empty(2999, np.int64)])
+    @pytest.mark.parametrize("codes", [np.empty(3000, np.int64), np.empty(2999, np.int32)])
     def test_quantize_rejects_a_mismatched_code_slice(self, codes):
         quantizer, data, predictions = self._case()
         with pytest.raises(ValueError, match="codes"):
