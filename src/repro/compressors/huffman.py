@@ -830,8 +830,13 @@ class ChunkBandProducer:
         width = hi - lo + 1
         sizes = _tuple_sizes(width)
         k_top = sizes[-1]
-        index = _tuple_indices(symbols, lo, width, k_top)
-        hist = np.bincount(index, minlength=width ** k_top)
+        if width == 1:
+            # one symbol: one single-symbol tuple per symbol and no code
+            # bits, so no tuple index is ever read
+            index, hist = None, np.array([count])
+        else:
+            index = _tuple_indices(symbols, lo, width, k_top)
+            hist = np.bincount(index, minlength=width ** k_top)
         code = _price(k_top, hist, width, count, chunk_size)
         if len(sizes) > 1:
             # the singles histogram is the sum of the tuple marginals, minus the pad
@@ -857,7 +862,7 @@ class ChunkBandProducer:
         # 16-bit left-aligned code << 8), with its length in the low byte,
         # which the field leaves clear
         self._entries = np.zeros(width ** k, dtype=np.int32)
-        n_tuples = index.size
+        n_tuples = -(-count // k)
         chunk_bits = np.zeros(self.n_chunks, dtype=np.int64)
         if code.used.size > 1:  # a lone tuple spends no bits
             order, left = _canonical(code.lengths)

@@ -116,17 +116,10 @@ class FLClient:
     def evaluate(self, dataset: Dataset | None = None, batch_size: int = 128) -> float:
         """Top-1 accuracy of the local model on ``dataset`` (default: own shard).
 
-        The model's training/evaluation mode is restored to whatever it was on
-        entry — evaluating a model that was already in eval mode no longer
-        flips it back to training mode on the way out.
+        Runs :func:`~repro.fl.server.evaluate_model`, which restores the
+        model's training/evaluation mode on exit.
         """
-        dataset = dataset or self.dataset
-        was_training = self.model.training
-        self.model.train(False)
-        correct = 0
-        loader = BatchLoader(dataset, batch_size=batch_size, shuffle=False)
-        for images, labels in loader:
-            predictions = self.model(images).argmax(axis=1)
-            correct += int((predictions == labels).sum())
-        self.model.train(was_training)
-        return correct / max(len(dataset), 1)
+        # imported here: fl.server imports the coordinator, which imports this module
+        from repro.fl.server import evaluate_model
+
+        return evaluate_model(self.model, dataset or self.dataset, batch_size)

@@ -1,9 +1,15 @@
 """Layer implementations with explicit forward/backward passes.
 
-Each layer caches whatever the backward pass needs during ``forward`` and
-accumulates parameter gradients in ``backward``, returning the gradient with
-respect to its input.  This mirrors PyTorch behaviour closely enough for the
-FL experiments while staying dependency-free.
+In training mode each layer caches whatever the backward pass needs during
+``forward``; in evaluation mode ``forward`` is inference only: it keeps no
+such array and drops any a training forward left, and ``backward`` then
+raises :class:`RuntimeError`.  ``backward`` accumulates parameter gradients
+and returns the gradient with respect to the layer's input, except on a
+model's stem layer (the first ``Conv2d``, or an MLP's first ``Linear``),
+which the model marks when it is built: nothing reads the gradient with
+respect to the input image, so the stem skips it and returns ``None``.  This
+mirrors PyTorch behaviour closely enough for the FL experiments while staying
+dependency-free.
 """
 
 from __future__ import annotations
@@ -27,6 +33,8 @@ __all__ = [
     "Dropout",
 ]
 
+_NO_TRAINING_FORWARD = "backward called without a training-mode forward"
+
 
 def _kaiming_uniform(shape: tuple[int, ...], fan_in: int, rng: np.random.Generator) -> np.ndarray:
     """He-uniform initialization used for conv and linear weights."""
@@ -46,21 +54,24 @@ class Linear(Module):
         self.weight = Parameter(_kaiming_uniform((out_features, in_features), in_features, rng))
         self.bias = Parameter(np.zeros(out_features, dtype=np.float32)) if bias else None
         self._x: np.ndarray | None = None
+        self._stem = False
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._x = x
+        self._x = x if self.training else None
         out = x @ self.weight.data.T
         if self.bias is not None:
             out = out + self.bias.data
         self._last_output_shape = out.shape
         return out
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
+    def backward(self, grad: np.ndarray) -> np.ndarray | None:
         if self._x is None:
-            raise RuntimeError("backward called before forward")
+            raise RuntimeError(_NO_TRAINING_FORWARD)
         self.weight.add_grad(grad.T @ self._x)
         if self.bias is not None:
             self.bias.add_grad(grad.sum(axis=0))
+        if self._stem:
+            return None
         return grad @ self.weight.data
 
 
@@ -89,6 +100,7 @@ class Conv2d(Module):
         self._cols: np.ndarray | None = None
         self._x_shape: tuple[int, int, int, int] | None = None
         self._windows: np.ndarray | None = None
+        self._stem = False
 
     # -- standard convolution (groups == 1) -----------------------------------
     def _forward_dense(self, x: np.ndarray) -> np.ndarray:
@@ -97,7 +109,7 @@ class Conv2d(Module):
         h_out = conv_output_size(h, k, self.stride, self.padding)
         w_out = conv_output_size(w, k, self.stride, self.padding)
         cols = im2col(x, (k, k), self.stride, self.padding)
-        self._cols = cols
+        self._cols = cols if self.training else None
         w2d = self.weight.data.reshape(self.out_channels, -1)
         out = np.einsum("fk,nkl->nfl", w2d, cols, optimize=True)
         if self.bias is not None:
@@ -106,7 +118,7 @@ class Conv2d(Module):
         self._last_output_shape = out.shape
         return out
 
-    def _backward_dense(self, grad: np.ndarray) -> np.ndarray:
+    def _backward_dense(self, grad: np.ndarray) -> np.ndarray | None:
         n = grad.shape[0]
         grad2d = grad.reshape(n, self.out_channels, -1)
         w2d = self.weight.data.reshape(self.out_channels, -1)
@@ -114,6 +126,8 @@ class Conv2d(Module):
         self.weight.add_grad(dw.reshape(self.weight.data.shape))
         if self.bias is not None:
             self.bias.add_grad(grad2d.sum(axis=(0, 2)))
+        if self._stem:
+            return None
         dcols = np.einsum("fk,nfl->nkl", w2d, grad2d, optimize=True)
         return col2im(dcols, self._x_shape, (self.kernel_size, self.kernel_size),
                       self.stride, self.padding)
@@ -127,7 +141,7 @@ class Conv2d(Module):
         x_pad = np.pad(x, ((0, 0), (0, 0), (self.padding,) * 2, (self.padding,) * 2)) if self.padding else x
         windows = np.lib.stride_tricks.sliding_window_view(x_pad, (k, k), axis=(2, 3))
         windows = windows[:, :, ::self.stride, ::self.stride]  # (N, C, H_out, W_out, k, k)
-        self._windows = windows
+        self._windows = windows if self.training else None
         mult = self.out_channels // self.in_channels
         kernels = self.weight.data.reshape(c, mult, k, k)
         out = np.einsum("nchwij,cmij->ncmhw", windows, kernels, optimize=True)
@@ -137,7 +151,7 @@ class Conv2d(Module):
         self._last_output_shape = out.shape
         return out
 
-    def _backward_depthwise(self, grad: np.ndarray) -> np.ndarray:
+    def _backward_depthwise(self, grad: np.ndarray) -> np.ndarray | None:
         n, c, h, w = self._x_shape
         k = self.kernel_size
         mult = self.out_channels // self.in_channels
@@ -146,6 +160,8 @@ class Conv2d(Module):
         self.weight.add_grad(dw.reshape(self.weight.data.shape))
         if self.bias is not None:
             self.bias.add_grad(grad.sum(axis=(0, 2, 3)))
+        if self._stem:
+            return None
         kernels = self.weight.data.reshape(c, mult, k, k)
         # dL/d window = grad * kernel, then scatter-add windows back to the image
         dwin = np.einsum("ncmhw,cmij->nchwij", grad5, kernels, optimize=True)
@@ -154,14 +170,14 @@ class Conv2d(Module):
         return col2im(dcols, self._x_shape, (k, k), self.stride, self.padding)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._x_shape = x.shape
+        self._x_shape = x.shape if self.training else None
         if self.groups == 1:
             return self._forward_dense(x)
         return self._forward_depthwise(x)
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
+    def backward(self, grad: np.ndarray) -> np.ndarray | None:
         if self._x_shape is None:
-            raise RuntimeError("backward called before forward")
+            raise RuntimeError(_NO_TRAINING_FORWARD)
         if self.groups == 1:
             return self._backward_dense(grad)
         return self._backward_depthwise(grad)
@@ -180,7 +196,7 @@ class BatchNorm2d(Module):
         self.register_buffer("running_mean", np.zeros(num_features, dtype=np.float32))
         self.register_buffer("running_var", np.ones(num_features, dtype=np.float32))
         self.register_buffer("num_batches_tracked", np.zeros(1, dtype=np.float32))
-        self._cache: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._cache: tuple[np.ndarray, np.ndarray] | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         if self.training:
@@ -196,19 +212,17 @@ class BatchNorm2d(Module):
             var = self._buffers["running_var"]
         std = np.sqrt(var + self.eps)
         x_hat = (x - mean[None, :, None, None]) / std[None, :, None, None]
-        self._cache = (x_hat, std, x)
+        self._cache = (x_hat, std) if self.training else None
         return self.weight.data[None, :, None, None] * x_hat + self.bias.data[None, :, None, None]
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         if self._cache is None:
-            raise RuntimeError("backward called before forward")
-        x_hat, std, _ = self._cache
+            raise RuntimeError(_NO_TRAINING_FORWARD)
+        x_hat, std = self._cache
         self.weight.add_grad((grad * x_hat).sum(axis=(0, 2, 3)))
         self.bias.add_grad(grad.sum(axis=(0, 2, 3)))
         gamma = self.weight.data[None, :, None, None]
         dx_hat = grad * gamma
-        if not self.training:
-            return dx_hat / std[None, :, None, None]
         n = grad.shape[0] * grad.shape[2] * grad.shape[3]
         sum_dxhat = dx_hat.sum(axis=(0, 2, 3), keepdims=True)
         sum_dxhat_xhat = (dx_hat * x_hat).sum(axis=(0, 2, 3), keepdims=True)
@@ -224,10 +238,13 @@ class ReLU(Module):
         self._mask: np.ndarray | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._mask = x > 0
-        return np.where(self._mask, x, 0.0)
+        mask = x > 0
+        self._mask = mask if self.training else None
+        return np.where(mask, x, 0.0)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
+        if self._mask is None:
+            raise RuntimeError(_NO_TRAINING_FORWARD)
         return np.where(self._mask, grad, 0.0)
 
 
@@ -239,50 +256,70 @@ class ReLU6(Module):
         self._mask: np.ndarray | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._mask = (x > 0) & (x < 6.0)
+        self._mask = (x > 0) & (x < 6.0) if self.training else None
         return np.clip(x, 0.0, 6.0)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
+        if self._mask is None:
+            raise RuntimeError(_NO_TRAINING_FORWARD)
         return np.where(self._mask, grad, 0.0)
 
 
 class MaxPool2d(Module):
-    """Non-overlapping max pooling (kernel == stride)."""
+    """Non-overlapping max pooling (kernel == stride); a ragged border is trimmed.
+
+    The output is a copy of the first of the ``k*k`` strided views of the
+    input, folded with ``np.maximum`` over the others in window order
+    (``i``-major, then ``j``).  In training mode ``forward`` also records
+    per output the window position of the first maximum, in the narrowest
+    unsigned dtype that holds ``k*k - 1`` (one byte for ``k <= 16``): a later
+    view takes over only where it is strictly greater, and a window holding
+    NaN points at its first NaN, as ``argmax`` does.  ``backward`` routes
+    each output gradient to that position and zero everywhere else,
+    trimmed border included.
+    """
 
     def __init__(self, kernel_size: int = 2) -> None:
         super().__init__()
         self.kernel_size = kernel_size
-        self._argmax: np.ndarray | None = None
+        self._first: np.ndarray | None = None
         self._x_shape: tuple[int, ...] | None = None
-        self._orig_shape: tuple[int, ...] | None = None
+
+    def _views(self, x: np.ndarray) -> list[np.ndarray]:
+        """The ``k*k`` strided views of ``x``, one per window position."""
+        k = self.kernel_size
+        h, w = x.shape[2] // k * k, x.shape[3] // k * k
+        return [x[:, :, i:h:k, j:w:k] for i in range(k) for j in range(k)]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        k = self.kernel_size
-        self._orig_shape = x.shape
-        n, c, h, w = x.shape
-        if h % k or w % k:
-            # trim a ragged border (same behaviour as floor-mode pooling)
-            x = x[:, :, : (h // k) * k, : (w // k) * k]
-            n, c, h, w = x.shape
-        self._x_shape = (n, c, h, w)
-        blocks = x.reshape(n, c, h // k, k, w // k, k).transpose(0, 1, 2, 4, 3, 5)
-        blocks = blocks.reshape(n, c, h // k, w // k, k * k)
-        self._argmax = blocks.argmax(axis=-1)
-        return blocks.max(axis=-1)
+        views = self._views(x)
+        out = views[0].copy()
+        if not self.training:
+            self._first = None
+            for view in views[1:]:
+                np.maximum(out, view, out=out)
+            return out
+        first = np.zeros(out.shape, dtype=np.min_scalar_type(len(views) - 1))
+        for pos, view in enumerate(views[1:], 1):
+            np.copyto(first, pos, where=view > out)
+            np.maximum(out, view, out=out)
+        if (out != out).any():
+            # no comparison is true against NaN (the one value unequal to
+            # itself): repoint each NaN window, last position first, so its
+            # first NaN is written last
+            for pos in range(len(views) - 1, -1, -1):
+                np.copyto(first, pos, where=views[pos] != views[pos])
+        self._first = first
+        self._x_shape = x.shape
+        return out
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        k = self.kernel_size
-        n, c, h, w = self._x_shape
-        out = np.zeros((n, c, h // k, w // k, k * k), dtype=grad.dtype)
-        idx = self._argmax
-        np.put_along_axis(out, idx[..., None], grad[..., None], axis=-1)
-        out = out.reshape(n, c, h // k, w // k, k, k).transpose(0, 1, 2, 4, 3, 5)
-        out = out.reshape(n, c, h, w)
-        if self._orig_shape != self._x_shape:
-            full = np.zeros(self._orig_shape, dtype=grad.dtype)
-            full[:, :, :h, :w] = out
-            return full
-        return out
+        if self._first is None:
+            raise RuntimeError(_NO_TRAINING_FORWARD)
+        dx = np.zeros(self._x_shape, dtype=grad.dtype)
+        for pos, view in enumerate(self._views(dx)):
+            np.copyto(view, grad, where=self._first == pos)
+        return dx
 
 
 class AvgPool2d(Module):

@@ -72,6 +72,7 @@ class AlexNet(Module):
             ReLU(),
             MaxPool2d(2),
         )
+        self.features[0]._stem = True
         flat_dim = self._infer_flat_dim(in_channels, image_size)
         self.classifier = Sequential(
             Flatten(),
@@ -92,7 +93,7 @@ class AlexNet(Module):
     def forward(self, x: np.ndarray) -> np.ndarray:
         return self.classifier(self.features(x))
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
+    def backward(self, grad: np.ndarray) -> None:
         return self.features.backward(self.classifier.backward(grad))
 
 
@@ -106,6 +107,7 @@ class MobileNetV2(Module):
         del image_size  # fully convolutional; kept for a uniform constructor signature
         w = width
         self.stem = ConvBNReLU(in_channels, w, kernel_size=3, stride=2, relu6=True, rng=rng)
+        self.stem[0]._stem = True
         self.blocks = Sequential(
             InvertedResidual(w, w, stride=1, expand_ratio=1, rng=rng),
             InvertedResidual(w, w * 2, stride=2, expand_ratio=4, rng=rng),
@@ -125,7 +127,7 @@ class MobileNetV2(Module):
         x = self.pool(x)
         return self.classifier(x)
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
+    def backward(self, grad: np.ndarray) -> None:
         grad = self.classifier.backward(grad)
         grad = self.pool.backward(grad)
         grad = self.head.backward(grad)
@@ -148,6 +150,7 @@ class ResNet50(Module):
         rng = make_rng(seed)
         del image_size
         self.stem = ConvBNReLU(in_channels, width, kernel_size=3, stride=1, rng=rng)
+        self.stem[0]._stem = True
         stages: list[Module] = []
         in_ch = width
         for stage_idx, n_blocks in enumerate(blocks_per_stage):
@@ -167,7 +170,7 @@ class ResNet50(Module):
         x = self.pool(x)
         return self.classifier(x)
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
+    def backward(self, grad: np.ndarray) -> None:
         grad = self.classifier.backward(grad)
         grad = self.pool.backward(grad)
         grad = self.stages.backward(grad)
@@ -189,13 +192,14 @@ class SimpleCNN(Module):
             ReLU(),
             MaxPool2d(2),
         )
+        self.features[0]._stem = True
         flat = width * 2 * (image_size // 4) * (image_size // 4)
         self.classifier = Sequential(Flatten(), Linear(flat, num_classes, rng=rng))
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         return self.classifier(self.features(x))
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
+    def backward(self, grad: np.ndarray) -> None:
         return self.features.backward(self.classifier.backward(grad))
 
 
@@ -213,11 +217,12 @@ class MLP(Module):
             ReLU(),
             Linear(hidden, num_classes, rng=rng),
         )
+        self.net[1]._stem = True
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         return self.net(x)
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
+    def backward(self, grad: np.ndarray) -> None:
         return self.net.backward(grad)
 
 

@@ -137,8 +137,13 @@ class Module:
         """Compute the module output (subclasses override)."""
         raise NotImplementedError
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        """Backpropagate ``grad`` (dL/d output) and return dL/d input."""
+    def backward(self, grad: np.ndarray) -> np.ndarray | None:
+        """Backpropagate ``grad`` (dL/d output) and return dL/d input.
+
+        Needs a training-mode forward first.  A model returns ``None``: its
+        stem layer fills its own parameter gradients but computes no
+        gradient with respect to the input image, which nothing reads.
+        """
         raise NotImplementedError
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
@@ -170,7 +175,9 @@ class Sequential(Module):
             x = layer(x)
         return x
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
+    def backward(self, grad: np.ndarray) -> np.ndarray | None:
         for layer in reversed(self.layers):
             grad = layer.backward(grad)
+            if grad is None:  # a stem layer: nothing before it needs a gradient
+                break
         return grad

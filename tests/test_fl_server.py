@@ -1,5 +1,7 @@
 """Tests for FedAvg aggregation and server behaviour."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -118,3 +120,18 @@ class TestServer:
         empty = ds.subset(np.zeros(0, dtype=np.int64))
         assert len(empty) == 0
         assert server.evaluate(empty) == 0.0
+
+    def test_evaluate_model_is_inference_only(self):
+        # alexnet on 100 32x32 samples, one batch: with backward caches kept
+        # the traced peak read 133.4 MiB and 109.1 MiB stayed after the call
+        ds = make_dataset("cifar10", n_samples=100, image_size=32, seed=1)
+        model = build_model("alexnet", num_classes=10, image_size=32)
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            evaluate_model(model, ds)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - start <= 90 * 2**20
+        assert kept - start <= 2**20

@@ -6,6 +6,9 @@ gradients on tiny tensors.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
+from nn_reference import MaxPool2d as ReferenceMaxPool2d, held_arrays
 
 from repro.nn.layers import (
     AvgPool2d,
@@ -262,6 +265,103 @@ class TestActivationsAndPooling:
         out = layer(x)
         assert out.shape == (4, 18)
         assert layer.backward(out).shape == x.shape
+
+
+def _pool_windows(x, k):
+    """(N, C, H // k, W // k, k * k) windows of ``x``, ragged border trimmed."""
+    n, c, h, w = x.shape
+    x = x[:, :, :h // k * k, :w // k * k]
+    return x.reshape(n, c, h // k, k, w // k, k).transpose(0, 1, 2, 4, 3, 5).reshape(
+        n, c, h // k, w // k, k * k)
+
+
+def _assert_same_bits(got, want, either_zero=None):
+    """Bit-identical arrays, NaN compared as NaN; where ``either_zero`` is
+    set, a zero of either sign matches a zero."""
+    assert got.dtype == want.dtype and got.shape == want.shape
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    uint = f"u{want.itemsize}"
+    same = (got.view(uint) == want.view(uint)) | nan
+    if either_zero is not None:
+        same |= either_zero & (got == 0) & (want == 0)
+    assert same.all()
+
+
+_POOL_VALUES = [0.0, -0.0, 1.0, -1.0, 0.5, np.inf, -np.inf, np.nan]
+
+
+@st.composite
+def _pool_case(draw):
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    k = draw(st.sampled_from([2, 3]))
+    shape = (draw(st.integers(1, 2)), draw(st.integers(1, 3)),
+             draw(st.integers(k, 3 * k + 2)), draw(st.integers(k, 3 * k + 2)))
+    width = 8 * np.dtype(dtype).itemsize
+    x = draw(hnp.arrays(dtype, shape, elements=st.one_of(
+        st.sampled_from(_POOL_VALUES), st.floats(width=width))))
+    if draw(st.booleans()):  # after a ReLU: all-zero windows tie
+        x = np.where(x > 0, x, 0.0).astype(dtype)
+    return x, k, draw(st.integers(0, 2**32 - 1))
+
+
+class TestMaxPoolOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(case=_pool_case())
+    def test_pairwise_pool_matches_argmax_pool(self, case):
+        """Outputs and routed gradients equal the argmax oracle's bit for bit.
+
+        One exception: a window whose maximum is a zero it holds with both
+        signs.  There the oracle's sign comes from numpy's ``max``
+        reduction, whose tie rule differs between its scalar and SIMD loops
+        (an AVX-512 host runs float64 k = 3 windows through the SIMD one),
+        so either zero passes.  A ReLU writes +0.0 only, so no model pools
+        such a window; the gradient routes to the first zero either way.
+        """
+        x, k, seed = case
+        oracle = ReferenceMaxPool2d(k)
+        want = oracle(x)
+        windows = _pool_windows(x, k)
+        zero = windows == 0
+        mixed = (zero & np.signbit(windows)).any(-1) & (zero & ~np.signbit(windows)).any(-1)
+        pool = MaxPool2d(k)
+        _assert_same_bits(pool.eval()(x), want, mixed)
+        _assert_same_bits(pool.train()(x), want, mixed)
+        grad = np.random.default_rng(seed).standard_normal(want.shape)
+        _assert_same_bits(pool.backward(grad), oracle.backward(grad))
+
+    def test_training_record_is_one_byte_per_output(self, rng):
+        pool = MaxPool2d(2)
+        out = pool(rng.standard_normal((2, 3, 8, 8)).astype(np.float32))
+        assert pool._first.dtype == np.uint8 and pool._first.shape == out.shape
+
+
+class TestInferenceOnlyEval:
+    LAYERS = {
+        "linear": (lambda: Linear(4, 3, rng=np.random.default_rng(0)), (2, 4)),
+        "conv": (lambda: Conv2d(2, 3, 3, padding=1, rng=np.random.default_rng(0)), (2, 2, 5, 5)),
+        "depthwise": (lambda: Conv2d(2, 2, 3, padding=1, groups=2, rng=np.random.default_rng(0)),
+                      (2, 2, 5, 5)),
+        "batchnorm": (lambda: BatchNorm2d(2), (3, 2, 4, 4)),
+        "relu": (ReLU, (2, 2, 4, 4)),
+        "relu6": (ReLU6, (2, 2, 4, 4)),
+        "maxpool": (lambda: MaxPool2d(2), (2, 2, 5, 5)),
+    }
+
+    @pytest.mark.parametrize("name", LAYERS)
+    def test_eval_forward_keeps_nothing_and_backward_raises(self, name, rng):
+        factory, shape = self.LAYERS[name]
+        layer = factory()
+        x = rng.standard_normal(shape)
+        with pytest.raises(RuntimeError):
+            layer.backward(np.ones_like(layer.eval()(x)))
+        layer.train()
+        layer.backward(np.ones_like(layer(x)))
+        assert held_arrays(layer)
+        out = layer.eval()(x)
+        assert held_arrays(layer) == []
+        with pytest.raises(RuntimeError):
+            layer.backward(np.ones_like(out))
 
 
 class TestDropout:

@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from nn_reference import as_oracle, held_arrays
 
+from repro.fl import FLClient
 from repro.nn import (
     CrossEntropyLoss,
     SGD,
@@ -52,13 +54,17 @@ class TestConstruction:
 
 class TestBackward:
     @pytest.mark.parametrize("name", ALL_MODELS)
-    def test_backward_produces_input_gradient(self, name):
+    def test_backward_fills_parameter_gradients_and_returns_no_input_gradient(self, name):
+        # the stem fills its own gradients but skips dL/d(image), which nothing reads
         model = build_model(name, num_classes=5, in_channels=3, image_size=16)
         x = np.random.default_rng(0).standard_normal((2, 3, 16, 16)).astype(np.float32)
         out = model(x)
-        grad = model.backward(np.ones_like(out))
-        assert grad.shape == x.shape
-        assert np.isfinite(grad).all()
+        model.zero_grad()
+        assert model.backward(np.ones_like(out)) is None
+        stems = [m for m in model.modules() if getattr(m, "_stem", False)]
+        assert len(stems) == 1
+        assert np.abs(stems[0].weight.grad).sum() > 0
+        assert all(np.isfinite(p.grad).all() for p in model.parameters())
 
     @pytest.mark.parametrize("name", ALL_MODELS)
     def test_backward_populates_parameter_gradients(self, name):
@@ -82,6 +88,42 @@ class TestBackward:
         SGD(model.parameters(), lr=0.1).step()
         after = model.state_dict()
         assert any(not np.allclose(before[k], after[k]) for k in before if "weight" in k)
+
+
+class TestInferenceOnlyEval:
+    @pytest.mark.parametrize("name", ALL_MODELS)
+    def test_eval_forward_drops_every_backward_cache(self, name):
+        model = build_model(name, num_classes=5, in_channels=3, image_size=16)
+        x = np.random.default_rng(3).standard_normal((2, 3, 16, 16)).astype(np.float32)
+        model.backward(np.ones_like(model(x)))
+        assert any(held_arrays(m) for m in model.modules())
+        model.eval()(x)
+        assert [(type(m).__name__, held_arrays(m)) for m in model.modules()
+                if held_arrays(m)] == []
+
+
+class TestOracleIdentity:
+    @pytest.mark.parametrize("name", ALL_MODELS)
+    def test_training_and_eval_logits_match_the_oracle(self, name, tiny_split):
+        """Two ``train_local`` rounds and the eval logits keep every bit.
+
+        The oracle is the same model with the argmax pooling of
+        ``nn_reference`` and a stem that still returns dL/dx.  Both run in
+        this process: GEMM bits depend on the host's BLAS kernels, so
+        digests pinned on one CPU would not hold on another.
+        """
+        train, test = tiny_split
+        train = train.subset(np.arange(64))
+        models = [build_model(name, num_classes=10, image_size=16, seed=5) for _ in range(2)]
+        as_oracle(models[1])
+        clients = [FLClient(0, model, train, batch_size=16, lr=0.05, seed=9) for model in models]
+        for round_index in range(2):
+            new, oracle = (c.train_local(round_index=round_index).state for c in clients)
+            assert list(new) == list(oracle)
+            for key in new:
+                assert new[key].tobytes() == oracle[key].tobytes(), key
+        new, oracle = (model.eval()(test.images) for model in models)
+        assert new.dtype == oracle.dtype and new.tobytes() == oracle.tobytes()
 
 
 class TestTableIIIProfiles:

@@ -150,6 +150,22 @@ class TestEncoderPeak:
             tracemalloc.stop()
         assert peak <= 4 * data.nbytes
 
+    def test_one_symbol_stream_peaks_under_twice_the_tensor(self):
+        # a smooth walk under REL 1e-2: every code is radius + 1, one used
+        # symbol and no code bits; building 8 B of tuple index per code just
+        # to count one histogram bin peaked at 3.0x
+        rng = np.random.default_rng(5)
+        data = np.cumsum(rng.normal(0.0, 0.01, 1 << 21)).astype(np.float32)
+        comp = SZ2Compressor(1e-2)
+        comp.compress(data[:1 << 16])
+        tracemalloc.start()
+        try:
+            comp.compress(data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * data.nbytes
+
 
 class TestQuantizerSlices:
     def _case(self):
