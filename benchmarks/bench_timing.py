@@ -4,17 +4,16 @@ Each check times the same work two ways and requires the faster path to
 win.  Wall clocks race on a loaded host, so these checks stay out of the
 tier-1 suite (``tests/``), which checks only what the program computes.
 
-* Always (CI runs these): the process backend beats serial on CPU-bound
-  work and on the profiler's candidate fan-out.  Both skip on a single-core
-  host, where no pool can win.
+* Always (CI runs this): the round engine's 4-worker thread wall is under
+  0.8x the sequential wall, on 8 clients sleeping their 2 Mbps transfers
+  (best of two runs each).  The sleeps release the GIL, so this holds on a
+  single core too.
 * Only with ``REPRO_BENCH_SCALE=full`` (the ``bench_utils`` scale), since
   they take minutes:
 
   - the default Huffman decode is at least 3x the per-tuple scalar
     reference (``tests/huffman_reference.py``) over the SZ2-style codes of
     paper-scale ResNet-50;
-  - the round engine's 4-worker thread wall is under 0.8x the sequential
-    wall, on 8 clients sleeping their 2 Mbps transfers;
   - the state-dict pipeline at 4 requested thread workers is at least 1.3x
     the sequential one on paper-scale ResNet-50 (multi-core only).
 
@@ -42,11 +41,10 @@ from repro.compressors.huffman import HuffmanCoder
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 from huffman_reference import decode_reference  # noqa: E402
 from repro.compressors.quantizer import LinearQuantizer
-from repro.core import CodecProfiler, FedSZCompressor, FedSZConfig, NetworkModel
+from repro.core import FedSZCompressor, FedSZConfig, NetworkModel
 from repro.data import make_dataset, train_test_split
 from repro.fl import FederatedSimulation, RawUpdateCodec
 from repro.nn import build_model
-from repro.utils.parallel import map_parallel
 
 multicore = pytest.mark.skipif((os.cpu_count() or 1) < 2,
                                reason="speedup needs more than one core")
@@ -58,16 +56,6 @@ full_scale = pytest.mark.skipif(current_scale() != "full",
 PAPER_RESNET50 = {"width": 64, "blocks_per_stage": (3, 4, 6, 3)}
 
 
-def _spin(seconds: float) -> float:
-    # CPU-bound busy loop (does not release the GIL meaningfully);
-    # module-level so the process backend can pickle it
-    deadline = time.perf_counter() + seconds
-    x = 0.0
-    while time.perf_counter() < deadline:
-        x += 1.0
-    return x
-
-
 def _best_of(repeats: int, fn, *args):
     """``fn(*args)``'s last result and its fastest wall over ``repeats``."""
     best = float("inf")
@@ -76,36 +64,6 @@ def _best_of(repeats: int, fn, *args):
         result = fn(*args)
         best = min(best, time.perf_counter() - start)
     return result, best
-
-
-@multicore
-def bench_process_backend_beats_serial_on_cpu_bound_work():
-    items = [0.2] * 4
-    start = time.perf_counter()
-    map_parallel(_spin, items, max_workers=1, backend="serial")
-    serial_wall = time.perf_counter() - start
-    start = time.perf_counter()
-    map_parallel(_spin, items, max_workers=4, backend="process")
-    process_wall = time.perf_counter() - start
-    assert process_wall < serial_wall
-
-
-@multicore
-def bench_process_fanout_beats_serial_on_multicore():
-    # ~0.2 s of serial SZ3 work, so the pool's fixed start-up (forking
-    # this process, ~10 ms and more for a large one) stays a small share
-    rng = np.random.default_rng(12345)
-    data = {f"w{i}": rng.normal(size=80_000).astype(np.float32) for i in range(4)}
-    start = time.perf_counter()
-    CodecProfiler(sample_limit=None, candidates=("sz3",),
-                  error_bounds=(1e-2, 1e-3, 1e-4)).profile_tensors(data)
-    serial_wall = time.perf_counter() - start
-    start = time.perf_counter()
-    CodecProfiler(sample_limit=None, candidates=("sz3",),
-                  error_bounds=(1e-2, 1e-3, 1e-4), backend="process",
-                  workers=os.cpu_count()).profile_tensors(data)
-    process_wall = time.perf_counter() - start
-    assert process_wall < serial_wall
 
 
 @full_scale
@@ -158,9 +116,10 @@ def _round_engine_wall(max_workers: int) -> float:
     return time.perf_counter() - start
 
 
-@full_scale
 def bench_round_engine_workers_overlap_transfers():
-    sequential, parallel = _round_engine_wall(1), _round_engine_wall(4)
+    # best of two fresh runs a side, so one slow run cannot decide the gate
+    sequential = min(_round_engine_wall(1) for _ in range(2))
+    parallel = min(_round_engine_wall(4) for _ in range(2))
     assert parallel < 0.8 * sequential, \
         f"4 workers took {parallel:.2f}s against {sequential:.2f}s sequential"
 

@@ -68,9 +68,9 @@ def _add_backend_argument(parser: argparse.ArgumentParser) -> None:
                         choices=available_backends(),
                         help="execution backend for all parallel stages "
                              "(per-tensor pipeline, round engine): serial = the "
-                             "sequential reference, thread = GIL-sharing pool, "
-                             "process = GIL-free worker processes; bitstreams "
-                             "and round results are identical across backends")
+                             "sequential reference, thread = a thread pool; "
+                             "bitstreams and round results are identical "
+                             "across backends")
 
 
 def _add_plan_arguments(parser: argparse.ArgumentParser) -> None:
@@ -274,13 +274,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                   f"codecs {', '.join(plan.codecs)}")
     profiler = last_sims["fedsz"].codec.profiler
     if profiler is not None:
-        if get_backend(args.backend).pickles_arguments and args.workers > 1:
-            # every ship task profiles on its own pickled copy of the policy,
-            # so the counters grow in the worker processes, not in this one
-            print("profile cache:  counters are kept in the worker processes")
-        else:
-            info = profiler.cache_info()
-            print(f"profile cache:  {info['hits']} hits / {info['misses']} misses")
+        info = profiler.cache_info()
+        print(f"profile cache:  {info['hits']} hits / {info['misses']} misses")
 
     raw, fedsz = results["uncompressed"], results["fedsz"]
     print(f"\nfinal accuracy: uncompressed {raw.final_accuracy:.2%} vs fedsz {fedsz.final_accuracy:.2%}")

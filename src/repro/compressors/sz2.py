@@ -35,10 +35,11 @@ Model weights are spiky (the paper's Fig. 2), so on them the block fits buy
 no lower code entropy than plain quantization and the coefficients cost
 about half a bit per value; on smooth fields the hybrid's codes are far
 cheaper.  The encoder scores both candidates on the same blocks -- the whole
-tensor when it fits one tile, else :data:`_SAMPLE_BLOCKS` evenly strided
-whole blocks -- by estimated body bits: the codes' order-0 entropy and the
-outliers scaled to the tensor, the size of a HUF4 code table over them,
-and, for the hybrid, its selector and coefficient bits
+tensor when it fits one tile, else evenly strided whole blocks holding at
+least :data:`_SAMPLE_VALUES` values and never fewer than
+:data:`_SAMPLE_BLOCKS` blocks -- by estimated body bits: the codes' order-0
+entropy and the outliers scaled to the tensor, the size of a HUF4 code table
+over them, and, for the hybrid, its selector and coefficient bits
 (:func:`_estimated_bits`).  With a reference, the reference grid is priced
 on the same blocks.  The cheapest estimate wins.  The rule is a
 deterministic function of the values, the reference and the bound; the
@@ -141,6 +142,13 @@ _HYBRID, _ZERO, _REFERENCE = 0, 1, 2
 #: of 9 rounds).
 _SAMPLE_BLOCKS = 64
 
+#: Values the predictor choice scores on at least, whatever the block size:
+#: 64 blocks of the default 128.  A fixed 64 blocks of a small block size
+#: are too few values to price the grids: on 448 values (block size 7) a
+#: 7,917-value tensor's zero grid prices cheaper than its reference grid,
+#: whose body is 1,724 B smaller.
+_SAMPLE_VALUES = _SAMPLE_BLOCKS * 128
+
 #: The zero predictor must beat the hybrid's estimate by more than this many
 #: bits: the estimator's 95th-percentile overstatement of zero's saving,
 #: clamped at 0.  Against real bodies, on the 381 tensors of 128 to 65536
@@ -206,16 +214,18 @@ class SZ2Compressor(LossyCompressor):
         head = struct.pack("<IQI", bs, n_blocks, self.quantizer.radius)
         if n == 0:
             return [head], None, []
-        fit = _BlockFit(bs, min(_TILE_BLOCKS, n_blocks))
+        # Score the predictors on the same blocks: a one-tile tensor whole
+        # (so the winner's codes are the body's), a larger one on n_sample
+        # evenly strided whole blocks, enough for _SAMPLE_VALUES values but
+        # at least _SAMPLE_BLOCKS and at most every whole block.
+        whole = n_blocks <= _TILE_BLOCKS
+        n_sample = n_blocks if whole else \
+            min(n // bs, max(_SAMPLE_BLOCKS, -(-_SAMPLE_VALUES // bs)))
+        fit = _BlockFit(bs, max(min(_TILE_BLOCKS, n_blocks), n_sample))
         use_regression = np.empty(n_blocks, dtype=bool)
         first_coef = np.empty(n_blocks, dtype=np.float32)  # mean or intercept
         slope_coef = np.empty(n_blocks, dtype=np.float32)
         codes = np.empty(n_blocks * bs, dtype=np.int32)
-
-        # Score the predictors on the same blocks: a one-tile tensor whole
-        # (so the winner's codes are the body's), a larger one on
-        # _SAMPLE_BLOCKS evenly strided whole blocks.
-        whole = n_blocks <= _TILE_BLOCKS
         ref_blocks = None
         if whole:
             blocks = next(_tiles(data, bs))[2]
@@ -223,13 +233,13 @@ class SZ2Compressor(LossyCompressor):
                 ref_blocks = next(_tiles(reference, bs))[2]
             sel, first, slope, sample_codes = use_regression, first_coef, slope_coef, codes
         else:
-            stride = (n // bs) // _SAMPLE_BLOCKS * bs
-            rows = np.arange(0, _SAMPLE_BLOCKS * stride, stride)[:, None] + np.arange(bs)
+            stride = (n // bs) // n_sample * bs
+            rows = np.arange(0, n_sample * stride, stride)[:, None] + np.arange(bs)
             blocks = data[rows]
             if reference is not None:
                 ref_blocks = reference[rows]
-            sel = np.empty(_SAMPLE_BLOCKS, dtype=bool)
-            first, slope = np.empty((2, _SAMPLE_BLOCKS), dtype=np.float32)
+            sel = np.empty(n_sample, dtype=bool)
+            first, slope = np.empty((2, n_sample), dtype=np.float32)
             sample_codes = None
         pred = fit.predict(blocks, sel, first, slope)
         radius = self.quantizer.radius

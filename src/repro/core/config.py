@@ -36,15 +36,15 @@ class FedSZConfig:
     * ``pipeline_workers`` — per-tensor compress/decompress concurrency of the
       state-dict pipeline: ``1`` is the strictly sequential reference path,
       larger values fan tensors out over the execution backend (bit-identical
-      bitstreams at any worker count).  On the GIL-bound ``thread`` backend
-      the effective count is clamped to the host's cores — tensor compression
-      is pure CPU work, so extra threads are strict oversubscription,
+      bitstreams at any worker count).  The effective count is clamped to
+      the host's cores — tensor compression is pure CPU work, so extra
+      threads are strict oversubscription,
     * ``backend`` — the :mod:`repro.utils.parallel` execution backend of the
       one fan-out stage, the per-tensor pipeline (whose ``profiled`` policy
       measures its candidates on it too): ``"serial"`` (sequential
-      reference), ``"thread"`` (the historic default), or ``"process"``
-      (GIL-free, for many-core servers decoding large client fleets).
-      Bitstreams are bit-identical across backends.
+      reference) or ``"thread"`` (the default thread pool); any other name
+      raises :class:`ValueError`.  Bitstreams are bit-identical across
+      backends.
     """
 
     lossy_compressor: str = "sz2"

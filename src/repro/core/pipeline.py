@@ -10,12 +10,11 @@ Client side (:meth:`FedSZCompressor.compress_with_report`):
    bound, the ``profiled`` policy picks both per link by measurement
    (Problems 1 and 2),
 3. compress every lossy tensor per its plan entry, fanning the tensors out
-   over the configured execution backend (serial / thread / process, see
+   over the configured execution backend (serial / thread, see
    :mod:`repro.utils.parallel`) when ``pipeline_workers > 1`` (``1`` is the
    sequential reference path; the bitstream is bit-identical at any worker
    count on any backend).  Each unit of work is a module-level task function
-   over an explicit ``(TensorPlan, ndarray, compressor)`` struct, so the same
-   tasks run unchanged on a thread pool or across a process boundary,
+   over an explicit ``(TensorPlan, ndarray, compressor)`` struct,
 4. serialize the lossless partition into a single buffer and compress it with
    the configured lossless codec,
 5. pack everything into one version-7 bitstream: each ``lossy::`` payload is
@@ -124,27 +123,21 @@ def _compress_tensor_task(task: "tuple[TensorPlan, np.ndarray, LossyCompressor, 
                                 "np.ndarray | None]") -> bytes:
     """Compress one tensor per its plan entry into a tagged payload.
 
-    Module-level with an explicit ``(TensorPlan, ndarray, compressor,
-    reference)`` argument struct so the per-tensor fan-out satisfies the
-    process backend's picklability contract (compressor instances hold only
-    plain configuration state and pickle cheaply; the bitstream bytes come
-    back as the result).  ``reference`` is the receiver's copy of the tensor
-    or ``None``.
+    ``task`` is an explicit ``(TensorPlan, ndarray, compressor, reference)``
+    struct; ``reference`` is the receiver's copy of the tensor or ``None``.
     """
     plan, array, compressor, reference = task
     return _tag_payload(plan.codec, compressor.compress(array, reference))
 
 
-def _decompress_tensor_task(task: "tuple[str, bytes | OpenedPayload, LossyCompressor, "
+def _decompress_tensor_task(task: "tuple[str, OpenedPayload, LossyCompressor, "
                                   "np.ndarray | None]") -> np.ndarray:
-    """Decode one lossy payload body back into its tensor.
+    """Rebuild one lossy tensor from its opened payload.
 
     ``body`` is the payload :meth:`LossyCompressor.open` read, with its
-    codes decoded, or on a backend that pickles its tasks the payload's
-    bytes (with the tensor's ``reference``).  Failures are normalized to
-    :class:`ValueError` *inside* the task so the documented corruption
-    contract holds identically across backends (exceptions cross the
-    process boundary already wrapped).
+    codes decoded.  Failures are normalized to :class:`ValueError` *inside*
+    the task so the documented corruption contract holds identically across
+    backends.
     """
     key, body, decoder, reference = task
     return _decode_or_valueerror(
@@ -309,20 +302,15 @@ class FedSZCompressor:
     def _pipeline_workers(self) -> int:
         """Effective per-tensor fan-out for this host.
 
-        Tensor compression is pure CPU work, so on a GIL-bound (thread)
-        backend workers beyond the core count are strict oversubscription
-        (measured ~25% slower on a single-core host) and the knob is clamped
-        to the cores actually available; a process pool's workers run truly
-        concurrently, so there the requested count is honoured.  The bitstream
-        is bit-identical at any worker count either way.
+        Tensor compression is pure CPU work, so thread workers beyond the
+        core count are strict oversubscription (measured ~25% slower on a
+        single-core host) and the knob is clamped to the cores actually
+        available.  The bitstream is bit-identical at any worker count.
         """
-        backend = get_backend(self.config.backend)
-        workers = self.config.pipeline_workers
-        if backend.gil_bound:
-            workers = min(workers, os.cpu_count() or 1)
+        workers = min(self.config.pipeline_workers, os.cpu_count() or 1)
         # let the backend have the final say (serial always resolves to 1),
         # so this number is the fan-out that actually runs
-        return backend.resolve_workers(max(1, workers), max(1, workers))
+        return get_backend(self.config.backend).resolve_workers(workers, workers)
 
     def _compressor_for(self, plan: TensorPlan) -> LossyCompressor:
         """A lossy compressor configured exactly as ``plan`` prescribes.
@@ -469,9 +457,7 @@ class FedSZCompressor:
         after the tag/plan cross-check, every payload is opened (read as a
         view of ``bitstream``) and all Huffman streams decode as one batch;
         the tensor rebuilds then fan out over the configured execution
-        backend when ``config.pipeline_workers > 1``.  A backend that
-        pickles its tasks gets each payload's bytes instead, and each of its
-        workers decodes its own stream.  The report covers
+        backend when ``config.pipeline_workers > 1``.  The report covers
         the decode side only — ``compress_seconds`` is 0, so its
         ``throughput_mbps`` (a compress-side metric) reads ``inf`` and should
         not be aggregated from decode-only reports.
@@ -511,13 +497,7 @@ class FedSZCompressor:
                                  f"tagged {codec!r} but the manifest plan says "
                                  f"{plan[name].codec!r}")
             tasks.append((key, body, self._decoder_for(codec), reference.get(name)))
-        if get_backend(self.config.backend).pickles_arguments:
-            # views of the bitstream do not pickle: each worker gets its
-            # entry's bytes and decodes its stream as a batch of one
-            tasks = [(key, bytes(body), decoder, ref) for key, body, decoder, ref in tasks]
-        else:
-            tasks = _decode_streams(tasks)
-        arrays = map_parallel(_decompress_tensor_task, tasks,
+        arrays = map_parallel(_decompress_tensor_task, _decode_streams(tasks),
                               max_workers=self._pipeline_workers(),
                               backend=self.config.backend)
 

@@ -205,8 +205,7 @@ class CostModel(abc.ABC):
     The profiler still performs the real sample roundtrip (ratio and max
     error are measured, they are deterministic), but asks the cost model for
     the timings instead of :func:`time.perf_counter` — so profiles, plans,
-    and bitstreams become pure functions of the tensor bytes.  Implementations
-    must be picklable: candidate tasks cross process boundaries.
+    and bitstreams become pure functions of the tensor bytes.
     """
 
     #: short name recorded in plan provenance
@@ -280,10 +279,8 @@ class _CandidateTask:
 def _measure_candidate_task(task: _CandidateTask) -> CandidateMeasurement:
     """Roundtrip one candidate on one sample; the unit of profiler fan-out.
 
-    Module-level over an explicit struct so the candidate grid satisfies the
-    process backend's picklability contract.  Ratio and max error come from
-    the real roundtrip; timings from the wall clock or the injected cost
-    model (see :class:`CostModel`).
+    Ratio and max error come from the real roundtrip; timings from the wall
+    clock or the injected cost model (see :class:`CostModel`).
     """
     from repro.compressors.registry import get_lossy
 
@@ -327,13 +324,13 @@ class CodecProfiler:
       whose bytes changed is measured again, so a profile never depends on
       which tensor happened to be measured first.
     * **Fan-out** — uncached ``tensor x candidate`` pairs dispatch as one flat
-      :meth:`ExecutionBackend.map` batch of picklable tasks; results are
+      :meth:`ExecutionBackend.map` batch of tasks; results are
       order-stable, so profiles are identical on any backend at any worker
       count.
 
     Instances are thread-safe (the round engine profiles several clients
-    concurrently) and picklable (policies embedding a profiler cross process
-    boundaries; the cache travels along, pre-warming the worker).
+    concurrently) and copyable (a copied or pickled profiler carries its
+    cache and gets a fresh lock).
     """
 
     def __init__(self, candidates: Sequence[str] | None = None,
@@ -374,7 +371,7 @@ class CodecProfiler:
         self._cache: dict[tuple, tuple[CandidateMeasurement, ...]] = {}
         self._lock = threading.Lock()
 
-    # -- pickling: locks don't cross process boundaries, the cache does ------
+    # -- copying: locks are not copied, the cache is ------------------------
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
         del state["_lock"]

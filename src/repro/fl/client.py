@@ -83,7 +83,9 @@ class FLClient:
 
         Dropout masks come from one generator seeded by ``(seed,
         round_index)`` alone, like the batch order, so a round retrains the
-        same on a resumed run, on a fresh replica and in any worker process.
+        same on a resumed run, on a fresh replica and on any pool thread.
+        Each backward releases what its forward cached, so the replica
+        holds no training arrays between rounds.
         """
         start = time.perf_counter()
         self.model.train(True)

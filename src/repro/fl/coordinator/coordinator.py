@@ -30,11 +30,8 @@ order and dropout masks are seeded by the client seed and round index alone).
 
 from __future__ import annotations
 
-import contextlib
-import itertools
-import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -43,78 +40,17 @@ from repro.core.network import round_communication_time
 from repro.fl.client import ClientUpdate, FLClient
 from repro.fl.coordinator.journal import JournalState, RoundJournal, ShippedEvent
 from repro.fl.coordinator.records import RoundRecord, SimulationResult
-from repro.fl.coordinator.residency import (discard_fleet, install_fleet,
-                                            resident_client)
 from repro.fl.coordinator.scheduler import RoundScheduler, StalenessPolicy
 from repro.fl.coordinator.transport import (ShipResult, ShipTask,
                                             SimulatedTransport)
 from repro.fl.delta import DeltaTracker, DeltaUpdateCodec
-from repro.utils.parallel import (ArenaHandle, ExecutionBackend,
-                                  SharedMemoryArena, get_backend)
+from repro.utils.parallel import ExecutionBackend, get_backend
 
 # NOTE: fl/server.py imports the aggregation kernel from this package, so this
 # module must not import fl.server back at runtime — the server below is typed
 # by its duck interface (global_state / aggregate / evaluate / model).
 
-__all__ = ["Coordinator", "TrainTask", "train_clients_parallel"]
-
-#: resident-fleet tokens are unique per (process, coordinator scope) so two
-#: concurrent coordinators in one process can never collide
-_FLEET_COUNTER = itertools.count()
-
-
-@dataclass
-class TrainTask:
-    """Picklable argument struct for :func:`_train_client_task`.
-
-    Same contract as the transport's :class:`ShipTask`: a module-level task
-    function over an explicit struct, so the process backend's picklability
-    contract holds by construction.  Exactly one of two client forms is set —
-
-    * ``client`` — the full-ship path: the :class:`FLClient` (dataset shard
-      included) travels inside the task, paying O(shard bytes) of pickling
-      per client per round on pickling backends;
-    * ``fleet`` — the worker-resident path: a ``(token, generation)``
-      reference into the fleet a persistent pool's initializer installed
-      (:mod:`repro.fl.coordinator.residency`), so the task ships O(model
-      state) only —
-
-    and the broadcast global state arrives either inline (``global_state``)
-    or, on ``pickles_arguments`` backends, as a :class:`ArenaHandle` into one
-    shared-memory segment the coordinator packs once per round
-    (``state_handle``).
-    """
-
-    client_id: int
-    epochs: int
-    round_index: int
-    global_state: "dict[str, np.ndarray] | None" = None
-    state_handle: "ArenaHandle | None" = None
-    client: "FLClient | None" = None
-    fleet: "tuple[str, int] | None" = field(default=None, repr=False)
-
-
-def _train_client_task(task: TrainTask) -> ClientUpdate:
-    """Broadcast-and-train one client from a :class:`TrainTask`.
-
-    Module-level and picklable for the process backend.  The broadcast happens
-    inside the task (clients are independent, so receive-then-train per client
-    is bit-identical to a global broadcast followed by training), and the
-    updated state travels back in the returned :class:`ClientUpdate` — the
-    caller re-absorbs it into its own replica when the backend does not share
-    memory.  Arena-shipped state is handed to ``receive_global`` as read-only
-    views — safe because ``Module.load_state_dict`` copies every array.
-    """
-    client = task.client
-    if client is None:
-        token, generation = task.fleet
-        client = resident_client(token, generation, task.client_id)
-    if task.state_handle is not None:
-        with task.state_handle.open() as view:
-            client.receive_global(view.arrays())
-    else:
-        client.receive_global(task.global_state)
-    return client.train_local(epochs=task.epochs, round_index=task.round_index)
+__all__ = ["Coordinator", "train_clients_parallel"]
 
 
 def train_clients_parallel(clients: Sequence[FLClient], global_state: dict,
@@ -124,32 +60,21 @@ def train_clients_parallel(clients: Sequence[FLClient], global_state: dict,
     """Broadcast ``global_state`` to every client and train them concurrently.
 
     Returns the per-client :class:`ClientUpdate` objects in client order, ready
-    for FedAvg aggregation.  Each client owns a private model replica (and
-    ``receive_global`` copies the broadcast arrays), so no state is shared
-    between training workers; on a process backend the trained state is loaded
-    back into the caller's replicas so every backend leaves the clients in the
-    same state.  ``round_index`` is mixed into each client's batch-shuffle seed
-    so successive rounds see fresh batch orders (round 0 reproduces the
-    historic order).
-
-    This is the full-ship path: every task carries its client.  The
-    coordinator's persistent runtime replaces it with worker-resident tasks
-    (see :meth:`Coordinator.persistent_runtime`) — bit-identically, since
-    training is a pure function of ``(global_state, shard, seed, round)``:
-    even the dropout masks are re-seeded per round by
-    :meth:`~repro.fl.client.FLClient.train_local`.
+    for FedAvg aggregation.  The broadcast happens inside each task (clients
+    are independent, so receive-then-train per client is bit-identical to a
+    global broadcast followed by training).  Each client owns a private model
+    replica (and ``receive_global`` copies the broadcast arrays), so no state
+    is shared between training workers.  ``round_index`` is mixed into each
+    client's batch-shuffle seed so successive rounds see fresh batch orders
+    (round 0 reproduces the historic order); training is a pure function of
+    ``(global_state, shard, seed, round_index)``, since even the dropout masks
+    are re-seeded per round by :meth:`~repro.fl.client.FLClient.train_local`.
     """
-    exec_backend = get_backend(backend)
-    updates = exec_backend.map(
-        _train_client_task,
-        [TrainTask(client_id=client.client_id, epochs=epochs,
-                   round_index=round_index, global_state=global_state,
-                   client=client) for client in clients],
-        workers=max_workers)
-    if not exec_backend.shared_memory:
-        for client, update in zip(clients, updates):
-            client.receive_global(update.state)
-    return updates
+    def train(client: FLClient) -> ClientUpdate:
+        client.receive_global(global_state)
+        return client.train_local(epochs=epochs, round_index=round_index)
+
+    return get_backend(backend).map(train, clients, workers=max_workers)
 
 
 @dataclass
@@ -175,21 +100,6 @@ class _LateUpdate:
     client_id: int
     state: "dict[str, np.ndarray]"
     num_samples: int
-
-
-@dataclass
-class _ResidentFleet:
-    """Book-keeping for the fleet installed in a persistent scope's workers.
-
-    ``signature`` is the roster fingerprint the fleet was installed under;
-    ``active`` flips to False when the roster changes on a backend whose live
-    pool cannot re-run initializers (see ``Coordinator._refresh_residency``).
-    """
-
-    token: str
-    generation: int
-    signature: tuple
-    active: bool = True
 
 
 class Coordinator:
@@ -229,7 +139,6 @@ class Coordinator:
         self.round_deadline_s = round_deadline_s
         self.staleness = staleness if staleness is not None else StalenessPolicy()
         self.journal = journal
-        self._resident: "_ResidentFleet | None" = None
         # cross-round delta state: one tracker over every delta-wrapped codec
         # (None when the fleet ships plain updates — zero behavior change)
         delta_codecs = {cid: codec
@@ -337,120 +246,15 @@ class Coordinator:
                                    len(self.clients), self.server.global_state())
             self._run_started = True
 
-    # -- persistent runtime -------------------------------------------------
-    @contextlib.contextmanager
-    def persistent_runtime(self):
-        """Scope that backs every round with one pool and resident clients.
-
-        Entering the scope spins the execution backend's persistent pool up
-        once (:meth:`ExecutionBackend.persistent`), installing the client
-        fleet into every worker via the pool initializer on
-        ``pickles_arguments`` backends — so each round's train tasks ship
-        O(model state) instead of O(dataset shard).  The fleet is *also*
-        installed in the calling process, which is what thread workers and
-        inline degrades (``serial``, one resolved worker, nested process
-        workers) resolve against.
-
-        Re-entrant calls are no-ops, so :meth:`run` can always wrap its round
-        loop.  On exit the pool is torn down and the fleet discarded; tasks
-        must not outlive the scope.
-        """
-        if self._resident is not None:
-            yield
-            return
-        token = f"fleet-{os.getpid()}-{next(_FLEET_COUNTER)}"
-        roster = {client.client_id: client for client in self.clients}
-        install_fleet(token, 0, roster)
-        initializer = install_fleet if self.backend.pickles_arguments else None
-        initargs = (token, 0, roster) if initializer is not None else ()
-        self._resident = _ResidentFleet(token=token, generation=0,
-                                        signature=self._roster_signature())
-        try:
-            with self.backend.persistent(self.max_workers,
-                                         initializer=initializer,
-                                         initargs=initargs):
-                yield
-        finally:
-            self._resident = None
-            discard_fleet(token)
-
     def _roster_signature(self) -> tuple:
-        """Fingerprint of the client roster the resident fleet mirrors.
+        """Fingerprint of the client roster, for the delta tracker.
 
         Identity-based on purpose: replacing a client (or its dataset shard)
-        with a different object must invalidate residency even if the new one
-        compares equal, because the workers hold copies of the *old* objects.
+        with a different object between rounds invalidates every delta
+        channel (``roster-change``) even if the new one compares equal.
         """
         return tuple((client.client_id, id(client), id(client.dataset))
                      for client in self.clients)
-
-    def _refresh_residency(self, resident: _ResidentFleet) -> None:
-        """Reconcile the resident fleet with a changed client roster.
-
-        Shared-memory backends re-install under a bumped generation (cheap —
-        the registry holds references, not copies).  Pickling backends cannot
-        re-run initializers in a live pool, so residency deactivates and the
-        remaining rounds fall back to full-client tasks — still over the
-        persistent pool, so only the O(shard) shipping saving is lost.
-        """
-        signature = self._roster_signature()
-        if signature == resident.signature:
-            return
-        if self.backend.pickles_arguments:
-            resident.active = False
-        else:
-            resident.generation += 1
-            install_fleet(resident.token, resident.generation,
-                          {client.client_id: client for client in self.clients})
-        resident.signature = signature
-
-    def _train_round(self, fresh_ids: "list[int]", global_state: dict,
-                     round_index: int) -> "list[ClientUpdate]":
-        """Train this round's fresh participants, resident when possible."""
-        if not fresh_ids:
-            return []
-        resident = self._resident
-        if resident is not None:
-            self._refresh_residency(resident)
-            if resident.active:
-                return self._train_resident(fresh_ids, global_state, round_index)
-        return train_clients_parallel(
-            [self.clients[cid] for cid in fresh_ids], global_state,
-            epochs=self.local_epochs, max_workers=self.max_workers,
-            backend=self.backend, round_index=round_index)
-
-    def _train_resident(self, fresh_ids: "list[int]", global_state: dict,
-                        round_index: int) -> "list[ClientUpdate]":
-        """Worker-resident training: tasks reference the installed fleet.
-
-        On ``pickles_arguments`` backends the broadcast state is packed into
-        one :class:`SharedMemoryArena` per round and tasks carry only its
-        handle, so the per-round pickle cost is O(task metadata).  Bit-
-        identical to :func:`train_clients_parallel` because training is a pure
-        function of ``(global_state, shard, seed, round_index)``.
-        """
-        resident = self._resident
-        fleet = (resident.token, resident.generation)
-        arena = SharedMemoryArena(global_state) \
-            if self.backend.pickles_arguments else None
-        try:
-            tasks = [
-                TrainTask(client_id=cid, epochs=self.local_epochs,
-                          round_index=round_index,
-                          global_state=None if arena is not None else global_state,
-                          state_handle=arena.handle if arena is not None else None,
-                          fleet=fleet)
-                for cid in fresh_ids
-            ]
-            updates = self.backend.map(_train_client_task, tasks,
-                                       workers=self.max_workers)
-        finally:
-            if arena is not None:
-                arena.close()
-        if not self.backend.shared_memory:
-            for cid, update in zip(fresh_ids, updates):
-                self.clients[cid].receive_global(update.state)
-        return updates
 
     def run_round(self, round_index: int) -> RoundRecord:
         """Execute one communication round and return its measurements."""
@@ -480,7 +284,10 @@ class Coordinator:
 
         straggler_set = set(plan.stragglers)
         fresh_ids = [cid for cid in plan.participants if cid not in replayed]
-        updates = self._train_round(fresh_ids, global_state, round_index)
+        updates = train_clients_parallel(
+            [self.clients[cid] for cid in fresh_ids], global_state,
+            epochs=self.local_epochs, max_workers=self.max_workers,
+            backend=self.backend, round_index=round_index)
 
         keep_payload = self.journal is not None
         tasks = [
@@ -611,13 +418,16 @@ class Coordinator:
         """Run (or resume) ``n_rounds`` rounds and collect the records.
 
         Rounds already completed in the journal replay as-is; the interrupted
-        round (if any) resumes from its journaled ships; the rest run live.
+        round (if any) resumes from its journaled ships; the rest run live,
+        all on one persistent pool of the execution backend
+        (:meth:`~repro.utils.parallel.ExecutionBackend.persistent`) instead of
+        a fresh pool per training and shipping map.
         """
         result = SimulationResult(codec_name=self.codec_name)
         result.rounds.extend(self._completed[:n_rounds])
         if len(result.rounds) >= n_rounds:
             return result
-        with self.persistent_runtime():
+        with self.backend.persistent(self.max_workers):
             for round_index in range(len(result.rounds), n_rounds):
                 result.rounds.append(self.run_round(round_index))
         return result

@@ -60,9 +60,9 @@ payload) collapses, which is where the delta size win comes from.
 
 The codec itself is stateless between rounds: the coordinator *arms* it per
 ship with the reference, generation, and accumulator, and advances the
-accumulator from the reconstruction after the ship.  The armed codec pickles
-into transport workers with its reference embedded; workers only read it, so
-process pools stay bit-identical to the serial path.
+accumulator from the reconstruction after the ship.  Transport workers
+share the armed codec and only read its reference, so a thread pool stays
+bit-identical to the serial path.
 """
 
 from __future__ import annotations
@@ -306,24 +306,6 @@ class DeltaUpdateCodec(UpdateCodec):
         compressor = getattr(self.inner, "compressor", None)
         if compressor is not None:
             compressor.bound_scales = None
-
-    def detached(self) -> "DeltaUpdateCodec":
-        """A shallow clone without the reference state (for pickling).
-
-        The transport ships the (large, per-round-unique) reference through
-        one shared-memory arena instead of pickling it into every task; the
-        worker re-attaches via :meth:`attach_reference`.  A detached codec
-        that is asked to encode or decode a delta fails loudly through
-        :meth:`_require_reference`.
-        """
-        clone = object.__new__(DeltaUpdateCodec)
-        clone.__dict__.update(self.__dict__)
-        clone._reference = None
-        return clone
-
-    def attach_reference(self, reference: dict) -> None:
-        """Re-attach a reference shipped out of band (worker side)."""
-        self._reference = reference
 
     def _require_reference(self, generation: int) -> dict:
         if self._reference is None:

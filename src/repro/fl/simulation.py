@@ -25,8 +25,9 @@ full-participation semantics, which the test suite pins bit-for-bit):
 * ``max_workers`` / ``backend`` — client training and the per-client
   encode → transfer → decode pipeline fan out over an
   :class:`~repro.utils.parallel.ExecutionBackend` pool of this size
-  (``serial`` / ``thread`` / ``process``); every backend/worker combination
-  reproduces the sequential reference bit-for-bit.
+  (``serial`` or ``thread``; any other name raises :class:`ValueError`);
+  every backend/worker combination reproduces the sequential reference
+  bit-for-bit.
 * ``participation`` — clients sampled per round: a float in ``(0, 1]`` is a
   fraction of the fleet, an int ``> 1`` an absolute count.
 * ``dropout_prob`` — probability that a sampled client is unavailable this
@@ -53,10 +54,8 @@ full-participation semantics, which the test suite pins bit-for-bit):
   after a roster change, after a lost resume sidecar) degrade to a
   full-state frame — visible per round on ``RoundRecord.delta_degrades``.
 
-:meth:`run` backs the whole run with one long-lived worker pool and, on
-pickling backends, worker-resident client shards (train tasks ship O(model
-state), not O(dataset shard)); every round aggregates once, after lateness
-triage.
+:meth:`run` backs the whole run with one long-lived thread pool; every
+round aggregates once, after lateness triage.
 
 ``seed=None`` now draws one fresh scenario seed and derives *everything*
 (partitioning, client seeds, scenario draws) from it, so even an unseeded run

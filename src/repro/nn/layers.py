@@ -1,15 +1,18 @@
 """Layer implementations with explicit forward/backward passes.
 
 In training mode each layer caches whatever the backward pass needs during
-``forward``; in evaluation mode ``forward`` is inference only: it keeps no
-such array and drops any a training forward left, and ``backward`` then
-raises :class:`RuntimeError`.  ``backward`` accumulates parameter gradients
-and returns the gradient with respect to the layer's input, except on a
-model's stem layer (the first ``Conv2d``, or an MLP's first ``Linear``),
-which the model marks when it is built: nothing reads the gradient with
-respect to the input image, so the stem skips it and returns ``None``.  This
-mirrors PyTorch behaviour closely enough for the FL experiments while staying
-dependency-free.
+``forward``, and ``backward`` releases it, so a finished training step
+leaves no such array behind; in evaluation mode ``forward`` is inference
+only: it keeps no such array and drops any a training forward left.  A
+``backward`` with nothing cached (after an eval forward, before any forward,
+or a second time) raises :class:`RuntimeError`; ``Dropout``, whose eval mode
+is the identity, passes the gradient through instead.  ``backward``
+accumulates parameter gradients and returns the gradient with respect to
+the layer's input, except on a model's stem layer (the first ``Conv2d``, or
+an MLP's first ``Linear``), which the model marks when it is built: nothing
+reads the gradient with respect to the input image, so the stem skips it and
+returns ``None``.  This mirrors PyTorch behaviour closely enough for the FL
+experiments while staying dependency-free.
 """
 
 from __future__ import annotations
@@ -65,9 +68,10 @@ class Linear(Module):
         return out
 
     def backward(self, grad: np.ndarray) -> np.ndarray | None:
-        if self._x is None:
+        x, self._x = self._x, None
+        if x is None:
             raise RuntimeError(_NO_TRAINING_FORWARD)
-        self.weight.add_grad(grad.T @ self._x)
+        self.weight.add_grad(grad.T @ x)
         if self.bias is not None:
             self.bias.add_grad(grad.sum(axis=0))
         if self._stem:
@@ -178,9 +182,12 @@ class Conv2d(Module):
     def backward(self, grad: np.ndarray) -> np.ndarray | None:
         if self._x_shape is None:
             raise RuntimeError(_NO_TRAINING_FORWARD)
-        if self.groups == 1:
-            return self._backward_dense(grad)
-        return self._backward_depthwise(grad)
+        try:
+            if self.groups == 1:
+                return self._backward_dense(grad)
+            return self._backward_depthwise(grad)
+        finally:
+            self._cols = self._windows = self._x_shape = None
 
 
 class BatchNorm2d(Module):
@@ -219,6 +226,7 @@ class BatchNorm2d(Module):
         if self._cache is None:
             raise RuntimeError(_NO_TRAINING_FORWARD)
         x_hat, std = self._cache
+        self._cache = None
         self.weight.add_grad((grad * x_hat).sum(axis=(0, 2, 3)))
         self.bias.add_grad(grad.sum(axis=(0, 2, 3)))
         gamma = self.weight.data[None, :, None, None]
@@ -243,9 +251,10 @@ class ReLU(Module):
         return np.where(mask, x, 0.0)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        if self._mask is None:
+        mask, self._mask = self._mask, None
+        if mask is None:
             raise RuntimeError(_NO_TRAINING_FORWARD)
-        return np.where(self._mask, grad, 0.0)
+        return np.where(mask, grad, 0.0)
 
 
 class ReLU6(Module):
@@ -260,9 +269,10 @@ class ReLU6(Module):
         return np.clip(x, 0.0, 6.0)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        if self._mask is None:
+        mask, self._mask = self._mask, None
+        if mask is None:
             raise RuntimeError(_NO_TRAINING_FORWARD)
-        return np.where(self._mask, grad, 0.0)
+        return np.where(mask, grad, 0.0)
 
 
 class MaxPool2d(Module):
@@ -314,11 +324,12 @@ class MaxPool2d(Module):
         return out
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        if self._first is None:
+        first, self._first = self._first, None
+        if first is None:
             raise RuntimeError(_NO_TRAINING_FORWARD)
         dx = np.zeros(self._x_shape, dtype=grad.dtype)
         for pos, view in enumerate(self._views(dx)):
-            np.copyto(view, grad, where=self._first == pos)
+            np.copyto(view, grad, where=first == pos)
         return dx
 
 
@@ -402,6 +413,7 @@ class Dropout(Module):
         return x * self._mask
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        if self._mask is None:
+        mask, self._mask = self._mask, None
+        if mask is None:
             return grad
-        return grad * self._mask
+        return grad * mask

@@ -140,9 +140,11 @@ class Module:
     def backward(self, grad: np.ndarray) -> np.ndarray | None:
         """Backpropagate ``grad`` (dL/d output) and return dL/d input.
 
-        Needs a training-mode forward first.  A model returns ``None``: its
-        stem layer fills its own parameter gradients but computes no
-        gradient with respect to the input image, which nothing reads.
+        Needs a training-mode forward first, whose cached record it
+        releases, so each forward backs one backward.  A model returns
+        ``None``: its stem layer fills its own parameter gradients but
+        computes no gradient with respect to the input image, which nothing
+        reads.
         """
         raise NotImplementedError
 

@@ -7,8 +7,9 @@ case's simulation journaled into ``journal_dir``.  With
 uninterrupted reference and the resumed run from the same
 :func:`simulation`.  Both cases train a narrow ``alexnet``: its two dropout
 layers, whose masks a resumed run must reproduce, at a fraction of the
-full model's training time.  They train on a 2-worker pool, so on the
-process backend the child dies holding live pool workers.
+full model's training time.  They ask for 2 workers: on the thread backend
+the child dies with pool threads in flight, on the serial one it dies
+mid-loop on its only thread.
 """
 
 from __future__ import annotations

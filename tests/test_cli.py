@@ -77,9 +77,11 @@ class TestParser:
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
     def test_backend_flag(self):
+        # a removed name (process) is covered with every other entry point in
+        # test_execution_backend.py
         for command in ("compress", "simulate"):
-            args = build_parser().parse_args([command, "--backend", "process"])
-            assert args.backend == "process"
+            args = build_parser().parse_args([command, "--backend", "serial"])
+            assert args.backend == "serial"
             assert build_parser().parse_args([command]).backend == "thread"
         with pytest.raises(SystemExit):
             build_parser().parse_args(["compress", "--backend", "mpi"])
@@ -152,24 +154,19 @@ class TestCommands:
         ["compress", "--model", "simplecnn"],
         ["simulate", "--model", "mlp", "--rounds", "1", "--clients", "2",
          "--samples", "60", "--image-size", "8"],
+        # pool threads share the codec's profiler, so its counters are real
         ["simulate", "--model", "mlp", "--rounds", "1", "--clients", "2",
-         "--samples", "60", "--image-size", "8", "--backend", "process",
-         "--workers", "2"],
-        # one worker runs every ship in this process, so the counters are real
+         "--samples", "60", "--image-size", "8", "--workers", "2"],
         ["simulate", "--model", "mlp", "--rounds", "1", "--clients", "2",
-         "--samples", "60", "--image-size", "8", "--backend", "process"],
-    ], ids=["compress", "simulate", "simulate-process", "simulate-process-1-worker"])
+         "--samples", "60", "--image-size", "8", "--workers", "2",
+         "--backend", "serial"],
+    ], ids=["compress", "simulate", "simulate-2-workers", "simulate-serial"])
     def test_profiled_run_prints_cache_hits_and_misses(self, argv, capsys):
         exit_code = main(argv + ["--policy", "profiled"])
         out = capsys.readouterr().out
         assert exit_code == 0
         line = next(line for line in out.splitlines()
                     if line.startswith("profile cache:"))
-        if "--workers" in argv:
-            # each ship profiled on a pickled copy of the policy: the parent's
-            # counters never saw it, so the line must not print them
-            assert line == "profile cache:  counters are kept in the worker processes"
-            return
         counters = re.fullmatch(r"profile cache:\s+(\d+) hits / (\d+) misses", line)
         assert counters is not None, line
         assert int(counters.group(2)) > 0

@@ -284,18 +284,6 @@ class TestDeltaCodec:
         with pytest.raises(ValueError, match="no reference"):
             codec.decode(payload)
 
-    def test_detached_clone_needs_reattachment(self):
-        codec = self._codec()
-        ref = _state(19)
-        codec.arm(ref, 1, delta=True)
-        payload = codec.encode(_state(20))
-        clone = codec.detached()
-        with pytest.raises(ValueError, match="no reference"):
-            clone.decode(payload)
-        clone.attach_reference(ref)
-        recon = clone.decode(payload)
-        np.testing.assert_array_equal(recon["steps"], _state(20)["steps"])
-
     def test_armed_full_ship_codes_against_the_reference(self):
         # mode 2 reconstructs exactly what mode 0 does, in fewer bytes
         codec = self._codec()
@@ -366,7 +354,7 @@ class TestDeltaCodec:
             codec.decode(payload[:13] + pack_bytes_dict(entries))
 
     @pytest.mark.parametrize("backend, workers", [
-        ("thread", 1), ("thread", 2), ("process", 1), ("process", 2)])
+        ("thread", 1), ("thread", 2), ("thread", 3), ("thread", 4)])
     def test_reference_ship_bit_identical_across_backends(self, backend, workers):
         # one tensor of several tiles, one of one tile, and the exact ones
         ref = dict(_state(50), **{"conv.weight": np.random.default_rng(51).standard_normal(
@@ -635,7 +623,7 @@ class TestDeltaSimulation:
         assert res.rounds[0].transmitted_bytes < 0.75 * full.rounds[0].transmitted_bytes
 
     @pytest.mark.parametrize("backend, workers", [
-        ("thread", 1), ("thread", 4), ("process", 1), ("process", 2), ("process", 4)])
+        ("thread", 1), ("thread", 2), ("thread", 3), ("thread", 4)])
     def test_bit_identical_across_backends(self, delta_split, serial_delta_run,
                                            backend, workers):
         got = _make_sim(delta_split, backend=backend, max_workers=workers).run(3)
@@ -730,7 +718,7 @@ class TestDeltaSimulation:
                             resume=True).run(3)
         assert deterministic_fields(resumed) == deterministic_fields(reference)
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "thread"])
     def test_late_full_ships_replay_against_their_origin_snapshot(
             self, tmp_path, delta_split, backend):
         # every ship misses the deadline, so every round ships full states

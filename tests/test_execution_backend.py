@@ -1,45 +1,46 @@
 """The unified ExecutionBackend layer: registry, worker resolution, map
-semantics, and the serial/thread/process equivalence matrix across the plan
-pipeline and the round engine.
+semantics, the serial/thread equivalence matrix across the plan pipeline
+and the round engine, and the loud failure of a removed backend name.
 
-Only correctness is checked here: the process backend's wall-clock check
-lives in ``benchmarks/bench_timing.py``, outside tier-1.
+Only correctness is checked here: the wall-clock checks live in
+``benchmarks/bench_timing.py``, outside tier-1.
 """
 
 from __future__ import annotations
 
+import contextlib
 import importlib
 import os
+import re
 import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import FedSZCompressor, FedSZConfig, NetworkModel
-from repro.fl import FederatedSimulation, FedSZUpdateCodec
+from repro.cli import main
+from repro.core import (CodecProfiler, FedSZCompressor, FedSZConfig,
+                        NetworkModel, get_policy)
+from repro.fl import FederatedSimulation, FedSZUpdateCodec, train_clients_parallel
 from repro.fl.coordinator.records import deterministic_fields
 from repro.fl.coordinator.transport import ShipTask, SimulatedTransport
 from repro.nn import build_model
 from repro.utils.parallel import (
     ExecutionBackend,
-    ProcessBackend,
     SerialBackend,
     ThreadBackend,
     available_backends,
     get_backend,
     map_parallel,
-    register_backend,
     resolve_worker_count,
 )
 from repro.utils.serialization import pack_bytes_dict, unpack_bytes_dict
 from tiered_policy import TieredPolicy
 
-BACKENDS = ("serial", "thread", "process")
+BACKENDS = ("serial", "thread")
 
-
-# -- module-level task functions: the process backend's picklability contract --
 
 def _square(x: int) -> int:
     return x * x
@@ -49,49 +50,31 @@ def _boom(x: int) -> int:
     raise RuntimeError(f"worker failed on {x}")
 
 
-def _nested_process_map(xs: "list[int]") -> "list[int]":
-    # a process map issued from inside a process worker must degrade to
-    # sequential execution instead of forking grandchildren
-    return map_parallel(_square, xs, max_workers=2, backend="process")
+def _nested_map(xs: "list[int]") -> "list[int]":
+    # a fan-out issued from inside a pool worker, which never sees the
+    # persistent scope of the thread that entered it
+    assert get_backend("thread")._active_scope() is None
+    return map_parallel(_square, xs, max_workers=2, backend="thread")
 
 
-def _cpu_mask(_: int) -> "set[int]":
-    return os.sched_getaffinity(0)
+def _simplecnn():
+    return build_model("simplecnn", num_classes=10, in_channels=3,
+                       image_size=16, seed=0)
 
 
 class TestRegistry:
     def test_builtin_backends_registered(self):
-        assert available_backends() == ("serial", "thread", "process")
+        assert available_backends() == ("serial", "thread")
 
     def test_get_backend_by_name_and_instance(self):
         thread = get_backend("thread")
         assert isinstance(thread, ThreadBackend)
         assert get_backend(thread) is thread
         assert isinstance(get_backend("serial"), SerialBackend)
-        assert isinstance(get_backend("process"), ProcessBackend)
 
     def test_unknown_backend_raises_with_choices(self):
-        with pytest.raises(ValueError, match="serial, thread, process"):
+        with pytest.raises(ValueError, match="serial, thread"):
             get_backend("mpi")
-
-    def test_register_backend_requires_a_name(self):
-        class Nameless(ThreadBackend):
-            name = "base"
-        with pytest.raises(ValueError, match="name"):
-            register_backend(Nameless())
-
-    def test_traits(self):
-        assert get_backend("thread").gil_bound
-        assert get_backend("thread").shared_memory
-        assert not get_backend("process").gil_bound
-        assert not get_backend("process").shared_memory
-        assert not get_backend("serial").gil_bound
-        assert get_backend("serial").shared_memory
-
-    def test_pickles_arguments_trait_matrix(self):
-        assert get_backend("process").pickles_arguments
-        assert not get_backend("serial").pickles_arguments
-        assert not get_backend("thread").pickles_arguments
 
     def test_backends_are_picklable(self):
         import pickle
@@ -107,9 +90,6 @@ class TestWorkerResolution:
     def test_thread_default_keeps_executor_heuristic(self):
         expected = min(32, (os.cpu_count() or 1) + 4)
         assert resolve_worker_count(None, 1000, backend="thread") == expected
-
-    def test_process_default_is_cpu_count_not_thread_heuristic(self):
-        assert resolve_worker_count(None, 1000, backend="process") == (os.cpu_count() or 1)
 
     def test_serial_always_resolves_to_one(self):
         assert resolve_worker_count(None, 1000, backend="serial") == 1
@@ -149,25 +129,32 @@ class TestMapSemantics:
             map_parallel(_boom, [1, 2, 3], max_workers=2, backend=backend)
 
     def test_closures_work_on_shared_memory_backends(self):
-        # only the process backend imposes the picklability contract
+        # workers share the caller's objects: closures run, and their side
+        # effects land in the caller's state
         acc = []
-        for backend in ("serial", "thread"):
+        for backend in BACKENDS:
             assert map_parallel(lambda x: x + 1, [1, 2], backend=backend) == [2, 3]
             map_parallel(acc.append, [7], backend=backend)
         assert acc == [7, 7]
 
-    def test_process_map_nested_in_process_worker_stays_flat(self):
-        out = map_parallel(_nested_process_map, [[1, 2], [3, 4]],
-                           max_workers=2, backend="process")
-        assert out == [[1, 4], [9, 16]]
+    @pytest.mark.parametrize("persistent", [False, True],
+                             ids=["per-call", "persistent"])
+    def test_map_nested_in_a_pool_worker(self, persistent):
+        # both outer tasks hold the pool's two slots while they fan out: a
+        # nested map that reused the scope's pool would wait on itself, so
+        # the run goes on a watched thread instead of the test's own
+        backend = get_backend("thread")
+        out = []
 
-    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),
-                        reason="CPU masks are a Linux API")
-    def test_process_workers_spread_but_not_pinned(self):
-        # each worker moves once to a CPU of its own, then gets its full mask
-        # back so the scheduler can still balance it
-        masks = map_parallel(_cpu_mask, range(4), max_workers=2, backend="process")
-        assert masks == [os.sched_getaffinity(0)] * 4
+        def run():
+            with backend.persistent(2) if persistent else contextlib.nullcontext():
+                out.append(backend.map(_nested_map, [[1, 2], [3, 4]], workers=2))
+
+        runner = threading.Thread(target=run, daemon=True)
+        runner.start()
+        runner.join(timeout=60)
+        assert not runner.is_alive(), "the nested fan-out deadlocked"
+        assert out == [[[1, 4], [9, 16]]]
 
 
 # -- equivalence matrix: every fan-out stage, every backend, bit-identical ----
@@ -192,7 +179,7 @@ class TestPipelineEquivalence:
                     np.testing.assert_array_equal(recon[key], ref_recon[key])
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("workers", [1, 4])
+    @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_mixed_dtype_state_bit_identical(self, backend, workers):
         # float64 weights and an empty tensor beside the float32 ones
         rng = np.random.default_rng(5)
@@ -215,15 +202,12 @@ class TestPipelineEquivalence:
             fedsz = FedSZCompressor(config, policy=TieredPolicy("szx", cutoff=4096))
             return fedsz.compress_state_dict(state)
 
-        serial = compress("serial")
-        assert compress("thread") == serial
-        assert compress("process") == serial
+        assert compress("thread") == compress("serial")
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_corruption_raises_valueerror_on_every_backend(self, state, backend):
         # keep the codec tag, garble one tensor's body: the failure happens in
         # a pipeline worker, and its ValueError must reach the caller intact
-        # (for the process backend: across the process boundary)
         entries = unpack_bytes_dict(
             FedSZCompressor(FedSZConfig()).compress_state_dict(state))
         key = next(k for k in entries if k.startswith("lossy::"))
@@ -253,7 +237,7 @@ class TestPipelineEquivalence:
             ).compress_state_dict(state)
             for backend in BACKENDS
         }
-        assert payloads["serial"] == payloads["thread"] == payloads["process"]
+        assert payloads["serial"] == payloads["thread"]
 
 
 class TestRoundEngineEquivalence:
@@ -281,9 +265,9 @@ class TestRoundEngineEquivalence:
     def test_round_records_identical_across_backends(self, tiny_split, policy,
                                                      delta, model):
         """A seeded 2-round simulation produces identical RoundRecords and
-        global states on serial, thread, and process backends; the profiled
-        case plans every ship (a cold full state, then delta residuals) from
-        the profiler's exact cache on each backend.  AlexNet trains through
+        global states on the serial and thread backends; the profiled case
+        plans every ship (a cold full state, then delta residuals) from the
+        profiler's exact cache on each backend.  AlexNet trains through
         dropout, whose masks must not depend on which worker holds a client."""
         runs = {backend: self._run(tiny_split, backend, workers=2,
                                    policy=policy, delta=delta, model=model)
@@ -308,28 +292,26 @@ class TestRoundEngineEquivalence:
                     assert report.original_bytes == \
                         ref.client_reports[cid].original_bytes
 
-    def test_client_replicas_consistent_after_process_round(self, tiny_split):
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_client_replicas_consistent_after_thread_round(self, tiny_split,
+                                                           workers):
+        # pool threads train the replicas in place, so after a round every
+        # client model holds exactly what the serial loop leaves in it
         train, test = tiny_split
-
-        def factory():
-            return build_model("simplecnn", num_classes=10, in_channels=3,
-                               image_size=16, seed=0)
-
         sims = {}
-        for backend in ("serial", "process"):
-            sims[backend] = FederatedSimulation(factory, train, test, n_clients=2,
-                                                seed=5, lr=0.1, max_workers=2,
+        for backend, n in (("serial", 1), ("thread", workers)):
+            sims[backend] = FederatedSimulation(_simplecnn, train, test, n_clients=3,
+                                                seed=5, lr=0.1, max_workers=n,
                                                 backend=backend)
             sims[backend].run_round(0)
-        # process-trained replicas are re-absorbed from the returned updates,
-        # so every backend leaves the client models in the same state
-        for a, b in zip(sims["serial"].clients, sims["process"].clients):
+        for a, b in zip(sims["serial"].clients, sims["thread"].clients):
             for key, value in a.model.state_dict().items():
                 np.testing.assert_array_equal(value, b.model.state_dict()[key])
 
-    def test_process_ship_batch_matches_serial(self):
-        # a pickling backend moves each task's tensors through a shared-memory
-        # arena; the shipped results must match the in-process reference
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_thread_ship_batch_matches_serial(self, workers):
+        # the pool's threads share one codec and read each task's tensors in
+        # place; the results must match the serial loop's, in task order
         rng = np.random.default_rng(12)
         codec = FedSZUpdateCodec(FedSZConfig())
         net = NetworkModel(bandwidth_mbps=4.0)
@@ -338,7 +320,8 @@ class TestRoundEngineEquivalence:
                                  "b": rng.normal(0, 1, 32).astype(np.float32)})
                  for i in range(3)]
         serial = SimulatedTransport(backend="serial").ship_batch(tasks)
-        pooled = SimulatedTransport(backend="process", max_workers=2).ship_batch(tasks)
+        pooled = SimulatedTransport(backend="thread",
+                                    max_workers=workers).ship_batch(tasks)
         assert [r.client_id for r in pooled] == [r.client_id for r in serial]
         for a, b in zip(serial, pooled):
             assert list(a.state) == list(b.state)
@@ -349,13 +332,8 @@ class TestRoundEngineEquivalence:
 
     def test_unknown_backend_rejected(self, tiny_split):
         train, test = tiny_split
-
-        def factory():
-            return build_model("simplecnn", num_classes=10, in_channels=3,
-                               image_size=16, seed=0)
-
         with pytest.raises(ValueError, match="unknown execution backend"):
-            FederatedSimulation(factory, train, test, n_clients=2, backend="mpi")
+            FederatedSimulation(_simplecnn, train, test, n_clients=2, backend="mpi")
 
 
 class TestRemovedShim:
@@ -377,90 +355,36 @@ class TestRemovedShim:
         assert repro.fl.train_clients_parallel is train_clients_parallel
 
 
-def _arena_sum(handle) -> float:
-    """Module-level arena reader for the cross-process shipping tests."""
-    with handle.open() as view:
-        arrays = view.arrays()
-        total = float(sum(a.sum() for a in arrays.values()))
-        del arrays  # the views must die before the attachment closes
-    return total
+#: every public way to name a backend besides the CLI's ``--backend``
+_BACKEND_ENTRY_POINTS = {
+    "get_backend": lambda split: get_backend("process"),
+    "resolve_worker_count": lambda split: resolve_worker_count(2, 4, backend="process"),
+    "FedSZConfig": lambda split: FedSZConfig(backend="process"),
+    "FederatedSimulation": lambda split: FederatedSimulation(
+        _simplecnn, *split, n_clients=2, backend="process"),
+    "CodecProfiler": lambda split: CodecProfiler(backend="process"),
+    "get_policy": lambda split: get_policy("profiled", backend="process"),
+    "map_parallel": lambda split: map_parallel(_square, [1, 2], backend="process"),
+    "train_clients_parallel": lambda split: train_clients_parallel(
+        [], {}, backend="process"),
+    "SimulatedTransport": lambda split: SimulatedTransport(backend="process"),
+}
 
 
-class TestSharedMemoryArena:
-    """Satellite: tensor shipping for pickling backends via one shared
-    segment and a tiny picklable handle."""
-
-    def _arrays(self):
-        rng = np.random.default_rng(9)
-        return {
-            "w": rng.normal(0, 1, (16, 8)).astype(np.float32),
-            "b": rng.normal(0, 1, 16).astype(np.float64),
-            "i": np.arange(10, dtype=np.int64),
-            "empty": np.zeros(0, dtype=np.float32),
-        }
-
-    def test_roundtrip_values_dtypes_shapes(self):
-        from repro.utils.parallel import SharedMemoryArena
-
-        arrays = self._arrays()
-        with SharedMemoryArena(arrays) as arena:
-            got = arena.handle.load()
-            assert list(got) == list(arrays)
-            for key in arrays:
-                np.testing.assert_array_equal(got[key], arrays[key])
-                assert got[key].dtype == arrays[key].dtype
-                assert got[key].shape == arrays[key].shape
-
-    def test_noncontiguous_input_packed_contiguously(self):
-        from repro.utils.parallel import SharedMemoryArena
-
-        strided = np.arange(20, dtype=np.float64)[::2]
-        with SharedMemoryArena({"s": strided}) as arena:
-            np.testing.assert_array_equal(arena.handle.load()["s"], strided)
-
-    def test_handle_is_small_and_picklable(self):
-        import pickle
-
-        from repro.utils.parallel import SharedMemoryArena
-
-        big = {"big": np.zeros((512, 512), dtype=np.float64)}
-        with SharedMemoryArena(big) as arena:
-            blob = pickle.dumps(arena.handle)
-            assert len(blob) < 1024  # metadata only, never the buffers
-            np.testing.assert_array_equal(
-                pickle.loads(blob).load()["big"], big["big"])
-
-    def test_views_are_readonly_copies_are_not(self):
-        from repro.utils.parallel import SharedMemoryArena
-
-        with SharedMemoryArena({"x": np.ones(4)}) as arena:
-            with arena.handle.open() as view:
-                zero_copy = view.arrays()["x"]
-                assert not zero_copy.flags.writeable
-                copied = view.arrays(copy=True)["x"]
-                assert copied.flags.writeable
-                del zero_copy
-            copied[0] = 7.0  # the copy survives the view
-
-    def test_close_is_idempotent(self):
-        from repro.utils.parallel import SharedMemoryArena
-
-        arena = SharedMemoryArena({"x": np.ones(4)})
-        arena.close()
-        arena.close()
-
-    def test_empty_mapping(self):
-        from repro.utils.parallel import SharedMemoryArena
-
-        with SharedMemoryArena({}) as arena:
-            assert arena.handle.load() == {}
-
-    def test_cross_process_shipping(self):
-        from repro.utils.parallel import SharedMemoryArena
-
-        arrays = self._arrays()
-        expected = float(sum(a.sum() for a in arrays.values()))
-        with SharedMemoryArena(arrays) as arena:
-            results = map_parallel(_arena_sum, [arena.handle] * 3,
-                                   backend="process", max_workers=2)
-        assert results == [expected] * 3
+@pytest.mark.parametrize("entry", [*_BACKEND_ENTRY_POINTS,
+                                   "repro compress", "repro simulate"])
+def test_removed_process_backend_fails_naming_what_remains(entry, tiny_split,
+                                                           capsys):
+    """``backend="process"`` is gone: every entry point rejects it and names
+    the two backends that remain, the CLI through argparse's choices."""
+    if entry.startswith("repro "):
+        with pytest.raises(SystemExit) as excinfo:
+            main([entry.split()[1], "--backend", "process"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert re.search(r"--backend: invalid choice: 'process' "
+                         r"\(choose from '?serial'?, '?thread'?\)", err), err
+        return
+    with pytest.raises(ValueError, match=r"unknown execution backend 'process'; "
+                                         r"available: serial, thread$"):
+        _BACKEND_ENTRY_POINTS[entry](tiny_split)

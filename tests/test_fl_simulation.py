@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from nn_reference import held_arrays
 
 from repro.core import FedSZConfig, NetworkModel
 from repro.data import make_dataset, train_test_split
@@ -58,6 +59,19 @@ class TestClient:
         client.evaluate(test)
         assert client.model.training is False
 
+    @pytest.mark.parametrize("name", ["alexnet", "resnet50", "mobilenetv2",
+                                      "simplecnn", "mlp"])
+    def test_train_local_returns_holding_no_backward_cache(self, tiny_split, name):
+        # a replica waits between rounds: its last batch's im2col columns,
+        # masks and pooling records must not wait with it (a ragged last
+        # batch of 8 here, as on a 40-sample shard)
+        train, _ = tiny_split
+        model = build_model(name, num_classes=10, in_channels=3, image_size=16, seed=0)
+        client = FLClient(0, model, train.subset(np.arange(40)), batch_size=32, lr=0.1)
+        client.train_local(epochs=1)
+        assert [(type(m).__name__, held_arrays(m)) for m in model.modules()
+                if held_arrays(m)] == []
+
     def test_later_rounds_use_fresh_batch_order(self, tiny_split):
         # regression: every round used to replay the identical shuffle, so the
         # model saw the same batch sequence against an evolving state
@@ -75,8 +89,8 @@ class TestClient:
     def test_dropout_masks_ignore_generator_history(self, tiny_split, round_index):
         # alexnet's dropout draws its masks from a generator outside the
         # state dict: a replica that already trained other rounds must train
-        # this round exactly like a fresh replica (a resumed run, or another
-        # worker process, holds a fresh one)
+        # this round exactly like a fresh replica (a resumed run holds a
+        # fresh one)
         train, _ = tiny_split
         sub = train.subset(np.arange(64))
 

@@ -356,9 +356,20 @@ class TestInferenceOnlyEval:
         with pytest.raises(RuntimeError):
             layer.backward(np.ones_like(layer.eval()(x)))
         layer.train()
-        layer.backward(np.ones_like(layer(x)))
+        layer(x)
         assert held_arrays(layer)
         out = layer.eval()(x)
+        assert held_arrays(layer) == []
+        with pytest.raises(RuntimeError):
+            layer.backward(np.ones_like(out))
+
+    @pytest.mark.parametrize("name", LAYERS)
+    def test_backward_releases_what_the_training_forward_cached(self, name, rng):
+        factory, shape = self.LAYERS[name]
+        layer = factory()
+        out = layer(rng.standard_normal(shape))
+        assert held_arrays(layer)
+        layer.backward(np.ones_like(out))
         assert held_arrays(layer) == []
         with pytest.raises(RuntimeError):
             layer.backward(np.ones_like(out))

@@ -1,17 +1,12 @@
-"""Tests for the persistent fleet runtime: long-lived pool scopes on the
-execution backends, worker-resident clients in the coordinator, and the
-journal resume of a profiled run — plus the bit-identity matrix proving
-every backend x worker count reproduces the serial 1-worker run exactly."""
+"""Tests for the persistent runtime: long-lived pool scopes on the execution
+backends, one pool per federated run, and the journal resume of a profiled
+run — plus the bit-identity matrix proving every backend x worker count
+reproduces the serial 1-worker run exactly."""
 
 import contextlib
-import os
+import copy
 import pickle
-import signal
-import subprocess
-import sys
-import textwrap
-import time
-from pathlib import Path
+import threading
 
 import numpy as np
 import pytest
@@ -19,12 +14,9 @@ import pytest
 from repro.core.config import FedSZConfig
 from repro.fl import FederatedSimulation, FedSZUpdateCodec, RawUpdateCodec
 from repro.fl.client import FLClient
-from repro.fl.coordinator.coordinator import TrainTask, _train_client_task
 from repro.fl.coordinator.records import deterministic_fields
-from repro.fl.coordinator.residency import (discard_fleet, install_fleet,
-                                            resident_client)
 from repro.nn import build_model
-from repro.utils.parallel import SharedMemoryArena, get_backend
+from repro.utils.parallel import get_backend
 
 
 def _factory():
@@ -45,7 +37,6 @@ def _make_sim(tiny_split, model_factory=_factory, **kwargs):
     return FederatedSimulation(model_factory, train, test, **kwargs)
 
 
-# module-level and picklable for the process backend
 def _square(x):
     return x * x
 
@@ -87,21 +78,14 @@ class TestPersistentScope:
             assert backend.map(_square, [1, 2, 3], workers=2) == [1, 4, 9]
         assert backend.pool_spinups - before == 1
 
-    def test_serial_scope_is_noop_but_runs_initializer(self):
-        backend = get_backend("serial")
-        ran = []
-        with backend.persistent(4, initializer=ran.append, initargs=(1,)) as scope:
-            assert scope is None
-            assert backend.map(_square, [2]) == [4]
-        assert ran == [1]
-
     def test_serial_backend_never_builds_a_pool(self):
         # serial resolves every map and scope to one inline worker, so no
         # pool exists to count
         backend = get_backend("serial")
         before = backend.pool_spinups
         assert backend.map(_square, [1, 2, 3], workers=4) == [1, 4, 9]
-        with backend.persistent(4):
+        with backend.persistent(4) as scope:
+            assert scope is None
             assert backend.map(_square, [1, 2, 3], workers=4) == [1, 4, 9]
         assert backend.pool_spinups == before
         with pytest.raises(NotImplementedError, match="serial"):
@@ -120,103 +104,31 @@ class TestPersistentScope:
             clone = pickle.loads(pickle.dumps(backend))
             assert clone._active_scope() is None
 
-    def test_process_scope_initializer_installs_state(self, tiny_split):
-        """The process pool's initializer makes the fleet resident once."""
-        train, _ = tiny_split
-        client = FLClient(client_id=0, model=_factory(), dataset=train, seed=3)
-        backend = get_backend("process")
-        before = backend.pool_spinups
-        with backend.persistent(2, initializer=install_fleet,
-                                initargs=("t-proc", 0, {0: client})):
-            task = TrainTask(client_id=0, epochs=1, round_index=0,
-                             global_state=client.model.state_dict(),
-                             fleet=("t-proc", 0))
-            updates = backend.map(_train_client_task, [task, task], workers=2)
-        assert len(updates) == 2
-        assert updates[0].client_id == 0
-        assert backend.pool_spinups - before == 1
+    def test_deepcopied_backend_drops_scope_state(self):
+        # FederatedSimulation deep-copies codecs, and a profiled codec holds
+        # its profiler's backend: the copy neither trips over the scope's
+        # thread-local bookkeeping nor inherits the scope
+        backend = get_backend("thread")
+        with backend.persistent(2) as scope:
+            clone = copy.deepcopy(backend)
+            assert clone._active_scope() is None
+            assert backend._active_scope() is scope
 
-
-#: a pool holder that hard-exits, as the journal's crash hook does, after
-#: printing its workers' pids
-_ORPHANING_CHILD = textwrap.dedent("""
-    import multiprocessing, os
-    from repro.utils.parallel import get_backend
-    with get_backend("process").persistent(2) as pool:
-        pool.map(abs, range(8))
-        print(*(p.pid for p in multiprocessing.active_children()), flush=True)
-        os._exit(42)
-""")
-
-
-def _proc_state(pid: int) -> "str | None":
-    """The state letter of ``/proc/<pid>/stat``, or ``None`` once it is gone."""
-    try:
-        stat = Path(f"/proc/{pid}/stat").read_text()
-    except OSError:
-        return None
-    return stat.rsplit(")", 1)[1].split()[0]
-
-
-@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
-def test_process_workers_exit_with_their_pool_holder(tmp_path):
-    # the output goes to files: surviving workers would hold a pipe open
-    out, err = tmp_path / "pids.txt", tmp_path / "stderr.txt"
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    with out.open("w") as stdout, err.open("w") as stderr:
-        child = subprocess.run([sys.executable, "-c", _ORPHANING_CHILD], env=env,
-                               stdout=stdout, stderr=stderr, timeout=60)
-    assert child.returncode == 42, err.read_text()[-2000:]
-    pids = [int(pid) for pid in out.read_text().split()]
-    assert len(pids) == 2
-    try:
-        deadline = time.monotonic() + 10
-        while any(_proc_state(pid) not in (None, "Z") for pid in pids) \
-                and time.monotonic() < deadline:
-            time.sleep(0.1)
-        states = {pid: _proc_state(pid) for pid in pids}
-        assert all(state in (None, "Z") for state in states.values()), states
-    finally:
-        for pid in pids:
-            if _proc_state(pid) not in (None, "Z"):
-                os.kill(pid, signal.SIGKILL)
-
-
-# ---------------------------------------------------------------------------
-# Worker-resident fleet registry
-# ---------------------------------------------------------------------------
-
-class TestResidency:
-    def test_resolve_and_discard(self, tiny_split):
-        train, _ = tiny_split
-        client = FLClient(client_id=7, model=_factory(), dataset=train, seed=3)
-        install_fleet("t-reg", 0, {7: client})
-        try:
-            assert resident_client("t-reg", 0, 7) is client
-            with pytest.raises(LookupError, match="generation"):
-                resident_client("t-reg", 1, 7)
-            with pytest.raises(LookupError, match="not part of"):
-                resident_client("t-reg", 0, 8)
-        finally:
-            discard_fleet("t-reg")
-        with pytest.raises(LookupError, match="no resident fleet"):
-            resident_client("t-reg", 0, 7)
-        discard_fleet("t-reg")  # idempotent
-
-    def test_reinstall_replaces_generation(self, tiny_split):
-        train, _ = tiny_split
-        a = FLClient(client_id=0, model=_factory(), dataset=train, seed=1)
-        b = FLClient(client_id=0, model=_factory(), dataset=train, seed=2)
-        install_fleet("t-gen", 0, {0: a})
-        try:
-            install_fleet("t-gen", 1, {0: b})
-            assert resident_client("t-gen", 1, 0) is b
-            with pytest.raises(LookupError):
-                resident_client("t-gen", 0, 0)
-        finally:
-            discard_fleet("t-gen")
+    @pytest.mark.parametrize("fails", [False, True], ids=["clean", "raising"])
+    def test_pool_threads_exit_with_their_scope(self, fails):
+        # the scope joins its workers on the way out, even when its body
+        # raises: no pool thread outlives the run that opened it
+        backend = get_backend("thread")
+        before = set(threading.enumerate())
+        expect = pytest.raises(RuntimeError, match="run failed") if fails \
+            else contextlib.nullcontext()
+        with expect, backend.persistent(2):
+            assert backend.map(_square, range(8), workers=2) == \
+                [x * x for x in range(8)]
+            assert set(threading.enumerate()) - before
+            if fails:
+                raise RuntimeError("run failed")
+        assert set(threading.enumerate()) <= before
 
 
 # ---------------------------------------------------------------------------
@@ -224,32 +136,16 @@ class TestResidency:
 # ---------------------------------------------------------------------------
 
 class TestPersistentBitIdentity:
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
-    @pytest.mark.parametrize("workers", [1, 4])
+    @pytest.mark.parametrize("backend", ["serial", "thread"])
+    @pytest.mark.parametrize("workers", [1, 3, 4])
     def test_matrix_matches_serial_reference(self, tiny_split, backend, workers):
-        """Acceptance criterion: seeded records are bit-identical with
-        persistent pools + worker-resident clients across serial/thread/
-        process x workers {1, 4}, against the serial 1-worker run."""
+        """Seeded records are bit-identical with a persistent pool across
+        serial/thread x workers {1, 3, 4}, against the serial 1-worker run."""
         reference = _make_sim(tiny_split, n_clients=4, max_workers=1,
                               backend="serial").run(2)
         persistent = _make_sim(tiny_split, n_clients=4, max_workers=workers,
                                backend=backend).run(2)
         assert deterministic_fields(persistent) == deterministic_fields(reference)
-
-    def test_resident_dropout_replicas_match_serial_reference(self, tiny_split):
-        """Worker-resident alexnet replicas on worker processes: which worker
-        trained a client in an earlier round must not leak into its dropout
-        masks."""
-        runs = {}
-        for label, name, workers in (("reference", "serial", 1),
-                                     ("pooled", "process", 2)):
-            sim = _make_sim(tiny_split, model_factory=_alexnet, n_clients=4,
-                            max_workers=workers, backend=name)
-            runs[label] = (sim.run(3), sim.server.global_state())
-        (reference, ref_state), (pooled, pooled_state) = runs["reference"], runs["pooled"]
-        assert deterministic_fields(pooled) == deterministic_fields(reference)
-        for key in ref_state:
-            np.testing.assert_array_equal(pooled_state[key], ref_state[key])
 
     def test_fedsz_bitstreams_match_serial_reference(self, tiny_split):
         def run(backend, workers):
@@ -259,86 +155,65 @@ class TestPersistentBitIdentity:
         reference, persistent = run("serial", 1), run("thread", 3)
         assert deterministic_fields(persistent) == deterministic_fields(reference)
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_persistent_run_spins_one_pool(self, tiny_split, backend):
+    def test_pooled_dropout_replicas_match_serial_reference(self, tiny_split):
+        """Alexnet replicas trained on a persistent 2-thread pool: which
+        worker trained a client in an earlier round must not leak into its
+        dropout masks."""
+        runs = {}
+        for name, workers in (("serial", 1), ("thread", 2)):
+            sim = _make_sim(tiny_split, model_factory=_alexnet, n_clients=4,
+                            max_workers=workers, backend=name)
+            runs[name] = (sim.run(3), sim.server.global_state())
+        (reference, ref_state), (pooled, pooled_state) = runs["serial"], runs["thread"]
+        assert deterministic_fields(pooled) == deterministic_fields(reference)
+        for key in ref_state:
+            np.testing.assert_array_equal(pooled_state[key], ref_state[key])
+
+    @pytest.mark.parametrize("backend, spinups", [("serial", 0), ("thread", 1)],
+                             ids=["serial", "thread"])
+    def test_persistent_run_spins_one_pool(self, tiny_split, backend, spinups):
+        # one pool serves the whole run on the thread backend; serial has none
         pool_backend = get_backend(backend)
         before = pool_backend.pool_spinups
         _make_sim(tiny_split, n_clients=4, max_workers=4,
                   backend=backend).run(2)
-        assert pool_backend.pool_spinups - before == 1
+        assert pool_backend.pool_spinups - before == spinups
 
-    def test_resident_train_task_pickles_smaller_than_a_full_ship(self, tiny_split):
-        # the full-ship task carries the client (its shard included) and the
-        # broadcast state; the resident one a fleet reference and an arena
-        # handle (483 B against 188,718 B here)
-        sim = _make_sim(tiny_split, n_clients=4)
-        client, state = sim.clients[0], sim.server.global_state()
-        full = pickle.dumps(TrainTask(client_id=client.client_id, epochs=1,
-                                      round_index=0, global_state=state,
-                                      client=client))
-        with SharedMemoryArena(state) as arena:
-            resident = pickle.dumps(TrainTask(client_id=client.client_id, epochs=1,
-                                              round_index=0, state_handle=arena.handle,
-                                              fleet=("test", 0)))
-        assert len(resident) < len(full)
+    def test_failed_run_closes_its_scope(self, tiny_split):
+        # a ship that raises mid-run reaches the caller, and the run's pool
+        # goes with it: no scope stays open and no pool thread lives on
+        class FailingCodec(RawUpdateCodec):
+            def encode(self, state):
+                raise RuntimeError("encode failed")
+
+        backend = get_backend("thread")
+        before = set(threading.enumerate())
+        sim = _make_sim(tiny_split, n_clients=4, max_workers=4, backend="thread",
+                        codec=FailingCodec())
+        with pytest.raises(RuntimeError, match="encode failed"):
+            sim.run(2)
+        assert backend._active_scope() is None
+        assert set(threading.enumerate()) <= before
 
 
 # ---------------------------------------------------------------------------
-# Roster invalidation
+# Roster changes
 # ---------------------------------------------------------------------------
 
 class TestRosterInvalidation:
-    def test_shared_memory_backend_bumps_generation(self, tiny_split):
-        """Satellite requirement: worker-resident state is invalidated when
-        the client roster changes between rounds."""
-        train, _ = tiny_split
-        sim = _make_sim(tiny_split, n_clients=4, max_workers=4, backend="thread")
-        coord = sim.coordinator
-        with coord.persistent_runtime():
-            coord.run_round(0)
-            resident = coord._resident
-            assert resident.generation == 0
-            replacement = FLClient(client_id=2, model=_factory(),
-                                   dataset=coord.clients[2].dataset, seed=99)
-            coord.clients[2] = replacement
-            coord.run_round(1)
-            assert resident.generation == 1
-            assert resident.active
-            # the registry now resolves the *new* client object
-            assert resident_client(resident.token, 1, 2) is replacement
-
-    def test_pickling_backend_deactivates_residency(self, tiny_split):
-        # max_workers=1 keeps this cheap: the scope degrades inline but the
-        # invalidation path is the same one a live process pool takes
-        sim = _make_sim(tiny_split, n_clients=3, max_workers=1, backend="process")
-        coord = sim.coordinator
-        with coord.persistent_runtime():
-            coord.run_round(0)
-            resident = coord._resident
-            replacement = FLClient(client_id=1, model=_factory(),
-                                   dataset=coord.clients[1].dataset, seed=99)
-            coord.clients[1] = replacement
-            record = coord.run_round(1)
-            assert resident.active is False
-            # the round still trained the replacement via full-ship tasks
-            assert len(record.client_losses) == 3
-
-    @pytest.mark.parametrize("backend,workers", [("thread", 4), ("process", 2)])
+    @pytest.mark.parametrize("backend, workers",
+                             [("serial", 1), ("thread", 2), ("thread", 4)])
     def test_roster_change_matches_fresh_reference(self, tiny_split, backend,
                                                    workers):
-        """Invalidation is not just detected — the results stay correct.
-
-        The reference runs the same rounds outside any persistent scope, so
-        every map spins a fresh pool and every task ships its full client.
-        On the process backend the roster change deactivates residency, so
-        the persistent run's second round ships full clients over the live
-        multi-worker pool."""
+        """A client replaced between two rounds inside one persistent scope
+        trains as the replacement: the records match the same rounds run
+        outside any scope, where every map spins a fresh pool."""
         def run(persistent):
             sim = _make_sim(tiny_split, n_clients=4, max_workers=workers,
                             backend=backend)
             coord = sim.coordinator
             records = []
-            with coord.persistent_runtime() if persistent \
+            with coord.backend.persistent(coord.max_workers) if persistent \
                     else contextlib.nullcontext():
                 records.append(coord.run_round(0))
                 replacement = FLClient(client_id=0, model=_factory(),
@@ -346,8 +221,6 @@ class TestRosterInvalidation:
                                        seed=coord.clients[0].seed)
                 coord.clients[0] = replacement
                 records.append(coord.run_round(1))
-                if persistent:
-                    assert coord._resident.active is (backend == "thread")
             return [(r.accuracy, tuple(r.client_losses), r.transmitted_bytes)
                     for r in records]
         assert run(True) == run(False)
@@ -364,8 +237,8 @@ def _profiled_codec():
     return FedSZUpdateCodec(config)
 
 
-_RESUME_CASES = [("serial", False), ("thread", False), ("thread", True),
-                 ("process", True)]
+_RESUME_CASES = [("serial", False), ("serial", True), ("thread", False),
+                 ("thread", True)]
 
 
 class TestJournalResumeProfiled:
@@ -387,9 +260,7 @@ class TestJournalResumeProfiled:
                                 resume=True, **options)
         assert codec.profiler.cache_info()["profiles"] == 0
         resumed = resumed_sim.run(2)
-        if not get_backend(backend).pickles_arguments:
-            # a process worker measures on its own copy of the profiler
-            assert codec.profiler.cache_info()["misses"] > 0
+        assert codec.profiler.cache_info()["misses"] > 0
 
         reference_sim = _make_sim(tiny_split, codec=_profiled_codec(), **options)
         reference = reference_sim.run(2)

@@ -5,8 +5,7 @@ plan pipeline and the heterogeneous round engine.
 Determinism is the backbone of every test here: with a cost model injected,
 profiles — and therefore plans and bitstreams — are pure functions of the
 tensor bytes, so they must be identical across execution backends at any
-worker count.  The process fan-out's wall-clock check lives in
-``benchmarks/bench_timing.py``, outside tier-1.
+worker count.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ from repro.core.profiling import CandidateMeasurement, CostModel, resolve_cost_m
 from repro.fl import FederatedSimulation, FedSZUpdateCodec
 from repro.nn import build_model
 
-BACKENDS = ("serial", "thread", "process")
+BACKENDS = ("serial", "thread")
 
 
 class CountingCostModel(CostModel):
@@ -218,7 +217,7 @@ class TestCaching:
 
 class TestFanOutEquivalence:
     @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("workers", (1, 4))
+    @pytest.mark.parametrize("workers", (1, 2, 4))
     def test_profiles_identical_on_every_backend(self, tensors, backend, workers):
         reference = CodecProfiler(cost_model="analytic").profile_tensors(tensors)
         profiler = CodecProfiler(cost_model="analytic", backend=backend,
@@ -447,9 +446,9 @@ class TestProfiledPolicy:
 
     def test_policy_accepts_backend_and_workers(self, tensors):
         # the same single execution knob that steers every other fan-out stage
-        policy = get_policy("profiled", bandwidth_mbps=25.0, backend="process",
+        policy = get_policy("profiled", bandwidth_mbps=25.0, backend="serial",
                             workers=2)
-        assert policy.backend.name == "process"
+        assert policy.backend.name == "serial"
         reference = ProfiledPolicy(bandwidth_mbps=25.0).build_plan(tensors,
                                                                    FedSZConfig())
         assert policy.build_plan(tensors, FedSZConfig()) == reference
@@ -595,7 +594,7 @@ def _trained_like_simplecnn():
 
 
 class TestPlanCrossover:
-    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_sweep_stays_under_raw_and_flips_at_the_analytic_crossover(self, backend):
         """At every swept bandwidth the profiled plan models no more than
         shipping raw (Eqn. 1), and the first bandwidth where most lossy bytes
@@ -699,8 +698,8 @@ class TestHeterogeneousFleet:
         assert ratios[slowest] > ratios[fastest], \
             "the slow link must compress harder than the fast one"
 
-    @pytest.mark.parametrize("backend,workers", [("serial", 1), ("thread", 4),
-                                                 ("process", 2)])
+    @pytest.mark.parametrize("backend,workers", [("serial", 1), ("thread", 2),
+                                                 ("thread", 4)])
     def test_records_bit_identical_across_backends(self, tiny_split, backend, workers):
         reference_sim, _ = _fleet_simulation(tiny_split)
         reference = reference_sim.run_round(0)

@@ -73,9 +73,9 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("kwargs", [
         {"backend": "serial"},
+        {"max_workers": 2},
         {"max_workers": 3},
-        {"backend": "process", "max_workers": 2},
-    ], ids=["serial", "thread-3", "process-arena"])
+    ], ids=["serial", "thread-2", "thread-3"])
     def test_straggler_rounds_bit_identical_on_every_pool(self, tiny_split, kwargs):
         # every recorded quantity and the global model are a function of the
         # seed, never of the pool that ran the ships

@@ -81,6 +81,8 @@ _TILE = _TILE_BLOCKS * 128
 @example(length=_TILE + 1, block_size=128, dtype=np.float32, seed=2)
 @example(length=2 * _TILE + 77, block_size=128, dtype=np.float64, seed=3)
 @example(length=3 * _TILE_BLOCKS * 7 + 3, block_size=7, dtype=np.float32, seed=4)
+# 64 strided blocks of 7 values once priced the zero grid cheaper here
+@example(length=7917, block_size=7, dtype=np.float32, seed=71465412)
 def test_reference_grid_matches_oracle_and_zero_grid(length, block_size, dtype, seed):
     comp = SZ2Compressor(_BOUND, mode="abs", block_size=block_size,
                          quantizer_radius=_RADIUS)
