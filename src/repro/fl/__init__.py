@@ -16,7 +16,6 @@ from repro.fl.coordinator import (
     RoundPlan,
     RoundScheduler,
     SimulatedTransport,
-    StalenessPolicy,
 )
 from repro.fl.scaling import (
     ScalingResult,
@@ -55,7 +54,6 @@ __all__ = [
     "Coordinator",
     "RoundScheduler",
     "RoundPlan",
-    "StalenessPolicy",
     "PartialAggregate",
     "RoundJournal",
     "SimulatedTransport",

@@ -32,19 +32,13 @@ class ClientUpdate:
 class FLClient:
     """One federated client with a local dataset and a private model replica.
 
-    ``compute_factor`` models device heterogeneity: the reported
-    ``train_seconds`` is the measured host time scaled by this factor (e.g. 3.0
-    for a Raspberry-Pi-5-class edge device, matching
-    :class:`~repro.core.network.DeviceProfile`).  It affects only the reported
-    timing, never the numerics, so heterogeneous fleets stay bit-reproducible.
+    A local fit reports its measured host time as ``train_seconds``; the
+    coordinator inflates a straggler's when it records the round.
     """
 
     def __init__(self, client_id: int, model: Module, dataset: Dataset,
                  batch_size: int = 32, lr: float = 0.05, momentum: float = 0.9,
-                 weight_decay: float = 0.0, seed: int | None = None,
-                 compute_factor: float = 1.0) -> None:
-        if compute_factor <= 0:
-            raise ValueError("compute_factor must be positive")
+                 weight_decay: float = 0.0, seed: int | None = None) -> None:
         self.client_id = int(client_id)
         self.model = model
         self.dataset = dataset
@@ -53,7 +47,6 @@ class FLClient:
         self.momentum = float(momentum)
         self.weight_decay = float(weight_decay)
         self.seed = seed if seed is not None else client_id
-        self.compute_factor = float(compute_factor)
         self.loss_fn = CrossEntropyLoss()
 
     @property
@@ -106,7 +99,7 @@ class FLClient:
                 self.model.zero_grad()
                 self.model.backward(self.loss_fn.backward())
                 optimizer.step()
-        elapsed = (time.perf_counter() - start) * self.compute_factor
+        elapsed = time.perf_counter() - start
         return ClientUpdate(
             client_id=self.client_id,
             state=self.model.state_dict(),

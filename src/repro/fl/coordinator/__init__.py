@@ -6,10 +6,9 @@ services — :class:`RoundScheduler` (seeded scenario draws),
 :class:`SimulatedTransport` (encode → transfer → decode over the execution
 backend's pool), :func:`weighted_mean_states` (the compensated FedAvg kernel
 behind ``FedAvgServer.aggregate``), :class:`RoundJournal` (durable, resumable
-rounds),
-:class:`StalenessPolicy` (late-update admission), and the
-:class:`Coordinator` that composes them: one ship path, one aggregation per
-round after lateness triage, and one persistent worker pool per run.
+rounds), and the :class:`Coordinator` that composes them into the paper's
+synchronous round: one ship path, one aggregation of every participant per
+round, and one persistent worker pool per run.
 ``FederatedSimulation`` remains the thin synchronous facade over this package.
 """
 
@@ -22,7 +21,6 @@ from repro.fl.coordinator.journal import (JournalState, PartialRoundState,
 from repro.fl.coordinator.records import (RoundRecord, SimulationResult,
                                           deterministic_fields)
 from repro.fl.coordinator.scheduler import (RoundPlan, RoundScheduler,
-                                            StalenessPolicy,
                                             resolve_scenario_seed)
 from repro.fl.coordinator.transport import (ShipResult, ShipTask,
                                             SimulatedTransport,
@@ -33,7 +31,7 @@ __all__ = [
     "Coordinator", "train_clients_parallel",
     "RoundJournal", "JournalState", "PartialRoundState", "ShippedEvent",
     "RoundRecord", "SimulationResult", "deterministic_fields",
-    "RoundScheduler", "RoundPlan", "StalenessPolicy", "resolve_scenario_seed",
+    "RoundScheduler", "RoundPlan", "resolve_scenario_seed",
     "SimulatedTransport", "ShipTask", "ShipResult",
     "ship_update_task",
 ]

@@ -1,7 +1,8 @@
 """The round coordinator: scheduler + transport + aggregator + journal.
 
-:class:`Coordinator` is the service-layer replacement for the monolithic round
-loop that used to live inside ``FederatedSimulation.run_round``.  It composes
+:class:`Coordinator` runs the paper's synchronous FedAvg round: every
+surviving participant trains, ships ``t_C + S'/B + t_D`` (Eqn. 1), and the
+server aggregates all of them once.  It composes
 
 * a :class:`~repro.fl.coordinator.scheduler.RoundScheduler` (seeded scenario
   draws),
@@ -9,23 +10,21 @@ loop that used to live inside ``FederatedSimulation.run_round``.  It composes
   transfer → decode, pooled over the execution backend),
 * a :class:`~repro.fl.server.FedAvgServer` whose aggregation routes through
   :func:`~repro.fl.coordinator.aggregator.weighted_mean_states`, called once
-  per round after lateness triage,
+  per round over every participant's update, and
 * an optional :class:`~repro.fl.coordinator.journal.RoundJournal` for durable,
-  resumable rounds, and
-* a :class:`~repro.fl.coordinator.scheduler.StalenessPolicy` deciding the fate
-  of updates that miss the round deadline.
+  resumable rounds.
 
 Determinism contract: every quantity that decides *numerics* (scenario draws,
-batch order, transfer-time lateness, aggregation order) is a pure function of
-the scenario seed and the round index — never of wall clock, backend, or
-worker count.  Wall-clock measurements (train/encode/decode seconds) ride
-along as data.  That is what makes a journal resume bit-identical on every
-deterministic field: completed rounds replay from their records, the
-interrupted round re-derives its plan, replays already-shipped payloads
-(decode is deterministic), and re-trains only the clients that never shipped
-(training is a pure function of global state, shard, seed, and round index:
-the replica's state is overwritten before every local fit, and the batch
-order and dropout masks are seeded by the client seed and round index alone).
+batch order, aggregation order) is a pure function of the scenario seed and
+the round index — never of wall clock, backend, or worker count.  Wall-clock
+measurements (train/encode/decode seconds) ride along as data.  That is what
+makes a journal resume bit-identical on every deterministic field: completed
+rounds replay from their records, the interrupted round re-derives its plan,
+replays already-shipped payloads (decode is deterministic), and re-trains
+only the clients that never shipped (training is a pure function of global
+state, shard, seed, and round index: the replica's state is overwritten
+before every local fit, and the batch order and dropout masks are seeded by
+the client seed and round index alone).
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ from repro.core.network import round_communication_time
 from repro.fl.client import ClientUpdate, FLClient
 from repro.fl.coordinator.journal import JournalState, RoundJournal, ShippedEvent
 from repro.fl.coordinator.records import RoundRecord, SimulationResult
-from repro.fl.coordinator.scheduler import RoundScheduler, StalenessPolicy
+from repro.fl.coordinator.scheduler import RoundScheduler
 from repro.fl.coordinator.transport import (ShipResult, ShipTask,
                                             SimulatedTransport)
 from repro.fl.delta import DeltaTracker, DeltaUpdateCodec
@@ -85,30 +84,15 @@ class _Shipment:
     train_seconds: float  # raw (un-inflated) — stragglers are scaled at record time
     train_loss: float
     num_samples: int
-    late: bool = False
-    replayed: bool = False
-    #: the delta tracker's journal sidecar for this ship (generation +
-    #: accumulator); ``None`` without a delta codec or a journal
-    delta_sidecar: "bytes | None" = None
-
-
-@dataclass
-class _LateUpdate:
-    """A decoded late update queued for the staleness policy."""
-
-    origin_round: int
-    client_id: int
-    state: "dict[str, np.ndarray]"
-    num_samples: int
 
 
 class Coordinator:
     """Runs federated rounds by composing the coordinator services.
 
     Construction wires the services together; :meth:`run_round` executes one
-    round (training → transport → staleness triage → aggregation → validation
-    → journal), and :meth:`run` produces a :class:`SimulationResult`, replaying
-    journaled rounds first when resuming.
+    round (training → transport → aggregation → validation → journal), and
+    :meth:`run` produces a :class:`SimulationResult`, replaying journaled
+    rounds first when resuming.
     """
 
     def __init__(self, *, clients: Sequence[FLClient], server,
@@ -118,12 +102,8 @@ class Coordinator:
                  straggler_slowdown: float = 4.0, uplink: str = "serial",
                  backend: "str | ExecutionBackend" = "thread",
                  max_workers: "int | None" = 1,
-                 round_deadline_s: "float | None" = None,
-                 staleness: "StalenessPolicy | None" = None,
                  journal: "RoundJournal | None" = None,
                  journal_state: "JournalState | None" = None) -> None:
-        if round_deadline_s is not None and round_deadline_s <= 0:
-            raise ValueError("round_deadline_s must be positive")
         self.clients = list(clients)
         self.server = server
         self.scheduler = scheduler
@@ -136,8 +116,6 @@ class Coordinator:
         self.uplink = uplink
         self.backend = get_backend(backend)
         self.max_workers = max_workers
-        self.round_deadline_s = round_deadline_s
-        self.staleness = staleness if staleness is not None else StalenessPolicy()
         self.journal = journal
         # cross-round delta state: one tracker over every delta-wrapped codec
         # (None when the fleet ships plain updates — zero behavior change)
@@ -149,7 +127,6 @@ class Coordinator:
         self._run_started = False
         self._completed: "list[RoundRecord]" = []
         self._partial = None
-        self._pending_late: "list[_LateUpdate]" = []
         if journal_state is not None:
             if journal is None:
                 raise ValueError("journal_state requires a journal to replay from")
@@ -157,7 +134,7 @@ class Coordinator:
 
     # -- resume ------------------------------------------------------------
     def _restore(self, state: JournalState) -> None:
-        """Adopt a journal's replayed state: records, snapshot, late queue."""
+        """Adopt a journal's replayed state: records, delta channels, snapshot."""
         if state.codec_name != self.codec_name:
             raise ValueError(f"journal was written by codec {state.codec_name!r}, "
                              f"this run uses {self.codec_name!r}")
@@ -170,63 +147,18 @@ class Coordinator:
         self._completed = list(state.records)
         self._partial = state.partial
         if self._delta is not None:
-            # channels first: a failed late replay below must be able to
-            # overwrite the restored state with its invalidation
-            self._delta.restore(state.delta_state, self._read_sidecar)
-        self._pending_late = [
-            late for late in (self._late_from_event(event)
-                              for event in state.pending_late)
-            if late is not None]
-        if state.snapshot_path is not None:
-            snapshot = self.journal.load_snapshot(state.snapshot_path)
-            self.server.model.load_state_dict(snapshot)
+            self._delta.restore(state.delta_state, self.journal.read_sidecar)
+        self.server.model.load_state_dict(
+            self.journal.load_snapshot(state.snapshot_path))
         self._run_started = True  # the journaled header already exists
-
-    def _read_sidecar(self, path: str) -> "bytes | None":
-        """A journaled delta sidecar's bytes, or ``None`` when unreadable —
-        the tracker degrades the client to a full ship (``resume-loss``)."""
-        try:
-            return (self.journal.directory / path).read_bytes()
-        except OSError:
-            return None
-
-    def _late_from_event(self, event: ShippedEvent) -> "_LateUpdate | None":
-        payload = self.journal.read_payload(event)
-        codec = self.client_codecs[event.client_id]
-        if self._delta is not None and isinstance(codec, DeltaUpdateCodec):
-            # a journaled payload, residual or full state, decodes only
-            # against the broadcast of its origin round (FDL5 modes 1 and
-            # 2) — rearm from that round's snapshot
-            try:
-                reference = self.journal.load_snapshot(
-                    self.journal.reference_snapshot(event.round_index))
-            except (OSError, ValueError):
-                # the snapshot is gone: this update can never be decoded
-                # against the right reference — drop it rather than guess
-                self._delta.invalidate(event.client_id, "replay-loss")
-                return None
-            codec.arm(reference, event.round_index, delta=False)
-            try:
-                state = codec.decode(payload)
-            finally:
-                codec.disarm()
-        else:
-            state = codec.decode(payload)
-        return _LateUpdate(origin_round=event.round_index,
-                           client_id=event.client_id, state=state,
-                           num_samples=event.num_samples)
 
     def _materialize(self, event: ShippedEvent) -> _Shipment:
         """Rebuild a shipped update from the journal instead of re-running it."""
         payload = self.journal.read_payload(event)
         state = self.client_codecs[event.client_id].decode(payload)
         if self._delta is not None:
-            try:
-                blob = self.journal.read_delta(event)
-            except OSError:
-                blob = None
-            self._delta.adopt_replayed(event.client_id, blob,
-                                       late=event.status == "late")
+            self._delta.adopt_replayed(event.client_id,
+                                       self.journal.read_sidecar(event.delta_path))
         result = ShipResult(client_id=event.client_id,
                             payload_bytes=event.payload_bytes,
                             raw_bytes=event.raw_bytes,
@@ -234,10 +166,8 @@ class Coordinator:
                             transfer_seconds=event.transfer_seconds,
                             decode_seconds=event.decode_seconds,
                             state=state, report=event.rebuild_report())
-        return _Shipment(result=result, train_seconds=event.train_seconds,
-                         train_loss=event.train_loss,
-                         num_samples=event.num_samples,
-                         late=event.status == "late", replayed=True)
+        return _Shipment(result, event.train_seconds, event.train_loss,
+                         event.num_samples)
 
     # -- execution ---------------------------------------------------------
     def _ensure_run_started(self) -> None:
@@ -300,69 +230,32 @@ class Coordinator:
             for cid, update in zip(fresh_ids, updates)
         ]
 
-        # staleness triage: previously-queued late updates are absorbed at the
-        # first admissible round and dropped once they expire — a pure
-        # function of the queue and the round index
-        admitted = [late for late in self._pending_late
-                    if self.staleness.admits(late.origin_round, round_index)]
-        admitted.sort(key=lambda late: (late.origin_round, late.client_id))
-        self._pending_late = [late for late in self._pending_late
-                              if not self.staleness.admits(late.origin_round, round_index)
-                              and not self.staleness.expired(late.origin_round, round_index)]
-
-        shipments: "dict[int, _Shipment]" = {}
-        for cid, event in replayed.items():
-            shipments[cid] = self._materialize(event)
-
+        shipments = {cid: self._materialize(event)
+                     for cid, event in replayed.items()}
         results = self.transport.ship_batch(tasks) if tasks else []
         for cid, update, result in zip(fresh_ids, updates, results):
-            shipment = _Shipment(result=result, train_seconds=update.train_seconds,
-                                 train_loss=update.train_loss,
-                                 num_samples=update.num_samples)
-            # lateness is decided on the *modeled* transfer time, which is
-            # analytic and straggler-inflated — never on wall clock
-            shipment.late = (self.round_deadline_s is not None
-                             and result.transfer_seconds > self.round_deadline_s)
-            shipments[cid] = shipment
+            shipments[cid] = _Shipment(result, update.train_seconds,
+                                       update.train_loss, update.num_samples)
+            # the delta tracker's journal sidecar (generation + accumulator);
+            # None without a delta codec or a journal
+            sidecar = None
             if self._delta is not None:
-                if shipment.late:
-                    # the server never acknowledged this state — the
-                    # client's reference is gone until its next full ship
-                    self._delta.invalidate(cid, "late")
-                else:
-                    shipment.delta_sidecar = self._delta.complete_ship(
-                        cid, update.state, result.state,
-                        sidecar=self.journal is not None)
-
-        if self.journal is not None:
-            for cid in plan.participants:
-                shipment = shipments[cid]
-                if shipment.replayed:
-                    continue  # already journaled by the interrupted run
+                sidecar = self._delta.complete_ship(
+                    cid, update.state, result.state,
+                    sidecar=self.journal is not None)
+            if self.journal is not None:
                 self.journal.record_shipped(
-                    round_index, shipment.result, shipment.train_seconds,
-                    shipment.train_loss, shipment.num_samples,
-                    status="late" if shipment.late else "ontime",
-                    delta_sidecar=shipment.delta_sidecar)
+                    round_index, result, update.train_seconds,
+                    update.train_loss, update.num_samples,
+                    delta_sidecar=sidecar)
 
-        ontime = [cid for cid in plan.participants if not shipments[cid].late]
-        late_ids = [cid for cid in plan.participants if shipments[cid].late]
-        states = [shipments[cid].result.state for cid in ontime] \
-            + [late.state for late in admitted]
-        weights = [shipments[cid].num_samples for cid in ontime] \
-            + [late.num_samples for late in admitted]
-        self.server.aggregate(states, weights, allow_empty=True)
+        ordered = [shipments[cid] for cid in plan.participants]
+        self.server.aggregate([s.result.state for s in ordered],
+                              [s.num_samples for s in ordered], allow_empty=True)
 
         start = time.perf_counter()
         accuracy = self.server.evaluate()
         validation_seconds = time.perf_counter() - start
-
-        # this round's late updates join the queue for the next round's triage
-        for cid in late_ids:
-            shipment = shipments[cid]
-            self._pending_late.append(_LateUpdate(
-                origin_round=round_index, client_id=cid,
-                state=shipment.result.state, num_samples=shipment.num_samples))
 
         delta_clients: "list[int]" = []
         delta_degrades: "dict[int, str]" = {}
@@ -372,7 +265,6 @@ class Coordinator:
             # not pin this round's broadcast state in memory
             self._delta.disarm_all()
 
-        ordered = [shipments[cid] for cid in plan.participants]
         train_times = [
             shipment.train_seconds
             * (self.straggler_slowdown if cid in straggler_set else 1.0)
@@ -399,14 +291,11 @@ class Coordinator:
             communication_seconds=round_communication_time(
                 [s.result.transfer_seconds for s in ordered], self.uplink),
             client_losses=[s.train_loss for s in ordered],
-            participants=list(ontime),
+            participants=list(plan.participants),
             dropped_clients=list(plan.dropped),
             straggler_clients=list(plan.stragglers),
             client_reports=client_reports,
             client_plans=client_plans,
-            late_clients=list(late_ids),
-            absorbed_clients={late.client_id: late.origin_round
-                              for late in admitted},
             delta_clients=delta_clients,
             delta_degrades=delta_degrades,
         )

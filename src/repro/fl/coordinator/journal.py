@@ -18,14 +18,18 @@ On-disk layout (documented in FORMATS.md)::
         journal.jsonl                     # one JSON event per line, append-only
         snapshots/initial.fsza            # global state before round 0
         snapshots/round_000007.fsza       # global state after round 7 aggregated
-        updates/round_000007_client_0003.bin   # encoded update payloads
+        updates/round_000007_client_0003.bin     # encoded payloads, as shipped
+        updates/round_000007_client_0003.delta   # delta sidecars (delta runs)
 
 Durability discipline: payload files and snapshots are fully written (and
 snapshots atomically renamed) *before* the event that references them is
 appended, so the log line is the commit point; every append is flushed to the
 OS so a killed process loses at most the line it was writing.  The loader
 tolerates exactly one truncated trailing line (the in-flight append at the
-moment of death) and rejects corruption anywhere else.
+moment of death).  Anywhere else, an event with other keys or value types
+than ``_EVENT_FIELDS`` lists, or out of its place (:func:`_out_of_place`),
+raises :class:`ValueError` naming its line.  This build reads journal
+version 2 only.
 
 The ``REPRO_JOURNAL_CRASH_AFTER`` environment variable is a test hook: when
 set to ``N``, the process hard-exits (``os._exit(42)``) immediately after the
@@ -53,23 +57,111 @@ from repro.utils.serialization import pack_arrays, unpack_arrays
 
 __all__ = ["RoundJournal", "JournalState", "PartialRoundState", "ShippedEvent"]
 
-_JOURNAL_VERSION = 1
+_JOURNAL_VERSION = 2
 _CRASH_ENV = "REPRO_JOURNAL_CRASH_AFTER"
 
-#: FedSZReport fields journaled verbatim (the plan rides separately as hex)
-_REPORT_FIELDS = ("original_bytes", "compressed_bytes", "lossy_original_bytes",
-                  "lossy_compressed_bytes", "lossless_original_bytes",
-                  "lossless_compressed_bytes", "compress_seconds",
-                  "decompress_seconds")
+#: a client id of this run: an int in ``[0, n_clients)``
+_CLIENT = "client id"
 
-#: RoundRecord fields journaled in ``round_complete`` events (everything but
-#: the per-client reports/plans, which rebuild from ``client_shipped`` events)
-_RECORD_FIELDS = ("round_index", "accuracy", "mean_train_seconds",
-                  "mean_encode_seconds", "mean_decode_seconds",
-                  "validation_seconds", "uncompressed_bytes",
-                  "transmitted_bytes", "communication_seconds",
-                  "client_losses", "participants", "dropped_clients",
-                  "straggler_clients", "late_clients", "delta_clients")
+#: FedSZReport fields journaled verbatim (the plan rides separately as hex)
+_REPORT = {"original_bytes": int, "compressed_bytes": int,
+           "lossy_original_bytes": int, "lossy_compressed_bytes": int,
+           "lossless_original_bytes": int, "lossless_compressed_bytes": int,
+           "compress_seconds": float, "decompress_seconds": float}
+
+#: RoundRecord fields journaled in ``round_complete`` events (the per-client
+#: reports and plans rebuild from ``client_shipped`` events)
+_RECORD = {"round_index": int, "accuracy": float, "mean_train_seconds": float,
+           "mean_encode_seconds": float, "mean_decode_seconds": float,
+           "validation_seconds": float, "uncompressed_bytes": int,
+           "transmitted_bytes": int, "communication_seconds": float,
+           "client_losses": [float], "participants": [_CLIENT],
+           "dropped_clients": [_CLIENT], "straggler_clients": [_CLIENT],
+           "delta_clients": [_CLIENT], "delta_degrades": {_CLIENT: str}}
+
+#: the exact keys and value types of every event: ``float`` matches any JSON
+#: number, ``None`` null, ``[t]`` an array of ``t``, ``{_CLIENT: t}`` an object
+#: keyed by client ids, and a tuple any of its members
+_EVENT_FIELDS = {
+    "run_start": {"event": str, "journal_version": int, "codec": str,
+                  "scenario_seed": int, "n_clients": int, "snapshot": str},
+    "round_start": {"event": str, "round": int, "participants": [_CLIENT],
+                    "dropped": [_CLIENT], "stragglers": [_CLIENT]},
+    "client_shipped": {"event": str, "round": int, "client": _CLIENT,
+                       "payload": str, "payload_bytes": int, "raw_bytes": int,
+                       "encode_seconds": float, "transfer_seconds": float,
+                       "decode_seconds": float, "train_seconds": float,
+                       "train_loss": float, "num_samples": int,
+                       "report": (_REPORT, None), "plan": (str, None),
+                       "delta": (str, None)},
+    "round_complete": {"event": str, "round": int, "record": _RECORD,
+                       "snapshot": str},
+}
+
+
+def _matches(value, kind, n_clients: int) -> bool:
+    """Does the decoded JSON ``value`` have the shape ``kind`` describes?"""
+    if isinstance(kind, tuple):
+        return any(_matches(value, k, n_clients) for k in kind)
+    if isinstance(kind, list):
+        return isinstance(value, list) and all(
+            _matches(item, kind[0], n_clients) for item in value)
+    if isinstance(kind, dict):
+        if not isinstance(value, dict):
+            return False
+        if list(kind) == [_CLIENT]:
+            return all(key.isdecimal() and _matches(int(key), _CLIENT, n_clients)
+                       and _matches(item, kind[_CLIENT], n_clients)
+                       for key, item in value.items())
+        return value.keys() == kind.keys() and all(
+            _matches(value[key], kind[key], n_clients) for key in kind)
+    if kind is None:
+        return value is None
+    if isinstance(value, bool):
+        return False  # JSON true/false, which Python reads as ints
+    if kind == _CLIENT:
+        return isinstance(value, int) and 0 <= value < n_clients
+    if kind is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, kind)
+
+
+def _out_of_place(event, state: "JournalState | None",
+                  partial: "PartialRoundState | None") -> "str | None":
+    """Why ``event`` cannot follow the events that built ``state`` (``None``
+    before the header) and left round ``partial`` open, or ``None``."""
+    kind = event.get("event") if isinstance(event, dict) else None
+    if not isinstance(kind, str) or kind not in _EVENT_FIELDS \
+            or (kind == "run_start") != (state is None):
+        return f"unexpected event {kind!r}"
+    # the header names no client, so it is checked against an empty fleet
+    if not _matches(event, _EVENT_FIELDS[kind], state.n_clients if state else 0):
+        return f"malformed {kind} event"
+    if kind == "run_start":
+        return None
+    if kind == "round_start":
+        due = len(state.records)
+        if partial is None and event["round"] == due:
+            return None
+        return f"round {event['round']} starts while round {due} is due"
+    if partial is None or event["round"] != partial.plan.round_index:
+        return f"{kind} for round {event['round']}, which is not open"
+    if kind == "client_shipped":
+        if event["client"] in partial.plan.participants \
+                and event["client"] not in partial.shipped:
+            return None
+        return f"client {event['client']} is not due to ship in round {event['round']}"
+    if partial.shipped.keys() == set(partial.plan.participants) \
+            and event["record"]["round_index"] == event["round"]:
+        return None
+    return (f"round {event['round']} completes before all its participants "
+            f"shipped, or with another round's record")
+
+
+#: ``client_shipped`` keys whose :class:`ShippedEvent` field is named apart
+_SHIPPED_NAMES = {"round": "round_index", "client": "client_id",
+                  "payload": "payload_path", "report": "report_fields",
+                  "plan": "plan_hex", "delta": "delta_path"}
 
 
 @dataclass
@@ -78,7 +170,6 @@ class ShippedEvent:
 
     round_index: int
     client_id: int
-    status: str  # "ontime" | "late"
     payload_path: str
     payload_bytes: int
     raw_bytes: int
@@ -109,7 +200,7 @@ class PartialRoundState:
     """A round that started but never completed — the resume point."""
 
     plan: RoundPlan
-    #: client id -> journaled ship event (both on-time and late ships)
+    #: client id -> journaled ship event
     shipped: "dict[int, ShippedEvent]" = field(default_factory=dict)
 
 
@@ -120,16 +211,14 @@ class JournalState:
     scenario_seed: int
     codec_name: str
     n_clients: int
+    #: snapshot to restore the global model from before resuming
+    snapshot_path: str
     records: "list[RoundRecord]" = field(default_factory=list)
     partial: "PartialRoundState | None" = None
-    #: late updates shipped in completed rounds, not yet absorbed or expired
-    pending_late: "list[ShippedEvent]" = field(default_factory=list)
-    #: snapshot to restore the global model from before resuming
-    snapshot_path: "str | None" = None
     #: per-client delta state entering the resume point, folded from completed
     #: rounds: ``{client_id: {"sidecar": path | None, "degrade": reason |
-    #: None}}`` — the latest on-time ship's sidecar, or the reason the
-    #: reference was last invalidated (``None`` + no sidecar = never shipped)
+    #: None}}`` — the latest ship's sidecar, or the reason the reference was
+    #: last invalidated (``None`` + no sidecar = never shipped)
     delta_state: "dict[int, dict]" = field(default_factory=dict)
 
 
@@ -192,7 +281,7 @@ class RoundJournal:
 
     def record_shipped(self, round_index: int, result: ShipResult,
                        train_seconds: float, train_loss: float,
-                       num_samples: int, status: str = "ontime",
+                       num_samples: int,
                        delta_sidecar: "bytes | None" = None) -> None:
         """Persist one shipped update: payload file first, then the event."""
         if result.payload is None:
@@ -210,12 +299,12 @@ class RoundJournal:
         report_fields = plan_hex = None
         if result.report is not None:
             report_fields = {name: getattr(result.report, name)
-                             for name in _REPORT_FIELDS}
+                             for name in _REPORT}
             if result.report.plan is not None:
                 from repro.core.plan import pack_plan
                 plan_hex = pack_plan(result.report.plan).hex()
         self._append({"event": "client_shipped", "round": round_index,
-                      "client": result.client_id, "status": status,
+                      "client": result.client_id,
                       "payload": relative, "payload_bytes": result.payload_bytes,
                       "raw_bytes": result.raw_bytes,
                       "encode_seconds": result.encode_seconds,
@@ -230,9 +319,8 @@ class RoundJournal:
         """Journal a finished round: post-aggregation snapshot, then the record."""
         snapshot = self._write_snapshot(f"round_{record.round_index:06d}",
                                         global_state)
-        payload = {name: getattr(record, name) for name in _RECORD_FIELDS}
-        payload["absorbed_clients"] = {str(cid): origin for cid, origin
-                                       in record.absorbed_clients.items()}
+        payload = {name: getattr(record, name) for name in _RECORD
+                   if name != "delta_degrades"}
         payload["delta_degrades"] = {str(cid): reason for cid, reason
                                      in record.delta_degrades.items()}
         self._append({"event": "round_complete", "round": record.round_index,
@@ -249,119 +337,89 @@ class RoundJournal:
         """The stored encoded payload of a journaled shipped update."""
         return (self.directory / event.payload_path).read_bytes()
 
-    def read_delta(self, event: ShippedEvent) -> "bytes | None":
-        """The stored delta sidecar of a journaled ship (``None`` if it had
-        none); raises :class:`OSError` when the referenced file is gone."""
-        if event.delta_path is None:
+    def read_sidecar(self, path: "str | None") -> "bytes | None":
+        """A journaled delta sidecar's bytes, or ``None`` when the ship had
+        none or the file is unreadable — the delta tracker then degrades the
+        client to a full ship (``resume-loss``)."""
+        try:
+            return None if path is None else (self.directory / path).read_bytes()
+        except OSError:
             return None
-        return (self.directory / event.delta_path).read_bytes()
-
-    @staticmethod
-    def reference_snapshot(round_index: int) -> str:
-        """The snapshot holding the broadcast state of ``round_index`` — what
-        a delta update shipped in that round must be decoded against."""
-        if round_index == 0:
-            return "snapshots/initial.fsza"
-        return f"snapshots/round_{round_index - 1:06d}.fsza"
 
     def load(self) -> JournalState:
-        """Parse the event log into a resumable :class:`JournalState`."""
+        """Parse the event log into a resumable :class:`JournalState`.
+
+        Raises :class:`ValueError` naming the line of the first event that
+        is malformed or out of order (see the module docstring).
+        """
         lines = self.log_path.read_text(encoding="utf-8").splitlines()
-        events: list[dict] = []
-        for number, line in enumerate(lines):
+        events: "list[tuple[int, object]]" = []
+        for number, line in enumerate(lines, 1):
             if not line.strip():
                 continue
             try:
-                events.append(json.loads(line))
+                events.append((number, json.loads(line)))
             except json.JSONDecodeError:
-                if number == len(lines) - 1:
+                if number == len(lines):
                     break  # the torn in-flight append at the moment of death
                 raise ValueError(f"corrupt journal {self.log_path}: unparseable "
-                                 f"event at line {number + 1}") from None
-        if not events or events[0].get("event") != "run_start":
-            raise ValueError(f"corrupt journal {self.log_path}: missing run_start")
-        header = events[0]
-        version = header.get("journal_version")
-        if version != _JOURNAL_VERSION:
-            raise ValueError(f"journal version {version!r} is not supported "
-                             f"(this build writes {_JOURNAL_VERSION})")
-        state = JournalState(scenario_seed=int(header["scenario_seed"]),
-                             codec_name=str(header["codec"]),
-                             n_clients=int(header["n_clients"]),
-                             snapshot_path=str(header["snapshot"]))
-
+                                 f"event at line {number}") from None
+        state: "JournalState | None" = None
         partial: "PartialRoundState | None" = None
-        for event in events[1:]:
-            kind = event.get("event")
-            if kind == "round_start":
-                if partial is not None:
-                    raise ValueError(f"corrupt journal: round {event['round']} "
-                                     f"started before round "
-                                     f"{partial.plan.round_index} completed")
-                plan = RoundPlan(int(event["round"]),
-                                 tuple(event["participants"]),
-                                 tuple(event["dropped"]),
-                                 tuple(event["stragglers"]))
-                partial = PartialRoundState(plan=plan)
+        for number, event in events:
+            problem = _out_of_place(event, state, partial)
+            if problem is not None:
+                raise ValueError(f"corrupt journal {self.log_path}: line "
+                                 f"{number}: {problem}")
+            kind = event["event"]
+            if kind == "run_start":
+                if event["journal_version"] != _JOURNAL_VERSION:
+                    raise ValueError(f"journal version {event['journal_version']} "
+                                     f"is not supported (this build writes "
+                                     f"{_JOURNAL_VERSION})")
+                state = JournalState(scenario_seed=event["scenario_seed"],
+                                     codec_name=event["codec"],
+                                     n_clients=event["n_clients"],
+                                     snapshot_path=event["snapshot"])
+            elif kind == "round_start":
+                partial = PartialRoundState(plan=RoundPlan(
+                    event["round"], tuple(event["participants"]),
+                    tuple(event["dropped"]), tuple(event["stragglers"])))
             elif kind == "client_shipped":
-                if partial is None or int(event["round"]) != partial.plan.round_index:
-                    raise ValueError("corrupt journal: client_shipped outside "
-                                     "its round")
-                shipped = ShippedEvent(
-                    round_index=int(event["round"]), client_id=int(event["client"]),
-                    status=str(event["status"]), payload_path=str(event["payload"]),
-                    payload_bytes=int(event["payload_bytes"]),
-                    raw_bytes=int(event["raw_bytes"]),
-                    encode_seconds=float(event["encode_seconds"]),
-                    transfer_seconds=float(event["transfer_seconds"]),
-                    decode_seconds=float(event["decode_seconds"]),
-                    train_seconds=float(event["train_seconds"]),
-                    train_loss=float(event["train_loss"]),
-                    num_samples=int(event["num_samples"]),
-                    report_fields=event.get("report"), plan_hex=event.get("plan"),
-                    delta_path=event.get("delta"))
-                partial.shipped[shipped.client_id] = shipped
-            elif kind == "round_complete":
-                if partial is None or int(event["round"]) != partial.plan.round_index:
-                    raise ValueError("corrupt journal: round_complete without a "
-                                     "matching round_start")
-                record_fields = dict(event["record"])
-                absorbed = {int(cid): int(origin) for cid, origin
-                            in record_fields.pop("absorbed_clients", {}).items()}
-                degrades = {int(cid): str(reason) for cid, reason
-                            in record_fields.pop("delta_degrades", {}).items()}
-                record = RoundRecord(absorbed_clients=absorbed,
-                                     delta_degrades=degrades, **record_fields)
-                for shipped in partial.shipped.values():
-                    report = shipped.rebuild_report()
-                    if report is not None:
-                        record.client_reports[shipped.client_id] = report
-                        if report.plan is not None:
-                            record.client_plans[shipped.client_id] = report.plan
-                    if shipped.status == "late":
-                        state.pending_late.append(shipped)
-                state.records.append(record)
-                state.snapshot_path = str(event["snapshot"])
-                # an absorbed late update is consumed for good
-                state.pending_late = [e for e in state.pending_late
-                                      if absorbed.get(e.client_id) != e.round_index]
-                # fold each client's delta state forward: an on-time ship
-                # pins its sidecar, a dropout/late loses the reference
-                for cid in record.dropped_clients:
-                    state.delta_state[cid] = {"sidecar": None,
-                                              "degrade": "dropout"}
-                for cid in record.late_clients:
-                    state.delta_state[cid] = {"sidecar": None, "degrade": "late"}
-                for cid in record.participants:
-                    shipped = partial.shipped.get(cid)
-                    state.delta_state[cid] = {
-                        "sidecar": shipped.delta_path if shipped else None,
-                        "degrade": None}
-                partial = None
+                partial.shipped[event["client"]] = ShippedEvent(**{
+                    _SHIPPED_NAMES.get(key, key): value
+                    for key, value in event.items() if key != "event"})
             else:
-                raise ValueError(f"corrupt journal: unknown event kind {kind!r}")
+                self._complete(state, partial, event)
+                partial = None
+        if state is None:
+            raise ValueError(f"corrupt journal {self.log_path}: missing run_start")
         state.partial = partial
         return state
+
+    @staticmethod
+    def _complete(state: JournalState, partial: PartialRoundState,
+                  event: dict) -> None:
+        """Fold a checked ``round_complete`` event into ``state``."""
+        fields = dict(event["record"])
+        degrades = {int(cid): reason
+                    for cid, reason in fields.pop("delta_degrades").items()}
+        record = RoundRecord(delta_degrades=degrades, **fields)
+        for shipped in partial.shipped.values():
+            report = shipped.rebuild_report()
+            if report is not None:
+                record.client_reports[shipped.client_id] = report
+                if report.plan is not None:
+                    record.client_plans[shipped.client_id] = report.plan
+        state.records.append(record)
+        state.snapshot_path = event["snapshot"]
+        # fold each client's delta state forward: a ship pins its sidecar,
+        # a dropout loses the reference
+        for cid in record.dropped_clients:
+            state.delta_state[cid] = {"sidecar": None, "degrade": "dropout"}
+        for cid, shipped in partial.shipped.items():
+            state.delta_state[cid] = {"sidecar": shipped.delta_path,
+                                      "degrade": None}
 
     def load_snapshot(self, relative_path: str) -> "dict[str, np.ndarray]":
         """Deserialize a journaled global-state snapshot."""

@@ -1,12 +1,10 @@
 """Round and run records: what one federated round (and one run) measured.
 
-These dataclasses moved here from ``fl/simulation.py`` when the round engine
-split into coordinator services — the :class:`Coordinator` builds them, the
+The :class:`Coordinator` builds them, the
 :class:`~repro.fl.coordinator.journal.RoundJournal` persists and replays them,
-and ``fl/simulation.py`` re-exports them unchanged for the historic import
-path (``from repro.fl.simulation import RoundRecord``).
-:func:`deterministic_fields` is the one comparison of seeded records that
-every bit-identity and resume check uses.
+and ``fl/simulation.py`` re-exports them (``from repro.fl.simulation import
+RoundRecord``).  :func:`deterministic_fields` is the one comparison of seeded
+records that every bit-identity and resume check uses.
 """
 
 from __future__ import annotations
@@ -35,7 +33,7 @@ class RoundRecord:
     transmitted_bytes: int
     communication_seconds: float
     client_losses: list[float] = field(default_factory=list)
-    #: ids of the clients whose on-time updates were aggregated this round
+    #: ids of the clients whose updates were aggregated this round
     participants: list[int] = field(default_factory=list)
     #: ids of sampled clients that dropped out before reporting
     dropped_clients: list[int] = field(default_factory=list)
@@ -48,19 +46,12 @@ class RoundRecord:
     #: report none); under a bandwidth-aware policy on a heterogeneous fleet
     #: these differ client to client — the per-link selection made visible
     client_plans: dict[int, CompressionPlan] = field(default_factory=dict)
-    #: ids of clients whose modeled transfer missed the round deadline; their
-    #: updates were queued for the staleness policy instead of aggregated
-    late_clients: list[int] = field(default_factory=list)
-    #: late updates absorbed into this round's aggregate: client id -> the
-    #: round the update was trained in (empty without a staleness window)
-    absorbed_clients: dict[int, int] = field(default_factory=dict)
     #: ids of participants that shipped delta-framed residuals this round
     #: (empty without a delta codec).  Deterministic — journaled and replayed
     delta_clients: list[int] = field(default_factory=list)
     #: participants that fell back to a full-state ship this round, mapped to
-    #: the degrade reason (``cold`` / ``dropout`` / ``late`` /
-    #: ``roster-change`` / ``resume-loss`` / ``replay-loss``).  Deterministic
-    #: — journaled and replayed
+    #: the degrade reason (``cold`` / ``dropout`` / ``roster-change`` /
+    #: ``resume-loss``).  Deterministic — journaled and replayed
     delta_degrades: dict[int, str] = field(default_factory=dict)
 
     @property
@@ -74,17 +65,15 @@ def deterministic_fields(result: "SimulationResult") -> "list[tuple]":
 
     The fields a journal replays as deterministic: the round index,
     accuracy, both byte counts, the modeled communication time, the client
-    losses, the participant/dropped/straggler/late lists, the absorbed late
-    updates and the delta ships and degrades.  Wall-clock measurements and
-    the reports are left out, so two runs compare with ``==`` on the
-    returned lists.
+    losses, the participant/dropped/straggler lists and the delta ships and
+    degrades.  Wall-clock measurements and the reports are left out, so two
+    runs compare with ``==`` on the returned lists.
     """
     return [(r.round_index, r.accuracy, r.uncompressed_bytes,
              r.transmitted_bytes,
              r.communication_seconds, tuple(r.client_losses),
              tuple(r.participants), tuple(r.dropped_clients),
-             tuple(r.straggler_clients), tuple(r.late_clients),
-             tuple(sorted(r.absorbed_clients.items())),
+             tuple(r.straggler_clients),
              tuple(r.delta_clients), tuple(sorted(r.delta_degrades.items())))
             for r in result.rounds]
 

@@ -1,25 +1,19 @@
-"""Round scheduling: seeded scenario draws and the staleness admission policy.
+"""Round scheduling: seeded scenario draws.
 
-The :class:`RoundScheduler` owns what used to be
-``FederatedSimulation.plan_round``: the seeded, worker-independent draw of
+The :class:`RoundScheduler` owns the seeded, worker-independent draw of
 which clients participate in a round, which of them drop out, and which
-straggle.  Pulling it into a service makes the draw reusable by the
-:class:`~repro.fl.coordinator.coordinator.Coordinator` and by journal replay
-(a resumed round re-derives the identical plan from the scenario seed and
-cross-checks it against the journaled one).
-
-:class:`StalenessPolicy` decides whether an update that missed its round's
-deadline may still be absorbed later — the asynchronous-straggler half of
-ROADMAP open item 1.
+straggle.  The :class:`~repro.fl.coordinator.coordinator.Coordinator` draws
+every round's plan from it, and journal replay re-derives the identical
+plan from the scenario seed to cross-check it against the journaled one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["RoundPlan", "RoundScheduler", "StalenessPolicy", "resolve_scenario_seed"]
+__all__ = ["RoundPlan", "RoundScheduler", "resolve_scenario_seed"]
 
 #: Domain-separation constant mixed into every scenario draw (historic value —
 #: changing it would silently re-draw every seeded experiment in the repo).
@@ -45,16 +39,12 @@ class RoundPlan:
 
     round_index: int
     #: surviving participants (sorted client ids) — their updates are trained,
-    #: shipped, and (unless late under a deadline) aggregated this round
+    #: shipped, and aggregated this round
     participants: tuple[int, ...]
     #: sampled clients that dropped out before reporting
     dropped: tuple[int, ...] = ()
     #: participants whose train/transfer time is straggler-inflated
     stragglers: tuple[int, ...] = ()
-
-    def as_tuple(self) -> tuple[list[int], list[int], list[int]]:
-        """The historic ``plan_round`` return shape (three lists)."""
-        return list(self.participants), list(self.dropped), list(self.stragglers)
 
 
 class RoundScheduler:
@@ -120,32 +110,3 @@ class RoundScheduler:
                       if self.straggler_prob and rng.random() < self.straggler_prob]
         return RoundPlan(round_index, tuple(survivors), tuple(dropped),
                          tuple(stragglers))
-
-
-@dataclass(frozen=True)
-class StalenessPolicy:
-    """Admission rule for updates that arrive after their round's deadline.
-
-    A late update from round ``r`` may be absorbed into a later round ``r'``
-    iff ``r' - r <= max_staleness``; anything older is rejected outright.  The
-    default ``max_staleness=0`` admits a late update only into its own round —
-    combined with a deadline it therefore *rejects* every late update, the
-    conservative synchronous-FedAvg behaviour.
-    """
-
-    max_staleness: int = 0
-
-    def __post_init__(self) -> None:
-        if self.max_staleness < 0:
-            raise ValueError("max_staleness must be >= 0")
-
-    def admits(self, origin_round: int, current_round: int) -> bool:
-        """May an update trained at ``origin_round`` join ``current_round``?"""
-        if current_round < origin_round:
-            raise ValueError(f"update from round {origin_round} cannot be admitted "
-                             f"into earlier round {current_round}")
-        return current_round - origin_round <= self.max_staleness
-
-    def expired(self, origin_round: int, current_round: int) -> bool:
-        """True when the update can never be admitted again (reject for good)."""
-        return current_round - origin_round > self.max_staleness

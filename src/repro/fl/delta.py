@@ -424,8 +424,8 @@ class DeltaTracker:
     rebuild channels from the journal so crash-resume re-encodes
     bit-identical payloads.  Invalidation reasons surfaced in
     ``RoundRecord.delta_degrades``: ``cold`` (first ship), ``dropout``,
-    ``late``, ``roster-change``, ``resume-loss`` (sidecar missing/corrupt on
-    resume), ``replay-loss`` (late replay without its reference snapshot).
+    ``roster-change`` and ``resume-loss`` (sidecar missing/corrupt on
+    resume).
 
     Dropout invalidation is protocol fidelity, not algebra: the reference is
     the *current* round's broadcast, so a returning client could in principle
@@ -470,8 +470,8 @@ class DeltaTracker:
 
     def complete_ship(self, client_id: int, trained_state: dict,
                       recon_state: dict, sidecar: bool = True) -> "bytes | None":
-        """Fold one on-time arrival: advance the accumulator and (optionally)
-        build the journal sidecar."""
+        """Fold one arrival: advance the accumulator and (optionally) build
+        the journal sidecar."""
         channel = self.channels.get(client_id)
         if channel is None:
             return None  # mixed fleet: nothing to track for a plain codec
@@ -482,24 +482,10 @@ class DeltaTracker:
         channel.degrade = None
         return pack_sidecar(channel) if sidecar else None
 
-    def invalidate(self, client_id: int, reason: str) -> None:
-        """Drop a client's reference state (late ship, dropout, ...)."""
-        if client_id in self.channels:
-            self.channels[client_id].invalidate(reason)
-            if client_id in self._round_modes:
-                self._round_modes[client_id] = False
-                self._round_degrades[client_id] = reason
-
-    def adopt_replayed(self, client_id: int, blob: "bytes | None",
-                       late: bool) -> None:
+    def adopt_replayed(self, client_id: int, blob: "bytes | None") -> None:
         """Rebuild a channel from a replayed ship's journal sidecar."""
         channel = self.channels.get(client_id)
         if channel is None:
-            return
-        if late:
-            # through invalidate() so the round's mode bookkeeping matches
-            # what the interrupted run recorded for this client
-            self.invalidate(client_id, "late")
             return
         if blob is None:
             channel.invalidate("resume-loss")
@@ -521,20 +507,11 @@ class DeltaTracker:
             if channel is None:
                 continue
             path = info.get("sidecar")
-            if path is None:
-                degrade = info.get("degrade")
-                if degrade is not None:
-                    channel.invalidate(degrade)
-                # else: never shipped — leave the channel genuinely cold
-                continue
-            blob = loader(path)
-            if blob is None:
-                channel.invalidate("resume-loss")
-                continue
-            try:
-                restore_sidecar(channel, blob)
-            except ValueError:
-                channel.invalidate("resume-loss")
+            if path is not None:
+                self.adopt_replayed(cid, loader(path))
+            elif info.get("degrade") is not None:
+                channel.invalidate(info["degrade"])
+            # else: never shipped — leave the channel genuinely cold
 
     def round_summary(self) -> "tuple[list[int], dict[int, str]]":
         """This round's ``(delta_clients, delta_degrades)``."""

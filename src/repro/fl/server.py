@@ -1,8 +1,8 @@
 """FedAvg server: weighted aggregation of client updates and global evaluation.
 
 The round coordinator calls :meth:`FedAvgServer.aggregate` exactly once per
-round, after it has triaged late updates, with the on-time states plus any
-admitted late ones.
+round, with the decoded state of every participant that survived the round's
+dropout draw, in plan order.
 """
 
 from __future__ import annotations

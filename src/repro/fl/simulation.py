@@ -1,22 +1,21 @@
 """Round-by-round federated simulation — the facade over the coordinator services.
 
-:class:`FederatedSimulation` keeps the historic synchronous API (construct,
-``plan_round``, ``run_round``, ``run``) and its bit-exact seeded outputs, but
-the round engine itself now lives in :mod:`repro.fl.coordinator`:
+:class:`FederatedSimulation` keeps the synchronous API (construct,
+``run_round``, ``run``) and its bit-exact seeded outputs; the round engine
+itself lives in :mod:`repro.fl.coordinator`:
 
 * :class:`~repro.fl.coordinator.scheduler.RoundScheduler` owns the seeded
-  scenario draws (participation sampling, dropouts, stragglers),
+  scenario draws (participation sampling, dropouts, stragglers); a round's
+  draw is ``sim.scheduler.plan_round(i)``,
 * :class:`~repro.fl.coordinator.transport.SimulatedTransport` owns the
   encode → transfer → decode pipeline (Eqn. 1's ``t_C + S'/B + t_D``, in
   that order), pooled over the execution backend,
-* :class:`~repro.fl.server.FedAvgServer` aggregates once per round through
-  the compensated FedAvg kernel
+* :class:`~repro.fl.server.FedAvgServer` aggregates every participant's
+  update once per round through the compensated FedAvg kernel
   (:func:`~repro.fl.coordinator.aggregator.weighted_mean_states`),
 * :class:`~repro.fl.coordinator.journal.RoundJournal` makes rounds durable
   (``journal_dir``): a run killed mid-round resumes (``resume=True``) and
   produces the same records as an uninterrupted run,
-* :class:`~repro.fl.coordinator.scheduler.StalenessPolicy` governs updates
-  that miss ``round_deadline_s`` (``max_staleness`` rounds of grace),
 * and the :class:`~repro.fl.coordinator.coordinator.Coordinator` composes them.
 
 Round-engine knobs (all default to the original strictly-sequential,
@@ -39,23 +38,19 @@ full-participation semantics, which the test suite pins bit-for-bit):
   :meth:`~repro.fl.codec.UpdateCodec.for_network`.
 * ``uplink`` — ``"serial"`` (shared uplink: round communication time is the
   sum) or ``"parallel"`` (independent links: the max).
-* ``compute_factors`` — optional per-client device-speed factors (reported
-  train time scaling only).
 * ``journal_dir`` / ``resume`` — durable rounds on disk; see FORMATS.md for
   the journal layout.
-* ``round_deadline_s`` / ``max_staleness`` — late-update triage; the default
-  (no deadline) changes nothing.
 * ``delta`` — wrap every client codec in the v5 error-feedback delta codec
   (:class:`~repro.fl.delta.DeltaUpdateCodec`): from each client's second
   consecutive participation onward it ships the residual against the
   current broadcast state instead of the full state, with per-client error
   feedback keeping the reconstruction inside the configured bound.  Clients
-  without a valid reference (first round, after a dropout or late ship,
-  after a roster change, after a lost resume sidecar) degrade to a
-  full-state frame — visible per round on ``RoundRecord.delta_degrades``.
+  without a valid reference (first round, after a dropout, after a roster
+  change, after a lost resume sidecar) degrade to a full-state frame —
+  visible per round on ``RoundRecord.delta_degrades``.
 
 :meth:`run` backs the whole run with one long-lived thread pool; every
-round aggregates once, after lateness triage.
+round aggregates once.
 
 ``seed=None`` now draws one fresh scenario seed and derives *everything*
 (partitioning, client seeds, scenario draws) from it, so even an unseeded run
@@ -76,8 +71,7 @@ from repro.fl.coordinator.coordinator import (Coordinator,
                                               train_clients_parallel)
 from repro.fl.coordinator.journal import RoundJournal
 from repro.fl.coordinator.records import RoundRecord, SimulationResult
-from repro.fl.coordinator.scheduler import (RoundScheduler, StalenessPolicy,
-                                            resolve_scenario_seed)
+from repro.fl.coordinator.scheduler import RoundScheduler, resolve_scenario_seed
 from repro.fl.coordinator.transport import SimulatedTransport
 from repro.fl.delta import DeltaUpdateCodec
 from repro.fl.server import FedAvgServer
@@ -120,11 +114,9 @@ class FederatedSimulation:
                  straggler_prob: float = 0.0, straggler_slowdown: float = 4.0,
                  networks: Sequence[NetworkModel] | None = None,
                  uplink: str = "serial",
-                 compute_factors: Sequence[float] | None = None,
                  backend: "str | ExecutionBackend" = "thread",
                  journal_dir=None, resume: bool = False,
-                 round_deadline_s: float | None = None,
-                 max_staleness: int = 0, delta: bool = False) -> None:
+                 delta: bool = False) -> None:
         if max_workers is not None and max_workers < 1:
             raise ValueError("max_workers must be >= 1")
         self.backend = get_backend(backend)  # unknown names raise ValueError
@@ -140,8 +132,6 @@ class FederatedSimulation:
             raise ValueError("straggler_slowdown must be >= 1.0")
         if networks is not None and len(networks) != n_clients:
             raise ValueError(f"networks must have one entry per client ({n_clients}), got {len(networks)}")
-        if compute_factors is not None and len(compute_factors) != n_clients:
-            raise ValueError(f"compute_factors must have one entry per client ({n_clients})")
 
         self.model_factory = model_factory
         self.codec = codec or RawUpdateCodec()
@@ -188,12 +178,10 @@ class FederatedSimulation:
         # drawn scenario seed instead of silently pinning to seed 0
         shards = partition_dataset(train_dataset, n_clients, scheme=partition_scheme,
                                    alpha=dirichlet_alpha, seed=self._scenario_seed)
-        factors = list(compute_factors) if compute_factors is not None else [1.0] * n_clients
         self.clients = [
             FLClient(client_id=i, model=model_factory(), dataset=shard,
                      batch_size=batch_size, lr=lr, momentum=momentum,
-                     seed=self._scenario_seed + i,
-                     compute_factor=factors[i])
+                     seed=self._scenario_seed + i)
             for i, shard in enumerate(shards)
         ]
         global_model: Module = model_factory()
@@ -209,18 +197,7 @@ class FederatedSimulation:
             local_epochs=self.local_epochs,
             straggler_slowdown=self.straggler_slowdown, uplink=uplink,
             backend=self.backend, max_workers=max_workers,
-            round_deadline_s=round_deadline_s,
-            staleness=StalenessPolicy(max_staleness=max_staleness),
             journal=self.journal, journal_state=journal_state)
-
-    # ------------------------------------------------------------------
-    def plan_round(self, round_index: int) -> tuple[list[int], list[int], list[int]]:
-        """Seeded scenario draw for one round: (participants, dropped, stragglers).
-
-        Delegates to the :class:`RoundScheduler`; the historic three-list
-        return shape is preserved.
-        """
-        return self.scheduler.plan_round(round_index).as_tuple()
 
     # ------------------------------------------------------------------
     def run_round(self, round_index: int) -> RoundRecord:

@@ -30,7 +30,8 @@ maps training and shipping every round) wrap the whole run in
 :meth:`ExecutionBackend.persistent`, a scope backed by one long-lived pool:
 
 * inside the scope, ``map`` calls **from the thread that entered it** reuse
-  the scope's pool;
+  the scope's pool, still running at most their own worker count of items
+  at a time;
 * calls from *other* threads — e.g. a nested fan-out issued inside a pool
   worker — keep the fresh-pool/sequential behaviour, which is what makes the
   scope deadlock-free by construction;
@@ -183,7 +184,8 @@ class ExecutionBackend(abc.ABC):
         by any ``func`` call propagates to the caller on every backend.
 
         Inside a persistent scope entered on the calling thread, the scope's
-        pool serves the map instead of a fresh one.
+        pool serves the map instead of a fresh one, still on no more of its
+        threads than the map's own resolved worker count.
         """
         items = list(items)
         if not items:
@@ -193,12 +195,42 @@ class ExecutionBackend(abc.ABC):
             return [func(item) for item in items]
         pool = self._active_scope()
         if pool is not None:
-            return list(pool.map(func, items))
+            return _map_bounded(pool, func, items, workers)
         with self._new_executor(workers) as pool:
             return list(pool.map(func, items))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging convenience
         return f"{type(self).__name__}(name={self.name!r})"
+
+
+def _map_bounded(pool: Executor, func: Callable[[T], R], items: list,
+                 workers: int) -> list[R]:
+    """``func`` over ``items`` on ``workers`` of ``pool``'s threads, in order:
+    each claims the next unclaimed item until none is left.  Like
+    :meth:`Executor.map`, the first failed item's exception propagates, and
+    no item is claimed after a failure."""
+    results: list = [None] * len(items)
+    errors: dict[int, BaseException] = {}
+    claim = threading.Lock()
+    order = iter(range(len(items)))
+
+    def drain() -> None:
+        while True:
+            with claim:
+                index = None if errors else next(order, None)
+            if index is None:
+                return
+            try:
+                results[index] = func(items[index])
+            except BaseException as exc:  # re-raised on the mapping thread
+                with claim:
+                    errors[index] = exc
+
+    for runner in [pool.submit(drain) for _ in range(workers)]:
+        runner.result()
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 class SerialBackend(ExecutionBackend):

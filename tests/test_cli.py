@@ -227,6 +227,25 @@ class TestCommands:
         assert exit_code == 0
         assert "final accuracy" in out
 
+    def test_simulate_resumes_a_journaled_run(self, tmp_path, capsys):
+        # a journaled 2-round run, resumed to 3 rounds, prints what an
+        # uninterrupted 3-round run prints; a damaged journal then fails
+        # to resume with one line
+        run = ["simulate", "--model", "mlp", "--clients", "4", "--samples", "120",
+               "--image-size", "8", "--delta"]
+        assert main([*run, "--rounds", "3"]) == 0
+        uninterrupted = capsys.readouterr().out
+        journal = ["--journal-dir", str(tmp_path / "j")]
+        assert main([*run, "--rounds", "2", *journal]) == 0
+        capsys.readouterr()
+        assert main([*run, "--rounds", "3", *journal, "--resume"]) == 0
+        assert capsys.readouterr().out == uninterrupted
+        log = tmp_path / "j" / "uncompressed" / "journal.jsonl"
+        log.write_text(log.read_text().replace('"round": 0, ', "", 1))
+        assert main([*run, "--rounds", "4", *journal, "--resume"]) == 2
+        assert capsys.readouterr().err == (f"repro simulate: error: corrupt journal {log}: "
+                                           f"line 2: malformed round_start event\n")
+
     def test_simulate_profiled_heterogeneous_fleet(self, capsys):
         exit_code = main(["simulate", "--model", "mlp", "--rounds", "1", "--clients", "3",
                           "--samples", "120", "--image-size", "8",

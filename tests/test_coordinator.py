@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import json
 import os
 import subprocess
 import sys
@@ -20,18 +21,18 @@ from repro.core import (CodecProfiler, FedSZCompressor, FedSZConfig,
 from repro.data import make_dataset, train_test_split
 from repro.fl import (
     FederatedSimulation,
+    FLClient,
     FedSZUpdateCodec,
     FedAvgServer,
     RawUpdateCodec,
     RoundJournal,
     RoundScheduler,
-    StalenessPolicy,
     fedavg_aggregate,
 )
-from repro.fl.coordinator import (Coordinator, PartialAggregate, RoundPlan,
-                                  ShipTask, SimulatedTransport,
-                                  deterministic_fields, resolve_scenario_seed,
-                                  ship_update_task)
+from repro.fl.coordinator import (Coordinator, PartialAggregate, ShipTask,
+                                  SimulatedTransport, deterministic_fields,
+                                  resolve_scenario_seed, ship_update_task)
+from repro.fl.delta import DeltaTracker
 from repro.nn import build_model
 from repro.utils.serialization import packed_arrays_nbytes
 
@@ -223,8 +224,7 @@ class TestRoundScheduler:
         scheduler = RoundScheduler(4, participation=0.75, dropout_prob=0.25,
                                    straggler_prob=0.5, seed=21)
         for round_index in range(6):
-            assert scheduler.plan_round(round_index).as_tuple() == \
-                sim.plan_round(round_index)
+            assert scheduler.plan_round(round_index) == sim.scheduler.plan_round(round_index)
 
     def test_full_participation_shortcut(self):
         scheduler = RoundScheduler(5, participation=1.0, seed=0)
@@ -252,26 +252,34 @@ class TestRoundScheduler:
         assert resolve_scenario_seed(None) != drawn
 
 
-class TestStalenessPolicy:
-    def test_admission_matrix(self):
-        policy = StalenessPolicy(max_staleness=2)
-        assert policy.admits(3, 3)
-        assert policy.admits(3, 4)
-        assert policy.admits(3, 5)
-        assert not policy.admits(3, 6)
-        assert policy.expired(3, 6)
-        assert not policy.expired(3, 5)
+@pytest.fixture(scope="module")
+def two_round_journal(tmp_path_factory, fl_split):
+    """The event lines of a journaled 2-client, 2-round run."""
+    directory = tmp_path_factory.mktemp("journal")
+    _make_sim(*fl_split, n_clients=2, journal_dir=directory).run(2)
+    return (directory / "journal.jsonl").read_text().splitlines()
 
-    def test_zero_staleness_rejects_any_later_round(self):
-        policy = StalenessPolicy()
-        assert policy.admits(2, 2)
-        assert not policy.admits(2, 3)
 
-    def test_invalid(self):
-        with pytest.raises(ValueError, match="max_staleness"):
-            StalenessPolicy(max_staleness=-1)
-        with pytest.raises(ValueError, match="earlier round"):
-            StalenessPolicy().admits(4, 3)
+#: (damage, an edit of the parsed events, the error it raises): the events
+#: are run_start, then per round round_start, 2 ships and round_complete
+_JOURNAL_DAMAGE = [
+    ("round-start-without-round", lambda e: e[1].pop("round"), "line 2: malformed round_start"),
+    ("ship-without-payload-bytes", lambda e: e[2].pop("payload_bytes"),
+     "line 3: malformed client_shipped"),
+    ("record-with-extra-field", lambda e: e[4]["record"].update(wall_seconds=1.0),
+     "line 5: malformed round_complete"),
+    ("record-without-accuracy", lambda e: e[4]["record"].pop("accuracy"),
+     "line 5: malformed round_complete"),
+    ("participants-not-a-list", lambda e: e[1].update(participants=5),
+     "line 2: malformed round_start"),
+    ("json-array-line", lambda e: e.__setitem__(2, [1, 2]), "line 3: unexpected event None"),
+    ("client-outside-fleet", lambda e: e[2].update(client=9), "line 3: malformed client_shipped"),
+    ("client-ships-twice", lambda e: e[3].update(client=e[2]["client"]),
+     "line 4: client 0 is not due to ship in round 0"),
+    ("rounds-out-of-order", lambda e: [event.update(round=2) for event in e[5:]],
+     "line 6: round 2 starts while round 1 is due"),
+    ("version-1-header", lambda e: e[0].update(journal_version=1), "journal version 1 is not"),
+]
 
 
 class TestRoundJournal:
@@ -297,23 +305,29 @@ class TestRoundJournal:
         assert [r.mean_train_seconds for r in replayed.rounds] == \
             [r.mean_train_seconds for r in live.rounds]
 
-    def test_truncated_tail_is_tolerated(self, tmp_path, fl_split):
-        train, test = fl_split
-        _make_sim(train, test, journal_dir=tmp_path / "j").run(1)
-        log = tmp_path / "j" / "journal.jsonl"
-        log.write_text(log.read_text() + '{"event": "round_start", "rou')
-        state = RoundJournal(tmp_path / "j", resume=True).load()
-        assert len(state.records) == 1 and state.partial is None
+    def test_truncated_tail_is_tolerated(self, tmp_path, two_round_journal):
+        (tmp_path / "journal.jsonl").write_text(
+            "\n".join(two_round_journal) + '\n{"event": "round_start", "rou')
+        state = RoundJournal(tmp_path, resume=True).load()
+        assert len(state.records) == 2 and state.partial is None
 
-    def test_corrupt_middle_line_rejected(self, tmp_path, fl_split):
-        train, test = fl_split
-        _make_sim(train, test, journal_dir=tmp_path / "j").run(1)
-        log = tmp_path / "j" / "journal.jsonl"
-        lines = log.read_text().splitlines()
+    def test_corrupt_middle_line_rejected(self, tmp_path, two_round_journal):
+        lines = list(two_round_journal)
         lines[1] = lines[1][:10]
-        log.write_text("\n".join(lines) + "\n")
+        (tmp_path / "journal.jsonl").write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match="unparseable event"):
-            RoundJournal(tmp_path / "j", resume=True).load()
+            RoundJournal(tmp_path, resume=True).load()
+
+    @pytest.mark.parametrize("damage, message", [c[1:] for c in _JOURNAL_DAMAGE],
+                             ids=[c[0] for c in _JOURNAL_DAMAGE])
+    def test_malformed_event_rejected(self, tmp_path, two_round_journal,
+                                      damage, message):
+        events = [json.loads(line) for line in two_round_journal]
+        damage(events)
+        (tmp_path / "journal.jsonl").write_text(
+            "".join(json.dumps(event) + "\n" for event in events))
+        with pytest.raises(ValueError, match=message):
+            RoundJournal(tmp_path, resume=True).load()
 
     def test_mismatched_run_rejected(self, tmp_path, fl_split):
         train, test = fl_split
@@ -432,38 +446,6 @@ class TestCrashResume:
         assert deterministic_fields(resumed) == ref_fields
         res_state = resumed_sim.server.global_state()
         assert all(np.array_equal(ref_state[k], res_state[k]) for k in ref_state)
-
-
-class TestStalenessEndToEnd:
-    def test_deadline_defers_and_staleness_absorbs(self, fl_split):
-        train, test = fl_split
-        slow = NetworkModel(bandwidth_mbps=0.001)
-        sim = _make_sim(train, test, n_clients=2, network=slow,
-                        round_deadline_s=1e-4, max_staleness=1)
-        result = sim.run(3)
-        assert result.rounds[0].participants == []
-        assert result.rounds[0].late_clients == [0, 1]
-        assert result.rounds[0].absorbed_clients == {}
-        # round 1 absorbs round 0's late updates (origin recorded per client)
-        assert result.rounds[1].absorbed_clients == {0: 0, 1: 0}
-        # late bytes are still accounted to their origin round
-        assert result.rounds[0].transmitted_bytes > 0
-
-    def test_zero_staleness_rejects_late_updates(self, fl_split):
-        train, test = fl_split
-        slow = NetworkModel(bandwidth_mbps=0.001)
-        sim = _make_sim(train, test, n_clients=2, network=slow,
-                        round_deadline_s=1e-4, max_staleness=0)
-        result = sim.run(2)
-        assert all(r.absorbed_clients == {} for r in result.rounds)
-        # nothing aggregated: accuracy stays at the untrained model's level
-        assert result.rounds[0].accuracy == result.rounds[1].accuracy
-
-    def test_no_deadline_means_no_behaviour_change(self, fl_split):
-        train, test = fl_split
-        result = _make_sim(train, test).run(1)
-        assert result.rounds[0].late_clients == []
-        assert result.rounds[0].absorbed_clients == {}
 
 
 class _HeldRawCodec(RawUpdateCodec):
@@ -600,8 +582,9 @@ class TestShipUpdateTask:
             assert got.transfer_seconds == want.transfer_seconds
 
 
-#: (owner, keyword, value) of every settable value that chose between two
-#: round-engine paths; each path now has one implementation
+#: (owner, keyword, value) of every removed round-engine setting: those that
+#: chose between two paths, the late-update triage's and the test-only
+#: shims'; a removed keyword is a TypeError and a removed class an ImportError
 _REMOVED_ENGINE_KNOBS = [
     ("FederatedSimulation", "overlap", "async"),
     ("FederatedSimulation", "aggregate_on_arrival", True),
@@ -617,6 +600,16 @@ _REMOVED_ENGINE_KNOBS = [
     ("ShipTask", "streaming_encode", True),
     ("ShipTask", "streaming", True),
     ("ShipTask", "packet_bytes", 2048),
+    ("FederatedSimulation", "round_deadline_s", 1.0),
+    ("FederatedSimulation", "max_staleness", 1),
+    ("FederatedSimulation", "compute_factors", [1.0, 1.0, 1.0]),
+    ("Coordinator", "round_deadline_s", 1.0),
+    ("Coordinator", "staleness", None),
+    ("FLClient", "compute_factor", 3.0),
+    ("RoundJournal.record_shipped", "status", "late"),
+    ("DeltaTracker.adopt_replayed", "late", True),
+    ("repro.fl", "StalenessPolicy", None),
+    ("repro.fl.coordinator", "StalenessPolicy", None),
 ]
 
 
@@ -624,8 +617,12 @@ class TestOneEnginePath:
     @pytest.mark.parametrize("owner, knob, value", _REMOVED_ENGINE_KNOBS,
                              ids=[f"{owner}-{knob}"
                                   for owner, knob, _ in _REMOVED_ENGINE_KNOBS])
-    def test_removed_knob_rejected(self, fl_split, owner, knob, value):
+    def test_removed_knob_rejected(self, tmp_path, fl_split, owner, knob, value):
         # an error, not a silently ignored option that selects nothing
+        if owner.startswith("repro."):
+            with pytest.raises(ImportError, match=f"cannot import name '{knob}'"):
+                exec(f"from {owner} import {knob}", {})
+            return
         train, test = fl_split
         build = {
             "FederatedSimulation": lambda **kw: _make_sim(train, test, **kw),
@@ -634,6 +631,11 @@ class TestOneEnginePath:
             "ShipTask": lambda **kw: ShipTask(client_id=0, state={},
                                               codec=RawUpdateCodec(),
                                               network=NetworkModel(), **kw),
+            "FLClient": lambda **kw: FLClient(0, _factory(), train, **kw),
+            "RoundJournal.record_shipped": lambda **kw: RoundJournal(
+                tmp_path).record_shipped(0, None, 0.0, 0.0, 1, **kw),
+            "DeltaTracker.adopt_replayed": lambda **kw: DeltaTracker(
+                {}).adopt_replayed(0, None, **kw),
         }[owner]
         with pytest.raises(TypeError,
                            match=f"unexpected keyword argument '{knob}'"):
@@ -723,7 +725,3 @@ class TestSatelliteRegressions:
         result = ship_update_task(task)
         assert result.raw_bytes == len(RawUpdateCodec().encode(small_state))
         assert result.payload is None  # payloads are only kept when journaling
-
-    def test_round_plan_tuple_shape(self):
-        plan = RoundPlan(2, (0, 2), (1,), (2,))
-        assert plan.as_tuple() == ([0, 2], [1], [2])

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from delta_reference import (advance_accumulator_reference, ef_residual_reference,
                              reconstruct_reference)
 from repro.core import FedSZConfig
-from repro.core.network import NetworkModel
 from repro.data import make_dataset, train_test_split
 from repro.fl import (FederatedSimulation, FedSZUpdateCodec, FLClient,
                       RawUpdateCodec, fedavg_aggregate)
@@ -482,18 +481,6 @@ class TestTracker:
         assert clients == [1]
         assert degrades == {0: "dropout"}
 
-    def test_late_ship_invalidates(self):
-        tracker, _ = self._tracker()
-        state = _state(32)
-        tracker.begin_round(0, state, _plan([0, 1]), "sig")
-        tracker.complete_ship(0, state, state, sidecar=False)
-        tracker.invalidate(1, "late")
-        clients, degrades = tracker.round_summary()
-        assert clients == [] and degrades[1] == "late"
-        tracker.begin_round(1, state, _plan([0, 1]), "sig")
-        clients, degrades = tracker.round_summary()
-        assert clients == [0] and degrades == {1: "late"}
-
     def test_roster_change_invalidates_everyone(self):
         tracker, _ = self._tracker()
         state = _state(33)
@@ -509,8 +496,8 @@ class TestTracker:
         tracker, _ = self._tracker()
         state = _state(34)
         tracker.begin_round(0, state, _plan([0, 1]), "sig")
-        tracker.adopt_replayed(0, None, late=False)
-        tracker.adopt_replayed(1, b"garbage", late=False)
+        tracker.adopt_replayed(0, None)
+        tracker.adopt_replayed(1, b"garbage")
         assert tracker.channels[0].degrade == "resume-loss"
         assert tracker.channels[1].degrade == "resume-loss"
         assert not tracker.channels[0].ready
@@ -577,12 +564,6 @@ _FLOOR_RUN = dict(n_clients=4, seed=11, uplink="parallel")
 
 def _floor_codec():
     return FedSZUpdateCodec(_config(error_bound=1e-2, threshold=128))
-
-
-#: a link so slow that every ship misses the deadline and is absorbed one
-#: round late
-_LATE = dict(network=NetworkModel(bandwidth_mbps=0.001), round_deadline_s=1e-4,
-             max_staleness=1)
 
 
 def _make_sim(split, model="simplecnn", **kwargs):
@@ -717,40 +698,6 @@ class TestDeltaSimulation:
         resumed = _make_sim(delta_split, model, journal_dir=tmp_path / "j",
                             resume=True).run(3)
         assert deterministic_fields(resumed) == deterministic_fields(reference)
-
-    @pytest.mark.parametrize("backend", ["serial", "thread"])
-    def test_late_full_ships_replay_against_their_origin_snapshot(
-            self, tmp_path, delta_split, backend):
-        # every ship misses the deadline, so every round ships full states
-        # coded against its broadcast, and the next round absorbs them; the
-        # resume decodes round 0's journaled late ships against the initial
-        # snapshot
-        late = dict(_LATE, backend=backend, max_workers=2)
-        reference_sim = _make_sim(delta_split, **late)
-        reference = reference_sim.run(3)
-        assert reference.rounds[0].late_clients == [0, 1, 2]
-        assert reference.rounds[1].absorbed_clients == {0: 0, 1: 0, 2: 0}
-        _make_sim(delta_split, journal_dir=tmp_path / "j", **late).run(1)
-        resumed_sim = _make_sim(delta_split, journal_dir=tmp_path / "j",
-                                resume=True, **late)
-        resumed = resumed_sim.run(3)
-        assert deterministic_fields(resumed) == deterministic_fields(reference)
-        assert _bits(resumed_sim.server.global_state()) == \
-            _bits(reference_sim.server.global_state())
-
-    def test_late_replay_without_its_snapshot_degrades(self, tmp_path, delta_split):
-        _make_sim(delta_split, journal_dir=tmp_path / "j", **_LATE).run(1)
-        os.unlink(tmp_path / "j" / "snapshots" / "initial.fsza")
-        # the resumed run lifts the deadline, so round 1 ships on time and
-        # its record says why each client shipped a full state
-        resumed = _make_sim(delta_split, journal_dir=tmp_path / "j", resume=True,
-                            network=_LATE["network"], max_staleness=1).run(3)
-        assert len(resumed.rounds) == 3
-        assert resumed.rounds[0].late_clients == [0, 1, 2]
-        assert resumed.rounds[1].absorbed_clients == {}
-        assert resumed.rounds[1].delta_degrades == {0: "replay-loss", 1: "replay-loss",
-                                                    2: "replay-loss"}
-        assert resumed.rounds[2].delta_clients == [0, 1, 2]
 
     def test_missing_sidecars_degrade_to_full_ship(self, tmp_path, delta_split):
         _make_sim(delta_split, journal_dir=tmp_path / "j").run(2)

@@ -14,6 +14,7 @@ import os
 import re
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from hypothesis import strategies as st
 
 from repro.cli import main
 from repro.core import (CodecProfiler, FedSZCompressor, FedSZConfig,
-                        NetworkModel, get_policy)
+                        NetworkModel, get_policy, pipeline)
 from repro.fl import FederatedSimulation, FedSZUpdateCodec, train_clients_parallel
 from repro.fl.coordinator.records import deterministic_fields
 from repro.fl.coordinator.transport import ShipTask, SimulatedTransport
@@ -48,6 +49,11 @@ def _square(x: int) -> int:
 
 def _boom(x: int) -> int:
     raise RuntimeError(f"worker failed on {x}")
+
+
+def _thread_of(_) -> int:
+    time.sleep(0.02)  # long enough that every free pool thread takes a task
+    return threading.get_ident()
 
 
 def _nested_map(xs: "list[int]") -> "list[int]":
@@ -136,6 +142,45 @@ class TestMapSemantics:
             assert map_parallel(lambda x: x + 1, [1, 2], backend=backend) == [2, 3]
             map_parallel(acc.append, [7], backend=backend)
         assert acc == [7, 7]
+
+    def test_map_in_a_wider_scope_keeps_its_worker_count(self, monkeypatch):
+        # the scope's pool serves a narrower map on no more threads than it
+        # asked for, and a compress in it (the CLI opens the scope at the
+        # pipeline's worker count) stays on the cores; with more claiming
+        # threads than cores, switching every microsecond, every item still
+        # runs once, in item order
+        backend, calls, out, tensor_threads = get_backend("thread"), [], [], set()
+        task = pipeline._compress_tensor_task
+        monkeypatch.setattr(pipeline, "_compress_tensor_task",
+                            lambda args: tensor_threads.add(_thread_of(args)) or task(args))
+        rng = np.random.default_rng(3)
+        state = {f"layer{i}.weight": rng.normal(0, 1, 4096).astype(np.float32)
+                 for i in range(16)}
+
+        def run():
+            with backend.persistent(8):
+                spinups = backend.pool_spinups
+                out.append(backend.map(_thread_of, range(16), workers=2))
+                out.append(backend.map(lambda x: calls.append(x) or x * x,
+                                       range(3000), workers=8))
+                with pytest.raises(RuntimeError, match="worker failed on 1"):
+                    backend.map(_boom, [1, 2, 3], workers=2)
+                FedSZCompressor(FedSZConfig(pipeline_workers=8)).compress_state_dict(state)
+                out.append(backend.pool_spinups - spinups)
+
+        interval, runner = sys.getswitchinterval(), threading.Thread(target=run, daemon=True)
+        sys.setswitchinterval(1e-6)
+        try:
+            runner.start()
+            runner.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive(), "the map did not finish"
+        threads, squares, new_pools = out
+        assert len(set(threads)) <= 2 and new_pools == 0
+        assert 0 < len(tensor_threads) <= min(8, os.cpu_count() or 1)
+        assert sorted(calls) == list(range(3000))
+        assert squares == [x * x for x in range(3000)]
 
     @pytest.mark.parametrize("persistent", [False, True],
                              ids=["per-call", "persistent"])

@@ -97,14 +97,14 @@ class TestDeterminism:
         kwargs = dict(n_clients=4, participation=0.5, dropout_prob=0.3, straggler_prob=0.4)
         first = _make_sim(tiny_split, max_workers=1, **kwargs)
         second = _make_sim(tiny_split, max_workers=4, **kwargs)
-        for round_index in range(6):
-            assert first.plan_round(round_index) == second.plan_round(round_index)
+        for i in range(6):
+            assert first.scheduler.plan_round(i) == second.scheduler.plan_round(i)
 
     def test_different_seeds_draw_different_scenarios(self, tiny_split):
         a = _make_sim(tiny_split, n_clients=6, participation=0.5, seed=1)
         b = _make_sim(tiny_split, n_clients=6, participation=0.5, seed=2)
-        plans_a = [a.plan_round(i)[0] for i in range(8)]
-        plans_b = [b.plan_round(i)[0] for i in range(8)]
+        plans_a = [a.scheduler.plan_round(i).participants for i in range(8)]
+        plans_b = [b.scheduler.plan_round(i).participants for i in range(8)]
         assert plans_a != plans_b
 
 
@@ -124,7 +124,7 @@ class TestClientSampling:
     def test_count_of_one_samples_a_single_client(self, tiny_split):
         # int 1 is a count, not the 1.0 full-participation fraction
         sim = _make_sim(tiny_split, n_clients=4, participation=1)
-        plans = [sim.plan_round(i)[0] for i in range(6)]
+        plans = [sim.scheduler.plan_round(i).participants for i in range(6)]
         assert all(len(p) == 1 for p in plans)
         assert len({p[0] for p in plans}) > 1  # rotates across the fleet
 
@@ -208,20 +208,6 @@ class TestHeterogeneousNetworks:
         assert all(n.bandwidth_mbps == 42.0 and n.latency_s == 0.5 for n in fleet)
 
 
-class TestComputeFactors:
-    def test_compute_factor_scales_reported_train_time(self, tiny_split):
-        sim = _make_sim(tiny_split, n_clients=2, compute_factors=[1.0, 50.0])
-        record = sim.run_round(0)
-        assert record.mean_train_seconds > 0
-        assert sim.clients[1].compute_factor == 50.0
-
-    def test_invalid_compute_factor_rejected(self, tiny_split):
-        train, _ = tiny_split
-        from repro.fl import FLClient
-        with pytest.raises(ValueError, match="compute_factor"):
-            FLClient(0, _factory(), train, compute_factor=0.0)
-
-
 class TestValidation:
     @pytest.mark.parametrize("kwargs", [
         {"participation": 0.0},
@@ -234,7 +220,6 @@ class TestValidation:
         {"uplink": "duplex"},
         {"max_workers": 0},
         {"networks": [NetworkModel()]},
-        {"compute_factors": [1.0]},
     ])
     def test_bad_engine_parameters_rejected(self, tiny_split, kwargs):
         with pytest.raises(ValueError):
