@@ -310,13 +310,18 @@ class Coordinator:
         round (if any) resumes from its journaled ships; the rest run live,
         all on one persistent pool of the execution backend
         (:meth:`~repro.utils.parallel.ExecutionBackend.persistent`) instead of
-        a fresh pool per training and shipping map.
+        a fresh pool per training and shipping map.  The journal's log is
+        closed when ``run`` returns or raises; a later ``run`` reopens it.
         """
-        result = SimulationResult(codec_name=self.codec_name)
-        result.rounds.extend(self._completed[:n_rounds])
-        if len(result.rounds) >= n_rounds:
+        try:
+            result = SimulationResult(codec_name=self.codec_name)
+            result.rounds.extend(self._completed[:n_rounds])
+            if len(result.rounds) >= n_rounds:
+                return result
+            with self.backend.persistent(self.max_workers):
+                for round_index in range(len(result.rounds), n_rounds):
+                    result.rounds.append(self.run_round(round_index))
             return result
-        with self.backend.persistent(self.max_workers):
-            for round_index in range(len(result.rounds), n_rounds):
-                result.rounds.append(self.run_round(round_index))
-        return result
+        finally:
+            if self.journal is not None:
+                self.journal.close()

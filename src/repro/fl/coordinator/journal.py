@@ -186,12 +186,22 @@ class ShippedEvent:
     delta_path: "str | None" = None
 
     def rebuild_report(self) -> "FedSZReport | None":
-        """The shipped update's :class:`FedSZReport` (``None`` if it had none)."""
+        """The shipped update's :class:`FedSZReport` (``None`` if it had none).
+
+        Raises :class:`ValueError` when the journaled plan is not hex or is
+        not exactly one plan block.
+        """
         if self.report_fields is None:
             return None
         plan = None
         if self.plan_hex is not None:
-            plan, _ = unpack_plan(bytes.fromhex(self.plan_hex))
+            try:
+                blob = bytes.fromhex(self.plan_hex)
+            except ValueError:
+                raise ValueError("plan is not hex") from None
+            plan, end = unpack_plan(blob)
+            if end != len(blob):
+                raise ValueError(f"plan has {len(blob) - end} trailing bytes")
         return FedSZReport(plan=plan, **self.report_fields)
 
 
@@ -386,9 +396,15 @@ class RoundJournal:
                     event["round"], tuple(event["participants"]),
                     tuple(event["dropped"]), tuple(event["stragglers"])))
             elif kind == "client_shipped":
-                partial.shipped[event["client"]] = ShippedEvent(**{
-                    _SHIPPED_NAMES.get(key, key): value
-                    for key, value in event.items() if key != "event"})
+                shipped = ShippedEvent(**{_SHIPPED_NAMES.get(key, key): value
+                                          for key, value in event.items()
+                                          if key != "event"})
+                try:
+                    shipped.rebuild_report()
+                except ValueError as exc:
+                    raise ValueError(f"corrupt journal {self.log_path}: line "
+                                     f"{number}: {exc}") from None
+                partial.shipped[event["client"]] = shipped
             else:
                 self._complete(state, partial, event)
                 partial = None

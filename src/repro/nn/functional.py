@@ -40,22 +40,26 @@ def im2col(x: np.ndarray, kernel: tuple[int, int], stride: int, padding: int) ->
 
 def col2im(cols: np.ndarray, x_shape: tuple[int, int, int, int], kernel: tuple[int, int],
            stride: int, padding: int) -> np.ndarray:
-    """Fold columns back into an image, summing overlapping contributions."""
+    """Fold columns (N, C*kh*kw, L) back into an (N, C, H, W) image.
+
+    Every image position sums its overlapping contributions in kernel order
+    (``i``-major, then ``j``).  The sum runs in a channels-last buffer, which
+    reads columns held channels-last in memory (the ``(N*L, C*kh*kw)`` rows
+    of a GEMM) a short stride apart; the result is C-contiguous.
+    """
     kh, kw = kernel
     n, c, h, w = x_shape
     h_out = conv_output_size(h, kh, stride, padding)
     w_out = conv_output_size(w, kw, stride, padding)
-    h_pad, w_pad = h + 2 * padding, w + 2 * padding
-    x_padded = np.zeros((n, c, h_pad, w_pad), dtype=cols.dtype)
-    cols = cols.reshape(n, c, kh, kw, h_out, w_out)
+    x_padded = np.zeros((n, h + 2 * padding, w + 2 * padding, c), dtype=cols.dtype)
+    cols = cols.reshape(n, c, kh, kw, h_out, w_out).transpose(0, 4, 5, 1, 2, 3)
     for i in range(kh):
         i_end = i + stride * h_out
         for j in range(kw):
             j_end = j + stride * w_out
-            x_padded[:, :, i:i_end:stride, j:j_end:stride] += cols[:, :, i, j]
-    if padding:
-        return x_padded[:, :, padding:padding + h, padding:padding + w]
-    return x_padded
+            x_padded[:, i:i_end:stride, j:j_end:stride] += cols[..., i, j]
+    x = x_padded[:, padding:padding + h, padding:padding + w]
+    return np.ascontiguousarray(x.transpose(0, 3, 1, 2))
 
 
 def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:

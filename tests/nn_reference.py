@@ -1,12 +1,21 @@
 """Oracles for the nn substrate's training and evaluation paths.
 
-:class:`MaxPool2d` is the argmax pooling the pairwise pooling in
-:mod:`repro.nn.layers` replaced, kept verbatim: a transposed block copy,
-``max`` and ``argmax`` over each window, and a ``put_along_axis`` scatter
-in backward.  :func:`as_oracle` turns a model into the oracle its unchanged
-twin is held to bit for bit: every max-pool swapped for this one, and a stem
-layer that returns dL/dx like every other layer.  :func:`held_arrays` lists
-the arrays a module keeps beyond its parameters and buffers, which an
+Each is the code a faster layer in :mod:`repro.nn.layers` replaced, kept
+verbatim:
+
+* :class:`MaxPool2d`, the argmax pooling: a transposed block copy, ``max``
+  and ``argmax`` over each window, and a ``put_along_axis`` scatter in
+  backward;
+* :class:`Conv2d`, the dense convolution whose im2col products ran through
+  ``np.einsum(..., optimize=True)``, with the channels-first
+  :func:`col2im` it folded its input gradient with (its depthwise path is
+  the layer's own);
+* :class:`ReLU`, selecting with ``np.where``.
+
+:func:`as_oracle` turns a model into the oracle its unchanged twin is held
+to bit for bit: every such layer swapped for its oracle, and a stem layer
+that returns dL/dx like every other layer.  :func:`held_arrays` lists the
+arrays a module keeps beyond its parameters and buffers, which an
 evaluation forward must leave empty.
 """
 
@@ -15,6 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.nn import layers
+from repro.nn.functional import conv_output_size, im2col
 from repro.nn.module import Module, Sequential
 
 
@@ -57,16 +67,92 @@ class MaxPool2d(Module):
         return out
 
 
+def col2im(cols: np.ndarray, x_shape: tuple[int, int, int, int], kernel: tuple[int, int],
+           stride: int, padding: int) -> np.ndarray:
+    """Fold columns back into an image, summing overlapping contributions."""
+    kh, kw = kernel
+    n, c, h, w = x_shape
+    h_out = conv_output_size(h, kh, stride, padding)
+    w_out = conv_output_size(w, kw, stride, padding)
+    h_pad, w_pad = h + 2 * padding, w + 2 * padding
+    x_padded = np.zeros((n, c, h_pad, w_pad), dtype=cols.dtype)
+    cols = cols.reshape(n, c, kh, kw, h_out, w_out)
+    for i in range(kh):
+        i_end = i + stride * h_out
+        for j in range(kw):
+            j_end = j + stride * w_out
+            x_padded[:, :, i:i_end:stride, j:j_end:stride] += cols[:, :, i, j]
+    if padding:
+        return x_padded[:, :, padding:padding + h, padding:padding + w]
+    return x_padded
+
+
+class Conv2d(layers.Conv2d):
+    """``Conv2d`` whose dense products are ``np.einsum(..., optimize=True)``."""
+
+    def _forward_dense(self, x: np.ndarray) -> np.ndarray:
+        n, _, h, w = x.shape
+        k = self.kernel_size
+        h_out = conv_output_size(h, k, self.stride, self.padding)
+        w_out = conv_output_size(w, k, self.stride, self.padding)
+        cols = im2col(x, (k, k), self.stride, self.padding)
+        self._cols = cols if self.training else None
+        w2d = self.weight.data.reshape(self.out_channels, -1)
+        out = np.einsum("fk,nkl->nfl", w2d, cols, optimize=True)
+        if self.bias is not None:
+            out = out + self.bias.data[None, :, None]
+        out = out.reshape(n, self.out_channels, h_out, w_out)
+        self._last_output_shape = out.shape
+        return out
+
+    def _backward_dense(self, grad: np.ndarray) -> np.ndarray | None:
+        n = grad.shape[0]
+        grad2d = grad.reshape(n, self.out_channels, -1)
+        w2d = self.weight.data.reshape(self.out_channels, -1)
+        dw = np.einsum("nfl,nkl->fk", grad2d, self._cols, optimize=True)
+        self.weight.add_grad(dw.reshape(self.weight.data.shape))
+        if self.bias is not None:
+            self.bias.add_grad(grad2d.sum(axis=(0, 2)))
+        if self._stem:
+            return None
+        dcols = np.einsum("fk,nfl->nkl", w2d, grad2d, optimize=True)
+        return col2im(dcols, self._x_shape, (self.kernel_size, self.kernel_size),
+                      self.stride, self.padding)
+
+
+class ReLU(layers.ReLU):
+    """``ReLU`` selecting with ``np.where``."""
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        mask = x > 0
+        self._mask = mask if self.training else None
+        return np.where(mask, x, 0.0)
+
+    def backward(self, grad: np.ndarray) -> np.ndarray:
+        mask, self._mask = self._mask, None
+        if mask is None:
+            raise RuntimeError("backward called without a training-mode forward")
+        return np.where(mask, grad, 0.0)
+
+
 def as_oracle(model: Module) -> Module:
-    """Make ``model`` the oracle, in place: reference pooling, and no stem mark."""
+    """Make ``model`` the oracle, in place: reference pooling, dense
+    convolutions and ReLUs, and no stem mark."""
     for module in model.modules():
         if isinstance(module, Sequential):
             for idx, layer in enumerate(module.layers):
                 if isinstance(layer, layers.MaxPool2d):
                     module.layers[idx] = module._modules[str(idx)] = MaxPool2d(layer.kernel_size)
+        # same parameters and state, the replaced arithmetic
+        if type(module) is layers.Conv2d and module.groups == 1:
+            module.__class__ = Conv2d
+        elif type(module) is layers.ReLU:
+            module.__class__ = ReLU
         if getattr(module, "_stem", False):
             module._stem = False
-    assert not any(isinstance(m, layers.MaxPool2d) for m in model.modules())
+    kinds = [type(m) for m in model.modules()]
+    assert layers.MaxPool2d not in kinds and layers.ReLU not in kinds
+    assert not any(type(m) is layers.Conv2d and m.groups == 1 for m in model.modules())
     return model
 
 

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import functools
+import gc
 import json
 import os
 import subprocess
 import sys
 import threading
 import time
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -254,9 +256,11 @@ class TestRoundScheduler:
 
 @pytest.fixture(scope="module")
 def two_round_journal(tmp_path_factory, fl_split):
-    """The event lines of a journaled 2-client, 2-round run."""
+    """The event lines of a journaled 2-client, 2-round FedSZ run, whose
+    ships journal a report and a plan."""
     directory = tmp_path_factory.mktemp("journal")
-    _make_sim(*fl_split, n_clients=2, journal_dir=directory).run(2)
+    _make_sim(*fl_split, n_clients=2, codec=FedSZUpdateCodec(FedSZConfig()),
+              journal_dir=directory).run(2)
     return (directory / "journal.jsonl").read_text().splitlines()
 
 
@@ -279,6 +283,9 @@ _JOURNAL_DAMAGE = [
     ("rounds-out-of-order", lambda e: [event.update(round=2) for event in e[5:]],
      "line 6: round 2 starts while round 1 is due"),
     ("version-1-header", lambda e: e[0].update(journal_version=1), "journal version 1 is not"),
+    ("plan-with-trailing-bytes", lambda e: e[2].update(plan=e[2]["plan"] + "00"),
+     "line 3: plan has 1 trailing bytes"),
+    ("plan-not-hex", lambda e: e[7].update(plan="not hex"), "line 8: plan is not hex"),
 ]
 
 
@@ -328,6 +335,25 @@ class TestRoundJournal:
             "".join(json.dumps(event) + "\n" for event in events))
         with pytest.raises(ValueError, match=message):
             RoundJournal(tmp_path, resume=True).load()
+
+    def test_run_closes_the_log_and_a_resumed_run_reopens_it(self, tmp_path, fl_split):
+        train, test = fl_split
+        sim = _make_sim(train, test, model="mlp", journal_dir=tmp_path)
+        sim.run(1)
+        assert sim.journal._log is None
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            del sim
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+        resumed = _make_sim(train, test, model="mlp", journal_dir=tmp_path, resume=True)
+        assert len(resumed.run(1).rounds) == 1  # every round journaled: returns early
+        assert resumed.journal._log is None
+        assert len(resumed.run(2).rounds) == 2
+        assert resumed.journal._log is None
+        events = [json.loads(line) for line in
+                  (tmp_path / "journal.jsonl").read_text().splitlines()]
+        assert [e["round"] for e in events if e["event"] == "round_complete"] == [0, 1]
 
     def test_mismatched_run_rejected(self, tmp_path, fl_split):
         train, test = fl_split

@@ -123,7 +123,10 @@ class TestServer:
 
     def test_evaluate_model_is_inference_only(self):
         # alexnet on 100 32x32 samples, one batch: with backward caches kept
-        # the traced peak read 133.4 MiB and 109.1 MiB stayed after the call
+        # the traced peak read 133.4 MiB and 109.1 MiB stayed after the call;
+        # inference only, it read 72.3 MiB with the einsum convolutions and
+        # 60.6 MiB once each forward is one GEMM whose columns are dropped
+        # after their row copy (the stem's columns and rows, 29.3 MiB each)
         ds = make_dataset("cifar10", n_samples=100, image_size=32, seed=1)
         model = build_model("alexnet", num_classes=10, image_size=32)
         tracemalloc.start()
@@ -133,5 +136,5 @@ class TestServer:
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak - start <= 90 * 2**20
+        assert peak - start <= 67 * 2**20
         assert kept - start <= 2**20

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
-from nn_reference import MaxPool2d as ReferenceMaxPool2d, held_arrays
+from nn_reference import (Conv2d as ReferenceConv2d, MaxPool2d as ReferenceMaxPool2d,
+                          ReLU as ReferenceReLU, held_arrays)
 
 from repro.nn.layers import (
     AvgPool2d,
@@ -334,6 +335,60 @@ class TestMaxPoolOracle:
         pool = MaxPool2d(2)
         out = pool(rng.standard_normal((2, 3, 8, 8)).astype(np.float32))
         assert pool._first.dtype == np.uint8 and pool._first.shape == out.shape
+
+
+@st.composite
+def _relu_case(draw):
+    dtype = draw(st.sampled_from([np.float16, np.float32, np.float64]))
+    x = draw(hnp.arrays(dtype, hnp.array_shapes(min_dims=1, max_dims=4, max_side=4)))
+    grad = draw(hnp.arrays(np.float64, x.shape))
+    return x, grad, draw(st.booleans())
+
+
+class TestReLUOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(case=_relu_case())
+    def test_select_matches_np_where(self, case):
+        """Forward and backward equal the ``np.where`` oracle's bit for bit,
+        NaN, infinities and both zeros included, on C-ordered and transposed
+        inputs, with the output in the input's memory order."""
+        x, grad, transposed = case
+        if transposed:
+            x, grad = x.T, grad.T
+        relu, oracle = ReLU(), ReferenceReLU()
+        got, want = relu(x), oracle(x)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert got.strides == np.empty_like(x).strides
+        got, want = relu.backward(grad), oracle.backward(grad)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+class TestConvOracle:
+    #: AlexNet's four convolutions on 32x32 images:
+    #: (in channels, out channels, kernel, padding, input size)
+    ALEXNET_32 = [(3, 32, 5, 2, 32), (32, 64, 3, 1, 16), (64, 96, 3, 1, 8), (96, 64, 3, 1, 8)]
+
+    @pytest.mark.parametrize("shape", ALEXNET_32, ids=lambda s: f"{s[0]}to{s[1]}k{s[2]}s{s[4]}")
+    def test_gemm_products_match_the_einsum_products(self, shape):
+        """At the round workload's batch of 32, the float32 forward and the
+        input and weight gradients of a float64 upstream gradient keep the
+        einsum convolution's bits: a BLAS kernel switch would show here."""
+        c_in, c_out, k, padding, size = shape
+        rng = np.random.default_rng(size + c_in)
+        pair = [cls(c_in, c_out, k, padding=padding, rng=np.random.default_rng(0))
+                for cls in (Conv2d, ReferenceConv2d)]
+        bias = rng.standard_normal(c_out).astype(np.float32)
+        for layer in pair:
+            layer.bias.data = bias.copy()
+        x = rng.standard_normal((32, c_in, size, size)).astype(np.float32)
+        new, oracle = (layer(x) for layer in pair)
+        assert new.dtype == oracle.dtype == np.float32 and new.tobytes() == oracle.tobytes()
+        grad = rng.standard_normal(new.shape)
+        new, oracle = (layer.backward(grad) for layer in pair)
+        assert new.dtype == oracle.dtype == np.float64 and new.tobytes() == oracle.tobytes()
+        for name in ("weight", "bias"):
+            new, oracle = (getattr(layer, name).grad for layer in pair)
+            assert new.tobytes() == oracle.tobytes(), name
 
 
 class TestInferenceOnlyEval:

@@ -107,10 +107,10 @@ class TestOracleIdentity:
     def test_training_and_eval_logits_match_the_oracle(self, name, tiny_split):
         """Two ``train_local`` rounds and the eval logits keep every bit.
 
-        The oracle is the same model with the argmax pooling of
-        ``nn_reference`` and a stem that still returns dL/dx.  Both run in
-        this process: GEMM bits depend on the host's BLAS kernels, so
-        digests pinned on one CPU would not hold on another.
+        The oracle is the same model with the argmax pooling and the einsum
+        dense convolution of ``nn_reference``, and a stem that still returns
+        dL/dx.  Both run in this process: GEMM bits depend on the host's
+        BLAS kernels, so digests pinned on one CPU would not hold on another.
         """
         train, test = tiny_split
         train = train.subset(np.arange(64))
