@@ -96,7 +96,7 @@ def bench_huffman_decode_beats_the_scalar_reference():
 
 def _round_engine_wall(max_workers: int) -> float:
     """Wall of 2 rounds of 8 simplecnn clients sleeping 2 Mbps transfers
-    (the quick-scale FL settings, pinned) on the thread backend."""
+    (the quick-scale FL settings, pinned) on ``max_workers`` threads."""
     data = make_dataset("cifar10", n_samples=480, image_size=16, seed=47)
     train, test = train_test_split(data, test_fraction=0.25, seed=48)
 
@@ -109,8 +109,7 @@ def _round_engine_wall(max_workers: int) -> float:
                               network=NetworkModel(bandwidth_mbps=2.0,
                                                    simulate_delay=True),
                               batch_size=32, lr=0.15, seed=11,
-                              max_workers=max_workers, uplink="parallel",
-                              backend="thread")
+                              max_workers=max_workers, uplink="parallel")
     start = time.perf_counter()
     sim.run(2)
     return time.perf_counter() - start
@@ -129,8 +128,8 @@ def bench_round_engine_workers_overlap_transfers():
 def bench_parallel_pipeline_beats_sequential():
     # compress plus decompress, best of two each, on the same bitstream
     state = trained_like_state("resnet50", **PAPER_RESNET50)
-    sequential = FedSZCompressor(FedSZConfig(pipeline_workers=1, backend="serial"))
-    parallel = FedSZCompressor(FedSZConfig(pipeline_workers=4, backend="thread"))
+    sequential = FedSZCompressor(FedSZConfig(pipeline_workers=1))
+    parallel = FedSZCompressor(FedSZConfig(pipeline_workers=4))
     payload, seq_c = _best_of(2, sequential.compress_state_dict, state)
     par_payload, par_c = _best_of(2, parallel.compress_state_dict, state)
     assert par_payload == payload

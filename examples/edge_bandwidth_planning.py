@@ -82,8 +82,8 @@ def fleet_round(args: argparse.Namespace) -> None:
     print(f"  {'client':>6}  {'uplink':>12}  {'plan (codec mix)':<24}  "
           f"{'ratio':>7}  {'modeled':>9}  {'raw':>9}")
     for cid in record.participants:
-        plan = record.client_plans[cid]
         report = record.client_reports[cid]
+        plan = report.plan
         counts: dict[str, int] = {}
         modeled = raw = 0.0
         for entry in plan:
@@ -95,7 +95,8 @@ def fleet_round(args: argparse.Namespace) -> None:
         print(f"  {cid:>6}  {networks[cid].bandwidth_mbps:>8.1f} Mbps  {mix:<24}  "
               f"{report.ratio:>6.2f}x  {format_seconds(modeled):>9}  "
               f"{format_seconds(raw):>9}")
-    distinct = {tuple((e.codec, e.error_bound) for e in record.client_plans[cid])
+    distinct = {tuple((e.codec, e.error_bound)
+                      for e in record.client_reports[cid].plan)
                 for cid in record.participants}
     print(f"  -> {len(distinct)} distinct plans across {len(record.participants)} "
           f"clients; round accuracy {record.accuracy:.2%}, "

@@ -37,7 +37,7 @@ from repro.core import (
 from repro.data import make_dataset, train_test_split
 from repro.fl import FederatedSimulation, FedSZUpdateCodec, RawUpdateCodec
 from repro.nn import available_models, build_model, count_parameters
-from repro.utils.parallel import available_backends, get_backend
+from repro.utils.parallel import POOL
 from repro.utils.timer import format_bytes, format_seconds
 
 __all__ = ["main", "build_parser"]
@@ -62,17 +62,6 @@ def _participation_value(text: str) -> "float | int":
     return value
 
 
-def _add_backend_argument(parser: argparse.ArgumentParser) -> None:
-    """The execution backend every fan-out stage runs on."""
-    parser.add_argument("--backend", default=FedSZConfig.backend,
-                        choices=available_backends(),
-                        help="execution backend for all parallel stages "
-                             "(per-tensor pipeline, round engine): serial = the "
-                             "sequential reference, thread = a thread pool; "
-                             "bitstreams and round results are identical "
-                             "across backends")
-
-
 def _add_plan_arguments(parser: argparse.ArgumentParser) -> None:
     """Knobs of the plan-driven per-tensor compression pipeline."""
     parser.add_argument("--policy", default=FedSZConfig.policy,
@@ -82,8 +71,8 @@ def _add_plan_arguments(parser: argparse.ArgumentParser) -> None:
                              "the Eqn.-1 optimum for the --bandwidth link)")
     parser.add_argument("--pipeline-workers", type=int, default=FedSZConfig.pipeline_workers,
                         help="per-tensor compress/decompress threads (1 = the "
-                             "sequential reference path; bitstreams are "
-                             "bit-identical at any count)")
+                             "sequential reference on the calling thread; "
+                             "bitstreams are bit-identical at any count)")
 
 
 def _fedsz_config(args: argparse.Namespace, **extra) -> FedSZConfig:
@@ -100,7 +89,6 @@ def _fedsz_config(args: argparse.Namespace, **extra) -> FedSZConfig:
         policy_options = {"bandwidth_mbps": args.bandwidth, "max_bound": args.bound}
     return FedSZConfig(error_bound=args.bound,
                        policy=args.policy, pipeline_workers=args.pipeline_workers,
-                       backend=args.backend,
                        policy_options=policy_options, **extra)
 
 
@@ -119,7 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
     compress.add_argument("--bandwidth", type=float, default=10.0,
                           help="uplink Mbps the profiled policy plans against")
     _add_plan_arguments(compress)
-    _add_backend_argument(compress)
 
     simulate = sub.add_parser("simulate", help="run a small FedAvg simulation")
     simulate.add_argument("--model", default="simplecnn", choices=available_models())
@@ -138,9 +125,9 @@ def build_parser() -> argparse.ArgumentParser:
                                "link")
     simulate.add_argument("--seed", type=int, default=0)
     simulate.add_argument("--workers", type=int, default=1,
-                          help="worker-pool size for per-client train/encode/decode "
-                               "on the --backend pool (1 = the bit-reproducible "
-                               "sequential path)")
+                          help="threads for per-client train/encode/decode (1 = "
+                               "the sequential reference on the calling thread; "
+                               "round results are identical at any count)")
     simulate.add_argument("--participation", type=_participation_value, default=1.0,
                           help="clients sampled per round: fraction in (0, 1] or integer count")
     simulate.add_argument("--straggler", type=float, default=0.0,
@@ -162,7 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
                                "of the full state, degrading to full-state "
                                "frames after any gap")
     _add_plan_arguments(simulate)
-    _add_backend_argument(simulate)
 
     select = sub.add_parser("select", help="profile EBLC candidates on a model's weights")
     select.add_argument("--model", default="resnet50", choices=available_models())
@@ -186,7 +172,7 @@ def _cmd_compress(args: argparse.Namespace) -> int:
         return 2
     # one long-lived pool serves the whole roundtrip (pipeline fan-out,
     # profiler grid) instead of one pool per stage
-    with get_backend(config.backend).persistent(config.pipeline_workers):
+    with POOL.persistent(config.pipeline_workers):
         payload, report = fedsz.compress_with_report(state)
         restored, decode_report = fedsz.decompress_with_report(payload)
 
@@ -249,7 +235,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                                       seed=args.seed + 2,
                                       max_workers=args.workers, participation=args.participation,
                                       dropout_prob=args.dropout, straggler_prob=args.straggler,
-                                      backend=args.backend,
                                       journal_dir=journal_dir, resume=args.resume,
                                       delta=args.delta and label == "fedsz")
         except ValueError as exc:
@@ -263,7 +248,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         accs = "  ".join(f"{a:.2%}" for a in results[label].accuracies)
         print(f"{label:>13}: {accs}")
 
-    final_plans = results["fedsz"].rounds[-1].client_plans if results["fedsz"].rounds else {}
+    final_reports = results["fedsz"].rounds[-1].client_reports \
+        if results["fedsz"].rounds else {}
+    final_plans = {cid: report.plan for cid, report in final_reports.items()
+                   if report.plan is not None}
     if final_plans and args.bandwidth_spread != 1.0:
         print("\nper-client plans (final round):")
         fedsz_sim = last_sims["fedsz"]

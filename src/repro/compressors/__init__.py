@@ -30,7 +30,7 @@ from repro.compressors.lossless import (
     get_lossless,
 )
 from repro.compressors.quantizer import LinearQuantizer
-from repro.compressors.registry import available_lossy, get_lossy, register_lossy
+from repro.compressors.registry import available_lossy, get_lossy
 from repro.compressors.sz2 import SZ2Compressor
 from repro.compressors.sz3 import SZ3Compressor
 from repro.compressors.szx import SZxCompressor
@@ -63,5 +63,4 @@ __all__ = [
     "get_lossless",
     "available_lossy",
     "get_lossy",
-    "register_lossy",
 ]

@@ -15,10 +15,10 @@ codec libraries are available offline, so this module provides:
   :class:`LzmaCodec` (the ``xz`` stand-in) and :class:`ZstdLikeCodec` (a
   mid-level DEFLATE configuration standing in for zstd's speed/ratio point).
 
-All codecs are *byte* codecs: they compress ``bytes`` to ``bytes``.  Array
-convenience wrappers live on the base class.  Every ``decompress`` reads its
-payload exactly: a truncated, corrupt or over-long payload raises
-:class:`ValueError`, never the backend library's own exception type.
+All codecs are *byte* codecs: they compress ``bytes`` to ``bytes``.  Every
+``decompress`` reads its payload exactly: a truncated, corrupt or over-long
+payload raises :class:`ValueError`, never the backend library's own exception
+type.
 """
 
 from __future__ import annotations
@@ -58,32 +58,6 @@ class LosslessCodec:
     def decompress(self, payload: bytes) -> bytes:
         """Invert :meth:`compress`."""
         return bytes(payload)
-
-    # -- array convenience ----------------------------------------------------
-    def compress_array(self, array: np.ndarray) -> bytes:
-        """Compress an ndarray, preserving dtype and shape."""
-        array = np.ascontiguousarray(array)
-        dtype_str = array.dtype.str.encode()
-        header = struct.pack("<I", len(dtype_str)) + dtype_str
-        header += struct.pack("<I", array.ndim)
-        header += struct.pack(f"<{array.ndim}Q", *array.shape) if array.ndim else b""
-        return header + self.compress(array.tobytes())
-
-    def decompress_array(self, payload: bytes) -> np.ndarray:
-        """Invert :meth:`compress_array`."""
-        try:
-            (dlen,) = struct.unpack_from("<I", payload, 0)
-            offset = 4
-            dtype = np.dtype(payload[offset : offset + dlen].decode())
-            offset += dlen
-            (ndim,) = struct.unpack_from("<I", payload, offset)
-            offset += 4
-            shape = struct.unpack_from(f"<{ndim}Q", payload, offset) if ndim else ()
-        except (struct.error, TypeError, UnicodeDecodeError) as exc:
-            raise ValueError(f"{self.name} array header corrupt ({exc})") from exc
-        offset += 8 * ndim
-        raw = self.decompress(payload[offset:])
-        return np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
 
 
 _HEADER = struct.Struct("<BQ")  # itemsize, original length (blosclz, shuffle-rle)

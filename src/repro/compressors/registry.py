@@ -2,9 +2,7 @@
 
 The FedSZ pipeline and the benchmark harness look compressors up by name
 (``"sz2"``, ``"sz3"``, ``"szx"``, ``"zfp"``, plus the ``"verbatim"`` lossless
-fallback tier); third-party compressors can be added with
-:func:`register_lossy` as long as they subclass
-:class:`~repro.compressors.base.LossyCompressor`.
+fallback tier).
 """
 
 from __future__ import annotations
@@ -18,7 +16,7 @@ from repro.compressors.szx import SZxCompressor
 from repro.compressors.verbatim import VerbatimCompressor
 from repro.compressors.zfp import ZFPCompressor
 
-__all__ = ["available_lossy", "get_lossy", "register_lossy"]
+__all__ = ["available_lossy", "get_lossy"]
 
 _LOSSY: dict[str, Callable[..., LossyCompressor]] = {
     "sz2": SZ2Compressor,
@@ -34,14 +32,6 @@ _LOSSY: dict[str, Callable[..., LossyCompressor]] = {
 def available_lossy() -> list[str]:
     """Names of the registered lossy compressors."""
     return sorted(_LOSSY)
-
-
-def register_lossy(name: str, factory: Callable[..., LossyCompressor],
-                   overwrite: bool = False) -> None:
-    """Register a new lossy compressor factory under ``name``."""
-    if name in _LOSSY and not overwrite:
-        raise ValueError(f"lossy compressor {name!r} already registered")
-    _LOSSY[name] = factory
 
 
 def get_lossy(name: str, error_bound: ErrorBound | float = 1e-2,

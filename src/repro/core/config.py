@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.compressors.base import ErrorBoundMode
-from repro.utils.parallel import get_backend
 
 __all__ = ["FedSZConfig"]
 
@@ -34,17 +33,12 @@ class FedSZConfig:
       and one bound, ``"profiled"`` measures the candidates per link
       (Problems 1 and 2, Section IV),
     * ``pipeline_workers`` — per-tensor compress/decompress concurrency of the
-      state-dict pipeline: ``1`` is the strictly sequential reference path,
-      larger values fan tensors out over the execution backend (bit-identical
-      bitstreams at any worker count).  The effective count is clamped to
-      the host's cores — tensor compression is pure CPU work, so extra
-      threads are strict oversubscription,
-    * ``backend`` — the :mod:`repro.utils.parallel` execution backend of the
-      one fan-out stage, the per-tensor pipeline (whose ``profiled`` policy
-      measures its candidates on it too): ``"serial"`` (sequential
-      reference) or ``"thread"`` (the default thread pool); any other name
-      raises :class:`ValueError`.  Bitstreams are bit-identical across
-      backends.
+      state-dict pipeline (and of the ``profiled`` policy's candidate grid):
+      ``1`` is the strictly sequential reference path on the calling thread,
+      larger values fan tensors out over the :mod:`repro.utils.parallel`
+      thread pool (bit-identical bitstreams at any worker count).  The
+      effective count is clamped to the host's cores — tensor compression
+      is pure CPU work, so extra threads are strict oversubscription.
     """
 
     lossy_compressor: str = "sz2"
@@ -55,7 +49,6 @@ class FedSZConfig:
     lossy_name_tokens: tuple[str, ...] = ("weight",)
     policy: str = "uniform"
     pipeline_workers: int = 1
-    backend: str = "thread"
     policy_options: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -65,7 +58,6 @@ class FedSZConfig:
             raise ValueError("threshold must be non-negative")
         if self.pipeline_workers < 1:
             raise ValueError("pipeline_workers must be >= 1")
-        get_backend(self.backend)  # unknown names raise ValueError here
         if isinstance(self.error_mode, str):
             self.error_mode = ErrorBoundMode(self.error_mode)
 

@@ -10,11 +10,11 @@ Client side (:meth:`FedSZCompressor.compress_with_report`):
    bound, the ``profiled`` policy picks both per link by measurement
    (Problems 1 and 2),
 3. compress every lossy tensor per its plan entry, fanning the tensors out
-   over the configured execution backend (serial / thread, see
-   :mod:`repro.utils.parallel`) when ``pipeline_workers > 1`` (``1`` is the
-   sequential reference path; the bitstream is bit-identical at any worker
-   count on any backend).  Each unit of work is a module-level task function
-   over an explicit ``(TensorPlan, ndarray, compressor)`` struct,
+   over the :mod:`repro.utils.parallel` thread pool when
+   ``pipeline_workers > 1`` (``1`` is the sequential reference path on the
+   calling thread; the bitstream is bit-identical at any worker count).
+   Each unit of work is a module-level task function over an explicit
+   ``(TensorPlan, ndarray, compressor)`` struct,
 4. serialize the lossless partition into a single buffer and compress it with
    the configured lossless codec,
 5. pack everything into one version-7 bitstream: each ``lossy::`` payload is
@@ -61,7 +61,7 @@ from repro.core.plan import (
     pack_plan,
     unpack_plan,
 )
-from repro.utils.parallel import get_backend, map_parallel
+from repro.utils.parallel import map_parallel
 from repro.utils.serialization import (
     pack_arrays,
     pack_bytes_dict,
@@ -136,8 +136,8 @@ def _decompress_tensor_task(task: "tuple[str, OpenedPayload, LossyCompressor, "
 
     ``body`` is the payload :meth:`LossyCompressor.open` read, with its
     codes decoded.  Failures are normalized to :class:`ValueError` *inside*
-    the task so the documented corruption contract holds identically across
-    backends.
+    the task so the documented corruption contract holds identically at any
+    worker count.
     """
     key, body, decoder, reference = task
     return _decode_or_valueerror(
@@ -288,15 +288,6 @@ class FedSZCompressor:
         self.last_report: FedSZReport | None = None
         self.last_plan: CompressionPlan | None = None
         self._decoder_cache: dict[str, LossyCompressor] = {}
-        #: per-tensor REL-bound resolution scales ``{name: value_range}`` set
-        #: by the delta codec for one encode.  A REL bound resolved against a
-        #: *residual* tensor's tiny range would silently tighten the
-        #: quantization step ~10x below what the user asked for (and forfeit
-        #: the delta size win); these scales pin the resolution to the true
-        #: state's range instead, so a residual ship carries exactly the
-        #: absolute tolerance a full-state ship of the same tensor would.
-        #: ``None`` (always, outside an armed delta encode) changes nothing.
-        self.bound_scales: "dict[str, float] | None" = None
 
     # ------------------------------------------------------------------
     def _pipeline_workers(self) -> int:
@@ -307,10 +298,7 @@ class FedSZCompressor:
         single-core host) and the knob is clamped to the cores actually
         available.  The bitstream is bit-identical at any worker count.
         """
-        workers = min(self.config.pipeline_workers, os.cpu_count() or 1)
-        # let the backend have the final say (serial always resolves to 1),
-        # so this number is the fan-out that actually runs
-        return get_backend(self.config.backend).resolve_workers(workers, workers)
+        return min(self.config.pipeline_workers, os.cpu_count() or 1)
 
     def _compressor_for(self, plan: TensorPlan) -> LossyCompressor:
         """A lossy compressor configured exactly as ``plan`` prescribes.
@@ -327,14 +315,16 @@ class FedSZCompressor:
         return get_lossy(plan.codec, error_bound=plan.error_bound, mode=plan.mode,
                          **options)
 
-    def _scaled_compressor_for(self, plan: TensorPlan, name: str) -> LossyCompressor:
+    def _scaled_compressor_for(self, plan: TensorPlan, name: str,
+                               bound_scales: "dict[str, float] | None"
+                               ) -> LossyCompressor:
         """:meth:`_compressor_for`, with a REL bound resolved against
-        ``bound_scales[name]`` when the delta codec set one for this encode.
+        ``bound_scales[name]`` when the caller passed one for this tensor.
         """
         compressor = self._compressor_for(plan)
-        if self.bound_scales is not None \
+        if bound_scales is not None \
                 and ErrorBoundMode(plan.mode) is ErrorBoundMode.REL:
-            scale = self.bound_scales.get(name)
+            scale = bound_scales.get(name)
             if scale is not None:
                 # resolve the plan's REL bound against the provided scale (the
                 # true state's range on a delta ship) rather than this
@@ -360,14 +350,15 @@ class FedSZCompressor:
 
     # ------------------------------------------------------------------
     def compress_with_report(self, state: dict[str, np.ndarray],
-                             reference: "dict[str, np.ndarray] | None" = None
+                             reference: "dict[str, np.ndarray] | None" = None,
+                             bound_scales: "dict[str, float] | None" = None
                              ) -> tuple[bytes, FedSZReport]:
         """Compress ``state`` into one FedSZ bitstream; returns per-call stats.
 
-        The per-tensor plan is fanned out over the configured execution
-        backend when ``config.pipeline_workers > 1``; the bitstream is
-        bit-identical at any worker count on any backend.  Also updates the
-        ``last_report``/``last_plan`` convenience slots.
+        The per-tensor plan is fanned out over the thread pool when
+        ``config.pipeline_workers > 1``; the bitstream is bit-identical at any
+        worker count.  Also updates the ``last_report``/``last_plan``
+        convenience slots.
 
         ``reference`` is a state the decoder will hold too (a federated
         client's copy of the round's broadcast).  Each lossy tensor is
@@ -375,6 +366,14 @@ class FedSZCompressor:
         (its reference grid); such a stream decodes only through
         :meth:`decompress_with_report` with the same ``reference``.  Without
         one, the bitstream is the plain one.
+
+        ``bound_scales`` maps tensor names to the value ranges their REL
+        bounds resolve against, in place of each tensor's own range.  The
+        delta codec passes the true state's ranges for a residual: resolved
+        against a residual's tiny range, a REL bound would silently tighten
+        the quantization step ~10x below what the user asked for (and forfeit
+        the delta size win), where these scales give a residual ship exactly
+        the absolute tolerance a full-state ship of the same tensor would.
         """
         _check_tensor_names(state)
         start = time.perf_counter()
@@ -391,11 +390,11 @@ class FedSZCompressor:
 
         reference = reference or {}
         tasks = [(plan[name], array,
-                  self._scaled_compressor_for(plan[name], name), reference.get(name))
+                  self._scaled_compressor_for(plan[name], name, bound_scales),
+                  reference.get(name))
                  for name, array in partition.lossy.items()]
         results = map_parallel(_compress_tensor_task, tasks,
-                               max_workers=self._pipeline_workers(),
-                               backend=self.config.backend)
+                               max_workers=self._pipeline_workers())
         lossy_payloads: "OrderedDict[str, bytes]" = OrderedDict(
             zip(partition.lossy, results))
 
@@ -456,8 +455,8 @@ class FedSZCompressor:
         which must agree with the manifest plan.  On the caller's thread,
         after the tag/plan cross-check, every payload is opened (read as a
         view of ``bitstream``) and all Huffman streams decode as one batch;
-        the tensor rebuilds then fan out over the configured execution
-        backend when ``config.pipeline_workers > 1``.  The report covers
+        the tensor rebuilds then fan out over the thread pool when
+        ``config.pipeline_workers > 1``.  The report covers
         the decode side only — ``compress_seconds`` is 0, so its
         ``throughput_mbps`` (a compress-side metric) reads ``inf`` and should
         not be aggregated from decode-only reports.
@@ -498,8 +497,7 @@ class FedSZCompressor:
                                  f"{plan[name].codec!r}")
             tasks.append((key, body, self._decoder_for(codec), reference.get(name)))
         arrays = map_parallel(_decompress_tensor_task, _decode_streams(tasks),
-                              max_workers=self._pipeline_workers(),
-                              backend=self.config.backend)
+                              max_workers=self._pipeline_workers())
 
         state: "OrderedDict[str, np.ndarray]" = OrderedDict(zip(payload_names, arrays))
         for name, array in lossless_arrays.items():

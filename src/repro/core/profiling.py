@@ -6,16 +6,15 @@ one-off experiment into a reusable subsystem:
 
 * :class:`CodecProfiler` — benchmarks every ``(codec, bound, mode)`` candidate
   on a deterministic, seeded contiguous sample of each tensor, fanning the
-  candidate grid out over an :class:`~repro.utils.parallel.ExecutionBackend`.
+  candidate grid out over the :mod:`repro.utils.parallel` thread pool.
   Timings come from the wall clock by default, or from an injectable
   :class:`CostModel` so tests and single-core CI containers stay fully
   deterministic.  Profiles are cached in memory by exact content fingerprint:
   re-profiling the same bytes is a dictionary lookup, and the cache key
   excludes the tensor name so weight-tied tensors share one measurement.
-* :class:`TensorProfile` — the measurements for one tensor, with the Pareto
-  frontier over (ratio up, runtime down) and per-link end-to-end time
-  estimates (Eqn. 1, optionally :class:`~repro.core.network.DeviceProfile`
-  scaled).
+* :class:`TensorProfile` — the measurements for one tensor, with per-link
+  end-to-end time estimates (Eqn. 1, optionally
+  :class:`~repro.core.network.DeviceProfile` scaled).
 * :class:`ProfiledPolicy` — the ``profiled`` plan policy: per tensor, pick the
   candidate minimizing ``t_C + t_D + S'/B`` under an accuracy-proxy bound cap;
   when no candidate beats shipping the raw bytes (Figure 8's above-crossover
@@ -26,8 +25,8 @@ one-off experiment into a reusable subsystem:
 
 Determinism contract: with a :class:`CostModel` injected, profiles — and
 therefore plans and bitstreams — depend only on tensor bytes and the profiler
-configuration, never on wall clock, worker count, execution backend, or the
-order in which concurrent clients reach the cache.
+configuration, never on wall clock, worker count, or the order in which
+concurrent clients reach the cache.
 :mod:`repro.core.selection` is a thin wrapper over this module.
 """
 
@@ -47,7 +46,7 @@ from repro.compressors.base import ErrorBoundMode
 from repro.core.network import DeviceProfile, NetworkModel, end_to_end_seconds
 from repro.core.plan import (PLAN_PROVENANCE_KEY, CompressionPlan, CompressionPolicy,
                              TensorPlan)
-from repro.utils.parallel import ExecutionBackend, get_backend
+from repro.utils.parallel import map_parallel
 
 __all__ = [
     "CandidateMeasurement",
@@ -87,11 +86,6 @@ class CandidateMeasurement:
         """Sample compression ratio (original / compressed)."""
         return self.sample_bytes / self.compressed_bytes if self.compressed_bytes \
             else float("inf")
-
-    @property
-    def runtime(self) -> float:
-        """Total compression + decompression runtime on the sample."""
-        return self.compress_seconds + self.decompress_seconds
 
 
 @dataclass(frozen=True)
@@ -142,23 +136,6 @@ class TensorProfile:
     def uncompressed_seconds(self, bandwidth_mbps: float, latency_s: float = 0.0) -> float:
         """Eqn. (1) right-hand side: shipping the tensor raw."""
         return end_to_end_seconds(0.0, 0.0, self.nbytes, bandwidth_mbps, latency_s)
-
-    def pareto_frontier(self) -> tuple[CandidateMeasurement, ...]:
-        """Non-dominated candidates over (ratio maximized, runtime minimized).
-
-        A candidate is dominated when another achieves at least its ratio in
-        at most its runtime, with one of the two strictly better.  The
-        frontier keeps grid order, so ties resolve deterministically.
-        """
-        frontier = []
-        for m in self.measurements:
-            dominated = any(
-                other.ratio >= m.ratio and other.runtime <= m.runtime
-                and (other.ratio > m.ratio or other.runtime < m.runtime)
-                for other in self.measurements)
-            if not dominated:
-                frontier.append(m)
-        return tuple(frontier)
 
     def best_for_link(self, bandwidth_mbps: float, latency_s: float = 0.0,
                       device: DeviceProfile | None = None,
@@ -324,9 +301,8 @@ class CodecProfiler:
       whose bytes changed is measured again, so a profile never depends on
       which tensor happened to be measured first.
     * **Fan-out** — uncached ``tensor x candidate`` pairs dispatch as one flat
-      :meth:`ExecutionBackend.map` batch of tasks; results are
-      order-stable, so profiles are identical on any backend at any worker
-      count.
+      :func:`~repro.utils.parallel.map_parallel` batch of tasks; results are
+      order-stable, so profiles are identical at any worker count.
 
     Instances are thread-safe (the round engine profiles several clients
     concurrently) and copyable (a copied or pickled profiler carries its
@@ -337,9 +313,7 @@ class CodecProfiler:
                  error_bounds: Iterable[float] | None = None,
                  mode: ErrorBoundMode | str = ErrorBoundMode.REL,
                  sample_limit: int | None = 65536, seed: int = 0,
-                 cost_model: "CostModel | str | None" = None,
-                 backend: "str | ExecutionBackend" = "thread",
-                 workers: int | None = 1) -> None:
+                 cost_model: "CostModel | str | None" = None) -> None:
         from repro.compressors.registry import available_lossy
 
         self.candidates = tuple(candidates) if candidates is not None else DEFAULT_CANDIDATES
@@ -362,10 +336,6 @@ class CodecProfiler:
         self.sample_limit = sample_limit
         self.seed = int(seed)
         self.cost_model = resolve_cost_model(cost_model)
-        self.backend = get_backend(backend)
-        if workers is not None and workers < 1:
-            raise ValueError("workers must be >= 1")
-        self.workers = workers
         self.cache_hits = 0
         self.cache_misses = 0
         self._cache: dict[tuple, tuple[CandidateMeasurement, ...]] = {}
@@ -416,18 +386,14 @@ class CodecProfiler:
                 int(sample.size), zlib.crc32(sample.tobytes()))
 
     def profile_tensors(self, tensors: "Mapping[str, np.ndarray]",
-                        backend: "str | ExecutionBackend | None" = None,
-                        workers: int | None = None,
+                        workers: int | None = 1,
                         ) -> "OrderedDict[str, TensorProfile]":
         """Profile every tensor, measuring only the fingerprints not yet cached.
 
-        All uncached ``tensor x candidate`` work dispatches as one flat
-        backend map, so a whole state dict profiles with full fan-out instead
-        of per-tensor batches.  ``backend``/``workers`` override the
-        profiler's own dispatch configuration for this call (``None`` =
-        inherit) — the hook the profiled policy uses to honour the pipeline
-        config's execution knobs on a shared profiler.  Profiles are
-        identical whatever runs them.
+        All uncached ``tensor x candidate`` work dispatches as one flat map on
+        ``workers`` threads (``1``: the calling thread), so a whole state dict
+        profiles with full fan-out instead of per-tensor batches.  Profiles
+        are identical at any worker count.
         """
         samples: "OrderedDict[str, np.ndarray]" = OrderedDict()
         keys: dict[str, tuple] = {}
@@ -448,10 +414,7 @@ class CodecProfiler:
             tasks = [_CandidateTask(codec, bound, self.mode, sample, self.cost_model)
                      for sample in missing.values()
                      for codec, bound in self.grid]
-            exec_backend = get_backend(backend) if backend is not None else self.backend
-            results = exec_backend.map(_measure_candidate_task, tasks,
-                                       workers=workers if workers is not None
-                                       else self.workers)
+            results = map_parallel(_measure_candidate_task, tasks, workers)
             grid_size = len(self.grid)
             with self._lock:
                 for i, key in enumerate(missing):
@@ -497,15 +460,12 @@ class ProfiledPolicy(CompressionPolicy):
     plan options, which the manifest's plan summary carries to the decoder.
 
     ``cost_model`` defaults to ``"analytic"``: deterministic plans (and
-    therefore bit-identical seeded simulations on any backend at any worker
-    count) out of the box; pass ``"measured"`` to profile with the wall clock.
+    therefore bit-identical seeded simulations at any worker count) out of
+    the box; pass ``"measured"`` to profile with the wall clock.
     ``for_network`` returns per-link variants that share this policy's
     profiler, so a heterogeneous fleet profiles each distinct update once.
-
-    ``backend``/``workers`` steer the candidate-grid fan-out; left ``None``
-    they inherit the pipeline config's ``backend``/``pipeline_workers`` at
-    plan-build time, so the one execution knob that drives every other
-    fan-out stage drives profiling too.
+    The candidate grid fans out on the pipeline config's
+    ``pipeline_workers``, the worker count of the tensors it plans.
     """
 
     name = "profiled"
@@ -519,13 +479,7 @@ class ProfiledPolicy(CompressionPolicy):
                  cost_model: "CostModel | str | None" = "analytic",
                  sample_limit: int | None = 65536, seed: int = 0,
                  profiler: CodecProfiler | None = None,
-                 fallback_codec: str = "verbatim",
-                 backend: "str | ExecutionBackend | None" = None,
-                 workers: int | None = None) -> None:
-        self.backend = get_backend(backend) if backend is not None else None
-        if workers is not None and workers < 1:
-            raise ValueError("workers must be >= 1")
-        self.workers = workers
+                 fallback_codec: str = "verbatim") -> None:
         if network is not None:
             if bandwidth_mbps is not None or latency_s is not None:
                 raise ValueError("pass either network or bandwidth_mbps/latency_s, "
@@ -571,8 +525,7 @@ class ProfiledPolicy(CompressionPolicy):
             return self
         return ProfiledPolicy(network=network, max_bound=self.max_bound,
                               device=self.device, profiler=self.profiler,
-                              fallback_codec=self.fallback_codec,
-                              backend=self.backend, workers=self.workers)
+                              fallback_codec=self.fallback_codec)
 
     # ------------------------------------------------------------------
     def _provenance(self, profile: TensorProfile,
@@ -598,14 +551,7 @@ class ProfiledPolicy(CompressionPolicy):
         return base
 
     def build_plan(self, tensors: "Mapping[str, np.ndarray]", config) -> CompressionPlan:
-        # inherit the pipeline's execution knobs unless explicitly overridden,
-        # so the config's one backend switch also steers profiling fan-out
-        backend = self.backend if self.backend is not None \
-            else getattr(config, "backend", None)
-        workers = self.workers if self.workers is not None \
-            else getattr(config, "pipeline_workers", None)
-        profiles = self.profiler.profile_tensors(tensors, backend=backend,
-                                                 workers=workers)
+        profiles = self.profiler.profile_tensors(tensors, config.pipeline_workers)
         cap = self.max_bound if self.max_bound is not None else config.error_bound
         entries: "OrderedDict[str, TensorPlan]" = OrderedDict()
         for name, profile in profiles.items():

@@ -112,14 +112,17 @@ class FedSZUpdateCodec(UpdateCodec):
         return self.compressor.decompress_state_dict(payload, reference)
 
     def encode_with_report(self, state: dict[str, np.ndarray],
-                           reference: "dict[str, np.ndarray] | None" = None) \
+                           reference: "dict[str, np.ndarray] | None" = None,
+                           bound_scales: "dict[str, float] | None" = None) \
             -> tuple[bytes, FedSZReport]:
         """Encode one update and return its per-call :class:`FedSZReport`.
 
         ``reference`` is a state the receiver holds too; SZ2 tensors may be
         coded against it, and the payload then decodes only with it.
+        ``bound_scales`` are the value ranges REL bounds resolve against (see
+        :meth:`FedSZCompressor.compress_with_report`).
         """
-        return self.compressor.compress_with_report(state, reference)
+        return self.compressor.compress_with_report(state, reference, bound_scales)
 
     @property
     def profiler(self) -> "object | None":

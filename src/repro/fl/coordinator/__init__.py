@@ -3,8 +3,8 @@
 The round engine that used to live as one monolithic loop inside
 ``fl/simulation.py`` is decomposed here into small, separately-testable
 services — :class:`RoundScheduler` (seeded scenario draws),
-:class:`SimulatedTransport` (encode → transfer → decode over the execution
-backend's pool), :func:`weighted_mean_states` (the compensated FedAvg kernel
+:class:`SimulatedTransport` (encode → transfer → decode over the thread
+pool), :func:`weighted_mean_states` (the compensated FedAvg kernel
 behind ``FedAvgServer.aggregate``), :class:`RoundJournal` (durable, resumable
 rounds), and the :class:`Coordinator` that composes them into the paper's
 synchronous round: one ship path, one aggregation of every participant per

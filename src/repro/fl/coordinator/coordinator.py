@@ -7,7 +7,7 @@ server aggregates all of them once.  It composes
 * a :class:`~repro.fl.coordinator.scheduler.RoundScheduler` (seeded scenario
   draws),
 * a :class:`~repro.fl.coordinator.transport.SimulatedTransport` (encode →
-  transfer → decode, pooled over the execution backend),
+  transfer → decode, pooled over the thread pool),
 * a :class:`~repro.fl.server.FedAvgServer` whose aggregation routes through
   :func:`~repro.fl.coordinator.aggregator.weighted_mean_states`, called once
   per round over every participant's update, and
@@ -16,7 +16,7 @@ server aggregates all of them once.  It composes
 
 Determinism contract: every quantity that decides *numerics* (scenario draws,
 batch order, aggregation order) is a pure function of the scenario seed and
-the round index — never of wall clock, backend, or worker count.  Wall-clock
+the round index — never of wall clock or worker count.  Wall-clock
 measurements (train/encode/decode seconds) ride along as data.  That is what
 makes a journal resume bit-identical on every deterministic field: completed
 rounds replay from their records, the interrupted round re-derives its plan,
@@ -43,7 +43,7 @@ from repro.fl.coordinator.scheduler import RoundScheduler
 from repro.fl.coordinator.transport import (ShipResult, ShipTask,
                                             SimulatedTransport)
 from repro.fl.delta import DeltaTracker, DeltaUpdateCodec
-from repro.utils.parallel import ExecutionBackend, get_backend
+from repro.utils.parallel import POOL, map_parallel
 
 # NOTE: fl/server.py imports the aggregation kernel from this package, so this
 # module must not import fl.server back at runtime — the server below is typed
@@ -54,7 +54,6 @@ __all__ = ["Coordinator", "train_clients_parallel"]
 
 def train_clients_parallel(clients: Sequence[FLClient], global_state: dict,
                            epochs: int = 1, max_workers: "int | None" = None,
-                           backend: "str | ExecutionBackend" = "thread",
                            round_index: int = 0) -> "list[ClientUpdate]":
     """Broadcast ``global_state`` to every client and train them concurrently.
 
@@ -73,7 +72,7 @@ def train_clients_parallel(clients: Sequence[FLClient], global_state: dict,
         client.receive_global(global_state)
         return client.train_local(epochs=epochs, round_index=round_index)
 
-    return get_backend(backend).map(train, clients, workers=max_workers)
+    return map_parallel(train, clients, max_workers)
 
 
 @dataclass
@@ -100,7 +99,6 @@ class Coordinator:
                  client_codecs: Sequence, client_networks: Sequence,
                  codec_name: str, local_epochs: int = 1,
                  straggler_slowdown: float = 4.0, uplink: str = "serial",
-                 backend: "str | ExecutionBackend" = "thread",
                  max_workers: "int | None" = 1,
                  journal: "RoundJournal | None" = None,
                  journal_state: "JournalState | None" = None) -> None:
@@ -114,7 +112,6 @@ class Coordinator:
         self.local_epochs = int(local_epochs)
         self.straggler_slowdown = float(straggler_slowdown)
         self.uplink = uplink
-        self.backend = get_backend(backend)
         self.max_workers = max_workers
         self.journal = journal
         # cross-round delta state: one tracker over every delta-wrapped codec
@@ -217,7 +214,7 @@ class Coordinator:
         updates = train_clients_parallel(
             [self.clients[cid] for cid in fresh_ids], global_state,
             epochs=self.local_epochs, max_workers=self.max_workers,
-            backend=self.backend, round_index=round_index)
+            round_index=round_index)
 
         keep_payload = self.journal is not None
         tasks = [
@@ -273,8 +270,6 @@ class Coordinator:
         client_reports = {cid: shipments[cid].result.report
                           for cid in plan.participants
                           if shipments[cid].result.report is not None}
-        client_plans = {cid: report.plan for cid, report in client_reports.items()
-                        if report.plan is not None}
 
         def _mean(values: "list[float]") -> float:
             return float(np.mean(values)) if values else 0.0
@@ -295,7 +290,6 @@ class Coordinator:
             dropped_clients=list(plan.dropped),
             straggler_clients=list(plan.stragglers),
             client_reports=client_reports,
-            client_plans=client_plans,
             delta_clients=delta_clients,
             delta_degrades=delta_degrades,
         )
@@ -308,7 +302,7 @@ class Coordinator:
 
         Rounds already completed in the journal replay as-is; the interrupted
         round (if any) resumes from its journaled ships; the rest run live,
-        all on one persistent pool of the execution backend
+        all on one persistent thread pool
         (:meth:`~repro.utils.parallel.ExecutionBackend.persistent`) instead of
         a fresh pool per training and shipping map.  The journal's log is
         closed when ``run`` returns or raises; a later ``run`` reopens it.
@@ -318,7 +312,7 @@ class Coordinator:
             result.rounds.extend(self._completed[:n_rounds])
             if len(result.rounds) >= n_rounds:
                 return result
-            with self.backend.persistent(self.max_workers):
+            with POOL.persistent(self.max_workers):
                 for round_index in range(len(result.rounds), n_rounds):
                     result.rounds.append(self.run_round(round_index))
             return result

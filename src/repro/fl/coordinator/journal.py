@@ -425,8 +425,6 @@ class RoundJournal:
             report = shipped.rebuild_report()
             if report is not None:
                 record.client_reports[shipped.client_id] = report
-                if report.plan is not None:
-                    record.client_plans[shipped.client_id] = report.plan
         state.records.append(record)
         state.snapshot_path = event["snapshot"]
         # fold each client's delta state forward: a ship pins its sidecar,

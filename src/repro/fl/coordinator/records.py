@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.pipeline import FedSZReport
-from repro.core.plan import CompressionPlan
 
 __all__ = ["RoundRecord", "SimulationResult", "deterministic_fields"]
 
@@ -40,12 +39,11 @@ class RoundRecord:
     #: ids of participants whose train/transfer time was straggler-inflated
     straggler_clients: list[int] = field(default_factory=list)
     #: per-client compression statistics, keyed by client id (empty when the
-    #: codec collects none, e.g. the uncompressed baseline)
+    #: codec collects none, e.g. the uncompressed baseline).  Each report's
+    #: ``plan`` is that client's compression plan: under a bandwidth-aware
+    #: policy on a heterogeneous fleet the plans differ client to client —
+    #: the per-link selection made visible
     client_reports: dict[int, FedSZReport] = field(default_factory=dict)
-    #: per-client compression plans, keyed by client id (empty for codecs that
-    #: report none); under a bandwidth-aware policy on a heterogeneous fleet
-    #: these differ client to client — the per-link selection made visible
-    client_plans: dict[int, CompressionPlan] = field(default_factory=dict)
     #: ids of participants that shipped delta-framed residuals this round
     #: (empty without a delta codec).  Deterministic — journaled and replayed
     delta_clients: list[int] = field(default_factory=list)

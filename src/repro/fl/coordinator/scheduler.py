@@ -51,7 +51,7 @@ class RoundScheduler:
     """Seeded per-round scenario draws for a fleet of ``n_clients``.
 
     The draw depends only on the scenario seed, the scenario knobs, and the
-    round index — never on worker counts, backends, or the wall clock — so a
+    round index — never on worker counts or the wall clock — so a
     run is reproducible at any parallelism level and after a journal resume.
     """
 

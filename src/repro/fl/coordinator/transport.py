@@ -1,10 +1,9 @@
 """Transport service: encode → transfer → decode of one client's update.
 
 :class:`SimulatedTransport` is the link the paper's methodology models: each
-round's ship tasks fan out over the configured
-:class:`~repro.utils.parallel.ExecutionBackend` pool, so simulated transfer
-delays (``simulate_delay=True``) overlap across clients instead of sleeping
-serially.  The task function is module-level over an explicit argument
+round's ship tasks fan out over the :mod:`repro.utils.parallel` thread pool,
+so simulated transfer delays (``simulate_delay=True``) overlap across clients
+instead of sleeping serially.  The task function is module-level over an explicit argument
 struct, so a tracer can wrap it by name.
 
 The uncompressed byte count of an update is computed analytically from array
@@ -26,7 +25,7 @@ import numpy as np
 
 from repro.core.network import NetworkModel
 from repro.fl.codec import UpdateCodec
-from repro.utils.parallel import ExecutionBackend, get_backend
+from repro.utils.parallel import map_parallel
 from repro.utils.serialization import packed_arrays_nbytes
 
 __all__ = ["ShipTask", "ShipResult", "ship_update_task", "SimulatedTransport"]
@@ -68,11 +67,11 @@ class ShipResult:
 def ship_update_task(task: ShipTask) -> ShipResult:
     """Encode, transfer, and decode one client's update.
 
-    Runs per client on the execution backend so that simulated network delays
+    Runs per client on the thread pool so that simulated network delays
     (``simulate_delay=True``, the paper's MPI-delay-injection methodology)
     overlap across clients instead of sleeping serially.  Per-client
     compression statistics come from the codec's per-call reporting API, so
-    they stay accurate at any worker count on any backend.
+    they stay accurate at any worker count.
 
     A ship encodes, sleeps the transfer time (on a real-delay link), then
     decodes.
@@ -99,17 +98,15 @@ def ship_update_task(task: ShipTask) -> ShipResult:
 class SimulatedTransport:
     """The in-process simulated link the paper's methodology models.
 
-    :meth:`ship_batch` fans a round's tasks over the configured
-    :class:`~repro.utils.parallel.ExecutionBackend` pool, bit-identical at
-    any worker count: every recorded quantity is analytic or per-task wall
-    time, never a function of scheduling.
+    :meth:`ship_batch` fans a round's tasks over ``max_workers`` threads
+    (``1``: the calling thread), bit-identical at any worker count: every
+    recorded quantity is analytic or per-task wall time, never a function of
+    scheduling.
     """
 
-    def __init__(self, backend: "str | ExecutionBackend" = "thread",
-                 max_workers: "int | None" = 1) -> None:
-        self.backend = get_backend(backend)
+    def __init__(self, max_workers: "int | None" = 1) -> None:
         self.max_workers = max_workers
 
     def ship_batch(self, tasks: "list[ShipTask]") -> "list[ShipResult]":
-        """Ship a round's updates over the backend pool, results in task order."""
-        return self.backend.map(ship_update_task, tasks, workers=self.max_workers)
+        """Ship a round's updates over the thread pool, results in task order."""
+        return map_parallel(ship_update_task, tasks, self.max_workers)

@@ -42,8 +42,8 @@ The second and third lines are algebraically the same quantity
 (``residual_t − decode(Q(residual_t))``), but computing ``acc_t`` from the
 *reconstructed* state makes it exact float64 arithmetic over values both
 sides agree on — one canonical kernel (:func:`advance_accumulator`), run
-coordinator-side only, so every backend and worker count produces the same
-accumulator bit for bit.  A full-state ship resets the accumulator to the
+coordinator-side only, so every worker count produces the same accumulator
+bit for bit.  A full-state ship resets the accumulator to the
 plain reconstruction error (pass ``acc=None``).
 
 All three kernels treat non-float tensors exactly: their residuals are
@@ -52,7 +52,7 @@ the inner codec's lossless partition, and they carry no accumulator.
 
 Bound semantics: a REL error bound is a fidelity request about the *state*
 tensor, so on a delta ship it is resolved against the state's value range
-(:func:`_rel_scales` → ``FedSZCompressor.bound_scales``), not the residual's
+(:func:`_rel_scales` → the encode's ``bound_scales``), not the residual's
 much smaller one.  A residual therefore carries exactly the absolute
 per-element tolerance the same tensor's full-state ship would — and because
 the residual spans only a few of those quantization steps, its entropy (and
@@ -61,8 +61,8 @@ payload) collapses, which is where the delta size win comes from.
 The codec itself is stateless between rounds: the coordinator *arms* it per
 ship with the reference, generation, and accumulator, and advances the
 accumulator from the reconstruction after the ship.  Transport workers
-share the armed codec and only read its reference, so a thread pool stays
-bit-identical to the serial path.
+share the armed codec and only read its reference, so any worker count
+stays bit-identical to the one-worker path.
 """
 
 from __future__ import annotations
@@ -275,7 +275,9 @@ class DeltaUpdateCodec(UpdateCodec):
     the reference's tensor names, shapes and dtypes; otherwise, and always
     when unarmed, it is a mode-0 frame, which needs no reference.  The inner
     codec's entropy stage builds fresh Huffman tables for every ship,
-    residual or full.
+    residual or full.  Every armed quantity lives in the wrapper and reaches
+    the inner codec as an encode argument, so one client's wrapper may share
+    its inner codec with the whole fleet.
     """
 
     def __init__(self, inner: UpdateCodec) -> None:
@@ -303,9 +305,6 @@ class DeltaUpdateCodec(UpdateCodec):
         self._generation = -1
         self._armed_delta = False
         self._acc = None
-        compressor = getattr(self.inner, "compressor", None)
-        if compressor is not None:
-            compressor.bound_scales = None
 
     def _require_reference(self, generation: int) -> dict:
         if self._reference is None:
@@ -328,14 +327,11 @@ class DeltaUpdateCodec(UpdateCodec):
         if self._armed_delta:
             residual = ef_residual(state, self._require_reference(
                 self._generation), self._acc)
-            compressor = getattr(self.inner, "compressor", None)
-            if compressor is not None:
-                compressor.bound_scales = _rel_scales(state)
-            try:
+            if isinstance(self.inner, FedSZUpdateCodec):
+                inner_payload, report = self.inner.encode_with_report(
+                    residual, bound_scales=_rel_scales(state))
+            else:
                 inner_payload, report = self.inner.encode_with_report(residual)
-            finally:
-                if compressor is not None:
-                    compressor.bound_scales = None
             return pack_frame(MODE_DELTA, self._generation) + inner_payload, report
         reference = self._reference
         if reference is not None and isinstance(self.inner, FedSZUpdateCodec) \

@@ -9,7 +9,7 @@ itself lives in :mod:`repro.fl.coordinator`:
   draw is ``sim.scheduler.plan_round(i)``,
 * :class:`~repro.fl.coordinator.transport.SimulatedTransport` owns the
   encode → transfer → decode pipeline (Eqn. 1's ``t_C + S'/B + t_D``, in
-  that order), pooled over the execution backend,
+  that order), pooled over the thread pool,
 * :class:`~repro.fl.server.FedAvgServer` aggregates every participant's
   update once per round through the compensated FedAvg kernel
   (:func:`~repro.fl.coordinator.aggregator.weighted_mean_states`),
@@ -21,12 +21,12 @@ itself lives in :mod:`repro.fl.coordinator`:
 Round-engine knobs (all default to the original strictly-sequential,
 full-participation semantics, which the test suite pins bit-for-bit):
 
-* ``max_workers`` / ``backend`` — client training and the per-client
-  encode → transfer → decode pipeline fan out over an
-  :class:`~repro.utils.parallel.ExecutionBackend` pool of this size
-  (``serial`` or ``thread``; any other name raises :class:`ValueError`);
-  every backend/worker combination reproduces the sequential reference
-  bit-for-bit.
+* ``max_workers`` — client training and the per-client encode → transfer →
+  decode pipeline fan out over this many threads of the
+  :mod:`repro.utils.parallel` pool; ``1`` runs them on the calling thread,
+  the sequential reference every worker count reproduces bit-for-bit.
+  ``backend`` accepts only ``"thread"`` (or the pool itself): the worker
+  count alone picks the calling thread or the pool.
 * ``participation`` — clients sampled per round: a float in ``(0, 1]`` is a
   fraction of the fleet, an int ``> 1`` an absolute count.
 * ``dropout_prob`` — probability that a sampled client is unavailable this
@@ -59,14 +59,13 @@ is internally consistent — and reproducible after the fact when journaled.
 
 from __future__ import annotations
 
-import copy
 from typing import Sequence
 
 from repro.core.network import UPLINK_MODES, NetworkModel
 from repro.data.datasets import Dataset
 from repro.data.partition import partition_dataset
 from repro.fl.client import FLClient
-from repro.fl.codec import FedSZUpdateCodec, RawUpdateCodec, UpdateCodec
+from repro.fl.codec import RawUpdateCodec, UpdateCodec
 from repro.fl.coordinator.coordinator import (Coordinator,
                                               train_clients_parallel)
 from repro.fl.coordinator.journal import RoundJournal
@@ -80,25 +79,6 @@ from repro.utils.parallel import ExecutionBackend, get_backend
 
 __all__ = ["RoundRecord", "SimulationResult", "FederatedSimulation",
            "train_clients_parallel"]
-
-
-def _delta_client_codec(codec: UpdateCodec) -> DeltaUpdateCodec:
-    """One client's delta wrapper around a *private* inner codec.
-
-    The delta codec arms per-ship state (the REL-bound scales) onto its
-    inner compressor, so clients cannot share an inner instance the way
-    link-agnostic codecs otherwise do.  FedSZ inners keep
-    sharing the plan policy (and through it the profiler cache) — only the
-    compressor shell is per-client.
-    """
-    if isinstance(codec, FedSZUpdateCodec):
-        inner: UpdateCodec = FedSZUpdateCodec(codec.config,
-                                              policy=codec.compressor.policy)
-    elif isinstance(codec, RawUpdateCodec):
-        inner = RawUpdateCodec()
-    else:
-        inner = copy.deepcopy(codec)
-    return DeltaUpdateCodec(inner)
 
 
 class FederatedSimulation:
@@ -119,7 +99,7 @@ class FederatedSimulation:
                  delta: bool = False) -> None:
         if max_workers is not None and max_workers < 1:
             raise ValueError("max_workers must be >= 1")
-        self.backend = get_backend(backend)  # unknown names raise ValueError
+        get_backend(backend)  # any name but "thread" raises ValueError
         if uplink not in UPLINK_MODES:
             raise ValueError(f"uplink must be one of {UPLINK_MODES}, got {uplink!r}")
         if resume and journal_dir is None:
@@ -153,7 +133,9 @@ class FederatedSimulation:
                               for net in self.client_networks]
         self.delta = bool(delta)
         if self.delta:
-            self.client_codecs = [_delta_client_codec(c)
+            # the wrapper holds each client's armed state; the codec it
+            # wraps is the one a plain fleet shares
+            self.client_codecs = [DeltaUpdateCodec(c)
                                   for c in self.client_codecs]
 
         # durable rounds: open (or reopen) the journal before anything seeded
@@ -187,8 +169,7 @@ class FederatedSimulation:
         global_model: Module = model_factory()
         self.server = FedAvgServer(global_model, test_dataset)
 
-        self.transport = SimulatedTransport(backend=self.backend,
-                                            max_workers=max_workers)
+        self.transport = SimulatedTransport(max_workers=max_workers)
         self.coordinator = Coordinator(
             clients=self.clients, server=self.server, scheduler=self.scheduler,
             transport=self.transport, client_codecs=self.client_codecs,
@@ -196,7 +177,7 @@ class FederatedSimulation:
             codec_name=f"delta+{self.codec.name}" if self.delta else self.codec.name,
             local_epochs=self.local_epochs,
             straggler_slowdown=self.straggler_slowdown, uplink=uplink,
-            backend=self.backend, max_workers=max_workers,
+            max_workers=max_workers,
             journal=self.journal, journal_state=journal_state)
 
     # ------------------------------------------------------------------

@@ -5,22 +5,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field
 
-__all__ = ["CompressionRecord", "ExperimentRecord"]
-
-
-@dataclass
-class CompressionRecord:
-    """One measurement of one compressor on one workload."""
-
-    compressor: str
-    workload: str
-    error_bound: float
-    ratio: float
-    compress_seconds: float
-    decompress_seconds: float
-    throughput_mbps: float
-    max_abs_error: float
-    extra: dict = field(default_factory=dict)
+__all__ = ["ExperimentRecord"]
 
 
 @dataclass

@@ -41,7 +41,6 @@ from repro.nn.models import (
     build_model,
     count_parameters,
     estimate_flops,
-    model_profile,
     state_dict_nbytes,
 )
 from repro.nn.module import Module, Sequential
@@ -73,6 +72,5 @@ __all__ = [
     "build_model",
     "count_parameters",
     "estimate_flops",
-    "model_profile",
     "state_dict_nbytes",
 ]

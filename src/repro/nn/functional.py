@@ -22,9 +22,12 @@ def conv_output_size(size: int, kernel: int, stride: int, padding: int) -> int:
 
 
 def im2col(x: np.ndarray, kernel: tuple[int, int], stride: int, padding: int) -> np.ndarray:
-    """Unfold ``x`` of shape (N, C, H, W) into columns (N, C*kh*kw, L).
+    """Unfold ``x`` of shape (N, C, H, W) into window rows (N*L, C*kh*kw).
 
-    ``L`` is the number of sliding-window positions ``H_out * W_out``.
+    Row ``n*L + l`` is sample ``n``'s window at output position ``l`` (of
+    ``L = H_out * W_out``, row-major), flattened channel-major: the GEMM
+    operand of a dense convolution.  The padded input lives only inside this
+    call, so it is freed before any product reads the rows.
     """
     kh, kw = kernel
     n, c, h, w = x.shape
@@ -34,13 +37,14 @@ def im2col(x: np.ndarray, kernel: tuple[int, int], stride: int, padding: int) ->
         x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
     windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
     windows = windows[:, :, ::stride, ::stride]  # (N, C, H_out, W_out, kh, kw)
-    cols = windows.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * kh * kw, h_out * w_out)
-    return np.ascontiguousarray(cols)
+    rows = windows.transpose(0, 2, 3, 1, 4, 5).reshape(n * h_out * w_out, c * kh * kw)
+    return np.ascontiguousarray(rows)
 
 
 def col2im(cols: np.ndarray, x_shape: tuple[int, int, int, int], kernel: tuple[int, int],
            stride: int, padding: int) -> np.ndarray:
-    """Fold columns (N, C*kh*kw, L) back into an (N, C, H, W) image.
+    """Fold columns (N, C*kh*kw, L), the adjoint of :func:`im2col`'s rows,
+    back into an (N, C, H, W) image.
 
     Every image position sums its overlapping contributions in kernel order
     (``i``-major, then ``j``).  The sum runs in a channels-last buffer, which

@@ -79,12 +79,6 @@ class Linear(Module):
         return grad @ self.weight.data
 
 
-def _rows(a: np.ndarray) -> np.ndarray:
-    """``(N, C, L)`` as the ``(N*L, C)`` GEMM operand, copied only when its
-    memory does not already hold that layout."""
-    return a.transpose(0, 2, 1).reshape(-1, a.shape[1])
-
-
 class Conv2d(Module):
     """2-D convolution supporting standard and depthwise (groups=in_channels) modes.
 
@@ -119,7 +113,7 @@ class Conv2d(Module):
         self.weight = Parameter(_kaiming_uniform(
             (out_channels, in_channels // groups, kernel_size, kernel_size), fan_in, rng))
         self.bias = Parameter(np.zeros(out_channels, dtype=np.float32)) if bias else None
-        self._cols: np.ndarray | None = None
+        self._rows: np.ndarray | None = None
         self._x_shape: tuple[int, int, int, int] | None = None
         self._windows: np.ndarray | None = None
         self._stem = False
@@ -130,10 +124,8 @@ class Conv2d(Module):
         k = self.kernel_size
         h_out = conv_output_size(h, k, self.stride, self.padding)
         w_out = conv_output_size(w, k, self.stride, self.padding)
-        cols = im2col(x, (k, k), self.stride, self.padding)
-        self._cols = cols if self.training else None
-        rows = _rows(cols)
-        del cols  # an eval forward keeps no columns past their row copy
+        rows = im2col(x, (k, k), self.stride, self.padding)
+        self._rows = rows if self.training else None
         w2d = self.weight.data.reshape(self.out_channels, -1)
         # one (N*L, K) @ (K, F) GEMM over every window; the output stays
         # channels-last in memory
@@ -147,11 +139,12 @@ class Conv2d(Module):
     def _backward_dense(self, grad: np.ndarray) -> np.ndarray | None:
         n = grad.shape[0]
         grad2d = grad.reshape(n, self.out_channels, -1)
-        grad_rows = _rows(grad2d)  # (N*L, F), shared by both GEMMs
-        cols = self._cols
+        # (N*L, F), shared by both GEMMs
+        grad_rows = grad2d.transpose(0, 2, 1).reshape(-1, self.out_channels)
+        rows = self._rows
         # (K, N*L), cast to the GEMM's dtype in the pass that transposes it
-        cols_t = cols.transpose(1, 0, 2).astype(np.result_type(cols, grad_rows), order="C")
-        dw = np.matmul(cols_t.reshape(cols.shape[1], -1), grad_rows)
+        cols_t = rows.T.astype(np.result_type(rows, grad_rows), order="C")
+        dw = np.matmul(cols_t, grad_rows)
         self.weight.add_grad(dw.T.reshape(self.weight.data.shape))
         if self.bias is not None:
             self.bias.add_grad(grad2d.sum(axis=(0, 2)))
@@ -214,7 +207,7 @@ class Conv2d(Module):
                 return self._backward_dense(grad)
             return self._backward_depthwise(grad)
         finally:
-            self._cols = self._windows = self._x_shape = None
+            self._rows = self._windows = self._x_shape = None
 
 
 class BatchNorm2d(Module):

@@ -44,7 +44,6 @@ __all__ = [
     "count_parameters",
     "state_dict_nbytes",
     "estimate_flops",
-    "model_profile",
 ]
 
 
@@ -284,11 +283,3 @@ def estimate_flops(model: Module, input_shape: tuple[int, int, int]) -> int:
             flops += 2 * module.in_features * module.out_features
     return int(flops)
 
-
-def model_profile(model: Module, input_shape: tuple[int, int, int]) -> dict[str, float]:
-    """Table III-style profile: parameter count, state size, FLOPs."""
-    return {
-        "parameters": count_parameters(model),
-        "state_bytes": state_dict_nbytes(model),
-        "flops": estimate_flops(model, input_shape),
-    }

@@ -1,28 +1,21 @@
-"""Pluggable execution backends shared across the code base.
+"""The one execution setting shared across the code base: a worker count.
 
 Every fan-out in the repository — the federated round engine (training /
 shipping several clients per round), the per-tensor plan pipeline, and the
-profiler's candidate grid — goes through one :class:`ExecutionBackend`
-abstraction with two built-in implementations:
-
-* ``serial`` — strictly sequential execution on the calling thread, always
-  bit-identical to a plain ``for`` loop (the deterministic reference the test
-  suite pins the thread pool against, and exactly what ``max_workers=1``
-  selects on it).
-* ``thread`` — a :class:`~concurrent.futures.ThreadPoolExecutor`, the default
-  everywhere.  Its workers share the caller's objects, so tasks may be
-  closures and may update the caller's state in place.  NumPy kernels, zlib
-  and simulated network sleeps release the GIL and overlap; pure-Python work
-  does not, which is why the per-tensor pipeline clamps its fan-out to the
-  host's cores.
-
-Worker-count semantics are uniform across backends:
+profiler's candidate grid — maps its work items through :data:`POOL`, the one
+:class:`ExecutionBackend`.  Its worker count is the only execution setting:
 
 * ``workers=1`` — strictly sequential execution on the calling thread, no
-  pool is created (bit-identical to the ``serial`` backend).
-* ``workers=N`` — up to ``N`` items in flight at once.
-* ``workers=None`` — the backend default: ``min(32, cpu_count + 4)`` threads
-  (the executor's own heuristic, tuned for I/O-ish overlap), 1 for serial.
+  pool is created: the deterministic reference the test suite pins every
+  other worker count against.
+* ``workers=N`` — up to ``N`` items in flight at once on a
+  :class:`~concurrent.futures.ThreadPoolExecutor`.  Its workers share the
+  caller's objects, so tasks may be closures and may update the caller's
+  state in place.  NumPy kernels, zlib and simulated network sleeps release
+  the GIL and overlap; pure-Python work does not, which is why the
+  per-tensor pipeline clamps its fan-out to the host's cores.
+* ``workers=None`` — ``min(32, cpu_count + 4)`` threads (the executor's own
+  heuristic, tuned for I/O-ish overlap).
 
 Pools are per-call by default — every :meth:`~ExecutionBackend.map` spins one
 up and tears it down.  Call sites that fan out repeatedly (a federated run
@@ -35,11 +28,10 @@ maps training and shipping every round) wrap the whole run in
 * calls from *other* threads — e.g. a nested fan-out issued inside a pool
   worker — keep the fresh-pool/sequential behaviour, which is what makes the
   scope deadlock-free by construction;
-* ``serial`` (or a resolved worker count of 1) degrades to a no-op scope.
+* a resolved worker count of 1 degrades to a no-op scope.
 
-Every real pool construction (persistent or per-call) increments the
-backend's ``pool_spinups`` counter, so benchmarks can show how many pools a
-workload paid for.
+Every real pool construction (persistent or per-call) increments
+``pool_spinups``, so benchmarks can show how many pools a workload paid for.
 
 This module is dependency-free on purpose: it sits below ``repro.fl``,
 ``repro.core``, and ``repro.compressors`` in the layering, so every side can
@@ -48,7 +40,6 @@ import it without cycles.
 
 from __future__ import annotations
 
-import abc
 import contextlib
 import os
 import sys
@@ -58,9 +49,7 @@ from typing import Callable, Sequence, TypeVar
 
 __all__ = [
     "ExecutionBackend",
-    "SerialBackend",
-    "ThreadBackend",
-    "available_backends",
+    "POOL",
     "get_backend",
     "map_parallel",
     "resolve_worker_count",
@@ -70,65 +59,51 @@ T = TypeVar("T")
 R = TypeVar("R")
 
 
-class ExecutionBackend(abc.ABC):
-    """One way of running independent work items: serially or on threads.
+class ExecutionBackend:
+    """Runs independent work items on the calling thread or a thread pool.
 
-    Backends are (almost) stateless; pools live only for the duration of a
-    single :meth:`map` call — unless the caller opens a :meth:`persistent`
-    scope, whose one long-lived pool backs every ``map`` call issued *from the
-    entering thread* for the scope's lifetime.  The scope bookkeeping is
-    thread-local and dropped on pickling, so instances remain safe to share
-    between threads and to embed in compressor objects that are copied.
+    Pools live only for the duration of a single :meth:`map` call — unless the
+    caller opens a :meth:`persistent` scope, whose one long-lived pool backs
+    every ``map`` call issued *from the entering thread* for the scope's
+    lifetime.  The scope bookkeeping is thread-local, so the instance is safe
+    to share between threads.
     """
 
-    #: registry key; also what ``repr`` and the CLI show
-    name: str = "base"
+    #: what ``get_backend`` accepts and ``repr`` shows
+    name = "thread"
 
-    #: real (non-serial) executor pools this instance has constructed — the
-    #: per-round fixed cost the persistent scope exists to amortize away
-    pool_spinups: int = 0
-
-    @abc.abstractmethod
-    def default_workers(self) -> int:
-        """Worker count used when the caller passes ``workers=None``."""
+    def __init__(self) -> None:
+        #: executor pools this instance has constructed — the per-round fixed
+        #: cost the persistent scope exists to amortize away
+        self.pool_spinups = 0
+        self._persistent_local = threading.local()
 
     def resolve_workers(self, workers: int | None, n_items: int) -> int:
         """Effective worker count for ``n_items`` units of work.
 
-        ``None`` resolves to :meth:`default_workers`; the result is always
-        clamped to ``n_items`` (never spawn idle workers) and to a floor of 1.
+        ``None`` resolves to ``min(32, cpu_count + 4)``: a few threads beyond
+        the core count keep I/O-ish work (simulated transfers, zlib)
+        overlapped.  The result is always clamped to ``n_items`` (never spawn
+        idle workers) and to a floor of 1.
         """
         if workers is not None and workers < 1:
             raise ValueError("workers must be >= 1")
         if workers is None:
-            workers = self.default_workers()
+            workers = min(32, (os.cpu_count() or 1) + 4)
         return max(1, min(workers, n_items))
 
-    def _make_executor(self, workers: int) -> Executor:
-        """A fresh pool with ``workers`` slots.
-
-        Only reached with more than one resolved worker, so a backend that
-        always resolves one worker (``serial``) builds no pool and need not
-        override this.
-        """
-        raise NotImplementedError(f"the {self.name} backend builds no pool")
-
     def _new_executor(self, workers: int) -> Executor:
-        """:meth:`_make_executor` plus the ``pool_spinups`` accounting."""
-        pool = self._make_executor(workers)
+        """A fresh pool with ``workers`` threads, counted in ``pool_spinups``."""
         self.pool_spinups += 1
-        return pool
+        return ThreadPoolExecutor(max_workers=workers)
 
     # -- persistent scope ---------------------------------------------------
     def _scope_stack(self) -> list:
         """This thread's stack of active persistent scopes (lazily created)."""
-        local = self.__dict__.get("_persistent_local")
-        if local is None:
-            local = self.__dict__["_persistent_local"] = threading.local()
-        stack = getattr(local, "stack", None)
-        if stack is None:
-            stack = local.stack = []
-        return stack
+        local = self._persistent_local
+        if not hasattr(local, "stack"):
+            local.stack = []
+        return local.stack
 
     def _active_scope(self) -> "Executor | None":
         """The innermost persistent scope entered *by the calling thread*.
@@ -137,20 +112,19 @@ class ExecutionBackend(abc.ABC):
         ``None`` and keep the fresh-pool behaviour — reusing the scope's pool
         from inside one of its own workers would deadlock.
         """
-        local = self.__dict__.get("_persistent_local")
-        stack = getattr(local, "stack", None) if local is not None else None
+        stack = getattr(self._persistent_local, "stack", None)
         return stack[-1] if stack else None
 
     @contextlib.contextmanager
     def persistent(self, workers: int | None = None):
         """One long-lived pool backing every map call in this scope.
 
-        Yields the pool's executor, or ``None`` when the scope degrades (the
-        ``serial`` backend, or a resolved worker count of 1).  Only calls
-        from the thread that entered the scope reuse the pool; see
-        :meth:`_active_scope`.  A task exception propagates to the mapping
-        caller and leaves the pool usable.  The pool is shut down (waiting
-        for stragglers) when the scope exits, even on error.
+        Yields the pool's executor, or ``None`` when the scope degrades (a
+        resolved worker count of 1).  Only calls from the thread that entered
+        the scope reuse the pool; see :meth:`_active_scope`.  A task exception
+        propagates to the mapping caller and leaves the pool usable.  The pool
+        is shut down (waiting for stragglers) when the scope exits, even on
+        error.
         """
         # resolve against an unbounded item count: the scope serves maps of
         # many different sizes, so per-call clamping happens at map() time
@@ -167,12 +141,6 @@ class ExecutionBackend(abc.ABC):
         finally:
             stack.remove(pool)
 
-    # -- copying: thread-local scope state stays on this side ---------------
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        state.pop("_persistent_local", None)
-        return state
-
     # -----------------------------------------------------------------------
     def map(self, func: Callable[[T], R], items: Sequence[T],
             workers: int | None = None) -> list[R]:
@@ -181,7 +149,7 @@ class ExecutionBackend(abc.ABC):
         With one resolved worker (or zero/one items) the call degenerates to a
         plain sequential loop on the calling thread, which keeps the behaviour
         deterministic for tests and avoids pool startup.  An exception raised
-        by any ``func`` call propagates to the caller on every backend.
+        by any ``func`` call propagates to the caller.
 
         Inside a persistent scope entered on the calling thread, the scope's
         pool serves the map instead of a fresh one, still on no more of its
@@ -233,78 +201,34 @@ def _map_bounded(pool: Executor, func: Callable[[T], R], items: list,
     return results
 
 
-class SerialBackend(ExecutionBackend):
-    """Sequential execution on the calling thread (the reference semantics)."""
-
-    name = "serial"
-
-    def default_workers(self) -> int:
-        return 1
-
-    def resolve_workers(self, workers: int | None, n_items: int) -> int:
-        # validate like the thread pool, but serial is always one worker
-        if workers is not None and workers < 1:
-            raise ValueError("workers must be >= 1")
-        return 1
-
-
-class ThreadBackend(ExecutionBackend):
-    """Thread-pool execution (GIL-sharing; best for BLAS / I/O overlap)."""
-
-    name = "thread"
-
-    def default_workers(self) -> int:
-        # the ThreadPoolExecutor heuristic: a few threads beyond the core
-        # count keep I/O-ish work (simulated transfers, zlib) overlapped
-        return min(32, (os.cpu_count() or 1) + 4)
-
-    def _make_executor(self, workers: int) -> Executor:
-        return ThreadPoolExecutor(max_workers=workers)
-
-
-_BACKENDS: dict[str, ExecutionBackend] = {
-    backend.name: backend for backend in (SerialBackend(), ThreadBackend())}
-
-
-def available_backends() -> tuple[str, ...]:
-    """Backend names, in registration order."""
-    return tuple(_BACKENDS)
+#: the one pool every fan-out runs on
+POOL = ExecutionBackend()
 
 
 def get_backend(backend: "str | ExecutionBackend") -> ExecutionBackend:
-    """Resolve a backend name to its registry instance.
+    """:data:`POOL`, named ``"thread"`` or passed as itself.
 
-    Instances pass through unchanged, so APIs can accept either form.  An
-    unknown name raises :class:`ValueError` with the available choices (the
-    CLI surfaces this as a one-line error).
+    Any other value raises :class:`ValueError` naming the one choice.  The
+    worker count alone picks the calling thread (``1``) or the pool, so no
+    other backend exists.
     """
-    if isinstance(backend, ExecutionBackend):
-        return backend
-    try:
-        return _BACKENDS[backend]
-    except KeyError:
-        raise ValueError(f"unknown execution backend {backend!r}; available: "
-                         f"{', '.join(available_backends())}") from None
+    if backend is POOL or backend == POOL.name:
+        return POOL
+    raise ValueError(f"unknown execution backend {backend!r}; "
+                     f"available: {POOL.name}")
 
 
-def resolve_worker_count(max_workers: int | None, n_items: int,
-                         backend: "str | ExecutionBackend" = "thread") -> int:
-    """Effective number of workers for ``n_items`` units of work on ``backend``.
+def resolve_worker_count(max_workers: int | None, n_items: int) -> int:
+    """Effective number of workers for ``n_items`` units of work.
 
-    ``None`` resolves to the backend default — ``min(32, cpu_count + 4)`` for
-    threads, always 1 for serial — and the result is clamped to ``n_items``
-    (never spawn idle workers) and to a floor of 1.
+    ``None`` resolves to ``min(32, cpu_count + 4)``, and the result is
+    clamped to ``n_items`` (never spawn idle workers) and to a floor of 1.
     """
-    return get_backend(backend).resolve_workers(max_workers, n_items)
+    return POOL.resolve_workers(max_workers, n_items)
 
 
 def map_parallel(func: Callable[[T], R], items: Sequence[T],
-                 max_workers: int | None = None,
-                 backend: "str | ExecutionBackend" = "thread") -> list[R]:
-    """Apply ``func`` to every item on the named backend, preserving order.
-
-    The historic thread-pool helper, now a thin wrapper over
-    :meth:`ExecutionBackend.map`; ``backend="serial"`` (or ``max_workers=1``)
-    is the plain sequential loop.
-    """
-    return get_backend(backend).map(func, items, workers=max_workers)
+                 max_workers: int | None = None) -> list[R]:
+    """Apply ``func`` to every item on :data:`POOL`, preserving order;
+    ``max_workers=1`` is the plain sequential loop."""
+    return POOL.map(func, items, workers=max_workers)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["make_rng", "spawn_rngs"]
+__all__ = ["make_rng"]
 
 
 def make_rng(seed: int | np.random.Generator | None = 0) -> np.random.Generator:
@@ -19,14 +19,3 @@ def make_rng(seed: int | np.random.Generator | None = 0) -> np.random.Generator:
         return seed
     return np.random.default_rng(seed)
 
-
-def spawn_rngs(seed: int | None, count: int) -> list[np.random.Generator]:
-    """Create ``count`` statistically independent generators from one seed.
-
-    Uses ``SeedSequence.spawn`` so per-client streams in the FL simulator do not
-    overlap regardless of how many draws each client makes.
-    """
-    if count < 0:
-        raise ValueError("count must be non-negative")
-    seq = np.random.SeedSequence(seed)
-    return [np.random.default_rng(child) for child in seq.spawn(count)]

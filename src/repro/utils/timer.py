@@ -1,48 +1,8 @@
-"""Wall-clock timing helpers and human-readable formatting."""
+"""Human-readable formatting of byte counts and durations."""
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
-
-__all__ = ["Timer", "format_bytes", "format_seconds"]
-
-
-@dataclass
-class Timer:
-    """Context-manager stopwatch accumulating elapsed wall-clock seconds.
-
-    A single :class:`Timer` can be entered multiple times; ``elapsed`` is the
-    total across entries and ``laps`` records each individual interval, which
-    the benchmark harness uses to report per-round breakdowns.
-    """
-
-    elapsed: float = 0.0
-    laps: list[float] = field(default_factory=list)
-    _start: float | None = None
-
-    def __enter__(self) -> "Timer":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        if self._start is None:
-            return
-        lap = time.perf_counter() - self._start
-        self.laps.append(lap)
-        self.elapsed += lap
-        self._start = None
-
-    def reset(self) -> None:
-        """Clear the accumulated time and lap history."""
-        self.elapsed = 0.0
-        self.laps.clear()
-        self._start = None
-
-    @property
-    def mean_lap(self) -> float:
-        """Mean duration of the recorded laps (0.0 when no laps exist)."""
-        return self.elapsed / len(self.laps) if self.laps else 0.0
+__all__ = ["format_bytes", "format_seconds"]
 
 
 def format_bytes(num_bytes: float) -> str:

@@ -7,7 +7,8 @@ verbatim:
   and ``argmax`` over each window, and a ``put_along_axis`` scatter in
   backward;
 * :class:`Conv2d`, the dense convolution whose im2col products ran through
-  ``np.einsum(..., optimize=True)``, with the channels-first
+  ``np.einsum(..., optimize=True)``, with the ``(N, C*k*k, L)`` columns of
+  :func:`im2col` it unfolded its input into and the channels-first
   :func:`col2im` it folded its input gradient with (its depthwise path is
   the layer's own);
 * :class:`ReLU`, selecting with ``np.where``.
@@ -24,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.nn import layers
-from repro.nn.functional import conv_output_size, im2col
+from repro.nn.functional import conv_output_size
 from repro.nn.module import Module, Sequential
 
 
@@ -65,6 +66,23 @@ class MaxPool2d(Module):
             full[:, :, :h, :w] = out
             return full
         return out
+
+
+def im2col(x: np.ndarray, kernel: tuple[int, int], stride: int, padding: int) -> np.ndarray:
+    """Unfold ``x`` of shape (N, C, H, W) into columns (N, C*kh*kw, L).
+
+    ``L`` is the number of sliding-window positions ``H_out * W_out``.
+    """
+    kh, kw = kernel
+    n, c, h, w = x.shape
+    h_out = conv_output_size(h, kh, stride, padding)
+    w_out = conv_output_size(w, kw, stride, padding)
+    if padding:
+        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
+    windows = windows[:, :, ::stride, ::stride]  # (N, C, H_out, W_out, kh, kw)
+    cols = windows.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * kh * kw, h_out * w_out)
+    return np.ascontiguousarray(cols)
 
 
 def col2im(cols: np.ndarray, x_shape: tuple[int, int, int, int], kernel: tuple[int, int],
@@ -109,7 +127,8 @@ class Conv2d(layers.Conv2d):
         n = grad.shape[0]
         grad2d = grad.reshape(n, self.out_channels, -1)
         w2d = self.weight.data.reshape(self.out_channels, -1)
-        dw = np.einsum("nfl,nkl->fk", grad2d, self._cols, optimize=True)
+        cols, self._cols = self._cols, None
+        dw = np.einsum("nfl,nkl->fk", grad2d, cols, optimize=True)
         self.weight.add_grad(dw.reshape(self.weight.data.shape))
         if self.bias is not None:
             self.bias.add_grad(grad2d.sum(axis=(0, 2)))

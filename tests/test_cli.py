@@ -76,16 +76,6 @@ class TestParser:
         assert excinfo.value.code == 2
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
-    def test_backend_flag(self):
-        # a removed name (process) is covered with every other entry point in
-        # test_execution_backend.py
-        for command in ("compress", "simulate"):
-            args = build_parser().parse_args([command, "--backend", "serial"])
-            assert args.backend == "serial"
-            assert build_parser().parse_args([command]).backend == "thread"
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["compress", "--backend", "mpi"])
-
     def test_plan_flags(self):
         for command in ("compress", "simulate"):
             args = build_parser().parse_args([command, "--policy", "profiled",
@@ -157,10 +147,7 @@ class TestCommands:
         # pool threads share the codec's profiler, so its counters are real
         ["simulate", "--model", "mlp", "--rounds", "1", "--clients", "2",
          "--samples", "60", "--image-size", "8", "--workers", "2"],
-        ["simulate", "--model", "mlp", "--rounds", "1", "--clients", "2",
-         "--samples", "60", "--image-size", "8", "--workers", "2",
-         "--backend", "serial"],
-    ], ids=["compress", "simulate", "simulate-2-workers", "simulate-serial"])
+    ], ids=["compress", "simulate", "simulate-2-workers"])
     def test_profiled_run_prints_cache_hits_and_misses(self, argv, capsys):
         exit_code = main(argv + ["--policy", "profiled"])
         out = capsys.readouterr().out

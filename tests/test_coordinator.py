@@ -381,8 +381,8 @@ def _truncate_journal(journal_dir, keep_events):
 @functools.lru_cache(maxsize=None)
 def _uninterrupted(case):
     """The case's run without a crash: its records and final global state
-    (deterministic, so one thread-backend run serves both backends)."""
-    sim = simulation(case, "thread")
+    (deterministic, so one 2-worker run serves both worker counts)."""
+    sim = simulation(case, 2)
     result = sim.run(CASES[case][1])
     return deterministic_fields(result), sim.server.global_state()
 
@@ -447,12 +447,12 @@ class TestCrashResume:
         lines = (tmp_path / "j" / "journal.jsonl").read_text().splitlines()
         assert len(lines) == 3
 
-    @pytest.mark.parametrize("backend", ["serial", "thread"])
+    @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("case", sorted(CASES))
-    def test_killed_process_resumes_bit_identical(self, tmp_path, case, backend):
+    def test_killed_process_resumes_bit_identical(self, tmp_path, case, workers):
         # a real hard exit: the child process dies mid-round with its journal
-        # open (on the thread backend, with its 2-worker pool too), and a
-        # fresh run resumes from what it left
+        # open (on 2 workers, with its pool threads too), and a fresh run
+        # resumes from what it left
         crash_after, rounds = CASES[case]
         journal = tmp_path / "j"
         env = dict(os.environ, REPRO_JOURNAL_CRASH_AFTER=str(crash_after),
@@ -461,12 +461,12 @@ class TestCrashResume:
                        os.environ.get("PYTHONPATH")])))
         # a child that never exits would hang the test: the timeout fails it
         child_script = Path(__file__).with_name("crash_child.py")
-        child = subprocess.run([sys.executable, str(child_script), case, backend,
-                                str(journal)], env=env, capture_output=True,
+        child = subprocess.run([sys.executable, str(child_script), case,
+                                str(workers), str(journal)], env=env, capture_output=True,
                                text=True, timeout=120)
         assert child.returncode == 42, child.stderr[-2000:]
 
-        resumed_sim = simulation(case, backend, journal_dir=journal, resume=True)
+        resumed_sim = simulation(case, workers, journal_dir=journal, resume=True)
         resumed = resumed_sim.run(rounds)
         ref_fields, ref_state = _uninterrupted(case)
         assert deterministic_fields(resumed) == ref_fields
@@ -514,8 +514,7 @@ class TestPooledUplinks:
                                               hold=cid == 0 and n > 1),
                           network=NetworkModel(bandwidth_mbps=10.0))
                  for cid, state in enumerate(states)]
-        results = SimulatedTransport(backend="thread",
-                                     max_workers=4).ship_batch(tasks)
+        results = SimulatedTransport(max_workers=4).ship_batch(tasks)
         assert sorted(log) == list(range(n))  # every ship decoded once
         if n > 1:
             assert log[-1] == 0  # the first task completed last
@@ -597,7 +596,7 @@ class TestShipUpdateTask:
         net = NetworkModel(bandwidth_mbps=4.0)
         tasks = [ShipTask(client_id=i, state=_ship_state(seed=i), codec=codec,
                           network=net) for i in range(4)]
-        pooled = SimulatedTransport(backend="thread", max_workers=4).ship_batch(tasks)
+        pooled = SimulatedTransport(max_workers=4).ship_batch(tasks)
         for task, got in zip(tasks, pooled):
             want = ship_update_task(task)
             assert got.client_id == want.client_id

@@ -125,7 +125,7 @@ class TestConfigurationVariants:
         # entropy stream, never the bytes on the wire or the reconstruction
         lossy = get_lossy(compressor, error_bound=1e-2, entropy_chunk=1024)
         sequential = FedSZCompressor(FedSZConfig(), lossy=lossy)
-        threaded = FedSZCompressor(FedSZConfig(backend="thread", pipeline_workers=4),
+        threaded = FedSZCompressor(FedSZConfig(pipeline_workers=4),
                                    lossy=lossy)
         payload = sequential.compress_state_dict(small_state)
         assert payload == threaded.compress_state_dict(small_state)

@@ -352,9 +352,8 @@ class TestDeltaCodec:
         with pytest.raises(ValueError, match="float64"):
             codec.decode(payload[:13] + pack_bytes_dict(entries))
 
-    @pytest.mark.parametrize("backend, workers", [
-        ("thread", 1), ("thread", 2), ("thread", 3), ("thread", 4)])
-    def test_reference_ship_bit_identical_across_backends(self, backend, workers):
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4])
+    def test_reference_ship_bit_identical_across_worker_counts(self, workers):
         # one tensor of several tiles, one of one tile, and the exact ones
         ref = dict(_state(50), **{"conv.weight": np.random.default_rng(51).standard_normal(
             (300, 256)).astype(np.float32)})
@@ -366,9 +365,9 @@ class TestDeltaCodec:
             payload = codec.encode(state)
             return payload, _bits(codec.decode(payload))
 
-        payload, recon = ship(backend="serial")
+        payload, recon = ship()
         assert parse_frame(payload)[0] == MODE_REFERENCE
-        assert ship(backend=backend, pipeline_workers=workers) == (payload, recon)
+        assert ship(pipeline_workers=workers) == (payload, recon)
 
     def test_armed_codec_pickles_byte_identically(self):
         codec = self._codec()
@@ -586,9 +585,8 @@ EF_SLACK = 2.5
 
 
 @pytest.fixture(scope="module")
-def serial_delta_run(delta_split):
-    return deterministic_fields(
-        _make_sim(delta_split, backend="serial", max_workers=1).run(3))
+def one_worker_delta_run(delta_split):
+    return deterministic_fields(_make_sim(delta_split, max_workers=1).run(3))
 
 
 class TestDeltaSimulation:
@@ -603,12 +601,14 @@ class TestDeltaSimulation:
         # the cold ships are full states coded against the broadcast
         assert res.rounds[0].transmitted_bytes < 0.75 * full.rounds[0].transmitted_bytes
 
-    @pytest.mark.parametrize("backend, workers", [
-        ("thread", 1), ("thread", 2), ("thread", 3), ("thread", 4)])
-    def test_bit_identical_across_backends(self, delta_split, serial_delta_run,
-                                           backend, workers):
-        got = _make_sim(delta_split, backend=backend, max_workers=workers).run(3)
-        assert deterministic_fields(got) == serial_delta_run
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4])
+    def test_bit_identical_across_worker_counts(self, delta_split,
+                                                one_worker_delta_run, workers):
+        # every client's delta wrapper wraps the fleet's one inner codec, so
+        # the pooled runs ship concurrently through it
+        sim = _make_sim(delta_split, max_workers=workers)
+        assert len({id(codec.inner) for codec in sim.client_codecs}) == 1
+        assert deterministic_fields(sim.run(3)) == one_worker_delta_run
 
     def test_warm_rounds_ship_deltas_at_the_ratio_floor(self, floor_split):
         # from round 2 on every participant holds a server-acknowledged

@@ -37,11 +37,11 @@ class TestRoundtripAllCodecs:
         assert codec.decompress(codec.compress(b"")) == b""
 
     def test_float_array_roundtrip(self, codec_cls):
+        # the bytes of a float32 tensor, the pipeline's lossless partition
         codec = codec_cls()
         arr = np.random.default_rng(1).normal(0, 0.05, size=(37, 11)).astype(np.float32)
-        out = codec.decompress_array(codec.compress_array(arr))
-        np.testing.assert_array_equal(out, arr)
-        assert out.dtype == arr.dtype and out.shape == arr.shape
+        out = codec.decompress(codec.compress(arr.tobytes()))
+        np.testing.assert_array_equal(np.frombuffer(out, np.float32).reshape(37, 11), arr)
 
     def test_odd_length_bytes(self, codec_cls):
         codec = codec_cls()
@@ -112,15 +112,6 @@ class TestCorruptPayloads:
     def test_garbage_raises_valueerror(self, name, payload):
         with pytest.raises(ValueError, match=f"{name} payload corrupt"):
             get_lossless(name).decompress(payload)
-
-    @pytest.mark.parametrize("name", available_lossless())
-    def test_array_truncation_raises_valueerror(self, name):
-        codec = get_lossless(name)
-        array = np.random.default_rng(1).normal(0, 0.05, size=(37, 11)).astype(np.float32)
-        blob = codec.compress_array(array)
-        for cut in range(len(blob)):
-            with pytest.raises(ValueError):
-                codec.decompress_array(blob[:cut])
 
     @pytest.mark.parametrize("name", available_lossless())
     def test_bit_flips_raise_valueerror_or_decode(self, name):

@@ -12,7 +12,6 @@ from repro.compressors import (
     ZFPCompressor,
     available_lossy,
     get_lossy,
-    register_lossy,
     roundtrip,
 )
 
@@ -169,12 +168,6 @@ class TestConfigurationAndRegistry:
     def test_get_lossy_unknown(self):
         with pytest.raises(ValueError, match="unknown lossy compressor"):
             get_lossy("fpzip")
-
-    def test_register_lossy_and_overwrite_guard(self):
-        register_lossy("sz2_alias", SZ2Compressor, overwrite=True)
-        assert "sz2_alias" in available_lossy()
-        with pytest.raises(ValueError):
-            register_lossy("sz2_alias", SZ2Compressor)
 
     def test_error_bound_validation(self):
         with pytest.raises(ValueError):

@@ -4,8 +4,8 @@ import json
 
 import pytest
 
+from repro.compressors import CompressionStats
 from repro.metrics import (
-    CompressionRecord,
     ExperimentRecord,
     Table,
     format_bound,
@@ -59,11 +59,6 @@ class TestFormatting:
 
 
 class TestRecords:
-    def test_compression_record_fields(self):
-        record = CompressionRecord("sz2", "alexnet", 1e-2, 12.6, 3.2, 1.1, 70.0, 1e-3)
-        assert record.compressor == "sz2"
-        assert record.extra == {}
-
     def test_experiment_record_json(self):
         record = ExperimentRecord("table1", "EBLC comparison")
         record.add(model="alexnet", compressor="sz2", ratio=11.2)
@@ -73,6 +68,9 @@ class TestRecords:
 
     def test_experiment_record_serializes_dataclasses(self):
         record = ExperimentRecord("table1", "demo")
-        record.add(stats=CompressionRecord("sz2", "w", 1e-2, 2.0, 0.1, 0.1, 10.0, 1e-4))
+        record.add(stats=CompressionStats(4000, 2000, 0.1, 0.1, 1e-4))
         payload = json.loads(record.to_json())
-        assert payload["rows"][0]["stats"]["compressor"] == "sz2"
+        assert payload["rows"][0]["stats"] == {
+            "original_bytes": 4000, "compressed_bytes": 2000,
+            "compress_seconds": 0.1, "decompress_seconds": 0.1,
+            "max_abs_error": 1e-4}

@@ -36,18 +36,21 @@ class TestFunctional:
         x = rng.standard_normal((2, 3, 6, 6))
         weight = rng.standard_normal((4, 3, 3, 3))
         bias = rng.standard_normal(4)
-        cols = im2col(x, (3, 3), stride, padding)
-        out = np.einsum("fk,nkl->nfl", weight.reshape(4, -1), cols)
+        rows = im2col(x, (3, 3), stride, padding)
         h_out = conv_output_size(6, 3, stride, padding)
-        out = out.reshape(2, 4, h_out, h_out) + bias[None, :, None, None]
+        assert rows.shape == (2 * h_out * h_out, 3 * 3 * 3) and rows.flags.c_contiguous
+        out = (rows @ weight.reshape(4, -1).T).reshape(2, h_out, h_out, 4)
+        out = out.transpose(0, 3, 1, 2) + bias[None, :, None, None]
         np.testing.assert_allclose(out, naive_conv2d(x, weight, bias, stride, padding), rtol=1e-10)
 
     def test_col2im_adjoint_of_im2col(self, rng):
-        # <im2col(x), y> == <x, col2im(y)> must hold for an operator and its adjoint
-        x = rng.standard_normal((1, 2, 5, 5))
-        y = rng.standard_normal((1, 2 * 3 * 3, 25))
+        # <im2col(x), y> == <x, col2im(y)> must hold for an operator and its
+        # adjoint; col2im reads the rows' (N, C*k*k, L) transpose
+        x = rng.standard_normal((2, 2, 5, 5))
+        y = rng.standard_normal((2 * 25, 2 * 3 * 3))
         lhs = float((im2col(x, (3, 3), 1, 1) * y).sum())
-        rhs = float((x * col2im(y, x.shape, (3, 3), 1, 1)).sum())
+        cols = y.reshape(2, 25, -1).transpose(0, 2, 1)
+        rhs = float((x * col2im(cols, x.shape, (3, 3), 1, 1)).sum())
         assert lhs == pytest.approx(rhs, rel=1e-10)
 
     def test_softmax_rows_sum_to_one(self, rng):

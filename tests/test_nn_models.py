@@ -12,7 +12,6 @@ from repro.nn import (
     build_model,
     count_parameters,
     estimate_flops,
-    model_profile,
     state_dict_nbytes,
 )
 
@@ -139,10 +138,6 @@ class TestTableIIIProfiles:
         flops = {name: estimate_flops(build_model(name), (3, 32, 32)) for name in PAPER_MODELS}
         assert all(v > 0 for v in flops.values())
         assert flops["resnet50"] > flops["mobilenetv2"]
-
-    def test_model_profile_keys(self):
-        profile = model_profile(build_model("mobilenetv2"), (3, 32, 32))
-        assert set(profile) == {"parameters", "state_bytes", "flops"}
 
     def test_mobilenet_has_highest_buffer_share(self):
         # MobileNetV2's many BatchNorm layers make its non-weight share the

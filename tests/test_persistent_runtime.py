@@ -1,22 +1,21 @@
-"""Tests for the persistent runtime: long-lived pool scopes on the execution
-backends, one pool per federated run, and the journal resume of a profiled
-run — plus the bit-identity matrix proving every backend x worker count
-reproduces the serial 1-worker run exactly."""
+"""Tests for the persistent runtime: long-lived pool scopes, one pool per
+federated run, and the journal resume of a profiled run — plus the
+bit-identity matrix proving every worker count reproduces the 1-worker run
+on the calling thread exactly."""
 
 import contextlib
-import copy
-import pickle
 import threading
 
 import numpy as np
 import pytest
 
 from repro.core.config import FedSZConfig
+from repro.core.pipeline import FedSZCompressor
 from repro.fl import FederatedSimulation, FedSZUpdateCodec, RawUpdateCodec
 from repro.fl.client import FLClient
 from repro.fl.coordinator.records import deterministic_fields
 from repro.nn import build_model
-from repro.utils.parallel import get_backend
+from repro.utils.parallel import POOL
 
 
 def _factory():
@@ -48,82 +47,81 @@ def _boom(x):
 
 
 # ---------------------------------------------------------------------------
-# Persistent pool scope on the execution backends
+# Persistent pool scope
 # ---------------------------------------------------------------------------
 
 class TestPersistentScope:
     def test_one_pool_serves_many_maps(self):
-        backend = get_backend("thread")
-        before = backend.pool_spinups
-        with backend.persistent(2) as scope:
+        before = POOL.pool_spinups
+        with POOL.persistent(2) as scope:
             assert scope is not None
             for _ in range(3):
-                assert backend.map(_square, [1, 2, 3], workers=2) == [1, 4, 9]
-        assert backend.pool_spinups - before == 1
+                assert POOL.map(_square, [1, 2, 3], workers=2) == [1, 4, 9]
+        assert POOL.pool_spinups - before == 1
 
     def test_fresh_pools_without_scope(self):
-        backend = get_backend("thread")
-        before = backend.pool_spinups
+        before = POOL.pool_spinups
         for _ in range(2):
-            backend.map(_square, [1, 2, 3], workers=2)
-        assert backend.pool_spinups - before == 2
+            POOL.map(_square, [1, 2, 3], workers=2)
+        assert POOL.pool_spinups - before == 2
 
     def test_scope_survives_worker_exception(self):
-        """Satellite requirement: a failed map must not poison the pool."""
-        backend = get_backend("thread")
-        before = backend.pool_spinups
-        with backend.persistent(2):
+        """A failed map must not poison the pool."""
+        before = POOL.pool_spinups
+        with POOL.persistent(2):
             with pytest.raises(ValueError, match="worker task failure"):
-                backend.map(_boom, [1, 2, 3], workers=2)
-            assert backend.map(_square, [1, 2, 3], workers=2) == [1, 4, 9]
-        assert backend.pool_spinups - before == 1
+                POOL.map(_boom, [1, 2, 3], workers=2)
+            assert POOL.map(_square, [1, 2, 3], workers=2) == [1, 4, 9]
+        assert POOL.pool_spinups - before == 1
 
-    def test_serial_backend_never_builds_a_pool(self):
-        # serial resolves every map and scope to one inline worker, so no
-        # pool exists to count
-        backend = get_backend("serial")
-        before = backend.pool_spinups
-        assert backend.map(_square, [1, 2, 3], workers=4) == [1, 4, 9]
-        with backend.persistent(4) as scope:
+    def test_one_worker_never_builds_a_pool(self, tiny_split, monkeypatch):
+        # one worker is the sequential reference: a map, a scope, a compress
+        # and a simulation round each run every item on the calling thread,
+        # and no pool exists to count
+        import repro.core.pipeline as pipeline
+        import repro.fl.coordinator.transport as transport
+
+        caller, threads = threading.get_ident(), []
+
+        def on_thread(task):
+            def run(item):
+                threads.append(threading.get_ident())
+                return task(item)
+            return run
+
+        for module, name in ((pipeline, "_compress_tensor_task"),
+                             (pipeline, "_decompress_tensor_task"),
+                             (transport, "ship_update_task")):
+            monkeypatch.setattr(module, name, on_thread(getattr(module, name)))
+        before = POOL.pool_spinups
+        assert POOL.map(on_thread(_square), [1, 2, 3], workers=1) == [1, 4, 9]
+        with POOL.persistent(1) as scope:
             assert scope is None
-            assert backend.map(_square, [1, 2, 3], workers=4) == [1, 4, 9]
-        assert backend.pool_spinups == before
-        with pytest.raises(NotImplementedError, match="serial"):
-            backend._make_executor(2)
+            assert POOL.map(on_thread(_square), [1, 2, 3], workers=1) == [1, 4, 9]
+        state = build_model("simplecnn", num_classes=10, in_channels=3,
+                            image_size=16, seed=1).state_dict()
+        fedsz = FedSZCompressor(FedSZConfig(pipeline_workers=1))
+        fedsz.decompress_state_dict(fedsz.compress_state_dict(state))
+        _make_sim(tiny_split, n_clients=3, max_workers=1).run_round(0)
+        assert POOL.pool_spinups == before
+        # 6 map items, 2 x the simplecnn's lossy tensors, 3 ships
+        assert len(threads) > 9 and set(threads) == {caller}
 
     def test_single_worker_scope_degrades(self):
-        backend = get_backend("thread")
-        before = backend.pool_spinups
-        with backend.persistent(1) as scope:
+        before = POOL.pool_spinups
+        with POOL.persistent(1) as scope:
             assert scope is None
-        assert backend.pool_spinups == before
-
-    def test_pickled_backend_drops_scope_state(self):
-        backend = get_backend("thread")
-        with backend.persistent(2):
-            clone = pickle.loads(pickle.dumps(backend))
-            assert clone._active_scope() is None
-
-    def test_deepcopied_backend_drops_scope_state(self):
-        # FederatedSimulation deep-copies codecs, and a profiled codec holds
-        # its profiler's backend: the copy neither trips over the scope's
-        # thread-local bookkeeping nor inherits the scope
-        backend = get_backend("thread")
-        with backend.persistent(2) as scope:
-            clone = copy.deepcopy(backend)
-            assert clone._active_scope() is None
-            assert backend._active_scope() is scope
+        assert POOL.pool_spinups == before
 
     @pytest.mark.parametrize("fails", [False, True], ids=["clean", "raising"])
     def test_pool_threads_exit_with_their_scope(self, fails):
         # the scope joins its workers on the way out, even when its body
         # raises: no pool thread outlives the run that opened it
-        backend = get_backend("thread")
         before = set(threading.enumerate())
         expect = pytest.raises(RuntimeError, match="run failed") if fails \
             else contextlib.nullcontext()
-        with expect, backend.persistent(2):
-            assert backend.map(_square, range(8), workers=2) == \
+        with expect, POOL.persistent(2):
+            assert POOL.map(_square, range(8), workers=2) == \
                 [x * x for x in range(8)]
             assert set(threading.enumerate()) - before
             if fails:
@@ -132,52 +130,46 @@ class TestPersistentScope:
 
 
 # ---------------------------------------------------------------------------
-# Bit-identity: the persistent runtime vs the serial 1-worker reference
+# Bit-identity: the persistent runtime vs the 1-worker reference
 # ---------------------------------------------------------------------------
 
 class TestPersistentBitIdentity:
-    @pytest.mark.parametrize("backend", ["serial", "thread"])
-    @pytest.mark.parametrize("workers", [1, 3, 4])
-    def test_matrix_matches_serial_reference(self, tiny_split, backend, workers):
-        """Seeded records are bit-identical with a persistent pool across
-        serial/thread x workers {1, 3, 4}, against the serial 1-worker run."""
-        reference = _make_sim(tiny_split, n_clients=4, max_workers=1,
-                              backend="serial").run(2)
-        persistent = _make_sim(tiny_split, n_clients=4, max_workers=workers,
-                               backend=backend).run(2)
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4])
+    def test_matrix_matches_one_worker_reference(self, tiny_split, workers):
+        """Seeded records are bit-identical with a persistent pool at workers
+        {1, 2, 3, 4}, against the 1-worker run on the calling thread."""
+        reference = _make_sim(tiny_split, n_clients=4, max_workers=1).run(2)
+        persistent = _make_sim(tiny_split, n_clients=4, max_workers=workers).run(2)
         assert deterministic_fields(persistent) == deterministic_fields(reference)
 
-    def test_fedsz_bitstreams_match_serial_reference(self, tiny_split):
-        def run(backend, workers):
+    def test_fedsz_bitstreams_match_one_worker_reference(self, tiny_split):
+        def run(workers):
             codec = FedSZUpdateCodec(FedSZConfig(error_bound=1e-2))
             return _make_sim(tiny_split, n_clients=3, max_workers=workers,
-                             backend=backend, codec=codec).run(2)
-        reference, persistent = run("serial", 1), run("thread", 3)
+                             codec=codec).run(2)
+        reference, persistent = run(1), run(3)
         assert deterministic_fields(persistent) == deterministic_fields(reference)
 
-    def test_pooled_dropout_replicas_match_serial_reference(self, tiny_split):
+    def test_pooled_dropout_replicas_match_one_worker_reference(self, tiny_split):
         """Alexnet replicas trained on a persistent 2-thread pool: which
         worker trained a client in an earlier round must not leak into its
         dropout masks."""
-        runs = {}
-        for name, workers in (("serial", 1), ("thread", 2)):
+        runs = []
+        for workers in (1, 2):
             sim = _make_sim(tiny_split, model_factory=_alexnet, n_clients=4,
-                            max_workers=workers, backend=name)
-            runs[name] = (sim.run(3), sim.server.global_state())
-        (reference, ref_state), (pooled, pooled_state) = runs["serial"], runs["thread"]
+                            max_workers=workers)
+            runs.append((sim.run(3), sim.server.global_state()))
+        (reference, ref_state), (pooled, pooled_state) = runs
         assert deterministic_fields(pooled) == deterministic_fields(reference)
         for key in ref_state:
             np.testing.assert_array_equal(pooled_state[key], ref_state[key])
 
-    @pytest.mark.parametrize("backend, spinups", [("serial", 0), ("thread", 1)],
-                             ids=["serial", "thread"])
-    def test_persistent_run_spins_one_pool(self, tiny_split, backend, spinups):
-        # one pool serves the whole run on the thread backend; serial has none
-        pool_backend = get_backend(backend)
-        before = pool_backend.pool_spinups
-        _make_sim(tiny_split, n_clients=4, max_workers=4,
-                  backend=backend).run(2)
-        assert pool_backend.pool_spinups - before == spinups
+    @pytest.mark.parametrize("workers, spinups", [(1, 0), (4, 1)])
+    def test_persistent_run_spins_one_pool(self, tiny_split, workers, spinups):
+        # one pool serves the whole run; one worker builds none
+        before = POOL.pool_spinups
+        _make_sim(tiny_split, n_clients=4, max_workers=workers).run(2)
+        assert POOL.pool_spinups - before == spinups
 
     def test_failed_run_closes_its_scope(self, tiny_split):
         # a ship that raises mid-run reaches the caller, and the run's pool
@@ -186,13 +178,12 @@ class TestPersistentBitIdentity:
             def encode(self, state):
                 raise RuntimeError("encode failed")
 
-        backend = get_backend("thread")
         before = set(threading.enumerate())
-        sim = _make_sim(tiny_split, n_clients=4, max_workers=4, backend="thread",
+        sim = _make_sim(tiny_split, n_clients=4, max_workers=4,
                         codec=FailingCodec())
         with pytest.raises(RuntimeError, match="encode failed"):
             sim.run(2)
-        assert backend._active_scope() is None
+        assert POOL._active_scope() is None
         assert set(threading.enumerate()) <= before
 
 
@@ -201,19 +192,16 @@ class TestPersistentBitIdentity:
 # ---------------------------------------------------------------------------
 
 class TestRosterInvalidation:
-    @pytest.mark.parametrize("backend, workers",
-                             [("serial", 1), ("thread", 2), ("thread", 4)])
-    def test_roster_change_matches_fresh_reference(self, tiny_split, backend,
-                                                   workers):
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4])
+    def test_roster_change_matches_fresh_reference(self, tiny_split, workers):
         """A client replaced between two rounds inside one persistent scope
         trains as the replacement: the records match the same rounds run
         outside any scope, where every map spins a fresh pool."""
         def run(persistent):
-            sim = _make_sim(tiny_split, n_clients=4, max_workers=workers,
-                            backend=backend)
+            sim = _make_sim(tiny_split, n_clients=4, max_workers=workers)
             coord = sim.coordinator
             records = []
-            with coord.backend.persistent(coord.max_workers) if persistent \
+            with POOL.persistent(coord.max_workers) if persistent \
                     else contextlib.nullcontext():
                 records.append(coord.run_round(0))
                 replacement = FLClient(client_id=0, model=_factory(),
@@ -237,21 +225,20 @@ def _profiled_codec():
     return FedSZUpdateCodec(config)
 
 
-_RESUME_CASES = [("serial", False), ("serial", True), ("thread", False),
-                 ("thread", True)]
+_RESUME_CASES = [(1, False), (1, True), (2, False), (2, True)]
 
 
 class TestJournalResumeProfiled:
-    @pytest.mark.parametrize("backend, delta", _RESUME_CASES,
-                             ids=[f"{b}-delta" if d else b for b, d in _RESUME_CASES])
+    @pytest.mark.parametrize("workers, delta", _RESUME_CASES,
+                             ids=[f"{w}-delta" if d else str(w) for w, d in _RESUME_CASES])
     def test_resume_with_cold_profiler_matches_uninterrupted(self, tiny_split,
-                                                             tmp_path, backend,
+                                                             tmp_path, workers,
                                                              delta):
         """A journaled profiled run, resumed by a fresh codec whose profiler
         has measured nothing, matches the uninterrupted run: the profile of a
         tensor is a function of its bytes, never of what the cache held."""
         journal = tmp_path / "journal"
-        options = dict(n_clients=2, backend=backend, max_workers=2, delta=delta)
+        options = dict(n_clients=2, max_workers=workers, delta=delta)
         _make_sim(tiny_split, codec=_profiled_codec(), journal_dir=journal,
                   **options).run(1)
 

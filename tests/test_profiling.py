@@ -4,8 +4,7 @@ plan pipeline and the heterogeneous round engine.
 
 Determinism is the backbone of every test here: with a cost model injected,
 profiles — and therefore plans and bitstreams — are pure functions of the
-tensor bytes, so they must be identical across execution backends at any
-worker count.
+tensor bytes, so they must be identical at any worker count.
 """
 
 from __future__ import annotations
@@ -40,9 +39,6 @@ from repro.core.plan import PLAN_PROVENANCE_KEY, pack_plan, unpack_plan
 from repro.core.profiling import CandidateMeasurement, CostModel, resolve_cost_model
 from repro.fl import FederatedSimulation, FedSZUpdateCodec
 from repro.nn import build_model
-
-BACKENDS = ("serial", "thread")
-
 
 class CountingCostModel(CostModel):
     """Deterministic cost model that records every timing request."""
@@ -212,22 +208,20 @@ class TestCaching:
 
 
 # ---------------------------------------------------------------------------
-# Backend x worker equivalence of the candidate-grid fan-out
+# Worker-count equivalence of the candidate-grid fan-out
 # ---------------------------------------------------------------------------
 
 class TestFanOutEquivalence:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("workers", (1, 2, 4))
-    def test_profiles_identical_on_every_backend(self, tensors, backend, workers):
+    @pytest.mark.parametrize("workers", (1, 2, 3, 4))
+    def test_profiles_identical_at_every_worker_count(self, tensors, workers):
         reference = CodecProfiler(cost_model="analytic").profile_tensors(tensors)
-        profiler = CodecProfiler(cost_model="analytic", backend=backend,
-                                 workers=workers)
-        profiles = profiler.profile_tensors(tensors)
+        profiles = CodecProfiler(cost_model="analytic").profile_tensors(tensors,
+                                                                        workers)
         assert profiles == reference
 
 
 # ---------------------------------------------------------------------------
-# TensorProfile estimates and the Pareto frontier
+# TensorProfile estimates
 # ---------------------------------------------------------------------------
 
 def _measurement(codec, bound, ratio, compress_s, decompress_s,
@@ -248,13 +242,6 @@ def _profile(measurements, nbytes=1_000_000):
 
 
 class TestTensorProfile:
-    def test_pareto_frontier_drops_dominated(self):
-        best_ratio = _measurement("sz2", 1e-2, ratio=10.0, compress_s=1.0, decompress_s=0.5)
-        fastest = _measurement("szx", 1e-2, ratio=4.0, compress_s=0.1, decompress_s=0.05)
-        dominated = _measurement("zfp", 1e-2, ratio=3.0, compress_s=0.2, decompress_s=0.2)
-        frontier = _profile([best_ratio, fastest, dominated]).pareto_frontier()
-        assert frontier == (best_ratio, fastest)
-
     def test_best_for_link_prefers_ratio_on_slow_links(self):
         high_ratio = _measurement("sz2", 1e-2, ratio=10.0, compress_s=1.0, decompress_s=0.5)
         fast = _measurement("szx", 1e-2, ratio=4.0, compress_s=0.1, decompress_s=0.05)
@@ -338,7 +325,7 @@ class TestCostModels:
         with pytest.raises(ValueError, match="sample_limit"):
             CodecProfiler(sample_limit=0)
         with pytest.raises(ValueError, match="workers"):
-            CodecProfiler(workers=0)
+            CodecProfiler().profile_tensors({"w": np.ones(8, np.float32)}, workers=0)
 
 
 # ---------------------------------------------------------------------------
@@ -433,44 +420,29 @@ class TestProfiledPolicy:
         assert other.profiler is policy.profiler
         assert other.bandwidth_mbps == 500.0
 
-    def test_plans_deterministic_across_backends_and_workers(self, tensors):
-        config = FedSZConfig()
-        reference = ProfiledPolicy(bandwidth_mbps=25.0).build_plan(tensors, config)
-        for backend in BACKENDS:
-            for workers in (1, 3):
-                profiler = CodecProfiler(cost_model="analytic", backend=backend,
-                                         workers=workers)
-                plan = ProfiledPolicy(bandwidth_mbps=25.0, profiler=profiler) \
-                    .build_plan(tensors, config)
-                assert plan == reference
-
-    def test_policy_accepts_backend_and_workers(self, tensors):
-        # the same single execution knob that steers every other fan-out stage
-        policy = get_policy("profiled", bandwidth_mbps=25.0, backend="serial",
-                            workers=2)
-        assert policy.backend.name == "serial"
+    @pytest.mark.parametrize("workers", (1, 2, 3, 4))
+    def test_plans_deterministic_across_worker_counts(self, tensors, workers):
         reference = ProfiledPolicy(bandwidth_mbps=25.0).build_plan(tensors,
                                                                    FedSZConfig())
-        assert policy.build_plan(tensors, FedSZConfig()) == reference
-        variant = policy.for_network(NetworkModel(bandwidth_mbps=999.0))
-        assert variant.backend is policy.backend and variant.workers == 2
-        with pytest.raises(ValueError, match="workers"):
-            ProfiledPolicy(workers=0)
+        plan = ProfiledPolicy(bandwidth_mbps=25.0).build_plan(
+            tensors, FedSZConfig(pipeline_workers=workers))
+        assert plan == reference
 
     def test_policy_inherits_config_execution_knobs(self, tensors, monkeypatch):
+        # the pipeline's one worker count steers the candidate grid too
         import repro.core.profiling as profiling_module
 
         seen = {}
         original = CodecProfiler.profile_tensors
 
-        def spy(self, tensors, backend=None, workers=None):
-            seen["backend"], seen["workers"] = backend, workers
-            return original(self, tensors, backend=backend, workers=workers)
+        def spy(self, tensors, workers=1):
+            seen["workers"] = workers
+            return original(self, tensors, workers)
 
         monkeypatch.setattr(profiling_module.CodecProfiler, "profile_tensors", spy)
-        config = FedSZConfig(backend="serial", pipeline_workers=3)
+        config = FedSZConfig(pipeline_workers=3)
         ProfiledPolicy(bandwidth_mbps=25.0).build_plan(tensors, config)
-        assert seen == {"backend": "serial", "workers": 3}
+        assert seen == {"workers": 3}
 
     def test_provenance_roundtrips_through_wire_form(self, tensors):
         plan = ProfiledPolicy(bandwidth_mbps=5.0).build_plan(tensors, FedSZConfig())
@@ -514,14 +486,13 @@ class TestProfiledPipeline:
         for name, value in small_state.items():
             np.testing.assert_array_equal(recon[name], value)
 
-    def test_bitstreams_identical_across_backends(self, small_state):
+    def test_bitstreams_identical_across_worker_counts(self, small_state):
         payloads = set()
-        for backend in BACKENDS:
-            for workers in (1, 4):
-                config = FedSZConfig(policy="profiled",
-                                     policy_options={"bandwidth_mbps": 8.0},
-                                     backend=backend, pipeline_workers=workers)
-                payloads.add(FedSZCompressor(config).compress_state_dict(small_state))
+        for workers in (1, 2, 3, 4):
+            config = FedSZConfig(policy="profiled",
+                                 policy_options={"bandwidth_mbps": 8.0},
+                                 pipeline_workers=workers)
+            payloads.add(FedSZCompressor(config).compress_state_dict(small_state))
         assert len(payloads) == 1
 
 
@@ -594,8 +565,8 @@ def _trained_like_simplecnn():
 
 
 class TestPlanCrossover:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_sweep_stays_under_raw_and_flips_at_the_analytic_crossover(self, backend):
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_sweep_stays_under_raw_and_flips_at_the_analytic_crossover(self, workers):
         """At every swept bandwidth the profiled plan models no more than
         shipping raw (Eqn. 1), and the first bandwidth where most lossy bytes
         ship verbatim lies within 10x of the largest per-candidate
@@ -603,10 +574,10 @@ class TestPlanCrossover:
         up compression only once the last candidate stops paying (1,000
         against 969 Mbps here)."""
         state = _trained_like_simplecnn()
-        config = FedSZConfig(error_bound=1e-2)
+        config = FedSZConfig(error_bound=1e-2, pipeline_workers=workers)
         lossy = partition_state_dict(state, config).lossy
         lossy_bytes = sum(v.nbytes for v in lossy.values())
-        profiler = CodecProfiler(cost_model="analytic", backend=backend, workers=4)
+        profiler = CodecProfiler(cost_model="analytic")
         flips = []
         for bandwidth in SWEEP_MBPS:
             plan = ProfiledPolicy(bandwidth_mbps=bandwidth, profiler=profiler,
@@ -634,8 +605,7 @@ class TestPlanCrossover:
 # Heterogeneous fleet: per-client plans through the round engine
 # ---------------------------------------------------------------------------
 
-def _fleet_simulation(tiny_split, backend="serial", max_workers=1, n_clients=4,
-                      spread=200.0):
+def _fleet_simulation(tiny_split, max_workers=1, n_clients=4, spread=200.0):
     train, test = tiny_split
 
     def factory():
@@ -649,22 +619,28 @@ def _fleet_simulation(tiny_split, backend="serial", max_workers=1, n_clients=4,
                                          "sample_limit": 2_048})
     return FederatedSimulation(factory, train, test, n_clients=n_clients,
                                codec=FedSZUpdateCodec(config), networks=networks,
-                               lr=0.15, seed=5, backend=backend,
+                               lr=0.15, seed=5,
                                max_workers=max_workers), networks
+
+
+def _client_plans(record) -> dict:
+    """Each participant's compression plan, from its round report."""
+    return {cid: report.plan for cid, report in record.client_reports.items()}
 
 
 class TestHeterogeneousFleet:
     def test_per_client_plans_diverge_and_satisfy_eqn1(self, tiny_split):
         sim, networks = _fleet_simulation(tiny_split)
         record = sim.run_round(0)
-        assert set(record.client_plans) == set(record.participants)
+        plans = _client_plans(record)
+        assert set(plans) == set(record.participants)
 
         distinct = {tuple((e.codec, e.error_bound) for e in plan)
-                    for plan in record.client_plans.values()}
+                    for plan in plans.values()}
         assert len(distinct) >= 2, \
             "a 200x bandwidth spread must produce at least two distinct plans"
 
-        for cid, plan in record.client_plans.items():
+        for cid, plan in plans.items():
             for entry in plan:
                 provenance = entry.options[PLAN_PROVENANCE_KEY]
                 assert provenance["bandwidth_mbps"] == pytest.approx(
@@ -685,7 +661,7 @@ class TestHeterogeneousFleet:
         assert record.accuracy >= 0.0
         for cid, report in record.client_reports.items():
             assert report.compressed_bytes > 0
-            assert report.plan is record.client_plans[cid]
+            assert report.plan.tensor_names
 
     def test_fast_clients_ship_more_bytes_than_slow(self, tiny_split):
         sim, networks = _fleet_simulation(tiny_split)
@@ -698,17 +674,16 @@ class TestHeterogeneousFleet:
         assert ratios[slowest] > ratios[fastest], \
             "the slow link must compress harder than the fast one"
 
-    @pytest.mark.parametrize("backend,workers", [("serial", 1), ("thread", 2),
-                                                 ("thread", 4)])
-    def test_records_bit_identical_across_backends(self, tiny_split, backend, workers):
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4])
+    def test_records_bit_identical_across_worker_counts(self, tiny_split, workers):
         reference_sim, _ = _fleet_simulation(tiny_split)
         reference = reference_sim.run_round(0)
-        sim, _ = _fleet_simulation(tiny_split, backend=backend, max_workers=workers)
+        sim, _ = _fleet_simulation(tiny_split, max_workers=workers)
         record = sim.run_round(0)
         assert record.accuracy == reference.accuracy
         assert record.transmitted_bytes == reference.transmitted_bytes
         assert record.participants == reference.participants
-        assert record.client_plans == reference.client_plans
+        assert _client_plans(record) == _client_plans(reference)
         for key, value in reference_sim.server.global_state().items():
             np.testing.assert_array_equal(value, sim.server.global_state()[key])
 

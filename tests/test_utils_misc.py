@@ -1,35 +1,10 @@
-"""Tests for timers, formatting helpers, and RNG construction."""
-
-import time
+"""Tests for the formatting helpers and RNG construction."""
 
 import numpy as np
 import pytest
 
-from repro.utils.rng import make_rng, spawn_rngs
-from repro.utils.timer import Timer, format_bytes, format_seconds
-
-
-class TestTimer:
-    def test_accumulates_elapsed_time(self):
-        timer = Timer()
-        with timer:
-            time.sleep(0.01)
-        with timer:
-            time.sleep(0.01)
-        assert timer.elapsed >= 0.018
-        assert len(timer.laps) == 2
-        assert timer.mean_lap == pytest.approx(timer.elapsed / 2)
-
-    def test_reset(self):
-        timer = Timer()
-        with timer:
-            pass
-        timer.reset()
-        assert timer.elapsed == 0.0
-        assert timer.laps == []
-
-    def test_mean_lap_empty(self):
-        assert Timer().mean_lap == 0.0
+from repro.utils.rng import make_rng
+from repro.utils.timer import format_bytes, format_seconds
 
 
 class TestFormatting:
@@ -56,19 +31,3 @@ class TestRng:
     def test_make_rng_passthrough(self):
         gen = np.random.default_rng(0)
         assert make_rng(gen) is gen
-
-    def test_spawn_rngs_independent(self):
-        rngs = spawn_rngs(0, 3)
-        draws = [r.standard_normal(100) for r in rngs]
-        assert not np.allclose(draws[0], draws[1])
-        assert not np.allclose(draws[1], draws[2])
-
-    def test_spawn_rngs_reproducible(self):
-        a = [r.standard_normal(5) for r in spawn_rngs(42, 2)]
-        b = [r.standard_normal(5) for r in spawn_rngs(42, 2)]
-        for x, y in zip(a, b):
-            np.testing.assert_array_equal(x, y)
-
-    def test_spawn_negative_count_raises(self):
-        with pytest.raises(ValueError):
-            spawn_rngs(0, -1)
