@@ -4,9 +4,9 @@ one batch.
 * Decoded states are the same, bit for bit, as before the batch: pinned
   sha256 digests of the payloads and of the decoded states of SZ2 (with and
   without a reference), SZ3 and SZx containers, at ``pipeline_workers`` 1
-  (the calling thread) and 2.  ZFP containers and float64
-  states of every codec are pinned too, from before the encoder read
-  tensors in their own dtype.
+  (the calling thread) to 4.  ZFP containers and float64 states of every
+  codec are pinned too, from before the encoder read tensors in their own
+  dtype.
 * A corrupt stream in one entry raises ``ValueError`` that names the entry.
 * The entries reach their codecs as views of the bitstream: a 1.3 MB lossy
   entry of deflated zeros is rejected through the container with a traced
@@ -89,7 +89,7 @@ _PINNED = {
 }
 
 
-@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("workers", [1, 2, 3, 4])
 @pytest.mark.parametrize("codec", sorted(_PINNED))
 def test_decoded_states_are_pinned(codec, workers):
     name, _, dtype = codec.partition("/")
@@ -105,7 +105,7 @@ def test_decoded_states_are_pinned(codec, workers):
     assert _digest(fedsz.decompress_state_dict(coded, reference)) == decoded_against
 
 
-@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("workers", [1, 2, 3, 4])
 @pytest.mark.parametrize("codec", ["sz2", "sz3"])
 def test_corrupt_stream_names_its_entry(codec, workers):
     fedsz = FedSZCompressor(FedSZConfig(lossy_compressor=codec,

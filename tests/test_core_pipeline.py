@@ -8,6 +8,8 @@ from repro.compressors.huffman import DEFAULT_CHUNK_TUPLES
 from repro.compressors.registry import get_lossy
 from repro.core import FedSZCompressor, FedSZConfig, TensorPlan
 from repro.nn import build_model
+from repro.utils.parallel import map_parallel
+from repro.utils.serialization import unpack_bytes_dict
 
 
 def _mixed_state(seed: int = 5) -> dict[str, np.ndarray]:
@@ -193,3 +195,50 @@ class TestConfigurationVariants:
         restored_pred = restored(test.images).argmax(axis=1)
         agreement = float((original_pred == restored_pred).mean())
         assert agreement > 0.9
+
+
+class TestBoundScales:
+    """``bound_scales`` resolves REL bounds against the caller's per-tensor
+    ranges for one call: a shared compressor keeps nothing of them."""
+
+    @pytest.mark.parametrize("compressor", ["sz2", "sz3", "szx", "zfp"])
+    def test_rel_bound_resolves_against_the_given_scale(self, compressor, small_state):
+        # REL 1e-2 against a range of 2.0 codes every lossy tensor exactly as
+        # the same-valued absolute bound does
+        rel = FedSZCompressor(FedSZConfig(lossy_compressor=compressor,
+                                          error_bound=1e-2, threshold=256))
+        absolute = FedSZCompressor(FedSZConfig(lossy_compressor=compressor,
+                                               error_bound=1e-2 * 2.0,
+                                               error_mode="abs", threshold=256))
+        scaled, _ = rel.compress_with_report(
+            small_state, bound_scales={name: 2.0 for name in small_state})
+        entries = unpack_bytes_dict(scaled)
+        expected = unpack_bytes_dict(absolute.compress_state_dict(small_state))
+        lossy = [key for key in entries if key.startswith("lossy::")]
+        assert lossy and all(entries[key] == expected[key] for key in lossy)
+        assert entries != unpack_bytes_dict(rel.compress_state_dict(small_state))
+
+    @pytest.mark.parametrize("mode, scales", [("rel", {}), ("abs", None)],
+                             ids=["unnamed-tensors", "abs-bound"])
+    def test_unscaled_bounds_keep_the_plain_bitstream(self, mode, scales, small_state):
+        # a tensor absent from the scales keeps its own range, and an
+        # absolute bound has no range to resolve against
+        fedsz = FedSZCompressor(FedSZConfig(error_mode=mode, threshold=256))
+        if scales is None:
+            scales = {name: 2.0 for name in small_state}
+        plain = fedsz.compress_state_dict(small_state)
+        assert fedsz.compress_with_report(small_state, bound_scales=scales)[0] == plain
+
+    def test_shared_compressor_keeps_no_scales_between_calls(self, small_state):
+        # scaled and plain calls interleaved on pool threads each get only
+        # their own scales, as every delta client's ship does on one codec
+        fedsz = FedSZCompressor(FedSZConfig(threshold=256))
+        scales = {name: 4.0 for name in small_state}
+        plain = fedsz.compress_state_dict(small_state)
+        scaled, _ = fedsz.compress_with_report(small_state, bound_scales=scales)
+        assert scaled != plain
+        out = map_parallel(
+            lambda s: fedsz.compress_with_report(small_state, bound_scales=s)[0],
+            [None, scales] * 4, max_workers=4)
+        assert out == [plain, scaled] * 4
+        assert fedsz.compress_state_dict(small_state) == plain

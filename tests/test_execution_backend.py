@@ -80,14 +80,15 @@ class TestWorkerResolution:
         expected = min(32, (os.cpu_count() or 1) + 4)
         assert resolve_worker_count(None, 1000) == expected
 
-    def test_clamped_to_items_and_floor_one(self):
-        assert resolve_worker_count(8, 3) == 3
-        assert resolve_worker_count(8, 0) == 1
-        assert resolve_worker_count(1, 10) == 1
+    @pytest.mark.parametrize("workers, n_items, expected", [
+        (8, 3, 3), (8, 0, 1), (1, 10, 1), (3, 8, 3), (None, 0, 1)])
+    def test_clamped_to_items_and_floor_one(self, workers, n_items, expected):
+        assert resolve_worker_count(workers, n_items) == expected
 
-    def test_invalid_worker_count_rejected(self):
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_invalid_worker_count_rejected(self, workers):
         with pytest.raises(ValueError, match="workers"):
-            resolve_worker_count(0, 4)
+            resolve_worker_count(workers, 4)
 
 
 class TestMapSemantics:
@@ -97,22 +98,23 @@ class TestMapSemantics:
         assert map_parallel(_square, items, max_workers=workers) == \
             [x * x for x in items]
 
-    def test_empty_items(self):
-        assert map_parallel(_square, [], max_workers=4) == []
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4])
+    def test_empty_items(self, workers):
+        assert map_parallel(_square, [], max_workers=workers) == []
 
-    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4])
     def test_exceptions_propagate(self, workers):
         with pytest.raises(RuntimeError, match="worker failed"):
             map_parallel(_boom, [1, 2, 3], max_workers=workers)
 
-    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4])
     def test_closures_share_the_callers_state(self, workers):
         # workers share the caller's objects: closures run, and their side
         # effects land in the caller's state
         acc = []
-        assert map_parallel(lambda x: x + 1, [1, 2], workers) == [2, 3]
-        map_parallel(acc.append, [7, 8], workers)
-        assert sorted(acc) == [7, 8]
+        assert map_parallel(lambda x: x + 1, [1, 2, 3, 4], workers) == [2, 3, 4, 5]
+        map_parallel(acc.append, [7, 8, 9, 10], workers)
+        assert sorted(acc) == [7, 8, 9, 10]
 
     def test_map_in_a_wider_scope_keeps_its_worker_count(self, monkeypatch):
         # the scope's pool serves a narrower map on no more threads than it
@@ -217,7 +219,7 @@ class TestPipelineEquivalence:
         reference = compress(1)
         assert all(compress(workers) == reference for workers in (2, 3, 4))
 
-    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4])
     def test_corruption_raises_valueerror_at_every_worker_count(self, state, workers):
         # keep the codec tag, garble one tensor's body: the failure happens in
         # a pipeline worker, and its ValueError must reach the caller intact

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.nn.blocks import Bottleneck, ConvBNReLU, InvertedResidual
+from nn_reference import im2col as reference_im2col
 from repro.nn.functional import col2im, conv_output_size, im2col, log_softmax, one_hot, softmax
 
 
@@ -42,6 +43,21 @@ class TestFunctional:
         out = (rows @ weight.reshape(4, -1).T).reshape(2, h_out, h_out, 4)
         out = out.transpose(0, 3, 1, 2) + bias[None, :, None, None]
         np.testing.assert_allclose(out, naive_conv2d(x, weight, bias, stride, padding), rtol=1e-10)
+
+    @pytest.mark.parametrize("kernel,stride,padding", [
+        ((3, 3), 1, 1), ((3, 3), 2, 0), ((1, 1), 1, 0), ((5, 5), 2, 2),
+        ((3, 1), 1, 1), ((2, 3), 2, 1)],
+        ids=["3x3-s1-p1", "3x3-s2-p0", "1x1-s1-p0", "5x5-s2-p2", "3x1-s1-p1", "2x3-s2-p1"])
+    def test_im2col_rows_are_the_reference_columns_transposed(self, rng, kernel,
+                                                              stride, padding):
+        # the rows hold the same windows, bit for bit, as the (N, C*k*k, L)
+        # columns they replaced, one sample's L positions after another
+        x = rng.standard_normal((2, 3, 7, 9)).astype(np.float32)
+        rows = im2col(x, kernel, stride, padding)
+        cols = reference_im2col(x, kernel, stride, padding)
+        assert rows.dtype == x.dtype and rows.flags.c_contiguous
+        np.testing.assert_array_equal(
+            rows, cols.transpose(0, 2, 1).reshape(-1, cols.shape[1]))
 
     def test_col2im_adjoint_of_im2col(self, rng):
         # <im2col(x), y> == <x, col2im(y)> must hold for an operator and its

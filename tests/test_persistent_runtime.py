@@ -164,7 +164,7 @@ class TestPersistentBitIdentity:
         for key in ref_state:
             np.testing.assert_array_equal(pooled_state[key], ref_state[key])
 
-    @pytest.mark.parametrize("workers, spinups", [(1, 0), (4, 1)])
+    @pytest.mark.parametrize("workers, spinups", [(1, 0), (2, 1), (3, 1), (4, 1)])
     def test_persistent_run_spins_one_pool(self, tiny_split, workers, spinups):
         # one pool serves the whole run; one worker builds none
         before = POOL.pool_spinups

@@ -565,7 +565,7 @@ def _trained_like_simplecnn():
 
 
 class TestPlanCrossover:
-    @pytest.mark.parametrize("workers", [1, 4])
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4])
     def test_sweep_stays_under_raw_and_flips_at_the_analytic_crossover(self, workers):
         """At every swept bandwidth the profiled plan models no more than
         shipping raw (Eqn. 1), and the first bandwidth where most lossy bytes
